@@ -299,8 +299,7 @@ func BenchmarkE14_PiEncoding(b *testing.B) {
 	}
 }
 
-// BenchmarkE15_Scaling measures graph exploration against term size, and
-// the level-parallel explorer on the same workload.
+// BenchmarkE15_Scaling measures graph exploration against term size.
 func BenchmarkE15_Scaling(b *testing.B) {
 	for _, n := range []int{4, 6, 8} {
 		parts := make([]syntax.Proc, n)
@@ -308,20 +307,18 @@ func BenchmarkE15_Scaling(b *testing.B) {
 			parts[i] = syntax.Send(names.Name(fmt.Sprintf("c%d", i)), nil, syntax.PNil)
 		}
 		p := syntax.Group(parts...)
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("explore-n%d-w%d", n, workers), func(b *testing.B) {
-				sys := semantics.NewSystem(nil)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					g, err := lts.Explore(sys, []syntax.Proc{p}, lts.Options{
-						AutonomousOnly: true, MaxStates: 1 << 14, Workers: workers,
-					})
-					if err != nil || g.NumStates() != 1<<n {
-						b.Fatalf("graph: %v %v", g, err)
-					}
+		b.Run(fmt.Sprintf("explore-n%d", n), func(b *testing.B) {
+			sys := semantics.NewSystem(nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g, err := lts.Explore(sys, []syntax.Proc{p}, lts.Options{
+					AutonomousOnly: true, MaxStates: 1 << 14,
+				})
+				if err != nil || g.NumStates() != 1<<n {
+					b.Fatalf("graph: %v %v", g, err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -464,10 +461,10 @@ func BenchmarkE19_Refinement(b *testing.B) {
 }
 
 // BenchmarkEquivParallel measures a batch of labelled-bisimilarity queries
-// against one shared term store: the sequential baseline (workers=1,
-// single-goroutine) versus fan-out across goroutines sharing one parallel
-// checker. At GOMAXPROCS>1 the fan-out variants should show wall-clock
-// speedup; at GOMAXPROCS=1 they must not regress beyond scheduling noise.
+// against one shared term store: the single-goroutine baseline (workers=1)
+// versus query-level fan-out across goroutines sharing one checker. At
+// GOMAXPROCS>1 the fan-out variants should show wall-clock speedup; at
+// GOMAXPROCS=1 they must not regress beyond scheduling noise.
 func BenchmarkEquivParallel(b *testing.B) {
 	cfg := brand.Default()
 	cfg.MaxDepth = 3
@@ -513,11 +510,7 @@ func BenchmarkEquivParallel(b *testing.B) {
 	for _, w := range widths {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ch := equiv.NewParallelChecker(nil, w)
-				if w == 1 {
-					ch = equiv.NewChecker(nil)
-				}
-				queries(b, ch, w)
+				queries(b, equiv.NewChecker(nil), w)
 			}
 		})
 	}

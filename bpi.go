@@ -122,16 +122,9 @@ func ParseProgram(src string) (*Program, error) { return parser.ParseProgram(src
 func NewSystem(env Env) *System { return semantics.NewSystem(env) }
 
 // NewChecker returns an equivalence checker over sys (nil means the empty
-// environment).
+// environment). A checker is safe to share across goroutines: concurrent
+// queries reuse each other's memoised derivations.
 func NewChecker(sys *System) *Checker { return equiv.NewChecker(sys) }
-
-// NewParallelChecker returns a checker that is safe to share across
-// goroutines and whose pair engine builds each breadth-first frontier with a
-// pool of workers goroutines (<= 0 means GOMAXPROCS). Verdicts, pair counts
-// and failure reasons are identical to the sequential checker's.
-func NewParallelChecker(sys *System, workers int) *Checker {
-	return equiv.NewParallelChecker(sys, workers)
-}
 
 // NewProver returns the Section 5 decision procedure over sys.
 func NewProver(sys *System) *Prover { return axioms.NewProver(sys) }

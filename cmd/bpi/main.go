@@ -10,7 +10,7 @@
 //	bpi run      [-f file] [-n max] [-seed s] [-trace] [term]
 //	                                 execute by broadcast scheduling
 //	bpi fmt      [-f file] [term]    parse and pretty-print
-//	bpi protocols [-list] [-run name] [-workers n] [-cert out.json]
+//	bpi protocols [-list] [-run name] [-cert out.json]
 //	                                 list/run the broadcast-algorithm
 //	                                 scenario library (internal/protocols)
 //
@@ -73,7 +73,7 @@ func usage() {
   bpi explore  [-f file] [-n max] [term]       reachable transition graph
   bpi run      [-f file] [-n max] [-seed s] [-trace] [term]
   bpi fmt      [-f file] [term]                parse and pretty-print
-  bpi protocols [-list] [-run name] [-workers n] [-cert out.json] [-terms]
+  bpi protocols [-list] [-run name] [-cert out.json] [-terms]
                                                broadcast-algorithm scenario library
 `)
 }
@@ -159,7 +159,6 @@ func cmdExplore(args []string) error {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
 	file := fs.String("f", "", "program file with definitions")
 	max := fs.Int("n", 4096, "state budget")
-	workers := fs.Int("workers", 1, "parallel exploration workers")
 	auto := fs.Bool("auto", false, "autonomous moves only (no input grounding)")
 	dot := fs.String("dot", "", "write the graph in Graphviz DOT format to this file")
 	fs.Parse(args)
@@ -173,7 +172,7 @@ func cmdExplore(args []string) error {
 		}
 	}
 	g, err := lts.Explore(semantics.NewSystem(env), []syntax.Proc{p}, lts.Options{
-		MaxStates: *max, Workers: *workers, AutonomousOnly: *auto,
+		MaxStates: *max, AutonomousOnly: *auto,
 	})
 	if err != nil {
 		return err

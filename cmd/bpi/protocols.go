@@ -19,7 +19,6 @@ func cmdProtocols(args []string) error {
 	fs := flag.NewFlagSet("protocols", flag.ExitOnError)
 	list := fs.Bool("list", false, "list the scenario catalogue and exit")
 	run := fs.String("run", "", "decide the named scenario (see -list)")
-	workers := fs.Int("workers", 1, "pair-engine workers (1 = sequential)")
 	certOut := fs.String("cert", "", "write the verdict's certificate JSON to this file")
 	terms := fs.Bool("terms", false, "with -run, print the implementation and spec terms")
 	fs.Parse(args)
@@ -53,7 +52,7 @@ func cmdProtocols(args []string) error {
 	if *terms {
 		fmt.Printf("impl: %s\nspec: %s\n", syntax.Print(s.Impl), syntax.Print(s.Spec))
 	}
-	r, err := protocols.Decide(protocols.NewChecker(*workers), s)
+	r, err := protocols.Decide(protocols.NewChecker(), s)
 	if err != nil {
 		return err
 	}

@@ -4,38 +4,20 @@
 // paper-claim vs measured-result table. EXPERIMENTS.md is produced from this
 // output.
 //
-// The suite is first run sequentially (the per-experiment timings in the
-// table come from this run), then — unless -parallel=false — re-run with
-// independent experiments fanned out over a worker pool and equivalence
-// checkers in parallel-engine mode, so the footer reports both wall-clocks.
+// Usage: bpibench [-run regexp-free-substring] [-json file] [-stress]
+// [-protocols] [-trace out.json] [-counters] [-cpuprofile file]
+// [-memprofile file] [-servicegrid file] [-grid-repeats n]
 //
-// Usage: bpibench [-run regexp-free-substring] [-v] [-parallel] [-workers n]
-// [-json file] [-stress] [-protocols] [-compiled] [-trace out.json]
-// [-counters] [-cpuprofile file] [-memprofile file]
+// -run keeps the experiments whose id contains the substring; a filter that
+// selects nothing is a usage error (exit 2), not an empty success.
 //
-// -compiled runs the suite's checkers on compiled transition programs and,
-// with -stress, re-runs every stress point on a compiled store after the
-// interpreted run: verdicts must be bit-identical, and the per-point
-// interpreted/compiled time ratios are published (compiled_ms,
-// compiled_ratio, and the gate figure compiled_min_ratio — the worst ratio
-// over points whose interpreted run took >= 200ms; shorter points are
-// recorded but excluded as scheduling noise).
-//
-// -protocols runs the internal/protocols conformance ladder: each protocol
-// scenario (gossip star, leader election, multicast emulation) is decided
-// against its behavioural spec at 1/2/4 workers, verdicts must match the
-// scenario's expectation and be bit-identical across worker counts, and the
-// per-rung curve lands in the JSON report next to the stress curve.
-//
-// The experiment suite's wall-clock ratio is NOT the headline parallelism
-// number: the individual experiments are sub-50ms, so a suite "speedup" is
-// dominated by scheduling noise, and the emitter refuses to publish one.
-// The headline comes from -stress: the internal/stress topology ladder
-// (10^5+ states) checked at 1/2/4/8 workers, with the 4-worker speedup on
-// the largest rung recorded as headline_speedup_4w — and only when the host
-// actually has >= 2 CPUs, because a single-P runtime cannot exhibit
-// parallelism and the resulting figure would be noise masquerading as a
-// benchmark.
+// -stress decides every internal/stress ladder rung (gossip meshes up to
+// 10^5+ states, self-pair against its rotation, strong step) once on a
+// fresh checker: the verdict must be "related" and the explored pair count
+// must cover every state. -protocols does the same for the internal/protocols
+// ladder (broadcast algorithms against their behavioural specs), where the
+// verdict must match the scenario's expectation. Each rung's states, pairs
+// and wall-clock milliseconds land in the JSON report.
 package main
 
 import (
@@ -46,8 +28,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bpi/internal/axioms"
@@ -78,14 +58,11 @@ type experiment struct {
 }
 
 // tracer is the suite-wide observability sink (nil unless -trace/-counters
-// was given). One tracer spans both the sequential and parallel runs; the
-// obs package is safe for the concurrent checkers the re-run creates.
+// was given).
 var tracer *obs.Tracer
 
-// newChecker builds the equivalence checker experiments use. The parallel
-// re-run swaps in shared-store parallel checkers (set once, before any
-// concurrent experiment starts).
-var newChecker = func() *equiv.Checker { return instrument(equiv.NewChecker(nil)) }
+// newChecker builds the equivalence checker experiments use.
+func newChecker() *equiv.Checker { return instrument(equiv.NewChecker(nil)) }
 
 func instrument(ch *equiv.Checker) *equiv.Checker {
 	if tracer != nil {
@@ -116,37 +93,19 @@ func runOne(e experiment) outcome {
 	return outcome{status, measured, dur}
 }
 
-// runSuite executes the experiments with the given fan-out and returns the
-// per-experiment outcomes (in suite order) plus the total wall-clock.
-func runSuite(exps []experiment, workers int) ([]outcome, time.Duration) {
-	start := time.Now()
-	outs := make([]outcome, len(exps))
-	if workers <= 1 {
-		for i, e := range exps {
-			outs[i] = runOne(e)
+// selectExperiments keeps the experiments whose id contains filter, in
+// suite order; an empty filter keeps them all.
+func selectExperiments(exps []experiment, filter string) []experiment {
+	if filter == "" {
+		return exps
+	}
+	var kept []experiment
+	for _, e := range exps {
+		if strings.Contains(e.id, filter) {
+			kept = append(kept, e)
 		}
-		return outs, time.Since(start)
 	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(exps) {
-					return
-				}
-				outs[i] = runOne(exps[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return outs, time.Since(start)
+	return kept
 }
 
 type expJSON struct {
@@ -158,191 +117,84 @@ type expJSON struct {
 }
 
 type benchJSON struct {
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	HostCPUs     int     `json:"host_cpus"`
-	Workers      int     `json:"workers"`
-	SequentialMS float64 `json:"sequential_ms"`
-	ParallelMS   float64 `json:"parallel_ms,omitempty"`
-	Speedup      float64 `json:"speedup,omitempty"`
-	// SpeedupNote explains a withheld suite speedup (sub-50ms experiments,
-	// or a single-P runtime).
-	SpeedupNote string         `json:"speedup_note,omitempty"`
+	GOMAXPROCS  int            `json:"gomaxprocs"`
+	HostCPUs    int            `json:"host_cpus"`
+	SuiteMS     float64        `json:"suite_ms"`
 	Stress      *stressJSON    `json:"stress,omitempty"`
 	Protocols   *protocolsJSON `json:"protocols,omitempty"`
 	Experiments []expJSON      `json:"experiments"`
 }
 
-type stressPointJSON struct {
-	Workers int     `json:"workers"`
-	MS      float64 `json:"ms"`
-	// Speedup is sequential-ms / this-point-ms on the same rung.
-	Speedup float64 `json:"speedup"`
-	// CompiledMS is the same point re-run with the compiled transition
-	// programs (-compiled only), after a bit-identity check against the
-	// interpreted verdict.
-	CompiledMS float64 `json:"compiled_ms,omitempty"`
-	// CompiledRatio is interpreted-ms / compiled-ms at this point: > 1
-	// means the compiled path was faster.
-	CompiledRatio float64 `json:"compiled_ratio,omitempty"`
-}
-
 type stressRungJSON struct {
-	Name   string            `json:"name"`
-	States int               `json:"states"`
-	Pairs  int               `json:"pairs"`
-	Points []stressPointJSON `json:"points"`
+	Name   string  `json:"name"`
+	States int     `json:"states"`
+	Pairs  int     `json:"pairs"`
+	MS     float64 `json:"ms"`
 }
 
 type stressJSON struct {
-	// HostCPUs is runtime.NumCPU() on the machine that ran the curve. The
-	// CI regression gate conditions on it: a 1-CPU host cannot parallelise,
-	// so its curve is recorded for the trajectory but never gated on.
+	// HostCPUs is runtime.NumCPU() on the machine that ran the ladder.
 	HostCPUs int              `json:"host_cpus"`
 	Rungs    []stressRungJSON `json:"rungs"`
-	// Headline4W is the 4-worker speedup on the largest rung; omitted when
-	// the host has fewer than 2 CPUs (the figure would be meaningless).
-	Headline4W float64 `json:"headline_speedup_4w,omitempty"`
-	// CompiledMinRatio is the worst interpreted/compiled time ratio over
-	// the points whose interpreted run took >= 200ms (-compiled only) — the
-	// number the CI guard gates on (compiled must stay >= 0.9x). Sub-200ms
-	// points are recorded but excluded: their ratio is scheduling noise.
-	CompiledMinRatio float64 `json:"compiled_min_ratio,omitempty"`
-	// CompiledNote explains a withheld CompiledMinRatio.
-	CompiledNote string `json:"compiled_note,omitempty"`
 }
 
-// stressWorkerCounts is the per-rung worker ladder of the scaling curve.
-var stressWorkerCounts = []int{1, 2, 4, 8}
+// decideRung times one ladder decision on a fresh checker and checks its
+// outcome: the verdict must be want, and a related pair space must hold at
+// least one pair per state of the left term's autonomous LTS. Both ladders
+// decide step relations, where every such state is the left component of
+// some surviving pair. It returns the explored pair count, the
+// milliseconds taken and whether the checks passed.
+func decideRung(name string, states int, want bool, decide func() (equiv.Result, error)) (int, float64, bool) {
+	start := time.Now()
+	r, err := decide()
+	ms := float64(time.Since(start).Microseconds()) / 1000
+	switch {
+	case err != nil:
+		fmt.Printf("%-18s ERROR %v\n", name, err)
+		return 0, ms, false
+	case r.Related != want:
+		fmt.Printf("%-18s verdict %v, want %v (%s)\n", name, r.Related, want, r.Reason)
+		return r.Pairs, ms, false
+	case r.Related && r.Pairs < states:
+		fmt.Printf("%-18s explored %d pairs, fewer than its %d states\n", name, r.Pairs, states)
+		return r.Pairs, ms, false
+	}
+	return r.Pairs, ms, true
+}
 
-// runStress checks every internal/stress Ladder rung (self-pair, strong step
-// — the engine still has to close the full reachable pair space to say yes)
-// at each worker count, each run on a fresh store so no run inherits another
-// run's memoised semantics. Verdicts must be bit-identical across worker
-// counts; any divergence is counted as a failure. With compiled, every point
-// is re-run on a compiled store and the verdicts must also be bit-identical;
-// the interpreted/compiled time ratios feed compiled_min_ratio. Returns the
-// curve and the number of failures.
-func runStress(verbose, compiled bool) (*stressJSON, int) {
+// runStress decides every internal/stress Ladder rung (self-pair against its
+// rotation, strong step — the engine has to close the full reachable pair
+// space to say yes), each on a fresh store so no rung inherits another's
+// memoised semantics. Returns the ladder and the number of failures.
+func runStress() (*stressJSON, int) {
 	out := &stressJSON{HostCPUs: runtime.NumCPU()}
 	failures := 0
-	stressChecker := func(w int, comp bool) *equiv.Checker {
-		var ch *equiv.Checker
-		if w > 1 {
-			ch = equiv.NewParallelChecker(nil, w)
-		} else {
-			ch = equiv.NewChecker(nil)
-		}
+	for _, c := range stress.Ladder() {
+		ch := instrument(equiv.NewChecker(nil))
 		// The largest rung's pair space is ~5M (pair density grows with
 		// mesh size: ~30x states at mesh-20, ~36x at mesh-22); 1<<23 keeps
-		// comfortable headroom so the curve never hits the budget.
+		// comfortable headroom so the ladder never hits the budget.
 		ch.MaxPairs = 1 << 23
-		if comp {
-			ch.Store().EnableCompiled()
+		pairs, ms, ok := decideRung("stress "+c.Name, c.States, true, func() (equiv.Result, error) {
+			return ch.Step(c.P, c.Q, false)
+		})
+		if !ok {
+			failures++
 		}
-		return instrument(ch)
-	}
-	minRatio, eligible := 0.0, 0
-	for _, c := range stress.Ladder() {
-		rung := stressRungJSON{Name: c.Name, States: c.States}
-		var baseMS float64
-		var base equiv.Result
-		for i, w := range stressWorkerCounts {
-			ch := stressChecker(w, false)
-			start := time.Now()
-			r, err := ch.Step(c.P, c.Q, false)
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			if err != nil {
-				fmt.Printf("stress %-8s workers=%d: ERROR %v\n", c.Name, w, err)
-				failures++
-				continue
-			}
-			if i == 0 {
-				baseMS, base = ms, r
-				rung.Pairs = r.Pairs
-				if !r.Related {
-					fmt.Printf("stress %-8s: self-pair not related (%s)\n", c.Name, r.Reason)
-					failures++
-				}
-			} else if r.Related != base.Related || r.Pairs != base.Pairs || r.Reason != base.Reason {
-				fmt.Printf("stress %-8s workers=%d: verdict diverged from sequential (related %v/%v pairs %d/%d)\n",
-					c.Name, w, r.Related, base.Related, r.Pairs, base.Pairs)
-				failures++
-			}
-			pt := stressPointJSON{Workers: w, MS: ms, Speedup: baseMS / ms}
-			if compiled {
-				cch := stressChecker(w, true)
-				cstart := time.Now()
-				cr, cerr := cch.Step(c.P, c.Q, false)
-				cms := float64(time.Since(cstart).Microseconds()) / 1000
-				if cerr != nil {
-					fmt.Printf("stress %-8s workers=%d: compiled ERROR %v\n", c.Name, w, cerr)
-					failures++
-				} else {
-					if cr.Related != r.Related || cr.Pairs != r.Pairs || cr.Reason != r.Reason {
-						fmt.Printf("stress %-8s workers=%d: compiled verdict diverged (related %v/%v pairs %d/%d)\n",
-							c.Name, w, cr.Related, r.Related, cr.Pairs, r.Pairs)
-						failures++
-					}
-					pt.CompiledMS = cms
-					pt.CompiledRatio = ms / cms
-					// Only interpreted runs >= 200ms are long enough for the
-					// ratio to be a measurement rather than scheduling noise.
-					if ms >= 200 {
-						if eligible == 0 || pt.CompiledRatio < minRatio {
-							minRatio = pt.CompiledRatio
-						}
-						eligible++
-					}
-				}
-			}
-			rung.Points = append(rung.Points, pt)
-			if verbose {
-				fmt.Printf("stress %-8s workers=%d: %.0fms\n", c.Name, w, ms)
-			}
-		}
-		var cells []string
-		for _, pt := range rung.Points {
-			cell := fmt.Sprintf("w%d %.1fs (%.2fx)", pt.Workers, pt.MS/1000, pt.Speedup)
-			if pt.CompiledMS > 0 {
-				cell += fmt.Sprintf(" [compiled %.1fs, %.2fx]", pt.CompiledMS/1000, pt.CompiledRatio)
-			}
-			cells = append(cells, cell)
-		}
-		fmt.Printf("stress %-8s %7d states %8d pairs  %s\n", c.Name, rung.States, rung.Pairs, strings.Join(cells, "  "))
-		out.Rungs = append(out.Rungs, rung)
-	}
-	if runtime.NumCPU() >= 2 && runtime.GOMAXPROCS(0) >= 2 && len(out.Rungs) > 0 {
-		last := out.Rungs[len(out.Rungs)-1]
-		for _, pt := range last.Points {
-			if pt.Workers == 4 {
-				out.Headline4W = pt.Speedup
-			}
-		}
-	} else {
-		fmt.Printf("stress: host has %d CPU(s), GOMAXPROCS=%d — curve recorded, headline speedup withheld (needs >= 2 of each)\n",
-			runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	}
-	if compiled {
-		if eligible == 0 {
-			out.CompiledNote = "compiled_min_ratio withheld: no interpreted point reached 200ms, the ratios would be scheduling noise"
-			fmt.Println("stress: " + out.CompiledNote)
-		} else {
-			out.CompiledMinRatio = minRatio
-			fmt.Printf("stress: compiled_min_ratio %.2f over %d eligible points (interpreted-ms / compiled-ms; >= 0.9 required by CI)\n",
-				minRatio, eligible)
-		}
+		fmt.Printf("stress %-8s %7d states %8d pairs  %.1fs\n", c.Name, c.States, pairs, ms/1000)
+		out.Rungs = append(out.Rungs, stressRungJSON{Name: c.Name, States: c.States, Pairs: pairs, MS: ms})
 	}
 	return out, failures
 }
 
 type protocolsRungJSON struct {
-	Name   string            `json:"name"`
-	Algo   string            `json:"algo"`
-	Rel    string            `json:"rel"`
-	Weak   bool              `json:"weak"`
-	States int               `json:"states"`
-	Pairs  int               `json:"pairs"`
-	Points []stressPointJSON `json:"points"`
+	Name   string  `json:"name"`
+	Algo   string  `json:"algo"`
+	Rel    string  `json:"rel"`
+	Weak   bool    `json:"weak"`
+	States int     `json:"states"`
+	Pairs  int     `json:"pairs"`
+	MS     float64 `json:"ms"`
 }
 
 type protocolsJSON struct {
@@ -350,88 +202,54 @@ type protocolsJSON struct {
 	Rungs    []protocolsRungJSON `json:"rungs"`
 }
 
-// protocolsWorkerCounts is the per-rung worker ladder of the protocol
-// conformance curve (the acceptance matrix: sequential, parallel at 2 and
-// 4 workers).
-var protocolsWorkerCounts = []int{1, 2, 4}
-
 // runProtocols decides every internal/protocols Ladder rung — a real
 // broadcast algorithm against its behavioural spec, in the scenario's own
-// relation — at each worker count, each run on a fresh store. Verdicts must
-// match the scenario's expectation and be bit-identical across worker
-// counts. Returns the curve and the number of failures.
-func runProtocols(verbose bool) (*protocolsJSON, int) {
+// relation — once on a fresh store. Verdicts must match the scenario's
+// expectation. Returns the ladder and the number of failures.
+func runProtocols() (*protocolsJSON, int) {
 	out := &protocolsJSON{HostCPUs: runtime.NumCPU()}
 	failures := 0
 	for _, s := range protocols.Ladder() {
-		rung := protocolsRungJSON{Name: s.Name, Algo: s.Algo, Rel: string(s.Rel),
-			Weak: s.Weak, States: s.States}
-		var baseMS float64
-		var base equiv.Result
-		for i, w := range protocolsWorkerCounts {
-			ch := instrument(protocols.NewChecker(w))
-			start := time.Now()
-			r, err := protocols.Decide(ch, s)
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			if err != nil {
-				fmt.Printf("protocols %-16s workers=%d: ERROR %v\n", s.Name, w, err)
-				failures++
-				continue
-			}
-			if i == 0 {
-				baseMS, base = ms, r
-				rung.Pairs = r.Pairs
-				if r.Related != s.WantEquiv {
-					fmt.Printf("protocols %-16s: verdict %v, scenario expects %v (%s)\n",
-						s.Name, r.Related, s.WantEquiv, r.Reason)
-					failures++
-				}
-			} else if r.Related != base.Related || r.Pairs != base.Pairs || r.Reason != base.Reason {
-				fmt.Printf("protocols %-16s workers=%d: verdict diverged from sequential (related %v/%v pairs %d/%d)\n",
-					s.Name, w, r.Related, base.Related, r.Pairs, base.Pairs)
-				failures++
-			}
-			rung.Points = append(rung.Points, stressPointJSON{Workers: w, MS: ms, Speedup: baseMS / ms})
-			if verbose {
-				fmt.Printf("protocols %-16s workers=%d: %.0fms\n", s.Name, w, ms)
-			}
+		ch := instrument(protocols.NewChecker())
+		pairs, ms, ok := decideRung("protocols "+s.Name, s.States, s.WantEquiv, func() (equiv.Result, error) {
+			return protocols.Decide(ch, s)
+		})
+		if !ok {
+			failures++
 		}
-		var cells []string
-		for _, pt := range rung.Points {
-			cells = append(cells, fmt.Sprintf("w%d %.0fms (%.2fx)", pt.Workers, pt.MS, pt.Speedup))
-		}
-		fmt.Printf("protocols %-16s %6d states %8d pairs  %s\n",
-			rung.Name, rung.States, rung.Pairs, strings.Join(cells, "  "))
-		out.Rungs = append(out.Rungs, rung)
+		fmt.Printf("protocols %-16s %6d states %8d pairs  %.0fms\n", s.Name, s.States, pairs, ms)
+		out.Rungs = append(out.Rungs, protocolsRungJSON{Name: s.Name, Algo: s.Algo, Rel: string(s.Rel),
+			Weak: s.Weak, States: s.States, Pairs: pairs, MS: ms})
 	}
 	return out, failures
 }
 
 // main delegates to run so the profile-writing defers fire before the
 // process exits with the suite's status code.
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
-func run() int {
-	filter := flag.String("run", "", "only run experiments whose id contains this substring")
-	verbose := flag.Bool("v", false, "verbose")
-	parallel := flag.Bool("parallel", true, "after the sequential run, re-run the suite with experiments and pair queries fanned out concurrently")
-	workers := flag.Int("workers", 0, "parallel fan-out width (0 = GOMAXPROCS)")
-	jsonPath := flag.String("json", "", "write machine-readable results (BENCH_equiv.json style) to this file")
-	stressFlag := flag.Bool("stress", false, "run the internal/stress scaling ladder (10^5+ states) at 1/2/4/8 workers; this is the headline parallelism number and takes minutes")
-	compiledFlag := flag.Bool("compiled", false, "run suite checkers on compiled transition programs, and add an interpreted-vs-compiled comparison to every -stress point (bit-identity enforced; feeds compiled_min_ratio)")
-	protocolsFlag := flag.Bool("protocols", false, "run the internal/protocols conformance ladder (broadcast algorithms vs their specs) at 1/2/4 workers")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file covering the whole suite")
-	counters := flag.Bool("counters", false, "print aggregate engine counters to stderr after the suite")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	serviceGrid := flag.String("servicegrid", "", "run the daemon throughput grid (workers × clients × batch over /v1/equiv/batch) and write BENCH_service.json-style results to this file, skipping the experiment suite")
-	gridRepeats := flag.Int("grid-repeats", 3, "repeats per service-grid cell (median is the headline)")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("bpibench", flag.ContinueOnError)
+	filter := fs.String("run", "", "only run experiments whose id contains this substring")
+	jsonPath := fs.String("json", "", "write machine-readable results (BENCH_equiv.json style) to this file")
+	stressFlag := fs.Bool("stress", false, "decide the internal/stress ladder (10^5+ states); takes minutes")
+	protocolsFlag := fs.Bool("protocols", false, "decide the internal/protocols conformance ladder (broadcast algorithms vs their specs)")
+	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file covering the whole suite")
+	counters := fs.Bool("counters", false, "print aggregate engine counters to stderr after the suite")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	serviceGrid := fs.String("servicegrid", "", "run the daemon throughput grid (workers × clients × batch over /v1/equiv/batch) and write BENCH_service.json-style results to this file, skipping the experiment suite")
+	gridRepeats := fs.Int("grid-repeats", 3, "repeats per service-grid cell (median is the headline)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *serviceGrid != "" {
 		return runServiceGrid(*serviceGrid, *gridRepeats)
 	}
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
+	exps := selectExperiments(suite(), *filter)
+	if len(exps) == 0 {
+		fmt.Fprintf(os.Stderr, "bpibench: -run %q matches no experiment id\n", *filter)
+		return 2
 	}
 	if *traceOut != "" || *counters {
 		tracer = obs.NewWithLimit(1 << 18)
@@ -463,116 +281,44 @@ func run() int {
 		}()
 	}
 
-	if *compiledFlag {
-		newChecker = func() *equiv.Checker {
-			ch := equiv.NewChecker(nil)
-			ch.Store().EnableCompiled()
-			return instrument(ch)
-		}
-	}
-
-	exps := suite()
-	if *filter != "" {
-		kept := exps[:0]
-		for _, e := range exps {
-			if strings.Contains(e.id, *filter) {
-				kept = append(kept, e)
-			}
-		}
-		exps = kept
-	}
-
 	fmt.Printf("bπ-calculus reproduction suite — %d experiments (GOMAXPROCS=%d)\n\n",
 		len(exps), runtime.GOMAXPROCS(0))
 	fmt.Printf("%-4s %-26s %-8s %-9s %s\n", "ID", "Paper item", "Status", "Time", "Measured")
 	fmt.Println(strings.Repeat("-", 110))
-	seq, seqWall := runSuite(exps, 1)
+	start := time.Now()
+	report := benchJSON{GOMAXPROCS: runtime.GOMAXPROCS(0), HostCPUs: runtime.NumCPU()}
 	failures := 0
-	for i, e := range exps {
-		o := seq[i]
+	for _, e := range exps {
+		o := runOne(e)
 		if o.failed() {
 			failures++
 		}
 		fmt.Printf("%-4s %-26s %-8s %-9s %s\n", e.id, e.item, o.status, o.dur, o.measured)
-	}
-	fmt.Println(strings.Repeat("-", 110))
-
-	report := benchJSON{GOMAXPROCS: runtime.GOMAXPROCS(0), HostCPUs: runtime.NumCPU(),
-		Workers: *workers, SequentialMS: float64(seqWall.Microseconds()) / 1000}
-	var maxExp time.Duration
-	for i, e := range exps {
-		if seq[i].dur > maxExp {
-			maxExp = seq[i].dur
-		}
 		report.Experiments = append(report.Experiments, expJSON{
-			ID: e.id, Item: e.item, Status: seq[i].status, Measured: seq[i].measured,
-			MS: float64(seq[i].dur.Microseconds()) / 1000,
+			ID: e.id, Item: e.item, Status: o.status, Measured: o.measured,
+			MS: float64(o.dur.Microseconds()) / 1000,
 		})
 	}
-
-	if *parallel {
-		newChecker = func() *equiv.Checker {
-			ch := equiv.NewParallelChecker(nil, 0)
-			if *compiledFlag {
-				ch.Store().EnableCompiled()
-			}
-			return instrument(ch)
-		}
-		par, parWall := runSuite(exps, *workers)
-		for i, e := range exps {
-			if par[i].failed() && !seq[i].failed() {
-				failures++
-				fmt.Printf("parallel re-run diverged on %s: %s %s\n", e.id, par[i].status, par[i].measured)
-			}
-		}
-		report.ParallelMS = float64(parWall.Microseconds()) / 1000
-		// The suite ratio is only an honest parallelism figure when the
-		// runtime can parallelise AND at least one experiment is big enough
-		// to dominate scheduling noise. Otherwise the wall-clocks are still
-		// recorded, but no headline speedup is derived from them — the
-		// stress curve is the headline.
-		switch {
-		case runtime.GOMAXPROCS(0) < 2:
-			report.SpeedupNote = "suite speedup withheld: GOMAXPROCS=1 cannot exhibit parallelism"
-			fmt.Printf("wall-clock: sequential %s, parallel %s (%d workers; single-P runtime, no speedup claimed)\n",
-				seqWall.Round(time.Millisecond), parWall.Round(time.Millisecond), *workers)
-		case maxExp < 50*time.Millisecond:
-			report.SpeedupNote = fmt.Sprintf(
-				"suite speedup withheld: every experiment is sub-50ms (max %s), the ratio would be scheduling noise; see stress curve", maxExp)
-			fmt.Printf("wall-clock: sequential %s, parallel %s (%d workers; sub-50ms experiments, suite ratio is noise — see stress curve)\n",
-				seqWall.Round(time.Millisecond), parWall.Round(time.Millisecond), *workers)
-		default:
-			report.Speedup = float64(seqWall) / float64(parWall)
-			fmt.Printf("wall-clock: sequential %s, parallel %s (%d workers, %.1fx speedup)\n",
-				seqWall.Round(time.Millisecond), parWall.Round(time.Millisecond), *workers, report.Speedup)
-		}
-	} else {
-		fmt.Printf("wall-clock: sequential %s (parallel re-run disabled)\n", seqWall.Round(time.Millisecond))
-	}
+	suiteWall := time.Since(start)
+	report.SuiteMS = float64(suiteWall.Microseconds()) / 1000
+	fmt.Println(strings.Repeat("-", 110))
+	fmt.Printf("wall-clock: %s\n", suiteWall.Round(time.Millisecond))
 
 	if *stressFlag {
 		fmt.Println(strings.Repeat("-", 110))
-		st, sf := runStress(*verbose, *compiledFlag)
+		st, sf := runStress()
 		failures += sf
 		report.Stress = st
 	}
 
 	if *protocolsFlag {
 		fmt.Println(strings.Repeat("-", 110))
-		pr, pf := runProtocols(*verbose)
+		pr, pf := runProtocols()
 		failures += pf
 		report.Protocols = pr
 	}
 
 	if *jsonPath != "" {
-		// Sanity gate: a parallel speedup figure measured on a single-P
-		// runtime is meaningless — refuse to publish it rather than let a
-		// misconfigured CI runner regenerate BENCH_equiv.json with noise.
-		if report.Speedup != 0 && report.GOMAXPROCS < 2 {
-			fmt.Fprintf(os.Stderr, "bpibench: refusing to write %s: parallel speedup measured with GOMAXPROCS=%d (need >= 2; set GOMAXPROCS or drop -parallel)\n",
-				*jsonPath, report.GOMAXPROCS)
-			return 1
-		}
 		buf, err := json.MarshalIndent(report, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	bpibisim [-f file] [-rel labelled|barbed|step|onestep|congruence|all]
-//	         [-weak] [-compiled] [-server URL] [-trace out.json] [-counters]
+//	         [-weak] [-server URL] [-trace out.json] [-counters]
 //	         [-cert out.json] "term1" "term2"
 //
 // With -server the query is delegated to a running bpid daemon, whose
@@ -20,12 +20,6 @@
 // With -cert (single -rel only) the verdict's replayable certificate is
 // written as JSON — works both locally and against a daemon — and can be
 // checked independently with `bpicert verify`.
-//
-// With -compiled the local checker's store serves transitions from
-// compiled transition programs (internal/tprog) instead of the recursive
-// interpreter. Verdicts, pair counts and certificates are bit-identical;
-// only the time to compute them changes. Local-only: the daemon opts in at
-// startup with `bpid -compiled`.
 package main
 
 import (
@@ -53,7 +47,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the local engine run")
 	counters := flag.Bool("counters", false, "print engine counters to stderr after the verdicts")
 	certOut := flag.String("cert", "", "write the verdict's replayable certificate as JSON (single -rel only; check with bpicert verify)")
-	compiled := flag.Bool("compiled", false, "serve transitions from compiled transition programs (local only; verdicts are bit-identical)")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: bpibisim [-f file] [-rel R] [-weak] [-server URL] term1 term2")
@@ -119,9 +112,6 @@ func main() {
 		if *traceOut != "" || *counters {
 			fail(fmt.Errorf("-trace/-counters are local-only; a daemon-served run's evidence is on the daemon (/trace/{id}, /metrics)"))
 		}
-		if *compiled {
-			fail(fmt.Errorf("-compiled is local-only; start the daemon with `bpid -compiled` instead"))
-		}
 		cl := bpi.NewClient(*server)
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
@@ -145,9 +135,6 @@ func main() {
 	}
 	ch := equiv.NewChecker(semantics.NewSystem(env))
 	ch.Certify = *certOut != ""
-	if *compiled {
-		ch.Store().EnableCompiled()
-	}
 	var tr *obs.Tracer
 	if *traceOut != "" || *counters {
 		tr = obs.New()

@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	bpid [-addr :8317] [-f defs.bpi] [-workers N] [-engine-workers N]
+//	bpid [-addr :8317] [-f defs.bpi] [-workers N]
 //	     [-queue N] [-cache N] [-max-pairs N] [-max-closure N]
-//	     [-timeout D] [-max-timeout D] [-compiled]
+//	     [-timeout D] [-max-timeout D]
 //	     [-ledger DIR] [-merkle-batch N] [-merkle-wait-ms MS]
 //	     [-peers URL,URL,…] [-self URL] [-batch-max N]
 //	     [-admission-queue N] [-peer-timeout D]
@@ -21,10 +21,6 @@
 // admission controller in front of /v1/equiv and /v1/equiv/batch sheds
 // excess load with typed 429s (queue_full, deadline_budget, draining) and
 // Retry-After hints; see /metrics bpid_admission_* and bpid_cluster_*.
-//
-// With -compiled the shared store serves transitions from compiled
-// transition programs (internal/tprog); verdicts are bit-identical, and
-// /metrics additionally exposes the tprog compile/cache/fallback counters.
 //
 // With -ledger, bpid opens (or creates) a persistent Merkle verdict ledger
 // in DIR: every persisted verdict is replayed through the independent
@@ -66,7 +62,6 @@ func main() {
 	addr := flag.String("addr", ":8317", "listen address")
 	file := flag.String("f", "", "program file with definitions shared by all requests")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	engineWorkers := flag.Int("engine-workers", 1, "per-query pair-engine parallelism")
 	queue := flag.Int("queue", 64, "max unfinished async jobs")
 	cache := flag.Int("cache", 4096, "verdict LRU entries")
 	maxPairs := flag.Int("max-pairs", 0, "default pair budget per query (0 = engine default)")
@@ -77,7 +72,6 @@ func main() {
 	ledgerDir := flag.String("ledger", "", "directory of the persistent verdict ledger (empty = no persistence)")
 	merkleBatch := flag.Int("merkle-batch", 64, "records per sealed Merkle batch")
 	merkleWait := flag.Int("merkle-wait-ms", 2000, "max milliseconds a record stays unsealed (0 = seal on batch size only)")
-	compiled := flag.Bool("compiled", false, "serve transitions from compiled transition programs (bit-identical verdicts; tprog counters on /metrics)")
 	peers := flag.String("peers", "", "comma-separated peer base URLs (static cluster membership; requires -self)")
 	self := flag.String("self", "", "this daemon's own base URL as peers address it (required with -peers)")
 	batchMax := flag.Int("batch-max", 256, "max pairs per /v1/equiv/batch request")
@@ -144,7 +138,6 @@ func main() {
 	svc := service.New(service.Config{
 		Env:            env,
 		Workers:        *workers,
-		EngineWorkers:  *engineWorkers,
 		QueueDepth:     *queue,
 		CacheSize:      *cache,
 		MaxPairs:       *maxPairs,
@@ -152,7 +145,6 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		Ledger:         led,
-		Compiled:       *compiled,
 		Peers:          peerList,
 		SelfURL:        *self,
 		BatchMax:       *batchMax,

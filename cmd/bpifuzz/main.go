@@ -40,7 +40,7 @@ func main() {
 		lawsCSV  = flag.String("laws", "", "comma-separated law names (default: all; see -list)")
 		outDir   = flag.String("out", "", "directory for shrunk counterexample .case files")
 		daemon   = flag.Bool("daemon", true, "boot an in-process bpid so engines/agree covers the service layer")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel-checker workers")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size of the in-process bpid")
 		maxViol  = flag.Int("max-violations", 10, "stop after this many violations")
 		list     = flag.Bool("list", false, "list the law registry and exit")
 		progress = flag.Bool("v", false, "print progress every 1000 iterations")
@@ -68,7 +68,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	env := oracle.NewEnv(*workers)
+	env := oracle.NewEnv()
 	if *daemon {
 		d, err := oracle.StartDaemon(service.Config{Workers: *workers})
 		if err != nil {

@@ -1,0 +1,111 @@
+package cert_test
+
+import (
+	"strings"
+	"testing"
+
+	"bpi/internal/cert"
+	"bpi/internal/syntax"
+)
+
+// budgetCorpus returns engine-emitted certificates of every shape the pair,
+// one-step and congruence verifiers replay: the three pair relations strong
+// and weak, positive and negative, weak one-step certificates whose τ
+// challenges must be answered by a non-empty τ·τ* move, and congruence
+// certificates with and without a separating substitution.
+func budgetCorpus(t *testing.T) []*cert.Certificate {
+	t.Helper()
+	ch := newCertifying()
+	var out []*cert.Certificate
+	pairs := []struct{ p, q string }{
+		{"tau.tau.a!", "tau.a!"},              // weakly related through a τ chain
+		{"tau.(a! + tau.b!)", "tau.a! + b!"},  // τ-closures of two states
+		{"a?(x).tau.x!", "a?(y).y!"},          // reaction then saturation
+		{"nu x.(a!(x) | tau.x!)", "a!(c).c!"}, // bound output against free
+	}
+	for _, rel := range []string{cert.RelLabelled, cert.RelBarbed, cert.RelStep} {
+		for _, weak := range []bool{false, true} {
+			for _, pq := range pairs {
+				crt, _ := pairCert(t, ch, rel, pq.p, pq.q, weak)
+				out = append(out, crt)
+			}
+		}
+	}
+	for _, pq := range []struct{ p, q string }{
+		{"tau.a!", "tau.b!"},                // τ answered by τ, then barbs differ
+		{"tau.tau.a!", "tau.a!"},            // related: τ·τ* reaches a!
+		{"tau.(a! + tau.b!)", "tau.tau.b!"}, // defender closure of several states
+		{"a!.tau.b!", "a!.b!"},              // weak below the root, strict at it
+		{"tau.a! + tau.b!", "tau.a! + c!"},  // a τ the defender cannot follow
+	} {
+		crt, _, err := ch.OneStepCert(mustParse(t, pq.p), mustParse(t, pq.q), true)
+		if err != nil {
+			t.Fatalf("onestep(%s, %s) weak: %v", pq.p, pq.q, err)
+		}
+		out = append(out, crt)
+	}
+	for _, pq := range []struct {
+		p, q string
+		weak bool
+	}{
+		{"a?(x).[x=b]c!", "a?(y).[y=b]c!", false}, // one one-step certificate per fusion
+		{"tau.c!", "c!", true},                    // the τ-law gap: a separating σ
+		{"a?(x).[x=b]c!", "a?(x).c!", false},      // a fusion enables the match
+	} {
+		crt, _, err := ch.CongruenceCert(mustParse(t, pq.p), mustParse(t, pq.q), pq.weak)
+		if err != nil {
+			t.Fatalf("congruence(%s, %s): %v", pq.p, pq.q, err)
+		}
+		out = append(out, crt)
+	}
+	return out
+}
+
+// TestVerifierFailsClosedAtEveryBudget sweeps the work and closure budgets
+// upward from 1 for every corpus certificate: every budget below the one
+// the certificate needs must be rejected with a budget error — wherever in
+// the replay the budget runs out — and once a budget suffices, every
+// larger one must accept.
+func TestVerifierFailsClosedAtEveryBudget(t *testing.T) {
+	sweep := func(crt *cert.Certificate, name string, mk func(n int) *cert.Verifier) {
+		for n := 1; ; n++ {
+			if n > 5000 {
+				t.Fatalf("%s(%s, %s): still rejected at %s=%d", crt.Relation, crt.P, crt.Q, name, n)
+			}
+			err := mk(n).Verify(crt)
+			if err == nil {
+				for _, m := range []int{n + 1, 2 * n} {
+					if err := mk(m).Verify(crt); err != nil {
+						t.Errorf("%s(%s, %s): accepted at %s=%d, rejected at %d: %v",
+							crt.Relation, crt.P, crt.Q, name, n, m, err)
+					}
+				}
+				return
+			}
+			if !strings.Contains(err.Error(), "budget") {
+				t.Fatalf("%s(%s, %s) at %s=%d: %v, want a budget error", crt.Relation, crt.P, crt.Q, name, n, err)
+			}
+		}
+	}
+	for _, crt := range budgetCorpus(t) {
+		sweep(crt, "MaxWork", func(n int) *cert.Verifier { return &cert.Verifier{MaxWork: n} })
+		sweep(crt, "MaxClosure", func(n int) *cert.Verifier { return &cert.Verifier{MaxClosure: n} })
+	}
+}
+
+// TestCyclicStrategyRejected hand-crafts a "refutation" of P ≁b P for the
+// τ-loop P: the root's only τ move returns to the root pair, so its reply
+// points back at node 0. A cyclic strategy proves nothing about a greatest
+// fixpoint and must be rejected as such.
+func TestCyclicStrategyRejected(t *testing.T) {
+	p := syntax.String(mustParse(t, "(rec G(a). tau.G(a))(a)"))
+	crt := &cert.Certificate{
+		Version: cert.Version, Relation: cert.RelBarbed, Related: false, P: p, Q: p,
+		Nodes: []cert.Strategy{{P: p, Q: p, Side: "left", Kind: "tau", To: p,
+			Replies: []cert.Reply{{To: p, Next: 0}}}},
+	}
+	err := cert.Verify(crt)
+	if err == nil || !strings.Contains(err.Error(), "cyclic") {
+		t.Fatalf("cyclic strategy: got %v, want a cyclic-strategy rejection", err)
+	}
+}

@@ -102,6 +102,9 @@ func TestOneStepAndCongruenceCertificates(t *testing.T) {
 		{"a?(x).x!", "a?(y).y!"},
 		{"a! + a!", "a!"},
 		{"b? | b?(x)", "0"},
+		{"tau.a!", "tau.b!"},                // weakly, τ answered by τ·τ*, then barbs differ
+		{"tau.(a! + tau.b!)", "tau.tau.b!"}, // τ·τ* answers from a closure of several states
+		{"a!.tau.b!", "a!.b!"},              // weak below the root, strict at it
 	}
 	ch := newCertifying()
 	for _, pq := range pairs {

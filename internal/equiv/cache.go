@@ -16,31 +16,19 @@
 //
 // # Concurrency
 //
-// All memoised semantic data (transitions, discards, τ- and autonomous
-// closures) lives in a sharded Store that interns terms to dense uint64 IDs
-// and is safe for concurrent use; a Checker is a thin view over one store
-// plus a verdict cache, and may itself be shared across goroutines. Stores
-// can also be shared across several Checkers (NewCheckerWithStore) so
-// independent queries reuse each other's derivations.
-//
-// The engine optionally parallelises pair construction (the Workers option /
-// NewParallelChecker) with persistent workers on work-stealing deques
-// (internal/ws): a racy discovery pass speculatively builds pairs into a
-// sharded build cache using per-worker arenas that defer store interning,
-// then an authoritative in-order pass — exactly the sequential algorithm —
-// expands the pair graph, consuming cached builds where discovery got there
-// first. Node numbering, explored-pair counts, certificates and verdicts are
-// therefore identical to the sequential run at every worker count —
-// determinism is by construction, not by luck (see DESIGN.md §7). The
-// greatest-fixpoint sweep itself is a reverse-dependency worklist and is
-// O(edges) regardless of worker count. Prefer sequential mode (Workers ≤ 1,
-// the default) for small one-shot queries where worker fan-out costs more
-// than it saves; prefer a shared parallel Checker for batches of queries or
-// large pair spaces.
+// Each query runs sequentially: the engine expands the pair graph in
+// discovery order, then sweeps the greatest fixpoint with a
+// reverse-dependency worklist in O(edges). Parallelism lives at the query
+// level instead. All memoised semantic data (transitions, discards, τ- and
+// autonomous closures) lives in a sharded Store that interns terms to dense
+// uint64 IDs and is safe for concurrent use; a Checker is a thin view over
+// one store plus a verdict cache, and may itself be shared across
+// goroutines. Independent queries can therefore run concurrently over one
+// store (NewCheckerWithStore, as bpid's worker pool does) and reuse each
+// other's derivations.
 package equiv
 
 import (
-	"runtime"
 	"sync"
 
 	"bpi/internal/names"
@@ -51,22 +39,16 @@ import (
 
 // Checker decides equivalences against a fixed semantic system. It memoises
 // term data (in its Store) and verdicts across queries. A Checker is safe
-// for concurrent use; the exported budget/worker fields must be set before
-// the first query and not mutated afterwards.
+// for concurrent use; the exported budget fields must be set before the
+// first query and not mutated afterwards.
 type Checker struct {
 	Sys *semantics.System
 	// MaxPairs bounds the number of explored pairs per query (default 20000).
 	MaxPairs int
 	// MaxClosure bounds the size of a τ-closure (default 2048).
 	MaxClosure int
-	// Workers sets the engine's obligation-construction parallelism:
-	// values ≤ 1 build the pair frontier sequentially, larger values use a
-	// bounded worker pool of that size. Verdicts and explored-pair counts
-	// are identical either way.
-	Workers int
 	// Obs, when non-nil, receives spans (equiv.run → equiv.explore →
-	// equiv.prebuild/equiv.expand, equiv.fixpoint) and engine counters
-	// from every query.
+	// equiv.expand, equiv.fixpoint) and engine counters from every query.
 	// Like the budget fields it must be set before the first query. The
 	// nil default is free: call sites guard with obs's nil-safe no-ops,
 	// proven allocation-free by TestDisabledObsZeroAlloc.
@@ -83,22 +65,10 @@ type Checker struct {
 	verdicts map[verdictKey]cachedVerdict
 }
 
-// NewChecker returns a sequential Checker over the given system (nil means
-// the empty definitions environment).
+// NewChecker returns a Checker over the given system (nil means the empty
+// definitions environment).
 func NewChecker(sys *semantics.System) *Checker {
 	return NewCheckerWithStore(NewStore(sys))
-}
-
-// NewParallelChecker returns a Checker whose engine builds pair frontiers
-// with `workers` goroutines (≤ 0 means GOMAXPROCS). The checker and its
-// store may be shared freely across goroutines.
-func NewParallelChecker(sys *semantics.System, workers int) *Checker {
-	c := NewChecker(sys)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	c.Workers = workers
-	return c
 }
 
 // NewCheckerWithStore returns a Checker sharing an existing term store (and
@@ -123,13 +93,6 @@ func (c *Checker) maxClosure() int {
 		return 2048
 	}
 	return c.MaxClosure
-}
-
-func (c *Checker) workers() int {
-	if c.Workers <= 1 {
-		return 1
-	}
-	return c.Workers
 }
 
 // ErrBudget reports that a query exceeded its exploration budget; the
@@ -164,30 +127,6 @@ func (c *Checker) reactions(ti *termInfo, ch names.Name, payload []names.Name) (
 	return c.store.reactions(ti, ch, payload)
 }
 
-// Interner-threaded variants: identical semantics, but new terms are
-// resolved through it (a per-worker arena during the engine's discovery
-// pass, or the store itself).
-
-func (c *Checker) tauSuccIn(it interner, ti *termInfo) ([]*termInfo, error) {
-	return c.store.tauSuccIn(it, ti)
-}
-
-func (c *Checker) tauClosureIn(it interner, ti *termInfo) ([]*termInfo, error) {
-	return c.store.tauClosureIn(it, ti, c.maxClosure())
-}
-
-func (c *Checker) autonomousSuccIn(it interner, ti *termInfo) ([]*termInfo, error) {
-	return c.store.autonomousSuccIn(it, ti)
-}
-
-func (c *Checker) autonomousClosureIn(it interner, ti *termInfo) ([]*termInfo, error) {
-	return c.store.autonomousClosureIn(it, ti, c.maxClosure())
-}
-
-func (c *Checker) reactionsIn(it interner, ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
-	return c.store.reactionsIn(it, ti, ch, payload)
-}
-
 // Derived observations -------------------------------------------------------
 
 // strongBarbs returns the subjects of ti's output transitions (p ↓a).
@@ -203,11 +142,7 @@ func strongBarbs(ti *termInfo) names.Set {
 
 // weakBarb reports p ⇓a: some τ*-derivative has a strong barb on a.
 func (c *Checker) weakBarb(ti *termInfo, a names.Name) (bool, error) {
-	return c.weakBarbIn(c.store, ti, a)
-}
-
-func (c *Checker) weakBarbIn(it interner, ti *termInfo, a names.Name) (bool, error) {
-	cl, err := c.tauClosureIn(it, ti)
+	cl, err := c.tauClosure(ti)
 	if err != nil {
 		return false, err
 	}

@@ -3,13 +3,10 @@ package equiv
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"bpi/internal/cert"
 	"bpi/internal/names"
 	"bpi/internal/obs"
-	"bpi/internal/ws"
 )
 
 // ErrCanceled reports that a query was abandoned because its context was
@@ -111,12 +108,9 @@ type pairNode struct {
 	failBarb names.Name
 }
 
-// built is the result of constructing one pair's obligations. Builders only
-// read the (concurrency-safe) store, never engine state, so pairs can be
-// built by racing discovery workers and consumed deterministically later:
-// given the same store contents a pair's built value is the same whoever
-// computes it (successor orders come from transition order and key-sorted
-// closures, never from interning order).
+// built is the result of constructing one pair's obligations, before merge
+// numbers its candidate pairs. Successor orders come from transition order
+// and key-sorted closures, never from interning order.
 type built struct {
 	bad      bool
 	reason   string
@@ -143,80 +137,12 @@ func (b *built) failBarbOn(side string, a names.Name, format string, args ...any
 	b.reason = fmt.Sprintf(format, args...)
 }
 
-// pairItem is the work-stealing discovery unit: one unordered-built pair.
-type pairItem struct{ p, q *termInfo }
-
-// buildCache is the hand-off between the racing discovery pass and the
-// deterministic expand pass: built pair results keyed by store-ID pairs,
-// sharded like the term store so discovery workers rarely contend. claim
-// doubles as the discovery-side dedup (first claimer builds the pair).
-type buildCache struct {
-	puts   atomic.Int64
-	shards [storeShards]struct {
-		mu sync.Mutex
-		m  map[[2]uint64]*built
-	}
-}
-
-func newBuildCache() *buildCache {
-	bc := &buildCache{}
-	for i := range bc.shards {
-		bc.shards[i].m = make(map[[2]uint64]*built)
-	}
-	return bc
-}
-
-func (bc *buildCache) shardOf(p, q uint64) int {
-	return int((p*0x9E3779B1 ^ q*0x85EBCA77) % storeShards)
-}
-
-// claim marks (p,q) as scheduled for building; only the first claimer gets
-// true. The placeholder is distinguishable from a finished build (nil value).
-func (bc *buildCache) claim(p, q uint64) bool {
-	sh := &bc.shards[bc.shardOf(p, q)]
-	k := [2]uint64{p, q}
-	sh.mu.Lock()
-	_, seen := sh.m[k]
-	if !seen {
-		sh.m[k] = nil
-	}
-	sh.mu.Unlock()
-	return !seen
-}
-
-// put publishes a finished build.
-func (bc *buildCache) put(p, q uint64, b *built) {
-	sh := &bc.shards[bc.shardOf(p, q)]
-	sh.mu.Lock()
-	sh.m[[2]uint64{p, q}] = b
-	sh.mu.Unlock()
-	bc.puts.Add(1)
-}
-
-// take returns the prebuilt result of (p,q), or nil when it was never built
-// (unclaimed, abandoned by Stop, or no prebuild ran — nil receiver is fine).
-// The expand pass then builds inline.
-func (bc *buildCache) take(p, q uint64) *built {
-	if bc == nil {
-		return nil
-	}
-	sh := &bc.shards[bc.shardOf(p, q)]
-	sh.mu.Lock()
-	b := sh.m[[2]uint64{p, q}]
-	sh.mu.Unlock()
-	return b
-}
-
 type engine struct {
 	c     *Checker
 	ctx   context.Context
 	sp    spec
 	nodes []*pairNode
 	index map[[2]uint64]int
-
-	// prebuilt holds the discovery pass's cached pair builds (nil when
-	// running sequentially).
-	prebuilt *buildCache
 
 	// Observability: nil when the checker has no tracer; every use is a
 	// nil-safe no-op then. Counters are resolved once per run so the hot
@@ -263,39 +189,23 @@ func (c *Checker) run(ctx context.Context, pi, qi *termInfo, sp spec) (Result, e
 	return res, nil
 }
 
-// explore closes the pair space in two passes. With workers > 1, a
-// work-stealing *discovery* pass (prebuild) races over the pair space and
-// caches each pair's built obligations — order-free, so it needs no barrier
-// and no coordination beyond first-claim dedup. The *expand* pass is the
-// authoritative one: it processes nodes strictly in index order (exactly the
-// sequential algorithm), consuming cached builds and building inline any pair
-// discovery missed. Node numbering, pair counts, budget/cancel errors and
-// Reasons are therefore identical at every worker count by construction —
-// parallelism only changes how often expand finds its work precomputed.
-// Context cancellation is observed between pairs, so a deadline aborts the
-// query promptly even on unbounded pair spaces.
+// explore closes the pair space: it processes nodes strictly in index
+// order, building each pair's obligations and appending fresh candidate
+// pairs to the node list, so node numbering, pair counts, budget errors and
+// Reasons depend only on the pair graph. Context cancellation is observed
+// between pairs, so a deadline aborts the query promptly even on unbounded
+// pair spaces.
 func (e *engine) explore(run *obs.Span) error {
 	span := run.Child("equiv.explore")
 	defer span.End()
-	if e.c.workers() > 1 {
-		pb := span.Child("equiv.prebuild")
-		e.prebuild()
-		pb.End()
-	}
 	ex := span.Child("equiv.expand")
 	defer ex.End()
-	cPrebuilt := e.tr.Counter("equiv.prebuilt_used")
 	for i := 0; i < len(e.nodes); i++ {
 		if err := e.ctx.Err(); err != nil {
 			return ErrCanceled{err}
 		}
 		n := e.nodes[i]
-		b := e.prebuilt.take(n.p.id, n.q.id)
-		if b != nil {
-			cPrebuilt.Add(1)
-		} else {
-			b = e.buildPair(n.p, n.q, e.c.store)
-		}
+		b := e.buildPair(n.p, n.q)
 		if b.err != nil {
 			return b.err
 		}
@@ -306,82 +216,17 @@ func (e *engine) explore(run *obs.Span) error {
 	return nil
 }
 
-// prebuild is the work-stealing discovery pass: persistent workers, each
-// with a private deque of pairs and a per-worker interning arena, race to
-// build the reachable pair space into e.prebuilt. Every discovered successor
-// pair is claimed exactly once and pushed in one batch. The pass is purely
-// an accelerator: it may stop early (cancellation, budget) or miss pairs
-// (Stop abandons deques) without affecting the verdict.
-func (e *engine) prebuild() {
-	workers := e.c.workers()
-	e.prebuilt = newBuildCache()
-	maxClaims := int64(e.c.maxPairs())
-	var claimed atomic.Int64
-
-	cFlushes := e.tr.Counter("equiv.arena_flushes")
-	arenas := make([]*arena, workers)
-	for i := range arenas {
-		arenas[i] = newArena(e.c.store, cFlushes)
-	}
-
-	var pool *ws.Pool[pairItem]
-	pool = ws.NewPool(workers, func(w int, it pairItem) {
-		if e.ctx.Err() != nil {
-			pool.Stop()
-			return
-		}
-		b := e.buildPair(it.p, it.q, arenas[w])
-		e.prebuilt.put(it.p.id, it.q.id, b)
-		if b.err != nil || b.bad {
-			return
-		}
-		var batch []pairItem
-		for _, ob := range b.obs {
-			for _, cd := range ob.cands {
-				if !e.prebuilt.claim(cd[0].id, cd[1].id) {
-					continue
-				}
-				if claimed.Add(1) > maxClaims {
-					// The pair space exceeds the budget: expand will raise
-					// ErrBudget at exactly the sequential point, so further
-					// discovery is wasted work.
-					pool.Stop()
-					return
-				}
-				batch = append(batch, pairItem{cd[0], cd[1]})
-			}
-		}
-		pool.Push(w, batch...)
-	})
-	seeds := make([]pairItem, 0, len(e.nodes))
-	for _, n := range e.nodes {
-		if e.prebuilt.claim(n.p.id, n.q.id) {
-			claimed.Add(1)
-			seeds = append(seeds, pairItem{n.p, n.q})
-		}
-	}
-	pool.Run(seeds)
-	for _, a := range arenas {
-		a.flush()
-	}
-	st := pool.Stats()
-	e.tr.Counter("equiv.steals").Add(st.Steals)
-	e.tr.Counter("equiv.prebuilt_pairs").Add(e.prebuilt.puts.Load())
-}
-
-// buildPair computes the static checks and matching obligations of one pair,
-// touching only the shared store through it (safe to call from discovery
-// workers, each with its own arena interner).
-func (e *engine) buildPair(p, q *termInfo, it interner) *built {
+// buildPair computes the static checks and matching obligations of one pair.
+func (e *engine) buildPair(p, q *termInfo) *built {
 	b := &built{}
 	var err error
 	switch e.sp.kind {
 	case relBarbed:
-		err = e.buildBarbed(p, q, it, b)
+		err = e.buildBarbed(p, q, b)
 	case relStep:
-		err = e.buildStep(p, q, it, b)
+		err = e.buildStep(p, q, b)
 	default:
-		err = e.buildLabelled(p, q, it, b)
+		err = e.buildLabelled(p, q, b)
 	}
 	b.err = err
 	return b
@@ -496,7 +341,7 @@ func (e *engine) failReason(n *pairNode) string {
 
 // ---- barbed bisimulation (Definition 3) -----------------------------------
 
-func (e *engine) buildBarbed(p, q *termInfo, it interner, b *built) error {
+func (e *engine) buildBarbed(p, q *termInfo, b *built) error {
 	// Barb conditions.
 	pb, qb := strongBarbs(p), strongBarbs(q)
 	if !e.sp.weak {
@@ -507,7 +352,7 @@ func (e *engine) buildBarbed(p, q *termInfo, it interner, b *built) error {
 		}
 	} else {
 		for _, a := range pb.Sorted() {
-			ok, err := e.c.weakBarbIn(it, q, a)
+			ok, err := e.c.weakBarb(q, a)
 			if err != nil {
 				return err
 			}
@@ -517,7 +362,7 @@ func (e *engine) buildBarbed(p, q *termInfo, it interner, b *built) error {
 			}
 		}
 		for _, a := range qb.Sorted() {
-			ok, err := e.c.weakBarbIn(it, p, a)
+			ok, err := e.c.weakBarb(p, a)
 			if err != nil {
 				return err
 			}
@@ -528,19 +373,19 @@ func (e *engine) buildBarbed(p, q *termInfo, it interner, b *built) error {
 		}
 	}
 	// τ moves.
-	pt, err := e.c.tauSuccIn(it, p)
+	pt, err := e.c.tauSucc(p)
 	if err != nil {
 		return err
 	}
-	qt, err := e.c.tauSuccIn(it, q)
+	qt, err := e.c.tauSucc(q)
 	if err != nil {
 		return err
 	}
-	qMatch, err := e.weakOrStrongTauTargets(it, q, qt)
+	qMatch, err := e.weakOrStrongTauTargets(q, qt)
 	if err != nil {
 		return err
 	}
-	pMatch, err := e.weakOrStrongTauTargets(it, p, pt)
+	pMatch, err := e.weakOrStrongTauTargets(p, pt)
 	if err != nil {
 		return err
 	}
@@ -564,16 +409,16 @@ func (e *engine) buildBarbed(p, q *termInfo, it interner, b *built) error {
 // weakOrStrongTauTargets returns the states that may answer a τ move: the
 // strong τ successors, or the full τ* closure (including staying put) in the
 // weak case.
-func (e *engine) weakOrStrongTauTargets(it interner, ti *termInfo, strong []*termInfo) ([]*termInfo, error) {
+func (e *engine) weakOrStrongTauTargets(ti *termInfo, strong []*termInfo) ([]*termInfo, error) {
 	if !e.sp.weak {
 		return strong, nil
 	}
-	return e.c.tauClosureIn(it, ti)
+	return e.c.tauClosure(ti)
 }
 
 // ---- step bisimulation (Definition 5) --------------------------------------
 
-func (e *engine) buildStep(p, q *termInfo, it interner, b *built) error {
+func (e *engine) buildStep(p, q *termInfo, b *built) error {
 	// ↓φ barbs: subjects of output transitions.
 	pb, qb := strongBarbs(p), strongBarbs(q)
 	if !e.sp.weak {
@@ -584,7 +429,7 @@ func (e *engine) buildStep(p, q *termInfo, it interner, b *built) error {
 		}
 	} else {
 		for _, a := range pb.Sorted() {
-			ok, err := e.weakStepBarb(it, q, a)
+			ok, err := e.weakStepBarb(q, a)
 			if err != nil {
 				return err
 			}
@@ -594,7 +439,7 @@ func (e *engine) buildStep(p, q *termInfo, it interner, b *built) error {
 			}
 		}
 		for _, a := range qb.Sorted() {
-			ok, err := e.weakStepBarb(it, p, a)
+			ok, err := e.weakStepBarb(p, a)
 			if err != nil {
 				return err
 			}
@@ -605,20 +450,20 @@ func (e *engine) buildStep(p, q *termInfo, it interner, b *built) error {
 		}
 	}
 	// Autonomous moves, label-blind.
-	pa, err := e.c.autonomousSuccIn(it, p)
+	pa, err := e.c.autonomousSucc(p)
 	if err != nil {
 		return err
 	}
-	qa, err := e.c.autonomousSuccIn(it, q)
+	qa, err := e.c.autonomousSucc(q)
 	if err != nil {
 		return err
 	}
 	qTargets, pTargets := qa, pa
 	if e.sp.weak {
-		if qTargets, err = e.c.autonomousClosureIn(it, q); err != nil {
+		if qTargets, err = e.c.autonomousClosure(q); err != nil {
 			return err
 		}
-		if pTargets, err = e.c.autonomousClosureIn(it, p); err != nil {
+		if pTargets, err = e.c.autonomousClosure(p); err != nil {
 			return err
 		}
 	}
@@ -640,8 +485,8 @@ func (e *engine) buildStep(p, q *termInfo, it interner, b *built) error {
 }
 
 // weakStepBarb reports that some (τ ∪ output)*-derivative strongly barbs on a.
-func (e *engine) weakStepBarb(it interner, ti *termInfo, a names.Name) (bool, error) {
-	cl, err := e.c.autonomousClosureIn(it, ti)
+func (e *engine) weakStepBarb(ti *termInfo, a names.Name) (bool, error) {
+	cl, err := e.c.autonomousClosure(ti)
 	if err != nil {
 		return false, err
 	}

@@ -18,23 +18,23 @@ func stringOf(ti *termInfo) string { return syntax.String(ti.proc) }
 //  3. receptions-or-discards a(c̃)? matched by receptions-or-discards,
 //     for every channel either side listens on and every payload tuple over
 //     the pair universe.
-func (e *engine) buildLabelled(p, q *termInfo, it interner, b *built) error {
+func (e *engine) buildLabelled(p, q *termInfo, b *built) error {
 	avoid := freeUnion(p, q)
 
 	// Clause 1: τ.
-	pt, err := e.c.tauSuccIn(it, p)
+	pt, err := e.c.tauSucc(p)
 	if err != nil {
 		return err
 	}
-	qt, err := e.c.tauSuccIn(it, q)
+	qt, err := e.c.tauSucc(q)
 	if err != nil {
 		return err
 	}
-	qTauTargets, err := e.weakOrStrongTauTargets(it, q, qt)
+	qTauTargets, err := e.weakOrStrongTauTargets(q, qt)
 	if err != nil {
 		return err
 	}
-	pTauTargets, err := e.weakOrStrongTauTargets(it, p, pt)
+	pTauTargets, err := e.weakOrStrongTauTargets(p, pt)
 	if err != nil {
 		return err
 	}
@@ -54,20 +54,20 @@ func (e *engine) buildLabelled(p, q *termInfo, it interner, b *built) error {
 	}
 
 	// Clause 2: outputs on identical canonical labels.
-	if err := e.outputObligations(p, q, it, b, avoid, true); err != nil {
+	if err := e.outputObligations(p, q, b, avoid, true); err != nil {
 		return err
 	}
-	if err := e.outputObligations(p, q, it, b, avoid, false); err != nil {
+	if err := e.outputObligations(p, q, b, avoid, false); err != nil {
 		return err
 	}
 
 	// Clause 3: receptions-or-discards.
-	return e.reactionObligations(p, q, it, b)
+	return e.reactionObligations(p, q, b)
 }
 
 // outputObligations adds, for every output move of the `left` (or right)
 // component, the candidates derived from matching outputs of the other side.
-func (e *engine) outputObligations(p, q *termInfo, it interner, b *built, avoid names.Set, leftMoves bool) error {
+func (e *engine) outputObligations(p, q *termInfo, b *built, avoid names.Set, leftMoves bool) error {
 	mover, other := p, q
 	if !leftMoves {
 		mover, other = q, p
@@ -77,13 +77,13 @@ func (e *engine) outputObligations(p, q *termInfo, it interner, b *built, avoid 
 	answers := map[string][]*termInfo{}
 	collect := func(src *termInfo) error {
 		for _, ot := range outputsCanon(src, avoid) {
-			tgt, err := it.intern(ot.Target)
+			tgt, err := e.c.intern(ot.Target)
 			if err != nil {
 				return err
 			}
 			finals := []*termInfo{tgt}
 			if e.sp.weak {
-				if finals, err = e.c.tauClosureIn(it, tgt); err != nil {
+				if finals, err = e.c.tauClosure(tgt); err != nil {
 					return err
 				}
 			}
@@ -92,7 +92,7 @@ func (e *engine) outputObligations(p, q *termInfo, it interner, b *built, avoid 
 		return nil
 	}
 	if e.sp.weak {
-		cl, err := e.c.tauClosureIn(it, other)
+		cl, err := e.c.tauClosure(other)
 		if err != nil {
 			return err
 		}
@@ -111,7 +111,7 @@ func (e *engine) outputObligations(p, q *termInfo, it interner, b *built, avoid 
 		side = "right"
 	}
 	for _, mt := range mouts {
-		mtgt, err := it.intern(mt.Target)
+		mtgt, err := e.c.intern(mt.Target)
 		if err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func (e *engine) outputObligations(p, q *termInfo, it interner, b *built, avoid 
 // which either side listens, and every payload c̃ over the pair universe,
 // every reaction (reception or discard) of one side must be matched by a
 // reaction of the other.
-func (e *engine) reactionObligations(p, q *termInfo, it interner, b *built) error {
+func (e *engine) reactionObligations(p, q *termInfo, b *built) error {
 	shapes := inputShapes(p)
 	for s := range inputShapes(q) {
 		shapes[s] = true
@@ -145,20 +145,20 @@ func (e *engine) reactionObligations(p, q *termInfo, it interner, b *built) erro
 	for _, s := range ordered {
 		u := pairUniverse(p, q, s.arity)
 		for _, payload := range tuples(u, s.arity) {
-			pr, err := e.reactTargets(it, p, s.ch, payload)
+			pr, err := e.reactTargets(p, s.ch, payload)
 			if err != nil {
 				return err
 			}
-			qr, err := e.reactTargets(it, q, s.ch, payload)
+			qr, err := e.reactTargets(q, s.ch, payload)
 			if err != nil {
 				return err
 			}
 			// Strong one-step reactions (the moves to be matched).
-			pm, err := e.c.reactionsIn(it, p, s.ch, payload)
+			pm, err := e.c.reactions(p, s.ch, payload)
 			if err != nil {
 				return err
 			}
-			qm, err := e.c.reactionsIn(it, q, s.ch, payload)
+			qm, err := e.c.reactions(q, s.ch, payload)
 			if err != nil {
 				return err
 			}
@@ -183,22 +183,22 @@ func (e *engine) reactionObligations(p, q *termInfo, it interner, b *built) erro
 
 // reactTargets returns the states that may answer a reaction move: strong
 // reactions, or weak ones (=ε=> · a(c̃)? · =ε=>) in the weak case.
-func (e *engine) reactTargets(it interner, ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
+func (e *engine) reactTargets(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
 	if !e.sp.weak {
-		return e.c.reactionsIn(it, ti, ch, payload)
+		return e.c.reactions(ti, ch, payload)
 	}
-	pre, err := e.c.tauClosureIn(it, ti)
+	pre, err := e.c.tauClosure(ti)
 	if err != nil {
 		return nil, err
 	}
 	seen := map[uint64]*termInfo{}
 	for _, s := range pre {
-		rs, err := e.c.reactionsIn(it, s, ch, payload)
+		rs, err := e.c.reactions(s, ch, payload)
 		if err != nil {
 			return nil, err
 		}
 		for _, r := range rs {
-			post, err := e.c.tauClosureIn(it, r)
+			post, err := e.c.tauClosure(r)
 			if err != nil {
 				return nil, err
 			}

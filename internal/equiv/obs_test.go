@@ -37,9 +37,9 @@ func TestDisabledObsZeroAlloc(t *testing.T) {
 
 // TestSpanTreeGolden pins the span tree of the paper's hello-world query —
 // a!.0 | a?(x).0 against its commutation — against a golden file. The
-// engine explores deterministically (sequential, fresh store), so the span
-// skeleton is stable: one run containing the explore phase (the in-order
-// expand pass; no prebuild child when Workers ≤ 1) and the fixpoint sweep.
+// engine explores deterministically (fresh store), so the span skeleton is
+// stable: one run containing the explore phase (the in-order expand pass)
+// and the fixpoint sweep.
 func TestSpanTreeGolden(t *testing.T) {
 	p, err := parser.Parse("a!.0 | a?(x).0")
 	if err != nil {
@@ -78,13 +78,13 @@ func TestSpanTreeGolden(t *testing.T) {
 	}
 }
 
-// TestObsParallelCheckerRace hammers one tracer through a parallel checker
-// from concurrent queries — the engine's counter adds, span ends and the
-// store's mirrored counters all land on the same Tracer. Run under -race
-// this is the data-race proof for the obs threading.
+// TestObsParallelCheckerRace hammers one tracer through a checker shared by
+// parallel queries — the engine's counter adds, span ends and the store's
+// mirrored counters all land on the same Tracer. Run under -race this is
+// the data-race proof for the obs threading.
 func TestObsParallelCheckerRace(t *testing.T) {
 	tr := obs.New()
-	ch := NewParallelChecker(nil, 4)
+	ch := NewChecker(nil)
 	ch.Obs = tr
 	ch.Store().SetObs(tr)
 	pairs := samplePairs(8)

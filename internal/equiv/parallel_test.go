@@ -1,8 +1,6 @@
 package equiv
 
 import (
-	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,122 +37,6 @@ var relations = []struct {
 	{"step/weak", func(ch *Checker, p, q syntax.Proc) (Result, error) { return ch.Step(p, q, true) }},
 }
 
-// TestEngineWorkersDeterministic runs every query on a fresh sequential
-// checker and a fresh 8-worker checker and requires byte-identical Results
-// (verdict, explored-pair count and failure reason).
-func TestEngineWorkersDeterministic(t *testing.T) {
-	for pi, pair := range samplePairs(25) {
-		for _, rel := range relations {
-			seq := NewChecker(nil)
-			par := NewParallelChecker(nil, 8)
-			rs, errS := rel.run(seq, pair[0], pair[1])
-			rp, errP := rel.run(par, pair[0], pair[1])
-			if fmt.Sprint(errS) != fmt.Sprint(errP) {
-				t.Fatalf("pair %d %s: errors diverge: seq=%v par=%v", pi, rel.name, errS, errP)
-			}
-			if errS != nil {
-				continue
-			}
-			if !reflect.DeepEqual(rs, rp) {
-				t.Errorf("pair %d %s: results diverge:\n seq=%+v\n par=%+v", pi, rel.name, rs, rp)
-			}
-		}
-	}
-}
-
-// TestEngineWorkerLadder runs a sample of queries at workers ∈ {1,2,4,8}
-// with certification on and requires the full Result — verdict, pair count,
-// reason and certificate — to be deeply equal at every rung. This is the
-// package-level pin of the expand pass's determinism argument (the stress
-// corpus repeats it at scale in internal/stress).
-func TestEngineWorkerLadder(t *testing.T) {
-	for pi, pair := range samplePairs(8) {
-		for _, rel := range relations {
-			base := NewChecker(nil)
-			base.Certify = true
-			want, errW := rel.run(base, pair[0], pair[1])
-			for _, w := range []int{2, 4, 8} {
-				ch := NewParallelChecker(nil, w)
-				ch.Certify = true
-				got, err := rel.run(ch, pair[0], pair[1])
-				if fmt.Sprint(errW) != fmt.Sprint(err) {
-					t.Fatalf("pair %d %s workers=%d: errors diverge: seq=%v par=%v", pi, rel.name, w, errW, err)
-				}
-				if errW != nil {
-					continue
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("pair %d %s workers=%d: results diverge:\n seq=%+v\n par=%+v", pi, rel.name, w, want, got)
-				}
-			}
-		}
-	}
-}
-
-// TestArenaFlushConcurrent drives one arena per goroutine into a shared
-// store — mixed single and batched interning — and checks (a) every arena
-// resolved each term to the same termInfo, and (b) after the final flushes
-// the store's intern counters balance exactly: one miss per distinct
-// canonical term, hits for everything else. Run under -race this is the
-// data-race proof for the arena flush protocol.
-func TestArenaFlushConcurrent(t *testing.T) {
-	cfg := brand.Default()
-	cfg.MaxDepth = 3
-	g := brand.New(7, cfg)
-	terms := make([]syntax.Proc, 64)
-	for i := range terms {
-		terms[i] = g.Term()
-	}
-	st := NewStore(nil)
-	results := make([][]*termInfo, 8)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			a := newArena(st, nil)
-			out, err := a.internMany(terms)
-			if err != nil {
-				t.Errorf("arena %d internMany: %v", w, err)
-				return
-			}
-			for i, p := range terms {
-				ti, err := a.intern(p)
-				if err != nil {
-					t.Errorf("arena %d intern: %v", w, err)
-					return
-				}
-				if ti != out[i] {
-					t.Errorf("arena %d: term %d resolves differently single vs batched", w, i)
-					return
-				}
-			}
-			a.flush()
-			results[w] = out
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	for w := 1; w < 8; w++ {
-		for i := range terms {
-			if results[0][i] != results[w][i] {
-				t.Fatalf("term %d interned to distinct infos across arenas", i)
-			}
-		}
-	}
-	stats := st.Stats()
-	ops := uint64(8 * 2 * len(terms))
-	if stats.InternHits+stats.InternMisses != ops {
-		t.Errorf("intern counters leak: hits %d + misses %d != %d ops (unflushed arena deltas?)",
-			stats.InternHits, stats.InternMisses, ops)
-	}
-	if stats.InternMisses != stats.Terms {
-		t.Errorf("misses %d != interned terms %d (fresh creations double-counted)", stats.InternMisses, stats.Terms)
-	}
-}
-
 // TestSharedStoreConcurrentSweep runs the Theorem 1 pair sweep across 8
 // goroutines sharing one checker (hence one term store) and asserts every
 // verdict is identical to the sequential run. Exercised by
@@ -176,7 +58,7 @@ func TestSharedStoreConcurrentSweep(t *testing.T) {
 	}
 
 	// 8 goroutines drain the same job list against one shared checker.
-	shared := NewParallelChecker(nil, 2)
+	shared := NewChecker(nil)
 	got := make([]bool, len(want))
 	errs := make([]error, len(want))
 	var next atomic.Int64

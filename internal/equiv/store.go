@@ -9,7 +9,6 @@ import (
 	"bpi/internal/obs"
 	"bpi/internal/semantics"
 	"bpi/internal/syntax"
-	"bpi/internal/tprog"
 )
 
 // Store is the concurrency-safe semantic layer shared by Checkers. It
@@ -44,44 +43,7 @@ type Store struct {
 	// no atomic traffic — until a tracer is attached.
 	obsInternHits, obsInternMisses *obs.Counter
 	obsDerivHits, obsDerivMisses   *obs.Counter
-	obsCompiledFallbacks           *obs.Counter
-
-	// progs, when non-nil (EnableCompiled), is the shared compiled-unit
-	// cache: ready() derives transitions by compiling and executing the
-	// term's transition program instead of interpreting the syntax tree,
-	// and discardsOn answers from the program's precomputed listen set. A
-	// term whose compilation fails falls back to the interpreter, so the
-	// error surface (e.g. unfold-budget exhaustion) is unchanged.
-	progs *tprog.Cache
-	// obsTracer is retained so EnableCompiled can attach counters to a
-	// cache created after SetObs.
-	obsTracer *obs.Tracer
-	// compiledFallbacks counts terms served by the interpreter because
-	// compilation failed while compiled mode was on.
-	compiledFallbacks atomic.Uint64
 }
-
-// EnableCompiled switches the store to the compiled fast path: per-term
-// transition programs (internal/tprog), compiled once, cached by exact
-// syntax and shared across all consumers of this store. Verdicts, pair
-// counts and certificates are bit-identical to the interpreted path. Call
-// before the store is shared across goroutines; enabling twice is a no-op.
-func (s *Store) EnableCompiled() {
-	if s.progs != nil {
-		return
-	}
-	s.progs = tprog.NewCache(s.sys)
-	if s.obsTracer != nil {
-		s.progs.SetObs(s.obsTracer)
-	}
-}
-
-// Compiled reports whether the compiled fast path is enabled.
-func (s *Store) Compiled() bool { return s.progs != nil }
-
-// ProgCache returns the store's compiled-unit cache, or nil when the store
-// is interpreting.
-func (s *Store) ProgCache() *tprog.Cache { return s.progs }
 
 // SetObs mirrors the store's reuse counters (store.intern_hits/misses,
 // store.deriv_hits/misses) onto t, live rather than snapshot — so a
@@ -92,11 +54,6 @@ func (s *Store) SetObs(t *obs.Tracer) {
 	s.obsInternMisses = t.Counter("store.intern_misses")
 	s.obsDerivHits = t.Counter("store.deriv_hits")
 	s.obsDerivMisses = t.Counter("store.deriv_misses")
-	s.obsCompiledFallbacks = t.Counter("tprog.fallbacks")
-	s.obsTracer = t
-	if s.progs != nil {
-		s.progs.SetObs(t)
-	}
 }
 
 // Stats is a snapshot of a store's occupancy and reuse counters.
@@ -112,21 +69,17 @@ type Stats struct {
 	DerivationHits, DerivationMisses uint64
 	// ShardMin / ShardMax bound the per-shard term counts (occupancy spread).
 	ShardMin, ShardMax int
-	// CompiledFallbacks counts terms the interpreter served because their
-	// transition program failed to compile (0 unless compiled mode is on).
-	CompiledFallbacks uint64
 }
 
 // Stats returns a consistent-enough snapshot of the store counters (each
 // counter is read atomically; the set is not a single atomic snapshot).
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Terms:             s.nextID.Load(),
-		InternHits:        s.internHits.Load(),
-		InternMisses:      s.internMisses.Load(),
-		DerivationHits:    s.derivHits.Load(),
-		DerivationMisses:  s.derivMisses.Load(),
-		CompiledFallbacks: s.compiledFallbacks.Load(),
+		Terms:            s.nextID.Load(),
+		InternHits:       s.internHits.Load(),
+		InternMisses:     s.internMisses.Load(),
+		DerivationHits:   s.derivHits.Load(),
+		DerivationMisses: s.derivMisses.Load(),
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -177,13 +130,10 @@ type termInfo struct {
 	key  string
 	free names.Set // free names; treat as immutable — Clone before mutating
 
-	// trans is computed once, singleflight, on first demand. In compiled
-	// mode, prog is the term's transition program (nil if compilation
-	// failed and the interpreter served the term instead).
+	// trans is computed once, singleflight, on first demand.
 	transOnce sync.Once
 	trans     []semantics.Trans
 	transErr  error
-	prog      *tprog.Prog
 
 	// mu guards the lazily memoised fields below. Never held while calling
 	// into the store for other terms.
@@ -207,18 +157,6 @@ func shardOf(key string) uint32 {
 	return h % storeShards
 }
 
-// interner resolves terms to their canonical termInfo. The Store itself is
-// the plain implementation (every call takes a shard lock); the per-worker
-// arena (arena.go) is the batching one the work-stealing engine hands its
-// workers. Derivation code is parameterised on this interface so the same
-// memoisation logic serves both paths.
-type interner interface {
-	intern(p syntax.Proc) (*termInfo, error)
-	// internMany resolves a batch at once (the bulk path: canonicalise all,
-	// then visit each store shard at most once). The result is positional.
-	internMany(ps []syntax.Proc) ([]*termInfo, error)
-}
-
 // intern canonicalises p and returns its unique termInfo, computing the
 // transitions singleflight. Concurrent interns of the same term return the
 // same pointer.
@@ -235,8 +173,9 @@ func (s *Store) intern(p syntax.Proc) (*termInfo, error) {
 	return s.ready(ti)
 }
 
-// internMany is the Store's bulk intern: one shard visit per distinct shard
-// in the batch, transitions computed outside any lock.
+// internMany resolves a batch at once: canonicalise all, then visit each
+// store shard at most once; transitions are computed outside any lock. The
+// result is positional.
 func (s *Store) internMany(ps []syntax.Proc) ([]*termInfo, error) {
 	keys := make([]string, len(ps))
 	simplified := make([]syntax.Proc, len(ps))
@@ -258,7 +197,7 @@ func (s *Store) internMany(ps []syntax.Proc) ([]*termInfo, error) {
 // grouping indices by shard so each shard lock is taken at most once per
 // batch. It returns the positional termInfos and the number freshly created;
 // counters are NOT updated and transitions NOT computed — callers account
-// and ready() themselves (the arena batches the former across many calls).
+// and ready() themselves.
 func (s *Store) resolveBatch(keys []string, simplified []syntax.Proc) ([]*termInfo, uint64) {
 	out := make([]*termInfo, len(keys))
 	var fresh uint64
@@ -299,22 +238,9 @@ func (s *Store) resolve(k string, p syntax.Proc) (ti *termInfo, fresh bool) {
 }
 
 // ready computes ti's transitions singleflight (outside all shard locks) and
-// surfaces any derivation error. In compiled mode the transitions come from
-// the term's transition program — bit-identical to Steps by construction —
-// with the interpreter as fallback when compilation fails, so enabling
-// compiled mode never changes what a caller observes.
+// surfaces any derivation error.
 func (s *Store) ready(ti *termInfo) (*termInfo, error) {
 	ti.transOnce.Do(func() {
-		if s.progs != nil {
-			if pr, err := s.progs.Compile(ti.proc); err == nil {
-				if ts, err := pr.Transitions(); err == nil {
-					ti.prog, ti.trans = pr, ts
-					return
-				}
-			}
-			s.compiledFallbacks.Add(1)
-			s.obsCompiledFallbacks.Add(1)
-		}
 		ti.trans, ti.transErr = s.sys.Steps(ti.proc)
 	})
 	if ti.transErr != nil {
@@ -324,8 +250,7 @@ func (s *Store) ready(ti *termInfo) (*termInfo, error) {
 }
 
 // addInternCounts records a batch of intern hit/miss counts in two atomic
-// adds per class instead of two per call — the bulk-flush half of the
-// arena protocol.
+// adds per class instead of two per call.
 func (s *Store) addInternCounts(hits, misses uint64) {
 	if hits > 0 {
 		s.internHits.Add(hits)
@@ -337,15 +262,8 @@ func (s *Store) addInternCounts(hits, misses uint64) {
 	}
 }
 
-// discardsOn reports whether the term ignores channel a (memoised). A
-// compiled term answers from its program's precomputed Table 2 discard set
-// — no recursion, no per-name memo map.
+// discardsOn reports whether the term ignores channel a (memoised).
 func (s *Store) discardsOn(ti *termInfo, a names.Name) (bool, error) {
-	if ti.prog != nil {
-		s.derivHits.Add(1)
-		s.obsDerivHits.Add(1)
-		return ti.prog.Discards(a), nil
-	}
 	ti.mu.Lock()
 	v, ok := ti.discards[a]
 	ti.mu.Unlock()
@@ -370,11 +288,8 @@ func (s *Store) discardsOn(ti *termInfo, a names.Name) (bool, error) {
 }
 
 // tauSucc returns the interned τ-successors of ti (memoised; shared slice).
-func (s *Store) tauSucc(ti *termInfo) ([]*termInfo, error) { return s.tauSuccIn(s, ti) }
-
-// tauSuccIn is tauSucc with interning routed through it (the store itself,
-// or a worker arena). Successor targets are resolved as one batch.
-func (s *Store) tauSuccIn(it interner, ti *termInfo) ([]*termInfo, error) {
+// Successor targets are resolved as one batch.
+func (s *Store) tauSucc(ti *termInfo) ([]*termInfo, error) {
 	ti.mu.Lock()
 	if ti.tauSuccsOK {
 		out := ti.tauSuccs
@@ -392,7 +307,7 @@ func (s *Store) tauSuccIn(it interner, ti *termInfo) ([]*termInfo, error) {
 			targets = append(targets, t.Target)
 		}
 	}
-	out, err := it.internMany(targets)
+	out, err := s.internMany(targets)
 	if err != nil {
 		return nil, err
 	}
@@ -408,11 +323,6 @@ func (s *Store) tauSuccIn(it interner, ti *termInfo) ([]*termInfo, error) {
 // autonomousSucc returns the τ- and output-successors of ti, outputs with
 // extruded names canonicalised deterministically (memoised; shared slice).
 func (s *Store) autonomousSucc(ti *termInfo) ([]*termInfo, error) {
-	return s.autonomousSuccIn(s, ti)
-}
-
-// autonomousSuccIn is autonomousSucc via an explicit interner (batched).
-func (s *Store) autonomousSuccIn(it interner, ti *termInfo) ([]*termInfo, error) {
 	ti.mu.Lock()
 	if ti.autoSuccsOK {
 		out := ti.autoSuccs
@@ -435,7 +345,7 @@ func (s *Store) autonomousSuccIn(it interner, ti *termInfo) ([]*termInfo, error)
 		}
 		targets = append(targets, tgt)
 	}
-	out, err := it.internMany(targets)
+	out, err := s.internMany(targets)
 	if err != nil {
 		return nil, err
 	}
@@ -451,10 +361,6 @@ func (s *Store) autonomousSuccIn(it interner, ti *termInfo) ([]*termInfo, error)
 // tauClosure returns every term reachable from ti by τ* (including ti),
 // sorted by canonical key. Memoised; the returned slice is shared.
 func (s *Store) tauClosure(ti *termInfo, budget int) ([]*termInfo, error) {
-	return s.tauClosureIn(s, ti, budget)
-}
-
-func (s *Store) tauClosureIn(it interner, ti *termInfo, budget int) ([]*termInfo, error) {
 	ti.mu.Lock()
 	cl := ti.tauClosure
 	ti.mu.Unlock()
@@ -465,9 +371,7 @@ func (s *Store) tauClosureIn(it interner, ti *termInfo, budget int) ([]*termInfo
 	}
 	s.derivMisses.Add(1)
 	s.obsDerivMisses.Add(1)
-	cl, err := s.closure(ti, budget, func(t *termInfo) ([]*termInfo, error) {
-		return s.tauSuccIn(it, t)
-	}, "tau closure")
+	cl, err := s.closure(ti, budget, s.tauSucc, "tau closure")
 	if err != nil {
 		return nil, err
 	}
@@ -480,10 +384,6 @@ func (s *Store) tauClosureIn(it interner, ti *termInfo, budget int) ([]*termInfo
 // autonomousClosure returns the states reachable by (τ ∪ output)*, including
 // ti, sorted by canonical key. Memoised; the returned slice is shared.
 func (s *Store) autonomousClosure(ti *termInfo, budget int) ([]*termInfo, error) {
-	return s.autonomousClosureIn(s, ti, budget)
-}
-
-func (s *Store) autonomousClosureIn(it interner, ti *termInfo, budget int) ([]*termInfo, error) {
 	ti.mu.Lock()
 	cl := ti.autoClosure
 	ti.mu.Unlock()
@@ -494,9 +394,7 @@ func (s *Store) autonomousClosureIn(it interner, ti *termInfo, budget int) ([]*t
 	}
 	s.derivMisses.Add(1)
 	s.obsDerivMisses.Add(1)
-	cl, err := s.closure(ti, budget, func(t *termInfo) ([]*termInfo, error) {
-		return s.autonomousSuccIn(it, t)
-	}, "autonomous closure")
+	cl, err := s.closure(ti, budget, s.autonomousSucc, "autonomous closure")
 	if err != nil {
 		return nil, err
 	}
@@ -540,13 +438,8 @@ func (s *Store) closure(ti *termInfo, budget int, succ func(*termInfo) ([]*termI
 // broadcast a(c̃): every input derivative at that channel and arity
 // instantiated with c̃, plus ti itself when it discards a. An empty result
 // means ti can neither receive nor ignore the message (ill-sorted usage).
+// Not memoised: the payload tuple varies per call.
 func (s *Store) reactions(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
-	return s.reactionsIn(s, ti, ch, payload)
-}
-
-// reactionsIn is reactions via an explicit interner (batched; not memoised —
-// the payload tuple varies per call).
-func (s *Store) reactionsIn(it interner, ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
 	var targets []syntax.Proc
 	for _, t := range ti.trans {
 		if !t.Act.IsInput() || t.Act.Subj != ch || len(t.Act.Objs) != len(payload) {
@@ -555,7 +448,7 @@ func (s *Store) reactionsIn(it interner, ti *termInfo, ch names.Name, payload []
 		_, tgt := semantics.Instantiate(t, payload)
 		targets = append(targets, tgt)
 	}
-	out, err := it.internMany(targets)
+	out, err := s.internMany(targets)
 	if err != nil {
 		return nil, err
 	}

@@ -14,18 +14,15 @@
 package lts
 
 import (
+	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"bpi/internal/actions"
 	"bpi/internal/names"
 	"bpi/internal/obs"
 	"bpi/internal/semantics"
 	"bpi/internal/syntax"
-	"bpi/internal/tprog"
-	"bpi/internal/ws"
 )
 
 // Edge is a ground transition to the state with index Dst. Lab is the
@@ -73,28 +70,13 @@ type Options struct {
 	// DisableSimplify turns off ~c-sound interning via syntax.Simplify
 	// (enabled by default; disable for debugging only — verdicts agree).
 	DisableSimplify bool
-	// Workers sets the number of concurrent exploration workers (default 1;
-	// >1 adds a work-stealing discovery pass ahead of the deterministic
-	// interning replay — the graph is identical at every worker count).
-	Workers int
 	// AutonomousOnly restricts the graph to autonomous moves (τ and
 	// outputs), skipping input instantiation entirely. Barbed and step
 	// bisimilarity are decided on such graphs; they never inspect input
 	// transitions.
 	AutonomousOnly bool
-	// Compiled switches ground successor computation to compiled transition
-	// programs (internal/tprog). The resulting graph is bit-identical to the
-	// interpreted build at every worker count; compilation failures surface
-	// as the same errors the interpreter reports.
-	Compiled bool
-	// Progs optionally supplies a shared transition-program cache for
-	// Compiled mode, so repeated explorations reuse compiled units. Its
-	// definition environment should match sys. When nil, a private cache
-	// over sys is created per Explore call.
-	Progs *tprog.Cache
 	// Obs, when non-nil, receives an lts.explore span and the counters
-	// lts.states, lts.edges and (parallel exploration) lts.steals,
-	// lts.prebuilt_states.
+	// lts.states and lts.edges.
 	Obs *obs.Tracer
 }
 
@@ -123,42 +105,18 @@ func FreshReservoir(n int) []names.Name {
 	return out
 }
 
-// stepper computes ground transition lists either through the interpreter
-// or through compiled transition programs. Both sources share the broadcast
-// composition core, so the lists are bit-identical.
-type stepper struct {
-	sys *semantics.System
-	tc  *tprog.Cache // non-nil in Compiled mode
-}
-
-func (s stepper) steps(p syntax.Proc) ([]semantics.Trans, error) {
-	if s.tc != nil {
-		if ts, err := s.tc.Transitions(p); err == nil {
-			return ts, nil
-		}
-		// Compile failure (unguarded recursion, unfold budget): fall back so
-		// the caller sees exactly the interpreted error surface, matching the
-		// equiv store's contract.
-	}
-	return s.sys.Steps(p)
-}
-
-func (o Options) stepper(sys *semantics.System) stepper {
-	if !o.Compiled {
-		return stepper{sys: sys}
-	}
-	tc := o.Progs
-	if tc == nil {
-		tc = tprog.NewCache(sys)
-	}
-	return stepper{sys: sys, tc: tc}
-}
-
 // Explore builds the graph reachable from the given roots.
 func Explore(sys *semantics.System, roots []syntax.Proc, opt Options) (*Graph, error) {
+	return ExploreCtx(context.Background(), sys, roots, opt)
+}
+
+// ExploreCtx is Explore honouring ctx. The context is checked between
+// states and every 1,024 instantiated input tuples, so a deadline stops
+// even a single state with a huge input fan-out; the error then wraps
+// ctx.Err() and the graph holds what was explored so far.
+func ExploreCtx(ctx context.Context, sys *semantics.System, roots []syntax.Proc, opt Options) (*Graph, error) {
 	span := opt.Obs.Span("lts.explore")
 	defer span.End()
-	st := opt.stepper(sys)
 	g := &Graph{index: map[string]int{}}
 	base := names.NewSet(opt.Universe...)
 	if len(opt.Universe) == 0 {
@@ -171,57 +129,50 @@ func Explore(sys *semantics.System, roots []syntax.Proc, opt Options) (*Graph, e
 	}
 	g.Universe = base.Sorted()
 
-	internKeyed := func(p syntax.Proc, k string) (int, bool) {
-		if i, ok := g.index[k]; ok {
-			return i, false
-		}
-		i := len(g.States)
-		g.States = append(g.States, State{p, k})
-		g.Edges = append(g.Edges, nil)
-		g.index[k] = i
-		return i, true
-	}
-	intern := func(p syntax.Proc) (int, bool) {
-		if !opt.DisableSimplify {
-			p = syntax.Simplify(p)
-		}
-		return internKeyed(p, syntax.Key(p))
-	}
-
 	var frontier []int
 	for _, r := range roots {
-		i, fresh := intern(r)
+		if !opt.DisableSimplify {
+			r = syntax.Simplify(r)
+		}
+		i, fresh := g.intern(r, syntax.Key(r))
 		g.Roots = append(g.Roots, i)
 		if fresh {
 			frontier = append(frontier, i)
 		}
 	}
-
-	// With workers > 1, a work-stealing discovery pass precomputes ground
-	// successor lists per state key; the replay below is the sequential
-	// algorithm either way, so the graph — state order, edges, truncation
-	// point — is identical at every worker count.
-	var pre *stateCache
-	if opt.Workers > 1 && len(frontier) > 0 {
-		pre = discover(st, g, frontier, opt)
-	}
-	err := exploreSequential(st, g, frontier, opt, internKeyed, pre)
-	// End-of-run totals: zero engine overhead, worker-count independent.
+	err := replay(ctx, sys, g, frontier, opt)
 	opt.Obs.Count("lts.states", int64(g.NumStates()))
 	opt.Obs.Count("lts.edges", int64(g.NumEdges()))
 	return g, err
 }
 
+// intern returns the index of the state with key k, adding p under that key
+// when it is new.
+func (g *Graph) intern(p syntax.Proc, k string) (int, bool) {
+	if i, ok := g.index[k]; ok {
+		return i, false
+	}
+	i := len(g.States)
+	g.States = append(g.States, State{p, k})
+	g.Edges = append(g.Edges, nil)
+	g.index[k] = i
+	return i, true
+}
+
+// canceled wraps a context error observed mid-exploration.
+func canceled(err error) error { return fmt.Errorf("lts: exploration canceled: %w", err) }
+
 // groundEdges computes the ground successor list of state p: τ and output
 // transitions as-is (outputs canonicalised), inputs instantiated over
 // universe ∪ fn(p).
-func groundEdges(st stepper, p syntax.Proc, universe []names.Name, autonomousOnly bool) ([]semantics.Trans, error) {
-	ts, err := st.steps(p)
+func groundEdges(ctx context.Context, sys *semantics.System, p syntax.Proc, universe []names.Name, autonomousOnly bool) ([]semantics.Trans, error) {
+	ts, err := sys.Steps(p)
 	if err != nil {
 		return nil, err
 	}
 	u := names.NewSet(universe...).AddAll(syntax.FreeNames(p)).Sorted()
 	var out []semantics.Trans
+	tuples := 0
 	for _, t := range ts {
 		switch t.Act.Kind {
 		case actions.Tau:
@@ -234,22 +185,31 @@ func groundEdges(st stepper, p syntax.Proc, universe []names.Name, autonomousOnl
 				continue
 			}
 			k := len(t.Act.Objs)
-			forEachTuple(u, k, func(tuple []names.Name) {
+			err := forEachTuple(u, k, func(tuple []names.Name) error {
+				if tuples++; tuples%1024 == 0 {
+					if err := ctx.Err(); err != nil {
+						return canceled(err)
+					}
+				}
 				// The enumerator reuses its tuple buffer; copy before storing.
 				recv := append([]names.Name(nil), tuple...)
 				act, tgt := semantics.Instantiate(t, recv)
 				out = append(out, semantics.Trans{Act: act, Target: tgt})
+				return nil
 			})
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
 }
 
-// forEachTuple enumerates u^k in lexicographic order.
-func forEachTuple(u []names.Name, k int, f func([]names.Name)) {
+// forEachTuple enumerates u^k in lexicographic order, stopping at the first
+// error f returns.
+func forEachTuple(u []names.Name, k int, f func([]names.Name) error) error {
 	if k == 0 {
-		f(nil)
-		return
+		return f(nil)
 	}
 	idx := make([]int, k)
 	tuple := make([]names.Name, k)
@@ -257,7 +217,9 @@ func forEachTuple(u []names.Name, k int, f func([]names.Name)) {
 		for i, j := range idx {
 			tuple[i] = u[j]
 		}
-		f(tuple)
+		if err := f(tuple); err != nil {
+			return err
+		}
 		i := k - 1
 		for ; i >= 0; i-- {
 			idx[i]++
@@ -267,87 +229,27 @@ func forEachTuple(u []names.Name, k int, f func([]names.Name)) {
 			idx[i] = 0
 		}
 		if i < 0 {
-			return
+			return nil
 		}
 	}
 }
 
-// stateBuilt is one state's discovered successor data: its ground
-// transitions plus the pre-simplified target of each and its canonical key,
-// so the replay pass never recomputes Simplify/Key for prebuilt states.
+// stateBuilt is one state's successor data: its ground transitions plus the
+// simplified target of each and its canonical key.
 type stateBuilt struct {
 	ts    []semantics.Trans
 	procs []syntax.Proc
 	keys  []string
-	err   error
-}
-
-// stateCache hands discovery results to the replay pass, keyed by state key
-// and sharded so discovery workers rarely contend. claim doubles as the
-// discovery-side dedup (nil placeholder until the build is put).
-type stateCache struct {
-	shards [64]struct {
-		mu sync.Mutex
-		m  map[string]*stateBuilt
-	}
-}
-
-func newStateCache() *stateCache {
-	sc := &stateCache{}
-	for i := range sc.shards {
-		sc.shards[i].m = make(map[string]*stateBuilt)
-	}
-	return sc
-}
-
-func (sc *stateCache) shardOf(k string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= 16777619
-	}
-	return int(h % 64)
-}
-
-func (sc *stateCache) claim(k string) bool {
-	sh := &sc.shards[sc.shardOf(k)]
-	sh.mu.Lock()
-	_, seen := sh.m[k]
-	if !seen {
-		sh.m[k] = nil
-	}
-	sh.mu.Unlock()
-	return !seen
-}
-
-func (sc *stateCache) put(k string, b *stateBuilt) {
-	sh := &sc.shards[sc.shardOf(k)]
-	sh.mu.Lock()
-	sh.m[k] = b
-	sh.mu.Unlock()
-}
-
-func (sc *stateCache) take(k string) *stateBuilt {
-	if sc == nil {
-		return nil
-	}
-	sh := &sc.shards[sc.shardOf(k)]
-	sh.mu.Lock()
-	b := sh.m[k]
-	sh.mu.Unlock()
-	return b
 }
 
 // buildState computes one state's stateBuilt (pure w.r.t. the graph).
-func buildState(st stepper, p syntax.Proc, g *Graph, opt Options) *stateBuilt {
-	b := &stateBuilt{}
-	b.ts, b.err = groundEdges(st, p, g.Universe, opt.AutonomousOnly)
-	if b.err != nil {
-		return b
+func buildState(ctx context.Context, sys *semantics.System, p syntax.Proc, g *Graph, opt Options) (*stateBuilt, error) {
+	ts, err := groundEdges(ctx, sys, p, g.Universe, opt.AutonomousOnly)
+	if err != nil {
+		return nil, err
 	}
-	b.procs = make([]syntax.Proc, len(b.ts))
-	b.keys = make([]string, len(b.ts))
-	for i, t := range b.ts {
+	b := &stateBuilt{ts: ts, procs: make([]syntax.Proc, len(ts)), keys: make([]string, len(ts))}
+	for i, t := range ts {
 		tp := t.Target
 		if !opt.DisableSimplify {
 			tp = syntax.Simplify(tp)
@@ -355,82 +257,29 @@ func buildState(st stepper, p syntax.Proc, g *Graph, opt Options) *stateBuilt {
 		b.procs[i] = tp
 		b.keys[i] = syntax.Key(tp)
 	}
-	return b
+	return b, nil
 }
 
-// discover is the work-stealing discovery pass: persistent workers race over
-// the reachable state space, caching each state's ground successors. Purely
-// an accelerator for the replay — it may stop early (first error, state
-// budget) or miss states without affecting the resulting graph.
-func discover(st stepper, g *Graph, frontier []int, opt Options) *stateCache {
-	type item struct {
-		proc syntax.Proc
-		key  string
-	}
-	cache := newStateCache()
-	maxClaims := int64(opt.maxStates())
-	var claimed atomic.Int64
-	var pool *ws.Pool[item]
-	pool = ws.NewPool(opt.Workers, func(w int, it item) {
-		b := buildState(st, it.proc, g, opt)
-		cache.put(it.key, b)
-		if b.err != nil {
-			// Replay will rediscover the error at the deterministic point;
-			// further discovery is wasted work.
-			pool.Stop()
-			return
-		}
-		var batch []item
-		for i, k := range b.keys {
-			if !cache.claim(k) {
-				continue
-			}
-			if claimed.Add(1) > maxClaims {
-				pool.Stop()
-				return
-			}
-			batch = append(batch, item{b.procs[i], k})
-		}
-		pool.Push(w, batch...)
-	})
-	seeds := make([]item, 0, len(frontier))
-	for _, i := range frontier {
-		st := g.States[i]
-		if cache.claim(st.Key) {
-			claimed.Add(1)
-			seeds = append(seeds, item{st.Proc, st.Key})
-		}
-	}
-	pool.Run(seeds)
-	ps := pool.Stats()
-	opt.Obs.Count("lts.steals", ps.Steals)
-	opt.Obs.Count("lts.prebuilt_states", ps.Processed)
-	return cache
-}
-
-// exploreSequential is the authoritative pass: strictly FIFO over the
-// frontier, interning in edge order — the graph shape depends only on this
-// loop. pre (nil when Workers ≤ 1) supplies prebuilt successor lists; states
-// the discovery pass missed are built inline.
-func exploreSequential(st stepper, g *Graph, frontier []int, opt Options,
-	internKeyed func(syntax.Proc, string) (int, bool), pre *stateCache) error {
+// replay is the exploration loop: strictly FIFO over the frontier, interning in
+// edge order, so the graph shape depends only on this loop.
+func replay(ctx context.Context, sys *semantics.System, g *Graph, frontier []int, opt Options) error {
 	max := opt.maxStates()
 	for len(frontier) > 0 {
+		if err := ctx.Err(); err != nil {
+			return canceled(err)
+		}
 		i := frontier[0]
 		frontier = frontier[1:]
-		b := pre.take(g.States[i].Key)
-		if b == nil {
-			b = buildState(st, g.States[i].Proc, g, opt)
-		}
-		if b.err != nil {
-			return b.err
+		b, err := buildState(ctx, sys, g.States[i].Proc, g, opt)
+		if err != nil {
+			return err
 		}
 		for ei, t := range b.ts {
 			if len(g.States) >= max {
 				g.Truncated = true
 				return nil
 			}
-			j, fresh := internKeyed(b.procs[ei], b.keys[ei])
+			j, fresh := g.intern(b.procs[ei], b.keys[ei])
 			g.Edges[i] = append(g.Edges[i], Edge{t.Act, t.Act.String(), j})
 			if fresh {
 				frontier = append(frontier, j)

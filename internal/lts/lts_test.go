@@ -1,7 +1,11 @@
 package lts
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"bpi/internal/names"
@@ -130,6 +134,36 @@ func TestSuccessiveExtrusionsStayDistinct(t *testing.T) {
 	}
 }
 
+// TestExploreCtxCanceled: a canceled context stops exploration with an
+// error that unwraps to the context's — between states, and inside one
+// state's input instantiation once 1,024 tuples have been built.
+func TestExploreCtxCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g, err := ExploreCtx(ctx, sys, []syntax.Proc{syntax.Send(a, nil, syntax.SendN(b))}, Options{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("between states: got %v, want context.Canceled", err)
+	}
+	if g.NumStates() != 1 || g.NumEdges() != 0 {
+		t.Fatalf("canceled exploration expanded the root: %v", g)
+	}
+	// a?(x,y,z) over 13 names is 2,197 tuples from a single state.
+	p := syntax.Recv(a, []names.Name{x, y, "z"}, syntax.PNil)
+	ts, err := groundEdges(ctx, sys, p, FreshReservoir(12), false)
+	if !errors.Is(err, context.Canceled) || ts != nil {
+		t.Fatalf("inside a state: got %d transitions and %v, want context.Canceled", len(ts), err)
+	}
+	// A live context instantiates every tuple.
+	ts, err = groundEdges(context.Background(), sys, p, FreshReservoir(12), false)
+	if err != nil || len(ts) != 13*13*13 {
+		t.Fatalf("live context: got %d transitions and %v, want %d", len(ts), err, 13*13*13)
+	}
+}
+
+// TestParallelExplorationMatchesSequential explores one term from 4
+// goroutines sharing the package's System (as bpid's concurrent
+// /v1/explore requests do) and requires every graph to equal the
+// sequential one: state order, edges, roots and truncation.
 func TestParallelExplorationMatchesSequential(t *testing.T) {
 	p := syntax.Group(
 		syntax.Send(a, nil, syntax.SendN(b)),
@@ -137,18 +171,24 @@ func TestParallelExplorationMatchesSequential(t *testing.T) {
 		syntax.TauP(syntax.RecvN(b)),
 	)
 	seq := explore(t, p, Options{})
-	par := explore(t, p, Options{Workers: 4})
-	if seq.NumStates() != par.NumStates() || seq.NumEdges() != par.NumEdges() {
-		t.Fatalf("parallel explorer diverges: seq %v, par %v", seq, par)
+	par := make([]*Graph, 4)
+	errs := make([]error, len(par))
+	var wg sync.WaitGroup
+	for i := range par {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			par[i], errs[i] = Explore(sys, []syntax.Proc{p}, Options{})
+		}()
 	}
-	// Same state set (keys).
-	keys := map[string]bool{}
-	for _, st := range seq.States {
-		keys[st.Key] = true
-	}
-	for _, st := range par.States {
-		if !keys[st.Key] {
-			t.Fatalf("state %q only in parallel graph", st.Key)
+	wg.Wait()
+	for i, g := range par {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(seq.States, g.States) || !reflect.DeepEqual(seq.Edges, g.Edges) ||
+			!reflect.DeepEqual(seq.Roots, g.Roots) || seq.Truncated != g.Truncated {
+			t.Fatalf("goroutine %d: graph diverges from sequential: seq %v, par %v", i, seq, g)
 		}
 	}
 }

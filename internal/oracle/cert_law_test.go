@@ -17,7 +17,7 @@ import (
 // (empty detail) and must not report an engine error.
 func TestCertLawHoldsOnWitnessPairs(t *testing.T) {
 	law := lawCertChecks()
-	env := NewEnv(2)
+	env := NewEnv()
 	pairs := [][2]string{
 		{"b? | b?(x)", "0"},
 		{"tau.a!(b)", "tau.a!(c)"},
@@ -119,7 +119,7 @@ func TestViolationStringNamesReplay(t *testing.T) {
 // error, never as a law violation.
 func TestCertLawSurvivesCancellation(t *testing.T) {
 	law := lawCertChecks()
-	env := NewEnv(2)
+	env := NewEnv()
 	p, err := parser.Parse("a! | b! | c!")
 	if err != nil {
 		t.Fatal(err)

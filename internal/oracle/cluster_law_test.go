@@ -19,7 +19,7 @@ func TestClusterLawHoldsOnWitnessPairs(t *testing.T) {
 		t.Skip("boots 3-node clusters; skipped in -short")
 	}
 	law := lawClusterAgree()
-	env := NewEnv(2)
+	env := NewEnv()
 	pairs := [][2]string{
 		{"a! | b!", "a!.b! + b!.a!"}, // related, strong and weak
 		{"tau.a!", "a!"},             // related weak only
@@ -61,7 +61,7 @@ func TestClusterLawRegistered(t *testing.T) {
 // error, never a violation.
 func TestClusterLawSurvivesCancellation(t *testing.T) {
 	law := lawClusterAgree()
-	env := NewEnv(2)
+	env := NewEnv()
 	p, err := parser.Parse("a! | b!")
 	if err != nil {
 		t.Fatal(err)

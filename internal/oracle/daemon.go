@@ -18,7 +18,7 @@ import (
 // Daemon is an in-process bpid instance on a loopback listener, plus the
 // minimal client the engines/agree law needs. Running the real HTTP stack
 // (handlers, verdict LRU, worker pool) keeps the differential check honest:
-// the daemon path shares no in-memory state with Env.Seq / Env.Par.
+// the daemon path shares no in-memory state with Env.Seq.
 type Daemon struct {
 	srv  *service.Server
 	http *http.Server

@@ -18,7 +18,7 @@ func FuzzDecideAgree(f *testing.F) {
 	for _, seed := range []int64{0, 1, 42, -7, 1 << 40, mix(2026)} {
 		f.Add(seed)
 	}
-	env := NewEnv(2)
+	env := NewEnv()
 	law := lawDecideAgree()
 	f.Fuzz(func(t *testing.T, seed int64) {
 		g := brand.New(mix(seed), law.Config)
@@ -44,7 +44,7 @@ func FuzzProtocolsConform(f *testing.F) {
 	for _, seed := range []int64{0, 1, 7, 42, 1 << 33} {
 		f.Add(seed)
 	}
-	env := NewEnv(2)
+	env := NewEnv()
 	law := lawProtocolsConform()
 	f.Fuzz(func(t *testing.T, seed int64) {
 		g := brand.New(mix(seed), law.Config)

@@ -243,80 +243,70 @@ func lawSubstClosure() Law {
 
 // lawObsConsistent checks that the obs counters threaded through the engines
 // are semantically meaningful: a counter total must equal the quantity the
-// engine itself reports, and it must not depend on HOW the work was
-// scheduled. Fresh checkers are built per leg — the Env checkers memoise
-// verdicts, and a cached verdict reports Pairs: 0, which would make every
-// comparison vacuous.
+// engine itself reports, and it must not depend on what the store had
+// already memoised. Fresh checkers are built per leg — the Env checkers
+// memoise verdicts, and a cached verdict reports Pairs: 0, which would make
+// every comparison vacuous.
 func lawObsConsistent() Law {
 	return Law{
 		Name:   "obs/consistent",
-		Doc:    "engine counters agree with engine results and are identical across sequential, parallel and daemon scheduling",
+		Doc:    "engine counters agree with engine results and are identical across cold-store, warm-store and daemon runs",
 		Config: richConfig(),
 		Gen:    mixedPair,
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
-			run := func(workers int) (equiv.Result, map[string]int64, error) {
+			run := func(ch *equiv.Checker) (equiv.Result, map[string]int64, error) {
 				tr := obs.New()
-				var ch *equiv.Checker
-				if workers > 1 {
-					ch = equiv.NewParallelChecker(nil, workers)
-				} else {
-					ch = equiv.NewChecker(nil)
-				}
 				ch.Obs = tr
 				ch.Store().SetObs(tr)
 				r, err := ch.LabelledCtx(ctx, p, q, false)
 				return r, tr.Counters(), err
 			}
-			seq, seqC, err := run(1)
+			cold := equiv.NewChecker(nil)
+			res, resC, err := run(cold)
 			if err != nil {
 				return "", err
 			}
-			par, parC, err := run(4)
+			// A second checker over the now-warm store has its own verdict
+			// memo, so it re-runs the engine with every derivation cached.
+			warm, warmC, err := run(equiv.NewCheckerWithStore(cold.Store()))
 			if err != nil {
 				return "", err
 			}
-			if seq.Related != par.Related {
-				return fmt.Sprintf("verdict differs: sequential=%v parallel=%v", seq.Related, par.Related), nil
+			if res.Related != warm.Related {
+				return fmt.Sprintf("verdict differs: cold store=%v warm store=%v", res.Related, warm.Related), nil
 			}
-			if got := seqC["equiv.pairs_expanded"]; got != int64(seq.Pairs) {
-				return fmt.Sprintf("equiv.pairs_expanded=%d but Result.Pairs=%d (sequential)", got, seq.Pairs), nil
+			if got := resC["equiv.pairs_expanded"]; got != int64(res.Pairs) {
+				return fmt.Sprintf("equiv.pairs_expanded=%d but Result.Pairs=%d", got, res.Pairs), nil
 			}
 			for _, name := range []string{"equiv.pairs_expanded", "equiv.worklist_pops"} {
-				if seqC[name] != parC[name] {
-					return fmt.Sprintf("%s: sequential=%d parallel=%d (scheduling leaked into a semantic counter)",
-						name, seqC[name], parC[name]), nil
+				if resC[name] != warmC[name] {
+					return fmt.Sprintf("%s: cold store=%d warm store=%d (memoisation leaked into a semantic counter)",
+						name, resC[name], warmC[name]), nil
 				}
 			}
-			// LTS totals must be worker-count independent too.
-			ltsStates := func(workers int) (int64, int64, error) {
-				tr := obs.New()
-				_, err := lts.Explore(semantics.NewSystem(nil), []syntax.Proc{p, q},
-					lts.Options{AutonomousOnly: true, MaxStates: 1 << 14, Workers: workers, Obs: tr})
-				c := tr.Counters()
-				return c["lts.states"], c["lts.edges"], err
-			}
-			s1, e1, err := ltsStates(1)
+			// LTS totals must equal the graph the explorer returns.
+			tr := obs.New()
+			g, err := lts.ExploreCtx(ctx, semantics.NewSystem(nil), []syntax.Proc{p, q},
+				lts.Options{AutonomousOnly: true, MaxStates: 1 << 14, Obs: tr})
 			if err != nil {
 				return "", err
 			}
-			s4, e4, err := ltsStates(4)
-			if err != nil {
-				return "", err
-			}
-			if s1 != s4 || e1 != e4 {
-				return fmt.Sprintf("lts totals differ across workers: states %d vs %d, edges %d vs %d", s1, s4, e1, e4), nil
+			c := tr.Counters()
+			if c["lts.states"] != int64(g.NumStates()) || c["lts.edges"] != int64(g.NumEdges()) {
+				return fmt.Sprintf("lts counters states=%d edges=%d, graph has %d and %d",
+					c["lts.states"], c["lts.edges"], g.NumStates(), g.NumEdges()), nil
 			}
 			// The daemon path counts the same pair space (skip on a verdict-
 			// cache hit: a cached verdict legitimately reports pairs=0).
 			if env.Daemon != nil {
-				cold, err := env.Daemon.Equiv(ctx, service.EquivRequest{
+				served, err := env.Daemon.Equiv(ctx, service.EquivRequest{
 					P: syntax.Print(p), Q: syntax.Print(q), Rel: service.RelLabelled,
 				})
 				if err != nil {
 					return "", err
 				}
-				if !cold.Cached && cold.Pairs != seq.Pairs {
-					return fmt.Sprintf("daemon explored %d pairs, sequential %d", cold.Pairs, seq.Pairs), nil
+				if !served.Cached && served.Pairs != res.Pairs {
+					return fmt.Sprintf("daemon explored %d pairs, checker %d", served.Pairs, res.Pairs), nil
 				}
 			}
 			return "", nil
@@ -324,12 +314,12 @@ func lawObsConsistent() Law {
 	}
 }
 
-// ---- Engines agree: sequential vs parallel vs daemon ---------------------
+// ---- Engines agree: pair engine vs daemon ---------------------------------
 
 func lawEnginesAgree() Law {
 	return Law{
 		Name:   "engines/agree",
-		Doc:    "sequential, parallel (Workers>1) and bpid-served verdicts — including LRU cache hits — agree",
+		Doc:    "pair-engine and bpid-served verdicts — including LRU cache hits — agree",
 		Config: richConfig(),
 		Gen:    mixedPair,
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
@@ -337,13 +327,6 @@ func lawEnginesAgree() Law {
 				seq, err := env.Seq.LabelledCtx(ctx, p, q, weak)
 				if err != nil {
 					return "", err
-				}
-				par, err := env.Par.LabelledCtx(ctx, p, q, weak)
-				if err != nil {
-					return "", err
-				}
-				if seq.Related != par.Related {
-					return fmt.Sprintf("weak=%v: sequential=%v parallel=%v", weak, seq.Related, par.Related), nil
 				}
 				if env.Daemon == nil {
 					continue

@@ -13,7 +13,7 @@ import (
 // preserve every one (empty detail, no engine error).
 func TestLedgerLawHoldsOnWitnessPairs(t *testing.T) {
 	law := lawLedgerRoundtrip()
-	env := NewEnv(2)
+	env := NewEnv()
 	pairs := [][2]string{
 		{"a! | b!", "a!.b! + b!.a!"}, // related, strong and weak
 		{"tau.a!", "a!"},             // related weak only
@@ -55,7 +55,7 @@ func TestLedgerLawRegistered(t *testing.T) {
 // never a violation.
 func TestLedgerLawSurvivesCancellation(t *testing.T) {
 	law := lawLedgerRoundtrip()
-	env := NewEnv(2)
+	env := NewEnv()
 	p, err := parser.Parse("a! | b! | c!")
 	if err != nil {
 		t.Fatal(err)

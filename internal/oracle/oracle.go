@@ -14,9 +14,9 @@
 //   - Tables 6/7: every axiom instance rewrites a term to a semantically
 //     congruent one.
 //   - Section 4: ~c is closed under name substitutions.
-//   - Engineering invariants on top of the paper: the sequential engine,
-//     the parallel engine (Workers > 1) and a live bpid daemon — including
-//     its LRU verdict-cache hits — must all return the same verdicts.
+//   - Engineering invariants on top of the paper: the pair engine and a
+//     live bpid daemon — including its LRU verdict-cache hits — must return
+//     the same verdicts.
 //   - Certificates: every verdict's replayable proof object (internal/cert)
 //     must be accepted by the independent verifier, on the fresh and the
 //     memoised path alike.
@@ -26,9 +26,6 @@
 //   - Protocol conformance: every internal/protocols scenario — healthy or
 //     fault-injected — gets the verdict its spec expects, in its own
 //     relation, on every engine, certificates included.
-//   - Compiled semantics: the transition programs of internal/tprog agree
-//     bit-for-bit with the interpreted semantics — transition lists,
-//     Table 2 discard sets, verdicts, certificate bytes and LTS graphs.
 //   - Distribution: a 3-node bpid cluster — rendezvous routing, fail-closed
 //     remote certificate acceptance and verdict caches included — is
 //     observationally identical to one sequential checker.
@@ -51,10 +48,8 @@ import (
 // Env bundles the engines a law check may consult. Checkers share nothing:
 // agreement between them is evidence, not tautology.
 type Env struct {
-	// Seq is the sequential reference checker.
+	// Seq is the reference checker.
 	Seq *equiv.Checker
-	// Par is a parallel checker (Workers > 1) over its own store.
-	Par *equiv.Checker
 	// NewProver returns a fresh §5 prover (a Prover is single-goroutine).
 	NewProver func() *axioms.Prover
 	// Daemon is an optional live bpid instance; laws that need it are
@@ -62,16 +57,12 @@ type Env struct {
 	Daemon *Daemon
 }
 
-// NewEnv returns an Env with fresh sequential and parallel checkers and no
-// daemon (attach one with StartDaemon if the engines/agree law should cover
-// the service layer).
-func NewEnv(parWorkers int) *Env {
-	if parWorkers < 2 {
-		parWorkers = 4
-	}
+// NewEnv returns an Env with a fresh checker and no daemon (attach one
+// with StartDaemon if the engines/agree law should cover the service
+// layer).
+func NewEnv() *Env {
 	return &Env{
 		Seq:       equiv.NewChecker(nil),
-		Par:       equiv.NewParallelChecker(nil, parWorkers),
 		NewProver: func() *axioms.Prover { return axioms.NewProver(nil) },
 	}
 }
@@ -111,7 +102,6 @@ func Registry() []Law {
 		lawStressAgree(),
 		lawLedgerRoundtrip(),
 		lawProtocolsConform(),
-		lawTprogAgree(),
 		lawClusterAgree(),
 	}
 }

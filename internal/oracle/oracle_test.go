@@ -23,7 +23,7 @@ func testBudget(t *testing.T) int {
 // TestLawsHoldOnBudget: the whole registry (daemon included) on a bounded
 // seeded sweep — the in-test twin of `bpifuzz -budget N`.
 func TestLawsHoldOnBudget(t *testing.T) {
-	env := NewEnv(4)
+	env := NewEnv()
 	d, err := StartDaemon(service.Config{Workers: 4})
 	if err != nil {
 		t.Fatalf("daemon: %v", err)
@@ -78,7 +78,7 @@ func brokenLaw() Law {
 // the shrinker: a seeded violation must shrink to ≤ 6 AST nodes and replay
 // from its printed repro seed.
 func TestBrokenLawIsCaughtShrunkAndReproducible(t *testing.T) {
-	env := NewEnv(2)
+	env := NewEnv()
 	law := brokenLaw()
 	rep, err := Run(context.Background(), env, Config{
 		Seed: 7, Budget: 50, Laws: []Law{law}, MaxViolations: 3,
@@ -124,7 +124,7 @@ func TestBrokenLawIsCaughtShrunkAndReproducible(t *testing.T) {
 // TestViolationPersistRoundTrip: a shrunk violation written with WriteCase
 // loads back and re-checks under its law.
 func TestViolationPersistRoundTrip(t *testing.T) {
-	env := NewEnv(2)
+	env := NewEnv()
 	dir := t.TempDir()
 	rep, err := Run(context.Background(), env, Config{
 		Seed: 11, Budget: 30, Laws: []Law{brokenLaw()}, OutDir: dir, MaxViolations: 1,
@@ -170,7 +170,7 @@ func TestRegressionCorpus(t *testing.T) {
 	if len(cases) == 0 {
 		t.Fatal("regression corpus is empty — expected seeded cases")
 	}
-	env := NewEnv(4)
+	env := NewEnv()
 	for _, c := range cases {
 		detail, err := CheckCase(context.Background(), env, nil, c)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"bpi/internal/cert"
-	"bpi/internal/equiv"
 	"bpi/internal/protocols"
 	brand "bpi/internal/rand"
 	"bpi/internal/syntax"
@@ -37,11 +36,10 @@ func protoScenarios() map[string]protocols.Scenario {
 }
 
 // lawProtocolsConform is the protocol-library conformance law: on every
-// catalogue scenario (healthy and fault-injected), the sequential pair
-// engine, the work-stealing parallel engine at 2 and 4 workers and the
+// catalogue scenario (healthy and fault-injected), the pair engine and the
 // partition-refinement engine must agree with the scenario's expected
-// verdict in the scenario's own relation, with bit-identical parallel
-// Results and certificates that pass the independent verifier. On shrunken
+// verdict in the scenario's own relation, with certificates that pass the
+// independent verifier. On shrunken
 // pairs the expected-verdict clause drops away and the law degrades to
 // engine agreement in the scenario relations — so a violation minimises
 // like any other law without the shrinker having to preserve catalogue
@@ -65,39 +63,26 @@ func lawProtocolsConform() Law {
 				// probe).
 				s = protocols.Scenario{Impl: p, Spec: q, Rel: protocols.RelStep}
 			}
-			decide := func(w int) (equiv.Result, error) {
-				return protocols.DecideCtx(ctx, protocols.NewChecker(w), s)
-			}
-			seq, err := decide(1)
+			res, err := protocols.DecideCtx(ctx, protocols.NewChecker(), s)
 			if err != nil {
 				return "", err
 			}
-			if known && seq.Related != s.WantEquiv {
-				return fmt.Sprintf("%s: sequential verdict %v, scenario expects %v (%s)",
-					s.Name, seq.Related, s.WantEquiv, seq.Reason), nil
+			if known && res.Related != s.WantEquiv {
+				return fmt.Sprintf("%s: pair-engine verdict %v, scenario expects %v (%s)",
+					s.Name, res.Related, s.WantEquiv, res.Reason), nil
 			}
-			if seq.Cert == nil {
+			if res.Cert == nil {
 				return s.Name + ": certifying checker returned no certificate", nil
 			}
-			if err := cert.Verify(seq.Cert); err != nil {
+			if err := cert.Verify(res.Cert); err != nil {
 				return fmt.Sprintf("%s: pair-engine certificate rejected: %v", s.Name, err), nil
-			}
-			for _, w := range []int{2, 4} {
-				par, err := decide(w)
-				if err != nil {
-					return "", err
-				}
-				if seq.Related != par.Related || seq.Pairs != par.Pairs || seq.Reason != par.Reason {
-					return fmt.Sprintf("%s: parallel engine (workers=%d) diverges: related %v/%v pairs %d/%d",
-						s.Name, w, seq.Related, par.Related, seq.Pairs, par.Pairs), nil
-				}
 			}
 			refOK, refCert, err := protocols.Refine(s, 1<<15)
 			if err != nil {
 				return "", nil // joint LTS over budget on a pathological shrink probe; vacuous
 			}
-			if refOK != seq.Related {
-				return fmt.Sprintf("%s: refinement=%v pair engine=%v", s.Name, refOK, seq.Related), nil
+			if refOK != res.Related {
+				return fmt.Sprintf("%s: refinement=%v pair engine=%v", s.Name, refOK, res.Related), nil
 			}
 			if refCert != nil {
 				if err := cert.Verify(refCert); err != nil {

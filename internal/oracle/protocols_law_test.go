@@ -17,7 +17,7 @@ import (
 // certificates verify).
 func TestProtocolsConformHolds(t *testing.T) {
 	law := lawProtocolsConform()
-	env := NewEnv(4)
+	env := NewEnv()
 	algos := map[string]bool{}
 	for seed := int64(0); seed < 24; seed++ {
 		g := brand.New(seed, law.Config)
@@ -61,7 +61,7 @@ func TestProtocolsConformRegistered(t *testing.T) {
 // minimises to a small term pair.
 func TestProtocolsShrunkPairDegrades(t *testing.T) {
 	law := lawProtocolsConform()
-	env := NewEnv(2)
+	env := NewEnv()
 	p := syntax.Send("a", nil, syntax.SendN("b"))
 	detail, err := law.Check(context.Background(), env, p, p)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestProtocolsShrunkPairDegrades(t *testing.T) {
 		t.Fatal("catalogue lost gossip/line-3/crashed-2")
 	}
 	pred := func(cp, cq syntax.Proc) bool {
-		r, err := protocols.NewChecker(1).Step(cp, cq, false)
+		r, err := protocols.NewChecker().Step(cp, cq, false)
 		return err == nil && !r.Related
 	}
 	if !pred(s.Impl, s.Spec) {

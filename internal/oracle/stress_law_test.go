@@ -14,7 +14,7 @@ import (
 // so any non-empty detail is a real cross-engine disagreement).
 func TestStressAgreeHolds(t *testing.T) {
 	law := lawStressAgree()
-	env := NewEnv(4)
+	env := NewEnv()
 	for seed := int64(0); seed < 12; seed++ {
 		g := brand.New(seed, law.Config)
 		p, q, tag := law.Gen(g)
@@ -38,7 +38,7 @@ func TestStressDisagreementShrinks(t *testing.T) {
 	parts := syntax.ParList(stress.Rotate(p))
 	q := syntax.Group(parts[1:]...) // dropped a station: not step-bisimilar
 	pred := func(cp, cq syntax.Proc) bool {
-		r, err := stressChecker(1).Step(cp, cq, false)
+		r, err := stressChecker().Step(cp, cq, false)
 		return err == nil && !r.Related
 	}
 	if !pred(p, q) {

@@ -91,8 +91,8 @@ func ByName(name string) (Scenario, bool) {
 // algorithms are omitted — their state spaces are linear and decided in
 // microseconds at any interesting size. Top rungs are sized to stay in the
 // low seconds sequentially (gossip/star-12 ≈ 139k pairs, election-7 ≈ 168k,
-// multicast-8 ≈ 131k weak pairs) so the full 1/2/4-worker curve finishes in
-// well under a minute; one size up costs 5-10x (election-8 is ~824k pairs).
+// multicast-8 ≈ 131k weak pairs) so the whole ladder finishes in well
+// under a minute; one size up costs 5-10x (election-8 is ~824k pairs).
 func Ladder() []Scenario {
 	return []Scenario{
 		GossipStar(8, Fault{}),

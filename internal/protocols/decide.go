@@ -12,16 +12,10 @@ import (
 	"bpi/internal/syntax"
 )
 
-// NewChecker returns a pair-engine checker budgeted for the catalogue and
-// ladder pair spaces, certifying, with the requested worker count (1 =
-// sequential engine, >1 = the work-stealing parallel engine).
-func NewChecker(workers int) *equiv.Checker {
-	var chk *equiv.Checker
-	if workers > 1 {
-		chk = equiv.NewParallelChecker(nil, workers)
-	} else {
-		chk = equiv.NewChecker(nil)
-	}
+// NewChecker returns a certifying pair-engine checker budgeted for the
+// catalogue and ladder pair spaces.
+func NewChecker() *equiv.Checker {
+	chk := equiv.NewChecker(nil)
 	chk.MaxPairs = 1 << 20
 	chk.Certify = true
 	return chk

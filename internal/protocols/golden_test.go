@@ -11,8 +11,8 @@ import (
 
 // TestGoldenCertsPinned pins one mid-size scenario per algorithm family:
 // the verdict, explored-pair count and SHA-256 of the marshalled
-// certificate are written to a golden file and every worker count must
-// reproduce them bit-for-bit. Any drift in exploration order, certificate
+// certificate are written to a golden file and must be reproduced
+// bit-for-bit. Any drift in exploration order, certificate
 // layout or the generators themselves trips this before it can silently
 // invalidate recorded ledger entries. Regenerate with UPDATE_GOLDEN=1.
 func TestGoldenCertsPinned(t *testing.T) {
@@ -29,31 +29,20 @@ func TestGoldenCertsPinned(t *testing.T) {
 		if !ok {
 			t.Fatalf("golden scenario %s missing from catalogue", name)
 		}
-		var want string
-		for _, w := range []int{1, 2, 4} {
-			r, err := Decide(NewChecker(w), s)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if r.Cert == nil {
-				t.Fatalf("%s workers=%d: no certificate", name, w)
-			}
-			raw, err := r.Cert.Marshal()
-			if err != nil {
-				t.Fatalf("%s: marshal certificate: %v", name, err)
-			}
-			sum := sha256.Sum256(raw)
-			line := fmt.Sprintf("%s related=%v pairs=%d cert=%s\n",
-				name, r.Related, r.Pairs, hex.EncodeToString(sum[:]))
-			if w == 1 {
-				want = line
-				continue
-			}
-			if line != want {
-				t.Fatalf("%s workers=%d diverges:\n got %s want %s", name, w, line, want)
-			}
+		r, err := Decide(NewChecker(), s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		got += want
+		if r.Cert == nil {
+			t.Fatalf("%s: no certificate", name)
+		}
+		raw, err := r.Cert.Marshal()
+		if err != nil {
+			t.Fatalf("%s: marshal certificate: %v", name, err)
+		}
+		sum := sha256.Sum256(raw)
+		got += fmt.Sprintf("%s related=%v pairs=%d cert=%s\n",
+			name, r.Related, r.Pairs, hex.EncodeToString(sum[:]))
 	}
 	golden := filepath.Join("testdata", "catalogue_golden.txt")
 	if os.Getenv("UPDATE_GOLDEN") != "" {

@@ -9,11 +9,8 @@ import (
 )
 
 // This file implements the restriction rules (5–7) and the broadcast
-// composition rules (12–14) as a reusable composition core. The interpreted
-// walker (steps/stepsRes/stepsPar) and the compiled transition programs
-// (internal/tprog) both go through these entry points, so the two paths
-// agree on transition order and on the concrete representatives kept by
-// deduplication — by construction, not by coincidence.
+// composition rules (12–14) as a reusable composition core, driven by the
+// interpreted walker (steps/stepsRes/stepsPar).
 //
 // Everything here follows the package's reentrancy contract: helpers receive
 // all state as arguments and build fresh transition targets, so parallel
@@ -23,33 +20,19 @@ import (
 // composition: does this side ignore a broadcast on a?
 type DiscardFunc func(a names.Name) (bool, error)
 
-// InputLookup returns one side's input transitions on ch at the given arity,
-// preserving their relative order within the side's transition list. It is
-// the head-input dispatch hook for compiled programs; nil means the
-// composition falls back to a linear scan.
-type InputLookup func(ch names.Name, arity int) []Trans
-
 // Side packages one component of a parallel composition the way the
 // broadcast composition rules consume it: the process itself (for rebuilding
 // targets and free-name side conditions), its symbolic transitions in
-// derivation order, its discard oracle, and an optional head-input index
-// over those transitions.
+// derivation order, and its discard oracle.
 type Side struct {
 	Proc    syntax.Proc
 	Trans   []Trans
 	Discard DiscardFunc
-	Inputs  InputLookup
 }
 
 // forEachInput visits the side's input transitions on (ch, arity) in
-// transition-list order, via the index when one is present.
+// transition-list order.
 func (s Side) forEachInput(ch names.Name, arity int, f func(Trans)) {
-	if s.Inputs != nil {
-		for _, t := range s.Inputs(ch, arity) {
-			f(t)
-		}
-		return
-	}
 	for _, t := range s.Trans {
 		if t.Act.IsInput() && t.Act.Subj == ch && len(t.Act.Objs) == arity {
 			f(t)
@@ -260,8 +243,8 @@ func Instantiate(t Trans, received []names.Name) (actions.Act, syntax.Proc) {
 // the (label, target) pair — keeping the first occurrence, so the concrete
 // representative depends on derivation order — and returns them sorted by
 // canonical transition key. It operates on a copy; ts is not mutated. This
-// is the exact normalisation Steps applies, exported so the compiled path
-// produces bit-identical transition lists.
+// is the exact normalisation Steps applies, exported so callers composing
+// transitions through the core can normalise them the same way.
 func Dedupe(ts []Trans) []Trans {
 	return dedupe(append([]Trans(nil), ts...))
 }

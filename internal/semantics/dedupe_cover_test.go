@@ -7,9 +7,9 @@ import (
 	"bpi/internal/syntax"
 )
 
-// The exported Dedupe is the compiled path's normalisation hook: it must
-// behave exactly like the dedupe Steps applies, and it must not mutate its
-// argument (compiled units cache raw pre-dedupe lists).
+// The exported Dedupe must behave exactly like the dedupe Steps applies,
+// and it must not mutate its argument (callers may keep raw pre-dedupe
+// lists).
 func TestDedupeExportedMatchesSteps(t *testing.T) {
 	p, err := parser.Parse("a!.b! + a!.b! + c!")
 	if err != nil {

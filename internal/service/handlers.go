@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -244,7 +245,9 @@ func (s *Server) handleExplore(r *http.Request) (int, any) {
 		if eb != nil {
 			return fail(eb)
 		}
-		g, err := lts.Explore(s.sys, []syntax.Proc{p}, lts.Options{
+		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(0))
+		defer cancel()
+		g, err := lts.ExploreCtx(ctx, s.sys, []syntax.Proc{p}, lts.Options{
 			MaxStates:      req.MaxStates,
 			FreshNames:     req.FreshNames,
 			AutonomousOnly: req.AutonomousOnly,
@@ -374,17 +377,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"bpid_verdict_cache_hits_total", "Verdict-cache hits.", "", hits},
 		{"bpid_verdict_cache_misses_total", "Verdict-cache misses.", "", misses},
 		{"bpid_verdict_cache_hit_rate", "Verdict-cache hit rate since start.", "", hitRate},
-	}
-	if s.store.Compiled() {
-		ts := s.store.ProgCache().Stats()
-		gauges = append(gauges,
-			gauge{"bpid_tprog_units", "Compiled transition-program units cached.", "", float64(ts.Units)},
-			gauge{"bpid_tprog_compiles_total", "Transition-program units compiled.", "", float64(ts.Compiles)},
-			gauge{"bpid_tprog_cache_hits_total", "Program-cache unit hits.", "", float64(ts.Hits)},
-			gauge{"bpid_tprog_cache_misses_total", "Program-cache unit misses.", "", float64(ts.Misses)},
-			gauge{"bpid_tprog_execs_total", "Transition-program unit executions.", "", float64(ts.Execs)},
-			gauge{"bpid_tprog_fallbacks_total", "Terms served interpreted after a compile failure.", "", float64(st.CompiledFallbacks)},
-		)
 	}
 	// Per-(relation, mode) cache traffic, so warm-start effectiveness is
 	// attributable per workload. Sorted for a stable exposition.

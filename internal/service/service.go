@@ -54,9 +54,6 @@ type Config struct {
 	// Workers bounds the number of queries executing at once (default
 	// GOMAXPROCS).
 	Workers int
-	// EngineWorkers is the per-query pair-engine parallelism (default 1;
-	// the pool above already exploits request-level parallelism).
-	EngineWorkers int
 	// QueueDepth bounds the number of unfinished async jobs (default 64).
 	QueueDepth int
 	// CacheSize bounds the verdict LRU (entries; default 4096).
@@ -76,11 +73,6 @@ type Config struct {
 	// verdicts are appended write-behind (see ledger.go). The caller keeps
 	// ownership and closes it after Shutdown.
 	Ledger *ledger.Ledger
-	// Compiled switches the shared store to compiled transition programs
-	// (internal/tprog). Verdicts are bit-identical to the interpreted
-	// store's; /metrics additionally reports the tprog compile, cache and
-	// fallback counters.
-	Compiled bool
 	// Peers is the static cluster membership (peer daemon base URLs). With
 	// one or more peers AND a SelfURL, each equivalence pair is owned by
 	// exactly one node under rendezvous hashing of its canonical pair key;
@@ -223,9 +215,6 @@ func New(cfg Config) *Server {
 		started: time.Now(),
 	}
 	s.store = equiv.NewStore(s.sys)
-	if cfg.Compiled {
-		s.store.EnableCompiled()
-	}
 	s.store.SetObs(s.obs)
 	s.jobs = newJobManager(s, cfg.queueDepth())
 	s.attachLedger()
@@ -383,7 +372,6 @@ func (s *Server) checker(req *EquivRequest, tr *obs.Tracer) *equiv.Checker {
 	if req.MaxClosure > 0 {
 		c.MaxClosure = req.MaxClosure
 	}
-	c.Workers = s.cfg.EngineWorkers
 	c.Obs = tr
 	// Every verdict is certified: the daemon's verdict cache stores the
 	// certificate alongside the verdict, so cached queries replay it, and

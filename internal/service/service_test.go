@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -255,6 +257,33 @@ func TestDeadlineTypedTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("deadline took %s to fire", elapsed)
+	}
+}
+
+// TestExploreDeadline posts explorations that would run for seconds and
+// allocate hundreds of MB: twelve parallel binary listeners (4,096 states,
+// about a thousand edges each) and one ternary listener over 81 names
+// (531,441 edges from a single state). Under a 200ms default timeout both
+// must come back as a typed deadline error well within 2s.
+func TestExploreDeadline(t *testing.T) {
+	_, _, cl := newTestServer(t, service.Config{DefaultTimeout: 200 * time.Millisecond})
+	var listeners []string
+	for i := 1; i <= 12; i++ {
+		listeners = append(listeners, fmt.Sprintf("a%d?(x,y).0", i))
+	}
+	for _, req := range []bpi.ExploreRequest{
+		{Term: strings.Join(listeners, " | ")},
+		{Term: "a?(x,y,z).0", FreshNames: 80},
+	} {
+		start := time.Now()
+		_, err := cl.ExploreRemote(context.Background(), req)
+		var apiErr *bpi.APIError
+		if !errors.As(err, &apiErr) || apiErr.Code != service.CodeDeadline {
+			t.Fatalf("%s: got %v, want a %s error", req.Term, err, service.CodeDeadline)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("%s: deadline took %s to fire", req.Term, elapsed)
+		}
 	}
 }
 

@@ -140,8 +140,7 @@ func Corpus() []Config {
 }
 
 // GoldenMesh returns the mid-size gossip mesh whose verdict, pair count and
-// certificate are pinned bit-for-bit across worker counts by the package's
-// golden test.
+// certificate are pinned bit-for-bit by the package's golden test.
 func GoldenMesh() Config {
 	return pair("mesh-12", meshStates(12), Mesh(12))
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bpi/internal/cert"
@@ -26,7 +28,7 @@ func TestSizes(t *testing.T) {
 	cases := append(Corpus(), GoldenMesh(), Ladder()[0])
 	for _, c := range cases {
 		g, err := lts.Explore(sys, []syntax.Proc{c.P}, lts.Options{
-			AutonomousOnly: true, MaxStates: 1 << 17, Workers: 4,
+			AutonomousOnly: true, MaxStates: 1 << 17,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
@@ -43,111 +45,100 @@ func TestSizes(t *testing.T) {
 	}
 }
 
-// newChecker returns a stress-budgeted checker (the pair spaces here exceed
-// the default MaxPairs).
-func newChecker(workers int) *equiv.Checker {
-	var ch *equiv.Checker
-	if workers > 1 {
-		ch = equiv.NewParallelChecker(nil, workers)
-	} else {
-		ch = equiv.NewChecker(nil)
-	}
+// newChecker returns a certifying, stress-budgeted checker over store (the
+// pair spaces here exceed the default MaxPairs).
+func newChecker(store *equiv.Store) *equiv.Checker {
+	ch := equiv.NewCheckerWithStore(store)
 	ch.MaxPairs = 1 << 18
 	ch.Certify = true
 	return ch
 }
 
 // TestWorkerLadderDeterministic decides each corpus pair — strong step and
-// strong barbed, certification on — at workers ∈ {1,2,4,8} and requires the
-// full Result (verdict, pair count, reason, certificate) to be deeply equal
-// at every rung, with the certificate accepted by the independent verifier.
-// Run under -race this doubles as the discovery-pass race test on real
-// topologies.
+// strong barbed, certification on — sequentially, requiring a related
+// verdict whose certificate the independent verifier accepts. It then
+// re-decides the same queries with workers ∈ {2,4,8} goroutines, each with
+// its own checker over one shared store (as bpid's worker pool runs them),
+// and requires every full Result (verdict, pair count, reason, certificate)
+// to equal the sequential one. Run under -race this doubles as the
+// shared-store race test on real topologies.
 func TestWorkerLadderDeterministic(t *testing.T) {
-	for _, c := range Corpus() {
-		for _, rel := range []struct {
-			name string
-			run  func(ch *equiv.Checker) (equiv.Result, error)
-		}{
-			{"step", func(ch *equiv.Checker) (equiv.Result, error) { return ch.Step(c.P, c.Q, false) }},
-			{"barbed", func(ch *equiv.Checker) (equiv.Result, error) { return ch.Barbed(c.P, c.Q, false) }},
-		} {
-			want, err := rel.run(newChecker(1))
-			if err != nil {
-				t.Fatalf("%s/%s sequential: %v", c.Name, rel.name, err)
-			}
-			if !want.Related {
-				t.Fatalf("%s/%s: rotation not %s-bisimilar: %s", c.Name, rel.name, rel.name, want.Reason)
-			}
-			if want.Cert == nil {
-				t.Fatalf("%s/%s: no certificate", c.Name, rel.name)
-			}
-			if err := cert.Verify(want.Cert); err != nil {
-				t.Fatalf("%s/%s: certificate rejected: %v", c.Name, rel.name, err)
-			}
-			for _, w := range []int{2, 4, 8} {
-				got, err := rel.run(newChecker(w))
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", c.Name, rel.name, w, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s/%s workers=%d: result diverges from sequential", c.Name, rel.name, w)
-				}
-			}
-		}
+	type query struct {
+		name string
+		run  func(ch *equiv.Checker) (equiv.Result, error)
 	}
-}
-
-// TestLtsWorkerDeterministic explores each corpus term at workers 1 and 4
-// and requires identical graphs: state order, edges, roots and truncation.
-func TestLtsWorkerDeterministic(t *testing.T) {
-	sys := semantics.NewSystem(nil)
+	var queries []query
 	for _, c := range Corpus() {
-		seq, err := lts.Explore(sys, []syntax.Proc{c.P, c.Q}, lts.Options{
-			AutonomousOnly: true, MaxStates: 1 << 17,
-		})
+		queries = append(queries,
+			query{c.Name + "/step", func(ch *equiv.Checker) (equiv.Result, error) { return ch.Step(c.P, c.Q, false) }},
+			query{c.Name + "/barbed", func(ch *equiv.Checker) (equiv.Result, error) { return ch.Barbed(c.P, c.Q, false) }},
+		)
+	}
+	want := make([]equiv.Result, len(queries))
+	for i, q := range queries {
+		r, err := q.run(newChecker(equiv.NewStore(nil)))
 		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
+			t.Fatalf("%s sequential: %v", q.name, err)
 		}
-		par, err := lts.Explore(sys, []syntax.Proc{c.P, c.Q}, lts.Options{
-			AutonomousOnly: true, MaxStates: 1 << 17, Workers: 4,
-		})
-		if err != nil {
-			t.Fatalf("%s workers=4: %v", c.Name, err)
+		if !r.Related {
+			t.Fatalf("%s: rotation not bisimilar: %s", q.name, r.Reason)
 		}
-		if !reflect.DeepEqual(seq.States, par.States) || !reflect.DeepEqual(seq.Edges, par.Edges) ||
-			!reflect.DeepEqual(seq.Roots, par.Roots) || seq.Truncated != par.Truncated {
-			t.Errorf("%s: graphs diverge between workers 1 and 4 (%v vs %v)", c.Name, seq, par)
+		if r.Cert == nil {
+			t.Fatalf("%s: no certificate", q.name)
+		}
+		if err := cert.Verify(r.Cert); err != nil {
+			t.Fatalf("%s: certificate rejected: %v", q.name, err)
+		}
+		want[i] = r
+	}
+	for _, w := range []int{2, 4, 8} {
+		store := equiv.NewStore(nil)
+		got := make([]equiv.Result, len(queries))
+		errs := make([]error, len(queries))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range w {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ch := newChecker(store)
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(queries) {
+						return
+					}
+					got[i], errs[i] = queries[i].run(ch)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, q := range queries {
+			if errs[i] != nil {
+				t.Fatalf("%s workers=%d: %v", q.name, w, errs[i])
+			}
+			if !reflect.DeepEqual(want[i], got[i]) {
+				t.Errorf("%s workers=%d: result diverges from sequential", q.name, w)
+			}
 		}
 	}
 }
 
 // TestGoldenMeshPinned is the determinism golden: the mid-size gossip mesh's
 // strong-step verdict, explored-pair count and certificate hash are pinned
-// to a golden file, and every worker count must reproduce them bit-for-bit.
+// to a golden file and must be reproduced bit-for-bit.
 func TestGoldenMeshPinned(t *testing.T) {
 	c := GoldenMesh()
-	var want string
-	for _, w := range []int{1, 2, 4, 8} {
-		r, err := newChecker(w).Step(c.P, c.Q, false)
-		if err != nil {
-			t.Fatalf("%s workers=%d: %v", c.Name, w, err)
-		}
-		raw, err := r.Cert.Marshal()
-		if err != nil {
-			t.Fatalf("marshal certificate: %v", err)
-		}
-		sum := sha256.Sum256(raw)
-		line := fmt.Sprintf("%s related=%v pairs=%d cert=%s\n",
-			c.Name, r.Related, r.Pairs, hex.EncodeToString(sum[:]))
-		if w == 1 {
-			want = line
-			continue
-		}
-		if line != want {
-			t.Fatalf("workers=%d diverges:\n got %s want %s", w, line, want)
-		}
+	r, err := newChecker(equiv.NewStore(nil)).Step(c.P, c.Q, false)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Name, err)
 	}
+	raw, err := r.Cert.Marshal()
+	if err != nil {
+		t.Fatalf("marshal certificate: %v", err)
+	}
+	sum := sha256.Sum256(raw)
+	want := fmt.Sprintf("%s related=%v pairs=%d cert=%s\n",
+		c.Name, r.Related, r.Pairs, hex.EncodeToString(sum[:]))
 	golden := filepath.Join("testdata", "mesh_golden.txt")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

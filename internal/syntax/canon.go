@@ -153,18 +153,6 @@ func Key(p Proc) string {
 	return b.String()
 }
 
-// ExactKey returns an unambiguous encoding of p itself, binder names
-// verbatim: two terms share an ExactKey iff they are structurally Equal.
-// Key (alpha-invariant) identifies alpha-classes and is the right state
-// key; ExactKey identifies the exact syntax, which is what compiled
-// transition programs (internal/tprog) must be cached under — two
-// alpha-variant terms have textually different transitions.
-func ExactKey(p Proc) string {
-	var b strings.Builder
-	writeKey(p, &b)
-	return b.String()
-}
-
 // writeKey emits an unambiguous prefix encoding of the term.
 func writeKey(p Proc, b *strings.Builder) {
 	writeNames := func(ns []Name) {

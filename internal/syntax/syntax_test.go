@@ -390,3 +390,47 @@ func TestCheckSorts(t *testing.T) {
 		t.Fatalf("restricted conflict missed: %v", issues)
 	}
 }
+
+// TestEqualFieldMismatches walks Equal/preEqual through every near-miss:
+// same node kind, one field off.
+func TestEqualFieldMismatches(t *testing.T) {
+	a, b, x, y := Name("a"), Name("b"), Name("x"), Name("y")
+	rec := Rec{Id: "A", Params: []Name{x}, Body: SendN(x), Args: []Name{a}}
+	pairs := []struct {
+		name string
+		p, q Proc
+	}{
+		{"out-channel", SendN(a, x), SendN(b, x)},
+		{"out-args", SendN(a, x), SendN(a, y)},
+		{"out-arity", SendN(a, x), SendN(a, x, y)},
+		{"in-params", RecvN(a, x), RecvN(a, y)},
+		{"pre-kind", SendN(a), RecvN(a)},
+		{"call-id", Call{Id: "A"}, Call{Id: "B"}},
+		{"call-args", Call{Id: "A", Args: []Name{a}}, Call{Id: "A", Args: []Name{b}}},
+		{"rec-id", rec, Rec{Id: "B", Params: []Name{x}, Body: SendN(x), Args: []Name{a}}},
+		{"rec-params", rec, Rec{Id: "A", Params: []Name{y}, Body: SendN(x), Args: []Name{a}}},
+		{"rec-args", rec, Rec{Id: "A", Params: []Name{x}, Body: SendN(x), Args: []Name{b}}},
+		{"rec-body", rec, Rec{Id: "A", Params: []Name{x}, Body: SendN(y), Args: []Name{a}}},
+		{"match-else", Match{X: a, Y: b, Then: PNil, Else: SendN(a)}, Match{X: a, Y: b, Then: PNil, Else: SendN(b)}},
+	}
+	for _, tc := range pairs {
+		if Equal(tc.p, tc.q) {
+			t.Errorf("%s: Equal(%s, %s) = true", tc.name, String(tc.p), String(tc.q))
+		}
+	}
+}
+
+// TestCanonRec: canonicalisation renames Rec binders (params) but leaves
+// the instantiating args in the outer scope.
+func TestCanonRec(t *testing.T) {
+	a, x, y := Name("a"), Name("x"), Name("y")
+	p := Rec{Id: "A", Params: []Name{x}, Body: SendN(x), Args: []Name{a}}
+	q := Rec{Id: "A", Params: []Name{y}, Body: SendN(y), Args: []Name{a}}
+	if !AlphaEqual(p, q) {
+		t.Error("Rec terms differing only in the Param binder are not AlphaEqual")
+	}
+	r := Rec{Id: "A", Params: []Name{x}, Body: SendN(x), Args: []Name{y}}
+	if AlphaEqual(p, r) {
+		t.Error("Rec terms with different free Args are AlphaEqual")
+	}
+}
