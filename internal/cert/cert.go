@@ -59,7 +59,9 @@ type Certificate struct {
 	Relation string `json:"relation"`
 	Weak     bool   `json:"weak,omitempty"`
 	Related  bool   `json:"related"`
-	// P and Q are the compared terms, printed canonically.
+	// P and Q are the compared terms, printed canonically. Congruence
+	// certificates name them unsimplified, since the substitutions apply to
+	// the terms as given.
 	P string `json:"p"`
 	Q string `json:"q"`
 

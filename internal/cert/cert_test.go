@@ -434,6 +434,17 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 			t.Error("congruence certificate with a disavowed fusion accepted")
 		}
 	}
+	// [a=b]c! simplifies to 0, but the fusion a↦b fires the match: a proof
+	// of 0 ~c 0 relabelled as [a=b]c! ~c 0 must lack that fusion's evidence.
+	zero, ok, err := ch.CongruenceCert(mustParse(t, "0"), mustParse(t, "0"), false)
+	if err != nil || !ok {
+		t.Fatalf("0 ~c 0 baseline: ok=%v err=%v", ok, err)
+	}
+	c = clone(zero)
+	c.P = "[a=b]c!"
+	if err := cert.Verify(c); err == nil {
+		t.Error("0 ~c 0 certificate accepted for [a=b]c! ~c 0")
+	}
 
 	// Axioms proof: truncated world enumeration, flipped goal polarity and
 	// dangling subgoal indices must all fail the replay.

@@ -66,11 +66,20 @@ func (s *vsys) intern(p syntax.Proc) (*vterm, error) {
 	return t, nil
 }
 
-// parse interns a printed certificate term.
-func (s *vsys) parse(src string) (*vterm, error) {
+// parseTerm parses a printed certificate term.
+func parseTerm(src string) (syntax.Proc, error) {
 	p, err := parser.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("cert: bad term %q: %w", src, err)
+	}
+	return p, nil
+}
+
+// parse interns a printed certificate term.
+func (s *vsys) parse(src string) (*vterm, error) {
+	p, err := parseTerm(src)
+	if err != nil {
+		return nil, err
 	}
 	return s.intern(p)
 }

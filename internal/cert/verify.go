@@ -465,7 +465,7 @@ func (ck *checker) verifyStrategy(c *Certificate, p, q *vterm, mode string) erro
 	if err != nil {
 		return err
 	}
-	if !samePair(rp.key, rq.key, p.key, q.key) {
+	if !unorderedPairEqual(rp.key, rq.key, p.key, q.key) {
 		return fmt.Errorf("cert: strategy root attacks (%s, %s), not the certified pair",
 			c.Nodes[0].P, c.Nodes[0].Q)
 	}
@@ -473,7 +473,9 @@ func (ck *checker) verifyStrategy(c *Certificate, p, q *vterm, mode string) erro
 	return ck.checkNode(c, 0, mode, state)
 }
 
-func samePair(a1, a2, b1, b2 string) bool {
+// unorderedPairEqual reports {a1, a2} = {b1, b2}: all the paper's relations
+// are symmetric, so a strategy may attack the pair in either orientation.
+func unorderedPairEqual(a1, a2, b1, b2 string) bool {
 	return (a1 == b1 && a2 == b2) || (a1 == b2 && a2 == b1)
 }
 
@@ -785,7 +787,7 @@ func (ck *checker) checkReplies(c *Certificate, idx int, n Strategy,
 		if n.Side == "right" {
 			expL, expR = ans.key, to.key
 		}
-		if !samePair(cp.key, cq.key, expL, expR) {
+		if !unorderedPairEqual(cp.key, cq.key, expL, expR) {
 			return fmt.Errorf("cert: node %d: reply node %d attacks (%s, %s), not the successor pair",
 				idx, r.Next, child.P, child.Q)
 		}
@@ -1002,12 +1004,15 @@ func findDiscardWitness(ws []DiscardWitness, ch, side string) (DiscardWitness, e
 
 // ---- congruence certificates -----------------------------------------------
 
+// verifyCongruence substitutes into the parsed P and Q as printed, before
+// interning: Simplify drops matches on distinct free names that a fusion
+// would fire, so it must never run on a term still to be substituted into.
 func (ck *checker) verifyCongruence(c *Certificate) error {
-	p, err := ck.s.parse(c.P)
+	p, err := parseTerm(c.P)
 	if err != nil {
 		return err
 	}
-	q, err := ck.s.parse(c.Q)
+	q, err := parseTerm(c.Q)
 	if err != nil {
 		return err
 	}
@@ -1019,11 +1024,11 @@ func (ck *checker) verifyCongruence(c *Certificate) error {
 		for k, v := range c.Sigma {
 			sub[names.Name(k)] = names.Name(v)
 		}
-		ps, err := ck.s.intern(syntax.Apply(p.proc, sub))
+		ps, err := ck.s.intern(syntax.Apply(p, sub))
 		if err != nil {
 			return err
 		}
-		qs, err := ck.s.intern(syntax.Apply(q.proc, sub))
+		qs, err := ck.s.intern(syntax.Apply(q, sub))
 		if err != nil {
 			return err
 		}
@@ -1050,18 +1055,18 @@ func (ck *checker) verifyCongruence(c *Certificate) error {
 		}
 		byRoot[sp.key+"\x00"+sq.key] = i
 	}
-	fn := freeUnion(p, q).Sorted()
+	fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q)).Sorted()
 	subs := names.AllFusions(fn, fn)
 	if len(subs) == 0 {
 		subs = []names.Subst{{}}
 	}
 	verified := map[int]bool{}
 	for _, sub := range subs {
-		ps, err := ck.s.intern(syntax.Apply(p.proc, sub))
+		ps, err := ck.s.intern(syntax.Apply(p, sub))
 		if err != nil {
 			return err
 		}
-		qs, err := ck.s.intern(syntax.Apply(q.proc, sub))
+		qs, err := ck.s.intern(syntax.Apply(q, sub))
 		if err != nil {
 			return err
 		}

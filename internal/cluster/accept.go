@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"bpi/internal/cert"
-	"bpi/internal/parser"
+	"bpi/internal/ledger"
 	"bpi/internal/semantics"
-	"bpi/internal/syntax"
 )
 
 // VerifyAccept is the fail-closed acceptance rule for verdicts that arrive
@@ -15,17 +14,16 @@ import (
 // trust with whoever produced it:
 //
 //  1. the verdict carries a certificate at all;
-//  2. the certificate claims exactly the queried relation, mode and verdict
-//     (a proof of something else, however valid, proves nothing here);
-//  3. the certificate's own terms re-derive the queried canonical pair —
-//     so a valid proof about a different pair cannot be replayed onto this
-//     cache key;
+//  2. the certificate proves the verdict the peer claims;
+//  3. the certificate's relation, mode and own terms re-derive key, the
+//     queried pair key (ledger.CertKey) — a proof of another relation or
+//     pair, however valid, cannot be replayed onto this cache key;
 //  4. the independent verifier (internal/cert) accepts the evidence.
 //
 // On success the parsed certificate is returned for caching alongside the
 // verdict. sys supplies process definitions for certificates over defined
 // constants (nil is fine for closed terms).
-func VerifyAccept(sys *semantics.System, rel string, weak bool, kp, kq string, v *EquivVerdict) (*cert.Certificate, error) {
+func VerifyAccept(sys *semantics.System, key string, v *EquivVerdict) (*cert.Certificate, error) {
 	if v == nil {
 		return nil, fmt.Errorf("cluster: no verdict to accept")
 	}
@@ -36,45 +34,21 @@ func VerifyAccept(sys *semantics.System, rel string, weak bool, kp, kq string, v
 	if err != nil {
 		return nil, fmt.Errorf("cluster: remote certificate unparseable: %w", err)
 	}
-	if crt.Relation != rel || crt.Weak != weak {
-		return nil, fmt.Errorf("cluster: certificate proves %s weak=%t, query was %s weak=%t",
-			crt.Relation, crt.Weak, rel, weak)
-	}
 	if crt.Related != v.Related {
 		return nil, fmt.Errorf("cluster: verdict related=%t but certificate proves related=%t",
 			v.Related, crt.Related)
 	}
-	ckp, err := termKey(crt.P)
+	ck, err := ledger.CertKey(crt)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	ckq, err := termKey(crt.Q)
-	if err != nil {
-		return nil, err
-	}
-	// All the paper's relations are symmetric; compare as unordered pairs,
-	// matching how cache and ledger keys order the sides.
-	if !samePair(kp, kq, ckp, ckq) {
-		return nil, fmt.Errorf("cluster: certificate is about a different pair than the query")
+	if ck != key {
+		return nil, fmt.Errorf("cluster: certificate proves %s weak=%t on pair key %q, query was %q",
+			crt.Relation, crt.Weak, ck, key)
 	}
 	verifier := &cert.Verifier{Sys: sys}
 	if err := verifier.Verify(crt); err != nil {
 		return nil, fmt.Errorf("cluster: certificate rejected by the independent verifier: %w", err)
 	}
 	return crt, nil
-}
-
-// termKey parses one canonically printed certificate term and returns its
-// alpha-class key.
-func termKey(src string) (string, error) {
-	p, err := parser.Parse(src)
-	if err != nil {
-		return "", fmt.Errorf("cluster: certificate names unparseable term %q: %w", src, err)
-	}
-	return syntax.Key(syntax.Simplify(p)), nil
-}
-
-// samePair compares two unordered key pairs.
-func samePair(a1, a2, b1, b2 string) bool {
-	return (a1 == b1 && a2 == b2) || (a1 == b2 && a2 == b1)
 }

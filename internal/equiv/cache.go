@@ -14,6 +14,13 @@
 // bisimulation, sound because bisimilarity is closed under injective
 // renamings (Lemma 18 of the paper).
 //
+// Terms are interned simplified (syntax.Simplify), which preserves every
+// relation but ~c/≈c: those quantify over substitutions, and Simplify drops
+// matches on distinct free names that a fusion would fire. All congruence
+// entry points therefore share one body that applies each fusion to the
+// terms as given, before interning, and a congruence certificate names the
+// printed input terms.
+//
 // # Concurrency
 //
 // Each query runs sequentially: the engine expands the pair graph in

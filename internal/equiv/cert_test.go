@@ -33,6 +33,10 @@ func certPairs() [][2]syntax.Proc {
 		{syntax.Restrict(syntax.SendN(x, a), x), syntax.PNil},
 		{syntax.Choice(syntax.TauP(send), syntax.TauP(syntax.PNil)), syntax.TauP(send)},
 		{syntax.Group(recv, send), syntax.Group(send, recv)},
+		// Simplify drops a match on distinct free names, which the fusion
+		// a↦b fires: both pairs simplify to equal terms yet are ≁c.
+		{syntax.If(a, b, syntax.SendN(c), syntax.PNil), syntax.PNil},
+		{syntax.If(a, b, syntax.SendN(c), syntax.SendN(d)), syntax.SendN(d)},
 	}
 }
 
@@ -95,6 +99,12 @@ func TestOneStepAndCongruenceCertificates(t *testing.T) {
 				t.Fatalf("%s: %v", ctxt, err)
 			}
 			verifyCert(t, ccrt, cok, ctxt)
+			if want, err := ch.Congruence(pq[0], pq[1], weak); err != nil || cok != want {
+				t.Fatalf("%s weak=%v: certified verdict %v, Congruence %v (err %v)", ctxt, weak, cok, want, err)
+			}
+			if ccrt.P != syntax.String(pq[0]) || ccrt.Q != syntax.String(pq[1]) {
+				t.Fatalf("%s: certificate names %s vs %s, not the input terms", ctxt, ccrt.P, ccrt.Q)
+			}
 		}
 	}
 }

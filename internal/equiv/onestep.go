@@ -585,35 +585,14 @@ func (c *Checker) CongruenceBounded(p, q syntax.Proc, weak bool, maxSubs int) (b
 
 // CongruenceBoundedCtx is CongruenceBounded honouring ctx.
 func (c *Checker) CongruenceBoundedCtx(ctx context.Context, p, q syntax.Proc, weak bool, maxSubs int) (bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q)).Sorted()
-	subs := names.AllFusions(fn, fn)
-	if len(subs) == 0 {
-		subs = []names.Subst{{}}
-	}
-	if maxSubs > 0 && len(subs) > maxSubs {
-		subs = subs[:maxSubs]
-	}
-	for _, sub := range subs {
-		if err := ctx.Err(); err != nil {
-			return false, ErrCanceled{err}
-		}
-		ok, err := c.OneStepCtx(ctx, syntax.Apply(p, sub), syntax.Apply(q, sub), weak)
-		if err != nil {
-			return false, fmt.Errorf("under substitution %s: %w", sub, err)
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	_, ok, err := c.congruence(ctx, p, q, weak, maxSubs, false)
+	return ok, err
 }
 
-// CongruenceCert decides ~c/≈c with a checkable certificate: one embedded
-// positive one-step certificate per fusion of the free names, or the first
-// distinguishing substitution with its one-step strategy. Requires Certify.
+// CongruenceCert decides ~c/≈c with a checkable certificate naming p and q as
+// given: one embedded positive one-step certificate per distinct instance
+// pair under the fusions of the free names, or the first distinguishing
+// substitution with its one-step strategy. Requires Certify.
 func (c *Checker) CongruenceCert(p, q syntax.Proc, weak bool) (*cert.Certificate, bool, error) {
 	return c.CongruenceBoundedCertCtx(context.Background(), p, q, weak, 0)
 }
@@ -625,21 +604,20 @@ func (c *Checker) CongruenceBoundedCertCtx(ctx context.Context, p, q syntax.Proc
 	if !c.Certify {
 		return nil, false, fmt.Errorf("equiv: congruence certification requires the Certify option")
 	}
+	return c.congruence(ctx, p, q, weak, maxSubs, true)
+}
+
+// congruence is the single implementation behind every ~c/≈c entry point.
+// The fusions range over the free names of p and q as given, and each is
+// applied before interning: Simplify drops matches on distinct free names
+// that a fusion would fire (DESIGN decision 4). A fusion whose instance pair
+// was already checked is skipped. With certify set, the certificate names
+// the printed input terms, which the verifier substitutes into the same way.
+func (c *Checker) congruence(ctx context.Context, p, q syntax.Proc, weak bool, maxSubs int, certify bool) (*cert.Certificate, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Work on the canonical pair throughout: the verifier re-derives the
-	// fusion set from the parsed (hence canonical) certificate terms, so the
-	// enumerations must agree.
-	pi, err := c.intern(p)
-	if err != nil {
-		return nil, false, err
-	}
-	qi, err := c.intern(q)
-	if err != nil {
-		return nil, false, err
-	}
-	fn := freeUnion(pi, qi).Sorted()
+	fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q)).Sorted()
 	subs := names.AllFusions(fn, fn)
 	if len(subs) == 0 {
 		subs = []names.Subst{{}}
@@ -651,7 +629,7 @@ func (c *Checker) CongruenceBoundedCertCtx(ctx context.Context, p, q syntax.Proc
 	header := func(related bool) *cert.Certificate {
 		return &cert.Certificate{
 			Version: cert.Version, Relation: cert.RelCongruence, Weak: weak,
-			Related: related, P: stringOf(pi), Q: stringOf(qi),
+			Related: related, P: syntax.String(p), Q: syntax.String(q),
 		}
 	}
 	seen := map[[2]uint64]bool{}
@@ -660,31 +638,40 @@ func (c *Checker) CongruenceBoundedCertCtx(ctx context.Context, p, q syntax.Proc
 		if err := ctx.Err(); err != nil {
 			return nil, false, ErrCanceled{err}
 		}
-		ps, err := c.intern(syntax.Apply(pi.proc, sub))
-		if err != nil {
-			return nil, false, err
-		}
-		qs, err := c.intern(syntax.Apply(qi.proc, sub))
-		if err != nil {
-			return nil, false, err
-		}
-		crt, ok, err := c.oneStep(ctx, ps, qs, weak, newOSEmit(c, ctx, weak, ps, qs))
+		ps, err := c.intern(syntax.Apply(p, sub))
 		if err != nil {
 			return nil, false, fmt.Errorf("under substitution %s: %w", sub, err)
 		}
-		if !ok {
-			neg := header(false)
-			neg.Sigma = sigmaMap(sub)
-			neg.Nodes = crt.Nodes
-			return neg, false, nil
+		qs, err := c.intern(syntax.Apply(q, sub))
+		if err != nil {
+			return nil, false, fmt.Errorf("under substitution %s: %w", sub, err)
 		}
 		if seen[[2]uint64{ps.id, qs.id}] {
 			continue
 		}
 		seen[[2]uint64{ps.id, qs.id}] = true
-		subCerts = append(subCerts, crt)
+		var em *osEmit
+		if certify {
+			em = newOSEmit(c, ctx, weak, ps, qs)
+		}
+		crt, ok, err := c.oneStep(ctx, ps, qs, weak, em)
+		if err != nil {
+			return nil, false, fmt.Errorf("under substitution %s: %w", sub, err)
+		}
+		if !ok {
+			if !certify {
+				return nil, false, nil
+			}
+			neg := header(false)
+			neg.Sigma = sigmaMap(sub)
+			neg.Nodes = crt.Nodes
+			return neg, false, nil
+		}
+		if certify {
+			subCerts = append(subCerts, crt)
+		}
 	}
-	if truncated {
+	if !certify || truncated {
 		return nil, true, nil
 	}
 	pos := header(true)

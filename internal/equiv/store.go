@@ -173,56 +173,6 @@ func (s *Store) intern(p syntax.Proc) (*termInfo, error) {
 	return s.ready(ti)
 }
 
-// internMany resolves a batch at once: canonicalise all, then visit each
-// store shard at most once; transitions are computed outside any lock. The
-// result is positional.
-func (s *Store) internMany(ps []syntax.Proc) ([]*termInfo, error) {
-	keys := make([]string, len(ps))
-	simplified := make([]syntax.Proc, len(ps))
-	for i, p := range ps {
-		simplified[i] = syntax.Simplify(p)
-		keys[i] = syntax.Key(simplified[i])
-	}
-	out, fresh := s.resolveBatch(keys, simplified)
-	s.addInternCounts(uint64(len(ps))-fresh, fresh)
-	for _, ti := range out {
-		if _, err := s.ready(ti); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// resolveBatch looks up (or creates) a batch of already-simplified terms,
-// grouping indices by shard so each shard lock is taken at most once per
-// batch. It returns the positional termInfos and the number freshly created;
-// counters are NOT updated and transitions NOT computed — callers account
-// and ready() themselves.
-func (s *Store) resolveBatch(keys []string, simplified []syntax.Proc) ([]*termInfo, uint64) {
-	out := make([]*termInfo, len(keys))
-	var fresh uint64
-	bySh := map[uint32][]int{}
-	for i, k := range keys {
-		h := shardOf(k)
-		bySh[h] = append(bySh[h], i)
-	}
-	for h, idxs := range bySh {
-		sh := &s.shards[h]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			ti, ok := sh.terms[keys[i]]
-			if !ok {
-				ti = &termInfo{id: s.nextID.Add(1), proc: simplified[i], key: keys[i], free: syntax.FreeNames(simplified[i])}
-				sh.terms[keys[i]] = ti
-				fresh++
-			}
-			out[i] = ti
-		}
-		sh.mu.Unlock()
-	}
-	return out, fresh
-}
-
 // resolve looks up (or creates) the termInfo of an already-simplified term
 // under its shard lock. It does NOT compute transitions — call ready.
 func (s *Store) resolve(k string, p syntax.Proc) (ti *termInfo, fresh bool) {
@@ -247,19 +197,6 @@ func (s *Store) ready(ti *termInfo) (*termInfo, error) {
 		return nil, ti.transErr
 	}
 	return ti, nil
-}
-
-// addInternCounts records a batch of intern hit/miss counts in two atomic
-// adds per class instead of two per call.
-func (s *Store) addInternCounts(hits, misses uint64) {
-	if hits > 0 {
-		s.internHits.Add(hits)
-		s.obsInternHits.Add(int64(hits))
-	}
-	if misses > 0 {
-		s.internMisses.Add(misses)
-		s.obsInternMisses.Add(int64(misses))
-	}
 }
 
 // discardsOn reports whether the term ignores channel a (memoised).
@@ -288,7 +225,6 @@ func (s *Store) discardsOn(ti *termInfo, a names.Name) (bool, error) {
 }
 
 // tauSucc returns the interned τ-successors of ti (memoised; shared slice).
-// Successor targets are resolved as one batch.
 func (s *Store) tauSucc(ti *termInfo) ([]*termInfo, error) {
 	ti.mu.Lock()
 	if ti.tauSuccsOK {
@@ -301,18 +237,16 @@ func (s *Store) tauSucc(ti *termInfo) ([]*termInfo, error) {
 	ti.mu.Unlock()
 	s.derivMisses.Add(1)
 	s.obsDerivMisses.Add(1)
-	var targets []syntax.Proc
+	var out []*termInfo
 	for _, t := range ti.trans {
-		if t.Act.IsTau() {
-			targets = append(targets, t.Target)
+		if !t.Act.IsTau() {
+			continue
 		}
-	}
-	out, err := s.internMany(targets)
-	if err != nil {
-		return nil, err
-	}
-	if out == nil {
-		out = []*termInfo{}
+		tgt, err := s.intern(t.Target)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, tgt)
 	}
 	ti.mu.Lock()
 	ti.tauSuccs, ti.tauSuccsOK = out, true
@@ -334,7 +268,7 @@ func (s *Store) autonomousSucc(ti *termInfo) ([]*termInfo, error) {
 	ti.mu.Unlock()
 	s.derivMisses.Add(1)
 	s.obsDerivMisses.Add(1)
-	var targets []syntax.Proc
+	var out []*termInfo
 	for _, t := range ti.trans {
 		if !t.Act.IsStep() {
 			continue
@@ -343,14 +277,11 @@ func (s *Store) autonomousSucc(ti *termInfo) ([]*termInfo, error) {
 		if t.Act.IsOutput() && len(t.Act.Bound) > 0 {
 			_, tgt = semantics.CanonTrans(t.Act, t.Target)
 		}
-		targets = append(targets, tgt)
-	}
-	out, err := s.internMany(targets)
-	if err != nil {
-		return nil, err
-	}
-	if out == nil {
-		out = []*termInfo{}
+		succ, err := s.intern(tgt)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, succ)
 	}
 	ti.mu.Lock()
 	ti.autoSuccs, ti.autoSuccsOK = out, true
@@ -440,17 +371,17 @@ func (s *Store) closure(ti *termInfo, budget int, succ func(*termInfo) ([]*termI
 // means ti can neither receive nor ignore the message (ill-sorted usage).
 // Not memoised: the payload tuple varies per call.
 func (s *Store) reactions(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
-	var targets []syntax.Proc
+	var out []*termInfo
 	for _, t := range ti.trans {
 		if !t.Act.IsInput() || t.Act.Subj != ch || len(t.Act.Objs) != len(payload) {
 			continue
 		}
 		_, tgt := semantics.Instantiate(t, payload)
-		targets = append(targets, tgt)
-	}
-	out, err := s.internMany(targets)
-	if err != nil {
-		return nil, err
+		succ, err := s.intern(tgt)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, succ)
 	}
 	d, err := s.discardsOn(ti, ch)
 	if err != nil {

@@ -3,9 +3,8 @@
 // verdicts that survives the process and warm-starts the next one.
 //
 // Layout: numbered segment files (seg-000001.log, …) of length-prefixed,
-// CRC-32C-checksummed entries, plus an advisory index.json snapshot that is
-// rebuilt from the log whenever it is missing or stale. Two entry kinds
-// interleave in append order: verdict records (Record) and batch seals
+// CRC-32C-checksummed entries, rescanned in full at every Open. Two entry
+// kinds interleave in append order: verdict records (Record) and batch seals
 // (Seal). Appended records accumulate into a pending batch; sealing builds
 // an RFC 6962-shaped Merkle tree over the records' on-disk payload bytes,
 // and the sealed roots chain hash-linked from a fixed genesis value, so any
@@ -27,6 +26,13 @@
 //
 // Only records passing all three layers are offered to Replay (the daemon's
 // warm-start path); everything else is counted, never trusted.
+//
+// The package owns pair identity: QueryKey maps a query and CertKey a
+// certificate to the pair key, and they alone choose the term form — the
+// simplified terms, except under ~c, whose key keeps the terms as queried
+// because Simplify drops matches that a substitution would fire. The
+// daemon's verdict cache, its cluster routing and acceptance, and every
+// record key use them.
 package ledger
 
 import (
@@ -129,8 +135,8 @@ type Stats struct {
 	Appended        uint64  `json:"appended"`
 	Seals           uint64  `json:"seals"`
 	SealWaitSeconds float64 `json:"seal_wait_seconds"`
-	// Notes are recovery observations from Open (truncated tail, stale
-	// index, condemned batches).
+	// Notes are recovery observations from Open (truncated tail, condemned
+	// batches).
 	Notes []string `json:"notes,omitempty"`
 }
 
@@ -214,7 +220,6 @@ func Open(dir string, cfg Config) (*Ledger, error) {
 	}
 	l.active = f
 	l.activeSize = st.Size()
-	l.checkIndex()
 	if len(l.pending) > 0 {
 		l.pendingAt = time.Now()
 	}
@@ -380,15 +385,11 @@ func (l *Ledger) VerifyRecord(r *Record) (*cert.Certificate, error) {
 		return nil, fmt.Errorf("record verdict related=%t but certificate proves related=%t",
 			r.Related, crt.Related)
 	}
-	kp, err := termKey(crt.P)
+	key, err := CertKey(crt)
 	if err != nil {
 		return nil, err
 	}
-	kq, err := termKey(crt.Q)
-	if err != nil {
-		return nil, err
-	}
-	if key := PairKey(r.Rel, r.Weak, kp, kq); key != r.Key || KeyHash(key) != r.KeyHash {
+	if key != r.Key || KeyHash(key) != r.KeyHash {
 		return nil, fmt.Errorf("certificate terms derive key %q, record claims %q", key, r.Key)
 	}
 	if err := l.verifier.Verify(crt); err != nil {
@@ -470,8 +471,7 @@ func (l *Ledger) writeLocked(frame []byte) error {
 }
 
 // Seal closes the pending batch: it builds the Merkle tree, appends the seal
-// entry, fsyncs, and snapshots the index. A ledger with nothing pending
-// seals to a no-op.
+// entry and fsyncs. A ledger with nothing pending seals to a no-op.
 func (l *Ledger) Seal() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -519,7 +519,6 @@ func (l *Ledger) sealLocked() error {
 	l.sealWait += time.Since(l.pendingAt).Seconds()
 	l.sealsDone++
 	l.pending = nil
-	l.writeIndexLocked()
 	return nil
 }
 
@@ -568,7 +567,7 @@ func (l *Ledger) sealLoop() {
 	}
 }
 
-// Close seals whatever is pending, snapshots the index and closes the log.
+// Close seals whatever is pending and closes the log.
 // Safe to call twice.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
@@ -583,7 +582,6 @@ func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	err := l.sealLocked()
-	l.writeIndexLocked()
 	if cerr := l.active.Close(); err == nil {
 		err = cerr
 	}
@@ -706,64 +704,5 @@ func (l *Ledger) Stats() Stats {
 		Seals:           l.sealsDone,
 		SealWaitSeconds: l.sealWait,
 		Notes:           append([]string(nil), l.notes...),
-	}
-}
-
-// indexFile is the advisory snapshot: enough to spot a stale or tampered
-// index (the log is always authoritative) and to find a key's latest record
-// without scanning.
-type indexFile struct {
-	NextSeq   uint64            `json:"next_seq"`
-	Records   int               `json:"records"`
-	Batches   int               `json:"batches"`
-	ChainHead string            `json:"chain_head"`
-	Keys      map[string]uint64 `json:"keys"`
-	UnixNano  int64             `json:"t"`
-}
-
-const indexName = "index.json"
-
-func (l *Ledger) writeIndexLocked() {
-	idx := indexFile{
-		NextSeq:   l.nextSeq,
-		Batches:   len(l.seals),
-		ChainHead: hex.EncodeToString(l.chain[:]),
-		Keys:      make(map[string]uint64, len(l.byKey)),
-		UnixNano:  time.Now().UnixNano(),
-	}
-	for _, e := range l.entries {
-		if e.reject == "" {
-			idx.Records++
-		}
-	}
-	for k, e := range l.byKey {
-		idx.Keys[k] = e.rec.Seq
-	}
-	data, err := json.MarshalIndent(idx, "", " ")
-	if err != nil {
-		return
-	}
-	tmp := filepath.Join(l.dir, indexName+".tmp")
-	if os.WriteFile(tmp, data, 0o644) == nil {
-		_ = os.Rename(tmp, filepath.Join(l.dir, indexName))
-	}
-}
-
-// checkIndex compares the advisory index against the scanned log and notes
-// any drift; the log always wins.
-func (l *Ledger) checkIndex() {
-	data, err := os.ReadFile(filepath.Join(l.dir, indexName))
-	if err != nil {
-		return // absent: first boot, or rebuilt below on next seal
-	}
-	var idx indexFile
-	if err := json.Unmarshal(data, &idx); err != nil {
-		l.notes = append(l.notes, "index.json corrupt; rebuilt from the log")
-		l.writeIndexLocked()
-		return
-	}
-	if idx.NextSeq != l.nextSeq || idx.ChainHead != hex.EncodeToString(l.chain[:]) || idx.Batches != len(l.seals) {
-		l.notes = append(l.notes, "index.json stale; rebuilt from the log")
-		l.writeIndexLocked()
 	}
 }

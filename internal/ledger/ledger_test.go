@@ -53,6 +53,8 @@ func certRecord(t *testing.T, ch *equiv.Checker, rel string, weak bool, p, q str
 		r, err = ch.Barbed(pp, qq, weak)
 	case cert.RelStep:
 		r, err = ch.Step(pp, qq, weak)
+	case cert.RelCongruence:
+		r.Cert, r.Related, err = ch.CongruenceCert(pp, qq, weak)
 	default:
 		t.Fatalf("unknown relation %q", rel)
 	}
@@ -62,6 +64,10 @@ func certRecord(t *testing.T, ch *equiv.Checker, rel string, weak bool, p, q str
 	rec, err := NewRecord(rel, weak, 0, 0, 0, r.Related, r.Pairs, r.Reason, r.Cert)
 	if err != nil {
 		t.Fatalf("NewRecord(%s, %s): %v", p, q, err)
+	}
+	// The record must sit under the key a query on (p, q) looks it up by.
+	if want := QueryKey(rel, weak, pp, qq); rec.Key != want {
+		t.Fatalf("%s(%s, %s): record key %q, query key %q", rel, p, q, rec.Key, want)
 	}
 	return rec
 }
@@ -429,46 +435,6 @@ func TestSegmentRolling(t *testing.T) {
 	}
 	if st := l.Stats(); st.Segments != len(names) || st.ChainBroken || st.Rejected != 0 {
 		t.Fatalf("stats across segments: %+v", st)
-	}
-}
-
-// TestIndexRecovery: a corrupt advisory index is noted and rebuilt; the log
-// stays authoritative.
-func TestIndexRecovery(t *testing.T) {
-	recs := allRecords(t)[:3]
-	dir := t.TempDir()
-	writeLedger(t, dir, noTimer, recs)
-
-	if err := os.WriteFile(filepath.Join(dir, indexName), []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(dir, noTimer)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	st := l.Stats()
-	found := false
-	for _, n := range st.Notes {
-		found = found || strings.Contains(n, "index.json")
-	}
-	if !found {
-		t.Fatalf("no index note in %v", st.Notes)
-	}
-	if st.Records != 3 || st.Rejected != 0 {
-		t.Fatalf("index corruption affected the log: %+v", st)
-	}
-	l.Close()
-
-	// The rebuilt index round-trips silently.
-	l, err = Open(dir, noTimer)
-	if err != nil {
-		t.Fatalf("third open: %v", err)
-	}
-	defer l.Close()
-	for _, n := range l.Stats().Notes {
-		if strings.Contains(n, "index.json") {
-			t.Fatalf("rebuilt index still flagged: %v", n)
-		}
 	}
 }
 

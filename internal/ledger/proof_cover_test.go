@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bpi/internal/cert"
+	"bpi/internal/equiv"
 )
 
 // proofFor writes a one-record ledger and returns its verified proof.
@@ -122,6 +125,14 @@ func TestVerifyRecordClaimMismatches(t *testing.T) {
 	honest := recs[0]
 	if _, err := l.VerifyRecord(&honest); err != nil {
 		t.Fatalf("honest record refused: %v", err)
+	}
+	// [a=b]c! simplifies to 0 yet is not ~c 0 (the fusion a↦b fires the
+	// match): certRecord checks its record keys the terms as queried.
+	ch := equiv.NewChecker(nil)
+	ch.Certify = true
+	congruence := certRecord(t, ch, cert.RelCongruence, false, "[a=b]c!", "0")
+	if _, err := l.VerifyRecord(&congruence); err != nil {
+		t.Fatalf("honest ~c record refused: %v", err)
 	}
 
 	cases := []struct {

@@ -20,9 +20,8 @@ import (
 type Record struct {
 	// Seq is the ledger-assigned append sequence number (1-based).
 	Seq uint64 `json:"seq"`
-	// Key is the canonical pair key: relation | weak | the lexicographically
-	// ordered alpha-class keys of the two canonical terms. KeyHash is its
-	// SHA-256 in hex, the URL-safe address of the record.
+	// Key is the canonical pair key of the certificate's pair (CertKey).
+	// KeyHash is its SHA-256 in hex, the URL-safe address of the record.
 	Key     string `json:"key"`
 	KeyHash string `json:"key_hash"`
 
@@ -51,9 +50,9 @@ type Record struct {
 }
 
 // PairKey builds the canonical ledger key from the relation spec and the two
-// alpha-class keys (syntax.Key of the simplified terms). All the paper's
-// relations are symmetric, so the sides are ordered lexicographically and one
-// key serves both orientations.
+// alpha-class keys of the sides (see QueryKey for which term form each
+// relation keys). All the paper's relations are symmetric, so the sides are
+// ordered lexicographically and one key serves both orientations.
 func PairKey(rel string, weak bool, kp, kq string) string {
 	if kq < kp {
 		kp, kq = kq, kp
@@ -68,13 +67,30 @@ func KeyHash(key string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// termKey parses one canonically printed term and returns its alpha-class key.
-func termKey(src string) (string, error) {
-	p, err := parser.Parse(src)
-	if err != nil {
-		return "", fmt.Errorf("ledger: unparseable term %q: %w", src, err)
+// QueryKey is the pair key of a query on p and q. It is the one place that
+// chooses the term form: the ~c key uses the terms as given, because
+// Simplify drops matches on distinct free names that a fusion would fire,
+// so two pairs with one simplified form can differ under ~c; the other four
+// relations are Simplify-invariant and key the simplified terms.
+func QueryKey(rel string, weak bool, p, q syntax.Proc) string {
+	if rel != cert.RelCongruence {
+		p, q = syntax.Simplify(p), syntax.Simplify(q)
 	}
-	return syntax.Key(syntax.Simplify(p)), nil
+	return PairKey(rel, weak, syntax.Key(p), syntax.Key(q))
+}
+
+// CertKey is the pair key of the pair crt proves: QueryKey of its relation,
+// mode and parsed terms.
+func CertKey(crt *cert.Certificate) (string, error) {
+	p, err := parser.Parse(crt.P)
+	if err != nil {
+		return "", fmt.Errorf("ledger: unparseable term %q: %w", crt.P, err)
+	}
+	q, err := parser.Parse(crt.Q)
+	if err != nil {
+		return "", fmt.Errorf("ledger: unparseable term %q: %w", crt.Q, err)
+	}
+	return QueryKey(crt.Relation, crt.Weak, p, q), nil
 }
 
 // NewRecord assembles an unsequenced record from a certified verdict. The
@@ -89,11 +105,7 @@ func NewRecord(rel string, weak bool, maxPairs, maxClosure, maxSubs int,
 		return Record{}, fmt.Errorf("ledger: certificate (%s weak=%t related=%t) disagrees with verdict (%s weak=%t related=%t)",
 			crt.Relation, crt.Weak, crt.Related, rel, weak, related)
 	}
-	kp, err := termKey(crt.P)
-	if err != nil {
-		return Record{}, err
-	}
-	kq, err := termKey(crt.Q)
+	key, err := CertKey(crt)
 	if err != nil {
 		return Record{}, err
 	}
@@ -101,7 +113,6 @@ func NewRecord(rel string, weak bool, maxPairs, maxClosure, maxSubs int,
 	if err != nil {
 		return Record{}, fmt.Errorf("ledger: marshal certificate: %w", err)
 	}
-	key := PairKey(rel, weak, kp, kq)
 	return Record{
 		Key: key, KeyHash: KeyHash(key),
 		Rel: rel, Weak: weak, P: crt.P, Q: crt.Q,

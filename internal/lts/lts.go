@@ -140,7 +140,7 @@ func ExploreCtx(ctx context.Context, sys *semantics.System, roots []syntax.Proc,
 			frontier = append(frontier, i)
 		}
 	}
-	err := replay(ctx, sys, g, frontier, opt)
+	err := exploreFrom(ctx, sys, g, frontier, opt)
 	opt.Obs.Count("lts.states", int64(g.NumStates()))
 	opt.Obs.Count("lts.edges", int64(g.NumEdges()))
 	return g, err
@@ -234,35 +234,10 @@ func forEachTuple(u []names.Name, k int, f func([]names.Name) error) error {
 	}
 }
 
-// stateBuilt is one state's successor data: its ground transitions plus the
-// simplified target of each and its canonical key.
-type stateBuilt struct {
-	ts    []semantics.Trans
-	procs []syntax.Proc
-	keys  []string
-}
-
-// buildState computes one state's stateBuilt (pure w.r.t. the graph).
-func buildState(ctx context.Context, sys *semantics.System, p syntax.Proc, g *Graph, opt Options) (*stateBuilt, error) {
-	ts, err := groundEdges(ctx, sys, p, g.Universe, opt.AutonomousOnly)
-	if err != nil {
-		return nil, err
-	}
-	b := &stateBuilt{ts: ts, procs: make([]syntax.Proc, len(ts)), keys: make([]string, len(ts))}
-	for i, t := range ts {
-		tp := t.Target
-		if !opt.DisableSimplify {
-			tp = syntax.Simplify(tp)
-		}
-		b.procs[i] = tp
-		b.keys[i] = syntax.Key(tp)
-	}
-	return b, nil
-}
-
-// replay is the exploration loop: strictly FIFO over the frontier, interning in
-// edge order, so the graph shape depends only on this loop.
-func replay(ctx context.Context, sys *semantics.System, g *Graph, frontier []int, opt Options) error {
+// exploreFrom is the exploration loop: strictly FIFO over the frontier,
+// interning targets in edge order, so the graph shape depends only on this
+// loop.
+func exploreFrom(ctx context.Context, sys *semantics.System, g *Graph, frontier []int, opt Options) error {
 	max := opt.maxStates()
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -270,16 +245,20 @@ func replay(ctx context.Context, sys *semantics.System, g *Graph, frontier []int
 		}
 		i := frontier[0]
 		frontier = frontier[1:]
-		b, err := buildState(ctx, sys, g.States[i].Proc, g, opt)
+		ts, err := groundEdges(ctx, sys, g.States[i].Proc, g.Universe, opt.AutonomousOnly)
 		if err != nil {
 			return err
 		}
-		for ei, t := range b.ts {
+		for _, t := range ts {
 			if len(g.States) >= max {
 				g.Truncated = true
 				return nil
 			}
-			j, fresh := g.intern(b.procs[ei], b.keys[ei])
+			tp := t.Target
+			if !opt.DisableSimplify {
+				tp = syntax.Simplify(tp)
+			}
+			j, fresh := g.intern(tp, syntax.Key(tp))
 			g.Edges[i] = append(g.Edges[i], Edge{t.Act, t.Act.String(), j})
 			if fresh {
 				frontier = append(frontier, j)

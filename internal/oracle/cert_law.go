@@ -28,7 +28,7 @@ const CertArtifactDirEnv = "BPIFUZZ_CERT_DIR"
 func lawCertChecks() Law {
 	return Law{
 		Name:   "cert/checks",
-		Doc:    "every fuzzed verdict (five relations, fresh and cached, plus axioms.Decide) carries a certificate the independent verifier accepts",
+		Doc:    "every fuzzed verdict (five relations, fresh and cached, plus axioms.Decide) carries a certificate the independent verifier accepts, and certified ~c agrees with axioms.Decide",
 		Config: proverConfig(),
 		Gen:    mixedPair,
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
@@ -48,6 +48,7 @@ func lawCertChecks() Law {
 			}
 			// Two passes over the same checker: pass two hits the verdict
 			// memo, which must return the recorded certificate unchanged.
+			var congruent bool
 			for _, pass := range []string{"fresh", "cached"} {
 				for _, weak := range []bool{false, true} {
 					mode := "strong"
@@ -90,6 +91,7 @@ func lawCertChecks() Law {
 				if d := check(pass+" strong congruence", ok, crt); d != "" {
 					return d, nil
 				}
+				congruent = ok
 			}
 			pr := axioms.NewProver(nil)
 			pr.Certify = true
@@ -99,6 +101,10 @@ func lawCertChecks() Law {
 			}
 			if d := check("axioms decide", proved, pr.Certificate()); d != "" {
 				return d, nil
+			}
+			// Theorems 6/7 on these finite terms, as axioms/decide-agree.
+			if congruent != proved {
+				return fmt.Sprintf("certified ~c says %v, axioms.Decide says %v", congruent, proved), nil
 			}
 			return "", nil
 		},

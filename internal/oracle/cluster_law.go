@@ -149,9 +149,7 @@ func lawClusterAgree() Law {
 						if verr := cert.Verify(it.Equiv.Certificate); verr != nil {
 							return fmt.Sprintf("node %d round %d pair %d: certificate rejected by the verifier: %v", ni, round, it.Index, verr), nil
 						}
-						kp := syntax.Key(syntax.Simplify(w.p))
-						kq := syntax.Key(syntax.Simplify(w.q))
-						owner := router.Owner(ledger.PairKey(service.RelLabelled, w.weak, kp, kq))
+						owner := router.Owner(ledger.QueryKey(service.RelLabelled, w.weak, w.p, w.q))
 						if round == 1 {
 							if !it.Equiv.Cached {
 								return fmt.Sprintf("node %d pair %d: repeated batch missed the verdict cache", ni, it.Index), nil

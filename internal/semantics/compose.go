@@ -9,36 +9,11 @@ import (
 )
 
 // This file implements the restriction rules (5–7) and the broadcast
-// composition rules (12–14) as a reusable composition core, driven by the
-// interpreted walker (steps/stepsRes/stepsPar).
+// composition rules (12–14) for the interpreted walker.
 //
 // Everything here follows the package's reentrancy contract: helpers receive
 // all state as arguments and build fresh transition targets, so parallel
 // callers never observe shared mutation.
-
-// DiscardFunc answers the Table 2 question for one component of a
-// composition: does this side ignore a broadcast on a?
-type DiscardFunc func(a names.Name) (bool, error)
-
-// Side packages one component of a parallel composition the way the
-// broadcast composition rules consume it: the process itself (for rebuilding
-// targets and free-name side conditions), its symbolic transitions in
-// derivation order, and its discard oracle.
-type Side struct {
-	Proc    syntax.Proc
-	Trans   []Trans
-	Discard DiscardFunc
-}
-
-// forEachInput visits the side's input transitions on (ch, arity) in
-// transition-list order.
-func (s Side) forEachInput(ch names.Name, arity int, f func(Trans)) {
-	for _, t := range s.Trans {
-		if t.Act.IsInput() && t.Act.Subj == ch && len(t.Act.Objs) == arity {
-			f(t)
-		}
-	}
-}
 
 // pairUp rebuilds a parallel composition with the mover on its original
 // side: Par{moved, other} when the mover was the left component.
@@ -49,43 +24,50 @@ func pairUp(moverIsLeft bool, moved, other syntax.Proc) syntax.Proc {
 	return syntax.Par{L: other, R: moved}
 }
 
-// ComposePar derives the transitions of l.Proc | r.Proc from the two sides'
-// transitions via the broadcast composition rules (12–14). The result is in
-// the interpreter's pre-dedupe append order — left τ, right τ, left
-// outputs, right outputs, left inputs, right inputs — so callers that need
-// the public Steps order apply Dedupe to the final top-level list only.
-func ComposePar(l, r Side) ([]Trans, error) {
+// stepsPar implements the broadcast composition rules (12), (13), (14) for
+// pp.L | pp.R. The result is in derivation order — left τ, right τ, left
+// outputs, right outputs, left inputs, right inputs — and Steps dedupes only
+// the final top-level list.
+func stepsPar(pp syntax.Par, ctx *stepCtx) ([]Trans, error) {
+	ls, err := steps(pp.L, ctx)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := steps(pp.R, ctx)
+	if err != nil {
+		return nil, err
+	}
 	var out []Trans
 	// τ moves: everything discards τ (rule (14) with sub(τ)=τ).
-	for _, tl := range l.Trans {
+	for _, tl := range ls {
 		if tl.Act.IsTau() {
-			out = append(out, Trans{tl.Act, syntax.Par{L: tl.Target, R: r.Proc}})
+			out = append(out, Trans{tl.Act, syntax.Par{L: tl.Target, R: pp.R}})
 		}
 	}
-	for _, tr := range r.Trans {
+	for _, tr := range rs {
 		if tr.Act.IsTau() {
-			out = append(out, Trans{tr.Act, syntax.Par{L: l.Proc, R: tr.Target}})
+			out = append(out, Trans{tr.Act, syntax.Par{L: pp.L, R: tr.Target}})
 		}
 	}
 	// Outputs from the left, heard or discarded by the right (13)/(14).
-	o1, err := composeBroadcast(l, r, true)
+	o1, err := composeBroadcast(ls, pp.R, rs, true, ctx)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, o1...)
 	// Outputs from the right (symmetric).
-	o2, err := composeBroadcast(r, l, false)
+	o2, err := composeBroadcast(rs, pp.L, ls, false, ctx)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, o2...)
 	// Inputs: both receive (12), or one receives and the other discards (14).
-	i1, err := composeInput(l, r, true)
+	i1, err := composeInput(ls, pp.R, rs, true, ctx)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, i1...)
-	i2, err := composeInput(r, l, false)
+	i2, err := composeInput(rs, pp.L, ls, false, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -94,13 +76,12 @@ func ComposePar(l, r Side) ([]Trans, error) {
 }
 
 // composeBroadcast combines each output transition of the mover side with
-// every way the sibling side can absorb the broadcast: receiving it
-// (rule 13) or discarding the channel (rule 14).
-func composeBroadcast(mover, sib Side, moverIsLeft bool) ([]Trans, error) {
-	combine := func(moved, other syntax.Proc) syntax.Proc { return pairUp(moverIsLeft, moved, other) }
+// every way the sibling sib (with transitions sibTrans) can absorb the
+// broadcast: receiving it (rule 13) or discarding the channel (rule 14).
+func composeBroadcast(moverTrans []Trans, sib syntax.Proc, sibTrans []Trans, moverIsLeft bool, ctx *stepCtx) ([]Trans, error) {
 	var out []Trans
 	var sibFree names.Set
-	for _, mv := range mover.Trans {
+	for _, mv := range moverTrans {
 		if !mv.Act.IsOutput() {
 			continue
 		}
@@ -110,22 +91,24 @@ func composeBroadcast(mover, sib Side, moverIsLeft bool) ([]Trans, error) {
 		// sibling's free names.
 		if len(act.Bound) > 0 {
 			if sibFree == nil {
-				sibFree = syntax.FreeNames(sib.Proc)
+				sibFree = syntax.FreeNames(sib)
 			}
 			act, tgt = renameLabelBinders(act, tgt, sibFree)
 		}
 		// Rule 13: the sibling receives the payload.
-		sib.forEachInput(act.Subj, len(act.Objs), func(st Trans) {
-			recv := syntax.Instantiate(st.Target, st.Act.Objs, act.Objs)
-			out = append(out, Trans{act, combine(tgt, recv)})
-		})
+		for _, st := range sibTrans {
+			if st.Act.IsInput() && st.Act.Subj == act.Subj && len(st.Act.Objs) == len(act.Objs) {
+				recv := syntax.Instantiate(st.Target, st.Act.Objs, act.Objs)
+				out = append(out, Trans{act, pairUp(moverIsLeft, tgt, recv)})
+			}
+		}
 		// Rule 14: the sibling ignores the channel.
-		disc, err := sib.Discard(act.Subj)
+		disc, err := discards(sib, act.Subj, ctx)
 		if err != nil {
 			return nil, err
 		}
 		if disc {
-			out = append(out, Trans{act, combine(tgt, sib.Proc)})
+			out = append(out, Trans{act, pairUp(moverIsLeft, tgt, sib)})
 		}
 	}
 	return out, nil
@@ -137,18 +120,19 @@ func composeBroadcast(mover, sib Side, moverIsLeft bool) ([]Trans, error) {
 // discards (rule 14). To avoid emitting each rule-12 combination twice, only
 // the orientation in which the mover is the left component creates the
 // paired transitions; the discard case is created for both orientations.
-func composeInput(mover, sib Side, moverIsLeft bool) ([]Trans, error) {
-	combine := func(moved, other syntax.Proc) syntax.Proc { return pairUp(moverIsLeft, moved, other) }
-	leftOriented := moverIsLeft
+func composeInput(moverTrans []Trans, sib syntax.Proc, sibTrans []Trans, moverIsLeft bool, ctx *stepCtx) ([]Trans, error) {
 	var out []Trans
-	for _, mv := range mover.Trans {
+	for _, mv := range moverTrans {
 		if !mv.Act.IsInput() {
 			continue
 		}
 		a, params, cont := mv.Act.Subj, mv.Act.Objs, mv.Target
 		// Rule 12: the sibling receives the same message.
-		if leftOriented {
-			sib.forEachInput(a, len(params), func(st Trans) {
+		if moverIsLeft {
+			for _, st := range sibTrans {
+				if !st.Act.IsInput() || st.Act.Subj != a || len(st.Act.Objs) != len(params) {
+					continue
+				}
 				// Unify the two binder tuples on fresh parameters.
 				avoid := syntax.FreeNames(cont).Union(syntax.FreeNames(st.Target)).
 					AddSlice(params).AddSlice(st.Act.Objs).Add(a)
@@ -159,31 +143,35 @@ func composeInput(mover, sib Side, moverIsLeft bool) ([]Trans, error) {
 				}
 				l := syntax.Instantiate(cont, params, fresh)
 				r := syntax.Instantiate(st.Target, st.Act.Objs, fresh)
-				out = append(out, Trans{actions.NewIn(a, fresh), combine(l, r)})
-			})
+				out = append(out, Trans{actions.NewIn(a, fresh), syntax.Par{L: l, R: r}})
+			}
 		}
 		// Rule 14: the sibling discards the channel. The binder parameters
 		// must not capture free names of the sibling.
-		disc, err := sib.Discard(a)
+		disc, err := discards(sib, a, ctx)
 		if err != nil {
 			return nil, err
 		}
 		if disc {
 			act, tgt := mv.Act, cont
-			sibFree := syntax.FreeNames(sib.Proc)
+			sibFree := syntax.FreeNames(sib)
 			if sibFree.ContainsAny(params) {
 				act, tgt = renameLabelBinders(act, tgt, sibFree)
 			}
-			out = append(out, Trans{act, combine(tgt, sib.Proc)})
+			out = append(out, Trans{act, pairUp(moverIsLeft, tgt, sib)})
 		}
 	}
 	return out, nil
 }
 
-// ComposeRes implements the restriction rules (5), (6), (7): it lifts the
-// transitions of the body of νx p to the transitions of νx p itself. The
-// input list is read-only; the result is freshly allocated.
-func ComposeRes(x names.Name, inner []Trans) []Trans {
+// stepsRes implements the restriction rules (5), (6), (7): it lifts the
+// transitions of the body of νx p to the transitions of νx p itself.
+func stepsRes(r syntax.Res, ctx *stepCtx) ([]Trans, error) {
+	inner, err := steps(r.Body, ctx)
+	if err != nil {
+		return nil, err
+	}
+	x := r.X
 	var out []Trans
 	for _, tr := range inner {
 		act, tgt := tr.Act, tr.Target
@@ -222,7 +210,7 @@ func ComposeRes(x names.Name, inner []Trans) []Trans {
 			out = append(out, Trans{act, syntax.Res{X: x, Body: tgt}})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Instantiate grounds a symbolic input transition with the received names:
@@ -239,17 +227,10 @@ func Instantiate(t Trans, received []names.Name) (actions.Act, syntax.Proc) {
 	return actions.NewIn(t.Act.Subj, received), syntax.Instantiate(t.Target, t.Act.Objs, received)
 }
 
-// Dedupe removes transitions that are duplicates up to alpha-equivalence of
+// dedupe removes transitions that are duplicates up to alpha-equivalence of
 // the (label, target) pair — keeping the first occurrence, so the concrete
 // representative depends on derivation order — and returns them sorted by
-// canonical transition key. It operates on a copy; ts is not mutated. This
-// is the exact normalisation Steps applies, exported so callers composing
-// transitions through the core can normalise them the same way.
-func Dedupe(ts []Trans) []Trans {
-	return dedupe(append([]Trans(nil), ts...))
-}
-
-// dedupe is Dedupe in place: it reuses ts's backing array.
+// canonical transition key. It reuses ts's backing array.
 func dedupe(ts []Trans) []Trans {
 	seen := make(map[string]bool, len(ts))
 	out := ts[:0]

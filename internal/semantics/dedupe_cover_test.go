@@ -7,29 +7,20 @@ import (
 	"bpi/internal/syntax"
 )
 
-// The exported Dedupe must behave exactly like the dedupe Steps applies,
-// and it must not mutate its argument (callers may keep raw pre-dedupe
-// lists).
-func TestDedupeExportedMatchesSteps(t *testing.T) {
+// dedupe on a list with every transition repeated, in derivation order,
+// must collapse it to exactly the list Steps returns.
+func TestDedupeMatchesSteps(t *testing.T) {
 	p, err := parser.Parse("a!.b! + a!.b! + c!")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := NewSystem(nil)
-	want, err := sys.Steps(p) // already deduped
+	want, err := NewSystem(nil).Steps(p) // already deduped
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Raw duplicates in derivation order: Dedupe must collapse them to the
-	// Steps list, and leave the input slice intact.
-	raw := append(append([]Trans(nil), want...), want...)
-	rawLen := len(raw)
-	got := Dedupe(raw)
-	if len(raw) != rawLen {
-		t.Fatal("Dedupe mutated its argument")
-	}
+	got := dedupe(append(append([]Trans(nil), want...), want...))
 	if len(got) != len(want) {
-		t.Fatalf("Dedupe kept %d transitions, Steps has %d", len(got), len(want))
+		t.Fatalf("dedupe kept %d transitions, Steps has %d", len(got), len(want))
 	}
 	for i := range got {
 		if TransKey(got[i]) != TransKey(want[i]) {

@@ -209,16 +209,6 @@ func steps(p syntax.Proc, ctx *stepCtx) ([]Trans, error) {
 	}
 }
 
-// stepsRes implements rules (5), (6), (7) for νx p via the shared
-// composition core.
-func stepsRes(r syntax.Res, ctx *stepCtx) ([]Trans, error) {
-	inner, err := steps(r.Body, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ComposeRes(r.X, inner), nil
-}
-
 // collides reports whether x clashes with the binders of the label (bound
 // output names or input parameters).
 func collides(x names.Name, act actions.Act) bool {
@@ -277,29 +267,4 @@ func renameLabelBinders(act actions.Act, tgt syntax.Proc, avoidExtra names.Set) 
 		return act, tgt
 	}
 	return act.RenameAll(ren), syntax.Apply(tgt, ren)
-}
-
-// stepsPar implements the broadcast composition rules (12), (13), (14) via
-// the shared composition core, with the interpreter's recursive walker as
-// each side's discard oracle.
-func stepsPar(pp syntax.Par, ctx *stepCtx) ([]Trans, error) {
-	ls, err := steps(pp.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := steps(pp.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ComposePar(ctxSide(pp.L, ls, ctx), ctxSide(pp.R, rs, ctx))
-}
-
-// ctxSide wraps one component for ComposePar, answering discard queries with
-// the per-call stepCtx (so unfold spending is shared with the derivation).
-func ctxSide(p syntax.Proc, ts []Trans, ctx *stepCtx) Side {
-	return Side{
-		Proc:    p,
-		Trans:   ts,
-		Discard: func(a names.Name) (bool, error) { return discards(p, a, ctx) },
-	}
 }

@@ -18,7 +18,6 @@ import (
 	"bpi/internal/ledger"
 	"bpi/internal/parser"
 	"bpi/internal/service"
-	"bpi/internal/syntax"
 )
 
 // The chaos suite: a two-node cluster where the peer that OWNS the queried
@@ -69,8 +68,7 @@ func pairOwnedByPeer(t *testing.T, self, peer string, weak bool) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := syntax.Key(syntax.Simplify(p))
-		if r.Owner(ledger.PairKey(service.RelLabelled, weak, k, k)) == peer {
+		if r.Owner(ledger.QueryKey(service.RelLabelled, weak, p, p)) == peer {
 			return src
 		}
 	}
@@ -295,8 +293,7 @@ func TestClusterChaosMidBatch(t *testing.T) {
 		if perr != nil {
 			t.Fatal(perr)
 		}
-		k := syntax.Key(syntax.Simplify(p))
-		if router.Owner(ledger.PairKey(service.RelLabelled, false, k, k)) == peerURL {
+		if router.Owner(ledger.QueryKey(service.RelLabelled, false, p, p)) == peerURL {
 			owned++
 		}
 		pairs = append(pairs, bpi.EquivRequest{P: src, Q: src, Rel: service.RelLabelled, TimeoutMs: 30000})

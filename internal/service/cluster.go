@@ -52,7 +52,7 @@ func shedError(sh *cluster.Shed) *ErrorBody {
 // here, over this node's own verifier, against the locally derived pair
 // identity. Any failure reports (nil, false) and the caller computes
 // locally.
-func (s *Server) dispatchRemote(ctx context.Context, req *EquivRequest, owner, kp, kq, cacheKey string) (*EquivResponse, bool) {
+func (s *Server) dispatchRemote(ctx context.Context, req *EquivRequest, owner, pairKey, cacheKey string) (*EquivResponse, bool) {
 	// The remote leg gets at most half the request budget (and never more
 	// than PeerTimeout), so a hung peer still leaves room for the local
 	// fallback to finish inside the client's deadline.
@@ -71,7 +71,7 @@ func (s *Server) dispatchRemote(ctx context.Context, req *EquivRequest, owner, k
 		s.clusterRemoteFail.Add(1)
 		return nil, false
 	}
-	crt, err := cluster.VerifyAccept(s.sys, req.Rel, req.Weak, kp, kq, v)
+	crt, err := cluster.VerifyAccept(s.sys, pairKey, v)
 	if err != nil {
 		// The tampered/mismatched certificate is the whole story: count it,
 		// refuse the verdict, and crucially never let it near the cache.
@@ -87,7 +87,7 @@ func (s *Server) dispatchRemote(ctx context.Context, req *EquivRequest, owner, k
 		Peer:        owner,
 	}
 	if s.ledger != nil {
-		resp.LedgerKey = ledger.KeyHash(ledger.PairKey(req.Rel, req.Weak, kp, kq))
+		resp.LedgerKey = ledger.KeyHash(pairKey)
 	}
 	s.cache.put(cacheKey, resp)
 	s.recordVerdict(req, &resp)

@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"bpi/internal/ledger"
 )
 
 // verdictCache is a bounded LRU of equivalence verdicts keyed on the
-// *canonical* pair plus the relation and the budgets. Keying on canonical
-// term keys (syntax.Key after Simplify) is sound because every verdict is a
-// pure function of the canonical terms, the relation and the budgets: the
-// checker itself interns through the same canonicalisation, and all the
+// ledger's pair key plus the budgets. That is sound because every verdict is
+// a pure function of the keyed terms, the relation and the budgets (the ~c
+// key keeps the terms unsimplified, see ledger.QueryKey), and all the
 // paper's relations are symmetric, so the key orders the two sides
 // lexicographically and one entry serves both orientations.
 //
@@ -60,15 +57,9 @@ func newVerdictCache(max int) *verdictCache {
 		relHits: map[relMode]uint64{}, relMisses: map[relMode]uint64{}}
 }
 
-// verdictCacheKey builds the cache key: the ledger's canonical pair key (the
-// relation spec plus the lexicographically ordered canonical term keys) with
-// the request budgets appended. Sharing ledger.PairKey here is what lets a
+// budgetKey builds the cache key: the ledger's pair key (ledger.QueryKey)
+// with the request budgets appended. Sharing the ledger's key is what lets a
 // warm-start replay rebuild exactly this key from a persisted record.
-func verdictCacheKey(rel string, weak bool, maxPairs, maxClosure, maxSubs int, kp, kq string) string {
-	return budgetKey(ledger.PairKey(rel, weak, kp, kq), maxPairs, maxClosure, maxSubs)
-}
-
-// budgetKey appends the budget axes onto a canonical pair key.
 func budgetKey(pairKey string, maxPairs, maxClosure, maxSubs int) string {
 	return fmt.Sprintf("%s|%d|%d|%d", pairKey, maxPairs, maxClosure, maxSubs)
 }

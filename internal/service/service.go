@@ -412,8 +412,8 @@ func (s *Server) runEquivOpt(ctx context.Context, req *EquivRequest, tr *obs.Tra
 		return nil, &ErrorBody{Code: CodeInvalidRequest,
 			Message: fmt.Sprintf("unknown relation %q (want labelled|barbed|step|onestep|congruence)", req.Rel)}
 	}
-	kp, kq := syntax.Key(syntax.Simplify(p)), syntax.Key(syntax.Simplify(q))
-	key := verdictCacheKey(req.Rel, req.Weak, req.MaxPairs, req.MaxClosure, req.MaxSubs, kp, kq)
+	pairKey := ledger.QueryKey(req.Rel, req.Weak, p, q)
+	key := budgetKey(pairKey, req.MaxPairs, req.MaxClosure, req.MaxSubs)
 	if resp, ok := s.cache.get(key, req.Rel, req.Weak); ok {
 		resp.Cached = true
 		resp.ElapsedMs = 0
@@ -423,8 +423,8 @@ func (s *Server) runEquivOpt(ctx context.Context, req *EquivRequest, tr *obs.Tra
 		return &resp, nil
 	}
 	if allowRemote && s.router != nil {
-		if owner := s.router.Owner(ledger.PairKey(req.Rel, req.Weak, kp, kq)); owner != s.router.Self() {
-			if resp, ok := s.dispatchRemote(ctx, req, owner, kp, kq, key); ok {
+		if owner := s.router.Owner(pairKey); owner != s.router.Self() {
+			if resp, ok := s.dispatchRemote(ctx, req, owner, pairKey, key); ok {
 				return resp, nil
 			}
 			s.clusterFallback.Add(1)
@@ -468,10 +468,10 @@ func (s *Server) runEquivOpt(ctx context.Context, req *EquivRequest, tr *obs.Tra
 	}
 	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
 	if s.ledger != nil {
-		// The content address is derivable right here (the canonical keys
-		// are already computed); the record itself is built and appended by
-		// the write-behind goroutine.
-		resp.LedgerKey = ledger.KeyHash(ledger.PairKey(req.Rel, req.Weak, kp, kq))
+		// The content address is derivable right here (the pair key is
+		// already computed); the record itself is built and appended by the
+		// write-behind goroutine.
+		resp.LedgerKey = ledger.KeyHash(pairKey)
 	}
 	s.cache.put(key, resp)
 	s.recordVerdict(req, &resp)

@@ -230,6 +230,22 @@ func TestVerdictCacheAndMetrics(t *testing.T) {
 	if strings.Contains(text, "bpid_verdict_cache_hit_rate 0\n") {
 		t.Error("hit rate should be non-zero after repeated queries")
 	}
+
+	// [a=b]c! simplifies to 0, but the fusion a↦b fires the match, so the
+	// ~c key must keep the term as queried: no hit on the 0 ~c 0 entry.
+	_, _, fresh := newTestServer(t, service.Config{})
+	for _, tc := range []struct {
+		p       string
+		related bool
+	}{{"0", true}, {"[a=b]c!", false}} {
+		r, err := fresh.Equiv(ctx, bpi.EquivRequest{P: tc.p, Q: "0", Rel: service.RelCongruence})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Related != tc.related || r.Cached {
+			t.Fatalf("%s ~c 0: related=%v cached=%v, want related=%v uncached", tc.p, r.Related, r.Cached, tc.related)
+		}
+	}
 }
 
 // TestDeadlineTypedTimeout sends an expensive pair with a 50ms deadline and
