@@ -6,7 +6,7 @@
 //
 // Usage: bpibench [-run regexp-free-substring] [-json file] [-stress]
 // [-protocols] [-trace out.json] [-counters] [-cpuprofile file]
-// [-memprofile file] [-servicegrid file] [-grid-repeats n]
+// [-memprofile file]
 //
 // -run keeps the experiments whose id contains the substring; a filter that
 // selects nothing is a usage error (exit 2), not an empty success.
@@ -238,13 +238,8 @@ func run(args []string) int {
 	counters := fs.Bool("counters", false, "print aggregate engine counters to stderr after the suite")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
-	serviceGrid := fs.String("servicegrid", "", "run the daemon throughput grid (workers × clients × batch over /v1/equiv/batch) and write BENCH_service.json-style results to this file, skipping the experiment suite")
-	gridRepeats := fs.Int("grid-repeats", 3, "repeats per service-grid cell (median is the headline)")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *serviceGrid != "" {
-		return runServiceGrid(*serviceGrid, *gridRepeats)
 	}
 	exps := selectExperiments(suite(), *filter)
 	if len(exps) == 0 {

@@ -9,18 +9,11 @@
 //	     [-queue N] [-cache N] [-max-pairs N] [-max-closure N]
 //	     [-timeout D] [-max-timeout D]
 //	     [-ledger DIR] [-merkle-batch N] [-merkle-wait-ms MS]
-//	     [-peers URL,URL,…] [-self URL] [-batch-max N]
-//	     [-admission-queue N] [-peer-timeout D]
+//	     [-batch-max N] [-admission-queue N]
 //
-// With -peers and -self, bpid joins a static cluster: every equivalence
-// pair is owned by exactly one node under rendezvous hashing of its
-// canonical pair key; non-owned pairs are dispatched to their owner over
-// the same HTTP API, and a peer's verdict is accepted only after its
-// certificate re-verifies locally (fail-closed — a dead, slow or lying
-// peer degrades to local computation, never to a wrong answer). The
-// admission controller in front of /v1/equiv and /v1/equiv/batch sheds
+// The admission controller in front of /v1/equiv and /v1/equiv/batch sheds
 // excess load with typed 429s (queue_full, deadline_budget, draining) and
-// Retry-After hints; see /metrics bpid_admission_* and bpid_cluster_*.
+// Retry-After hints; see /metrics bpid_admission_*.
 //
 // With -ledger, bpid opens (or creates) a persistent Merkle verdict ledger
 // in DIR: every persisted verdict is replayed through the independent
@@ -48,7 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -72,26 +64,9 @@ func main() {
 	ledgerDir := flag.String("ledger", "", "directory of the persistent verdict ledger (empty = no persistence)")
 	merkleBatch := flag.Int("merkle-batch", 64, "records per sealed Merkle batch")
 	merkleWait := flag.Int("merkle-wait-ms", 2000, "max milliseconds a record stays unsealed (0 = seal on batch size only)")
-	peers := flag.String("peers", "", "comma-separated peer base URLs (static cluster membership; requires -self)")
-	self := flag.String("self", "", "this daemon's own base URL as peers address it (required with -peers)")
 	batchMax := flag.Int("batch-max", 256, "max pairs per /v1/equiv/batch request")
 	admissionQueue := flag.Int("admission-queue", 64, "admission queue capacity beyond the worker pool (excess load is shed with 429)")
-	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "cap on one remote dispatch before local fallback")
 	flag.Parse()
-
-	var peerList []string
-	if *peers != "" {
-		if *self == "" {
-			log.Fatal("bpid: -peers requires -self (this node's own base URL)")
-		}
-		for _, p := range strings.Split(*peers, ",") {
-			p = strings.TrimSpace(p)
-			if p == "" {
-				log.Fatal("bpid: -peers contains an empty URL")
-			}
-			peerList = append(peerList, p)
-		}
-	}
 
 	var env syntax.Env
 	if *file != "" {
@@ -145,15 +120,9 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		Ledger:         led,
-		Peers:          peerList,
-		SelfURL:        *self,
 		BatchMax:       *batchMax,
 		AdmissionQueue: *admissionQueue,
-		PeerTimeout:    *peerTimeout,
 	})
-	if len(peerList) > 0 {
-		log.Printf("bpid: cluster mode: self=%s peers=%s", *self, *peers)
-	}
 	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -102,13 +102,13 @@ func (ck *checker) verifyAxioms(c *Certificate) error {
 	if c.Proof == nil {
 		return errors.New("cert: axioms certificate has no proof")
 	}
-	p, err := parser.Parse(c.P)
+	p, err := parseTerm(c.P)
 	if err != nil {
-		return fmt.Errorf("cert: bad term %q: %w", c.P, err)
+		return err
 	}
-	q, err := parser.Parse(c.Q)
+	q, err := parseTerm(c.Q)
 	if err != nil {
-		return fmt.Errorf("cert: bad term %q: %w", c.Q, err)
+		return err
 	}
 	if !syntax.IsFinite(p) || !syntax.IsFinite(q) {
 		return errors.New("cert: axioms certificates cover finite processes only")

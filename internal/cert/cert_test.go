@@ -7,6 +7,7 @@
 package cert_test
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -617,5 +618,29 @@ func TestOutLabel(t *testing.T) {
 	}
 	if got := cert.OutLabel("a", []string{"x"}, true, []string{"x"}); got != "a!(nu x;x)" {
 		t.Errorf("bound output label = %q", got)
+	}
+}
+
+// TestVerifyRefusesTooDeepTerm: a certificate naming a term nested past
+// parser.MaxDepth is refused with an error wrapping parser.ErrTooDeep, on
+// the pair-relation and the axioms path alike, and the error quotes only
+// an excerpt of the term.
+func TestVerifyRefusesTooDeepTerm(t *testing.T) {
+	deep := strings.Repeat("a!.", parser.MaxDepth) + "a!" // MaxDepth+1 prefixes
+	for _, c := range []*cert.Certificate{
+		{Relation: cert.RelLabelled, Related: true},
+		{Relation: cert.RelOneStep},
+		{Relation: cert.RelCongruence, Related: true},
+		{Relation: cert.RelAxioms, Related: true, Proof: &cert.Proof{}},
+	} {
+		c.Version, c.P, c.Q = cert.Version, deep, "0"
+		err := cert.Verify(c)
+		if !errors.Is(err, parser.ErrTooDeep) {
+			t.Errorf("%s: err = %v, want parser.ErrTooDeep", c.Relation, err)
+			continue
+		}
+		if n := len(err.Error()); n >= 1<<10 {
+			t.Errorf("%s: error is %d bytes, want under 1 KiB", c.Relation, n)
+		}
 	}
 }

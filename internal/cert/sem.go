@@ -70,7 +70,7 @@ func (s *vsys) intern(p syntax.Proc) (*vterm, error) {
 func parseTerm(src string) (syntax.Proc, error) {
 	p, err := parser.Parse(src)
 	if err != nil {
-		return nil, fmt.Errorf("cert: bad term %q: %w", src, err)
+		return nil, fmt.Errorf("cert: bad term %q: %w", parser.Excerpt(src), err)
 	}
 	return p, nil
 }

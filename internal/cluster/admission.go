@@ -1,3 +1,10 @@
+// Package cluster is bpid's admission control: a bounded admission queue
+// in front of the worker pool. Load beyond the queue is shed immediately
+// with a typed cause (queue_full, deadline_budget, draining) and a
+// Retry-After hint, instead of accumulating latency for everyone.
+//
+// The package does not import internal/service: the service tier calls
+// Admit per query and maps a Shed onto its typed 429 error body.
 package cluster
 
 import (

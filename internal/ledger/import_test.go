@@ -2,8 +2,13 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
+
+	"bpi/internal/cert"
+	"bpi/internal/parser"
 )
 
 // TestImportTwoSegmentExport is the warm-start pipeline end to end: a
@@ -144,5 +149,50 @@ func TestImportRejectsTamperedLines(t *testing.T) {
 	defer l3.Close()
 	if got := l3.Stats(); got.Records != exported-1 || got.Rejected != 0 {
 		t.Fatalf("reopened import: %+v, want %d trusted records", got, exported-1)
+	}
+}
+
+// TestImportRejectsTooDeepTerm: a line whose certificate names a term
+// nested past parser.MaxDepth is counted Rejected with an error wrapping
+// parser.ErrTooDeep that quotes only an excerpt of the term, and the import
+// goes on to the next line.
+func TestImportRejectsTooDeepTerm(t *testing.T) {
+	good := allRecords(t)[0]
+	var crt cert.Certificate
+	err := json.Unmarshal(good.Cert, &crt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crt.P = strings.Repeat("a!.", parser.MaxDepth) + "a!" // MaxDepth+1 prefixes
+	bad := good
+	if bad.Cert, err = json.Marshal(&crt); err != nil {
+		t.Fatal(err)
+	}
+	var input bytes.Buffer
+	enc := json.NewEncoder(&input)
+	for _, r := range []Record{bad, good} {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l, err := Open(t.TempDir(), Config{BatchSize: 1, MaxWait: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var rejectErr error
+	st, err := l.Import(&input, ImportOptions{Reject: func(_ int, err error) { rejectErr = err }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rejected != 1 || st.Imported != 1 {
+		t.Fatalf("imported %d rejected %d, want 1/1", st.Imported, st.Rejected)
+	}
+	if !errors.Is(rejectErr, parser.ErrTooDeep) {
+		t.Fatalf("reject err = %v, want parser.ErrTooDeep", rejectErr)
+	}
+	if n := len(rejectErr.Error()); n >= 1<<10 {
+		t.Fatalf("reject error is %d bytes, want under 1 KiB", n)
 	}
 }

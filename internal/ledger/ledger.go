@@ -31,8 +31,7 @@
 // certificate to the pair key, and they alone choose the term form — the
 // simplified terms, except under ~c, whose key keeps the terms as queried
 // because Simplify drops matches that a substitution would fire. The
-// daemon's verdict cache, its cluster routing and acceptance, and every
-// record key use them.
+// daemon's verdict cache and every record key use them.
 package ledger
 
 import (

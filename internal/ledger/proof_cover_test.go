@@ -109,8 +109,8 @@ func TestVerifyProofTamperMatrix(t *testing.T) {
 	}
 }
 
-// VerifyRecord is the fail-closed acceptance core shared by replay, import
-// and the cluster tier: claims that disagree with the certificate's own
+// VerifyRecord is the fail-closed acceptance core shared by replay and
+// import: claims that disagree with the certificate's own
 // content must be refused even when the certificate itself is genuine.
 func TestVerifyRecordClaimMismatches(t *testing.T) {
 	recs := allRecords(t)

@@ -84,11 +84,11 @@ func QueryKey(rel string, weak bool, p, q syntax.Proc) string {
 func CertKey(crt *cert.Certificate) (string, error) {
 	p, err := parser.Parse(crt.P)
 	if err != nil {
-		return "", fmt.Errorf("ledger: unparseable term %q: %w", crt.P, err)
+		return "", fmt.Errorf("ledger: unparseable term %q: %w", parser.Excerpt(crt.P), err)
 	}
 	q, err := parser.Parse(crt.Q)
 	if err != nil {
-		return "", fmt.Errorf("ledger: unparseable term %q: %w", crt.Q, err)
+		return "", fmt.Errorf("ledger: unparseable term %q: %w", parser.Excerpt(crt.Q), err)
 	}
 	return QueryKey(crt.Relation, crt.Weak, p, q), nil
 }

@@ -22,7 +22,6 @@ import (
 type Daemon struct {
 	srv  *service.Server
 	http *http.Server
-	lis  net.Listener
 	base string
 	hc   *http.Client
 }
@@ -38,58 +37,12 @@ func StartDaemon(cfg service.Config) (*Daemon, error) {
 	d := &Daemon{
 		srv:  srv,
 		http: hs,
-		lis:  lis,
 		base: "http://" + lis.Addr().String(),
 		hc:   &http.Client{Timeout: 60 * time.Second},
 	}
 	go hs.Serve(lis) //nolint:errcheck // Serve returns ErrServerClosed on shutdown
 	return d, nil
 }
-
-// StartCluster boots n daemons on loopback listeners sharing one static
-// membership: all listeners are bound first (so the full URL list is known
-// before any service starts), then each node is built with Peers = every
-// URL and SelfURL = its own — exactly what `bpid -peers … -self …` wires.
-// Per-node Config fields other than Peers/SelfURL are taken from cfg.
-func StartCluster(n int, cfg service.Config) ([]*Daemon, error) {
-	liss := make([]net.Listener, 0, n)
-	urls := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range liss {
-				l.Close()
-			}
-			return nil, err
-		}
-		liss = append(liss, lis)
-		urls = append(urls, "http://"+lis.Addr().String())
-	}
-	nodes := make([]*Daemon, n)
-	for i, lis := range liss {
-		c := cfg
-		c.Peers = append([]string(nil), urls...)
-		c.SelfURL = urls[i]
-		srv := service.New(c)
-		hs := &http.Server{Handler: srv.Handler()}
-		nodes[i] = &Daemon{
-			srv:  srv,
-			http: hs,
-			lis:  lis,
-			base: urls[i],
-			hc:   &http.Client{Timeout: 60 * time.Second},
-		}
-		go hs.Serve(lis) //nolint:errcheck // Serve returns ErrServerClosed on shutdown
-	}
-	return nodes, nil
-}
-
-// URL returns the daemon's base URL.
-func (d *Daemon) URL() string { return d.base }
-
-// Service exposes the underlying server, so tests and laws can read its
-// cluster counters.
-func (d *Daemon) Service() *service.Server { return d.srv }
 
 // Close drains and stops the daemon.
 func (d *Daemon) Close() error {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"bpi/internal/axioms"
+	"bpi/internal/cert"
 	"bpi/internal/equiv"
 	"bpi/internal/lts"
 	"bpi/internal/names"
@@ -319,7 +320,7 @@ func lawObsConsistent() Law {
 func lawEnginesAgree() Law {
 	return Law{
 		Name:   "engines/agree",
-		Doc:    "pair-engine and bpid-served verdicts — including LRU cache hits — agree",
+		Doc:    "pair-engine and bpid-served verdicts — single, batched and LRU cache hits — agree; batch certificates verify",
 		Config: richConfig(),
 		Gen:    mixedPair,
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
@@ -351,7 +352,100 @@ func lawEnginesAgree() Law {
 						weak, warm.Cached, warm.Related, cold.Related), nil
 				}
 			}
-			return "", nil
+			if env.Daemon == nil {
+				return "", nil
+			}
+			// The batch leg gets a daemon of its own. env.Daemon serves every
+			// alpha-variant of a pair from one cache entry, whose reason names
+			// the bound names of the variant decided first; only a fresh
+			// cache makes reasons byte-comparable with a direct checker.
+			d, err := StartDaemon(service.Config{Workers: 2})
+			if err != nil {
+				return "", err
+			}
+			defer d.Close()
+			return batchAgree(ctx, d, p, q)
 		},
 	}
+}
+
+// verdict is the part of an equivalence verdict a caller acts on, without
+// transport metadata (elapsed time, cache flag) and without the pairs
+// counter, which legitimately varies with store memoisation.
+type verdict struct {
+	related bool
+	reason  string
+}
+
+// batchAgree is the batch leg of engines/agree: both orientations of (p, q),
+// strong and weak, posted as one certified /v1/equiv/batch twice. Every
+// item must match a direct verdict from a fresh certifying checker and
+// carry a certificate the verifier accepts, and the repeated batch must be
+// served entirely from the verdict cache. The cache normalises orientation
+// (PairKey sorts its term keys), so an item may match either its own row or
+// the row deciding the same pair the other way round — never anything else.
+func batchAgree(ctx context.Context, d *Daemon, p, q syntax.Proc) (string, error) {
+	type row struct {
+		p, q syntax.Proc
+		weak bool
+		want verdict
+	}
+	rows := []row{
+		{p: p, q: q, weak: false},
+		{p: p, q: q, weak: true},
+		{p: q, q: p, weak: false},
+		{p: q, q: p, weak: true},
+	}
+	// mirror[i] is the row deciding row i's pair in the opposite orientation.
+	mirror := []int{2, 3, 0, 1}
+	batch := service.BatchRequest{}
+	for i := range rows {
+		ch := equiv.NewChecker(nil)
+		ch.Certify = true
+		r, err := ch.LabelledCtx(ctx, rows[i].p, rows[i].q, rows[i].weak)
+		if err != nil {
+			return "", err
+		}
+		rows[i].want = verdict{r.Related, r.Reason}
+		batch.Pairs = append(batch.Pairs, service.EquivRequest{
+			P: syntax.Print(rows[i].p), Q: syntax.Print(rows[i].q),
+			Rel: service.RelLabelled, Weak: rows[i].weak,
+			Cert: true, TimeoutMs: 30000,
+		})
+	}
+	for round := 0; round < 2; round++ {
+		items, tr, err := d.Batch(ctx, batch)
+		if err != nil {
+			return "", err
+		}
+		if tr.Total != len(rows) || tr.Succeeded != len(rows) || tr.Failed != 0 || tr.Shed != 0 {
+			return fmt.Sprintf("batch round %d: healthy batch accounted as %+v", round, tr), nil
+		}
+		if len(items) != len(rows) {
+			return fmt.Sprintf("batch round %d: %d items for %d pairs", round, len(items), len(rows)), nil
+		}
+		for _, it := range items {
+			if it.Index < 0 || it.Index >= len(rows) {
+				return fmt.Sprintf("batch round %d: item index %d out of range", round, it.Index), nil
+			}
+			if it.Error != nil || it.Equiv == nil {
+				return fmt.Sprintf("batch round %d pair %d: typed error %+v", round, it.Index, it.Error), nil
+			}
+			want, wantM := rows[it.Index].want, rows[mirror[it.Index]].want
+			if got := (verdict{it.Equiv.Related, it.Equiv.Reason}); got != want && got != wantM {
+				return fmt.Sprintf("batch round %d pair %d (weak=%t): daemon verdict %+v, direct checker %+v (mirrored %+v)",
+					round, it.Index, rows[it.Index].weak, got, want, wantM), nil
+			}
+			if it.Equiv.Certificate == nil {
+				return fmt.Sprintf("batch round %d pair %d: verdict without a certificate", round, it.Index), nil
+			}
+			if err := cert.Verify(it.Equiv.Certificate); err != nil {
+				return fmt.Sprintf("batch round %d pair %d: certificate rejected by the verifier: %v", round, it.Index, err), nil
+			}
+			if round == 1 && !it.Equiv.Cached {
+				return fmt.Sprintf("batch pair %d: repeated batch missed the verdict cache", it.Index), nil
+			}
+		}
+	}
+	return "", nil
 }

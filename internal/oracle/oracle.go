@@ -15,8 +15,9 @@
 //     congruent one.
 //   - Section 4: ~c is closed under name substitutions.
 //   - Engineering invariants on top of the paper: the pair engine and a
-//     live bpid daemon — including its LRU verdict-cache hits — must return
-//     the same verdicts.
+//     live bpid daemon — single queries, /v1/equiv/batch and LRU
+//     verdict-cache hits alike — must return the same verdicts, and every
+//     batch verdict must carry a certificate the verifier accepts.
 //   - Certificates: every verdict's replayable proof object (internal/cert)
 //     must be accepted by the independent verifier, on the fresh and the
 //     memoised path alike.
@@ -26,9 +27,6 @@
 //   - Protocol conformance: every internal/protocols scenario — healthy or
 //     fault-injected — gets the verdict its spec expects, in its own
 //     relation, on every engine, certificates included.
-//   - Distribution: a 3-node bpid cluster — rendezvous routing, fail-closed
-//     remote certificate acceptance and verdict caches included — is
-//     observationally identical to one sequential checker.
 //
 // Everything is reproducible: iteration i of a run with seed s draws all
 // randomness from mix(s + i), and every violation reports the exact
@@ -102,7 +100,6 @@ func Registry() []Law {
 		lawStressAgree(),
 		lawLedgerRoundtrip(),
 		lawProtocolsConform(),
-		lawClusterAgree(),
 	}
 }
 

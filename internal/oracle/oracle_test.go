@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -203,4 +204,80 @@ func TestLawByNameRejectsUnknown(t *testing.T) {
 	if len(names) < 7 {
 		t.Fatalf("registry shrank: %s", strings.Join(names, ", "))
 	}
+}
+
+// TestEnginesAgreeBatchLeg runs engines/agree against a live daemon on
+// pairs covering both verdicts and both modes: the single-query and the
+// batch leg must hold (empty detail, no engine error).
+func TestEnginesAgreeBatchLeg(t *testing.T) {
+	d, err := StartDaemon(service.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	env := NewEnv()
+	env.Daemon = d
+	law := lawEnginesAgree()
+	for _, pq := range [][2]string{
+		{"a! | b!", "a!.b! + b!.a!"}, // related, strong and weak
+		{"tau.a!", "a!"},             // related weak only
+		{"a!", "b!"},                 // unrelated in both modes
+		{"nu x.a!(x)", "nu y.a!(y)"}, // restriction + alpha-equivalence
+	} {
+		p, q := mustParse(t, pq[0]), mustParse(t, pq[1])
+		detail, err := law.Check(context.Background(), env, p, q)
+		if err != nil {
+			t.Fatalf("(%s, %s): engine error: %v", pq[0], pq[1], err)
+		}
+		if detail != "" {
+			t.Errorf("(%s, %s): engines/agree violated: %s", pq[0], pq[1], detail)
+		}
+	}
+}
+
+// TestBatchAgreeCatchesCacheMiss: with a one-entry verdict cache the two
+// cache keys of the four rows evict each other, so the repeated batch
+// cannot be served entirely from the cache and the batch leg must say so.
+func TestBatchAgreeCatchesCacheMiss(t *testing.T) {
+	d, err := StartDaemon(service.Config{Workers: 1, CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	p, q := mustParse(t, "a! | b!"), mustParse(t, "a!.b! + b!.a!")
+	detail, err := batchAgree(context.Background(), d, p, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(detail, "missed the verdict cache") {
+		t.Fatalf("detail = %q, want a verdict-cache miss", detail)
+	}
+}
+
+// TestBatchAgreeSurvivesCancellation: a cancelled context is an engine
+// error, never a violation.
+func TestBatchAgreeSurvivesCancellation(t *testing.T) {
+	d, err := StartDaemon(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	detail, err := batchAgree(ctx, d, mustParse(t, "a! | b!"), mustParse(t, "a!.b!"))
+	if detail != "" {
+		t.Errorf("cancelled run reported a violation: %s", detail)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled run: err = %v, want context.Canceled", err)
+	}
+}
+
+func mustParse(t *testing.T, src string) syntax.Proc {
+	t.Helper()
+	p, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

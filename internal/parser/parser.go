@@ -17,13 +17,25 @@
 package parser
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"bpi/internal/names"
 	"bpi/internal/syntax"
 )
+
+// MaxDepth bounds how deeply a term may nest: prefixes, restrictions,
+// matches and parentheses each take one level. The parser recurses once per
+// level, so the bound keeps hostile input from overflowing the goroutine
+// stack. Each level costs at least two bytes of source, so every term under
+// bpid's 64 KiB cap nests less than half as deep as this.
+const MaxDepth = 1 << 16
+
+// ErrTooDeep is wrapped by the error for a term nesting deeper than MaxDepth.
+var ErrTooDeep = errors.New("term nests too deeply")
 
 // Parse parses a single process term.
 func Parse(src string) (syntax.Proc, error) {
@@ -36,6 +48,21 @@ func Parse(src string) (syntax.Proc, error) {
 		return nil, p.errf("unexpected %q after term", p.peek().text)
 	}
 	return t, nil
+}
+
+// Excerpt returns src cut to at most its first 64 bytes (at a rune
+// boundary, marked "..." when cut), for quoting a term in an error message
+// without copying all of it.
+func Excerpt(src string) string {
+	const max = 64
+	if len(src) <= max {
+		return src
+	}
+	n := max
+	for n > 0 && !utf8.RuneStart(src[n]) {
+		n--
+	}
+	return src[:n] + "..."
 }
 
 // Program is a parsed source file: definitions plus an optional main term.
@@ -228,9 +255,10 @@ func isIdentRune(r rune) bool {
 // ---- parser ----------------------------------------------------------------
 
 type parser struct {
-	toks []token
-	pos  int
-	src  string
+	toks  []token
+	pos   int
+	src   string
+	depth int // parseUnary frames active; bounded by MaxDepth
 }
 
 func (p *parser) peek() token {
@@ -258,7 +286,7 @@ func (p *parser) errf(format string, args ...any) error {
 		pos = p.toks[p.pos].pos
 	}
 	line := 1 + strings.Count(p.src[:pos], "\n")
-	return fmt.Errorf("parser: line %d: %s", line, fmt.Sprintf(format, args...))
+	return fmt.Errorf("parser: line %d: "+format, append([]any{line}, args...)...)
 }
 
 // parseSum: par ('+' par)*
@@ -297,8 +325,13 @@ func (p *parser) parsePar() (syntax.Proc, error) {
 	return syntax.Group(parts...), nil
 }
 
-// parseUnary: prefix chains, restriction, match, atoms.
+// parseUnary: prefix chains, restriction, match, atoms. Every recursive
+// path of the grammar passes through here, so this is where depth counts.
 func (p *parser) parseUnary() (syntax.Proc, error) {
+	if p.depth++; p.depth > MaxDepth {
+		return nil, p.errf("more than %d nested levels: %w", MaxDepth, ErrTooDeep)
+	}
+	defer func() { p.depth-- }()
 	switch tk := p.peek(); tk.kind {
 	case tokZero:
 		p.next()

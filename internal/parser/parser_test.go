@@ -1,7 +1,9 @@
 package parser
 
 import (
+	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"bpi/internal/names"
@@ -201,6 +203,28 @@ func TestParseProgramFiles(t *testing.T) {
 		}
 		if err := prog.Env.Validate(); err != nil {
 			t.Errorf("%s: invalid env: %v", f, err)
+		}
+	}
+}
+
+// TestParseDepthLimit: every nesting construct parses at exactly MaxDepth
+// levels and fails with ErrTooDeep one level deeper, instead of overflowing
+// the goroutine stack on deeper input.
+func TestParseDepthLimit(t *testing.T) {
+	for _, c := range []struct{ name, open, leaf, close string }{
+		{"parentheses", "(", "0", ")"},
+		{"prefixes", "a!.", "a!", ""},
+		{"nu", "nu x.", "0", ""},
+		{"match", "[a=b]", "0", ""},
+	} {
+		nested := func(levels int) string {
+			return strings.Repeat(c.open, levels-1) + c.leaf + strings.Repeat(c.close, levels-1)
+		}
+		if _, err := Parse(nested(MaxDepth)); err != nil {
+			t.Errorf("%s at the limit: %v", c.name, err)
+		}
+		if _, err := Parse(nested(MaxDepth + 1)); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%s past the limit: err = %v, want ErrTooDeep", c.name, err)
 		}
 	}
 }

@@ -52,8 +52,7 @@ const (
 	CodeDeadlineBudget = "deadline_budget"
 	// CodeDraining is an admission shed during shutdown: unlike
 	// shutting_down (a terminal 503 from non-query endpoints), draining is a
-	// 429 with Retry-After — the cluster client is expected to retry against
-	// another node.
+	// 429 with Retry-After — a client may retry against another node.
 	CodeDraining = "draining"
 )
 
@@ -155,15 +154,10 @@ type EquivResponse struct {
 	// runs with -ledger. Feed it to GET /v1/ledger/proof/{key} or
 	// `bpiledger proof` once the record's batch seals.
 	LedgerKey string `json:"ledger_key,omitempty"`
-	// Peer is the base URL of the cluster peer that computed this verdict,
-	// set only when the pair was routed and the peer's certificate survived
-	// the local fail-closed verification (see internal/cluster). Empty for
-	// locally computed verdicts.
-	Peer string `json:"peer,omitempty"`
 }
 
 // BatchRequest is the body of POST /v1/equiv/batch: many equivalence
-// queries admitted, routed and executed as one request. Pair-level fields
+// queries admitted and executed as one request. Pair-level fields
 // (budgets, timeout_ms, cert) mean exactly what they mean on /v1/equiv.
 type BatchRequest struct {
 	Pairs []EquivRequest `json:"pairs"`
@@ -187,7 +181,6 @@ type BatchTrailer struct {
 	Succeeded int     `json:"succeeded"`
 	Failed    int     `json:"failed"`
 	Shed      int     `json:"shed"`
-	Remote    int     `json:"remote"`
 	ElapsedMs float64 `json:"elapsed_ms"`
 }
 

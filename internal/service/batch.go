@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"bpi/internal/cluster"
 )
 
 // maxBatchBodyBytes bounds a batch request body; individual terms inside it
@@ -23,9 +21,8 @@ const maxBatchBodyBytes = 8 << 20
 //     batch sheds a deterministic suffix of its admission attempts, and a
 //     shed pair is reported as a typed item (429-class error body with
 //     retry_after_sec), never silently dropped;
-//   - admitted pairs execute concurrently on the worker pool (routed to
-//     their owning peers in multi-node mode) and stream back in completion
-//     order, each tagged with its request index;
+//   - admitted pairs execute concurrently on the worker pool and stream
+//     back in completion order, each tagged with its request index;
 //   - the final line is a done=true trailer with the batch accounting; a
 //     stream without it was truncated by a transport failure.
 //
@@ -110,11 +107,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	allowRemote := r.Header.Get(cluster.ForwardedHeader) == ""
-	if !allowRemote {
-		s.clusterForwarded.Add(1)
-	}
-	var succeeded, failed, remote atomic.Int64
+	var succeeded, failed atomic.Int64
 	var wg sync.WaitGroup
 	for i := range req.Pairs {
 		if adms[i].eb != nil {
@@ -133,21 +126,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			defer s.releaseSlot()
 			t0 := time.Now()
-			var resp *EquivResponse
-			var eb *ErrorBody
-			if allowRemote {
-				resp, eb = s.runEquivRouted(r.Context(), &req.Pairs[i], s.obs)
-			} else {
-				resp, eb = s.runEquiv(r.Context(), &req.Pairs[i], s.obs)
-			}
+			resp, eb := s.runEquiv(r.Context(), &req.Pairs[i], s.obs)
 			served = time.Since(t0)
 			if eb != nil {
 				failed.Add(1)
 				writeLine(BatchItem{Index: i, Error: eb})
 				return
-			}
-			if resp.Peer != "" {
-				remote.Add(1)
 			}
 			succeeded.Add(1)
 			writeLine(BatchItem{Index: i, Equiv: resp})
@@ -160,7 +144,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Succeeded: int(succeeded.Load()),
 		Failed:    int(failed.Load()),
 		Shed:      shed,
-		Remote:    int(remote.Load()),
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 	})
 }

@@ -35,9 +35,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	if !tr.Done || tr.Total != len(pairs) || tr.Succeeded != len(pairs) || tr.Failed != 0 || tr.Shed != 0 {
 		t.Fatalf("trailer %+v, want %d clean verdicts", tr, len(pairs))
 	}
-	if tr.Remote != 0 {
-		t.Errorf("single-node batch reports %d remote verdicts", tr.Remote)
-	}
 	if len(res.Items) != len(pairs) {
 		t.Fatalf("%d items, want %d", len(res.Items), len(pairs))
 	}

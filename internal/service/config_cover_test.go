@@ -27,19 +27,15 @@ func TestConfigZeroValueDefaults(t *testing.T) {
 	if got := c.admissionQueue(); got != 64 {
 		t.Errorf("admissionQueue = %d, want 64", got)
 	}
-	if got := c.peerTimeout(); got != 2*time.Second {
-		t.Errorf("peerTimeout = %v, want 2s", got)
-	}
 }
 
 func TestConfigExplicitValuesHonoured(t *testing.T) {
 	c := Config{
 		QueueDepth: 3, DefaultTimeout: time.Second, MaxTimeout: 2 * time.Second,
-		MaxTermBytes: 128, BatchMax: 9, AdmissionQueue: 5, PeerTimeout: 100 * time.Millisecond,
+		MaxTermBytes: 128, BatchMax: 9, AdmissionQueue: 5,
 	}
 	if c.queueDepth() != 3 || c.defaultTimeout() != time.Second || c.maxTimeout() != 2*time.Second ||
-		c.maxTermBytes() != 128 || c.batchMax() != 9 || c.admissionQueue() != 5 ||
-		c.peerTimeout() != 100*time.Millisecond {
+		c.maxTermBytes() != 128 || c.batchMax() != 9 || c.admissionQueue() != 5 {
 		t.Errorf("explicit config not honoured: %+v", c)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"bpi/internal/cluster"
 	"bpi/internal/lts"
 	"bpi/internal/syntax"
 )
@@ -279,17 +278,9 @@ func (s *Server) handleEquiv(r *http.Request) (int, any) {
 	}
 	var served time.Duration
 	defer func() { release(served) }()
-	// A forwarded request is decided locally by rule (see
-	// cluster.ForwardedHeader): that one-hop cap is what makes routing
-	// loop-free under membership disagreement.
-	run := s.runEquivRouted
-	if r.Header.Get(cluster.ForwardedHeader) != "" {
-		s.clusterForwarded.Add(1)
-		run = s.runEquiv
-	}
 	return s.sync(r, func() (int, any) {
 		t0 := time.Now()
-		resp, eb := run(r.Context(), &req, s.obs)
+		resp, eb := s.runEquiv(r.Context(), &req, s.obs)
 		served = time.Since(t0)
 		if eb != nil {
 			return fail(eb)
@@ -425,7 +416,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"bpid_jobs", "Jobs by state.", `{state="failed"}`, float64(jc[JobFailed])},
 		{"bpid_uptime_seconds", "Seconds since daemon start.", "", time.Since(s.started).Seconds()},
 	}...)
-	gauges = s.clusterGauges(gauges)
+	gauges = s.admissionGauges(gauges)
 	// Engine counters from the daemon tracer, one labelled series per
 	// counter name (sorted for a stable exposition).
 	counters := s.obs.Counters()

@@ -73,18 +73,6 @@ type Config struct {
 	// verdicts are appended write-behind (see ledger.go). The caller keeps
 	// ownership and closes it after Shutdown.
 	Ledger *ledger.Ledger
-	// Peers is the static cluster membership (peer daemon base URLs). With
-	// one or more peers AND a SelfURL, each equivalence pair is owned by
-	// exactly one node under rendezvous hashing of its canonical pair key;
-	// non-owned pairs are dispatched to their owner and the returned
-	// certificate is re-verified locally before the verdict is accepted
-	// (fail-closed: any peer failure or rejected certificate falls back to
-	// local computation). Empty = single-node mode.
-	Peers []string
-	// SelfURL is this daemon's own base URL as peers would address it.
-	// Required for multi-node mode; it anchors this node's identity in the
-	// rendezvous ring.
-	SelfURL string
 	// BatchMax bounds the pairs accepted by one POST /v1/equiv/batch
 	// (default 256).
 	BatchMax int
@@ -92,10 +80,6 @@ type Config struct {
 	// beyond Workers executing + AdmissionQueue waiting are shed with a
 	// typed 429 (default 64).
 	AdmissionQueue int
-	// PeerTimeout caps the wall-clock spent on one remote dispatch before
-	// falling back to local computation (default 2s; additionally capped at
-	// half the request's own budget).
-	PeerTimeout time.Duration
 }
 
 func (c Config) workers() int {
@@ -147,13 +131,6 @@ func (c Config) admissionQueue() int {
 	return c.AdmissionQueue
 }
 
-func (c Config) peerTimeout() time.Duration {
-	if c.PeerTimeout <= 0 {
-		return 2 * time.Second
-	}
-	return c.PeerTimeout
-}
-
 // Server is the daemon core: the shared store, the worker pool, the verdict
 // cache, the job table and the metrics registry. Create with New, mount
 // Handler on an http.Server, stop with Shutdown.
@@ -185,17 +162,9 @@ type Server struct {
 	slots    chan struct{} // worker-pool semaphore; len() = busy workers
 	inflight sync.WaitGroup
 
-	// Cluster tier (see internal/cluster and cluster.go in this package):
-	// admission is always present; router/peerc only in multi-node mode.
+	// admission sheds query load beyond the worker pool and its bounded
+	// queue (see internal/cluster and cluster.go in this package).
 	admission *cluster.Admission
-	router    *cluster.Router
-	peerc     *cluster.PeerClient
-
-	clusterRemoteOK   atomic.Uint64 // verdicts accepted from a peer
-	clusterRemoteFail atomic.Uint64 // dispatches that failed at transport level
-	clusterCertReject atomic.Uint64 // peer verdicts refused by VerifyAccept
-	clusterFallback   atomic.Uint64 // routed pairs ultimately computed locally
-	clusterForwarded  atomic.Uint64 // forwarded requests served locally by rule
 
 	mu     sync.Mutex
 	closed bool
@@ -219,45 +188,12 @@ func New(cfg Config) *Server {
 	s.jobs = newJobManager(s, cfg.queueDepth())
 	s.attachLedger()
 	s.admission = cluster.NewAdmission(cfg.admissionQueue(), cfg.workers())
-	if len(cfg.Peers) > 0 && cfg.SelfURL != "" {
-		if r, err := cluster.NewRouter(cfg.SelfURL, cfg.Peers); err == nil {
-			s.router = r
-			s.peerc = cluster.NewPeerClient()
-		}
-		// An invalid membership (empty URLs) degrades to single-node mode;
-		// cmd/bpid validates flags before it ever gets here.
-	}
 	return s
 }
 
 // Admission exposes the admission controller (tests seed its estimate and
 // fill its queue deterministically).
 func (s *Server) Admission() *cluster.Admission { return s.admission }
-
-// ClusterStats is a snapshot of the cluster tier's counters.
-type ClusterStats struct {
-	Peers           int    // ring size (0 = single-node mode)
-	RemoteOK        uint64 // verdicts accepted from peers after verification
-	RemoteFail      uint64 // peer dispatches failed at the transport level
-	CertRejected    uint64 // peer verdicts refused by the fail-closed check
-	LocalFallback   uint64 // routed pairs ultimately computed locally
-	ForwardedServed uint64 // forwarded requests served locally by rule
-}
-
-// Cluster snapshots the cluster tier's counters.
-func (s *Server) Cluster() ClusterStats {
-	st := ClusterStats{
-		RemoteOK:        s.clusterRemoteOK.Load(),
-		RemoteFail:      s.clusterRemoteFail.Load(),
-		CertRejected:    s.clusterCertReject.Load(),
-		LocalFallback:   s.clusterFallback.Load(),
-		ForwardedServed: s.clusterForwarded.Load(),
-	}
-	if s.router != nil {
-		st.Peers = s.router.Size()
-	}
-	return st
-}
 
 // Store exposes the shared term store (for tests and diagnostics).
 func (s *Server) Store() *equiv.Store { return s.store }
@@ -384,20 +320,8 @@ func (s *Server) checker(req *EquivRequest, tr *obs.Tracer) *equiv.Checker {
 // runEquiv executes one equivalence query (already on a worker slot),
 // consulting and feeding the verdict cache. Engine spans and counters go
 // to tr (the daemon tracer for synchronous requests, a per-job tracer for
-// async jobs). It never dispatches to peers; routed execution is
-// runEquivRouted.
+// async jobs).
 func (s *Server) runEquiv(ctx context.Context, req *EquivRequest, tr *obs.Tracer) (*EquivResponse, *ErrorBody) {
-	return s.runEquivOpt(ctx, req, tr, false)
-}
-
-// runEquivRouted is runEquiv with cluster routing enabled: a pair owned by
-// a peer under rendezvous hashing is dispatched there first, and only its
-// failure (or a rejected certificate) falls back to local computation.
-func (s *Server) runEquivRouted(ctx context.Context, req *EquivRequest, tr *obs.Tracer) (*EquivResponse, *ErrorBody) {
-	return s.runEquivOpt(ctx, req, tr, true)
-}
-
-func (s *Server) runEquivOpt(ctx context.Context, req *EquivRequest, tr *obs.Tracer, allowRemote bool) (*EquivResponse, *ErrorBody) {
 	p, eb := s.parseTerm("p", req.P)
 	if eb != nil {
 		return nil, eb
@@ -422,17 +346,6 @@ func (s *Server) runEquivOpt(ctx context.Context, req *EquivRequest, tr *obs.Tra
 		}
 		return &resp, nil
 	}
-	if allowRemote && s.router != nil {
-		if owner := s.router.Owner(pairKey); owner != s.router.Self() {
-			if resp, ok := s.dispatchRemote(ctx, req, owner, pairKey, key); ok {
-				return resp, nil
-			}
-			s.clusterFallback.Add(1)
-			// Fall through: the pair is computed locally, exactly as in
-			// single-node mode. Never a wrong answer, only a slower one.
-		}
-	}
-
 	ctx, cancel := context.WithTimeout(ctx, s.timeout(req.TimeoutMs))
 	defer cancel()
 	c := s.checker(req, tr)
