@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,28 +26,43 @@ import (
 	"bpi/internal/syntax"
 )
 
-func main() {
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 || flag.Arg(0) != "verify" {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command: it returns 0 when every certificate verifies,
+// 1 when one is rejected or cannot be read, and 2 on a usage error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	usage := func() { fmt.Fprint(stderr, usageText) }
+	if len(args) < 1 || args[0] != "verify" {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
+	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = usage
 	file := fs.String("f", "", "program file with definitions (for certificates over defined constants)")
 	quiet := fs.Bool("q", false, "suppress per-certificate output; only the exit status reports")
-	fs.Usage = usage
-	_ = fs.Parse(flag.Args()[1:])
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if fs.NArg() == 0 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	var env syntax.Env
 	if *file != "" {
 		src, err := os.ReadFile(*file)
-		fail(err)
+		if err != nil {
+			fmt.Fprintln(stderr, "bpicert:", err)
+			return 1
+		}
 		prog, err := parser.ParseProgram(string(src))
-		fail(err)
+		if err != nil {
+			fmt.Fprintln(stderr, "bpicert:", err)
+			return 1
+		}
 		env = prog.Env
 	}
 	v := &cert.Verifier{Sys: semantics.NewSystem(env)}
@@ -55,19 +71,22 @@ func main() {
 		var data []byte
 		var err error
 		if path == "-" {
-			data, err = io.ReadAll(os.Stdin)
+			data, err = io.ReadAll(stdin)
 		} else {
 			data, err = os.ReadFile(path)
 		}
-		fail(err)
+		if err != nil {
+			fmt.Fprintln(stderr, "bpicert:", err)
+			return 1
+		}
 		c, err := cert.Unmarshal(data)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bpicert: %s: %v\n", path, err)
+			fmt.Fprintf(stderr, "bpicert: %s: %v\n", path, err)
 			bad++
 			continue
 		}
 		if err := v.Verify(c); err != nil {
-			fmt.Fprintf(os.Stderr, "bpicert: %s: REJECTED: %v\n", path, err)
+			fmt.Fprintf(stderr, "bpicert: %s: REJECTED: %v\n", path, err)
 			bad++
 			continue
 		}
@@ -76,16 +95,16 @@ func main() {
 			if c.Related {
 				verdict = "related"
 			}
-			fmt.Printf("%s: OK  %s %s  p=%s  q=%s\n", path, c.Relation, verdict, c.P, c.Q)
+			fmt.Fprintf(stdout, "%s: OK  %s %s  p=%s  q=%s\n", path, c.Relation, verdict, c.P, c.Q)
 		}
 	}
 	if bad > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `bpicert — independent certificate verifier
+const usageText = `bpicert — independent certificate verifier
 
   bpicert verify [-f file] [-q] cert.json [more.json ...]
 
@@ -96,12 +115,4 @@ certificate is rejected, 2 on usage errors.
   -f file  program file with definitions, for certificates whose terms
            mention defined constants
   -q       quiet: only the exit status reports
-`)
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bpicert:", err)
-		os.Exit(1)
-	}
-}
+`

@@ -12,7 +12,7 @@ import (
 	"bpi/internal/actions"
 	"bpi/internal/machine"
 	"bpi/internal/names"
-	"bpi/internal/papers"
+	"bpi/internal/protocols"
 	"bpi/internal/semantics"
 )
 
@@ -22,12 +22,12 @@ func main() {
 		lead   names.Name = "lead"
 		follow names.Name = "follow"
 	)
-	sys := semantics.NewSystem(papers.ElectionEnv())
+	sys := semantics.NewSystem(nil)
 
 	fmt.Println("Broadcast leader election")
 	fmt.Println()
 	for _, n := range []int{3, 5} {
-		system := papers.ElectionSystem(n, claim, lead, follow)
+		system := protocols.Election(n, protocols.Fault{}).Impl
 
 		// Safety + liveness, exhaustively: a leader is inevitable.
 		always, _, err := machine.AlwaysReachesBarb(sys, system, lead, 200000)
@@ -53,13 +53,14 @@ func main() {
 		}
 		fmt.Printf("  winners over 40 random schedules:")
 		for i := 0; i < n; i++ {
-			fmt.Printf(" %s=%d", papers.CandidateID(i), wins[papers.CandidateID(i)])
+			id := names.Name(fmt.Sprintf("cand%d", i))
+			fmt.Printf(" %s=%d", id, wins[id])
 		}
 		fmt.Println()
 	}
 
 	// One annotated run.
-	system := papers.ElectionSystem(3, claim, lead, follow)
+	system := protocols.Election(3, protocols.Fault{}).Impl
 	res, err := machine.Run(sys, system, machine.Options{
 		MaxSteps: 20, KeepTrace: true, Scheduler: machine.NewRandomScheduler(11),
 	})

@@ -103,6 +103,54 @@ func writeLedger(t *testing.T, dir string, cfg Config, recs []Record) {
 // noTimer disables timed sealing so tests control batch boundaries exactly.
 var noTimer = Config{BatchSize: 4, MaxWait: -1}
 
+// TestOpenLedgerFromCommit49dd064 opens a ledger that bpid wrote at commit
+// 49dd064 with -merkle-batch 2: twenty queries, both verdicts of every
+// relation, over terms with input binders, restrictions, bound outputs and
+// matches. Open re-derives each record's pair key from its certificate's
+// terms, so this fails if the bytes of syntax.Key change. Such a change
+// needs a ledger migration; the fixture is never regenerated.
+func TestOpenLedgerFromCommit49dd064(t *testing.T) {
+	src := filepath.Join("testdata", "keys-49dd064")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := Open(dir, noTimer)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	st := l.Stats()
+	if st.Records != 20 || st.Rejected != 0 || st.Pending != 0 || st.ChainBroken || len(st.Notes) != 0 {
+		t.Fatalf("stats: %+v; rejections: %v", st, l.Rejections())
+	}
+	verdicts := map[string]map[bool]bool{}
+	n := l.Replay(func(r *Record, crt *cert.Certificate) {
+		if verdicts[r.Rel] == nil {
+			verdicts[r.Rel] = map[bool]bool{}
+		}
+		verdicts[r.Rel][r.Related] = true
+	})
+	if n != st.Records {
+		t.Fatalf("replayed %d of %d records", n, st.Records)
+	}
+	for _, rel := range []string{cert.RelLabelled, cert.RelBarbed, cert.RelStep, cert.RelOneStep, cert.RelCongruence} {
+		if !verdicts[rel][true] || !verdicts[rel][false] {
+			t.Errorf("fixture lacks a verdict for %s: %v", rel, verdicts[rel])
+		}
+	}
+}
+
 // TestRoundtripWarmStart is the core contract: decide → persist → reopen →
 // every record replays verified, produces a verifiable inclusion proof, and
 // the chain head is intact.

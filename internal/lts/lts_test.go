@@ -226,8 +226,8 @@ func TestMultiRootSharesStates(t *testing.T) {
 
 func TestFreshReservoirValid(t *testing.T) {
 	for _, n := range FreshReservoir(3) {
-		if names.Valid(n) {
-			t.Errorf("reservoir name %q must be reserved (non-user)", n)
+		if !strings.Contains(string(n), names.FreshMarker) {
+			t.Errorf("reservoir name %q must carry the fresh marker", n)
 		}
 	}
 }

@@ -1,81 +1,26 @@
 // Package names provides the channel-name infrastructure of the bπ-calculus:
-// names themselves, finite name sets, substitutions, and fresh-name supplies.
+// names themselves, finite name sets and substitutions.
 //
 // In the calculus of Ene & Muntean every transmissible value is a channel
-// name drawn from a countable set Chb. We represent names as strings; fresh
-// names generated by the library carry a reserved "·" marker so they can
-// never collide with user-chosen names, and successive fresh names from one
-// Supply are distinct by construction.
+// name drawn from a countable set Chb. We represent names as strings.
+// Machine-generated names, such as syntax.FreshVariant's and the
+// exploration reservoir's, carry FreshMarker.
 package names
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
 
 // Name is a channel name of the calculus (an element of Chb).
-// User code may use any non-empty string that does not contain the reserved
-// fresh marker "·".
 type Name string
 
-// FreshMarker is the substring reserved for machine-generated fresh names.
-// User-supplied names must not contain it; Valid reports whether a name is
-// acceptable as user input.
+// FreshMarker is the substring that marks machine-generated names. The
+// parser accepts it in identifiers, so that printed machine states parse
+// back; a name holding it may therefore come from a user, and a generator
+// that must not collide with a term's names checks them (FreshVariant
+// takes an avoid set).
 const FreshMarker = "·"
-
-// Valid reports whether n is acceptable as a user-chosen name: non-empty,
-// and free of the reserved fresh marker.
-func Valid(n Name) bool {
-	return n != "" && !strings.Contains(string(n), FreshMarker)
-}
-
-// IsFresh reports whether n was produced by a Supply.
-func IsFresh(n Name) bool { return strings.Contains(string(n), FreshMarker) }
-
-// Supply generates names that are guaranteed not to collide with any name
-// previously seen by or produced from this supply. The zero value is ready
-// to use. A Supply is not safe for concurrent use; clone per goroutine with
-// Fork when exploring in parallel.
-type Supply struct {
-	counter uint64
-	prefix  string
-}
-
-// NewSupply returns a supply whose names carry the given base hint
-// (defaulting to "x" when empty).
-func NewSupply(hint string) *Supply {
-	if hint == "" {
-		hint = "x"
-	}
-	return &Supply{prefix: hint}
-}
-
-// Fresh returns a new name unique for this supply, using hint as a readable
-// base (defaulting to the supply's own prefix).
-func (s *Supply) Fresh(hint string) Name {
-	// Strip any previous marker from caller hints so re-freshened names stay
-	// short. The supply's own prefix is used verbatim (forks rely on it).
-	if i := strings.Index(hint, FreshMarker); i >= 0 {
-		hint = hint[:i]
-	}
-	if hint == "" {
-		hint = s.prefix
-		if hint == "" {
-			hint = "x"
-		}
-	}
-	s.counter++
-	return Name(fmt.Sprintf("%s%s%d", hint, FreshMarker, s.counter))
-}
-
-// Fork returns an independent supply that will never produce a name equal to
-// one produced by s (or by other forks of s). It works by giving the fork a
-// disjoint counter stream keyed by a sub-marker.
-func (s *Supply) Fork() *Supply {
-	s.counter++
-	return &Supply{prefix: fmt.Sprintf("%s%sf%d", s.prefix, FreshMarker, s.counter)}
-}
 
 // Set is a finite set of names. The zero value is the empty set; Set values
 // are freely shareable once built, but mutation is not concurrency-safe.

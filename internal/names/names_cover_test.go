@@ -40,18 +40,6 @@ func TestSetEqual(t *testing.T) {
 	}
 }
 
-func TestNewSupplyDefaultsHint(t *testing.T) {
-	s := NewSupply("")
-	n := s.Fresh("")
-	if !IsFresh(n) || n[0] != 'x' {
-		t.Errorf("empty-hint supply produced %q", n)
-	}
-	named := NewSupply("y")
-	if m := named.Fresh(""); m[0] != 'y' {
-		t.Errorf("hinted supply produced %q", m)
-	}
-}
-
 func TestSubstRestrict(t *testing.T) {
 	s := Subst{"a": "x", "b": "y", "c": "z"}
 	r := s.Restrict(NewSet("a", "c", "unmapped"))

@@ -5,63 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestValid(t *testing.T) {
-	cases := []struct {
-		n    Name
-		want bool
-	}{
-		{"a", true},
-		{"chan12", true},
-		{"", false},
-		{"a" + FreshMarker + "1", false},
-	}
-	for _, c := range cases {
-		if got := Valid(c.n); got != c.want {
-			t.Errorf("Valid(%q) = %v, want %v", c.n, got, c.want)
-		}
-	}
-}
-
-func TestSupplyFreshDistinct(t *testing.T) {
-	s := NewSupply("a")
-	seen := NewSet()
-	for i := 0; i < 1000; i++ {
-		n := s.Fresh("")
-		if seen.Contains(n) {
-			t.Fatalf("duplicate fresh name %q", n)
-		}
-		if !IsFresh(n) {
-			t.Fatalf("fresh name %q not marked fresh", n)
-		}
-		seen = seen.Add(n)
-	}
-}
-
-func TestSupplyFreshHintStripsMarker(t *testing.T) {
-	s := NewSupply("a")
-	n1 := s.Fresh("b")
-	n2 := s.Fresh(string(n1)) // re-freshening a fresh name must stay short
-	if len(n2) > len(n1)+4 {
-		t.Errorf("re-freshened name grew: %q -> %q", n1, n2)
-	}
-	if n1 == n2 {
-		t.Errorf("fresh names collided: %q", n1)
-	}
-}
-
-func TestSupplyFork(t *testing.T) {
-	s := NewSupply("a")
-	f := s.Fork()
-	seen := NewSet()
-	for i := 0; i < 200; i++ {
-		a, b := s.Fresh(""), f.Fresh("")
-		if seen.Contains(a) || seen.Contains(b) || a == b {
-			t.Fatalf("fork collision: %q %q", a, b)
-		}
-		seen = seen.Add(a).Add(b)
-	}
-}
-
 func TestSetOps(t *testing.T) {
 	s := NewSet("a", "b", "c")
 	u := NewSet("b", "d")

@@ -237,8 +237,8 @@ func treeSpec(fanout, depth int) (syntax.Proc, int) {
 
 // ---- Single-hop leader election ------------------------------------------
 
-// Election returns the n-candidate broadcast election of internal/papers
-// (and examples/leaderelect) as a closed finite term: candidate i is
+// Election returns the n-candidate broadcast election (the system
+// examples/leaderelect runs) as a closed finite term: candidate i is
 //
 //	claim!(candI).lead!(candI) + claim?(w).follow!(candI, w)
 //

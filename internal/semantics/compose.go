@@ -1,7 +1,8 @@
 package semantics
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"bpi/internal/actions"
 	"bpi/internal/names"
@@ -230,19 +231,27 @@ func Instantiate(t Trans, received []names.Name) (actions.Act, syntax.Proc) {
 // dedupe removes transitions that are duplicates up to alpha-equivalence of
 // the (label, target) pair — keeping the first occurrence, so the concrete
 // representative depends on derivation order — and returns them sorted by
-// canonical transition key. It reuses ts's backing array.
+// canonical transition key, computing each key once. It reuses ts's backing
+// array.
 func dedupe(ts []Trans) []Trans {
-	seen := make(map[string]bool, len(ts))
+	type keyed struct {
+		key string
+		t   Trans
+	}
+	ks := make([]keyed, len(ts))
+	for i, t := range ts {
+		ks[i] = keyed{TransKey(t), t}
+	}
+	// The stable sort puts duplicates next to each other, first occurrence
+	// first.
+	slices.SortStableFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
 	out := ts[:0]
-	for _, t := range ts {
-		k := TransKey(t)
-		if seen[k] {
+	for i, k := range ks {
+		if i > 0 && k.key == ks[i-1].key {
 			continue
 		}
-		seen[k] = true
-		out = append(out, t)
+		out = append(out, k.t)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return TransKey(out[i]) < TransKey(out[j]) })
 	return out
 }
 

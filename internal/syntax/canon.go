@@ -1,83 +1,14 @@
 package syntax
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
-
-	"bpi/internal/names"
 )
 
-// Canonical binder names start with this control byte; they are unwritable
-// from user input and never produced by FreshVariant, so Canon output is a
-// sound representative of the alpha-equivalence class.
-const canonMark = "\x01"
-
-// IsCanonName reports whether n is a canonical binder name produced by Canon.
-func IsCanonName(n Name) bool { return strings.HasPrefix(string(n), canonMark) }
-
-// Canon returns the canonical representative of p's alpha-equivalence class:
-// every binder is renamed, in a fixed traversal order, to a canonical name.
-// Two processes are alpha-equivalent iff their Canon results are
-// structurally equal (Equal), and Key(p) can be used as a map key for
-// alpha-classes.
-func Canon(p Proc) Proc {
-	k := 0
-	return canon(p, nil, &k)
-}
-
-func canonName(k *int) Name {
-	*k++
-	return Name(fmt.Sprintf("%s%d", canonMark, *k))
-}
-
-// canon renames binders to canonical names; env maps in-scope binders to
-// their canonical replacements.
-func canon(p Proc, env names.Subst, k *int) Proc {
-	look := func(n Name) Name { return env.Apply(n) }
-	switch t := p.(type) {
-	case Nil:
-		return t
-	case Prefix:
-		switch pre := t.Pre.(type) {
-		case Tau:
-			return Prefix{pre, canon(t.Cont, env, k)}
-		case Out:
-			return Prefix{Out{look(pre.Ch), env.ApplySlice(pre.Args)}, canon(t.Cont, env, k)}
-		case In:
-			inner := env.Clone()
-			ps := make([]Name, len(pre.Params))
-			for i, b := range pre.Params {
-				ps[i] = canonName(k)
-				inner[b] = ps[i]
-			}
-			return Prefix{In{look(pre.Ch), ps}, canon(t.Cont, inner, k)}
-		}
-		panic("syntax: unknown prefix")
-	case Sum:
-		return Sum{canon(t.L, env, k), canon(t.R, env, k)}
-	case Par:
-		return Par{canon(t.L, env, k), canon(t.R, env, k)}
-	case Res:
-		inner := env.Clone()
-		x := canonName(k)
-		inner[t.X] = x
-		return Res{x, canon(t.Body, inner, k)}
-	case Match:
-		return Match{look(t.X), look(t.Y), canon(t.Then, env, k), canon(t.Else, env, k)}
-	case Call:
-		return Call{t.Id, env.ApplySlice(t.Args)}
-	case Rec:
-		inner := env.Clone()
-		ps := make([]Name, len(t.Params))
-		for i, b := range t.Params {
-			ps[i] = canonName(k)
-			inner[b] = ps[i]
-		}
-		return Rec{t.Id, ps, canon(t.Body, inner, k), env.ApplySlice(t.Args)}
-	default:
-		panic("syntax: unknown process node")
-	}
-}
+// canonMark starts every binder name a Key writes; user input cannot
+// contain it and FreshVariant never produces it, so a key's binders never
+// collide with its free names.
+const canonMark = '\x01'
 
 // Equal reports structural equality of two terms (names compared verbatim;
 // use AlphaEqual for equality up to renaming of bound names).
@@ -142,27 +73,37 @@ func namesEqual(a, b []Name) bool {
 }
 
 // AlphaEqual reports p =α q.
-func AlphaEqual(p, q Proc) bool { return Equal(Canon(p), Canon(q)) }
+func AlphaEqual(p, q Proc) bool { return Key(p) == Key(q) }
 
 // Key returns a compact string that identifies p's alpha-equivalence class;
 // alpha-equivalent terms (and only those) share a Key. It is suitable as a
 // map key for state interning during LTS exploration.
+//
+// The key is an unambiguous prefix encoding of p in which every binder is
+// written as canonMark followed by its index in traversal order, and every
+// bound occurrence as the name written for its binder, so renaming bound
+// names cannot change it.
 func Key(p Proc) string {
-	var b strings.Builder
-	writeKey(Canon(p), &b)
-	return b.String()
+	var w keyWriter
+	w.proc(p)
+	return w.b.String()
 }
 
-// writeKey emits an unambiguous prefix encoding of the term.
-func writeKey(p Proc, b *strings.Builder) {
-	writeNames := func(ns []Name) {
-		for i, n := range ns {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(string(n))
-		}
-	}
+// keyWriter writes a Key in one walk of the term.
+type keyWriter struct {
+	b     strings.Builder
+	scope []binder // the binders in scope, innermost last
+	n     int      // binders written so far
+}
+
+type binder struct {
+	name Name
+	idx  int
+}
+
+func (w *keyWriter) proc(p Proc) {
+	b := &w.b
+	outer := len(w.scope)
 	switch t := p.(type) {
 	case Nil:
 		b.WriteByte('0')
@@ -172,62 +113,104 @@ func writeKey(p Proc, b *strings.Builder) {
 			b.WriteString("t.")
 		case In:
 			b.WriteString("i(")
-			b.WriteString(string(pre.Ch))
+			w.name(pre.Ch, w.scope)
 			b.WriteByte(';')
-			writeNames(pre.Params)
+			w.bind(pre.Params)
 			b.WriteString(").")
 		case Out:
 			b.WriteString("o(")
-			b.WriteString(string(pre.Ch))
+			w.name(pre.Ch, w.scope)
 			b.WriteByte(';')
-			writeNames(pre.Args)
+			w.names(pre.Args, w.scope)
 			b.WriteString(").")
+		default:
+			panic("syntax: unknown prefix")
 		}
-		writeKey(t.Cont, b)
+		w.proc(t.Cont)
 	case Sum:
 		b.WriteString("+(")
-		writeKey(t.L, b)
+		w.proc(t.L)
 		b.WriteByte('|')
-		writeKey(t.R, b)
+		w.proc(t.R)
 		b.WriteByte(')')
 	case Par:
 		b.WriteString("&(")
-		writeKey(t.L, b)
+		w.proc(t.L)
 		b.WriteByte('|')
-		writeKey(t.R, b)
+		w.proc(t.R)
 		b.WriteByte(')')
 	case Res:
 		b.WriteString("n(")
-		b.WriteString(string(t.X))
+		w.bind([]Name{t.X})
 		b.WriteByte(')')
-		writeKey(t.Body, b)
+		w.proc(t.Body)
 	case Match:
 		b.WriteString("m(")
-		b.WriteString(string(t.X))
+		w.name(t.X, w.scope)
 		b.WriteByte('=')
-		b.WriteString(string(t.Y))
-		b.WriteByte(')')
-		b.WriteByte('(')
-		writeKey(t.Then, b)
+		w.name(t.Y, w.scope)
+		b.WriteString(")(")
+		w.proc(t.Then)
 		b.WriteByte('|')
-		writeKey(t.Else, b)
+		w.proc(t.Else)
 		b.WriteByte(')')
 	case Call:
 		b.WriteString("c(")
 		b.WriteString(t.Id)
 		b.WriteByte(';')
-		writeNames(t.Args)
+		w.names(t.Args, w.scope)
 		b.WriteByte(')')
 	case Rec:
 		b.WriteString("r(")
 		b.WriteString(t.Id)
 		b.WriteByte(';')
-		writeNames(t.Params)
+		w.bind(t.Params)
 		b.WriteByte(';')
-		writeNames(t.Args)
+		// The arguments instantiate the parameters from outside their scope.
+		w.names(t.Args, w.scope[:outer])
 		b.WriteByte(')')
-		writeKey(t.Body, b)
+		w.proc(t.Body)
 	default:
 		panic("syntax: unknown process node")
 	}
+	w.scope = w.scope[:outer]
+}
+
+// name writes n as it occurs under scope: as its innermost binder when
+// bound, verbatim when free.
+func (w *keyWriter) name(n Name, scope []binder) {
+	for i := len(scope) - 1; i >= 0; i-- {
+		if scope[i].name == n {
+			w.binderName(scope[i].idx)
+			return
+		}
+	}
+	w.b.WriteString(string(n))
+}
+
+func (w *keyWriter) names(ns []Name, scope []binder) {
+	for i, n := range ns {
+		if i > 0 {
+			w.b.WriteByte(',')
+		}
+		w.name(n, scope)
+	}
+}
+
+// bind writes ns as new binders and brings them into scope.
+func (w *keyWriter) bind(ns []Name) {
+	for i, n := range ns {
+		if i > 0 {
+			w.b.WriteByte(',')
+		}
+		w.n++
+		w.scope = append(w.scope, binder{n, w.n})
+		w.binderName(w.n)
+	}
+}
+
+func (w *keyWriter) binderName(idx int) {
+	var buf [20]byte
+	w.b.WriteByte(canonMark)
+	w.b.Write(strconv.AppendInt(buf[:0], int64(idx), 10))
 }

@@ -1,0 +1,251 @@
+package syntax_test
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"bpi/internal/names"
+	"bpi/internal/parser"
+	"bpi/internal/protocols"
+	brand "bpi/internal/rand"
+	"bpi/internal/semantics"
+	"bpi/internal/stress"
+	"bpi/internal/syntax"
+)
+
+// refKey is the two-pass key that Key replaced: refCanon builds a copy of
+// the term with every binder renamed to "\x01" plus its index in traversal
+// order, and refWriteKey prints that copy. Ledger pair keys, certificate
+// hashes and KeyHash are all derived from these bytes, so Key must produce
+// them exactly.
+func refKey(p syntax.Proc) string {
+	var b strings.Builder
+	k := 0
+	refWriteKey(refCanon(p, nil, &k), &b)
+	return b.String()
+}
+
+func refCanonName(k *int) syntax.Name {
+	*k++
+	return syntax.Name(fmt.Sprintf("\x01%d", *k))
+}
+
+func refCanon(p syntax.Proc, env names.Subst, k *int) syntax.Proc {
+	look := func(n syntax.Name) syntax.Name { return env.Apply(n) }
+	switch t := p.(type) {
+	case syntax.Nil:
+		return t
+	case syntax.Prefix:
+		switch pre := t.Pre.(type) {
+		case syntax.Tau:
+			return syntax.Prefix{Pre: pre, Cont: refCanon(t.Cont, env, k)}
+		case syntax.Out:
+			return syntax.Prefix{Pre: syntax.Out{Ch: look(pre.Ch), Args: env.ApplySlice(pre.Args)}, Cont: refCanon(t.Cont, env, k)}
+		case syntax.In:
+			inner := env.Clone()
+			ps := make([]syntax.Name, len(pre.Params))
+			for i, b := range pre.Params {
+				ps[i] = refCanonName(k)
+				inner[b] = ps[i]
+			}
+			return syntax.Prefix{Pre: syntax.In{Ch: look(pre.Ch), Params: ps}, Cont: refCanon(t.Cont, inner, k)}
+		}
+		panic("unknown prefix")
+	case syntax.Sum:
+		return syntax.Sum{L: refCanon(t.L, env, k), R: refCanon(t.R, env, k)}
+	case syntax.Par:
+		return syntax.Par{L: refCanon(t.L, env, k), R: refCanon(t.R, env, k)}
+	case syntax.Res:
+		inner := env.Clone()
+		x := refCanonName(k)
+		inner[t.X] = x
+		return syntax.Res{X: x, Body: refCanon(t.Body, inner, k)}
+	case syntax.Match:
+		return syntax.Match{X: look(t.X), Y: look(t.Y), Then: refCanon(t.Then, env, k), Else: refCanon(t.Else, env, k)}
+	case syntax.Call:
+		return syntax.Call{Id: t.Id, Args: env.ApplySlice(t.Args)}
+	case syntax.Rec:
+		inner := env.Clone()
+		ps := make([]syntax.Name, len(t.Params))
+		for i, b := range t.Params {
+			ps[i] = refCanonName(k)
+			inner[b] = ps[i]
+		}
+		return syntax.Rec{Id: t.Id, Params: ps, Body: refCanon(t.Body, inner, k), Args: env.ApplySlice(t.Args)}
+	}
+	panic("unknown process node")
+}
+
+func refWriteKey(p syntax.Proc, b *strings.Builder) {
+	writeNames := func(ns []syntax.Name) {
+		for i, n := range ns {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(string(n))
+		}
+	}
+	switch t := p.(type) {
+	case syntax.Nil:
+		b.WriteByte('0')
+	case syntax.Prefix:
+		switch pre := t.Pre.(type) {
+		case syntax.Tau:
+			b.WriteString("t.")
+		case syntax.In:
+			b.WriteString("i(" + string(pre.Ch) + ";")
+			writeNames(pre.Params)
+			b.WriteString(").")
+		case syntax.Out:
+			b.WriteString("o(" + string(pre.Ch) + ";")
+			writeNames(pre.Args)
+			b.WriteString(").")
+		}
+		refWriteKey(t.Cont, b)
+	case syntax.Sum:
+		b.WriteString("+(")
+		refWriteKey(t.L, b)
+		b.WriteByte('|')
+		refWriteKey(t.R, b)
+		b.WriteByte(')')
+	case syntax.Par:
+		b.WriteString("&(")
+		refWriteKey(t.L, b)
+		b.WriteByte('|')
+		refWriteKey(t.R, b)
+		b.WriteByte(')')
+	case syntax.Res:
+		b.WriteString("n(" + string(t.X) + ")")
+		refWriteKey(t.Body, b)
+	case syntax.Match:
+		b.WriteString("m(" + string(t.X) + "=" + string(t.Y) + ")(")
+		refWriteKey(t.Then, b)
+		b.WriteByte('|')
+		refWriteKey(t.Else, b)
+		b.WriteByte(')')
+	case syntax.Call:
+		b.WriteString("c(" + t.Id + ";")
+		writeNames(t.Args)
+		b.WriteByte(')')
+	case syntax.Rec:
+		b.WriteString("r(" + t.Id + ";")
+		writeNames(t.Params)
+		b.WriteByte(';')
+		writeNames(t.Args)
+		b.WriteByte(')')
+		refWriteKey(t.Body, b)
+	}
+}
+
+// keyRefHandwritten are the binder shapes random terms rarely reach:
+// shadowing, repeated parameters, rec parameters against arguments of the
+// same name, and matches on bound and free names.
+func keyRefHandwritten(t *testing.T) []syntax.Proc {
+	srcs := []string{
+		"a?(x).a?(x).x!(x)",
+		"x?(x).x!(x)",
+		"nu x.nu x.x!",
+		"nu x.(x?(x).x! | x!(x))",
+		"a?(x,y).b?(y,x).x!(y)",
+		"(rec A(x).x!.A(x))(x)",
+		"(rec A(x,y).y?(x).A(y,x))(y,x)",
+		"(rec A(x).tau.(rec B(x).x!(x).A(x))(x))(a)",
+		"a?(x).[x=a](x!, [a=b]b!)",
+		"nu y.[x=y](y!, x!)",
+		"a?(x).(x?(y).[x=y]y! | nu x.[x=y]x!)",
+		"A(a, b) + nu a.A(a, b)",
+		"tau.0 + a! | b!(c) + 0",
+	}
+	var out []syntax.Proc
+	for _, src := range srcs {
+		p, err := parser.Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		out = append(out, p)
+	}
+	x := syntax.Name("x")
+	return append(out,
+		syntax.Recv("a", []syntax.Name{x, x}, syntax.SendN(x)),
+		syntax.Rec{Id: "A", Params: []syntax.Name{x, x}, Body: syntax.SendN(x), Args: []syntax.Name{x, "a"}},
+		syntax.Restrict(syntax.SendN("\x011"), "\x011"),
+	)
+}
+
+// explored returns up to limit states reachable from roots by symbolic
+// transitions, with every transition target met on the way.
+func explored(t *testing.T, sys *semantics.System, roots []syntax.Proc, limit int) []syntax.Proc {
+	var out []syntax.Proc
+	seen := map[string]bool{}
+	queue := append([]syntax.Proc(nil), roots...)
+	for len(queue) > 0 && len(seen) < limit {
+		p := queue[0]
+		queue = queue[1:]
+		if k := refKey(p); seen[k] {
+			continue
+		} else {
+			seen[k] = true
+		}
+		out = append(out, p)
+		ts, err := sys.Steps(p)
+		if err != nil {
+			t.Fatalf("Steps(%s): %v", syntax.String(p), err)
+		}
+		for _, tr := range ts {
+			out = append(out, tr.Target)
+			queue = append(queue, tr.Target)
+		}
+	}
+	return out
+}
+
+// TestKeyMatchesReference pins Key's bytes to the two-pass reference over
+// random terms and their mutants, the handwritten binder shapes, the
+// program fixtures, and the states and transition targets of the stress
+// corpus and the protocol catalogue; each term is keyed both as it is and
+// simplified.
+func TestKeyMatchesReference(t *testing.T) {
+	var terms []syntax.Proc
+	g := brand.New(1, brand.Default())
+	for i := 0; i < 10000; i++ {
+		p := g.Term()
+		terms = append(terms, p, g.MutateEquiv(p))
+	}
+	x, y := syntax.Name("x"), syntax.Name("y")
+	env := syntax.Env{}.Define("A", []syntax.Name{x, y}, syntax.Send(x, []syntax.Name{y}, syntax.Call{Id: "A", Args: []syntax.Name{y, x}}))
+	terms = append(terms, explored(t, semantics.NewSystem(env), keyRefHandwritten(t), 100)...)
+	files, err := filepath.Glob("../../testdata/*.bpi")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("program fixtures: %v (%d files)", err, len(files))
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := parser.ParseProgram(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		terms = append(terms, explored(t, semantics.NewSystem(prog.Env), []syntax.Proc{prog.Main}, 100)...)
+	}
+	sys := semantics.NewSystem(nil)
+	for _, c := range stress.Corpus() {
+		terms = append(terms, explored(t, sys, []syntax.Proc{c.P, c.Q}, 200)...)
+	}
+	for _, s := range protocols.Catalogue() {
+		terms = append(terms, explored(t, sys, []syntax.Proc{s.Impl, s.Spec}, 50)...)
+	}
+	for _, p := range terms[:len(terms)] {
+		terms = append(terms, syntax.Simplify(p))
+	}
+	for _, p := range terms {
+		if got, want := syntax.Key(p), refKey(p); got != want {
+			t.Fatalf("Key(%s)\n got  %q\n want %q", syntax.String(p), got, want)
+		}
+	}
+	t.Logf("%d terms keyed", len(terms))
+}

@@ -64,13 +64,13 @@ func writeProc(p Proc, b *strings.Builder, ctx int) {
 	case Res:
 		open(b, ctx, precUnary)
 		b.WriteString("nu ")
-		b.WriteString(nameStr(t.X))
+		b.WriteString(string(t.X))
 		b.WriteByte('.')
 		writeProc(t.Body, b, precUnary)
 		clos(b, ctx, precUnary)
 	case Match:
 		open(b, ctx, precUnary)
-		fmt.Fprintf(b, "[%s=%s]", nameStr(t.X), nameStr(t.Y))
+		fmt.Fprintf(b, "[%s=%s]", t.X, t.Y)
 		if _, elseNil := t.Else.(Nil); elseNil {
 			writeProc(t.Then, b, precUnary)
 		} else {
@@ -140,13 +140,13 @@ func writePre(pre Pre, b *strings.Builder) {
 	case Tau:
 		b.WriteString("tau")
 	case In:
-		b.WriteString(nameStr(t.Ch))
+		b.WriteString(string(t.Ch))
 		b.WriteByte('?')
 		b.WriteByte('(')
 		writeNameList(t.Params, b)
 		b.WriteByte(')')
 	case Out:
-		b.WriteString(nameStr(t.Ch))
+		b.WriteString(string(t.Ch))
 		b.WriteByte('!')
 		if len(t.Args) > 0 {
 			b.WriteByte('(')
@@ -163,14 +163,6 @@ func writeNameList(ns []Name, b *strings.Builder) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(nameStr(n))
+		b.WriteString(string(n))
 	}
-}
-
-// nameStr renders a name, making canonical binders readable.
-func nameStr(n Name) string {
-	if IsCanonName(n) {
-		return "_" + string(n[1:])
-	}
-	return string(n)
 }

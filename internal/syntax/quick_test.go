@@ -72,20 +72,6 @@ func TestQuickSubstComposition(t *testing.T) {
 	}
 }
 
-// Property: Canon is idempotent and Key is stable under alpha-renaming of a
-// fresh binder introduced around the term.
-func TestQuickCanonIdempotent(t *testing.T) {
-	f := func(ts int64) bool {
-		p := termFromSeed(ts)
-		c1 := Canon(p)
-		c2 := Canon(c1)
-		return Equal(c1, c2) && Key(p) == Key(c1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: identity substitution is the identity.
 func TestQuickIdentitySubst(t *testing.T) {
 	f := func(ts int64) bool {

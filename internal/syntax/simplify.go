@@ -1,7 +1,9 @@
 package syntax
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"bpi/internal/names"
 )
@@ -59,23 +61,15 @@ func simplify(p Proc, inst names.Set) Proc {
 		for _, q := range collectSum(p) {
 			parts = append(parts, collectSum(simplify(q, inst))...)
 		}
-		parts = dedupeDropNil(parts)
-		sortByKey(parts)
-		return Choice(parts...)
+		return Choice(sortByKey(parts, true)...)
 	case Par:
 		// Same re-flattening as Sum: a component collapsing to a composition
 		// must not leave a nested Par that re-associates on the next pass.
-		var out []Proc
+		var parts []Proc
 		for _, q := range collectPar(p) {
-			for _, r := range collectPar(simplify(q, inst)) {
-				if _, isNil := r.(Nil); isNil {
-					continue
-				}
-				out = append(out, r)
-			}
+			parts = append(parts, collectPar(simplify(q, inst))...)
 		}
-		sortByKey(out)
-		return Group(out...)
+		return Group(sortByKey(parts, false)...)
 	case Res:
 		body := simplify(t.Body, inst)
 		if !FreeNames(body).Contains(t.X) {
@@ -111,26 +105,29 @@ func collectPar(p Proc) []Proc {
 	return []Proc{p}
 }
 
-// dedupeDropNil removes nil summands and duplicate (alpha-equal) summands.
-func dedupeDropNil(ps []Proc) []Proc {
-	seen := map[string]bool{}
+// sortByKey drops the nil terms of ps and sorts the rest stably by Key,
+// computing each key once; with dedupe it keeps only the first of each run
+// of alpha-equal terms. It reuses ps's backing array.
+func sortByKey(ps []Proc, dedupe bool) []Proc {
+	type keyed struct {
+		key string
+		p   Proc
+	}
+	ks := make([]keyed, 0, len(ps))
+	for _, p := range ps {
+		if _, isNil := p.(Nil); !isNil {
+			ks = append(ks, keyed{Key(p), p})
+		}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
 	out := ps[:0]
-	for _, q := range ps {
-		if _, isNil := q.(Nil); isNil {
+	for i, k := range ks {
+		if dedupe && i > 0 && k.key == ks[i-1].key {
 			continue
 		}
-		k := Key(q)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, q)
+		out = append(out, k.p)
 	}
 	return out
-}
-
-func sortByKey(ps []Proc) {
-	sort.SliceStable(ps, func(i, j int) bool { return Key(ps[i]) < Key(ps[j]) })
 }
 
 // sortRes canonically orders a maximal block νx1 … νxn so that commuting
