@@ -149,7 +149,7 @@ func main() {
 	}
 	if led != nil {
 		// After the service drain: the write-behind appender has flushed, so
-		// closing seals the tail batch and snapshots the index.
+		// closing seals the tail batch of the records this process appended.
 		if err := led.Close(); err != nil {
 			log.Printf("bpid: ledger close: %v", err)
 			os.Exit(1)

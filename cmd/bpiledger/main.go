@@ -24,8 +24,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -34,139 +36,169 @@ import (
 	"bpi/internal/syntax"
 )
 
-func main() {
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command: it returns 0 on success, 1 when verification
+// fails or the ledger, a key or an input cannot be read, and 2 on a usage
+// error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	usage := func() { fmt.Fprint(stderr, usageText) }
+	if len(args) < 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	cmd := flag.Arg(0)
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	cmd := args[0]
+	switch cmd {
+	case "stats", "verify", "proof", "export", "import":
+	default:
+		usage()
+		return 2
+	}
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = usage
 	file := fs.String("f", "", "program file with definitions (for ledgers over defined constants)")
 	key := fs.String("key", "", "hex key hash of the record (proof)")
 	out := fs.String("o", "", "output file (export; default stdout)")
 	in := fs.String("i", "", "input file (import; default stdin)")
 	quiet := fs.Bool("quiet", false, "suppress progress and per-line rejection detail (import)")
-	fs.Usage = usage
-	_ = fs.Parse(flag.Args()[1:])
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if fs.NArg() != 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	dir := fs.Arg(0)
 
 	var env syntax.Env
 	if *file != "" {
 		src, err := os.ReadFile(*file)
-		fail(err)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		prog, err := parser.ParseProgram(string(src))
-		fail(err)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		env = prog.Env
 	}
 	// Timed sealing off: the CLI only seals explicitly (import → Close).
 	cfg := ledger.Config{Env: env, MaxWait: -1}
-
+	if cmd == "import" {
+		return runImport(dir, cfg, *in, *quiet, stdin, stderr)
+	}
+	if cmd == "proof" && *key == "" {
+		return fail(stderr, errors.New("proof needs -key HASH (the ledger_key bpid reports)"))
+	}
+	// Inspection: every record is re-verified at Open, and Close appends
+	// nothing, so the log is left as it was beyond the torn-tail repair.
+	l, err := ledger.Open(dir, cfg)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	defer l.Close()
 	switch cmd {
 	case "stats":
-		runStats(dir, cfg)
+		printStats(l, stdout)
+		return 0
 	case "verify":
-		runVerify(dir, cfg)
+		return runVerify(l, stdout, stderr)
 	case "proof":
-		runProof(dir, cfg, *key)
-	case "export":
-		runExport(dir, cfg, *out)
-	case "import":
-		runImport(dir, cfg, *in, *quiet)
-	default:
-		usage()
-		os.Exit(2)
+		err = runProof(l, *key, stdout, stderr)
+	default: // "export"
+		err = runExport(l, *out, stdout, stderr)
 	}
+	if err != nil {
+		return fail(stderr, err)
+	}
+	return 0
 }
 
-// open opens the ledger read-style (every record re-verified) and always
-// closes it without appending, so inspection never mutates the log beyond
-// the torn-tail truncation repair.
-func open(dir string, cfg ledger.Config) *ledger.Ledger {
-	l, err := ledger.Open(dir, cfg)
-	fail(err)
-	return l
-}
-
-func runStats(dir string, cfg ledger.Config) {
-	l := open(dir, cfg)
-	defer l.Close()
+func printStats(l *ledger.Ledger, stdout io.Writer) {
 	st := l.Stats()
-	fmt.Printf("records   %d trusted, %d rejected, %d awaiting seal\n", st.Records, st.Rejected, st.Pending)
-	fmt.Printf("batches   %d sealed\n", st.Batches)
-	fmt.Printf("chain     %s", st.ChainHead)
+	fmt.Fprintf(stdout, "records   %d trusted, %d rejected, %d awaiting seal\n", st.Records, st.Rejected, st.Pending)
+	fmt.Fprintf(stdout, "batches   %d sealed\n", st.Batches)
+	fmt.Fprintf(stdout, "chain     %s", st.ChainHead)
 	if st.ChainBroken {
-		fmt.Printf("  (BROKEN)")
+		fmt.Fprintf(stdout, "  (BROKEN)")
 	}
-	fmt.Println()
-	fmt.Printf("storage   %d bytes in %d segment(s)\n", st.Bytes, st.Segments)
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "storage   %d bytes in %d segment(s)\n", st.Bytes, st.Segments)
 	for _, n := range st.Notes {
-		fmt.Printf("note      %s\n", n)
+		fmt.Fprintf(stdout, "note      %s\n", n)
 	}
 }
 
-// runVerify is the full-scan audit: Open already replays every trust layer;
-// here the outcome decides the exit status and every quarantined record is
-// itemised.
-func runVerify(dir string, cfg ledger.Config) {
+// runVerify is the full-scan audit: Open already replayed every trust
+// layer; here the outcome decides the exit status and every quarantined
+// record is itemised.
+func runVerify(l *ledger.Ledger, stdout, stderr io.Writer) int {
 	start := time.Now()
-	l := open(dir, cfg)
-	defer l.Close()
 	st := l.Stats()
 	for _, note := range st.Notes {
-		fmt.Fprintf(os.Stderr, "bpiledger: note: %s\n", note)
+		fmt.Fprintf(stderr, "bpiledger: note: %s\n", note)
 	}
 	for _, rej := range l.Rejections() {
-		fmt.Fprintf(os.Stderr, "bpiledger: REJECTED %s\n", rej)
+		fmt.Fprintf(stderr, "bpiledger: REJECTED %s\n", rej)
 	}
-	fmt.Printf("%d records verified, %d rejected, %d batches, chain %.12s… (%s)\n",
+	fmt.Fprintf(stdout, "%d records verified, %d rejected, %d batches, chain %.12s… (%s)\n",
 		st.Records, st.Rejected, st.Batches, st.ChainHead, time.Since(start).Round(time.Millisecond))
 	if st.Rejected > 0 || st.ChainBroken {
 		if st.ChainBroken {
-			fmt.Fprintln(os.Stderr, "bpiledger: seal hash chain is BROKEN")
+			fmt.Fprintln(stderr, "bpiledger: seal hash chain is BROKEN")
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func runProof(dir string, cfg ledger.Config, key string) {
-	if key == "" {
-		fail(fmt.Errorf("proof needs -key HASH (the ledger_key bpid reports)"))
-	}
-	l := open(dir, cfg)
-	defer l.Close()
+func runProof(l *ledger.Ledger, key string, stdout, stderr io.Writer) error {
 	p, err := l.Proof(key)
-	fail(err)
+	if err != nil {
+		return err
+	}
 	// Independent re-check before printing: a proof this command emits has
 	// been folded back to its sealed root.
-	fail(ledger.VerifyProof(p))
-	enc := json.NewEncoder(os.Stdout)
+	if err := ledger.VerifyProof(p); err != nil {
+		return err
+	}
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	fail(enc.Encode(p))
-	fmt.Fprintf(os.Stderr, "bpiledger: proof verified: leaf %d of %d, batch %d, root %.12s…\n",
+	if err := enc.Encode(p); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "bpiledger: proof verified: leaf %d of %d, batch %d, root %.12s…\n",
 		p.Leaf, p.Count, p.Batch, p.Root)
+	return nil
 }
 
-func runExport(dir string, cfg ledger.Config, out string) {
-	l := open(dir, cfg)
-	defer l.Close()
-	w := os.Stdout
+func runExport(l *ledger.Ledger, out string, stdout, stderr io.Writer) error {
+	w, closeOut := stdout, func() error { return nil }
 	if out != "" {
 		f, err := os.Create(out)
-		fail(err)
-		defer f.Close()
-		w = f
+		if err != nil {
+			return err
+		}
+		defer f.Close() // for the error paths; success checks closeOut
+		w, closeOut = f, f.Close
 	}
 	bw := bufio.NewWriter(w)
 	n, err := l.Export(bw)
-	fail(err)
-	fail(bw.Flush())
-	fmt.Fprintf(os.Stderr, "bpiledger: exported %d records\n", n)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = closeOut()
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "bpiledger: exported %d records\n", n)
+	return nil
 }
 
 // runImport appends records from a JSONL export into dir via
@@ -175,39 +207,54 @@ func runExport(dir string, cfg ledger.Config, out string) {
 // sequence numbers are reassigned by the destination ledger. By default a
 // progress line keeps long imports honest on stderr; -quiet leaves only
 // the exit status.
-func runImport(dir string, cfg ledger.Config, in string, quiet bool) {
-	r := os.Stdin
+func runImport(dir string, cfg ledger.Config, in string, quiet bool, stdin io.Reader, stderr io.Writer) int {
+	r := stdin
 	if in != "" {
 		f, err := os.Open(in)
-		fail(err)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		defer f.Close()
 		r = f
 	}
-	l := open(dir, cfg)
+	l, err := ledger.Open(dir, cfg)
+	if err != nil {
+		return fail(stderr, err)
+	}
 	opts := ledger.ImportOptions{}
 	if !quiet {
 		opts.ProgressEvery = 1000
 		opts.Progress = func(st ledger.ImportStats) {
-			fmt.Fprintf(os.Stderr, "bpiledger: … %d lines: %d imported, %d rejected\n",
+			fmt.Fprintf(stderr, "bpiledger: … %d lines: %d imported, %d rejected\n",
 				st.Lines, st.Imported, st.Rejected)
 		}
 		opts.Reject = func(line int, err error) {
-			fmt.Fprintf(os.Stderr, "bpiledger: line %d REJECTED: %v\n", line, err)
+			fmt.Fprintf(stderr, "bpiledger: line %d REJECTED: %v\n", line, err)
 		}
 	}
 	st, err := l.Import(r, opts)
-	fail(err)
-	fail(l.Close()) // seals the imported tail batch
+	if cerr := l.Close(); err == nil { // seals the imported tail batch
+		err = cerr
+	}
+	if err != nil {
+		return fail(stderr, err)
+	}
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "bpiledger: imported %d records, rejected %d\n", st.Imported, st.Rejected)
+		fmt.Fprintf(stderr, "bpiledger: imported %d records, rejected %d\n", st.Imported, st.Rejected)
 	}
 	if st.Rejected > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `bpiledger — offline audit of the bpid verdict ledger
+// fail reports err and returns the exit status of a failed command.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "bpiledger:", err)
+	return 1
+}
+
+const usageText = `bpiledger — offline audit of the bpid verdict ledger
 
   bpiledger stats  [-f defs.bpi] <dir>                 summary + recovery notes
   bpiledger verify [-f defs.bpi] <dir>                 full-scan replay; exit 1 on any rejection
@@ -223,12 +270,4 @@ against the independent verifier. Exits 1 on verification failures,
 
   -f file  program file with definitions, for ledgers whose terms mention
            defined constants
-`)
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bpiledger:", err)
-		os.Exit(1)
-	}
-}
+`

@@ -134,32 +134,11 @@ func (c *Checker) reactions(ti *termInfo, ch names.Name, payload []names.Name) (
 	return c.store.reactions(ti, ch, payload)
 }
 
+func (c *Checker) eachOutput(ti *termInfo, avoid names.Set, fn func(outTarget) error) error {
+	return c.store.eachOutput(ti, avoid, fn)
+}
+
 // Derived observations -------------------------------------------------------
-
-// strongBarbs returns the subjects of ti's output transitions (p ↓a).
-func strongBarbs(ti *termInfo) names.Set {
-	out := make(names.Set)
-	for _, t := range ti.trans {
-		if t.Act.IsOutput() {
-			out = out.Add(t.Act.Subj)
-		}
-	}
-	return out
-}
-
-// weakBarb reports p ⇓a: some τ*-derivative has a strong barb on a.
-func (c *Checker) weakBarb(ti *termInfo, a names.Name) (bool, error) {
-	cl, err := c.tauClosure(ti)
-	if err != nil {
-		return false, err
-	}
-	for _, s := range cl {
-		if strongBarbs(s).Contains(a) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
 
 // outputsCanon returns the output transitions of ti with extruded names
 // renamed to the deterministic canonical sequence chosen against avoid.

@@ -1,11 +1,12 @@
 package equiv
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"bpi/internal/cert"
-	"bpi/internal/names"
+	"bpi/internal/parser"
 	"bpi/internal/semantics"
 	"bpi/internal/syntax"
 )
@@ -288,35 +289,94 @@ func clone(t *testing.T, c *cert.Certificate) *cert.Certificate {
 }
 
 // TestReasonNamesActionAndTerms pins the Result.Reason contract: the failing
-// action and both canonical terms are named, on fresh and cached paths alike.
+// action (or the unmatched barb, with the side that lacks it) and both
+// canonical terms are named, byte for byte, on fresh and cached paths alike.
+// The barb rows cover all four static checks with the barb on either side,
+// and barb sets of two names.
 func TestReasonNamesActionAndTerms(t *testing.T) {
-	ch := NewChecker(nil)
-	p := syntax.TauP(syntax.SendN(a, b))
-	q := syntax.TauP(syntax.SendN(a, c))
-	want := "strong labelled: tau move of left to a!(b) unmatched (comparing tau.a!(b) with tau.a!(c))"
-	for _, pass := range []string{"fresh", "cached"} {
-		r, err := ch.Labelled(p, q, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Related {
-			t.Fatal("τ.āb ~ τ.āc should fail")
-		}
-		if r.Reason != want {
-			t.Errorf("%s Reason = %q, want %q", pass, r.Reason, want)
-		}
+	labelled := func(ch *Checker, p, q syntax.Proc, weak bool) (Result, error) { return ch.Labelled(p, q, weak) }
+	barbed := func(ch *Checker, p, q syntax.Proc, weak bool) (Result, error) { return ch.Barbed(p, q, weak) }
+	step := func(ch *Checker, p, q syntax.Proc, weak bool) (Result, error) { return ch.Step(p, q, weak) }
+	cases := []struct {
+		name string
+		rel  func(ch *Checker, p, q syntax.Proc, weak bool) (Result, error)
+		weak bool
+		p, q string
+		want string
+	}{
+		{"labelled tau", labelled, false, "tau.a!(b)", "tau.a!(c)",
+			"strong labelled: tau move of left to a!(b) unmatched (comparing tau.a!(b) with tau.a!(c))"},
+		{"strong barbed, barb on left", barbed, false, "a!(b)", "c!(b)",
+			"strong barbed: strong barbs differ on a: {a} vs {c} (comparing a!(b) with c!(b))"},
+		{"strong barbed, barb on right", barbed, false, "a! | b!", "a! | b! | c!",
+			"strong barbed: strong barbs differ on c: {a, b} vs {a, b, c} (comparing a! | b! with a! | b! | c!)"},
+		{"strong step, barb on left", step, false, "a! | b!", "a!",
+			"strong step: step barbs differ on b: {a, b} vs {a} (comparing a! | b! with a!)"},
+		{"strong step, barb on right", step, false, "c!", "b! + c!",
+			"strong step: step barbs differ on b: {c} vs {b, c} (comparing c! with b! + c!)"},
+		{"weak barbed, barb on left", barbed, true, "a! | b!", "tau.a!",
+			"weak barbed: right side lacks weak barb on b (comparing a! | b! with tau.a!)"},
+		{"weak barbed, barb on right", barbed, true, "tau.a!", "a! | c!",
+			"weak barbed: left side lacks weak barb on c (comparing tau.a! with a! | c!)"},
+		{"weak step, barb on left", step, true, "a! | b!", "a!",
+			"weak step: right side lacks weak step barb on b (comparing a! | b! with a!)"},
+		{"weak step, barb on right", step, true, "c!", "b! | c!",
+			"weak step: left side lacks weak step barb on b (comparing c! with b! | c!)"},
 	}
-	// A barb failure names the barb channel and side.
-	rb, err := ch.Barbed(syntax.SendN(a, b), syntax.SendN(c, b), false)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := parser.Parse(tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := parser.Parse(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch := NewChecker(nil)
+			for _, pass := range []string{"fresh", "cached"} {
+				r, err := tc.rel(ch, p, q, tc.weak)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Related {
+					t.Fatalf("%s: %s and %s should be distinguished", pass, tc.p, tc.q)
+				}
+				if r.Reason != tc.want {
+					t.Errorf("%s Reason = %q, want %q", pass, r.Reason, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestWeakAnswerSpelling pins the order in which a weak output answer's
+// terms are first interned. The store prints a term in the spelling it was
+// first interned with, and certificates name terms that way. Answering
+// a!.(d! + tau.nu x.b!(x)) + a!.nu y.b!(y) weakly closes the first target
+// under τ, reaching nu x.b!(x), before the second target is interned, so
+// the class of nu y.b!(y) is printed nu x.b!(x).
+func TestWeakAnswerSpelling(t *testing.T) {
+	p, err := parser.Parse("a!.c!")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rb.Related {
-		t.Fatal("āb ~b c̄b should fail")
+	q, err := parser.Parse("a!.(d! + tau.nu x.b!(x)) + a!.nu y.b!(y)")
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantBarb := "strong barbed: strong barbs differ on a: {a} vs {c} (comparing a!(b) with c!(b))"
-	if rb.Reason != wantBarb {
-		t.Errorf("barb Reason = %q, want %q", rb.Reason, wantBarb)
+	r, err := newCertC().Labelled(p, q, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = names.Name("")
+	if r.Related || r.Cert == nil {
+		t.Fatalf("want a certified negative verdict, got Related=%v Cert=%v", r.Related, r.Cert != nil)
+	}
+	var got []string
+	for _, rp := range r.Cert.Nodes[0].Replies {
+		got = append(got, r.Cert.Nodes[rp.Next].Q)
+	}
+	if want := []string{"d! + tau.nu x.b!(x)", "nu x.b!(x)"}; !slices.Equal(got, want) {
+		t.Errorf("the strategy answers a!.c! with %q, want %q", got, want)
+	}
 }

@@ -1,6 +1,8 @@
 package equiv
 
 import (
+	"slices"
+
 	"bpi/internal/cert"
 	"bpi/internal/names"
 )
@@ -11,17 +13,18 @@ import (
 // distinguishing strategy when it is not. Emission only reads engine state
 // left by explore+fixpoint; the verifier re-derives everything else.
 
-// barbWitness picks the deterministic witness of a strong-barb mismatch: the
-// least (sorted) name present on exactly one side, tagged with the side that
-// owns it.
-func barbWitness(pb, qb names.Set) (string, names.Name) {
-	for _, a := range pb.Sorted() {
-		if !qb.Contains(a) {
+// barbWitness picks the deterministic witness of a strong-barb mismatch
+// between two sorted barb lists: the least name of the left side missing on
+// the right, else the least name of the right side missing on the left,
+// tagged with the side that owns it.
+func barbWitness(pb, qb []names.Name) (string, names.Name) {
+	for _, a := range pb {
+		if !slices.Contains(qb, a) {
 			return "left", a
 		}
 	}
-	for _, a := range qb.Sorted() {
-		if !pb.Contains(a) {
+	for _, a := range qb {
+		if !slices.Contains(pb, a) {
 			return "right", a
 		}
 	}

@@ -3,6 +3,7 @@ package equiv
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"bpi/internal/cert"
 	"bpi/internal/names"
@@ -99,9 +100,8 @@ type pairNode struct {
 	obs  []obligation
 	bad  bool
 	// staticBad records that the pair failed a build-time check (barbs)
-	// rather than the fixpoint, so its reason is already deterministic.
+	// rather than the fixpoint; barbReason renders it on demand.
 	staticBad bool
-	reason    string
 	// failSide/failBarb identify the static barb failure structurally (the
 	// side owning the unmatched barb, and its channel).
 	failSide string
@@ -113,28 +113,30 @@ type pairNode struct {
 // and key-sorted closures, never from interning order.
 type built struct {
 	bad      bool
-	reason   string
 	failSide string
 	failBarb names.Name
 	obs      []obSpec
-	err      error
 }
 
+// obSpec is one obligation before merge: the challenge, and the defender's
+// answers. Its candidate pairs are (mover, answer) when the left side moved
+// and (answer, mover) when the right side did.
 type obSpec struct {
-	mv    obMove
-	cands [][2]*termInfo
+	mv      obMove
+	answers []*termInfo
 }
 
-func (b *built) add(mv obMove, cands [][2]*termInfo) {
-	b.obs = append(b.obs, obSpec{mv: mv, cands: cands})
+// add records an obligation; answers may be a shared memo slice, since merge
+// only reads it.
+func (b *built) add(mv obMove, answers []*termInfo) {
+	b.obs = append(b.obs, obSpec{mv: mv, answers: answers})
 }
 
 // failBarbOn records a static barb failure: side owns a barb on a that the
 // other side cannot (weakly) answer.
-func (b *built) failBarbOn(side string, a names.Name, format string, args ...any) {
+func (b *built) failBarbOn(side string, a names.Name) {
 	b.bad = true
 	b.failSide, b.failBarb = side, a
-	b.reason = fmt.Sprintf(format, args...)
 }
 
 type engine struct {
@@ -176,11 +178,7 @@ func (c *Checker) run(ctx context.Context, pi, qi *termInfo, sp spec) (Result, e
 	rn := e.nodes[root]
 	res := Result{Related: !rn.bad, Pairs: len(e.nodes)}
 	if rn.bad {
-		reason := rn.reason
-		if !rn.staticBad {
-			reason = e.failReason(rn)
-		}
-		res.Reason = fmt.Sprintf("%s: %s (comparing %s with %s)", sp, reason,
+		res.Reason = fmt.Sprintf("%s: %s (comparing %s with %s)", sp, e.failReason(rn),
 			stringOf(rn.p), stringOf(rn.q))
 	}
 	if c.Certify {
@@ -200,16 +198,17 @@ func (e *engine) explore(run *obs.Span) error {
 	defer span.End()
 	ex := span.Child("equiv.expand")
 	defer ex.End()
+	var b built
 	for i := 0; i < len(e.nodes); i++ {
 		if err := e.ctx.Err(); err != nil {
 			return ErrCanceled{err}
 		}
 		n := e.nodes[i]
-		b := e.buildPair(n.p, n.q)
-		if b.err != nil {
-			return b.err
+		b = built{obs: b.obs[:0]}
+		if err := e.buildPair(n.p, n.q, &b); err != nil {
+			return err
 		}
-		if err := e.merge(n, b); err != nil {
+		if err := e.merge(n, &b); err != nil {
 			return err
 		}
 	}
@@ -217,40 +216,42 @@ func (e *engine) explore(run *obs.Span) error {
 }
 
 // buildPair computes the static checks and matching obligations of one pair.
-func (e *engine) buildPair(p, q *termInfo) *built {
-	b := &built{}
-	var err error
+func (e *engine) buildPair(p, q *termInfo, b *built) error {
 	switch e.sp.kind {
 	case relBarbed:
-		err = e.buildBarbed(p, q, b)
+		return e.buildBarbed(p, q, b)
 	case relStep:
-		err = e.buildStep(p, q, b)
+		return e.buildStep(p, q, b)
 	default:
-		err = e.buildLabelled(p, q, b)
+		return e.buildLabelled(p, q, b)
 	}
-	b.err = err
-	return b
 }
 
-// merge installs one built pair: statically bad pairs keep their reason,
-// obligation candidates are interned to node indices (appending fresh pairs
-// to the node list, where the expand loop will reach them in order).
+// merge installs one built pair: statically bad pairs keep their barb
+// failure, obligation candidates are interned to node indices (appending
+// fresh pairs to the node list, where the expand loop will reach them in
+// order).
 func (e *engine) merge(n *pairNode, b *built) error {
 	if b.bad {
-		n.bad, n.staticBad, n.reason = true, true, b.reason
+		n.bad, n.staticBad = true, true
 		n.failSide, n.failBarb = b.failSide, b.failBarb
 		return nil
 	}
-	for _, ob := range b.obs {
-		o := obligation{mv: ob.mv, candidates: make([]int, 0, len(ob.cands))}
-		for _, cd := range ob.cands {
-			ci, err := e.node(cd[0], cd[1])
+	n.obs = make([]obligation, len(b.obs))
+	for i, ob := range b.obs {
+		o := obligation{mv: ob.mv, candidates: make([]int, len(ob.answers))}
+		for j, ans := range ob.answers {
+			p, q := ob.mv.mover, ans
+			if ob.mv.side == "right" {
+				p, q = ans, ob.mv.mover
+			}
+			ci, err := e.node(p, q)
 			if err != nil {
 				return err
 			}
-			o.candidates = append(o.candidates, ci)
+			o.candidates[j] = ci
 		}
-		n.obs = append(n.obs, o)
+		n.obs[i] = o
 	}
 	return nil
 }
@@ -319,11 +320,15 @@ func (e *engine) fixpoint() {
 	}
 }
 
-// failReason picks the deterministic explanation for a fixpoint-discarded
-// pair: the first obligation (in construction order) with no surviving
-// candidate. Worklist processing order marked the pair bad via *some*
-// obligation; rescanning keeps Reason independent of scheduling.
+// failReason picks the deterministic explanation for a dead pair: its barb
+// failure, or for a fixpoint-discarded pair the first obligation (in
+// construction order) with no surviving candidate. Worklist processing order
+// marked the pair bad via *some* obligation; rescanning keeps Reason
+// independent of scheduling.
 func (e *engine) failReason(n *pairNode) string {
+	if n.staticBad {
+		return e.barbReason(n)
+	}
 	for _, ob := range n.obs {
 		ok := false
 		for _, ci := range ob.candidates {
@@ -336,43 +341,85 @@ func (e *engine) failReason(n *pairNode) string {
 			return ob.mv.describe()
 		}
 	}
-	return n.reason
+	return "" // unreachable: a pair the fixpoint killed has a dead obligation
 }
 
-// ---- barbed bisimulation (Definition 3) -----------------------------------
-
-func (e *engine) buildBarbed(p, q *termInfo, b *built) error {
-	// Barb conditions.
-	pb, qb := strongBarbs(p), strongBarbs(q)
+// barbReason renders a static barb failure. The build path records only the
+// side and the barb, as the certificate does; only the root's Reason is ever
+// read, so the sets and the sentence are formatted here, once per query.
+func (e *engine) barbReason(n *pairNode) string {
 	if !e.sp.weak {
-		if !pb.Equal(qb) {
-			side, a := barbWitness(pb, qb)
-			b.failBarbOn(side, a, "strong barbs differ on %s: %v vs %v", a, pb, qb)
-			return nil
+		what := "strong barbs"
+		if e.sp.kind == relStep {
+			what = "step barbs"
 		}
-	} else {
-		for _, a := range pb.Sorted() {
-			ok, err := e.c.weakBarb(q, a)
+		return fmt.Sprintf("%s differ on %s: %v vs %v", what, n.failBarb,
+			names.NewSet(n.p.barbs...), names.NewSet(n.q.barbs...))
+	}
+	what := "weak barb"
+	if e.sp.kind == relStep {
+		what = "weak step barb"
+	}
+	lacking := "right"
+	if n.failSide == "right" {
+		lacking = "left"
+	}
+	return fmt.Sprintf("%s side lacks %s on %s", lacking, what, n.failBarb)
+}
+
+// barbsDiffer applies the static barb check of Definitions 3 and 5 and
+// records a mismatch in b: strongly, both sides barb on the same channels;
+// weakly, every barb of one side is a weak barb of the other.
+func (e *engine) barbsDiffer(p, q *termInfo, b *built) (bool, error) {
+	if !e.sp.weak {
+		if slices.Equal(p.barbs, q.barbs) {
+			return false, nil
+		}
+		b.failBarbOn(barbWitness(p.barbs, q.barbs))
+		return true, nil
+	}
+	lacks := func(owner, other *termInfo, side string) (bool, error) {
+		for _, a := range owner.barbs {
+			ok, err := e.weakBarb(other, a)
 			if err != nil {
-				return err
+				return false, err
 			}
 			if !ok {
-				b.failBarbOn("left", a, "right side lacks weak barb on %s", a)
-				return nil
+				b.failBarbOn(side, a)
+				return true, nil
 			}
 		}
-		for _, a := range qb.Sorted() {
-			ok, err := e.c.weakBarb(p, a)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				b.failBarbOn("right", a, "left side lacks weak barb on %s", a)
-				return nil
-			}
+		return false, nil
+	}
+	if bad, err := lacks(p, q, "left"); bad || err != nil {
+		return bad, err
+	}
+	return lacks(q, p, "right")
+}
+
+// weakBarb reports ti ⇓a: some τ*-derivative of ti, or for step
+// bisimilarity some (τ ∪ output)*-derivative, has a strong barb on a.
+func (e *engine) weakBarb(ti *termInfo, a names.Name) (bool, error) {
+	closure := e.c.tauClosure
+	if e.sp.kind == relStep {
+		closure = e.c.autonomousClosure
+	}
+	cl, err := closure(ti)
+	if err != nil {
+		return false, err
+	}
+	for _, s := range cl {
+		if slices.Contains(s.barbs, a) {
+			return true, nil
 		}
 	}
-	// τ moves.
+	return false, nil
+}
+
+// tauObligations adds the τ clause shared by barbed and labelled
+// bisimilarity: every τ move of one side is answered by a τ move of the
+// other, or in the weak case by any state of its τ* closure.
+func (e *engine) tauObligations(p, q *termInfo, b *built) error {
 	pt, err := e.c.tauSucc(p)
 	if err != nil {
 		return err
@@ -381,75 +428,41 @@ func (e *engine) buildBarbed(p, q *termInfo, b *built) error {
 	if err != nil {
 		return err
 	}
-	qMatch, err := e.weakOrStrongTauTargets(q, qt)
-	if err != nil {
-		return err
-	}
-	pMatch, err := e.weakOrStrongTauTargets(p, pt)
-	if err != nil {
-		return err
+	qMatch, pMatch := qt, pt
+	if e.sp.weak {
+		if qMatch, err = e.c.tauClosure(q); err != nil {
+			return err
+		}
+		if pMatch, err = e.c.tauClosure(p); err != nil {
+			return err
+		}
 	}
 	for _, ps := range pt {
-		var cands [][2]*termInfo
-		for _, qs := range qMatch {
-			cands = append(cands, [2]*termInfo{ps, qs})
-		}
-		b.add(obMove{side: "left", kind: "tau", mover: ps}, cands)
+		b.add(obMove{side: "left", kind: "tau", mover: ps}, qMatch)
 	}
 	for _, qs := range qt {
-		var cands [][2]*termInfo
-		for _, ps := range pMatch {
-			cands = append(cands, [2]*termInfo{ps, qs})
-		}
-		b.add(obMove{side: "right", kind: "tau", mover: qs}, cands)
+		b.add(obMove{side: "right", kind: "tau", mover: qs}, pMatch)
 	}
 	return nil
 }
 
-// weakOrStrongTauTargets returns the states that may answer a τ move: the
-// strong τ successors, or the full τ* closure (including staying put) in the
-// weak case.
-func (e *engine) weakOrStrongTauTargets(ti *termInfo, strong []*termInfo) ([]*termInfo, error) {
-	if !e.sp.weak {
-		return strong, nil
+// ---- barbed bisimulation (Definition 3) -----------------------------------
+
+func (e *engine) buildBarbed(p, q *termInfo, b *built) error {
+	if bad, err := e.barbsDiffer(p, q, b); bad || err != nil {
+		return err
 	}
-	return e.c.tauClosure(ti)
+	return e.tauObligations(p, q, b)
 }
 
 // ---- step bisimulation (Definition 5) --------------------------------------
 
+// buildStep checks the ↓φ barbs (subjects of output transitions), then
+// matches autonomous moves label-blind.
 func (e *engine) buildStep(p, q *termInfo, b *built) error {
-	// ↓φ barbs: subjects of output transitions.
-	pb, qb := strongBarbs(p), strongBarbs(q)
-	if !e.sp.weak {
-		if !pb.Equal(qb) {
-			side, a := barbWitness(pb, qb)
-			b.failBarbOn(side, a, "step barbs differ on %s: %v vs %v", a, pb, qb)
-			return nil
-		}
-	} else {
-		for _, a := range pb.Sorted() {
-			ok, err := e.weakStepBarb(q, a)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				b.failBarbOn("left", a, "right side lacks weak step barb on %s", a)
-				return nil
-			}
-		}
-		for _, a := range qb.Sorted() {
-			ok, err := e.weakStepBarb(p, a)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				b.failBarbOn("right", a, "left side lacks weak step barb on %s", a)
-				return nil
-			}
-		}
+	if bad, err := e.barbsDiffer(p, q, b); bad || err != nil {
+		return err
 	}
-	// Autonomous moves, label-blind.
 	pa, err := e.c.autonomousSucc(p)
 	if err != nil {
 		return err
@@ -468,32 +481,10 @@ func (e *engine) buildStep(p, q *termInfo, b *built) error {
 		}
 	}
 	for _, ps := range pa {
-		var cands [][2]*termInfo
-		for _, qs := range qTargets {
-			cands = append(cands, [2]*termInfo{ps, qs})
-		}
-		b.add(obMove{side: "left", kind: "step", mover: ps}, cands)
+		b.add(obMove{side: "left", kind: "step", mover: ps}, qTargets)
 	}
 	for _, qs := range qa {
-		var cands [][2]*termInfo
-		for _, ps := range pTargets {
-			cands = append(cands, [2]*termInfo{ps, qs})
-		}
-		b.add(obMove{side: "right", kind: "step", mover: qs}, cands)
+		b.add(obMove{side: "right", kind: "step", mover: qs}, pTargets)
 	}
 	return nil
-}
-
-// weakStepBarb reports that some (τ ∪ output)*-derivative strongly barbs on a.
-func (e *engine) weakStepBarb(ti *termInfo, a names.Name) (bool, error) {
-	cl, err := e.c.autonomousClosure(ti)
-	if err != nil {
-		return false, err
-	}
-	for _, s := range cl {
-		if strongBarbs(s).Contains(a) {
-			return true, nil
-		}
-	}
-	return false, nil
 }

@@ -22,35 +22,8 @@ func (e *engine) buildLabelled(p, q *termInfo, b *built) error {
 	avoid := freeUnion(p, q)
 
 	// Clause 1: τ.
-	pt, err := e.c.tauSucc(p)
-	if err != nil {
+	if err := e.tauObligations(p, q, b); err != nil {
 		return err
-	}
-	qt, err := e.c.tauSucc(q)
-	if err != nil {
-		return err
-	}
-	qTauTargets, err := e.weakOrStrongTauTargets(q, qt)
-	if err != nil {
-		return err
-	}
-	pTauTargets, err := e.weakOrStrongTauTargets(p, pt)
-	if err != nil {
-		return err
-	}
-	for _, ps := range pt {
-		var cands [][2]*termInfo
-		for _, qs := range qTauTargets {
-			cands = append(cands, [2]*termInfo{ps, qs})
-		}
-		b.add(obMove{side: "left", kind: "tau", mover: ps}, cands)
-	}
-	for _, qs := range qt {
-		var cands [][2]*termInfo
-		for _, ps := range pTauTargets {
-			cands = append(cands, [2]*termInfo{ps, qs})
-		}
-		b.add(obMove{side: "right", kind: "tau", mover: qs}, cands)
 	}
 
 	// Clause 2: outputs on identical canonical labels.
@@ -68,64 +41,41 @@ func (e *engine) buildLabelled(p, q *termInfo, b *built) error {
 // outputObligations adds, for every output move of the `left` (or right)
 // component, the candidates derived from matching outputs of the other side.
 func (e *engine) outputObligations(p, q *termInfo, b *built, avoid names.Set, leftMoves bool) error {
-	mover, other := p, q
+	mover, other, side := p, q, "left"
 	if !leftMoves {
-		mover, other = q, p
+		mover, other, side = q, p, "right"
 	}
-	mouts := outputsCanon(mover, avoid)
 	// Pre-compute the other side's (possibly weak) answers per label.
-	answers := map[string][]*termInfo{}
-	collect := func(src *termInfo) error {
-		for _, ot := range outputsCanon(src, avoid) {
-			tgt, err := e.c.intern(ot.Target)
-			if err != nil {
-				return err
-			}
-			finals := []*termInfo{tgt}
-			if e.sp.weak {
-				if finals, err = e.c.tauClosure(tgt); err != nil {
-					return err
-				}
-			}
-			answers[ot.Act.String()] = append(answers[ot.Act.String()], finals...)
-		}
-		return nil
-	}
+	sources := []*termInfo{other}
 	if e.sp.weak {
 		cl, err := e.c.tauClosure(other)
 		if err != nil {
 			return err
 		}
-		for _, s := range cl {
-			if err := collect(s); err != nil {
+		sources = cl
+	}
+	answers := map[string][]*termInfo{}
+	for _, src := range sources {
+		err := e.c.eachOutput(src, avoid, func(o outTarget) error {
+			if !e.sp.weak {
+				answers[o.label] = append(answers[o.label], o.tgt)
+				return nil
+			}
+			finals, err := e.c.tauClosure(o.tgt)
+			if err != nil {
 				return err
 			}
-		}
-	} else {
-		if err := collect(other); err != nil {
-			return err
-		}
-	}
-	side := "left"
-	if !leftMoves {
-		side = "right"
-	}
-	for _, mt := range mouts {
-		mtgt, err := e.c.intern(mt.Target)
+			answers[o.label] = append(answers[o.label], finals...)
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		var cands [][2]*termInfo
-		for _, ans := range answers[mt.Act.String()] {
-			if leftMoves {
-				cands = append(cands, [2]*termInfo{mtgt, ans})
-			} else {
-				cands = append(cands, [2]*termInfo{ans, mtgt})
-			}
-		}
-		b.add(obMove{side: side, kind: "out", label: mt.Act.String(), mover: mtgt}, cands)
 	}
-	return nil
+	return e.c.eachOutput(mover, avoid, func(o outTarget) error {
+		b.add(obMove{side: side, kind: "out", label: o.label, mover: o.tgt}, answers[o.label])
+		return nil
+	})
 }
 
 // reactionObligations adds the clause-3 obligations: for every channel a on
@@ -163,18 +113,10 @@ func (e *engine) reactionObligations(p, q *termInfo, b *built) error {
 				return err
 			}
 			for _, r := range pm {
-				var cands [][2]*termInfo
-				for _, t := range qr {
-					cands = append(cands, [2]*termInfo{r, t})
-				}
-				b.add(obMove{side: "left", kind: "react", ch: s.ch, payload: payload, mover: r}, cands)
+				b.add(obMove{side: "left", kind: "react", ch: s.ch, payload: payload, mover: r}, qr)
 			}
 			for _, r := range qm {
-				var cands [][2]*termInfo
-				for _, t := range pr {
-					cands = append(cands, [2]*termInfo{t, r})
-				}
-				b.add(obMove{side: "right", kind: "react", ch: s.ch, payload: payload, mover: r}, cands)
+				b.add(obMove{side: "right", kind: "react", ch: s.ch, payload: payload, mover: r}, pr)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,30 +38,80 @@ var relations = []struct {
 	{"step/weak", func(ch *Checker, p, q syntax.Proc) (Result, error) { return ch.Step(p, q, true) }},
 }
 
-// TestSharedStoreConcurrentSweep runs the Theorem 1 pair sweep across 8
-// goroutines sharing one checker (hence one term store) and asserts every
-// verdict is identical to the sequential run. Exercised by
-// `go test -race ./internal/equiv/...`.
+// sweepResult is a Result with its certificate marshalled, comparable
+// with ==.
+type sweepResult struct {
+	related bool
+	pairs   int
+	reason  string
+	cert    string
+}
+
+func sweepOutcome(t *testing.T, r Result) sweepResult {
+	t.Helper()
+	data, err := r.Cert.Marshal()
+	if err != nil {
+		t.Errorf("marshal certificate: %v", err)
+	}
+	return sweepResult{related: r.Related, pairs: r.Pairs, reason: r.Reason, cert: string(data)}
+}
+
+// TestSharedStoreConcurrentSweep runs the Theorem 1 pair sweep, certified,
+// across 8 goroutines sharing one checker (hence one term store, with its
+// memoised transitions, barbs and output targets, and one verdict cache).
+// The sample repeats some pairs, and the sweep adds five pairs of distinct
+// sample terms in both orientations, so queries race in memoRun and are
+// answered from verdicts cached in the same or the other orientation,
+// whose Reason and certificate name the terms the other way round. Every
+// verdict must equal the sequential one. A
+// query that ran the engine must also match, in pair count, Reason and
+// certificate bytes, the same query run sequentially on a cold verdict
+// cache. A query answered from the cache (Pairs 0) must be a repeat, and
+// must carry the Reason and certificate of a query of its group that ran
+// the engine. Exercised by `go test -race ./internal/equiv/...`.
 func TestSharedStoreConcurrentSweep(t *testing.T) {
 	pairs := samplePairs(25)
+	for i := 0; i < 5; i++ {
+		p, q := pairs[i][0], pairs[i+10][0]
+		pairs = append(pairs, [2]syntax.Proc{p, q}, [2]syntax.Proc{q, p})
+	}
+	jobs := len(pairs) * len(relations)
 
-	// Sequential baseline.
-	seq := NewChecker(nil)
-	want := make([]bool, len(pairs)*len(relations))
-	for i, pair := range pairs {
-		for j, rel := range relations {
-			r, err := rel.run(seq, pair[0], pair[1])
-			if err != nil {
-				t.Fatalf("sequential pair %d %s: %v", i, rel.name, err)
-			}
-			want[i*len(relations)+j] = r.Related
+	// A group is one relation on the same simplified terms, in either
+	// orientation: its queries share a verdict cache entry.
+	group := make([]string, jobs)
+	members := map[string]int{}
+	for job := range group {
+		pair := pairs[job/len(relations)]
+		k := []string{syntax.Key(syntax.Simplify(pair[0])), syntax.Key(syntax.Simplify(pair[1]))}
+		slices.Sort(k)
+		group[job] = relations[job%len(relations)].name + "\x00" + k[0] + "\x00" + k[1]
+		members[group[job]]++
+	}
+	if len(members) == jobs {
+		t.Fatal("the sample repeats no pair, so no query can hit another's cached verdict")
+	}
+
+	// Sequential baseline: every query on one store, each with a cold
+	// verdict cache, so each runs the engine in its own orientation.
+	store := NewStore(nil)
+	want := make([]sweepResult, jobs)
+	for job := range want {
+		pair, rel := pairs[job/len(relations)], relations[job%len(relations)]
+		seq := NewCheckerWithStore(store)
+		seq.Certify = true
+		r, err := rel.run(seq, pair[0], pair[1])
+		if err != nil {
+			t.Fatalf("sequential pair %d %s: %v", job/len(relations), rel.name, err)
 		}
+		want[job] = sweepOutcome(t, r)
 	}
 
 	// 8 goroutines drain the same job list against one shared checker.
 	shared := NewChecker(nil)
-	got := make([]bool, len(want))
-	errs := make([]error, len(want))
+	shared.Certify = true
+	res := make([]Result, jobs)
+	errs := make([]error, jobs)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -69,31 +120,60 @@ func TestSharedStoreConcurrentSweep(t *testing.T) {
 			defer wg.Done()
 			for {
 				job := int(next.Add(1)) - 1
-				if job >= len(want) {
+				if job >= jobs {
 					return
 				}
 				pair := pairs[job/len(relations)]
 				rel := relations[job%len(relations)]
-				r, err := rel.run(shared, pair[0], pair[1])
-				got[job], errs[job] = r.Related, err
+				res[job], errs[job] = rel.run(shared, pair[0], pair[1])
 			}
 		}()
 	}
 	wg.Wait()
-	for job := range want {
-		i, rel := job/len(relations), relations[job%len(relations)]
+	got := make([]sweepResult, jobs)
+	for job := range got {
 		if errs[job] != nil {
-			t.Fatalf("concurrent pair %d %s: %v", i, rel.name, errs[job])
+			t.Fatalf("concurrent pair %d %s: %v", job/len(relations), relations[job%len(relations)].name, errs[job])
 		}
-		if got[job] != want[job] {
-			t.Errorf("pair %d %s: concurrent verdict %v, sequential %v", i, rel.name, got[job], want[job])
+		got[job] = sweepOutcome(t, res[job])
+	}
+	hits := 0
+	for job, g := range got {
+		i, rel := job/len(relations), relations[job%len(relations)]
+		if g.related != want[job].related {
+			t.Errorf("pair %d %s: concurrent verdict %v, sequential %v", i, rel.name, g.related, want[job].related)
+			continue
+		}
+		if g.pairs != 0 {
+			if g != want[job] {
+				t.Errorf("pair %d %s: concurrent result differs from the sequential one\n got  %+v\n want %+v",
+					i, rel.name, g, want[job])
+			}
+			continue
+		}
+		hits++
+		if members[group[job]] == 1 {
+			t.Errorf("pair %d %s: answered from the cache, but no other query asks it", i, rel.name)
+			continue
+		}
+		ran := false
+		for k, o := range got {
+			if k != job && group[k] == group[job] && o.pairs != 0 && o.reason == g.reason && o.cert == g.cert {
+				ran = true
+				break
+			}
+		}
+		if !ran {
+			t.Errorf("pair %d %s: cached Reason %q and certificate match no query of the group that ran the engine",
+				i, rel.name, g.reason)
 		}
 	}
+	t.Logf("%d jobs in %d groups, %d answered from the cache", jobs, len(members), hits)
 }
 
 // TestStoreConcurrentIntern hammers one store with identical and distinct
 // terms from 8 goroutines: interning must be singleflight (one termInfo per
-// canonical term) and closures must agree.
+// canonical term) and closures and memoised output targets must agree.
 func TestStoreConcurrentIntern(t *testing.T) {
 	cfg := brand.Default()
 	cfg.MaxDepth = 3
@@ -104,6 +184,7 @@ func TestStoreConcurrentIntern(t *testing.T) {
 	}
 	st := NewStore(nil)
 	infos := make([]*termInfo, len(terms)*8)
+	outs := make([][]outTarget, len(terms)*8)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -123,7 +204,15 @@ func TestStoreConcurrentIntern(t *testing.T) {
 					t.Errorf("autonomousClosure: %v", err)
 					return
 				}
-				infos[w*len(terms)+i] = ti
+				var o []outTarget
+				if err := st.eachOutput(ti, ti.free, func(ot outTarget) error {
+					o = append(o, ot)
+					return nil
+				}); err != nil {
+					t.Errorf("eachOutput: %v", err)
+					return
+				}
+				infos[w*len(terms)+i], outs[w*len(terms)+i] = ti, o
 			}
 		}(w)
 	}
@@ -135,6 +224,9 @@ func TestStoreConcurrentIntern(t *testing.T) {
 		for i := range terms {
 			if infos[i] != infos[w*len(terms)+i] {
 				t.Fatalf("term %d interned to distinct infos across goroutines", i)
+			}
+			if !slices.Equal(outs[i], outs[w*len(terms)+i]) {
+				t.Fatalf("term %d: output targets differ across goroutines", i)
 			}
 		}
 	}

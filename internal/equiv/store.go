@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,8 @@ import (
 // Store is the concurrency-safe semantic layer shared by Checkers. It
 // interns canonical terms to dense uint64 IDs and memoises the per-term
 // semantic data every equivalence query re-derives otherwise: transitions,
-// the discard relation, τ-closures and autonomous closures.
+// strong barbs, free-output targets, the discard relation, τ-closures and
+// autonomous closures.
 //
 // The store is sharded: term interning takes one mutex out of storeShards,
 // chosen by a hash of the canonical key, so concurrent goroutines interning
@@ -130,9 +132,13 @@ type termInfo struct {
 	key  string
 	free names.Set // free names; treat as immutable — Clone before mutating
 
-	// trans is computed once, singleflight, on first demand.
+	// trans is computed once, singleflight, on first demand, together with
+	// barbs, the subjects of the output transitions (p ↓a), sorted, and
+	// boundOut, whether any output extrudes a name.
 	transOnce sync.Once
 	trans     []semantics.Trans
+	barbs     []names.Name
+	boundOut  bool
 	transErr  error
 
 	// mu guards the lazily memoised fields below. Never held while calling
@@ -145,6 +151,14 @@ type termInfo struct {
 	autoSuccs   []*termInfo
 	autoSuccsOK bool
 	autoClosure []*termInfo
+	outs        []outTarget
+	outsOK      bool
+}
+
+// outTarget is one output move: its canonical label and interned target.
+type outTarget struct {
+	label string
+	tgt   *termInfo
 }
 
 func shardOf(key string) uint32 {
@@ -187,11 +201,21 @@ func (s *Store) resolve(k string, p syntax.Proc) (ti *termInfo, fresh bool) {
 	return ti, !ok
 }
 
-// ready computes ti's transitions singleflight (outside all shard locks) and
-// surfaces any derivation error.
+// ready computes ti's transitions and strong barbs singleflight (outside
+// all shard locks) and surfaces any derivation error.
 func (s *Store) ready(ti *termInfo) (*termInfo, error) {
 	ti.transOnce.Do(func() {
 		ti.trans, ti.transErr = s.sys.Steps(ti.proc)
+		for _, t := range ti.trans {
+			if !t.Act.IsOutput() {
+				continue
+			}
+			if !slices.Contains(ti.barbs, t.Act.Subj) {
+				ti.barbs = append(ti.barbs, t.Act.Subj)
+			}
+			ti.boundOut = ti.boundOut || len(t.Act.Bound) > 0
+		}
+		slices.Sort(ti.barbs)
 	})
 	if ti.transErr != nil {
 		return nil, ti.transErr
@@ -252,6 +276,55 @@ func (s *Store) tauSucc(ti *termInfo) ([]*termInfo, error) {
 	ti.tauSuccs, ti.tauSuccsOK = out, true
 	ti.mu.Unlock()
 	return out, nil
+}
+
+// eachOutput calls fn on ti's output moves in transition order, each
+// labelled canonically against avoid. On a derivation fn sees each target
+// right after it is interned, before the next one is: the store prints a
+// term as it was first interned, so the terms fn interns from a target (a
+// weak answer's τ-closure) must come before the next target for Reasons and
+// certificates to keep their spelling. A term whose outputs are all free
+// has labels and targets that do not depend on the pair: they are memoised
+// on the term, computed outside ti.mu and published under it like tauSucc.
+// A bound output renames its extruded names away from avoid (canonOut), so
+// a term with one derives every output on each call. Lookups are not
+// counted as derivations.
+func (s *Store) eachOutput(ti *termInfo, avoid names.Set, fn func(outTarget) error) error {
+	if !ti.boundOut {
+		ti.mu.Lock()
+		memo, ok := ti.outs, ti.outsOK
+		ti.mu.Unlock()
+		if ok {
+			for _, o := range memo {
+				if err := fn(o); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	var out []outTarget
+	for _, t := range ti.trans {
+		if !t.Act.IsOutput() {
+			continue
+		}
+		t = canonOut(t, avoid)
+		tgt, err := s.intern(t.Target)
+		if err != nil {
+			return err
+		}
+		o := outTarget{label: t.Act.String(), tgt: tgt}
+		if err := fn(o); err != nil {
+			return err
+		}
+		out = append(out, o)
+	}
+	if !ti.boundOut {
+		ti.mu.Lock()
+		ti.outs, ti.outsOK = out, true
+		ti.mu.Unlock()
+	}
+	return nil
 }
 
 // autonomousSucc returns the τ- and output-successors of ti, outputs with

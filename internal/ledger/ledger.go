@@ -566,8 +566,12 @@ func (l *Ledger) sealLoop() {
 	}
 }
 
-// Close seals whatever is pending and closes the log.
-// Safe to call twice.
+// Close closes the log. When this process appended records, it first seals
+// everything pending, records read at Open included. A ledger that appended
+// nothing (an inspection) leaves the log as it found it: an unsealed tail
+// belongs to the writer that holds it in memory, and sealing it here would
+// make that writer's next seal claim records that are already sealed on
+// disk. Safe to call twice.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -580,7 +584,10 @@ func (l *Ledger) Close() error {
 	<-l.done
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.sealLocked()
+	var err error
+	if l.appended > 0 {
+		err = l.sealLocked()
+	}
 	if cerr := l.active.Close(); err == nil {
 		err = cerr
 	}

@@ -279,6 +279,103 @@ func TestTimedSeal(t *testing.T) {
 	}
 }
 
+// TestInspectionLeavesPendingTail opens and closes a ledger while another
+// handle still holds unsealed records, as an inspector (bpiledger stats)
+// does beside a running writer. The inspector must leave the log byte for
+// byte as it found it: had it sealed the writer's three pending records, the
+// writer's next seal would cover four records with only one still pending
+// on disk, and the next Open would quarantine it and mark the chain broken.
+func TestInspectionLeavesPendingTail(t *testing.T) {
+	recs := allRecords(t)[:4]
+	dir := t.TempDir()
+	cfg := Config{BatchSize: 64, MaxWait: -1}
+	w, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatalf("Open writer: %v", err)
+	}
+	for _, r := range recs[:3] {
+		if _, err := w.Append(r); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	seg := lastSegment(t, dir)
+	before, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	insp, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatalf("Open inspector: %v", err)
+	}
+	if st := insp.Stats(); st.Records != 3 || st.Pending != 3 || st.Rejected != 0 {
+		t.Fatalf("inspector stats: %+v", st)
+	}
+	if err := insp.Close(); err != nil {
+		t.Fatalf("Close inspector: %v", err)
+	}
+	after, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("inspection changed the segment: %d -> %d bytes", len(before), len(after))
+	}
+
+	if _, err := w.Append(recs[3]); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close writer: %v", err)
+	}
+	l, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l.Close()
+	st := l.Stats()
+	if st.Records != 4 || st.Rejected != 0 || st.Pending != 0 || st.Batches != 1 || st.ChainBroken {
+		t.Fatalf("after the writer's seal: %+v (rejections %q)", st, l.Rejections())
+	}
+}
+
+// FuzzOpen feeds segment bytes to Open. Whatever the bytes, Open must not
+// panic; when it opens the ledger, Replay must offer exactly the records
+// Stats counts as trusted, and Close must succeed.
+func FuzzOpen(f *testing.F) {
+	seg, err := os.ReadFile(filepath.Join("testdata", "keys-49dd064", "seg-000001.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, first, _, ok, _ := decodeEntry(seg, 0)
+	if !ok {
+		f.Fatal("fixture does not start with a framed entry")
+	}
+	mid := headerBytes + len(first)/2 // inside the first entry's payload
+	flipped := bytes.Clone(seg)
+	flipped[mid] ^= 1
+	f.Add(seg)
+	f.Add(seg[:mid])
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(dir, Config{MaxWait: -1})
+		if err != nil {
+			return
+		}
+		st := l.Stats()
+		if n := l.Replay(func(*Record, *cert.Certificate) {}); n != st.Records {
+			t.Errorf("Replay offered %d records, Stats counts %d trusted", n, st.Records)
+		}
+		if err := l.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+}
+
 // lastSegment returns the path of the highest-numbered segment file.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
