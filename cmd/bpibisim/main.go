@@ -11,6 +11,10 @@
 // shared store and verdict cache amortise repeated queries across
 // processes; verdicts are identical to the local checker's.
 //
+// The exit status is 0 when the verdicts were printed (related or not), 1
+// when a term, the program file, the daemon or the certificate output
+// fails, and 2 on a usage error.
+//
 // With -trace the local engine's span timeline is written as Chrome
 // trace-event JSON (open in chrome://tracing or ui.perfetto.dev); with
 // -counters the engine counters are printed to stderr after the
@@ -24,8 +28,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -38,166 +44,230 @@ import (
 	"bpi/internal/syntax"
 )
 
-func main() {
-	file := flag.String("f", "", "program file with definitions")
-	rel := flag.String("rel", "all", "relation: labelled, barbed, step, onestep, congruence, all")
-	weak := flag.Bool("weak", false, "use the weak relation")
-	server := flag.String("server", "", "delegate to a running bpid daemon at this base URL")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-query deadline (with -server)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the local engine run")
-	counters := flag.Bool("counters", false, "print engine counters to stderr after the verdicts")
-	certOut := flag.String("cert", "", "write the verdict's replayable certificate as JSON (single -rel only; check with bpicert verify)")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: bpibisim [-f file] [-rel R] [-weak] [-server URL] term1 term2")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// relations are the relations bpibisim decides, in the order it prints them.
+var relations = []string{"labelled", "barbed", "step", "onestep", "congruence"}
+
+// options are the parsed command line.
+type options struct {
+	file, rel, server, traceOut, certOut string
+	weak, counters                       bool
+	timeout                              time.Duration
+	p, q                                 string // the two term arguments
+}
+
+// run is the whole command and returns its exit status. bpibisim reads no
+// input, so stdin goes unused.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bpibisim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.file, "f", "", "program file with definitions")
+	fs.StringVar(&o.rel, "rel", "all", "relation: labelled, barbed, step, onestep, congruence, all")
+	fs.BoolVar(&o.weak, "weak", false, "use the weak relation")
+	fs.StringVar(&o.server, "server", "", "delegate to a running bpid daemon at this base URL")
+	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-query deadline (with -server)")
+	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event JSON file of the local engine run")
+	fs.BoolVar(&o.counters, "counters", false, "print engine counters to stderr after the verdicts")
+	fs.StringVar(&o.certOut, "cert", "", "write the verdict's replayable certificate as JSON (single -rel only; check with bpicert verify)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: bpibisim [-f file] [-rel R] [-weak] [-server URL] term1 term2")
+		return 2
+	}
+	o.p, o.q = fs.Arg(0), fs.Arg(1)
+	if err := decide(o, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "bpibisim:", err)
+		return 1
+	}
+	return 0
+}
+
+// decide prints the verdicts the options ask for, locally or from the
+// daemon at o.server.
+func decide(o options, stdout, stderr io.Writer) error {
 	var env syntax.Env
-	if *file != "" {
-		src, err := os.ReadFile(*file)
-		fail(err)
+	if o.file != "" {
+		src, err := os.ReadFile(o.file)
+		if err != nil {
+			return err
+		}
 		prog, err := parser.ParseProgram(string(src))
-		fail(err)
+		if err != nil {
+			return err
+		}
 		env = prog.Env
 	}
-	p, err := parser.Parse(flag.Arg(0))
-	fail(err)
-	q, err := parser.Parse(flag.Arg(1))
-	fail(err)
+	p, err := parser.Parse(o.p)
+	if err != nil {
+		return err
+	}
+	q, err := parser.Parse(o.q)
+	if err != nil {
+		return err
+	}
 
 	show := func(name string, related bool, detail string) {
-		verdict := "NOT related"
+		answer := "NOT related"
 		if related {
-			verdict = "related"
+			answer = "related"
 		}
-		fmt.Printf("%-12s %s", name, verdict)
+		fmt.Fprintf(stdout, "%-12s %s", name, answer)
 		if detail != "" {
-			fmt.Printf("   (%s)", detail)
+			fmt.Fprintf(stdout, "   (%s)", detail)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	mode := "strong"
-	if *weak {
+	if o.weak {
 		mode = "weak"
 	}
-	fmt.Printf("p = %s\nq = %s\nmode = %s\n", syntax.String(p), syntax.String(q), mode)
+	fmt.Fprintf(stdout, "p = %s\nq = %s\nmode = %s\n", syntax.String(p), syntax.String(q), mode)
 
 	want := map[string]bool{}
-	if *rel == "all" {
-		for _, r := range []string{"labelled", "barbed", "step", "onestep", "congruence"} {
+	if o.rel == "all" {
+		for _, r := range relations {
 			want[r] = true
 		}
 	} else {
-		want[*rel] = true
+		want[o.rel] = true
 	}
-	if *certOut != "" && len(want) != 1 {
-		fail(fmt.Errorf("-cert needs a single relation (use -rel labelled|barbed|step|onestep|congruence)"))
+	if o.certOut != "" && len(want) != 1 {
+		return fmt.Errorf("-cert needs a single relation (use -rel labelled|barbed|step|onestep|congruence)")
 	}
-	writeCert := func(crt *cert.Certificate) {
-		if *certOut == "" {
-			return
+	writeCert := func(crt *cert.Certificate) error {
+		if o.certOut == "" {
+			return nil
 		}
 		if crt == nil {
-			fail(fmt.Errorf("no certificate was recorded"))
+			return fmt.Errorf("no certificate was recorded")
 		}
 		data, err := crt.Marshal()
-		fail(err)
-		fail(os.WriteFile(*certOut, data, 0o644))
-		fmt.Fprintf(os.Stderr, "certificate: %d bytes written to %s\n", len(data), *certOut)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(o.certOut, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "certificate: %d bytes written to %s\n", len(data), o.certOut)
+		return nil
 	}
-	if *server != "" {
-		if *file != "" {
-			fail(fmt.Errorf("-f and -server are exclusive: the daemon fixes its definitions at startup"))
+	if o.server != "" {
+		if o.file != "" {
+			return fmt.Errorf("-f and -server are exclusive: the daemon fixes its definitions at startup")
 		}
-		if *traceOut != "" || *counters {
-			fail(fmt.Errorf("-trace/-counters are local-only; a daemon-served run's evidence is on the daemon (/trace/{id}, /metrics)"))
+		if o.traceOut != "" || o.counters {
+			return fmt.Errorf("-trace/-counters are local-only; a daemon-served run's evidence is on the daemon (/trace/{id}, /metrics)")
 		}
-		cl := bpi.NewClient(*server)
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		cl := bpi.NewClient(o.server)
+		ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 		defer cancel()
-		for _, r := range []string{"labelled", "barbed", "step", "onestep", "congruence"} {
+		for _, r := range relations {
 			if !want[r] {
 				continue
 			}
 			resp, err := cl.Equiv(ctx, bpi.EquivRequest{
-				P: flag.Arg(0), Q: flag.Arg(1), Rel: r, Weak: *weak,
-				TimeoutMs: int(timeout.Milliseconds()), Cert: *certOut != "",
+				P: o.p, Q: o.q, Rel: r, Weak: o.weak,
+				TimeoutMs: int(o.timeout.Milliseconds()), Cert: o.certOut != "",
 			})
-			fail(err)
+			if err != nil {
+				return err
+			}
 			detail := resp.Reason
 			if resp.Cached {
 				detail = "cached daemon verdict"
 			}
 			show(r, resp.Related, detail)
-			writeCert(resp.Certificate)
+			if err := writeCert(resp.Certificate); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
 	ch := equiv.NewChecker(semantics.NewSystem(env))
-	ch.Certify = *certOut != ""
+	ch.Certify = o.certOut != ""
 	var tr *obs.Tracer
-	if *traceOut != "" || *counters {
+	if o.traceOut != "" || o.counters {
 		tr = obs.New()
 		ch.Obs = tr
 		ch.Store().SetObs(tr)
 	}
-	if want["labelled"] {
-		r, err := ch.Labelled(p, q, *weak)
-		fail(err)
-		show("labelled", r.Related, r.Reason)
-		writeCert(r.Cert)
-	}
-	if want["barbed"] {
-		r, err := ch.Barbed(p, q, *weak)
-		fail(err)
-		show("barbed", r.Related, r.Reason)
-		writeCert(r.Cert)
-	}
-	if want["step"] {
-		r, err := ch.Step(p, q, *weak)
-		fail(err)
-		show("step", r.Related, r.Reason)
-		writeCert(r.Cert)
-	}
-	if want["onestep"] {
-		if ch.Certify {
-			crt, ok, err := ch.OneStepCert(p, q, *weak)
-			fail(err)
-			show("one-step", ok, "")
-			writeCert(crt)
-		} else {
-			ok, err := ch.OneStep(p, q, *weak)
-			fail(err)
-			show("one-step", ok, "")
+	for _, r := range relations {
+		if !want[r] {
+			continue
+		}
+		v, err := decideLocal(ch, r, p, q, o.weak)
+		if err != nil {
+			return err
+		}
+		show(v.name, v.related, v.detail)
+		if err := writeCert(v.crt); err != nil {
+			return err
 		}
 	}
-	if want["congruence"] {
-		if ch.Certify {
-			crt, ok, err := ch.CongruenceCert(p, q, *weak)
-			fail(err)
-			show("congruence", ok, "closure under all fusions of the free names")
-			writeCert(crt)
-		} else {
-			ok, err := ch.Congruence(p, q, *weak)
-			fail(err)
-			show("congruence", ok, "closure under all fusions of the free names")
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
+		if err != nil {
+			return err
 		}
+		if err := tr.WriteChromeTrace(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "trace: %d spans written to %s\n", len(tr.Events()), o.traceOut)
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		fail(err)
-		fail(tr.WriteChromeTrace(f))
-		fail(f.Close())
-		fmt.Fprintf(os.Stderr, "trace: %d spans written to %s\n", len(tr.Events()), *traceOut)
+	if o.counters {
+		fmt.Fprint(stderr, obs.FormatCounters(tr.Counters()))
 	}
-	if *counters {
-		fmt.Fprint(os.Stderr, obs.FormatCounters(tr.Counters()))
-	}
+	return nil
 }
 
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bpibisim:", err)
-		os.Exit(1)
+// verdict is one printed line: the relation's name, the verdict, a detail
+// (the Reason of a negative labelled, barbed or step verdict) and the
+// certificate when the checker certifies.
+type verdict struct {
+	name    string
+	related bool
+	detail  string
+	crt     *cert.Certificate
+}
+
+// decideLocal decides rel between p and q on ch.
+func decideLocal(ch *equiv.Checker, rel string, p, q syntax.Proc, weak bool) (verdict, error) {
+	var r equiv.Result
+	var err error
+	switch rel {
+	case "labelled":
+		r, err = ch.Labelled(p, q, weak)
+	case "barbed":
+		r, err = ch.Barbed(p, q, weak)
+	case "step":
+		r, err = ch.Step(p, q, weak)
+	case "onestep":
+		v := verdict{name: "one-step"}
+		if ch.Certify {
+			v.crt, v.related, err = ch.OneStepCert(p, q, weak)
+		} else {
+			v.related, err = ch.OneStep(p, q, weak)
+		}
+		return v, err
+	default: // congruence
+		v := verdict{name: rel, detail: "closure under all fusions of the free names"}
+		if ch.Certify {
+			v.crt, v.related, err = ch.CongruenceCert(p, q, weak)
+		} else {
+			v.related, err = ch.Congruence(p, q, weak)
+		}
+		return v, err
 	}
+	return verdict{name: rel, related: r.Related, detail: r.Reason, crt: r.Cert}, err
 }

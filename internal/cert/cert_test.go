@@ -19,7 +19,7 @@ import (
 	"bpi/internal/syntax"
 )
 
-func mustParse(t *testing.T, src string) syntax.Proc {
+func mustParse(t testing.TB, src string) syntax.Proc {
 	t.Helper()
 	p, err := parser.Parse(src)
 	if err != nil {
@@ -34,8 +34,8 @@ func newCertifying() *equiv.Checker {
 	return ch
 }
 
-// pairCert produces the certificate of one pair-relation check.
-func pairCert(t *testing.T, ch *equiv.Checker, rel, p, q string, weak bool) (*cert.Certificate, bool) {
+// pairCert produces the certificate of one relation check.
+func pairCert(t testing.TB, ch *equiv.Checker, rel, p, q string, weak bool) (*cert.Certificate, bool) {
 	t.Helper()
 	pp, qq := mustParse(t, p), mustParse(t, q)
 	var r equiv.Result
@@ -47,6 +47,10 @@ func pairCert(t *testing.T, ch *equiv.Checker, rel, p, q string, weak bool) (*ce
 		r, err = ch.Barbed(pp, qq, weak)
 	case cert.RelStep:
 		r, err = ch.Step(pp, qq, weak)
+	case cert.RelOneStep:
+		r.Cert, r.Related, err = ch.OneStepCert(pp, qq, weak)
+	case cert.RelCongruence:
+		r.Cert, r.Related, err = ch.CongruenceCert(pp, qq, weak)
 	default:
 		t.Fatalf("unknown relation %q", rel)
 	}

@@ -3,10 +3,6 @@ package equiv
 import (
 	"context"
 
-	"bpi/internal/actions"
-	"bpi/internal/cert"
-	"bpi/internal/names"
-	"bpi/internal/semantics"
 	"bpi/internal/syntax"
 )
 
@@ -19,7 +15,7 @@ func (c *Checker) Labelled(p, q syntax.Proc, weak bool) (Result, error) {
 // LabelledCtx is Labelled honouring ctx: cancellation or deadline expiry
 // aborts the pair exploration with an ErrCanceled wrapping ctx.Err().
 func (c *Checker) LabelledCtx(ctx context.Context, p, q syntax.Proc, weak bool) (Result, error) {
-	return c.memoRun(ctx, p, q, spec{relLabelled, weak})
+	return c.decide(ctx, p, q, spec{relLabelled, weak})
 }
 
 // Barbed decides barbed bisimilarity: p ~b q or p ≈b q (Definition 3).
@@ -29,7 +25,7 @@ func (c *Checker) Barbed(p, q syntax.Proc, weak bool) (Result, error) {
 
 // BarbedCtx is Barbed honouring ctx (see LabelledCtx).
 func (c *Checker) BarbedCtx(ctx context.Context, p, q syntax.Proc, weak bool) (Result, error) {
-	return c.memoRun(ctx, p, q, spec{relBarbed, weak})
+	return c.decide(ctx, p, q, spec{relBarbed, weak})
 }
 
 // Step decides step (φ) bisimilarity: p ~φ q or p ≈φ q (Definition 5).
@@ -39,68 +35,14 @@ func (c *Checker) Step(p, q syntax.Proc, weak bool) (Result, error) {
 
 // StepCtx is Step honouring ctx (see LabelledCtx).
 func (c *Checker) StepCtx(ctx context.Context, p, q syntax.Proc, weak bool) (Result, error) {
-	return c.memoRun(ctx, p, q, spec{relStep, weak})
+	return c.decide(ctx, p, q, spec{relStep, weak})
 }
 
-// verdictKey identifies a cached verdict: the relation plus the store IDs of
-// the canonical pair (IDs are stable for the lifetime of the store).
-type verdictKey struct {
-	sp   spec
-	p, q uint64
-}
-
-// cachedVerdict is a memoised query outcome: the verdict, its full Reason
-// (naming the failing action and both canonical terms — cache hits must not
-// degrade the explanation) and, when the query was certified, the
-// certificate. Symmetric entries share the certificate pointer, so a swapped
-// query returns evidence in the original orientation (sound: membership and
-// strategy roots are checked up to swap).
-type cachedVerdict struct {
-	related bool
-	reason  string
-	crt     *cert.Certificate
-}
-
-// memoRun caches verdicts per (spec, canonical pair): every pair surviving a
-// completed greatest fixpoint is in the bisimilarity, every discarded pair
-// is not, so whole runs can be reused across queries. The cache is guarded
-// by a mutex; concurrent identical queries may both run the engine, but the
-// engine is deterministic so they store the same verdict. A certifying query
-// hitting a certificate-less entry (cached while Certify was off) re-runs
-// the engine and upgrades the entry.
-func (c *Checker) memoRun(ctx context.Context, p, q syntax.Proc, sp spec) (Result, error) {
-	pi, err := c.intern(p)
+// decide interns both terms and runs the engine on them.
+func (c *Checker) decide(ctx context.Context, p, q syntax.Proc, sp spec) (Result, error) {
+	pi, qi, err := c.internPair(p, q)
 	if err != nil {
 		return Result{}, err
 	}
-	qi, err := c.intern(q)
-	if err != nil {
-		return Result{}, err
-	}
-	key := verdictKey{sp, pi.id, qi.id}
-	c.mu.Lock()
-	v, ok := c.verdicts[key]
-	c.mu.Unlock()
-	if ok && (!c.Certify || v.crt != nil) {
-		c.Obs.Count("equiv.verdict_hits", 1)
-		return Result{Related: v.related, Pairs: 0, Reason: v.reason, Cert: v.crt}, nil
-	}
-	c.Obs.Count("equiv.verdict_misses", 1)
-	res, err := c.run(ctx, pi, qi, sp)
-	if err != nil {
-		return res, err
-	}
-	c.mu.Lock()
-	entry := cachedVerdict{related: res.Related, reason: res.Reason, crt: res.Cert}
-	c.verdicts[key] = entry
-	// Symmetric closure: all the paper's relations are symmetric.
-	c.verdicts[verdictKey{sp, qi.id, pi.id}] = entry
-	c.mu.Unlock()
-	return res, nil
-}
-
-// semanticsInstantiate grounds a symbolic input transition (alias kept local
-// so the onestep code reads uniformly).
-func semanticsInstantiate(t semantics.Trans, payload []names.Name) (actions.Act, syntax.Proc) {
-	return semantics.Instantiate(t, payload)
+	return c.run(ctx, pi, qi, sp)
 }

@@ -28,26 +28,26 @@
 // reverse-dependency worklist in O(edges). Parallelism lives at the query
 // level instead. All memoised semantic data (transitions, discards, τ- and
 // autonomous closures) lives in a sharded Store that interns terms to dense
-// uint64 IDs and is safe for concurrent use; a Checker is a thin view over
-// one store plus a verdict cache, and may itself be shared across
+// uint64 IDs and is safe for concurrent use; a Checker is its configuration
+// plus one store, keeps no verdicts, and may itself be shared across
 // goroutines. Independent queries can therefore run concurrently over one
 // store (NewCheckerWithStore, as bpid's worker pool does) and reuse each
-// other's derivations.
+// other's derivations. The only verdicts kept are a ~+ or ~c query's own
+// labelled sub-verdicts, for the length of that query.
 package equiv
 
 import (
-	"sync"
-
 	"bpi/internal/names"
 	"bpi/internal/obs"
 	"bpi/internal/semantics"
 	"bpi/internal/syntax"
 )
 
-// Checker decides equivalences against a fixed semantic system. It memoises
-// term data (in its Store) and verdicts across queries. A Checker is safe
-// for concurrent use; the exported budget fields must be set before the
-// first query and not mutated afterwards.
+// Checker decides equivalences against a fixed semantic system: its
+// configuration plus a Store, which memoises term data across queries. It
+// keeps no verdicts, so it is safe for concurrent use without a lock; the
+// exported fields must be set before the first query and not mutated
+// afterwards.
 type Checker struct {
 	Sys *semantics.System
 	// MaxPairs bounds the number of explored pairs per query (default 20000).
@@ -61,15 +61,11 @@ type Checker struct {
 	// proven allocation-free by TestDisabledObsZeroAlloc.
 	Obs *obs.Tracer
 	// Certify makes every verdict carry a checkable certificate
-	// (Result.Cert, see internal/cert). Must be set before the first query:
-	// verdicts cached while Certify was off have no certificate and are
-	// re-derived on the first certifying query.
+	// (Result.Cert, see internal/cert); OneStepCert and CongruenceCert
+	// require it.
 	Certify bool
 
 	store *Store
-
-	mu       sync.Mutex
-	verdicts map[verdictKey]cachedVerdict
 }
 
 // NewChecker returns a Checker over the given system (nil means the empty
@@ -82,7 +78,7 @@ func NewChecker(sys *semantics.System) *Checker {
 // its semantic system), so memoised transitions and closures are reused
 // across checkers.
 func NewCheckerWithStore(store *Store) *Checker {
-	return &Checker{Sys: store.System(), store: store, verdicts: map[verdictKey]cachedVerdict{}}
+	return &Checker{Sys: store.System(), store: store}
 }
 
 // Store returns the checker's term store, for sharing with other checkers.
@@ -112,6 +108,19 @@ func (e ErrBudget) Error() string { return "equiv: budget exhausted while explor
 
 func (c *Checker) intern(p syntax.Proc) (*termInfo, error) { return c.store.intern(p) }
 
+// internPair interns both terms of a query, p first.
+func (c *Checker) internPair(p, q syntax.Proc) (*termInfo, *termInfo, error) {
+	pi, err := c.intern(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	qi, err := c.intern(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pi, qi, nil
+}
+
 func (c *Checker) discardsOn(ti *termInfo, a names.Name) (bool, error) {
 	return c.store.discardsOn(ti, a)
 }
@@ -130,6 +139,10 @@ func (c *Checker) autonomousClosure(ti *termInfo) ([]*termInfo, error) {
 	return c.store.autonomousClosure(ti, c.maxClosure())
 }
 
+func (c *Checker) receptions(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
+	return c.store.receptions(ti, ch, payload)
+}
+
 func (c *Checker) reactions(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
 	return c.store.reactions(ti, ch, payload)
 }
@@ -139,21 +152,6 @@ func (c *Checker) eachOutput(ti *termInfo, avoid names.Set, fn func(outTarget) e
 }
 
 // Derived observations -------------------------------------------------------
-
-// outputsCanon returns the output transitions of ti with extruded names
-// renamed to the deterministic canonical sequence chosen against avoid.
-// Both members of a pair use the same avoid set, so their canonical labels
-// are directly comparable.
-func outputsCanon(ti *termInfo, avoid names.Set) []semantics.Trans {
-	var out []semantics.Trans
-	for _, t := range ti.trans {
-		if !t.Act.IsOutput() {
-			continue
-		}
-		out = append(out, canonOut(t, avoid))
-	}
-	return out
-}
 
 // canonOut renames the extruded names of one output transition against avoid.
 func canonOut(t semantics.Trans, avoid names.Set) semantics.Trans {

@@ -110,67 +110,6 @@ func TestOneStepAndCongruenceCertificates(t *testing.T) {
 	}
 }
 
-// TestCachedVerdictKeepsCertificate pins the memo upgrade: a cache hit must
-// return the full certificate and the full reason, not a truncated
-// placeholder (the old cache returned "cached negative verdict").
-func TestCachedVerdictKeepsCertificate(t *testing.T) {
-	ch := newCertC()
-	p := syntax.TauP(syntax.SendN(a, b))
-	q := syntax.TauP(syntax.SendN(a, c))
-	first, err := ch.Labelled(p, q, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := ch.Labelled(p, q, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Pairs != 0 {
-		t.Fatalf("second query explored %d pairs, want a cache hit", second.Pairs)
-	}
-	if second.Reason != first.Reason {
-		t.Errorf("cached reason %q differs from original %q", second.Reason, first.Reason)
-	}
-	if strings.Contains(second.Reason, "cached") {
-		t.Errorf("cached reason is a placeholder: %q", second.Reason)
-	}
-	if second.Cert == nil {
-		t.Fatal("cache hit dropped the certificate")
-	}
-	verifyCert(t, second.Cert, false, "cached")
-
-	// Swapped query: symmetric entry, certificate in original orientation
-	// must still verify (membership and roots are checked up to swap).
-	swapped, err := ch.Labelled(q, p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if swapped.Pairs != 0 || swapped.Cert == nil {
-		t.Fatalf("swapped query: pairs=%d cert=%v, want cached certificate", swapped.Pairs, swapped.Cert != nil)
-	}
-	verifyCert(t, swapped.Cert, false, "swapped cached")
-}
-
-// TestCertifyUpgradesUncertifiedEntry pins the re-run path: verdicts cached
-// while Certify was off gain a certificate once it is on.
-func TestCertifyUpgradesUncertifiedEntry(t *testing.T) {
-	ch := NewChecker(nil)
-	p := syntax.SendN(a, b)
-	q := syntax.Group(syntax.SendN(a, b), syntax.PNil)
-	if _, err := ch.Labelled(p, q, false); err != nil {
-		t.Fatal(err)
-	}
-	ch.Certify = true
-	r, err := ch.Labelled(p, q, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cert == nil {
-		t.Fatal("certifying query on an uncertified cache entry returned no certificate")
-	}
-	verifyCert(t, r.Cert, true, "upgraded")
-}
-
 // TestMutatedCertificatesRejected pins the verifier's independence: tampering
 // with sound certificates must be detected.
 func TestMutatedCertificatesRejected(t *testing.T) {
@@ -290,7 +229,7 @@ func clone(t *testing.T, c *cert.Certificate) *cert.Certificate {
 
 // TestReasonNamesActionAndTerms pins the Result.Reason contract: the failing
 // action (or the unmatched barb, with the side that lacks it) and both
-// canonical terms are named, byte for byte, on fresh and cached paths alike.
+// canonical terms are named, byte for byte, on a fresh and a warm store alike.
 // The barb rows cover all four static checks with the barb on either side,
 // and barb sets of two names.
 func TestReasonNamesActionAndTerms(t *testing.T) {
@@ -334,7 +273,7 @@ func TestReasonNamesActionAndTerms(t *testing.T) {
 				t.Fatal(err)
 			}
 			ch := NewChecker(nil)
-			for _, pass := range []string{"fresh", "cached"} {
+			for _, pass := range []string{"fresh", "warm"} {
 				r, err := tc.rel(ch, p, q, tc.weak)
 				if err != nil {
 					t.Fatal(err)

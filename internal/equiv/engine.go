@@ -52,8 +52,8 @@ type Result struct {
 	// Reason describes the obligation that failed when Related is false.
 	Reason string
 	// Cert is the checkable certificate of the verdict, emitted when the
-	// Checker's Certify flag is set (nil otherwise). Cached verdicts return
-	// the cached certificate, in the orientation of the original query.
+	// Checker's Certify flag is set (nil otherwise). Its root is the query's
+	// pair, in the order given.
 	Cert *cert.Certificate
 }
 

@@ -45,23 +45,37 @@ func (e *engine) outputObligations(p, q *termInfo, b *built, avoid names.Set, le
 	if !leftMoves {
 		mover, other, side = q, p, "right"
 	}
-	// Pre-compute the other side's (possibly weak) answers per label.
-	sources := []*termInfo{other}
-	if e.sp.weak {
-		cl, err := e.c.tauClosure(other)
+	answers, err := e.c.outputAnswers(other, avoid, e.sp.weak)
+	if err != nil {
+		return err
+	}
+	return e.c.eachOutput(mover, avoid, func(o outTarget) error {
+		b.add(obMove{side: side, kind: "out", label: o.label, mover: o.tgt}, answers[o.label])
+		return nil
+	})
+}
+
+// outputAnswers returns the answers to an output challenge against ti, per
+// canonical label against avoid: ti's output targets, or when weak the
+// states its weak outputs τ*·ā·τ* reach. Each target's τ-closure is taken
+// before the next target is interned (see eachOutput).
+func (c *Checker) outputAnswers(ti *termInfo, avoid names.Set, weak bool) (map[string][]*termInfo, error) {
+	sources := []*termInfo{ti}
+	if weak {
+		cl, err := c.tauClosure(ti)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sources = cl
 	}
 	answers := map[string][]*termInfo{}
 	for _, src := range sources {
-		err := e.c.eachOutput(src, avoid, func(o outTarget) error {
-			if !e.sp.weak {
+		err := c.eachOutput(src, avoid, func(o outTarget) error {
+			if !weak {
 				answers[o.label] = append(answers[o.label], o.tgt)
 				return nil
 			}
-			finals, err := e.c.tauClosure(o.tgt)
+			finals, err := c.tauClosure(o.tgt)
 			if err != nil {
 				return err
 			}
@@ -69,13 +83,10 @@ func (e *engine) outputObligations(p, q *termInfo, b *built, avoid names.Set, le
 			return nil
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return e.c.eachOutput(mover, avoid, func(o outTarget) error {
-		b.add(obMove{side: side, kind: "out", label: o.label, mover: o.tgt}, answers[o.label])
-		return nil
-	})
+	return answers, nil
 }
 
 // reactionObligations adds the clause-3 obligations: for every channel a on
@@ -126,21 +137,29 @@ func (e *engine) reactionObligations(p, q *termInfo, b *built) error {
 // reactTargets returns the states that may answer a reaction move: strong
 // reactions, or weak ones (=ε=> · a(c̃)? · =ε=>) in the weak case.
 func (e *engine) reactTargets(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
-	if !e.sp.weak {
-		return e.c.reactions(ti, ch, payload)
+	return e.c.derivatives(ti, e.sp.weak, func(s *termInfo) ([]*termInfo, error) {
+		return e.c.reactions(s, ch, payload)
+	})
+}
+
+// derivatives returns step(ti), the derivatives of ti under some action x,
+// or when weak every state ti reaches by τ*·x·τ*, sorted by canonical key.
+func (c *Checker) derivatives(ti *termInfo, weak bool, step func(*termInfo) ([]*termInfo, error)) ([]*termInfo, error) {
+	if !weak {
+		return step(ti)
 	}
-	pre, err := e.c.tauClosure(ti)
+	pre, err := c.tauClosure(ti)
 	if err != nil {
 		return nil, err
 	}
 	seen := map[uint64]*termInfo{}
 	for _, s := range pre {
-		rs, err := e.c.reactions(s, ch, payload)
+		ds, err := step(s)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range rs {
-			post, err := e.c.tauClosure(r)
+		for _, d := range ds {
+			post, err := c.tauClosure(d)
 			if err != nil {
 				return nil, err
 			}

@@ -110,8 +110,7 @@ func TestObsParallelCheckerRace(t *testing.T) {
 }
 
 // benchQuery is the workload both overhead benchmarks run: a fresh checker
-// (memoised verdicts would skip the engine entirely) deciding a finite
-// parallel pair whose pair space is a few hundred nodes — enough engine
+// on a cold store deciding a finite parallel pair whose pair space is a few hundred nodes — enough engine
 // work that the per-pair obs cost is what the ratio measures.
 func benchQuery(b *testing.B, tr *obs.Tracer) {
 	b.Helper()

@@ -2,6 +2,7 @@ package equiv
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"bpi/internal/cert"
@@ -30,18 +31,11 @@ func (c *Checker) OneStep(p, q syntax.Proc, weak bool) (bool, error) {
 // OneStepCtx is OneStep honouring ctx: cancellation aborts the move
 // enumeration (and the labelled sub-queries) with an ErrCanceled.
 func (c *Checker) OneStepCtx(ctx context.Context, p, q syntax.Proc, weak bool) (bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pi, err := c.intern(p)
+	pi, qi, err := c.internPair(p, q)
 	if err != nil {
 		return false, err
 	}
-	qi, err := c.intern(q)
-	if err != nil {
-		return false, err
-	}
-	_, ok, err := c.oneStep(ctx, pi, qi, weak, nil)
+	_, ok, err := c.newOneStepQuery(ctx, weak).oneStep(pi, qi, nil)
 	return ok, err
 }
 
@@ -57,25 +51,59 @@ func (c *Checker) OneStepCertCtx(ctx context.Context, p, q syntax.Proc, weak boo
 	if !c.Certify {
 		return nil, false, fmt.Errorf("equiv: one-step certification requires the Certify option")
 	}
+	pi, qi, err := c.internPair(p, q)
+	if err != nil {
+		return nil, false, err
+	}
+	oq := c.newOneStepQuery(ctx, weak)
+	return oq.oneStep(pi, qi, newOSEmit(oq, pi, qi))
+}
+
+// oneStepQuery is one ~+ or ~c query over the labelled engine. Its strict
+// matches ask ~ (or ≈) of successor pairs, and the same pair recurs across
+// challenges, across the two directions and, for ~c, across fusion
+// instances: verdicts holds the labelled sub-verdicts decided so far, each
+// under both orientations (every relation is symmetric). A repeated
+// sub-question returns the same Result, so a certifying query merges each
+// sub-certificate once. The table lives only as long as the query.
+type oneStepQuery struct {
+	c        *Checker
+	ctx      context.Context
+	weak     bool
+	verdicts map[[2]uint64]Result
+}
+
+func (c *Checker) newOneStepQuery(ctx context.Context, weak bool) *oneStepQuery {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pi, err := c.intern(p)
-	if err != nil {
-		return nil, false, err
+	return &oneStepQuery{c: c, ctx: ctx, weak: weak, verdicts: map[[2]uint64]Result{}}
+}
+
+// labelled decides p ~ q (p ≈ q when weak) once per query: the engine runs
+// on the interned terms, and a repeat in either orientation is answered
+// from the table.
+func (oq *oneStepQuery) labelled(p, q *termInfo) (Result, error) {
+	if r, ok := oq.verdicts[[2]uint64{p.id, q.id}]; ok {
+		oq.c.Obs.Count("equiv.verdict_hits", 1)
+		return r, nil
 	}
-	qi, err := c.intern(q)
+	oq.c.Obs.Count("equiv.verdict_misses", 1)
+	r, err := oq.c.run(oq.ctx, p, q, spec{relLabelled, oq.weak})
 	if err != nil {
-		return nil, false, err
+		return r, err
 	}
-	return c.oneStep(ctx, pi, qi, weak, newOSEmit(c, ctx, weak, pi, qi))
+	oq.verdicts[[2]uint64{p.id, q.id}] = r
+	oq.verdicts[[2]uint64{q.id, p.id}] = r
+	return r, nil
 }
 
 // oneStep is the single implementation behind OneStepCtx and OneStepCertCtx:
 // em == nil runs verdict-only, otherwise every discharged strict challenge is
 // recorded (top move + merged labelled relation) and the first failing one
 // becomes the negative certificate.
-func (c *Checker) oneStep(ctx context.Context, pi, qi *termInfo, weak bool, em *osEmit) (*cert.Certificate, bool, error) {
+func (oq *oneStepQuery) oneStep(pi, qi *termInfo, em *osEmit) (*cert.Certificate, bool, error) {
+	c := oq.c
 	// Discard clause. Strong: the discard move a: of one side must be
 	// matched by a discard of the other, with successors (the processes
 	// themselves) related — which makes the discard sets over the shared
@@ -84,7 +112,7 @@ func (c *Checker) oneStep(ctx context.Context, pi, qi *termInfo, weak bool, em *
 	// resting state related to the still-discarding side.
 	chans := freeUnion(pi, qi).Sorted()
 	for _, a := range chans {
-		if err := ctx.Err(); err != nil {
+		if err := oq.ctx.Err(); err != nil {
 			return nil, false, ErrCanceled{err}
 		}
 		dp, err := c.discardsOn(pi, a)
@@ -95,7 +123,7 @@ func (c *Checker) oneStep(ctx context.Context, pi, qi *termInfo, weak bool, em *
 		if err != nil {
 			return nil, false, err
 		}
-		if !weak {
+		if !oq.weak {
 			if dp != dq {
 				if em == nil {
 					return nil, false, nil
@@ -116,22 +144,22 @@ func (c *Checker) oneStep(ctx context.Context, pi, qi *termInfo, weak bool, em *
 			continue
 		}
 		if dp {
-			crt, ok, err := c.weakDiscardMatch(ctx, pi, qi, a, "left", em)
+			crt, ok, err := oq.weakDiscardMatch(pi, qi, a, "left", em)
 			if err != nil || !ok {
 				return crt, false, err
 			}
 		}
 		if dq {
-			crt, ok, err := c.weakDiscardMatch(ctx, qi, pi, a, "right", em)
+			crt, ok, err := oq.weakDiscardMatch(qi, pi, a, "right", em)
 			if err != nil || !ok {
 				return crt, false, err
 			}
 		}
 	}
-	if crt, ok, err := c.oneStepDirected(ctx, pi, qi, weak, "left", em); err != nil || !ok {
+	if crt, ok, err := oq.oneStepDirected(pi, qi, "left", em); err != nil || !ok {
 		return crt, ok, err
 	}
-	if crt, ok, err := c.oneStepDirected(ctx, qi, pi, weak, "right", em); err != nil || !ok {
+	if crt, ok, err := oq.oneStepDirected(qi, pi, "right", em); err != nil || !ok {
 		return crt, ok, err
 	}
 	if em == nil {
@@ -143,14 +171,14 @@ func (c *Checker) oneStep(ctx context.Context, pi, qi *termInfo, weak bool, em *
 // weakDiscardMatch checks clause 4 of Definition 15: discarder --a:-->
 // (staying put) must be answered by other =ε=> o' with o' discarding a and
 // the pair (discarder, o') weakly bisimilar.
-func (c *Checker) weakDiscardMatch(ctx context.Context, discarder, other *termInfo, a names.Name, side string, em *osEmit) (*cert.Certificate, bool, error) {
-	cl, err := c.tauClosure(other)
+func (oq *oneStepQuery) weakDiscardMatch(discarder, other *termInfo, a names.Name, side string, em *osEmit) (*cert.Certificate, bool, error) {
+	cl, err := oq.c.tauClosure(other)
 	if err != nil {
 		return nil, false, err
 	}
 	var answers []*termInfo
 	for _, s := range cl {
-		d, err := c.discardsOn(s, a)
+		d, err := oq.c.discardsOn(s, a)
 		if err != nil {
 			return nil, false, err
 		}
@@ -159,7 +187,7 @@ func (c *Checker) weakDiscardMatch(ctx context.Context, discarder, other *termIn
 		}
 	}
 	for _, s := range answers {
-		r, err := c.LabelledCtx(ctx, discarder.proc, s.proc, true)
+		r, err := oq.labelled(discarder, s)
 		if err != nil {
 			return nil, false, err
 		}
@@ -179,9 +207,14 @@ func (c *Checker) weakDiscardMatch(ctx context.Context, discarder, other *termIn
 	return crt, false, err
 }
 
+// errUnmatched stops an output enumeration at the first mover output no
+// answer matches.
+var errUnmatched = errors.New("equiv: unmatched one-step output")
+
 // oneStepDirected checks the mover→answerer half of Definitions 11/15 for
 // τ, output and input moves. side names the mover ("left" = pi moved).
-func (c *Checker) oneStepDirected(ctx context.Context, mover, answerer *termInfo, weak bool, side string, em *osEmit) (*cert.Certificate, bool, error) {
+func (oq *oneStepQuery) oneStepDirected(mover, answerer *termInfo, side string, em *osEmit) (*cert.Certificate, bool, error) {
+	c := oq.c
 	avoid := freeUnion(mover, answerer)
 
 	// τ moves. In the weak case a τ of the mover must be answered by at
@@ -193,7 +226,7 @@ func (c *Checker) oneStepDirected(ctx context.Context, mover, answerer *termInfo
 		return nil, false, err
 	}
 	var tauTargets []*termInfo
-	if weak {
+	if oq.weak {
 		first, err := c.tauSucc(answerer)
 		if err != nil {
 			return nil, false, err
@@ -218,45 +251,31 @@ func (c *Checker) oneStepDirected(ctx context.Context, mover, answerer *termInfo
 		}
 	}
 	for _, ms := range mt {
-		crt, ok, err := c.strictMatch(ctx, em, weak, "tau", side, "", "", nil, ms, tauTargets)
+		crt, ok, err := oq.strictMatch(em, "tau", side, "", "", nil, ms, tauTargets)
 		if err != nil || !ok {
 			return crt, false, err
 		}
 	}
 
-	// Output moves, matched on identical canonical labels.
-	answers := map[string][]*termInfo{}
-	sources := []*termInfo{answerer}
-	if weak {
-		if sources, err = c.tauClosure(answerer); err != nil {
-			return nil, false, err
-		}
+	// Output moves, matched on identical canonical labels. Each mover
+	// target is interned right before its strict match.
+	answers, err := c.outputAnswers(answerer, avoid, oq.weak)
+	if err != nil {
+		return nil, false, err
 	}
-	for _, src := range sources {
-		for _, ot := range outputsCanon(src, avoid) {
-			tgt, err := c.intern(ot.Target)
-			if err != nil {
-				return nil, false, err
-			}
-			finals := []*termInfo{tgt}
-			if weak {
-				if finals, err = c.tauClosure(tgt); err != nil {
-					return nil, false, err
-				}
-			}
-			answers[ot.Act.String()] = append(answers[ot.Act.String()], finals...)
+	var refuted *cert.Certificate
+	err = c.eachOutput(mover, avoid, func(o outTarget) error {
+		crt, ok, err := oq.strictMatch(em, "out", side, o.label, "", nil, o.tgt, answers[o.label])
+		if err == nil && !ok {
+			refuted, err = crt, errUnmatched
 		}
+		return err
+	})
+	if errors.Is(err, errUnmatched) {
+		return refuted, false, nil
 	}
-	for _, mo := range outputsCanon(mover, avoid) {
-		mtgt, err := c.intern(mo.Target)
-		if err != nil {
-			return nil, false, err
-		}
-		lab := mo.Act.String()
-		crt, ok, err := c.strictMatch(ctx, em, weak, "out", side, lab, "", nil, mtgt, answers[lab])
-		if err != nil || !ok {
-			return crt, false, err
-		}
+	if err != nil {
+		return nil, false, err
 	}
 
 	// Input moves: strictly input-by-input on the same ground label.
@@ -268,22 +287,23 @@ func (c *Checker) oneStepDirected(ctx context.Context, mover, answerer *termInfo
 	for _, s := range mshapes {
 		u := pairUniverse(mover, answerer, s.arity)
 		for _, payload := range tuples(u, s.arity) {
-			if err := ctx.Err(); err != nil {
+			if err := oq.ctx.Err(); err != nil {
 				return nil, false, ErrCanceled{err}
 			}
-			mIns, err := c.inputDerivatives(mover, s.ch, payload)
+			receive := func(ti *termInfo) ([]*termInfo, error) { return c.receptions(ti, s.ch, payload) }
+			mIns, err := receive(mover)
 			if err != nil {
 				return nil, false, err
 			}
 			if len(mIns) == 0 {
 				continue
 			}
-			aIns, err := c.weakInputDerivatives(answerer, s.ch, payload, weak)
+			aIns, err := c.derivatives(answerer, oq.weak, receive)
 			if err != nil {
 				return nil, false, err
 			}
 			for _, md := range mIns {
-				crt, ok, err := c.strictMatch(ctx, em, weak, "in", side, "", s.ch, payload, md, aIns)
+				crt, ok, err := oq.strictMatch(em, "in", side, "", s.ch, payload, md, aIns)
 				if err != nil || !ok {
 					return crt, false, err
 				}
@@ -296,10 +316,10 @@ func (c *Checker) oneStepDirected(ctx context.Context, mover, answerer *termInfo
 // strictMatch discharges one strict challenge: the mover's derivative must be
 // labelled-bisimilar to some answer. With an emitter, success records the
 // witness top move and failure assembles the negative certificate.
-func (c *Checker) strictMatch(ctx context.Context, em *osEmit, weak bool, kind, side, label string,
+func (oq *oneStepQuery) strictMatch(em *osEmit, kind, side, label string,
 	ch names.Name, payload []names.Name, mover *termInfo, answers []*termInfo) (*cert.Certificate, bool, error) {
 	for _, ans := range answers {
-		r, err := c.LabelledCtx(ctx, mover.proc, ans.proc, weak)
+		r, err := oq.labelled(mover, ans)
 		if err != nil {
 			return nil, false, err
 		}
@@ -319,81 +339,28 @@ func (c *Checker) strictMatch(ctx context.Context, em *osEmit, weak bool, kind, 
 	return crt, false, err
 }
 
-// inputDerivatives returns the genuine reception derivatives (no discard).
-func (c *Checker) inputDerivatives(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
-	var out []*termInfo
-	for _, t := range ti.trans {
-		if !t.Act.IsInput() || t.Act.Subj != ch || len(t.Act.Objs) != len(payload) {
-			continue
-		}
-		_, tgt := semanticsInstantiate(t, payload)
-		s, err := c.intern(tgt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// weakInputDerivatives returns the (weak, when requested) reception answers:
-// =ε=> · a(c̃) · =ε=> (strict input in the middle).
-func (c *Checker) weakInputDerivatives(ti *termInfo, ch names.Name, payload []names.Name, weak bool) ([]*termInfo, error) {
-	if !weak {
-		return c.inputDerivatives(ti, ch, payload)
-	}
-	pre, err := c.tauClosure(ti)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[uint64]*termInfo{}
-	for _, s := range pre {
-		ds, err := c.inputDerivatives(s, ch, payload)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range ds {
-			post, err := c.tauClosure(d)
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range post {
-				seen[t.id] = t
-			}
-		}
-	}
-	out := make([]*termInfo, 0, len(seen))
-	for _, t := range seen {
-		out = append(out, t)
-	}
-	sortTerms(out)
-	return out, nil
-}
-
 // ---- one-step certificate emission -----------------------------------------
 
 // osEmit accumulates one-step certificate evidence: the strict top-level move
 // table, the weak discard witnesses, and the union of the labelled
 // sub-certificates as one merged relation.
 type osEmit struct {
-	c        *Checker
-	ctx      context.Context
-	weak     bool
+	oq       *oneStepQuery
 	pi, qi   *termInfo
 	rel      relMerger
 	top      []cert.Move
 	discards []cert.DiscardWitness
 }
 
-func newOSEmit(c *Checker, ctx context.Context, weak bool, pi, qi *termInfo) *osEmit {
-	return &osEmit{c: c, ctx: ctx, weak: weak, pi: pi, qi: qi, rel: newRelMerger()}
+func newOSEmit(oq *oneStepQuery, pi, qi *termInfo) *osEmit {
+	return &osEmit{oq: oq, pi: pi, qi: qi, rel: newRelMerger()}
 }
 
 func (em *osEmit) header(related bool) *cert.Certificate {
 	return &cert.Certificate{
 		Version:  cert.Version,
 		Relation: cert.RelOneStep,
-		Weak:     em.weak,
+		Weak:     em.oq.weak,
 		Related:  related,
 		P:        stringOf(em.pi),
 		Q:        stringOf(em.qi),
@@ -469,7 +436,7 @@ func (em *osEmit) refute(kind, side, label string, ch names.Name, payload []name
 			continue
 		}
 		seen[ans.id] = true
-		r, err := em.c.LabelledCtx(em.ctx, attacker.proc, ans.proc, em.weak)
+		r, err := em.oq.labelled(attacker, ans)
 		if err != nil {
 			return nil, err
 		}
@@ -614,9 +581,7 @@ func (c *Checker) CongruenceBoundedCertCtx(ctx context.Context, p, q syntax.Proc
 // was already checked is skipped. With certify set, the certificate names
 // the printed input terms, which the verifier substitutes into the same way.
 func (c *Checker) congruence(ctx context.Context, p, q syntax.Proc, weak bool, maxSubs int, certify bool) (*cert.Certificate, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	oq := c.newOneStepQuery(ctx, weak)
 	fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q)).Sorted()
 	subs := names.AllFusions(fn, fn)
 	if len(subs) == 0 {
@@ -635,14 +600,10 @@ func (c *Checker) congruence(ctx context.Context, p, q syntax.Proc, weak bool, m
 	seen := map[[2]uint64]bool{}
 	var subCerts []*cert.Certificate
 	for _, sub := range subs {
-		if err := ctx.Err(); err != nil {
+		if err := oq.ctx.Err(); err != nil {
 			return nil, false, ErrCanceled{err}
 		}
-		ps, err := c.intern(syntax.Apply(p, sub))
-		if err != nil {
-			return nil, false, fmt.Errorf("under substitution %s: %w", sub, err)
-		}
-		qs, err := c.intern(syntax.Apply(q, sub))
+		ps, qs, err := c.internPair(syntax.Apply(p, sub), syntax.Apply(q, sub))
 		if err != nil {
 			return nil, false, fmt.Errorf("under substitution %s: %w", sub, err)
 		}
@@ -652,9 +613,9 @@ func (c *Checker) congruence(ctx context.Context, p, q syntax.Proc, weak bool, m
 		seen[[2]uint64{ps.id, qs.id}] = true
 		var em *osEmit
 		if certify {
-			em = newOSEmit(c, ctx, weak, ps, qs)
+			em = newOSEmit(oq, ps, qs)
 		}
-		crt, ok, err := c.oneStep(ctx, ps, qs, weak, em)
+		crt, ok, err := oq.oneStep(ps, qs, em)
 		if err != nil {
 			return nil, false, fmt.Errorf("under substitution %s: %w", sub, err)
 		}

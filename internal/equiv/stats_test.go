@@ -30,9 +30,9 @@ func TestStoreStatsMemoisedPath(t *testing.T) {
 		t.Fatalf("first query should populate the store, got %+v", s1)
 	}
 
-	// Fresh checker (no verdict memo) over the SAME store: the engine must
-	// re-run, but every semantic derivation should be a cache hit and the
-	// term set must not grow.
+	// A second checker over the SAME store: the engine re-runs, but every
+	// semantic derivation should be a cache hit and the term set must not
+	// grow.
 	c2 := NewCheckerWithStore(c1.Store())
 	if _, err := c2.Labelled(p, q, false); err != nil {
 		t.Fatal(err)

@@ -438,12 +438,10 @@ func (s *Store) closure(ti *termInfo, budget int, succ func(*termInfo) ([]*termI
 	return out, nil
 }
 
-// reactions returns the possible reactions of ti to an environment
-// broadcast a(c̃): every input derivative at that channel and arity
-// instantiated with c̃, plus ti itself when it discards a. An empty result
-// means ti can neither receive nor ignore the message (ill-sorted usage).
-// Not memoised: the payload tuple varies per call.
-func (s *Store) reactions(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
+// receptions returns the input derivatives of ti at channel ch and the
+// arity of payload, instantiated with payload. Not memoised: the payload
+// tuple varies per call.
+func (s *Store) receptions(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
 	var out []*termInfo
 	for _, t := range ti.trans {
 		if !t.Act.IsInput() || t.Act.Subj != ch || len(t.Act.Objs) != len(payload) {
@@ -455,6 +453,18 @@ func (s *Store) reactions(ti *termInfo, ch names.Name, payload []names.Name) ([]
 			return nil, err
 		}
 		out = append(out, succ)
+	}
+	return out, nil
+}
+
+// reactions returns the possible reactions of ti to an environment
+// broadcast a(c̃): its receptions, plus ti itself when it discards a. An
+// empty result means ti can neither receive nor ignore the message
+// (ill-sorted usage).
+func (s *Store) reactions(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
+	out, err := s.receptions(ti, ch, payload)
+	if err != nil {
+		return nil, err
 	}
 	d, err := s.discardsOn(ti, ch)
 	if err != nil {

@@ -64,10 +64,6 @@ type Config struct {
 	MaxWait time.Duration
 	// SegmentBytes rolls the active segment past this size (default 8 MiB).
 	SegmentBytes int64
-	// SkipVerify skips the per-record certificate replay at Open. Read-only
-	// inspection (stats, export) may set it; anything that trusts records
-	// must not.
-	SkipVerify bool
 }
 
 func (c Config) batchSize() int {
@@ -102,7 +98,7 @@ var (
 // on-disk payload (the Merkle leaf preimage), and its trust status.
 type entry struct {
 	rec     Record
-	crt     *cert.Certificate // parsed certificate; nil unless verified at Open
+	crt     *cert.Certificate // parsed certificate; nil for records this process appended or rejected
 	payload []byte
 	leaf    [32]byte
 	batch   int // seals[batch]; -1 pending, -2 condemned
@@ -174,8 +170,8 @@ type Ledger struct {
 func segName(n int) string { return fmt.Sprintf("seg-%06d.log", n) }
 
 // Open reads (and, for the damaged tail, repairs) the ledger under dir,
-// verifying every record unless cfg.SkipVerify is set, and leaves the last
-// segment open for appending. A missing dir is created empty.
+// verifying every record's certificate, and leaves the last segment open
+// for appending. A missing dir is created empty.
 func Open(dir string, cfg Config) (*Ledger, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
@@ -302,15 +298,13 @@ func (l *Ledger) loadVerdict(payload []byte) {
 	if e.rec.Seq >= l.nextSeq {
 		l.nextSeq = e.rec.Seq + 1
 	}
-	if !l.cfg.SkipVerify {
-		crt, err := l.VerifyRecord(&e.rec)
-		if err != nil {
-			e.reject = err.Error()
-			l.rejected++
-			return
-		}
-		e.crt = crt
+	crt, err := l.VerifyRecord(&e.rec)
+	if err != nil {
+		e.reject = err.Error()
+		l.rejected++
+		return
 	}
+	e.crt = crt
 	l.byKey[e.rec.KeyHash] = e
 }
 

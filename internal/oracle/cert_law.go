@@ -20,15 +20,15 @@ const CertArtifactDirEnv = "BPIFUZZ_CERT_DIR"
 
 // lawCertChecks is the certificate law: every verdict the engines return
 // must come with a proof object the deliberately-simple independent verifier
-// accepts — on the fresh path AND on the memoised path (a cached verdict
-// must replay its recorded certificate), for all five equivalences and the
-// §5 prover. A verdict whose certificate does not replay is wrong evidence
+// accepts — on a fresh store AND again on the same, now warm, store (whose
+// memoised derivations must not change the evidence), for all five
+// equivalences and the §5 prover. A verdict whose certificate does not replay is wrong evidence
 // even when the verdict itself happens to be right, so this law fires on
 // the rejection, not on the verdict.
 func lawCertChecks() Law {
 	return Law{
 		Name:   "cert/checks",
-		Doc:    "every fuzzed verdict (five relations, fresh and cached, plus axioms.Decide) carries a certificate the independent verifier accepts, and certified ~c agrees with axioms.Decide",
+		Doc:    "every fuzzed verdict (five relations, fresh and on a warm store, plus axioms.Decide) carries a certificate the independent verifier accepts, and certified ~c agrees with axioms.Decide",
 		Config: proverConfig(),
 		Gen:    mixedPair,
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
@@ -46,10 +46,10 @@ func lawCertChecks() Law {
 				}
 				return ""
 			}
-			// Two passes over the same checker: pass two hits the verdict
-			// memo, which must return the recorded certificate unchanged.
+			// Two passes over the same checker: pass two decides every
+			// query again on the store pass one warmed.
 			var congruent bool
-			for _, pass := range []string{"fresh", "cached"} {
+			for _, pass := range []string{"fresh", "warm-store"} {
 				for _, weak := range []bool{false, true} {
 					mode := "strong"
 					if weak {

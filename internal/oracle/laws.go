@@ -245,9 +245,9 @@ func lawSubstClosure() Law {
 // lawObsConsistent checks that the obs counters threaded through the engines
 // are semantically meaningful: a counter total must equal the quantity the
 // engine itself reports, and it must not depend on what the store had
-// already memoised. Fresh checkers are built per leg — the Env checkers
-// memoise verdicts, and a cached verdict reports Pairs: 0, which would make
-// every comparison vacuous.
+// already memoised. Each leg builds its own checker, because a checker's
+// tracer is fixed before its first query; the warm leg shares the cold
+// leg's store.
 func lawObsConsistent() Law {
 	return Law{
 		Name:   "obs/consistent",
@@ -267,8 +267,8 @@ func lawObsConsistent() Law {
 			if err != nil {
 				return "", err
 			}
-			// A second checker over the now-warm store has its own verdict
-			// memo, so it re-runs the engine with every derivation cached.
+			// A second checker over the now-warm store re-runs the engine
+			// with every derivation cached.
 			warm, warmC, err := run(equiv.NewCheckerWithStore(cold.Store()))
 			if err != nil {
 				return "", err

@@ -19,8 +19,8 @@
 //     verdict-cache hits alike — must return the same verdicts, and every
 //     batch verdict must carry a certificate the verifier accepts.
 //   - Certificates: every verdict's replayable proof object (internal/cert)
-//     must be accepted by the independent verifier, on the fresh and the
-//     memoised path alike.
+//     must be accepted by the independent verifier, on a fresh and on a
+//     warm store alike.
 //   - Persistence: a certified verdict survives the full ledger lifecycle
 //     (internal/ledger) — append, seal, reopen — unchanged, certificate and
 //     inclusion proof included.

@@ -47,9 +47,8 @@ func stressPair(g *brand.Gen) (syntax.Proc, syntax.Proc, string) {
 	return p, q, tag
 }
 
-// stressChecker returns a fresh certifying checker for the stress law.
-// Fresh per relation for the same reason as lawObsConsistent: the Env
-// checkers memoise verdicts, and broadcast-tree pair spaces exceed the
+// stressChecker returns a fresh certifying checker for the stress law. The
+// Env checker does not certify, and broadcast-tree pair spaces exceed its
 // default pair budget.
 func stressChecker() *equiv.Checker {
 	ch := equiv.NewChecker(nil)
