@@ -6,14 +6,16 @@
 // Usage:
 //
 //	bpid [-addr :8317] [-f defs.bpi] [-workers N]
-//	     [-queue N] [-cache N] [-max-pairs N] [-max-closure N]
-//	     [-timeout D] [-max-timeout D]
+//	     [-cache N] [-max-pairs N] [-max-closure N]
+//	     [-timeout D] [-max-timeout D] [-drain D]
 //	     [-ledger DIR] [-merkle-batch N] [-merkle-wait-ms MS]
 //	     [-batch-max N] [-admission-queue N]
 //
-// The admission controller in front of /v1/equiv and /v1/equiv/batch sheds
-// excess load with typed 429s (queue_full, deadline_budget, draining) and
-// Retry-After hints; see /metrics bpid_admission_*.
+// One gate admits all work that takes a worker: every endpoint but
+// /v1/parse and the GETs, each /v1/equiv/batch item and each async job.
+// It queues at most -admission-queue of them beyond the -workers running,
+// and sheds the rest with typed 429s (queue_full, deadline_budget,
+// draining) and Retry-After hints; see /metrics bpid_admission_*.
 //
 // With -ledger, bpid opens (or creates) a persistent Merkle verdict ledger
 // in DIR: every persisted verdict is replayed through the independent
@@ -30,14 +32,19 @@
 // GET /trace/{id} (a finished job's span tree and counters) and
 // GET /debug/pprof/ (the standard Go profiling surface). See the README
 // section "Running the daemon" for curl examples. SIGINT/SIGTERM drains:
-// in-flight requests and accepted jobs finish, new work is refused.
+// in-flight requests and accepted jobs finish, new work is shed with
+// draining. The exit status is 0 after a clean drain, 1 when the daemon
+// cannot start or drain, and 2 on a usage error.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -51,35 +58,52 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8317", "listen address")
-	file := flag.String("f", "", "program file with definitions shared by all requests")
-	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "max unfinished async jobs")
-	cache := flag.Int("cache", 4096, "verdict LRU entries")
-	maxPairs := flag.Int("max-pairs", 0, "default pair budget per query (0 = engine default)")
-	maxClosure := flag.Int("max-closure", 0, "default closure budget per query (0 = engine default)")
-	timeout := flag.Duration("timeout", 10*time.Second, "default per-request deadline")
-	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "cap on requested deadlines")
-	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget")
-	ledgerDir := flag.String("ledger", "", "directory of the persistent verdict ledger (empty = no persistence)")
-	merkleBatch := flag.Int("merkle-batch", 64, "records per sealed Merkle batch")
-	merkleWait := flag.Int("merkle-wait-ms", 2000, "max milliseconds a record stays unsealed (0 = seal on batch size only)")
-	batchMax := flag.Int("batch-max", 256, "max pairs per /v1/equiv/batch request")
-	admissionQueue := flag.Int("admission-queue", 64, "admission queue capacity beyond the worker pool (excess load is shed with 429)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run serves until ctx is done, then drains, and returns the exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bpid", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8317", "listen address")
+	file := fs.String("f", "", "program file with definitions shared by all requests")
+	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
+	cache := fs.Int("cache", 4096, "verdict LRU entries")
+	maxPairs := fs.Int("max-pairs", 0, "default pair budget per query (0 = engine default)")
+	maxClosure := fs.Int("max-closure", 0, "default closure budget per query (0 = engine default)")
+	timeout := fs.Duration("timeout", 10*time.Second, "default per-request deadline")
+	maxTimeout := fs.Duration("max-timeout", 60*time.Second, "cap on requested deadlines")
+	drain := fs.Duration("drain", 30*time.Second, "shutdown drain budget")
+	ledgerDir := fs.String("ledger", "", "directory of the persistent verdict ledger (empty = no persistence)")
+	merkleBatch := fs.Int("merkle-batch", 64, "records per sealed Merkle batch")
+	merkleWait := fs.Int("merkle-wait-ms", 2000, "max milliseconds a record stays unsealed (0 = seal on batch size only)")
+	batchMax := fs.Int("batch-max", 256, "max pairs per /v1/equiv/batch request")
+	admissionQueue := fs.Int("admission-queue", 64, "work queued for a worker beyond the worker pool (excess load is shed with 429)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
 
 	var env syntax.Env
 	if *file != "" {
 		src, err := os.ReadFile(*file)
 		if err != nil {
-			log.Fatalf("bpid: %v", err)
+			logger.Printf("bpid: %v", err)
+			return 1
 		}
 		prog, err := parser.ParseProgram(string(src))
-		if err != nil {
-			log.Fatalf("bpid: %s: %v", *file, err)
+		if err == nil {
+			err = prog.Env.Validate()
 		}
-		if err := prog.Env.Validate(); err != nil {
-			log.Fatalf("bpid: %s: %v", *file, err)
+		if err != nil {
+			logger.Printf("bpid: %s: %v", *file, err)
+			return 1
 		}
 		env = prog.Env
 	}
@@ -97,23 +121,33 @@ func main() {
 			MaxWait:   wait,
 		})
 		if err != nil {
-			log.Fatalf("bpid: %v", err)
+			logger.Printf("bpid: %v", err)
+			return 1
 		}
 		st := led.Stats()
-		log.Printf("bpid: ledger %s: %d trusted records (%d batches, %d rejected), chain %.12s…",
+		logger.Printf("bpid: ledger %s: %d trusted records (%d batches, %d rejected), chain %.12s…",
 			*ledgerDir, st.Records, st.Batches, st.Rejected, st.ChainHead)
 		for _, note := range st.Notes {
-			log.Printf("bpid: ledger recovery: %s", note)
+			logger.Printf("bpid: ledger recovery: %s", note)
 		}
 		for _, rej := range led.Rejections() {
-			log.Printf("bpid: ledger quarantined: %s", rej)
+			logger.Printf("bpid: ledger quarantined: %s", rej)
 		}
 	}
 
+	// Listen after the ledger replay, right before serving: a client that
+	// connects earlier is refused at once instead of waiting in the backlog.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Printf("bpid: %v", err)
+		if led != nil {
+			led.Close() // nothing was appended: nothing to seal
+		}
+		return 1
+	}
 	svc := service.New(service.Config{
 		Env:            env,
 		Workers:        *workers,
-		QueueDepth:     *queue,
 		CacheSize:      *cache,
 		MaxPairs:       *maxPairs,
 		MaxClosure:     *maxClosure,
@@ -123,39 +157,37 @@ func main() {
 		BatchMax:       *batchMax,
 		AdmissionQueue: *admissionQueue,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	httpSrv := &http.Server{Handler: svc.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("bpid: listening on %s (defs=%q)", *addr, *file)
+	go func() { errc <- httpSrv.Serve(ln) }()
+	logger.Printf("bpid: listening on %s (defs=%q)", ln.Addr(), *file)
 
 	select {
 	case err := <-errc:
-		log.Fatalf("bpid: %v", err)
+		logger.Printf("bpid: %v", err)
+		return 1
 	case <-ctx.Done():
 	}
-	log.Printf("bpid: draining (budget %s)", *drain)
+	logger.Printf("bpid: draining (budget %s)", *drain)
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(dctx); err != nil {
-		log.Printf("bpid: http shutdown: %v", err)
+		logger.Printf("bpid: http shutdown: %v", err)
 	}
 	if err := svc.Shutdown(dctx); err != nil {
-		log.Printf("bpid: %v", err)
-		os.Exit(1)
+		logger.Printf("bpid: %v", err)
+		return 1
 	}
 	if led != nil {
 		// After the service drain: the write-behind appender has flushed, so
 		// closing seals the tail batch of the records this process appended.
 		if err := led.Close(); err != nil {
-			log.Printf("bpid: ledger close: %v", err)
-			os.Exit(1)
+			logger.Printf("bpid: ledger close: %v", err)
+			return 1
 		}
 		st := led.Stats()
-		log.Printf("bpid: ledger sealed: %d records in %d batches", st.Records, st.Batches)
+		logger.Printf("bpid: ledger sealed: %d records in %d batches", st.Records, st.Batches)
 	}
-	fmt.Println("bpid: drained cleanly")
+	fmt.Fprintln(stdout, "bpid: drained cleanly")
+	return 0
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,9 +20,9 @@ import (
 // The 429 admission taxonomy over the real HTTP surface: each shed cause
 // must produce its own typed error body, carry a retry_after_sec hint of at
 // least one second, and mirror that hint in the Retry-After header. The
-// states are set up deterministically through Server.Admission() —
-// occupying queue slots and seeding the wait predictor by hand — so no case
-// depends on timing.
+// states are set up deterministically through the gate hooks of
+// export_test.go — occupying queue places and seeding the wait predictor by
+// hand — so no case depends on timing.
 
 func postEquiv(t *testing.T, url, body string) (*http.Response, string) {
 	t.Helper()
@@ -58,10 +60,9 @@ func TestAdmission429Taxonomy(t *testing.T) {
 			arrange: func(t *testing.T, srv *service.Server) func() {
 				// Workers=1 + AdmissionQueue=2: three held admissions fill
 				// the pool and the queue; the next request must shed.
-				adm := srv.Admission()
-				var releases []func(time.Duration)
+				var releases []func()
 				for i := 0; i < 3; i++ {
-					release, shed := adm.Admit(0, false)
+					release, shed := srv.Hold(false)
 					if shed != nil {
 						t.Fatalf("setup admission %d shed: %+v", i, shed)
 					}
@@ -69,7 +70,7 @@ func TestAdmission429Taxonomy(t *testing.T) {
 				}
 				return func() {
 					for _, r := range releases {
-						r(0)
+						r()
 					}
 				}
 			},
@@ -81,13 +82,12 @@ func TestAdmission429Taxonomy(t *testing.T) {
 			// A 1s budget against a predicted 10s queue wait.
 			body: `{"p":"a!","q":"a!","rel":"labelled","timeout_ms":1000}`,
 			arrange: func(t *testing.T, srv *service.Server) func() {
-				adm := srv.Admission()
-				adm.SeedEstimate(10 * time.Second)
-				release, shed := adm.Admit(0, false)
+				srv.SeedEstimate(10 * time.Second)
+				release, shed := srv.Hold(false)
 				if shed != nil {
 					t.Fatalf("setup admission shed: %+v", shed)
 				}
-				return func() { release(0) }
+				return release
 			},
 			wantRetryAfterSec: 10, // one queued round × the 10s estimate
 		},
@@ -140,17 +140,8 @@ func TestAdmission429Taxonomy(t *testing.T) {
 
 			// The shed must land on its own per-cause counter, and on the
 			// matching metrics series.
-			st := srv.Admission().Stats()
-			var got uint64
-			switch tc.wantCode {
-			case service.CodeQueueFull:
-				got = st.ShedQueueFull
-			case service.CodeDeadlineBudget:
-				got = st.ShedDeadlineBudget
-			case service.CodeDraining:
-				got = st.ShedDraining
-			}
-			if got != 1 {
+			st := srv.GateStats()
+			if got := st.Shed[tc.wantCode]; got != 1 {
 				t.Errorf("per-cause shed counter = %d, want 1 (stats %+v)", got, st)
 			}
 		})
@@ -161,12 +152,12 @@ func TestAdmission429Taxonomy(t *testing.T) {
 // series on /metrics.
 func TestAdmissionShedMetricsExposed(t *testing.T) {
 	srv, ts, _ := newTestServer(t, service.Config{Workers: 1, AdmissionQueue: 2})
-	srv.Admission().SeedEstimate(10 * time.Second)
-	release, shed := srv.Admission().Admit(0, false)
+	srv.SeedEstimate(10 * time.Second)
+	release, shed := srv.Hold(false)
 	if shed != nil {
 		t.Fatalf("setup admission shed: %+v", shed)
 	}
-	defer release(0)
+	defer release()
 	// One deadline_budget shed.
 	if resp, _ := postEquiv(t, ts.URL, `{"p":"a!","q":"a!","rel":"labelled","timeout_ms":1000}`); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("setup shed: status %d", resp.StatusCode)
@@ -292,14 +283,183 @@ func TestAdmissionConcurrentHammer(t *testing.T) {
 			shed++
 		}
 	}
-	st := srv.Admission().Stats()
+	st := srv.GateStats()
 	if st.Inflight != 0 {
 		t.Errorf("inflight = %d after all requests returned", st.Inflight)
 	}
-	if got := st.Admitted + st.ShedQueueFull + st.ShedDeadlineBudget + st.ShedDraining; got != n {
+	counted := st.Shed[service.CodeQueueFull] + st.Shed[service.CodeDeadlineBudget]
+	if got := st.Admitted + counted + st.Shed[service.CodeDraining]; got != n {
 		t.Errorf("admitted+shed = %d, want %d (stats %+v)", got, n, st)
 	}
-	if int(st.ShedQueueFull+st.ShedDeadlineBudget) != shed {
-		t.Errorf("server counted %d sheds, clients saw %d", st.ShedQueueFull+st.ShedDeadlineBudget, shed)
+	if int(counted) != shed {
+		t.Errorf("server counted %d sheds, clients saw %d", counted, shed)
 	}
+}
+
+// gateRows are the kinds of work that take a worker, one request each.
+var gateRows = []struct{ name, path, body string }{
+	{"step", "/v1/step", `{"term":"a!"}`},
+	{"explore", "/v1/explore", `{"term":"a!"}`},
+	{"equiv", "/v1/equiv", `{"p":"a!","q":"a!","rel":"labelled"}`},
+	{"prove", "/v1/prove", `{"p":"a!","q":"a!"}`},
+	{"run", "/v1/run", `{"term":"a!"}`},
+	{"job", "/v1/jobs", `{"kind":"run","run":{"term":"a!"}}`},
+	{"batch item", "/v1/equiv/batch", `{"pairs":[{"p":"a!","q":"a!","rel":"labelled"}]}`},
+}
+
+// TestGateEndpoints: every kind of work that takes a worker passes the one
+// gate. With the worker and the one queue place held, each is shed with
+// queue_full and a Retry-After hint, on its own series of /metrics; after
+// Shutdown, each is shed with draining. /v1/parse takes no worker and
+// still answers.
+func TestGateEndpoints(t *testing.T) {
+	srv, ts, _ := newTestServer(t, service.Config{Workers: 1, AdmissionQueue: 1})
+	// shedOf posts one row and returns its shed: the error of a gated
+	// endpoint, a 429 whose Retry-After header mirrors the body, or the
+	// error of the batch's one item.
+	shedOf := func(t *testing.T, path, body string) service.ErrorBody {
+		t.Helper()
+		resp, raw := post(t, ts, path, body)
+		if path == "/v1/equiv/batch" {
+			var item service.BatchItem
+			if resp.StatusCode != http.StatusOK || json.Unmarshal([]byte(strings.SplitN(raw, "\n", 2)[0]), &item) != nil || item.Error == nil {
+				t.Fatalf("status %d, first line of %q is not a shed item", resp.StatusCode, raw)
+			}
+			return *item.Error
+		}
+		var er struct {
+			Error service.ErrorBody `json:"error"`
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal([]byte(raw), &er) != nil {
+			t.Fatalf("status %d body %s, want a 429 error envelope", resp.StatusCode, raw)
+		}
+		if got := resp.Header.Get("Retry-After"); got != strconv.Itoa(er.Error.RetryAfterSec) {
+			t.Errorf("Retry-After header %q does not mirror retry_after_sec %d", got, er.Error.RetryAfterSec)
+		}
+		return er.Error
+	}
+	const series = `bpid_admission_shed_total{cause="queue_full"}`
+	var releases []func()
+	for i := 0; i < 2; i++ {
+		release, eb := srv.Hold(false)
+		if eb != nil {
+			t.Fatalf("setup hold %d shed: %+v", i, eb)
+		}
+		releases = append(releases, release)
+	}
+	for _, row := range gateRows {
+		t.Run("full/"+row.name, func(t *testing.T) {
+			before := metricValue(t, ts, series)
+			if eb := shedOf(t, row.path, row.body); eb.Code != service.CodeQueueFull || eb.RetryAfterSec < 1 {
+				t.Errorf("shed %+v, want queue_full with retry_after_sec >= 1", eb)
+			}
+			if after := metricValue(t, ts, series); after != before+1 {
+				t.Errorf("%s went from %g to %g, want one more", series, before, after)
+			}
+		})
+	}
+	for _, release := range releases {
+		release()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range gateRows {
+		t.Run("draining/"+row.name, func(t *testing.T) {
+			if eb := shedOf(t, row.path, row.body); eb.Code != service.CodeDraining || eb.RetryAfterSec < 1 {
+				t.Errorf("shed %+v, want draining with retry_after_sec >= 1", eb)
+			}
+		})
+	}
+	if resp, raw := post(t, ts, "/v1/parse", `{"term":"a! | 0"}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/parse during the drain: status %d body %s", resp.StatusCode, raw)
+	}
+}
+
+// TestGateDrain: Shutdown waits for all the work the gate admitted before
+// it, a request still queued for the worker included, while new work is
+// shed with draining; and no goroutine outlives the drain.
+func TestGateDrain(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, ts, _ := newTestServer(t, service.Config{Workers: 1, AdmissionQueue: 1})
+	release, eb := srv.Hold(true) // admitted, and on the only worker
+	if eb != nil {
+		t.Fatal(eb)
+	}
+	defer release() // on a failure too, or closing the test server waits forever
+	queued := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/step", "application/json", strings.NewReader(`{"term":"a!"}`))
+		if err != nil {
+			t.Error(err)
+			queued <- 0
+			return
+		}
+		resp.Body.Close()
+		queued <- resp.StatusCode
+	}()
+	poll(t, "the step request to queue", func() bool { return srv.GateStats().Inflight == 2 })
+
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- srv.Shutdown(ctx)
+	}()
+	poll(t, "the drain to start", func() bool {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusServiceUnavailable
+	})
+	if resp, body := post(t, ts, "/v1/step", `{"term":"a!"}`); resp.StatusCode != http.StatusTooManyRequests || errCode(t, body) != service.CodeDraining {
+		t.Errorf("new work during the drain: status %d body %s, want 429 draining", resp.StatusCode, body)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Shutdown returned (%v) with admitted work unfinished", err)
+	default:
+	}
+	release()
+	if code := <-queued; code != http.StatusOK {
+		t.Errorf("queued step request: status %d, want 200", code)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain failed: %v", err)
+	}
+	ts.Close()
+	waitGoroutines(t, before)
+}
+
+// poll waits for cond, failing the test after five seconds.
+func poll(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// metricValue reads one series from /metrics.
+func metricValue(t *testing.T, ts *httptest.Server, series string) float64 {
+	t.Helper()
+	_, text := get(t, ts, "/metrics")
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
 }

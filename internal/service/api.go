@@ -13,13 +13,13 @@ import (
 type ErrorBody struct {
 	// Code is a stable machine-readable cause: invalid_request, parse_error,
 	// term_too_large, budget_exhausted, deadline_exceeded, queue_full,
-	// deadline_budget, draining, shutting_down, not_found or internal.
+	// deadline_budget, draining, not_found, pending, job_failed or internal.
 	Code string `json:"code"`
 	// Message is the human-readable detail.
 	Message string `json:"message"`
-	// RetryAfterSec, when non-zero, is the admission controller's backoff
-	// hint in whole seconds. It is mirrored into the Retry-After response
-	// header and marks the error as a load-shed (HTTP 429): the request was
+	// RetryAfterSec, when non-zero, is the gate's backoff hint in whole
+	// seconds. It is mirrored into the Retry-After response header and
+	// marks the error as a load-shed (HTTP 429): the request was
 	// well-formed, the daemon just refused to queue it right now.
 	RetryAfterSec int `json:"retry_after_sec,omitempty"`
 }
@@ -35,7 +35,6 @@ const (
 	CodeBudgetExhausted = "budget_exhausted"
 	CodeDeadline        = "deadline_exceeded"
 	CodeQueueFull       = "queue_full"
-	CodeShuttingDown    = "shutting_down"
 	CodeNotFound        = "not_found"
 	CodeInternal        = "internal"
 	// CodePending marks a resource that will exist but does not yet: a
@@ -46,13 +45,13 @@ const (
 	// CodeJobFailed marks a certificate request against a job that finished
 	// in error: the resource never came to exist and retrying is pointless.
 	CodeJobFailed = "job_failed"
-	// CodeDeadlineBudget is an admission shed: the predicted queue wait
+	// CodeDeadlineBudget is a gate shed: the predicted queue wait
 	// already exceeds the request's own deadline budget, so executing it
 	// would only burn a worker to produce deadline_exceeded.
 	CodeDeadlineBudget = "deadline_budget"
-	// CodeDraining is an admission shed during shutdown: unlike
-	// shutting_down (a terminal 503 from non-query endpoints), draining is a
-	// 429 with Retry-After — a client may retry against another node.
+	// CodeDraining is the gate's shed during shutdown, for every kind of
+	// work: a 429 with Retry-After, so a client may retry against another
+	// node.
 	CodeDraining = "draining"
 )
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +20,7 @@ const maxBatchBodyBytes = 8 << 20
 //     batch sheds a deterministic suffix of its admission attempts, and a
 //     shed pair is reported as a typed item (429-class error body with
 //     retry_after_sec), never silently dropped;
-//   - admitted pairs execute concurrently on the worker pool and stream
+//   - admitted pairs execute concurrently on the workers and stream
 //     back in completion order, each tagged with its request index;
 //   - the final line is a done=true trailer with the batch accounting; a
 //     stream without it was truncated by a transport failure.
@@ -37,9 +36,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		code = eb.Code
 		status, body := fail(eb)
 		w.Header().Set("Content-Type", "application/json")
-		if eb.RetryAfterSec > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(eb.RetryAfterSec))
-		}
 		w.WriteHeader(status)
 		_ = json.NewEncoder(w).Encode(body)
 	}
@@ -59,38 +55,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Upfront admission, index order. Each admitted pair holds its queue
-	// slot until its release below; shed pairs are decided right here.
-	type admitted struct {
-		release func(time.Duration)
-		eb      *ErrorBody
-	}
-	draining := s.isClosed()
-	adms := make([]admitted, len(req.Pairs))
+	// Upfront admission, index order: each admitted pair holds its place
+	// until its ticket is done; shed pairs, during a drain all of them, are
+	// decided right here.
+	tickets := make([]*ticket, len(req.Pairs))
+	sheds := make([]*ErrorBody, len(req.Pairs))
 	shed := 0
 	for i := range req.Pairs {
-		rel, sh := s.admission.Admit(s.timeout(req.Pairs[i].TimeoutMs), draining)
-		if sh != nil {
-			adms[i].eb = shedError(sh)
+		if tickets[i], sheds[i] = s.gate.admit(s.timeout(req.Pairs[i].TimeoutMs)); sheds[i] != nil {
 			shed++
-			continue
 		}
-		adms[i].release = rel
 	}
-
-	finish, eb := s.beginWork()
-	if eb != nil {
-		// Shutdown raced in between: give back every held slot and refuse
-		// the whole batch.
-		for _, a := range adms {
-			if a.release != nil {
-				a.release(0)
-			}
-		}
-		failNow(eb)
-		return
-	}
-	defer finish()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -109,33 +84,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	var succeeded, failed atomic.Int64
 	var wg sync.WaitGroup
-	for i := range req.Pairs {
-		if adms[i].eb != nil {
-			writeLine(BatchItem{Index: i, Error: adms[i].eb})
+	for i, t := range tickets {
+		if t == nil {
+			writeLine(BatchItem{Index: i, Error: sheds[i]})
 			continue
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, t *ticket) {
 			defer wg.Done()
-			var served time.Duration
-			defer func() { adms[i].release(served) }()
-			if eb := s.acquireSlot(r.Context()); eb != nil {
-				failed.Add(1)
-				writeLine(BatchItem{Index: i, Error: eb})
-				return
+			item := BatchItem{Index: i}
+			if eb := t.serve(r.Context(), func() {
+				item.Equiv, item.Error = s.runEquiv(r.Context(), &req.Pairs[i], s.obs)
+			}); eb != nil {
+				item.Error = eb
 			}
-			defer s.releaseSlot()
-			t0 := time.Now()
-			resp, eb := s.runEquiv(r.Context(), &req.Pairs[i], s.obs)
-			served = time.Since(t0)
-			if eb != nil {
+			if item.Error != nil {
 				failed.Add(1)
-				writeLine(BatchItem{Index: i, Error: eb})
-				return
+			} else {
+				succeeded.Add(1)
 			}
-			succeeded.Add(1)
-			writeLine(BatchItem{Index: i, Equiv: resp})
-		}(i)
+			writeLine(item)
+		}(i, t)
 	}
 	wg.Wait()
 	writeLine(BatchTrailer{

@@ -2,11 +2,14 @@ package service_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	bpi "bpi"
 	"bpi/internal/service"
@@ -180,4 +183,77 @@ func TestBatchStreamShape(t *testing.T) {
 	if !trailer.Done || trailer.Total != 2 || trailer.Succeeded != 2 {
 		t.Errorf("trailer %+v, want done=true total=2 succeeded=2", trailer)
 	}
+}
+
+// FuzzBatch feeds request bodies of at most 8 KiB to POST /v1/equiv/batch
+// on a fresh daemon per input. The handler must not panic, and must answer
+// either a 4xx error envelope with a known code, or a 200 NDJSON stream in
+// which every line decodes, item indices are distinct and in [0, total),
+// and exactly one trailer comes last with succeeded + failed + shed ==
+// total.
+//
+// The 1 KiB term cap keeps each exec short. Transition derivation ignores
+// deadlines (ROADMAP item 2b), so a wide term could run far past the 50 ms
+// MaxTimeout; that cost is not what this target checks, the handling of
+// the body is.
+func FuzzBatch(f *testing.F) {
+	pair := `{"p":"a!.b!","q":"a!.b!","rel":"labelled"}`
+	for _, seed := range []string{
+		`{"pairs":[` + pair + `,{"p":"a?(x).x!","q":"a?(y).y!","rel":"barbed","weak":true},{"p":"a!","q":"b!","rel":"onestep"}]}`,
+		`{}`,
+		`{"pairs":[]}`,
+		`{"pairs":[` + pair + `],"bogus":1}`,
+		`{"pairs":[` + strings.Repeat(pair+",", 8) + pair + `]}`,
+		`{"pairs":[{"p":"a!(","q":"a!","rel":"labelled"}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	known := map[string]bool{}
+	for _, c := range []string{service.CodeInvalidRequest, service.CodeParseError, service.CodeTermTooLarge,
+		service.CodeBudgetExhausted, service.CodeDeadline, service.CodeQueueFull, service.CodeNotFound,
+		service.CodeInternal, service.CodePending, service.CodeJobFailed, service.CodeDeadlineBudget, service.CodeDraining} {
+		known[c] = true
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 8<<10 {
+			return
+		}
+		h := service.New(service.Config{Workers: 2, BatchMax: 8, MaxTimeout: 50 * time.Millisecond, MaxTermBytes: 1 << 10}).Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/equiv/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			var er struct {
+				Error service.ErrorBody `json:"error"`
+			}
+			if rec.Code < 400 || rec.Code >= 500 || json.Unmarshal(rec.Body.Bytes(), &er) != nil || !known[er.Error.Code] {
+				t.Fatalf("status %d body %q: want 200, or a 4xx envelope with a known code", rec.Code, rec.Body)
+			}
+			return
+		}
+		lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+		var tr service.BatchTrailer
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &tr); err != nil || !tr.Done {
+			t.Fatalf("last line %q is not a trailer (%v)", lines[len(lines)-1], err)
+		}
+		items := lines[:len(lines)-1]
+		if tr.Total != len(items) || tr.Succeeded+tr.Failed+tr.Shed != tr.Total {
+			t.Fatalf("trailer %+v does not account for its %d items", tr, len(items))
+		}
+		seen := map[int]bool{}
+		for _, line := range items {
+			var item service.BatchItem
+			dec := json.NewDecoder(strings.NewReader(line))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&item); err != nil {
+				t.Fatalf("item line %q: %v", line, err)
+			}
+			if item.Index < 0 || item.Index >= tr.Total || seen[item.Index] {
+				t.Fatalf("item index %d repeated or outside [0, %d)", item.Index, tr.Total)
+			}
+			seen[item.Index] = true
+			if item.Error != nil && !known[item.Error.Code] {
+				t.Fatalf("item %d: unknown code %q", item.Index, item.Error.Code)
+			}
+		}
+	})
 }

@@ -9,9 +9,6 @@ import (
 // these are the numbers `bpid -help` promises.
 func TestConfigZeroValueDefaults(t *testing.T) {
 	var c Config
-	if got := c.queueDepth(); got != 64 {
-		t.Errorf("queueDepth = %d, want 64", got)
-	}
 	if got := c.defaultTimeout(); got != 10*time.Second {
 		t.Errorf("defaultTimeout = %v, want 10s", got)
 	}
@@ -31,10 +28,10 @@ func TestConfigZeroValueDefaults(t *testing.T) {
 
 func TestConfigExplicitValuesHonoured(t *testing.T) {
 	c := Config{
-		QueueDepth: 3, DefaultTimeout: time.Second, MaxTimeout: 2 * time.Second,
+		DefaultTimeout: time.Second, MaxTimeout: 2 * time.Second,
 		MaxTermBytes: 128, BatchMax: 9, AdmissionQueue: 5,
 	}
-	if c.queueDepth() != 3 || c.defaultTimeout() != time.Second || c.maxTimeout() != 2*time.Second ||
+	if c.defaultTimeout() != time.Second || c.maxTimeout() != 2*time.Second ||
 		c.maxTermBytes() != 128 || c.batchMax() != 9 || c.admissionQueue() != 5 {
 		t.Errorf("explicit config not honoured: %+v", c)
 	}

@@ -119,9 +119,8 @@ func instrument(s *Server, endpoint string, h handlerFunc) http.HandlerFunc {
 }
 
 // fail builds a typed error response with the HTTP status matching the code.
-// Admission sheds (any error carrying a Retry-After hint, plus the
-// admission-only codes) are 429: the request was fine, the daemon refused
-// to queue it — distinct from the terminal 503 of shutting_down.
+// A gate shed carries a Retry-After hint, which makes it a 429: the request
+// was fine, the daemon refused to queue it.
 func fail(eb *ErrorBody) (int, any) {
 	status := http.StatusInternalServerError
 	switch eb.Code {
@@ -133,10 +132,6 @@ func fail(eb *ErrorBody) (int, any) {
 		status = http.StatusUnprocessableEntity
 	case CodeDeadline:
 		status = http.StatusGatewayTimeout
-	case CodeQueueFull, CodeShuttingDown:
-		status = http.StatusServiceUnavailable
-	case CodeDeadlineBudget, CodeDraining:
-		status = http.StatusTooManyRequests
 	case CodeNotFound, CodeJobFailed:
 		status = http.StatusNotFound
 	case CodePending:
@@ -175,19 +170,18 @@ func decodeLimit(r *http.Request, into any, limit int64) *ErrorBody {
 	return nil
 }
 
-// sync runs fn on a worker-pool slot, counted against the drain group, with
-// the request context governing the slot wait.
-func (s *Server) sync(r *http.Request, fn func() (int, any)) (int, any) {
-	finish, eb := s.beginWork()
+// sync runs fn for a worker endpoint: the request passes the gate under
+// its deadline budget (timeout_ms, or the default), then waits for a worker
+// slot for as long as its client does.
+func (s *Server) sync(r *http.Request, timeoutMs int, fn func() (int, any)) (status int, body any) {
+	t, eb := s.gate.admit(s.timeout(timeoutMs))
+	if eb == nil {
+		eb = t.serve(r.Context(), func() { status, body = fn() })
+	}
 	if eb != nil {
 		return fail(eb)
 	}
-	defer finish()
-	if eb := s.acquireSlot(r.Context()); eb != nil {
-		return fail(eb)
-	}
-	defer s.releaseSlot()
-	return fn()
+	return status, body
 }
 
 func (s *Server) handleParse(r *http.Request) (int, any) {
@@ -213,7 +207,7 @@ func (s *Server) handleStep(r *http.Request) (int, any) {
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
 	}
-	return s.sync(r, func() (int, any) {
+	return s.sync(r, 0, func() (int, any) {
 		p, eb := s.parseTerm("term", req.Term)
 		if eb != nil {
 			return fail(eb)
@@ -239,7 +233,7 @@ func (s *Server) handleExplore(r *http.Request) (int, any) {
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
 	}
-	return s.sync(r, func() (int, any) {
+	return s.sync(r, 0, func() (int, any) {
 		p, eb := s.parseTerm("term", req.Term)
 		if eb != nil {
 			return fail(eb)
@@ -272,16 +266,8 @@ func (s *Server) handleEquiv(r *http.Request) (int, any) {
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
 	}
-	release, eb := s.admit(s.timeout(req.TimeoutMs))
-	if eb != nil {
-		return fail(eb)
-	}
-	var served time.Duration
-	defer func() { release(served) }()
-	return s.sync(r, func() (int, any) {
-		t0 := time.Now()
+	return s.sync(r, req.TimeoutMs, func() (int, any) {
 		resp, eb := s.runEquiv(r.Context(), &req, s.obs)
-		served = time.Since(t0)
 		if eb != nil {
 			return fail(eb)
 		}
@@ -294,7 +280,7 @@ func (s *Server) handleProve(r *http.Request) (int, any) {
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
 	}
-	return s.sync(r, func() (int, any) {
+	return s.sync(r, req.TimeoutMs, func() (int, any) {
 		resp, eb := s.runProve(r.Context(), &req, s.obs)
 		if eb != nil {
 			return fail(eb)
@@ -308,7 +294,7 @@ func (s *Server) handleRun(r *http.Request) (int, any) {
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
 	}
-	return s.sync(r, func() (int, any) {
+	return s.sync(r, req.TimeoutMs, func() (int, any) {
 		resp, eb := s.runMachine(r.Context(), &req, s.obs)
 		if eb != nil {
 			return fail(eb)
@@ -340,7 +326,7 @@ func (s *Server) handleJobStatus(r *http.Request) (int, any) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.isClosed() {
+	if s.gate.draining() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
 		return
@@ -408,15 +394,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		)
 	}
 	gauges = append(gauges, []gauge{
-		{"bpid_workers", "Worker-pool size.", `{state="total"}`, float64(cap(s.slots))},
-		{"bpid_workers", "Worker-pool size.", `{state="busy"}`, float64(len(s.slots))},
 		{"bpid_jobs", "Jobs by state.", `{state="pending"}`, float64(jc[JobPending])},
 		{"bpid_jobs", "Jobs by state.", `{state="running"}`, float64(jc[JobRunning])},
 		{"bpid_jobs", "Jobs by state.", `{state="done"}`, float64(jc[JobDone])},
 		{"bpid_jobs", "Jobs by state.", `{state="failed"}`, float64(jc[JobFailed])},
 		{"bpid_uptime_seconds", "Seconds since daemon start.", "", time.Since(s.started).Seconds()},
 	}...)
-	gauges = s.admissionGauges(gauges)
+	gauges = s.gate.gauges(gauges)
 	// Engine counters from the daemon tracer, one labelled series per
 	// counter name (sorted for a stable exposition).
 	counters := s.obs.Counters()

@@ -8,18 +8,21 @@ import (
 	"bpi/internal/obs"
 )
 
-// jobManager owns the async job table. Submitted jobs execute on the same
-// worker pool as synchronous requests (one slot each); the table keeps
-// results until the process exits — the daemon serves interactive tooling,
-// not an unbounded public queue, and QueueDepth bounds the unfinished set.
+// maxFinishedJobs bounds the finished jobs the table keeps, with their
+// results, traces and certificates; the oldest finished job is evicted
+// first, and its id then answers not_found.
+const maxFinishedJobs = 256
+
+// jobManager owns the async job table. Submitted jobs pass the same gate as
+// synchronous requests and hold one worker each while they run; the gate
+// bounds the unfinished jobs, and maxFinishedJobs the finished ones.
 type jobManager struct {
 	srv *Server
 
-	mu      sync.Mutex
-	nextID  uint64
-	jobs    map[string]*job
-	pending int // submitted but not yet finished
-	depth   int
+	mu       sync.Mutex
+	nextID   uint64
+	jobs     map[string]*job
+	finished []string // ids of the finished jobs in the table, oldest first
 }
 
 type job struct {
@@ -28,18 +31,13 @@ type job struct {
 	// equivReq remembers an equiv job's request so GET /certificate/{id}
 	// can report the relation alongside the recorded certificate.
 	equivReq *EquivRequest
-	done     chan struct{}
 	// trace is the job's private tracer, set when execution starts and
 	// served by GET /trace/{id}. Engine spans and counters land here;
 	// store-level counters stay on the daemon tracer (the store is shared).
 	trace *obs.Tracer
 }
 
-func newJobManager(srv *Server, depth int) *jobManager {
-	return &jobManager{srv: srv, jobs: map[string]*job{}, depth: depth}
-}
-
-// submit validates, enqueues and starts one job. The request's kind payload
+// submit validates, admits and starts one job. The request's kind payload
 // is executed on a background context bounded by the request's own timeout
 // (the submitting HTTP request may return long before the job finishes).
 func (m *jobManager) submit(req *JobRequest) (string, *ErrorBody) {
@@ -60,20 +58,16 @@ func (m *jobManager) submit(req *JobRequest) (string, *ErrorBody) {
 		return "", &ErrorBody{Code: CodeInvalidRequest,
 			Message: fmt.Sprintf("unknown job kind %q (want equiv|prove|run)", req.Kind)}
 	}
-	finish, eb := m.srv.beginWork()
+	// A job's timeout starts when it runs, so it has no deadline budget to
+	// shed for.
+	t, eb := m.srv.gate.admit(0)
 	if eb != nil {
 		return "", eb
 	}
 	m.mu.Lock()
-	if m.pending >= m.depth {
-		m.mu.Unlock()
-		finish()
-		return "", &ErrorBody{Code: CodeQueueFull,
-			Message: fmt.Sprintf("%d jobs already unfinished (queue depth %d)", m.pending, m.depth)}
-	}
 	m.nextID++
 	id := fmt.Sprintf("job-%d", m.nextID)
-	j := &job{done: make(chan struct{})}
+	j := &job{}
 	if req.Kind == JobEquiv {
 		// Equiv jobs always record their certificate: the poller may not
 		// have asked for it inline, but GET /certificate/{id} must be able
@@ -85,27 +79,16 @@ func (m *jobManager) submit(req *JobRequest) (string, *ErrorBody) {
 	}
 	j.status = JobStatusResponse{ID: id, Kind: req.Kind, State: JobPending}
 	m.jobs[id] = j
-	m.pending++
 	m.mu.Unlock()
 
-	go m.execute(j, req, finish)
+	// The slot wait has no deadline: an accepted job is a promise, and the
+	// drain in Shutdown waits for it.
+	go t.serve(context.Background(), func() { m.execute(j, req) })
 	return id, nil
 }
 
-// execute runs one job to completion on a worker-pool slot.
-func (m *jobManager) execute(j *job, req *JobRequest, finish func()) {
-	defer finish()
-	defer func() {
-		m.mu.Lock()
-		m.pending--
-		m.mu.Unlock()
-		close(j.done)
-	}()
-	// The slot wait is unbounded on purpose: an accepted job is a promise,
-	// and the drain in Shutdown waits for it.
-	m.srv.slots <- struct{}{}
-	defer m.srv.releaseSlot()
-
+// execute runs one job to completion on a worker slot.
+func (m *jobManager) execute(j *job, req *JobRequest) {
 	tr := obs.NewWithLimit(4096)
 	j.mu.Lock()
 	j.status.State = JobRunning
@@ -127,6 +110,11 @@ func (m *jobManager) execute(j *job, req *JobRequest, finish func()) {
 	case JobRun:
 		runResp, eb = m.srv.runMachine(ctx, req.Run, tr)
 	}
+	// The job turns finished and the oldest finished job leaves the table
+	// in one critical section, so a poller that sees this job finished
+	// also sees the eviction.
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	j.mu.Lock()
 	if eb != nil {
 		j.status.State = JobFailed
@@ -135,7 +123,13 @@ func (m *jobManager) execute(j *job, req *JobRequest, finish func()) {
 		j.status.State = JobDone
 		j.status.Equiv, j.status.Prove, j.status.Run = equivResp, proveResp, runResp
 	}
+	id := j.status.ID
 	j.mu.Unlock()
+	m.finished = append(m.finished, id)
+	if len(m.finished) > maxFinishedJobs {
+		delete(m.jobs, m.finished[0])
+		m.finished = m.finished[1:]
+	}
 }
 
 // trace returns a job's tracer (nil until the job starts running) and a

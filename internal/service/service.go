@@ -5,10 +5,12 @@
 //
 // Architecture:
 //
-//   - every query (synchronous endpoint or asynchronous job) executes on a
-//     bounded worker pool — a semaphore of Config.Workers slots — over the
-//     shared store; per-request engine budgets are carried by a throwaway
-//     Checker view onto that store, so budgets are request-scoped while
+//   - every piece of work that needs a worker (a worker endpoint, a batch
+//     item or an async job) passes one gate (gate.go): Config.Workers
+//     slots, a bounded queue of Config.AdmissionQueue places beyond them,
+//     and typed 429 sheds (queue_full, deadline_budget, draining) for the
+//     rest; per-request engine budgets are carried by a throwaway Checker
+//     view onto the shared store, so budgets are request-scoped while
 //     derivations are process-scoped;
 //   - per-request deadlines are threaded as context.Context cancellation
 //     into the pair engine's BFS loop, the prover's derivation search and
@@ -18,8 +20,9 @@
 //     canonical pair + relation + budgets (sound: verdicts are pure
 //     functions of those — see lru.go), so repeated queries short-circuit
 //     before touching the engine;
-//   - Shutdown drains: new work is refused with shutting_down, in-flight
-//     requests and accepted jobs run to completion.
+//   - Shutdown drains: the gate sheds new work with draining, while work
+//     it admitted before, queued requests and accepted jobs included, runs
+//     to completion.
 //
 // The wire types live in api.go and are shared with the bpi.Client.
 package service
@@ -35,7 +38,6 @@ import (
 
 	"bpi/internal/axioms"
 	"bpi/internal/cert"
-	"bpi/internal/cluster"
 	"bpi/internal/equiv"
 	"bpi/internal/ledger"
 	"bpi/internal/machine"
@@ -51,11 +53,8 @@ import (
 type Config struct {
 	// Env is the definitions environment shared by all requests (nil = none).
 	Env syntax.Env
-	// Workers bounds the number of queries executing at once (default
-	// GOMAXPROCS).
+	// Workers bounds the work executing at once (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the number of unfinished async jobs (default 64).
-	QueueDepth int
 	// CacheSize bounds the verdict LRU (entries; default 4096).
 	CacheSize int
 	// MaxPairs / MaxClosure are the default engine budgets for requests
@@ -76,9 +75,9 @@ type Config struct {
 	// BatchMax bounds the pairs accepted by one POST /v1/equiv/batch
 	// (default 256).
 	BatchMax int
-	// AdmissionQueue bounds the admission controller's queue: requests
-	// beyond Workers executing + AdmissionQueue waiting are shed with a
-	// typed 429 (default 64).
+	// AdmissionQueue bounds the gate's queue: work beyond Workers
+	// executing + AdmissionQueue waiting is shed with a typed 429
+	// (default 64).
 	AdmissionQueue int
 }
 
@@ -87,13 +86,6 @@ func (c Config) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return c.Workers
-}
-
-func (c Config) queueDepth() int {
-	if c.QueueDepth <= 0 {
-		return 64
-	}
-	return c.QueueDepth
 }
 
 func (c Config) defaultTimeout() time.Duration {
@@ -131,9 +123,9 @@ func (c Config) admissionQueue() int {
 	return c.AdmissionQueue
 }
 
-// Server is the daemon core: the shared store, the worker pool, the verdict
-// cache, the job table and the metrics registry. Create with New, mount
-// Handler on an http.Server, stop with Shutdown.
+// Server is the daemon core: the shared store, the gate in front of the
+// workers, the verdict cache, the job table and the metrics registry.
+// Create with New, mount Handler on an http.Server, stop with Shutdown.
 type Server struct {
 	cfg     Config
 	sys     *semantics.System
@@ -159,15 +151,8 @@ type Server struct {
 	ledgerDropped atomic.Uint64
 	replayed      int
 
-	slots    chan struct{} // worker-pool semaphore; len() = busy workers
-	inflight sync.WaitGroup
-
-	// admission sheds query load beyond the worker pool and its bounded
-	// queue (see internal/cluster and cluster.go in this package).
-	admission *cluster.Admission
-
-	mu     sync.Mutex
-	closed bool
+	// gate admits all work that needs a worker and drains it at Shutdown.
+	gate *gate
 
 	started time.Time
 }
@@ -180,34 +165,27 @@ func New(cfg Config) *Server {
 		cache:   newVerdictCache(cfg.CacheSize),
 		metrics: newMetrics(),
 		obs:     obs.NewWithLimit(8192),
-		slots:   make(chan struct{}, cfg.workers()),
+		gate:    newGate(cfg.workers(), cfg.admissionQueue()),
 		started: time.Now(),
 	}
 	s.store = equiv.NewStore(s.sys)
 	s.store.SetObs(s.obs)
-	s.jobs = newJobManager(s, cfg.queueDepth())
+	s.jobs = &jobManager{srv: s, jobs: map[string]*job{}}
 	s.attachLedger()
-	s.admission = cluster.NewAdmission(cfg.admissionQueue(), cfg.workers())
 	return s
 }
-
-// Admission exposes the admission controller (tests seed its estimate and
-// fill its queue deterministically).
-func (s *Server) Admission() *cluster.Admission { return s.admission }
 
 // Store exposes the shared term store (for tests and diagnostics).
 func (s *Server) Store() *equiv.Store { return s.store }
 
-// Shutdown drains the server: new requests and job submissions are refused
-// with shutting_down, then Shutdown blocks until every in-flight request
-// and accepted job has finished, or ctx expires.
+// Shutdown drains the server: the gate sheds all new work with draining,
+// then Shutdown blocks until all work it admitted before, queued requests
+// and accepted jobs included, has finished, or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	s.gate.close()
 	done := make(chan struct{})
 	go func() {
-		s.inflight.Wait()
+		s.gate.drain.Wait()
 		close(done)
 	}()
 	select {
@@ -220,36 +198,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return fmt.Errorf("service: shutdown drain: %w", ctx.Err())
 	}
 }
-
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// beginWork registers one unit of in-flight work, refusing when draining.
-// The caller must call the returned func when the work is finished.
-func (s *Server) beginWork() (func(), *ErrorBody) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, &ErrorBody{Code: CodeShuttingDown, Message: "daemon is draining"}
-	}
-	s.inflight.Add(1)
-	return func() { s.inflight.Done() }, nil
-}
-
-// acquireSlot blocks until a worker-pool slot is free or ctx is done.
-func (s *Server) acquireSlot(ctx context.Context) *ErrorBody {
-	select {
-	case s.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return classify(ctx.Err())
-	}
-}
-
-func (s *Server) releaseSlot() { <-s.slots }
 
 // timeout resolves a request's timeout_ms against the server defaults.
 func (s *Server) timeout(ms int) time.Duration {

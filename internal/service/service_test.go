@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -27,6 +28,17 @@ func newTestServer(t *testing.T, cfg service.Config) (*service.Server, *httptest
 func post(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	return readBody(t, resp, err)
+}
+
+func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	return readBody(t, resp, err)
+}
+
+func readBody(t *testing.T, resp *http.Response, err error) (*http.Response, string) {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,10 +334,12 @@ func TestBudgetTypedError(t *testing.T) {
 }
 
 // TestGracefulShutdownDrains submits a job, then shuts the server down: the
-// drain must wait for the job to finish, and new work must be refused with
-// shutting_down while the result stays pollable in the job table.
+// drain must wait for the job to finish, new work must be refused with the
+// retryable draining shed while the result stays pollable in the job
+// table, and no goroutine may outlive the drain.
 func TestGracefulShutdownDrains(t *testing.T) {
-	srv, _, cl := newTestServer(t, service.Config{Workers: 2})
+	before := runtime.NumGoroutine()
+	srv, ts, cl := newTestServer(t, service.Config{Workers: 2})
 	ctx := context.Background()
 	// A run long enough to still be in flight when Shutdown starts, short
 	// enough to finish well inside the drain budget.
@@ -350,9 +364,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if st.Run == nil || st.Run.Steps != 30000 {
 		t.Fatalf("drained job result: %+v", st.Run)
 	}
-	// A new query is shed by admission with the retryable draining cause
-	// (429 + Retry-After) — the cluster-aware refusal, distinct from the
-	// terminal shutting_down below.
+	// A new query and a new job are both shed with the retryable draining
+	// cause (429 + Retry-After).
 	_, err = cl.Equiv(ctx, bpi.EquivRequest{P: "a!", Q: "a!", Rel: service.RelLabelled})
 	apiErr, ok := err.(*bpi.APIError)
 	if !ok || apiErr.Code != service.CodeDraining {
@@ -364,16 +377,34 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	_, err = cl.Submit(ctx, bpi.JobRequest{Kind: service.JobEquiv,
 		Equiv: &bpi.EquivRequest{P: "a!", Q: "a!", Rel: service.RelLabelled}})
 	apiErr, ok = err.(*bpi.APIError)
-	if !ok || apiErr.Code != service.CodeShuttingDown {
-		t.Fatalf("expected shutting_down on submit, got %v", err)
+	if !ok || apiErr.Code != service.CodeDraining {
+		t.Fatalf("expected draining on submit, got %v", err)
+	}
+	ts.Close()
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to at
+// most before within a short poll.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after the drain, %d before:\n%s", runtime.NumGoroutine(), before, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestQueueFull checks the job queue depth is enforced with a typed error.
+// TestQueueFull checks the gate bounds unfinished jobs with a typed error.
 func TestQueueFull(t *testing.T) {
-	_, _, cl := newTestServer(t, service.Config{Workers: 1, QueueDepth: 2})
+	_, _, cl := newTestServer(t, service.Config{Workers: 1, AdmissionQueue: 1})
 	ctx := context.Background()
-	// Fill the queue with slow runs (they hold the single worker slot).
+	// Fill the worker and the queue with slow runs (they hold the single
+	// worker slot).
 	slow := &bpi.RunRequest{Term: "(rec T(a). a!.T(a))(tick)", MaxSteps: 1 << 20, TimeoutMs: 5000}
 	for i := 0; i < 2; i++ {
 		if _, err := cl.Submit(ctx, bpi.JobRequest{Kind: service.JobRun, Run: slow}); err != nil {
@@ -384,5 +415,42 @@ func TestQueueFull(t *testing.T) {
 	apiErr, ok := err.(*bpi.APIError)
 	if !ok || apiErr.Code != service.CodeQueueFull {
 		t.Fatalf("expected queue_full, got %v", err)
+	}
+}
+
+// TestFinishedJobsBounded: the job table keeps the 256 most recently
+// finished jobs, evicting the oldest first, and an evicted id answers
+// not_found on every job endpoint. Each job finishes before the next is
+// submitted, so finish order is submission order.
+func TestFinishedJobsBounded(t *testing.T) {
+	_, ts, cl := newTestServer(t, service.Config{AdmissionQueue: 512})
+	ctx := context.Background()
+	ids := make([]string, 259)
+	for i := range ids {
+		id, err := cl.Submit(ctx, bpi.JobRequest{Kind: service.JobRun, Run: &bpi.RunRequest{Term: "a!.b!", MaxSteps: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Wait(ctx, id, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	for i, id := range ids {
+		want := http.StatusOK
+		if i < 3 {
+			want = http.StatusNotFound
+			for _, path := range []string{"/trace/", "/certificate/"} {
+				if resp, body := get(t, ts, path+id); resp.StatusCode != want || errCode(t, body) != service.CodeNotFound {
+					t.Errorf("%s%s: status %d body %s, want 404 not_found", path, id, resp.StatusCode, body)
+				}
+			}
+		}
+		if resp, body := get(t, ts, "/v1/jobs/"+id); resp.StatusCode != want {
+			t.Errorf("job %d (%s): status %d body %s, want %d", i, id, resp.StatusCode, body, want)
+		}
+	}
+	if done := metricValue(t, ts, `bpid_jobs{state="done"}`); done != 256 {
+		t.Errorf(`bpid_jobs{state="done"} = %g, want 256`, done)
 	}
 }
