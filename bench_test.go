@@ -347,34 +347,6 @@ func BenchmarkEquivCheckerScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkSimplifyAblation measures exploration with and without the
-// Simplify interning (the design choice DESIGN.md calls out).
-func BenchmarkSimplifyAblation(b *testing.B) {
-	p := syntax.Group(
-		syntax.Send("a", nil, syntax.SendN("b")),
-		syntax.Recv("a", nil, syntax.SendN("c")),
-		syntax.TauP(syntax.RecvN("b")),
-		syntax.Send("d", nil, syntax.PNil),
-	)
-	for _, disable := range []bool{false, true} {
-		name := "with-simplify"
-		if disable {
-			name = "no-simplify"
-		}
-		b.Run(name, func(b *testing.B) {
-			sys := semantics.NewSystem(nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := lts.Explore(sys, []syntax.Proc{p}, lts.Options{
-					DisableSimplify: disable, MaxStates: 1 << 14,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkE16_WeakCongruence measures the weak congruence decision on the
 // τ-law pair family.
 func BenchmarkE16_WeakCongruence(b *testing.B) {

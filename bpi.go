@@ -136,7 +136,7 @@ func VerifyCertificate(c *Certificate) error { return cert.Verify(c) }
 
 // UnmarshalCertificate parses a certificate from its JSON encoding (the
 // format written by Certificate.Marshal, the -cert CLI flags and the
-// daemon's GET /certificate/{id}).
+// daemon's /v1/equiv with "cert": true).
 func UnmarshalCertificate(data []byte) (*Certificate, error) { return cert.Unmarshal(data) }
 
 // Explore builds the finite transition graph reachable from the roots.

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"time"
 
 	"bpi/internal/service"
 )
@@ -37,13 +36,6 @@ type (
 	ExploreResponse = service.ExploreResponse
 	// ExploreRequest configures a daemon graph exploration.
 	ExploreRequest = service.ExploreRequest
-	// JobRequest submits an asynchronous daemon job.
-	JobRequest = service.JobRequest
-	// JobStatus reports an asynchronous daemon job.
-	JobStatus = service.JobStatusResponse
-	// CertificateResponse carries the replayable certificate of a finished
-	// equiv job.
-	CertificateResponse = service.CertificateResponse
 	// APIError is the typed error a daemon returns (code + message, plus a
 	// Retry-After hint on admission sheds).
 	APIError = service.ErrorBody
@@ -63,7 +55,7 @@ type BatchResult struct {
 }
 
 // Service is the embeddable daemon core (shared store, worker pool, verdict
-// cache, job table); mount Service.Handler on any http.Server.
+// cache, request traces); mount Service.Handler on any http.Server.
 type Service = service.Server
 
 // ServiceConfig tunes an embedded Service; the zero value is usable.
@@ -265,53 +257,6 @@ func (c *Client) RunRemote(ctx context.Context, req RunRequest) (*RunResponse, e
 	var out RunResponse
 	err := c.call(ctx, http.MethodPost, "/v1/run", req, &out)
 	return &out, err
-}
-
-// Submit enqueues an asynchronous job and returns its ID.
-func (c *Client) Submit(ctx context.Context, req JobRequest) (string, error) {
-	var out service.JobSubmitResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/jobs", req, &out); err != nil {
-		return "", err
-	}
-	return out.ID, nil
-}
-
-// Job polls an asynchronous job once.
-func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	var out JobStatus
-	err := c.call(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &out)
-	return &out, err
-}
-
-// Certificate fetches the replayable certificate recorded by a finished
-// equiv job; verify it with internal/cert.Verify or `bpicert verify`.
-func (c *Client) Certificate(ctx context.Context, id string) (*CertificateResponse, error) {
-	var out CertificateResponse
-	err := c.call(ctx, http.MethodGet, "/certificate/"+id, nil, &out)
-	return &out, err
-}
-
-// Wait polls a job every interval until it finishes or ctx expires.
-func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (*JobStatus, error) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if st.State == service.JobDone || st.State == service.JobFailed {
-			return st, nil
-		}
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // Metrics fetches the daemon's raw Prometheus text exposition.

@@ -70,17 +70,12 @@ func smoke(t *testing.T, cl *bpi.Client) {
 	if !pv.Proved {
 		t.Fatal("A ⊢ a!+a! = a! expected provable")
 	}
-	id, err := cl.Submit(ctx, bpi.JobRequest{Kind: "run",
-		Run: &bpi.RunRequest{Term: "a!.b!.0", KeepTrace: true}})
+	rn, err := cl.RunRemote(ctx, bpi.RunRequest{Term: "a!.b!.0", KeepTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.Wait(ctx, id, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "done" || st.Run == nil || st.Run.Steps != 2 {
-		t.Fatalf("job: %+v", st)
+	if rn.Steps != 2 || len(rn.Trace) != 2 {
+		t.Fatalf("run: %+v", rn)
 	}
 	text, err := cl.Metrics(ctx)
 	if err != nil {

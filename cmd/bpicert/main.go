@@ -1,6 +1,7 @@
 // Command bpicert checks the replayable certificates emitted by the
-// equivalence engines (bpibisim -cert, bpiaxiom -cert, bpid's
-// GET /certificate/{id}) against the independent verifier of internal/cert.
+// equivalence engines (bpibisim -cert, bpiaxiom -cert, the "certificate"
+// field of bpid's /v1/equiv with "cert": true) against the independent
+// verifier of internal/cert.
 // The verifier shares no code with the engines: it re-derives every claimed
 // transition from the LTS rules, so a certificate that verifies is evidence
 // about the calculus, not about the engine that produced it.

@@ -12,10 +12,11 @@
 //	     [-batch-max N] [-admission-queue N]
 //
 // One gate admits all work that takes a worker: every endpoint but
-// /v1/parse and the GETs, each /v1/equiv/batch item and each async job.
-// It queues at most -admission-queue of them beyond the -workers running,
-// and sheds the rest with typed 429s (queue_full, deadline_budget,
-// draining) and Retry-After hints; see /metrics bpid_admission_*.
+// /v1/parse and the GETs, and each /v1/equiv/batch item. It queues at most
+// -admission-queue of them beyond the -workers running, and sheds the rest
+// with typed 429s (queue_full, deadline_budget, draining) and Retry-After
+// hints; see /metrics bpid_admission_*. A request's deadline (timeout_ms,
+// or -timeout) starts when it arrives and covers its wait for a worker.
 //
 // With -ledger, bpid opens (or creates) a persistent Merkle verdict ledger
 // in DIR: every persisted verdict is replayed through the independent
@@ -26,15 +27,16 @@
 // whichever comes first). Inspect with `bpiledger`, or over HTTP via
 // GET /v1/ledger/stats and GET /v1/ledger/proof/{key}.
 //
-// Endpoints: POST /v1/{parse,step,explore,equiv,prove,run,jobs},
-// GET /v1/jobs/{id}, /v1/ledger/{stats,proof/{key}}, /healthz, /metrics
+// Endpoints: POST /v1/{parse,step,explore,equiv,prove,run} and
+// /v1/equiv/batch, GET /v1/ledger/{stats,proof/{key}}, /healthz, /metrics
 // (Prometheus text, including bpid_engine_events_total engine counters),
-// GET /trace/{id} (a finished job's span tree and counters) and
-// GET /debug/pprof/ (the standard Go profiling surface). See the README
-// section "Running the daemon" for curl examples. SIGINT/SIGTERM drains:
-// in-flight requests and accepted jobs finish, new work is shed with
-// draining. The exit status is 0 after a clean drain, 1 when the daemon
-// cannot start or drain, and 2 on a usage error.
+// GET /trace/{id} (the span tree and counters of one of the last 256
+// gated requests, named by its X-Trace-Id header or a batch item's
+// trace_id) and GET /debug/pprof/ (the standard Go profiling surface). See
+// the README section "Running the daemon" for curl examples.
+// SIGINT/SIGTERM drains: in-flight and queued requests finish, new work is
+// shed with draining. The exit status is 0 after a clean drain, 1 when the
+// daemon cannot start or drain, and 2 on a usage error.
 package main
 
 import (

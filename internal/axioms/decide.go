@@ -101,6 +101,13 @@ func (pr *Prover) maxSteps() int {
 	return pr.MaxSteps
 }
 
+// ErrBudget reports that a Decide call ran out of one of the prover's
+// budgets: the free names exceed MaxNames, or the comparisons exceed
+// MaxSteps.
+type ErrBudget struct{ What string }
+
+func (e ErrBudget) Error() string { return "axioms: " + e.What }
+
 // Decide reports whether A ⊢ p = q (equivalently, by Theorems 6 and 7,
 // whether p ~c q) for finite processes p, q.
 func (pr *Prover) Decide(p, q syntax.Proc) (bool, error) {
@@ -126,7 +133,7 @@ func (pr *Prover) DecideCtx(ctx context.Context, p, q syntax.Proc) (bool, error)
 	}
 	fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q))
 	if fn.Len() > pr.maxNames() {
-		return false, fmt.Errorf("axioms: %d free names exceed the world budget (%d)", fn.Len(), pr.maxNames())
+		return false, ErrBudget{fmt.Sprintf("%d free names exceed the world budget (%d)", fn.Len(), pr.maxNames())}
 	}
 	pr.steps = 0
 	pr.trace = pr.trace[:0]
@@ -171,7 +178,7 @@ func (pr *Prover) decideWorld(p, q syntax.Proc, saturate bool) (bool, error) {
 	pr.steps++
 	pr.cCompares.Add(1)
 	if pr.steps > pr.maxSteps() {
-		return false, fmt.Errorf("axioms: prover step budget exhausted")
+		return false, ErrBudget{"prover step budget exhausted"}
 	}
 	if pr.ctx != nil {
 		if err := pr.ctx.Err(); err != nil {

@@ -67,9 +67,6 @@ type Options struct {
 	FreshNames int
 	// MaxStates bounds the number of explored states (default 8192).
 	MaxStates int
-	// DisableSimplify turns off ~c-sound interning via syntax.Simplify
-	// (enabled by default; disable for debugging only — verdicts agree).
-	DisableSimplify bool
 	// AutonomousOnly restricts the graph to autonomous moves (τ and
 	// outputs), skipping input instantiation entirely. Barbed and step
 	// bisimilarity are decided on such graphs; they never inspect input
@@ -131,9 +128,7 @@ func ExploreCtx(ctx context.Context, sys *semantics.System, roots []syntax.Proc,
 
 	var frontier []int
 	for _, r := range roots {
-		if !opt.DisableSimplify {
-			r = syntax.Simplify(r)
-		}
+		r = syntax.Simplify(r)
 		i, fresh := g.intern(r, syntax.Key(r))
 		g.Roots = append(g.Roots, i)
 		if fresh {
@@ -254,10 +249,7 @@ func exploreFrom(ctx context.Context, sys *semantics.System, g *Graph, frontier 
 				g.Truncated = true
 				return nil
 			}
-			tp := t.Target
-			if !opt.DisableSimplify {
-				tp = syntax.Simplify(tp)
-			}
+			tp := syntax.Simplify(t.Target)
 			j, fresh := g.intern(tp, syntax.Key(tp))
 			g.Edges[i] = append(g.Edges[i], Edge{t.Act, t.Act.String(), j})
 			if fresh {
@@ -307,12 +299,7 @@ func (g *Graph) NumEdges() int {
 
 // StateIndex returns the index of the interned representative of p, or -1.
 func (g *Graph) StateIndex(p syntax.Proc) int {
-	k := syntax.Key(syntax.Simplify(p))
-	if i, ok := g.index[k]; ok {
-		return i
-	}
-	// The graph may have been built with simplification disabled.
-	if i, ok := g.index[syntax.Key(p)]; ok {
+	if i, ok := g.index[syntax.Key(syntax.Simplify(p))]; ok {
 		return i
 	}
 	return -1

@@ -414,10 +414,11 @@ func batchAgree(ctx context.Context, d *Daemon, p, q syntax.Proc) (string, error
 		})
 	}
 	for round := 0; round < 2; round++ {
-		items, tr, err := d.Batch(ctx, batch)
+		res, err := d.Batch(ctx, batch)
 		if err != nil {
 			return "", err
 		}
+		items, tr := res.Items, res.Trailer
 		if tr.Total != len(rows) || tr.Succeeded != len(rows) || tr.Failed != 0 || tr.Shed != 0 {
 			return fmt.Sprintf("batch round %d: healthy batch accounted as %+v", round, tr), nil
 		}

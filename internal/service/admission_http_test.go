@@ -303,7 +303,6 @@ var gateRows = []struct{ name, path, body string }{
 	{"equiv", "/v1/equiv", `{"p":"a!","q":"a!","rel":"labelled"}`},
 	{"prove", "/v1/prove", `{"p":"a!","q":"a!"}`},
 	{"run", "/v1/run", `{"term":"a!"}`},
-	{"job", "/v1/jobs", `{"kind":"run","run":{"term":"a!"}}`},
 	{"batch item", "/v1/equiv/batch", `{"pairs":[{"p":"a!","q":"a!","rel":"labelled"}]}`},
 }
 

@@ -13,7 +13,7 @@ import (
 type ErrorBody struct {
 	// Code is a stable machine-readable cause: invalid_request, parse_error,
 	// term_too_large, budget_exhausted, deadline_exceeded, queue_full,
-	// deadline_budget, draining, not_found, pending, job_failed or internal.
+	// deadline_budget, draining, not_found, pending or internal.
 	Code string `json:"code"`
 	// Message is the human-readable detail.
 	Message string `json:"message"`
@@ -37,14 +37,10 @@ const (
 	CodeQueueFull       = "queue_full"
 	CodeNotFound        = "not_found"
 	CodeInternal        = "internal"
-	// CodePending marks a resource that will exist but does not yet: a
-	// certificate of a still-running job, or an inclusion proof of a
-	// not-yet-sealed ledger record. Served as 409 — retry after the job
-	// finishes / the batch seals.
+	// CodePending marks a resource that will exist but does not yet: an
+	// inclusion proof of a not-yet-sealed ledger record. Served as 409 —
+	// retry after the batch seals.
 	CodePending = "pending"
-	// CodeJobFailed marks a certificate request against a job that finished
-	// in error: the resource never came to exist and retrying is pointless.
-	CodeJobFailed = "job_failed"
 	// CodeDeadlineBudget is a gate shed: the predicted queue wait
 	// already exceeds the request's own deadline budget, so executing it
 	// would only burn a worker to produce deadline_exceeded.
@@ -54,6 +50,10 @@ const (
 	// node.
 	CodeDraining = "draining"
 )
+
+// TraceHeader names the response header carrying the id of the request's
+// trace on every gated endpoint; GET /trace/{id} serves it.
+const TraceHeader = "X-Trace-Id"
 
 // errorResponse is the JSON envelope of an error.
 type errorResponse struct {
@@ -127,13 +127,14 @@ type EquivRequest struct {
 	// MaxSubs bounds the substitutions tried by a congruence query
 	// (0 = unbounded).
 	MaxSubs int `json:"max_subs,omitempty"`
-	// TimeoutMs bounds the wall-clock time of the query (0 = server
-	// default; clamped to the server maximum).
+	// TimeoutMs bounds the wall-clock time of the query from its arrival,
+	// the wait for a worker included (0 = server default; clamped to the
+	// server maximum).
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 	// Cert asks for the verdict's replayable certificate (internal/cert)
 	// in the response. The daemon records a certificate for every verdict
-	// regardless (async jobs serve theirs on GET /certificate/{id}); this
-	// flag only controls whether it is inlined in the response body.
+	// regardless (the verdict cache and the ledger keep it); this flag
+	// only controls whether it is inlined in the response body.
 	Cert bool `json:"cert,omitempty"`
 }
 
@@ -164,11 +165,13 @@ type BatchRequest struct {
 
 // BatchItem is one NDJSON line of a batch response stream: the verdict (or
 // typed error) of the pair at Index in the request. Items stream in
-// completion order, not index order — Index is the join key.
+// completion order, not index order — Index is the join key. TraceID names
+// the pair's trace on GET /trace/{id}; a pair shed at admission has none.
 type BatchItem struct {
-	Index int            `json:"index"`
-	Equiv *EquivResponse `json:"equiv,omitempty"`
-	Error *ErrorBody     `json:"error,omitempty"`
+	Index   int            `json:"index"`
+	Equiv   *EquivResponse `json:"equiv,omitempty"`
+	Error   *ErrorBody     `json:"error,omitempty"`
+	TraceID string         `json:"trace_id,omitempty"`
 }
 
 // BatchTrailer is the final NDJSON line of a batch stream, marked by
@@ -181,17 +184,6 @@ type BatchTrailer struct {
 	Failed    int     `json:"failed"`
 	Shed      int     `json:"shed"`
 	ElapsedMs float64 `json:"elapsed_ms"`
-}
-
-// CertificateResponse is the body of GET /certificate/{id}: the replayable
-// certificate recorded for a finished equiv job. Verify it offline with
-// `bpicert verify` or internal/cert.Verify.
-type CertificateResponse struct {
-	ID          string            `json:"id"`
-	Rel         string            `json:"rel"`
-	Weak        bool              `json:"weak"`
-	Related     bool              `json:"related"`
-	Certificate *cert.Certificate `json:"certificate"`
 }
 
 // LedgerStatsResponse is the body of GET /v1/ledger/stats. Enabled is false
@@ -262,56 +254,13 @@ type RunResponse struct {
 	ElapsedMs float64    `json:"elapsed_ms"`
 }
 
-// Job kinds accepted by JobRequest.Kind.
-const (
-	JobEquiv = "equiv"
-	JobProve = "prove"
-	JobRun   = "run"
-)
-
-// JobRequest submits an asynchronous job; exactly the field matching Kind
-// must be set.
-type JobRequest struct {
-	Kind  string        `json:"kind"`
-	Equiv *EquivRequest `json:"equiv,omitempty"`
-	Prove *ProveRequest `json:"prove,omitempty"`
-	Run   *RunRequest   `json:"run,omitempty"`
-}
-
-// JobSubmitResponse acknowledges a submitted job.
-type JobSubmitResponse struct {
-	ID string `json:"id"`
-}
-
-// Job states.
-const (
-	JobPending = "pending"
-	JobRunning = "running"
-	JobDone    = "done"
-	JobFailed  = "failed"
-)
-
-// JobStatusResponse reports a job's state and, when done, its result (the
-// field matching the submitted Kind) or its typed error (when failed).
-type JobStatusResponse struct {
-	ID    string `json:"id"`
-	Kind  string `json:"kind"`
-	State string `json:"state"`
-
-	Equiv *EquivResponse `json:"equiv,omitempty"`
-	Prove *ProveResponse `json:"prove,omitempty"`
-	Run   *RunResponse   `json:"run,omitempty"`
-	Error *ErrorBody     `json:"error,omitempty"`
-}
-
 // TraceResponse is the body of GET /trace/{id}: the span tree and engine
-// counters recorded by one async job's private tracer. Spans only exist
-// once the job has started running; DroppedSpans counts events discarded
-// by the per-job buffer bound.
+// counters recorded by one gated request's own tracer, with the endpoint
+// that served it. A verdict-cache hit records no engine spans;
+// DroppedSpans counts events discarded by the per-request buffer bound.
 type TraceResponse struct {
 	ID           string           `json:"id"`
-	Kind         string           `json:"kind"`
-	State        string           `json:"state"`
+	Endpoint     string           `json:"endpoint"`
 	Counters     map[string]int64 `json:"counters,omitempty"`
 	DroppedSpans uint64           `json:"dropped_spans,omitempty"`
 	Spans        []*obs.Node      `json:"spans,omitempty"`

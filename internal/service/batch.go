@@ -1,12 +1,15 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bpi/internal/obs"
 )
 
 // maxBatchBodyBytes bounds a batch request body; individual terms inside it
@@ -21,7 +24,11 @@ const maxBatchBodyBytes = 8 << 20
 //     shed pair is reported as a typed item (429-class error body with
 //     retry_after_sec), never silently dropped;
 //   - admitted pairs execute concurrently on the workers and stream
-//     back in completion order, each tagged with its request index;
+//     back in completion order, each tagged with its request index and
+//     the id of its own trace;
+//   - each pair's deadline (its timeout_ms, or the default) starts when
+//     the batch arrives, and bounds its admission, its wait for a worker
+//     and its run;
 //   - the final line is a done=true trailer with the batch accounting; a
 //     stream without it was truncated by a transport failure.
 //
@@ -92,12 +99,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, t *ticket) {
 			defer wg.Done()
+			ctx, cancel := context.WithDeadline(r.Context(), start.Add(s.timeout(req.Pairs[i].TimeoutMs)))
+			defer cancel()
+			tr := obs.NewWithLimit(traceLimit)
 			item := BatchItem{Index: i}
-			if eb := t.serve(r.Context(), func() {
-				item.Equiv, item.Error = s.runEquiv(r.Context(), &req.Pairs[i], s.obs)
+			if eb := t.serve(ctx, func() {
+				item.Equiv, item.Error = s.runEquiv(ctx, &req.Pairs[i], tr)
 			}); eb != nil {
 				item.Error = eb
 			}
+			item.TraceID = s.fileTrace(r.URL.Path, tr)
 			if item.Error != nil {
 				failed.Add(1)
 			} else {

@@ -211,7 +211,7 @@ func FuzzBatch(f *testing.F) {
 	known := map[string]bool{}
 	for _, c := range []string{service.CodeInvalidRequest, service.CodeParseError, service.CodeTermTooLarge,
 		service.CodeBudgetExhausted, service.CodeDeadline, service.CodeQueueFull, service.CodeNotFound,
-		service.CodeInternal, service.CodePending, service.CodeJobFailed, service.CodeDeadlineBudget, service.CodeDraining} {
+		service.CodeInternal, service.CodePending, service.CodeDeadlineBudget, service.CodeDraining} {
 		known[c] = true
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

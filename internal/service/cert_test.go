@@ -2,10 +2,7 @@ package service_test
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"testing"
-	"time"
 
 	"bpi/internal/cert"
 	"bpi/internal/service"
@@ -63,155 +60,4 @@ func TestEquivCertificates(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestJobCertificateEndpoint pins GET /certificate/{id}: equiv jobs record
-// their certificate even when the submitter did not ask for it, job polls
-// stay lean, and the served certificate replays against the verifier.
-func TestJobCertificateEndpoint(t *testing.T) {
-	_, ts, client := newTestServer(t, service.Config{})
-	ctx := context.Background()
-
-	id, err := client.Submit(ctx, service.JobRequest{
-		Kind:  service.JobEquiv,
-		Equiv: &service.EquivRequest{P: "a!(b)", Q: "a!(c)", Rel: service.RelLabelled},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.Wait(ctx, id, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != service.JobDone || st.Equiv == nil {
-		t.Fatalf("job state %s, equiv=%v", st.State, st.Equiv)
-	}
-	if st.Equiv.Certificate != nil {
-		t.Fatal("job poll inlined the certificate")
-	}
-	crt, err := client.Certificate(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crt.ID != id || crt.Rel != service.RelLabelled || crt.Weak {
-		t.Fatalf("certificate header %+v", crt)
-	}
-	if crt.Related != st.Equiv.Related || crt.Certificate == nil {
-		t.Fatalf("related=%v vs %v, cert=%v", crt.Related, st.Equiv.Related, crt.Certificate != nil)
-	}
-	if err := cert.Verify(crt.Certificate); err != nil {
-		t.Fatalf("job certificate rejected: %v", err)
-	}
-
-	// Error surface: unknown job, and a non-equiv job.
-	if _, err := client.Certificate(ctx, "job-999"); err == nil {
-		t.Fatal("certificate of unknown job succeeded")
-	}
-	runID, err := client.Submit(ctx, service.JobRequest{
-		Kind: service.JobRun,
-		Run:  &service.RunRequest{Term: "tau.0", MaxSteps: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Wait(ctx, runID, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Certificate(ctx, runID); err == nil {
-		t.Fatal("certificate of a run job succeeded")
-	} else if ae, ok := err.(*service.ErrorBody); !ok || ae.Code != service.CodeInvalidRequest {
-		t.Fatalf("run-job certificate error = %v", err)
-	}
-	resp, err := http.Get(ts.URL + "/certificate/job-999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job certificate: HTTP %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestCertificateStatusTaxonomy table-tests GET /certificate/{id} across
-// every job lifecycle state, pinning both the HTTP status and the typed
-// code: 409 pending while the job exists but has not finished, 404
-// job_failed when it finished in error (terminal — retrying is pointless),
-// 404 not_found for an id that never existed, 400 for a kind that never
-// records certificates.
-func TestCertificateStatusTaxonomy(t *testing.T) {
-	_, ts, client := newTestServer(t, service.Config{Workers: 1})
-	ctx := context.Background()
-
-	// Occupy the single worker slot with a slow run, so the next job stays
-	// pending deterministically.
-	slowID, err := client.Submit(ctx, service.JobRequest{
-		Kind: service.JobRun,
-		Run:  &service.RunRequest{Term: "(rec T(a). a!.T(a))(tick)", MaxSteps: 1 << 20, TimeoutMs: 5000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pendingID, err := client.Submit(ctx, service.JobRequest{
-		Kind:  service.JobEquiv,
-		Equiv: &service.EquivRequest{P: "a!", Q: "a!", Rel: service.RelLabelled},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A job that fails fast on a parse error, polled to completion after
-	// the slot frees up (checked at the end so the slow run keeps the slot
-	// busy for the pending case first).
-	failedID, err := client.Submit(ctx, service.JobRequest{
-		Kind:  service.JobEquiv,
-		Equiv: &service.EquivRequest{P: "a!(", Q: "a!", Rel: service.RelLabelled},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name, id string, wantStatus int, wantCode string) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/certificate/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("%s: HTTP %d, want %d", name, resp.StatusCode, wantStatus)
-		}
-		if wantCode == "" {
-			return
-		}
-		var er struct {
-			Error service.ErrorBody `json:"error"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-			t.Fatalf("%s: decoding error envelope: %v", name, err)
-		}
-		if er.Error.Code != wantCode {
-			t.Fatalf("%s: code %q, want %q", name, er.Error.Code, wantCode)
-		}
-	}
-
-	// While the slot is held, the submitted equiv job is pending/running.
-	check("pending job", pendingID, http.StatusConflict, service.CodePending)
-	check("unknown job", "job-999", http.StatusNotFound, service.CodeNotFound)
-
-	// Let everything finish, then pin the terminal states.
-	if _, err := client.Wait(ctx, slowID, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Wait(ctx, pendingID, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.Wait(ctx, failedID, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != service.JobFailed {
-		t.Fatalf("parse-error job state = %s, want failed", st.State)
-	}
-	check("failed job", failedID, http.StatusNotFound, service.CodeJobFailed)
-	check("finished job", pendingID, http.StatusOK, "")
-	check("wrong kind", slowID, http.StatusBadRequest, service.CodeInvalidRequest)
 }

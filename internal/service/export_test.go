@@ -8,8 +8,8 @@ import (
 // Hooks for the external tests, which set up gate states by hand so that
 // no case depends on timing.
 
-// Hold admits one unit of work with no deadline budget, as a job is
-// admitted, and with slot set also takes a worker slot for it. The
+// Hold admits one unit of work with no deadline budget, so it is never
+// shed for budget, and with slot set also takes a worker slot for it. The
 // returned func finishes it.
 func (s *Server) Hold(slot bool) (func(), *ErrorBody) {
 	t, eb := s.gate.admit(0)

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// gate is the one way work reaches a worker. Every worker endpoint, every
-// batch item and every async job takes a ticket from it, and the gate owns
-// everything that bounds that work:
+// gate is the one way work reaches a worker. Every worker endpoint and
+// every batch item takes a ticket from it, and the gate owns everything
+// that bounds that work:
 //
 //   - the worker slots (Config.Workers) and the bounded queue beyond them
 //     (Config.AdmissionQueue): work past both is shed with queue_full;
@@ -53,9 +53,10 @@ type ticket struct {
 }
 
 // admit decides one unit of work without waiting. budget is its deadline
-// budget (<= 0: none, never shed for budget). The drain check and the
-// drain registration share the critical section that close takes, so no
-// ticket is issued once Shutdown has begun to wait.
+// budget; every request has one, and only the test hooks admit with none
+// (<= 0), which is never shed for budget. The drain check and the drain
+// registration share the critical section that close takes, so no ticket
+// is issued once Shutdown has begun to wait.
 func (g *gate) admit(budget time.Duration) (*ticket, *ErrorBody) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -108,7 +109,8 @@ func retryAfterSec(d time.Duration) int {
 	return 1
 }
 
-// wait takes a worker slot for the ticket, or gives up when ctx is done.
+// wait takes a worker slot for the ticket, or gives up when ctx, which
+// carries the request's deadline, is done.
 func (t *ticket) wait(ctx context.Context) *ErrorBody {
 	select {
 	case t.g.slots <- struct{}{}:

@@ -13,10 +13,13 @@ import (
 	"time"
 
 	"bpi/internal/lts"
+	"bpi/internal/obs"
 	"bpi/internal/syntax"
 )
 
-// Handler returns the daemon's HTTP surface:
+// Handler returns the daemon's HTTP surface. Every POST but /v1/parse
+// passes the gate and answers with the X-Trace-Id of its trace (a batch
+// names one per item):
 //
 //	POST /v1/parse     canonicalise a term
 //	POST /v1/step      symbolic transitions of a term
@@ -25,10 +28,7 @@ import (
 //	POST /v1/equiv/batch  many pairs, NDJSON-streamed per-pair verdicts
 //	POST /v1/prove     A ⊢ p = q (Section 5)
 //	POST /v1/run       one scheduled machine execution
-//	POST /v1/jobs      submit an async job
-//	GET  /v1/jobs/{id} poll an async job
-//	GET  /trace/{id}   span tree + engine counters of an async job
-//	GET  /certificate/{id} replayable certificate of a finished equiv job
+//	GET  /trace/{id}   span tree + engine counters of a recent gated request
 //	GET  /v1/ledger/stats      persistent verdict-ledger summary
 //	GET  /v1/ledger/proof/{key} Merkle inclusion proof of a persisted verdict
 //	GET  /healthz      liveness
@@ -43,10 +43,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/equiv/batch", s.handleBatch)
 	mux.HandleFunc("POST /v1/prove", instrument(s, "/v1/prove", s.handleProve))
 	mux.HandleFunc("POST /v1/run", instrument(s, "/v1/run", s.handleRun))
-	mux.HandleFunc("POST /v1/jobs", instrument(s, "/v1/jobs", s.handleJobSubmit))
-	mux.HandleFunc("GET /v1/jobs/{id}", instrument(s, "/v1/jobs/{id}", s.handleJobStatus))
 	mux.HandleFunc("GET /trace/{id}", instrument(s, "/trace/{id}", s.handleTrace))
-	mux.HandleFunc("GET /certificate/{id}", instrument(s, "/certificate/{id}", s.handleCertificate))
 	mux.HandleFunc("GET /v1/ledger/stats", instrument(s, "/v1/ledger/stats", s.handleLedgerStats))
 	mux.HandleFunc("GET /v1/ledger/proof/{key}", instrument(s, "/v1/ledger/proof/{key}", s.handleLedgerProof))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -63,45 +60,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleTrace serves the span tree recorded by one async job's tracer —
-// the request-level execution evidence: explore waves, fixpoint timing,
-// prover worlds, with engine counters alongside.
-func (s *Server) handleTrace(r *http.Request) (int, any) {
-	id := r.PathValue("id")
-	tr, st, ok := s.jobs.trace(id)
-	if !ok {
-		return fail(&ErrorBody{Code: CodeNotFound, Message: "no such job " + id})
-	}
-	return http.StatusOK, TraceResponse{
-		ID:           st.ID,
-		Kind:         st.Kind,
-		State:        st.State,
-		Counters:     tr.Counters(),
-		DroppedSpans: tr.Dropped(),
-		Spans:        tr.Tree(),
-	}
-}
-
-// handleCertificate serves the replayable proof object recorded by one
-// finished equiv job — the evidence a sceptical client replays against the
-// independent verifier (internal/cert, `bpicert verify`) without trusting
-// the daemon's engine.
-func (s *Server) handleCertificate(r *http.Request) (int, any) {
-	resp, eb := s.jobs.certificate(r.PathValue("id"))
-	if eb != nil {
-		return fail(eb)
-	}
-	return http.StatusOK, *resp
-}
-
 // handlerFunc is a handler returning (status, body); body is JSON-encoded.
-type handlerFunc func(r *http.Request) (int, any)
+// A handler may set response headers on w; it writes nothing else.
+type handlerFunc func(w http.ResponseWriter, r *http.Request) (int, any)
 
 // instrument wraps a handler with request accounting and JSON encoding.
 func instrument(s *Server, endpoint string, h handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		status, body := h(r)
+		status, body := h(w, r)
 		code := "ok"
 		if er, ok := body.(errorResponse); ok {
 			code = er.Error.Code
@@ -132,7 +99,7 @@ func fail(eb *ErrorBody) (int, any) {
 		status = http.StatusUnprocessableEntity
 	case CodeDeadline:
 		status = http.StatusGatewayTimeout
-	case CodeNotFound, CodeJobFailed:
+	case CodeNotFound:
 		status = http.StatusNotFound
 	case CodePending:
 		status = http.StatusConflict
@@ -170,21 +137,29 @@ func decodeLimit(r *http.Request, into any, limit int64) *ErrorBody {
 	return nil
 }
 
-// sync runs fn for a worker endpoint: the request passes the gate under
-// its deadline budget (timeout_ms, or the default), then waits for a worker
-// slot for as long as its client does.
-func (s *Server) sync(r *http.Request, timeoutMs int, fn func() (int, any)) (status int, body any) {
-	t, eb := s.gate.admit(s.timeout(timeoutMs))
-	if eb == nil {
-		eb = t.serve(r.Context(), func() { status, body = fn() })
-	}
+// sync runs fn for a worker endpoint under the request's one deadline, set
+// here on arrival from timeout_ms (or the default): the gate sheds on it,
+// the wait for a worker slot gives up at it, and fn runs under it. Work
+// the gate admits reports to a tracer of its own, filed before the
+// response is written, whose id the response carries in X-Trace-Id.
+func (s *Server) sync(w http.ResponseWriter, r *http.Request, timeoutMs int,
+	fn func(ctx context.Context, tr *obs.Tracer) (int, any)) (status int, body any) {
+	budget := s.timeout(timeoutMs)
+	ctx, cancel := context.WithTimeout(r.Context(), budget)
+	defer cancel()
+	t, eb := s.gate.admit(budget)
 	if eb != nil {
 		return fail(eb)
 	}
+	tr := obs.NewWithLimit(traceLimit)
+	if eb := t.serve(ctx, func() { status, body = fn(ctx, tr) }); eb != nil {
+		status, body = fail(eb)
+	}
+	w.Header().Set(TraceHeader, s.fileTrace(r.URL.Path, tr))
 	return status, body
 }
 
-func (s *Server) handleParse(r *http.Request) (int, any) {
+func (s *Server) handleParse(_ http.ResponseWriter, r *http.Request) (int, any) {
 	var req ParseRequest
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
@@ -202,12 +177,12 @@ func (s *Server) handleParse(r *http.Request) (int, any) {
 	return http.StatusOK, ParseResponse{Canonical: syntax.String(p), FreeNames: names}
 }
 
-func (s *Server) handleStep(r *http.Request) (int, any) {
+func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) (int, any) {
 	var req StepRequest
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
 	}
-	return s.sync(r, 0, func() (int, any) {
+	return s.sync(w, r, 0, func(context.Context, *obs.Tracer) (int, any) {
 		p, eb := s.parseTerm("term", req.Term)
 		if eb != nil {
 			return fail(eb)
@@ -228,23 +203,21 @@ func (s *Server) handleStep(r *http.Request) (int, any) {
 	})
 }
 
-func (s *Server) handleExplore(r *http.Request) (int, any) {
+func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) (int, any) {
 	var req ExploreRequest
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
 	}
-	return s.sync(r, 0, func() (int, any) {
+	return s.sync(w, r, 0, func(ctx context.Context, tr *obs.Tracer) (int, any) {
 		p, eb := s.parseTerm("term", req.Term)
 		if eb != nil {
 			return fail(eb)
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(0))
-		defer cancel()
 		g, err := lts.ExploreCtx(ctx, s.sys, []syntax.Proc{p}, lts.Options{
 			MaxStates:      req.MaxStates,
 			FreshNames:     req.FreshNames,
 			AutonomousOnly: req.AutonomousOnly,
-			Obs:            s.obs,
+			Obs:            tr,
 		})
 		if err != nil {
 			return fail(classify(err))
@@ -261,13 +234,13 @@ func (s *Server) handleExplore(r *http.Request) (int, any) {
 	})
 }
 
-func (s *Server) handleEquiv(r *http.Request) (int, any) {
+func (s *Server) handleEquiv(w http.ResponseWriter, r *http.Request) (int, any) {
 	var req EquivRequest
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
 	}
-	return s.sync(r, req.TimeoutMs, func() (int, any) {
-		resp, eb := s.runEquiv(r.Context(), &req, s.obs)
+	return s.sync(w, r, req.TimeoutMs, func(ctx context.Context, tr *obs.Tracer) (int, any) {
+		resp, eb := s.runEquiv(ctx, &req, tr)
 		if eb != nil {
 			return fail(eb)
 		}
@@ -275,13 +248,13 @@ func (s *Server) handleEquiv(r *http.Request) (int, any) {
 	})
 }
 
-func (s *Server) handleProve(r *http.Request) (int, any) {
+func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) (int, any) {
 	var req ProveRequest
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
 	}
-	return s.sync(r, req.TimeoutMs, func() (int, any) {
-		resp, eb := s.runProve(r.Context(), &req, s.obs)
+	return s.sync(w, r, req.TimeoutMs, func(ctx context.Context, tr *obs.Tracer) (int, any) {
+		resp, eb := s.runProve(ctx, &req, tr)
 		if eb != nil {
 			return fail(eb)
 		}
@@ -289,39 +262,18 @@ func (s *Server) handleProve(r *http.Request) (int, any) {
 	})
 }
 
-func (s *Server) handleRun(r *http.Request) (int, any) {
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) (int, any) {
 	var req RunRequest
 	if eb := decode(r, &req); eb != nil {
 		return fail(eb)
 	}
-	return s.sync(r, req.TimeoutMs, func() (int, any) {
-		resp, eb := s.runMachine(r.Context(), &req, s.obs)
+	return s.sync(w, r, req.TimeoutMs, func(ctx context.Context, tr *obs.Tracer) (int, any) {
+		resp, eb := s.runMachine(ctx, &req, tr)
 		if eb != nil {
 			return fail(eb)
 		}
 		return http.StatusOK, *resp
 	})
-}
-
-func (s *Server) handleJobSubmit(r *http.Request) (int, any) {
-	var req JobRequest
-	if eb := decode(r, &req); eb != nil {
-		return fail(eb)
-	}
-	id, eb := s.jobs.submit(&req)
-	if eb != nil {
-		return fail(eb)
-	}
-	return http.StatusAccepted, JobSubmitResponse{ID: id}
-}
-
-func (s *Server) handleJobStatus(r *http.Request) (int, any) {
-	id := r.PathValue("id")
-	st, ok := s.jobs.status(id)
-	if !ok {
-		return fail(&ErrorBody{Code: CodeNotFound, Message: "no such job " + id})
-	}
-	return http.StatusOK, st
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -336,7 +288,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.store.Stats()
-	jc := s.jobs.counts()
 	hits, misses := float64(s.cache.hits.Load()), float64(s.cache.misses.Load())
 	hitRate := 0.0
 	if hits+misses > 0 {
@@ -393,16 +344,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			gauge{"bpid_ledger_dropped_appends_total", "Verdicts not persisted because the write-behind queue was full.", "", float64(s.ledgerDropped.Load())},
 		)
 	}
-	gauges = append(gauges, []gauge{
-		{"bpid_jobs", "Jobs by state.", `{state="pending"}`, float64(jc[JobPending])},
-		{"bpid_jobs", "Jobs by state.", `{state="running"}`, float64(jc[JobRunning])},
-		{"bpid_jobs", "Jobs by state.", `{state="done"}`, float64(jc[JobDone])},
-		{"bpid_jobs", "Jobs by state.", `{state="failed"}`, float64(jc[JobFailed])},
-		{"bpid_uptime_seconds", "Seconds since daemon start.", "", time.Since(s.started).Seconds()},
-	}...)
+	gauges = append(gauges, gauge{"bpid_uptime_seconds", "Seconds since daemon start.", "", time.Since(s.started).Seconds()})
 	gauges = s.gate.gauges(gauges)
-	// Engine counters from the daemon tracer, one labelled series per
-	// counter name (sorted for a stable exposition).
+	// Engine counters from the daemon tracer, where every request's tracer
+	// folds its own, one labelled series per counter name (sorted for a
+	// stable exposition).
 	counters := s.obs.Counters()
 	cnames := make([]string, 0, len(counters))
 	for name := range counters {
@@ -415,8 +361,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			fmt.Sprintf("{name=%q}", name), float64(counters[name])})
 	}
 	gauges = append(gauges, gauge{"bpid_trace_spans_dropped_total",
-		"Span events dropped by the daemon tracer's buffer bound.", "",
-		float64(s.obs.Dropped())})
+		"Span events dropped by the request tracers' buffer bound.", "", float64(s.traces.dropped.Load())})
 	var b strings.Builder
 	s.metrics.render(&b, gauges)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -100,7 +100,7 @@ func (s *Server) stopLedger() {
 // handleLedgerStats serves GET /v1/ledger/stats. A daemon without -ledger
 // answers enabled=false rather than erroring, so probes need no config
 // knowledge.
-func (s *Server) handleLedgerStats(_ *http.Request) (int, any) {
+func (s *Server) handleLedgerStats(http.ResponseWriter, *http.Request) (int, any) {
 	resp := LedgerStatsResponse{Enabled: s.ledger != nil, Replayed: s.replayed}
 	if s.ledger != nil {
 		resp.Stats = s.ledger.Stats()
@@ -112,7 +112,7 @@ func (s *Server) handleLedgerStats(_ *http.Request) (int, any) {
 // handleLedgerProof serves GET /v1/ledger/proof/{key}, where key is the hex
 // key hash reported as EquivResponse.LedgerKey. 409 pending until the
 // record's batch seals; 404 when no trusted record has the key.
-func (s *Server) handleLedgerProof(r *http.Request) (int, any) {
+func (s *Server) handleLedgerProof(_ http.ResponseWriter, r *http.Request) (int, any) {
 	if s.ledger == nil {
 		return fail(&ErrorBody{Code: CodeNotFound, Message: "daemon runs without -ledger"})
 	}

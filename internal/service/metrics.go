@@ -11,7 +11,7 @@ import (
 // metrics is a small hand-rolled Prometheus-text-format registry: request
 // counters per (endpoint, code), a latency histogram per endpoint, and
 // gauges sampled at scrape time (store occupancy, cache hit rate, worker
-// utilisation, job states). stdlib-only by design.
+// utilisation, admission). stdlib-only by design.
 type metrics struct {
 	mu       sync.Mutex
 	requests map[reqKey]uint64

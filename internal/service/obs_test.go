@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -20,61 +21,121 @@ func collectSpanNames(ns []*obs.Node, into map[string]bool) {
 	}
 }
 
-// TestTraceEndpoint submits an async equiv job, waits for it, and asserts
-// GET /trace/{id} returns the job's span tree and engine counters.
+// traceOf fetches GET /trace/{id}, failing the test unless it answers 200.
+func traceOf(t *testing.T, ts *httptest.Server, id string) service.TraceResponse {
+	t.Helper()
+	resp, body := get(t, ts, "/trace/"+id)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /trace/%s: status %d body %s", id, resp.StatusCode, body)
+	}
+	var tr service.TraceResponse
+	if err := json.Unmarshal([]byte(body), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.ID != id {
+		t.Fatalf("GET /trace/%s answered trace %q", id, tr.ID)
+	}
+	return tr
+}
+
+// tracedPost posts one request to a gated endpoint and returns the id in
+// its X-Trace-Id header.
+func tracedPost(t *testing.T, ts *httptest.Server, path, body string) string {
+	t.Helper()
+	resp, raw := post(t, ts, path, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status %d body %s", path, resp.StatusCode, raw)
+	}
+	id := resp.Header.Get(service.TraceHeader)
+	if id == "" {
+		t.Fatalf("POST %s answered without %s", path, service.TraceHeader)
+	}
+	return id
+}
+
+// TestTraceEndpoint: every gated path files its own span tree under the id
+// it answers with. A /v1/equiv of a pair not asked before holds the pair
+// engine's spans and counters; a batch item's trace_id names the same
+// shape; /v1/explore and /v1/prove hold their engines' root spans; an
+// unknown id answers 404.
 func TestTraceEndpoint(t *testing.T) {
 	_, ts, client := newTestServer(t, service.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	id, err := client.Submit(ctx, service.JobRequest{
-		Kind:  service.JobEquiv,
-		Equiv: &service.EquivRequest{P: "a!.b!", Q: "a!.b! + a!.b!", Rel: service.RelLabelled},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.Wait(ctx, id, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != service.JobDone {
-		t.Fatalf("job %s ended %s: %+v", id, st.State, st.Error)
-	}
 
-	resp, err := http.Get(ts.URL + "/trace/" + id)
-	if err != nil {
-		t.Fatal(err)
+	eq := traceOf(t, ts, tracedPost(t, ts, "/v1/equiv", `{"p":"a!.b!","q":"a!.b! + a!.b!","rel":"labelled"}`))
+	if eq.Endpoint != "/v1/equiv" {
+		t.Errorf("endpoint %q, want /v1/equiv", eq.Endpoint)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /trace/%s: status %d", id, resp.StatusCode)
-	}
-	var tr service.TraceResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		t.Fatal(err)
-	}
-	if tr.ID != id || tr.State != service.JobDone {
-		t.Fatalf("trace envelope = %+v", tr)
-	}
-	if tr.Counters["equiv.pairs_expanded"] <= 0 {
-		t.Errorf("counters = %v, want equiv.pairs_expanded > 0", tr.Counters)
+	if eq.Counters["equiv.pairs_expanded"] <= 0 {
+		t.Errorf("counters = %v, want equiv.pairs_expanded > 0", eq.Counters)
 	}
 	names := map[string]bool{}
-	collectSpanNames(tr.Spans, names)
+	collectSpanNames(eq.Spans, names)
 	for _, want := range []string{"equiv.run", "equiv.explore", "equiv.expand", "equiv.fixpoint"} {
 		if !names[want] {
 			t.Errorf("span tree lacks %q (have %v)", want, names)
 		}
 	}
 
-	// Unknown job → 404 on the trace endpoint too.
-	resp2, err := http.Get(ts.URL + "/trace/job-999")
+	// The same pair shape over other names: no cache hit, the same tree.
+	res, err := client.Batch(ctx, service.BatchRequest{Pairs: []service.EquivRequest{
+		{P: "c!.d!", Q: "c!.d! + c!.d!", Rel: service.RelLabelled},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /trace/job-999: status %d want 404", resp2.StatusCode)
+	item := res.Items[0]
+	if item.Error != nil || item.Equiv.Cached || item.TraceID == "" {
+		t.Fatalf("batch item %+v, want a fresh verdict with a trace id", item)
+	}
+	bt := traceOf(t, ts, item.TraceID)
+	if bt.Endpoint != "/v1/equiv/batch" {
+		t.Errorf("endpoint %q, want /v1/equiv/batch", bt.Endpoint)
+	}
+	if got, want := obs.RenderNames(bt.Spans), obs.RenderNames(eq.Spans); got != want {
+		t.Errorf("batch item span tree:\n%s\nwant the /v1/equiv shape:\n%s", got, want)
+	}
+
+	for _, row := range []struct{ path, body, span string }{
+		{"/v1/explore", `{"term":"a!.b!"}`, "lts.explore"},
+		{"/v1/prove", `{"p":"a! + a!","q":"a!"}`, "axioms.decide"},
+	} {
+		tr := traceOf(t, ts, tracedPost(t, ts, row.path, row.body))
+		names := map[string]bool{}
+		collectSpanNames(tr.Spans, names)
+		if tr.Endpoint != row.path || !names[row.span] {
+			t.Errorf("%s: trace of %s with spans %v, want %s", row.path, tr.Endpoint, names, row.span)
+		}
+	}
+
+	if resp, body := get(t, ts, "/trace/999"); resp.StatusCode != http.StatusNotFound || errCode(t, body) != service.CodeNotFound {
+		t.Errorf("GET /trace/999: status %d body %s, want 404 not_found", resp.StatusCode, body)
+	}
+}
+
+// TestTraceRingBounded: the daemon keeps the traces of the 256 most recent
+// gated requests, evicting the oldest first, and an evicted id answers
+// not_found.
+func TestTraceRingBounded(t *testing.T) {
+	_, ts, _ := newTestServer(t, service.Config{})
+	ids := make([]string, 259)
+	seen := map[string]bool{}
+	for i := range ids {
+		ids[i] = tracedPost(t, ts, "/v1/step", `{"term":"a!.b!"}`)
+		if seen[ids[i]] {
+			t.Fatalf("trace id %s answered twice", ids[i])
+		}
+		seen[ids[i]] = true
+	}
+	for i, id := range ids {
+		want := http.StatusOK
+		if i < 3 {
+			want = http.StatusNotFound
+		}
+		if resp, body := get(t, ts, "/trace/"+id); resp.StatusCode != want {
+			t.Errorf("trace %d (%s): status %d body %s, want %d", i, id, resp.StatusCode, body, want)
+		}
 	}
 }
 

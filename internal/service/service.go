@@ -5,24 +5,27 @@
 //
 // Architecture:
 //
-//   - every piece of work that needs a worker (a worker endpoint, a batch
-//     item or an async job) passes one gate (gate.go): Config.Workers
-//     slots, a bounded queue of Config.AdmissionQueue places beyond them,
-//     and typed 429 sheds (queue_full, deadline_budget, draining) for the
-//     rest; per-request engine budgets are carried by a throwaway Checker
-//     view onto the shared store, so budgets are request-scoped while
+//   - every piece of work that needs a worker (a worker endpoint or a
+//     batch item) passes one gate (gate.go): Config.Workers slots, a
+//     bounded queue of Config.AdmissionQueue places beyond them, and typed
+//     429 sheds (queue_full, deadline_budget, draining) for the rest;
+//     per-request engine budgets are carried by a throwaway Checker view
+//     onto the shared store, so budgets are request-scoped while
 //     derivations are process-scoped;
-//   - per-request deadlines are threaded as context.Context cancellation
-//     into the pair engine's BFS loop, the prover's derivation search and
-//     the machine's scheduler loop, and surface as typed
-//     deadline_exceeded errors, distinct from budget_exhausted;
+//   - each request has one deadline, set on arrival: admission sheds on
+//     it, the wait for a worker gives up at it, and it is threaded as
+//     context.Context cancellation into the pair engine's BFS loop, the
+//     prover's derivation search and the machine's scheduler loop; it
+//     surfaces as typed deadline_exceeded errors, distinct from
+//     budget_exhausted;
+//   - every piece of work that passes the gate reports to a tracer of its
+//     own; the last 256 are served on GET /trace/{id} (trace.go);
 //   - conclusive equivalence verdicts land in a bounded LRU keyed on the
 //     canonical pair + relation + budgets (sound: verdicts are pure
 //     functions of those — see lru.go), so repeated queries short-circuit
 //     before touching the engine;
 //   - Shutdown drains: the gate sheds new work with draining, while work
-//     it admitted before, queued requests and accepted jobs included, runs
-//     to completion.
+//     it admitted before, queued requests included, runs to completion.
 //
 // The wire types live in api.go and are shared with the bpi.Client.
 package service
@@ -124,7 +127,7 @@ func (c Config) admissionQueue() int {
 }
 
 // Server is the daemon core: the shared store, the gate in front of the
-// workers, the verdict cache, the job table and the metrics registry.
+// workers, the verdict cache, the request traces and the metrics registry.
 // Create with New, mount Handler on an http.Server, stop with Shutdown.
 type Server struct {
 	cfg     Config
@@ -132,14 +135,14 @@ type Server struct {
 	store   *equiv.Store
 	cache   *verdictCache
 	metrics *metrics
-	jobs    *jobManager
 
-	// obs is the daemon-lifetime tracer: the shared store mirrors its
-	// reuse counters here, synchronous requests report engine counters
-	// here (exported as bpid_engine_events_total on /metrics), and its
-	// bounded span buffer backs ad-hoc diagnostics. Async jobs get their
-	// own per-job tracer (see jobManager) served by GET /trace/{id}.
+	// obs is the daemon-lifetime tracer, counters only: the shared store
+	// mirrors its reuse counters here, and every request's own tracer folds
+	// its engine counters in when the work ends (exported as
+	// bpid_engine_events_total on /metrics).
 	obs *obs.Tracer
+	// traces keeps the span trees of the last gated requests.
+	traces traceRing
 
 	// Ledger state (nil/zero without Config.Ledger): the write-behind
 	// append queue, its single writer goroutine, the count of records
@@ -164,13 +167,12 @@ func New(cfg Config) *Server {
 		sys:     semantics.NewSystem(cfg.Env),
 		cache:   newVerdictCache(cfg.CacheSize),
 		metrics: newMetrics(),
-		obs:     obs.NewWithLimit(8192),
+		obs:     obs.New(),
 		gate:    newGate(cfg.workers(), cfg.admissionQueue()),
 		started: time.Now(),
 	}
 	s.store = equiv.NewStore(s.sys)
 	s.store.SetObs(s.obs)
-	s.jobs = &jobManager{srv: s, jobs: map[string]*job{}}
 	s.attachLedger()
 	return s
 }
@@ -180,7 +182,7 @@ func (s *Server) Store() *equiv.Store { return s.store }
 
 // Shutdown drains the server: the gate sheds all new work with draining,
 // then Shutdown blocks until all work it admitted before, queued requests
-// and accepted jobs included, has finished, or ctx expires.
+// included, has finished, or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.gate.close()
 	done := make(chan struct{})
@@ -211,7 +213,8 @@ func (s *Server) timeout(ms int) time.Duration {
 	return d
 }
 
-// parseTerm validates and parses one term field.
+// parseTerm validates and parses one term field. Every call in the term
+// must name a definition of Config.Env with its arity.
 func (s *Server) parseTerm(field, src string) (syntax.Proc, *ErrorBody) {
 	if src == "" {
 		return nil, &ErrorBody{Code: CodeInvalidRequest, Message: "missing term field " + field}
@@ -223,6 +226,9 @@ func (s *Server) parseTerm(field, src string) (syntax.Proc, *ErrorBody) {
 	p, err := parser.Parse(src)
 	if err != nil {
 		return nil, &ErrorBody{Code: CodeParseError, Message: field + ": " + err.Error()}
+	}
+	if err := s.cfg.Env.CheckCalls(field, p); err != nil {
+		return nil, &ErrorBody{Code: CodeInvalidRequest, Message: err.Error()}
 	}
 	return p, nil
 }
@@ -237,7 +243,8 @@ func classify(err error) *ErrorBody {
 	default:
 		var eb equiv.ErrBudget
 		var ub semantics.ErrUnfoldBudget
-		if errors.As(err, &eb) || errors.As(err, &ub) {
+		var ab axioms.ErrBudget
+		if errors.As(err, &eb) || errors.As(err, &ub) || errors.As(err, &ab) {
 			return &ErrorBody{Code: CodeBudgetExhausted, Message: err.Error()}
 		}
 		return &ErrorBody{Code: CodeInternal, Message: err.Error()}
@@ -259,16 +266,15 @@ func (s *Server) checker(req *EquivRequest, tr *obs.Tracer) *equiv.Checker {
 	c.Obs = tr
 	// Every verdict is certified: the daemon's verdict cache stores the
 	// certificate alongside the verdict, so cached queries replay it, and
-	// async jobs serve theirs on GET /certificate/{id}. Requests that do
-	// not ask for the certificate get it stripped from the response only.
+	// the ledger persists it. Requests that do not ask for the certificate
+	// get it stripped from the response only.
 	c.Certify = true
 	return c
 }
 
-// runEquiv executes one equivalence query (already on a worker slot),
-// consulting and feeding the verdict cache. Engine spans and counters go
-// to tr (the daemon tracer for synchronous requests, a per-job tracer for
-// async jobs).
+// runEquiv executes one equivalence query (already on a worker slot, under
+// the request's deadline in ctx), consulting and feeding the verdict
+// cache. Engine spans and counters go to the request's tracer tr.
 func (s *Server) runEquiv(ctx context.Context, req *EquivRequest, tr *obs.Tracer) (*EquivResponse, *ErrorBody) {
 	p, eb := s.parseTerm("p", req.P)
 	if eb != nil {
@@ -294,8 +300,6 @@ func (s *Server) runEquiv(ctx context.Context, req *EquivRequest, tr *obs.Tracer
 		}
 		return &resp, nil
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.timeout(req.TimeoutMs))
-	defer cancel()
 	c := s.checker(req, tr)
 	start := time.Now()
 	var resp EquivResponse
@@ -354,8 +358,6 @@ func (s *Server) runProve(ctx context.Context, req *ProveRequest, tr *obs.Tracer
 	if eb != nil {
 		return nil, eb
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.timeout(req.TimeoutMs))
-	defer cancel()
 	pr := axioms.NewProver(s.sys)
 	pr.MaxNames = req.MaxNames
 	pr.MaxSteps = req.MaxSteps
@@ -395,8 +397,6 @@ func (s *Server) runMachine(ctx context.Context, req *RunRequest, tr *obs.Tracer
 	for i, b := range req.StopOn {
 		stop[i] = names.Name(b)
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.timeout(req.TimeoutMs))
-	defer cancel()
 	start := time.Now()
 	res, err := machine.RunCtx(ctx, s.sys, p, machine.Options{
 		MaxSteps:   req.MaxSteps,

@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	bpi "bpi"
 	"bpi/internal/service"
+	"bpi/internal/syntax"
 )
 
 func newTestServer(t *testing.T, cfg service.Config) (*service.Server, *httptest.Server, *bpi.Client) {
@@ -63,9 +65,14 @@ func errCode(t *testing.T, body string) string {
 
 // TestHandlerValidation table-tests the typed error surface: bad JSON,
 // missing and oversized terms, parse errors, unknown relations, unknown
-// schedulers, bad job payloads.
+// schedulers. A failure the request caused answers a typed 4xx, never 500
+// internal: a call to an undefined identifier, or to a defined one with
+// the wrong arity, is invalid_request on every endpoint that parses a
+// term, batch items included; a goal past one of the prover's budgets is
+// budget_exhausted.
 func TestHandlerValidation(t *testing.T) {
-	_, ts, _ := newTestServer(t, service.Config{MaxTermBytes: 128})
+	env := syntax.Env{}.Define("Tick", []syntax.Name{"x"}, syntax.SendN("x"))
+	_, ts, cl := newTestServer(t, service.Config{MaxTermBytes: 128, Env: env})
 	cases := []struct {
 		name, path, body string
 		wantStatus       int
@@ -89,10 +96,14 @@ func TestHandlerValidation(t *testing.T) {
 			http.StatusBadRequest, service.CodeInvalidRequest},
 		{"run unknown scheduler", "/v1/run", `{"term":"a!","scheduler":"lifo"}`,
 			http.StatusBadRequest, service.CodeInvalidRequest},
-		{"job unknown kind", "/v1/jobs", `{"kind":"dance"}`,
-			http.StatusBadRequest, service.CodeInvalidRequest},
-		{"job missing payload", "/v1/jobs", `{"kind":"equiv"}`,
-			http.StatusBadRequest, service.CodeInvalidRequest},
+		{"step undefined", "/v1/step", `{"term":"Foo(a)"}`, http.StatusBadRequest, service.CodeInvalidRequest},
+		{"equiv undefined", "/v1/equiv", `{"p":"Foo(a)","q":"0","rel":"labelled"}`, http.StatusBadRequest, service.CodeInvalidRequest},
+		{"run undefined", "/v1/run", `{"term":"Foo(a)"}`, http.StatusBadRequest, service.CodeInvalidRequest},
+		{"explore arity", "/v1/explore", `{"term":"a!.Tick(a, b)"}`, http.StatusBadRequest, service.CodeInvalidRequest},
+		{"prove world budget", "/v1/prove", `{"p":"a!|b!|c!|d!|e!|f!","q":"a!|b!|c!|d!|e!|f!"}`,
+			http.StatusUnprocessableEntity, service.CodeBudgetExhausted},
+		{"prove step budget", "/v1/prove", `{"p":"a! + a!","q":"a!","max_steps":1}`,
+			http.StatusUnprocessableEntity, service.CodeBudgetExhausted},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,15 +116,21 @@ func TestHandlerValidation(t *testing.T) {
 			}
 		})
 	}
-	// Unknown job ID.
-	resp, err := http.Get(ts.URL + "/v1/jobs/job-999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job: status = %d want 404", resp.StatusCode)
-	}
+	t.Run("batch item undefined", func(t *testing.T) {
+		res, err := cl.Batch(context.Background(), bpi.BatchRequest{Pairs: []bpi.EquivRequest{
+			{P: "Foo(a)", Q: "0", Rel: service.RelLabelled},
+			{P: "Tick(a)", Q: "a!", Rel: service.RelLabelled},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eb := res.Items[0].Error; eb == nil || eb.Code != service.CodeInvalidRequest {
+			t.Errorf("undefined item: %+v, want invalid_request", res.Items[0])
+		}
+		if it := res.Items[1]; it.Error != nil || !it.Equiv.Related {
+			t.Errorf("defined item: %+v, want Tick(a) ~ a!", it)
+		}
+	})
 }
 
 // TestEndpointsHappyPath exercises each endpoint once through the client.
@@ -176,18 +193,12 @@ func TestEndpointsHappyPath(t *testing.T) {
 		t.Fatalf("run: %+v", rn)
 	}
 
-	// Async job round-trip.
-	id, err := cl.Submit(ctx, bpi.JobRequest{Kind: service.JobEquiv,
-		Equiv: &bpi.EquivRequest{P: "a?.b!", Q: "a?.b!", Rel: service.RelBarbed}})
+	bb, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a?.b!", Q: "a?.b!", Rel: service.RelBarbed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jst, err := cl.Wait(ctx, id, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jst.State != service.JobDone || jst.Equiv == nil || !jst.Equiv.Related {
-		t.Fatalf("job: %+v", jst)
+	if !bb.Related {
+		t.Fatal("a?.b! ~b a?.b! expected related")
 	}
 }
 
@@ -333,52 +344,46 @@ func TestBudgetTypedError(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownDrains submits a job, then shuts the server down: the
-// drain must wait for the job to finish, new work must be refused with the
-// retryable draining shed while the result stays pollable in the job
-// table, and no goroutine may outlive the drain.
+// TestGracefulShutdownDrains starts a run, then shuts the server down: the
+// drain must wait for the run to finish and answer, new work must be
+// refused with the retryable draining shed, and no goroutine may outlive
+// the drain.
 func TestGracefulShutdownDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv, ts, cl := newTestServer(t, service.Config{Workers: 2})
 	ctx := context.Background()
 	// A run long enough to still be in flight when Shutdown starts, short
 	// enough to finish well inside the drain budget.
-	id, err := cl.Submit(ctx, bpi.JobRequest{Kind: service.JobRun,
-		Run: &bpi.RunRequest{Term: "(rec T(a). a!.T(a))(tick)", MaxSteps: 30000, TimeoutMs: 10000}})
-	if err != nil {
-		t.Fatal(err)
+	type ranRun struct {
+		rn  *bpi.RunResponse
+		err error
 	}
+	ran := make(chan ranRun, 1)
+	go func() {
+		rn, err := cl.RunRemote(ctx, bpi.RunRequest{Term: "(rec T(a). a!.T(a))(tick)", MaxSteps: 30000, TimeoutMs: 10000})
+		ran <- ranRun{rn, err}
+	}()
+	poll(t, "the run to be admitted", func() bool { return srv.GateStats().Inflight == 1 })
 	sctx, cancel := context.WithTimeout(ctx, 15*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
 		t.Fatalf("drain failed: %v", err)
 	}
-	// After the drain returns, the job must be finished.
-	st, err := cl.Job(ctx, id)
-	if err != nil {
-		t.Fatal(err)
+	if st := srv.GateStats(); st.Inflight != 0 {
+		t.Fatalf("drain returned with %d admitted requests unfinished", st.Inflight)
 	}
-	if st.State != service.JobDone {
-		t.Fatalf("drained job state = %s want done (%+v)", st.State, st)
+	if r := <-ran; r.err != nil || r.rn.Steps != 30000 {
+		t.Fatalf("drained run: %+v, %v", r.rn, r.err)
 	}
-	if st.Run == nil || st.Run.Steps != 30000 {
-		t.Fatalf("drained job result: %+v", st.Run)
-	}
-	// A new query and a new job are both shed with the retryable draining
-	// cause (429 + Retry-After).
-	_, err = cl.Equiv(ctx, bpi.EquivRequest{P: "a!", Q: "a!", Rel: service.RelLabelled})
+	// A new query is shed with the retryable draining cause (429 +
+	// Retry-After).
+	_, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a!", Q: "a!", Rel: service.RelLabelled})
 	apiErr, ok := err.(*bpi.APIError)
 	if !ok || apiErr.Code != service.CodeDraining {
 		t.Fatalf("expected draining, got %v", err)
 	}
 	if apiErr.RetryAfterSec < 1 {
 		t.Fatalf("draining shed carries no Retry-After hint: %+v", apiErr)
-	}
-	_, err = cl.Submit(ctx, bpi.JobRequest{Kind: service.JobEquiv,
-		Equiv: &bpi.EquivRequest{P: "a!", Q: "a!", Rel: service.RelLabelled}})
-	apiErr, ok = err.(*bpi.APIError)
-	if !ok || apiErr.Code != service.CodeDraining {
-		t.Fatalf("expected draining on submit, got %v", err)
 	}
 	ts.Close()
 	waitGoroutines(t, before)
@@ -399,58 +404,75 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// TestQueueFull checks the gate bounds unfinished jobs with a typed error.
+// TestQueueFull checks the gate bounds unfinished requests with a typed
+// error: with the one worker and the one queue place taken by slow runs,
+// the next run is shed with queue_full.
 func TestQueueFull(t *testing.T) {
-	_, _, cl := newTestServer(t, service.Config{Workers: 1, AdmissionQueue: 1})
-	ctx := context.Background()
-	// Fill the worker and the queue with slow runs (they hold the single
-	// worker slot).
-	slow := &bpi.RunRequest{Term: "(rec T(a). a!.T(a))(tick)", MaxSteps: 1 << 20, TimeoutMs: 5000}
+	srv, _, cl := newTestServer(t, service.Config{Workers: 1, AdmissionQueue: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	slow := bpi.RunRequest{Term: "(rec T(a). a!.T(a))(tick)", MaxSteps: 1 << 20, TimeoutMs: 5000}
+	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		if _, err := cl.Submit(ctx, bpi.JobRequest{Kind: service.JobRun, Run: slow}); err != nil {
-			t.Fatal(err)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl.RunRemote(ctx, slow) //nolint:errcheck // cancelled below
+		}()
 	}
-	_, err := cl.Submit(ctx, bpi.JobRequest{Kind: service.JobRun, Run: slow})
+	defer wg.Wait()
+	defer cancel() // the client goes, and the runs with it
+	poll(t, "both runs to be admitted", func() bool { return srv.GateStats().Inflight == 2 })
+	_, err := cl.RunRemote(context.Background(), slow)
 	apiErr, ok := err.(*bpi.APIError)
 	if !ok || apiErr.Code != service.CodeQueueFull {
 		t.Fatalf("expected queue_full, got %v", err)
 	}
 }
 
-// TestFinishedJobsBounded: the job table keeps the 256 most recently
-// finished jobs, evicting the oldest first, and an evicted id answers
-// not_found on every job endpoint. Each job finishes before the next is
-// submitted, so finish order is submission order.
-func TestFinishedJobsBounded(t *testing.T) {
-	_, ts, cl := newTestServer(t, service.Config{AdmissionQueue: 512})
-	ctx := context.Background()
-	ids := make([]string, 259)
-	for i := range ids {
-		id, err := cl.Submit(ctx, bpi.JobRequest{Kind: service.JobRun, Run: &bpi.RunRequest{Term: "a!.b!", MaxSteps: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cl.Wait(ctx, id, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
+// TestQueuedDeadline: a request's deadline starts on arrival and bounds its
+// wait for a worker. With the only worker held, a /v1/equiv with
+// timeout_ms 500 answers 504 deadline_exceeded near 500 ms, and a batch of
+// two pairs with timeout_ms 300 streams two deadline_exceeded items.
+func TestQueuedDeadline(t *testing.T) {
+	srv, ts, cl := newTestServer(t, service.Config{Workers: 1})
+	release, eb := srv.Hold(true)
+	if eb != nil {
+		t.Fatal(eb)
 	}
-	for i, id := range ids {
-		want := http.StatusOK
-		if i < 3 {
-			want = http.StatusNotFound
-			for _, path := range []string{"/trace/", "/certificate/"} {
-				if resp, body := get(t, ts, path+id); resp.StatusCode != want || errCode(t, body) != service.CodeNotFound {
-					t.Errorf("%s%s: status %d body %s, want 404 not_found", path, id, resp.StatusCode, body)
-				}
-			}
-		}
-		if resp, body := get(t, ts, "/v1/jobs/"+id); resp.StatusCode != want {
-			t.Errorf("job %d (%s): status %d body %s, want %d", i, id, resp.StatusCode, body, want)
+	defer release()
+	const slack = 400 * time.Millisecond
+	hc := &http.Client{Timeout: 5 * time.Second} // a waiting request fails, never hangs
+	start := time.Now()
+	resp, err := hc.Post(ts.URL+"/v1/equiv", "application/json",
+		strings.NewReader(`{"p":"a!","q":"b!","rel":"labelled","timeout_ms":500}`))
+	resp, body := readBody(t, resp, err)
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusGatewayTimeout || errCode(t, body) != service.CodeDeadline {
+		t.Fatalf("queued /v1/equiv: status %d body %s after %s, want 504 deadline_exceeded", resp.StatusCode, body, elapsed)
+	}
+	if elapsed < 500*time.Millisecond || elapsed > 500*time.Millisecond+slack {
+		t.Errorf("queued /v1/equiv answered after %s, want 500ms plus at most %s", elapsed, slack)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start = time.Now()
+	res, err := cl.Batch(ctx, bpi.BatchRequest{Pairs: []bpi.EquivRequest{
+		{P: "a!", Q: "b!", Rel: service.RelLabelled, TimeoutMs: 300},
+		{P: "c!", Q: "d!", Rel: service.RelLabelled, TimeoutMs: 300},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 300*time.Millisecond+slack {
+		t.Errorf("queued batch answered after %s, want 300ms plus at most %s", elapsed, slack)
+	}
+	for _, it := range res.Items {
+		if it.Error == nil || it.Error.Code != service.CodeDeadline {
+			t.Errorf("item %+v, want deadline_exceeded", it)
 		}
 	}
-	if done := metricValue(t, ts, `bpid_jobs{state="done"}`); done != 256 {
-		t.Errorf(`bpid_jobs{state="done"} = %g, want 256`, done)
+	if tr := res.Trailer; tr.Total != 2 || tr.Failed != 2 || tr.Succeeded != 0 || tr.Shed != 0 {
+		t.Errorf("trailer %+v, want failed: 2 of 2", tr)
 	}
 }

@@ -76,7 +76,7 @@ func (e Env) ValidateWith(globals names.Set) error {
 		if fn := FreeNames(d.Body).Minus(names.NewSet(d.Params...)).Minus(globals); fn.Len() > 0 {
 			return fmt.Errorf("syntax: definition %s has free names %v outside its parameters", id, fn)
 		}
-		if err := e.checkCalls(id, d.Body); err != nil {
+		if err := e.CheckCalls(id, d.Body); err != nil {
 			return err
 		}
 	}
@@ -177,63 +177,65 @@ func allGuardSeeds(e Env) map[string]bool {
 	return ids
 }
 
-// checkCalls verifies that every Call in body resolves (environment or
-// enclosing rec) with the right arity.
-func (e Env) checkCalls(owner string, body Proc) error {
-	var walk func(p Proc, recs map[string]int) error
-	walk = func(p Proc, recs map[string]int) error {
-		switch t := p.(type) {
-		case Nil:
-			return nil
-		case Prefix:
-			return walk(t.Cont, recs)
-		case Sum:
-			if err := walk(t.L, recs); err != nil {
-				return err
-			}
-			return walk(t.R, recs)
-		case Par:
-			if err := walk(t.L, recs); err != nil {
-				return err
-			}
-			return walk(t.R, recs)
-		case Res:
-			return walk(t.Body, recs)
-		case Match:
-			if err := walk(t.Then, recs); err != nil {
-				return err
-			}
-			return walk(t.Else, recs)
-		case Call:
-			if n, ok := recs[t.Id]; ok {
-				if n != len(t.Args) {
-					return fmt.Errorf("syntax: in %s, rec call %s expects %d args, got %d", owner, t.Id, n, len(t.Args))
-				}
-				return nil
-			}
-			d, ok := e[t.Id]
-			if !ok {
-				return fmt.Errorf("syntax: in %s, call to undefined identifier %s", owner, t.Id)
-			}
-			if len(d.Params) != len(t.Args) {
-				return fmt.Errorf("syntax: in %s, call %s expects %d args, got %d", owner, t.Id, len(d.Params), len(t.Args))
-			}
-			return nil
-		case Rec:
-			if len(t.Params) != len(t.Args) {
-				return fmt.Errorf("syntax: in %s, rec %s has %d params but %d args", owner, t.Id, len(t.Params), len(t.Args))
-			}
-			inner := make(map[string]int, len(recs)+1)
-			for k, v := range recs {
-				inner[k] = v
-			}
-			inner[t.Id] = len(t.Params)
-			return walk(t.Body, inner)
-		default:
-			panic("syntax: unknown process node")
+// CheckCalls verifies that every Call in body resolves (environment or
+// enclosing rec) with the right arity. owner names body in the error.
+func (e Env) CheckCalls(owner string, body Proc) error {
+	return e.checkCalls(owner, body, nil)
+}
+
+// checkCalls is CheckCalls on p, with recs the arities of the rec
+// identifiers in scope.
+func (e Env) checkCalls(owner string, p Proc, recs map[string]int) error {
+	switch t := p.(type) {
+	case Nil:
+		return nil
+	case Prefix:
+		return e.checkCalls(owner, t.Cont, recs)
+	case Sum:
+		if err := e.checkCalls(owner, t.L, recs); err != nil {
+			return err
 		}
+		return e.checkCalls(owner, t.R, recs)
+	case Par:
+		if err := e.checkCalls(owner, t.L, recs); err != nil {
+			return err
+		}
+		return e.checkCalls(owner, t.R, recs)
+	case Res:
+		return e.checkCalls(owner, t.Body, recs)
+	case Match:
+		if err := e.checkCalls(owner, t.Then, recs); err != nil {
+			return err
+		}
+		return e.checkCalls(owner, t.Else, recs)
+	case Call:
+		if n, ok := recs[t.Id]; ok {
+			if n != len(t.Args) {
+				return fmt.Errorf("syntax: in %s, rec call %s expects %d args, got %d", owner, t.Id, n, len(t.Args))
+			}
+			return nil
+		}
+		d, ok := e[t.Id]
+		if !ok {
+			return fmt.Errorf("syntax: in %s, call to undefined identifier %s", owner, t.Id)
+		}
+		if len(d.Params) != len(t.Args) {
+			return fmt.Errorf("syntax: in %s, call %s expects %d args, got %d", owner, t.Id, len(d.Params), len(t.Args))
+		}
+		return nil
+	case Rec:
+		if len(t.Params) != len(t.Args) {
+			return fmt.Errorf("syntax: in %s, rec %s has %d params but %d args", owner, t.Id, len(t.Params), len(t.Args))
+		}
+		inner := make(map[string]int, len(recs)+1)
+		for k, v := range recs {
+			inner[k] = v
+		}
+		inner[t.Id] = len(t.Params)
+		return e.checkCalls(owner, t.Body, inner)
+	default:
+		panic("syntax: unknown process node")
 	}
-	return walk(body, map[string]int{})
 }
 
 // CheckGuarded reports whether every occurrence of a recursion identifier

@@ -68,7 +68,7 @@ func TestValidateUnguardedCycles(t *testing.T) {
 }
 
 // TestCheckCallsErrors exercises the arity and resolution checks of
-// Env.checkCalls through each syntactic position a Call can occupy.
+// Env.CheckCalls through each syntactic position a Call can occupy.
 func TestCheckCallsErrors(t *testing.T) {
 	base := Env{}.Define("A", []Name{x}, TauP(SendN(x)))
 	cases := []struct {
