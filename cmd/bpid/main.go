@@ -12,20 +12,23 @@
 //	     [-batch-max N] [-admission-queue N]
 //
 // One gate admits all work that takes a worker: every endpoint but
-// /v1/parse and the GETs, and each /v1/equiv/batch item. It queues at most
+// /v1/parse and the GETs other than /v1/ledger/proof/{key}, and each
+// /v1/equiv/batch item. It queues at most
 // -admission-queue of them beyond the -workers running, and sheds the rest
 // with typed 429s (queue_full, deadline_budget, draining) and Retry-After
 // hints; see /metrics bpid_admission_*. A request's deadline (timeout_ms,
 // or -timeout) starts when it arrives and covers its wait for a worker.
 //
 // With -ledger, bpid opens (or creates) a persistent Merkle verdict ledger
-// in DIR: every persisted verdict is replayed through the independent
-// certificate verifier on startup — accepted records warm-start the verdict
-// cache, rejected ones are quarantined and counted — and every fresh
-// certified verdict is appended write-behind, sealed into hash-chained
-// Merkle batches of -merkle-batch records (or after -merkle-wait-ms,
-// whichever comes first). Inspect with `bpiledger`, or over HTTP via
-// GET /v1/ledger/stats and GET /v1/ledger/proof/{key}.
+// in DIR. At startup it indexes every persisted verdict, checking framing,
+// checksums and the seal hash chain. A verdict-cache miss whose pair has a
+// record is answered from it once the independent certificate verifier
+// accepts the record at its first read; a rejected record is quarantined
+// and counted, and the query is decided afresh. Every fresh certified
+// verdict is appended write-behind, sealed into hash-chained Merkle batches
+// of -merkle-batch records (or after -merkle-wait-ms, whichever comes
+// first). Inspect with `bpiledger`, or over HTTP via GET /v1/ledger/stats
+// and GET /v1/ledger/proof/{key}.
 //
 // Endpoints: POST /v1/{parse,step,explore,equiv,prove,run} and
 // /v1/equiv/batch, GET /v1/ledger/{stats,proof/{key}}, /healthz, /metrics
@@ -33,7 +36,8 @@
 // GET /trace/{id} (the span tree and counters of one of the last 256
 // gated requests, named by its X-Trace-Id header or a batch item's
 // trace_id) and GET /debug/pprof/ (the standard Go profiling surface). See
-// the README section "Running the daemon" for curl examples.
+// the README section "Running the daemon" for curl examples. bpid runs the
+// garbage collector at GOGC=200 unless the GOGC variable is set.
 // SIGINT/SIGTERM drains: in-flight and queued requests finish, new work is
 // shed with draining. The exit status is 0 after a clean drain, 1 when the
 // daemon cannot start or drain, and 2 on a usage error.
@@ -50,6 +54,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -59,7 +64,17 @@ import (
 	"bpi/internal/syntax"
 )
 
+// gcPercent is bpid's GOGC. Most of its heap lives long: the shared term
+// store, the verdict LRU and the ledger index survive every collection, and
+// the runtime's default of 100 re-marks them each time the heap doubles.
+// 200 collects half as often, for a heap that may grow half again as
+// large.
+const gcPercent = 200
+
 func main() {
+	if os.Getenv("GOGC") == "" { // an operator's GOGC wins
+		debug.SetGCPercent(gcPercent)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
@@ -127,7 +142,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		st := led.Stats()
-		logger.Printf("bpid: ledger %s: %d trusted records (%d batches, %d rejected), chain %.12s…",
+		logger.Printf("bpid: ledger %s: %d indexed records (%d batches, %d rejected), chain %.12s…",
 			*ledgerDir, st.Records, st.Batches, st.Rejected, st.ChainHead)
 		for _, note := range st.Notes {
 			logger.Printf("bpid: ledger recovery: %s", note)
@@ -137,8 +152,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Listen after the ledger replay, right before serving: a client that
-	// connects earlier is refused at once instead of waiting in the backlog.
+	// Listen after the ledger index is built, right before serving: a client
+	// that connects earlier is refused at once instead of waiting in the
+	// backlog.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Printf("bpid: %v", err)

@@ -2,7 +2,11 @@
 // ledger written by bpid -ledger. It is the offline counterpart of the
 // daemon's /v1/ledger endpoints: everything it reports is recomputed from
 // the log bytes and the independent certificate verifier — no trust in the
-// daemon that wrote the ledger is required.
+// daemon that wrote the ledger is required. stats reads the index that
+// opening the ledger builds (framing, checksums, Merkle roots, the seal
+// hash chain); verify, proof and export also replay the certificate of
+// every record they read. Inspection writes nothing, not even the cut of a
+// torn tail, so it is safe beside a running bpid.
 //
 // Usage:
 //
@@ -31,6 +35,7 @@ import (
 	"os"
 	"time"
 
+	"bpi/internal/cert"
 	"bpi/internal/ledger"
 	"bpi/internal/parser"
 	"bpi/internal/syntax"
@@ -94,8 +99,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if cmd == "proof" && *key == "" {
 		return fail(stderr, errors.New("proof needs -key HASH (the ledger_key bpid reports)"))
 	}
-	// Inspection: every record is re-verified at Open, and Close appends
-	// nothing, so the log is left as it was beyond the torn-tail repair.
+	// Inspection: Open indexes the log and writes nothing, each read below
+	// verifies the records it hands out, and Close appends nothing, so the
+	// log is left as it was, a torn tail included.
 	l, err := ledger.Open(dir, cfg)
 	if err != nil {
 		return fail(stderr, err)
@@ -120,7 +126,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 func printStats(l *ledger.Ledger, stdout io.Writer) {
 	st := l.Stats()
-	fmt.Fprintf(stdout, "records   %d trusted, %d rejected, %d awaiting seal\n", st.Records, st.Rejected, st.Pending)
+	fmt.Fprintf(stdout, "records   %d indexed, %d rejected, %d awaiting seal\n", st.Records, st.Rejected, st.Pending)
 	fmt.Fprintf(stdout, "batches   %d sealed\n", st.Batches)
 	fmt.Fprintf(stdout, "chain     %s", st.ChainHead)
 	if st.ChainBroken {
@@ -133,11 +139,12 @@ func printStats(l *ledger.Ledger, stdout io.Writer) {
 	}
 }
 
-// runVerify is the full-scan audit: Open already replayed every trust
-// layer; here the outcome decides the exit status and every quarantined
-// record is itemised.
+// runVerify is the full-scan audit: Open checked framing and the seal
+// chain, and Replay verifies every record's certificate; the outcome
+// decides the exit status and every quarantined record is itemised.
 func runVerify(l *ledger.Ledger, stdout, stderr io.Writer) int {
 	start := time.Now()
+	l.Replay(func(*ledger.Record, *cert.Certificate) {})
 	st := l.Stats()
 	for _, note := range st.Notes {
 		fmt.Fprintf(stderr, "bpiledger: note: %s\n", note)
@@ -256,7 +263,7 @@ func fail(stderr io.Writer, err error) int {
 
 const usageText = `bpiledger — offline audit of the bpid verdict ledger
 
-  bpiledger stats  [-f defs.bpi] <dir>                 summary + recovery notes
+  bpiledger stats  [-f defs.bpi] <dir>                 index summary + recovery notes
   bpiledger verify [-f defs.bpi] <dir>                 full-scan replay; exit 1 on any rejection
   bpiledger proof  [-f defs.bpi] -key HASH <dir>       print + re-verify one inclusion proof
   bpiledger export [-f defs.bpi] [-o out.jsonl] <dir>  trusted records as JSON lines
@@ -264,8 +271,9 @@ const usageText = `bpiledger — offline audit of the bpid verdict ledger
                                                        append records, re-verifying each
 
 Everything is recomputed from the log bytes: framing checksums, Merkle
-roots, the seal hash chain, and every record's certificate replayed
-against the independent verifier. Exits 1 on verification failures,
+roots, the seal hash chain, and the certificate of every record that
+verify, proof or export reads, replayed against the independent
+verifier. Inspection writes nothing. Exits 1 on verification failures,
 2 on usage errors.
 
   -f file  program file with definitions, for ledgers whose terms mention

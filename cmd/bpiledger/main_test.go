@@ -210,3 +210,32 @@ func TestInspectionLeavesTailUnchanged(t *testing.T) {
 		})
 	}
 }
+
+// TestInspectionLeavesTornTailUnchanged runs each read-only subcommand on
+// a ledger whose last frame is torn, as it is while a writer is in the
+// middle of appending it. Inspection notes the torn tail and must not cut
+// it: the writer may still be writing that frame.
+func TestInspectionLeavesTornTailUnchanged(t *testing.T) {
+	_, tail, recs := fixtures(t)
+	torn := append(readSegment(t, tail), readSegment(t, tail)[:7]...) // a frame header cut short
+	for _, args := range [][]string{
+		{"stats"},
+		{"verify"},
+		{"proof", "-key", recs[0].KeyHash},
+		{"export"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, segment), torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(append(args, dir), nil, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d (%s)", code, stderr.String())
+			}
+			if after := readSegment(t, dir); !bytes.Equal(torn, after) {
+				t.Errorf("%s changed the torn segment: %d -> %d bytes", args[0], len(torn), len(after))
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package axioms
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"bpi/internal/actions"
@@ -108,6 +109,10 @@ type ErrBudget struct{ What string }
 
 func (e ErrBudget) Error() string { return "axioms: " + e.What }
 
+// ErrInfinite is Decide's error for a term outside the axiomatisation: one
+// that is not finite (it contains recursion).
+var ErrInfinite = errors.New("axioms: the axiomatisation covers finite processes only")
+
 // Decide reports whether A ⊢ p = q (equivalently, by Theorems 6 and 7,
 // whether p ~c q) for finite processes p, q.
 func (pr *Prover) Decide(p, q syntax.Proc) (bool, error) {
@@ -129,7 +134,7 @@ func (pr *Prover) DecideCtx(ctx context.Context, p, q syntax.Proc) (bool, error)
 	pr.cMemoHits = pr.Obs.Counter("axioms.memo_hits")
 	cWorlds := pr.Obs.Counter("axioms.worlds")
 	if !syntax.IsFinite(p) || !syntax.IsFinite(q) {
-		return false, fmt.Errorf("axioms: the axiomatisation covers finite processes only")
+		return false, ErrInfinite
 	}
 	fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q))
 	if fn.Len() > pr.maxNames() {

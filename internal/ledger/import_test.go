@@ -196,3 +196,48 @@ func TestImportRejectsTooDeepTerm(t *testing.T) {
 		t.Fatalf("reject error is %d bytes, want under 1 KiB", n)
 	}
 }
+
+// TestImportRejectsTooLargeTerm: a line whose certificate names a term past
+// the certificate term bound is counted Rejected with an error wrapping
+// ErrTermTooLarge, refused before the term is parsed, and the import goes
+// on to the next line.
+func TestImportRejectsTooLargeTerm(t *testing.T) {
+	good := allRecords(t)[0]
+	var crt cert.Certificate
+	err := json.Unmarshal(good.Cert, &crt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crt.Q = strings.Repeat("a!|", certTermBytes/3) + "a!" // one byte past the bound
+	bad := good
+	if bad.Cert, err = json.Marshal(&crt); err != nil {
+		t.Fatal(err)
+	}
+	var input bytes.Buffer
+	enc := json.NewEncoder(&input)
+	for _, r := range []Record{bad, good} {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l, err := Open(t.TempDir(), Config{BatchSize: 1, MaxWait: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var rejectErr error
+	st, err := l.Import(&input, ImportOptions{Reject: func(_ int, err error) { rejectErr = err }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rejected != 1 || st.Imported != 1 {
+		t.Fatalf("imported %d rejected %d, want 1/1", st.Imported, st.Rejected)
+	}
+	if !errors.Is(rejectErr, ErrTermTooLarge) {
+		t.Fatalf("reject err = %v, want ErrTermTooLarge", rejectErr)
+	}
+	if n := len(rejectErr.Error()); n >= 1<<10 {
+		t.Fatalf("reject error is %d bytes, want under 1 KiB", n)
+	}
+}

@@ -3,29 +3,38 @@
 // verdicts that survives the process and warm-starts the next one.
 //
 // Layout: numbered segment files (seg-000001.log, …) of length-prefixed,
-// CRC-32C-checksummed entries, rescanned in full at every Open. Two entry
-// kinds interleave in append order: verdict records (Record) and batch seals
-// (Seal). Appended records accumulate into a pending batch; sealing builds
-// an RFC 6962-shaped Merkle tree over the records' on-disk payload bytes,
-// and the sealed roots chain hash-linked from a fixed genesis value, so any
-// record can produce a compact inclusion proof (InclusionProof) verifiable
-// from a root alone, and rewriting any sealed byte breaks the chain.
+// CRC-32C-checksummed entries. Two entry kinds interleave in append order:
+// verdict records (Record) and batch seals (Seal). Appended records
+// accumulate into a pending batch; sealing builds an RFC 6962-shaped Merkle
+// tree over the records' on-disk payload bytes, and the sealed roots chain
+// hash-linked from a fixed genesis value, so any record can produce a
+// compact inclusion proof (InclusionProof) verifiable from a root alone,
+// and rewriting any sealed byte breaks the chain.
+//
+// Open rescans the whole log and builds an in-memory index: for each record
+// its key hash and budgets, where its frame lives, its Merkle leaf hash, its
+// batch and its trust state. No payload, Record or certificate stays in
+// memory, for records read at Open or appended since alike.
 //
 // Trust is layered and fail-closed, per record:
 //
-//   - framing integrity: a torn tail write is truncated away with a recovery
-//     note; a framed entry whose checksum fails is quarantined and skipped
-//     (length-prefix framing keeps the rest of the log readable);
-//   - batch integrity: a seal whose recomputed root or chain link does not
-//     match condemns every record it covers (and flags the chain broken);
-//   - semantic trust: every surviving record is replayed through the
-//     independent certificate verifier (internal/cert) at Open, and its
-//     certificate terms must re-derive the record's canonical pair key —
-//     so a flipped verdict, a swapped certificate or a remapped key is
-//     rejected without trusting the binary that wrote the log.
+//   - framing integrity, at Open: a torn tail write is noted, and cut only
+//     just before this process's first write; a framed entry whose checksum
+//     fails is quarantined and skipped (length-prefix framing keeps the rest
+//     of the log readable);
+//   - batch integrity, at Open: a seal whose recomputed root or chain link
+//     does not match condemns every record it covers (and flags the chain
+//     broken);
+//   - semantic trust, at the record's first read: the read re-reads the
+//     frame, checks its bytes against the leaf hash indexed at Open, and
+//     replays the record through the independent certificate verifier
+//     (internal/cert), whose terms must re-derive the record's canonical
+//     pair key — so a flipped verdict, a swapped certificate or a remapped
+//     key is rejected without trusting the binary that wrote the log.
 //
-// Only records passing all three layers are offered to Replay (the daemon's
-// warm-start path); everything else is counted, never trusted.
+// Every read that hands a record out — Lookup, Replay, Proof and Export —
+// is that one verified read. A record that fails it is quarantined and
+// counted, and never handed out.
 //
 // The package owns pair identity: QueryKey maps a query and CertKey a
 // certificate to the pair key, and they alone choose the term form — the
@@ -35,6 +44,8 @@
 package ledger
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -94,27 +105,53 @@ var (
 	ErrClosed     = errors.New("ledger: closed")
 )
 
-// entry is one decoded log entry held in memory: the record, its exact
-// on-disk payload (the Merkle leaf preimage), and its trust status.
+// errQuarantined is the read of a record already quarantined.
+var errQuarantined = errors.New("ledger: record quarantined")
+
+// The trust states of an indexed record.
+const (
+	unread      uint8 = iota // indexed at Open, its certificate not verified yet
+	verified                 // verified at its first read, or appended by this process
+	quarantined              // rejected; never handed out
+)
+
+// The batch of a record that no intact seal covers.
+const (
+	batchPending   = -1
+	batchCondemned = -2
+)
+
+// entry indexes one record: what its verified read needs, and nothing of
+// its payload.
 type entry struct {
-	rec     Record
-	crt     *cert.Certificate // parsed certificate; nil for records this process appended or rejected
-	payload []byte
-	leaf    [32]byte
-	batch   int // seals[batch]; -1 pending, -2 condemned
-	leafIdx int
-	reject  string // non-empty: quarantined, with the reason
+	leaf                          [32]byte // Merkle leaf hash of the payload
+	seq                           uint64
+	off                           int64 // frame offset in its segment
+	maxPairs, maxClosure, maxSubs int
+	seg                           int32 // segment number
+	size                          int32 // payload bytes
+	batch                         int32 // index into seals, or batchPending / batchCondemned
+	prev                          int32 // the next older entry under the same key prefix, or -1
+	state                         uint8
 }
 
+// sealedBatch is one intact seal and the entries it covers:
+// entries[first : first+seal.Count].
 type sealedBatch struct {
-	seal   Seal
-	leaves [][32]byte
+	seal  Seal
+	first int32
 }
+
+// keyPrefix is the index key of a key hash: its first eight bytes. Keys
+// that share a prefix share a chain of entries, and a read checks the
+// full key.
+func keyPrefix(h []byte) uint64 { return binary.BigEndian.Uint64(h) }
 
 // Stats is a point-in-time summary of the ledger.
 type Stats struct {
-	// Records counts trusted (replayable) records; Rejected counts
-	// quarantined ones, whatever the layer that rejected them.
+	// Records counts indexed records not quarantined: each is verified at
+	// its first read. Rejected counts quarantined ones, at Open or at a
+	// read, whatever the layer that rejected them.
 	Records  int    `json:"records"`
 	Rejected int    `json:"rejected"`
 	Pending  int    `json:"pending"`
@@ -130,7 +167,7 @@ type Stats struct {
 	Appended        uint64  `json:"appended"`
 	Seals           uint64  `json:"seals"`
 	SealWaitSeconds float64 `json:"seal_wait_seconds"`
-	// Notes are recovery observations from Open (truncated tail, condemned
+	// Notes are recovery observations from Open (torn tail, condemned
 	// batches).
 	Notes []string `json:"notes,omitempty"`
 }
@@ -141,26 +178,36 @@ type Ledger struct {
 	cfg      Config
 	verifier *cert.Verifier
 
-	mu         sync.Mutex
-	active     *os.File
+	// wmu serializes the writers, Append and Seal, and guards the active
+	// segment. It is held across a write and a seal's fsync, which mu never
+	// is, so reads of the index never wait on the disk.
+	wmu        sync.Mutex
+	active     *os.File // opened for appending at this process's first write
 	activeSeg  int
 	activeSize int64
-	segments   int
-	bytes      int64
-	nextSeq    uint64
-	entries    []*entry
-	byKey      map[string]*entry // key hash → latest trusted entry
-	seals      []*sealedBatch
-	chain      [32]byte
-	broken     bool
-	pending    []*entry
-	pendingAt  time.Time
-	rejected   int
-	notes      []string
-	appended   uint64
-	sealsDone  uint64
-	sealWait   float64
-	closed     bool
+	torn       bool   // the active segment has a torn tail past activeSize
+	frame      []byte // the frame being written, its storage reused
+
+	mu          sync.Mutex
+	segments    int
+	bytes       int64
+	nextSeq     uint64
+	entries     []entry
+	byKey       map[uint64]int32        // key prefix → newest entry
+	reasons     map[int32]string        // quarantined entry → why
+	verifying   map[int32]chan struct{} // entries whose first read runs now
+	seals       []sealedBatch
+	chain       [32]byte
+	broken      bool
+	pendingFrom int32 // entries[pendingFrom:] await their seal
+	pendingAt   time.Time
+	quarantined int // entries quarantined
+	skipped     int // entries of an unknown type
+	notes       []string
+	appended    uint64
+	sealsDone   uint64
+	sealWait    float64
+	closed      bool
 
 	kick chan struct{}
 	stop chan struct{}
@@ -169,53 +216,50 @@ type Ledger struct {
 
 func segName(n int) string { return fmt.Sprintf("seg-%06d.log", n) }
 
-// Open reads (and, for the damaged tail, repairs) the ledger under dir,
-// verifying every record's certificate, and leaves the last segment open
-// for appending. A missing dir is created empty.
+// Open scans the ledger under dir and indexes it: framing, checksums,
+// Merkle roots and the seal chain are checked now, each record's
+// certificate at its first read. Open writes nothing: a torn tail of the
+// last segment is noted, and cut just before this process's first write. A
+// missing dir is created empty.
 func Open(dir string, cfg Config) (*Ledger, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
 	l := &Ledger{
-		dir:      dir,
-		cfg:      cfg,
-		verifier: &cert.Verifier{Sys: semantics.NewSystem(cfg.Env)},
-		byKey:    map[string]*entry{},
-		chain:    genesisChain(),
-		nextSeq:  1,
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		dir:       dir,
+		cfg:       cfg,
+		verifier:  &cert.Verifier{Sys: semantics.NewSystem(cfg.Env)},
+		byKey:     map[uint64]int32{},
+		reasons:   map[int32]string{},
+		verifying: map[int32]chan struct{}{},
+		chain:     genesisChain(),
+		nextSeq:   1,
+		activeSeg: 1,
+		segments:  1,
+		kick:      make(chan struct{}, 1),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	names, err := segmentNames(dir)
 	if err != nil {
 		return nil, err
 	}
 	for i, name := range names {
-		if err := l.loadSegment(filepath.Join(dir, name), i == len(names)-1); err != nil {
+		var seg int
+		if _, err := fmt.Sscanf(name, "seg-%06d.log", &seg); err != nil {
+			return nil, fmt.Errorf("ledger: segment name %s: %w", name, err)
+		}
+		if err := l.scanSegment(seg, i == len(names)-1); err != nil {
 			return nil, err
 		}
+		l.activeSeg = seg
 	}
-	l.segments = len(names)
-	l.activeSeg = 1
-	if n := len(names); n > 0 {
-		fmt.Sscanf(names[n-1], "seg-%06d.log", &l.activeSeg)
-	} else {
-		l.segments = 1
+	if len(names) > 0 {
+		l.segments = len(names)
 	}
-	path := filepath.Join(dir, segName(l.activeSeg))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
-	l.active = f
-	l.activeSize = st.Size()
-	if len(l.pending) > 0 {
+	// The scan grew the index by appending; keep only what it holds.
+	l.entries = append(make([]entry, 0, len(l.entries)), l.entries...)
+	if l.hasPendingLocked() {
 		l.pendingAt = time.Now()
 	}
 	go l.sealLoop()
@@ -237,25 +281,23 @@ func segmentNames(dir string) ([]string, error) {
 	return names, nil
 }
 
-// loadSegment scans one segment, quarantining damage and (for the last
-// segment only) truncating a torn tail so the file is appendable again.
-func (l *Ledger) loadSegment(path string, last bool) error {
+// scanSegment indexes one segment, quarantining damage. In the last
+// segment it notes a torn tail, which the first write cuts.
+func (l *Ledger) scanSegment(seg int, last bool) error {
+	path := filepath.Join(l.dir, segName(seg))
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	off, lastGood := 0, 0
+	off := 0
 	for off < len(buf) {
 		typ, payload, next, ok, crcOK := decodeEntry(buf, off)
 		if !ok {
 			if last {
+				l.torn = true
 				l.notes = append(l.notes, fmt.Sprintf(
-					"%s: torn or corrupt entry at offset %d; truncated %d bytes",
-					filepath.Base(path), off, len(buf)-lastGood))
-				if err := os.Truncate(path, int64(lastGood)); err != nil {
-					return fmt.Errorf("ledger: truncating torn tail of %s: %w", path, err)
-				}
-				buf = buf[:lastGood]
+					"%s: torn or corrupt entry at offset %d; its %d bytes are truncated before the first write",
+					filepath.Base(path), off, len(buf)-off))
 			} else {
 				l.notes = append(l.notes, fmt.Sprintf(
 					"%s: unreadable from offset %d; %d bytes skipped",
@@ -263,49 +305,91 @@ func (l *Ledger) loadSegment(path string, last bool) error {
 			}
 			break
 		}
-		if !crcOK {
-			e := &entry{payload: append([]byte(nil), payload...), leaf: leafHash(payload),
-				batch: -1, reject: "checksum mismatch"}
-			l.entries = append(l.entries, e)
-			l.pending = append(l.pending, e)
-			l.rejected++
-		} else {
-			switch typ {
-			case entryVerdict:
-				l.loadVerdict(payload)
-			case entrySeal:
-				l.loadSeal(payload)
-			default:
-				l.rejected++
-				l.notes = append(l.notes, fmt.Sprintf("unknown entry type %d skipped", typ))
-			}
+		switch {
+		case !crcOK:
+			l.addLocked(entry{seg: int32(seg), off: int64(off)}, payload, "", "checksum mismatch")
+		case typ == entryVerdict:
+			l.indexVerdict(seg, off, payload)
+		case typ == entrySeal:
+			l.loadSeal(payload)
+		default:
+			l.skipped++
+			l.notes = append(l.notes, fmt.Sprintf("unknown entry type %d skipped", typ))
 		}
-		off, lastGood = next, next
+		off = next
 	}
-	l.bytes += int64(len(buf))
+	if last {
+		l.activeSize = int64(off)
+		l.bytes += int64(off)
+	} else {
+		l.bytes += int64(len(buf))
+	}
 	return nil
 }
 
-func (l *Ledger) loadVerdict(payload []byte) {
-	e := &entry{payload: append([]byte(nil), payload...), leaf: leafHash(payload), batch: -1}
+// indexFields are the parts of a record's payload that its index entry
+// keeps.
+type indexFields struct {
+	Seq        uint64 `json:"seq"`
+	KeyHash    string `json:"key_hash"`
+	MaxPairs   int    `json:"max_pairs"`
+	MaxClosure int    `json:"max_closure"`
+	MaxSubs    int    `json:"max_subs"`
+}
+
+func (l *Ledger) indexVerdict(seg, off int, payload []byte) {
+	e := entry{seg: int32(seg), off: int64(off)}
+	var f indexFields
+	if err := json.Unmarshal(payload, &f); err != nil {
+		l.addLocked(e, payload, "", "undecodable record: "+err.Error())
+		return
+	}
+	if f.Seq >= l.nextSeq {
+		l.nextSeq = f.Seq + 1
+	}
+	e.seq, e.maxPairs, e.maxClosure, e.maxSubs = f.Seq, f.MaxPairs, f.MaxClosure, f.MaxSubs
+	l.addLocked(e, payload, f.KeyHash, "")
+}
+
+// addLocked indexes a record frame as pending: under its key hash, or
+// quarantined at once with reject.
+func (l *Ledger) addLocked(e entry, payload []byte, keyHash, reject string) {
+	i := int32(len(l.entries))
+	e.leaf = leafHash(payload)
+	e.size = int32(len(payload))
+	e.batch = batchPending
+	e.prev = -1
+	if reject == "" {
+		if h, err := hex.DecodeString(keyHash); err == nil && len(h) == sha256.Size {
+			if p, ok := l.byKey[keyPrefix(h)]; ok {
+				e.prev = p
+			}
+			l.byKey[keyPrefix(h)] = i
+		} else {
+			reject = "record has no valid key hash"
+		}
+	}
 	l.entries = append(l.entries, e)
-	l.pending = append(l.pending, e)
-	if err := json.Unmarshal(e.payload, &e.rec); err != nil {
-		e.reject = "undecodable record: " + err.Error()
-		l.rejected++
-		return
+	if reject != "" {
+		l.quarantineLocked(i, reject)
 	}
-	if e.rec.Seq >= l.nextSeq {
-		l.nextSeq = e.rec.Seq + 1
+}
+
+func (l *Ledger) quarantineLocked(i int32, why string) {
+	l.entries[i].state = quarantined
+	l.reasons[i] = why
+	l.quarantined++
+}
+
+func (l *Ledger) hasPendingLocked() bool { return int(l.pendingFrom) < len(l.entries) }
+
+// leavesLocked returns the leaf hashes of entries[from:to].
+func (l *Ledger) leavesLocked(from, to int32) [][32]byte {
+	leaves := make([][32]byte, 0, to-from)
+	for _, e := range l.entries[from:to] {
+		leaves = append(leaves, e.leaf)
 	}
-	crt, err := l.VerifyRecord(&e.rec)
-	if err != nil {
-		e.reject = err.Error()
-		l.rejected++
-		return
-	}
-	e.crt = crt
-	l.byKey[e.rec.KeyHash] = e
+	return leaves
 }
 
 func (l *Ledger) loadSeal(payload []byte) {
@@ -314,27 +398,18 @@ func (l *Ledger) loadSeal(payload []byte) {
 		l.condemnPending("undecodable seal: " + err.Error())
 		return
 	}
-	leaves := make([][32]byte, len(l.pending))
-	for i, e := range l.pending {
-		leaves[i] = e.leaf
-	}
-	root := merkleRoot(leaves)
+	n := int32(len(l.entries))
+	root := merkleRoot(l.leavesLocked(l.pendingFrom, n))
 	want := chainHash(l.chain, root)
 	switch {
-	case s.Count != len(l.pending):
-		l.condemnPending(fmt.Sprintf("seal %d covers %d records but %d are on disk", s.Batch, s.Count, len(l.pending)))
+	case s.Count != int(n-l.pendingFrom):
+		l.condemnPending(fmt.Sprintf("seal %d covers %d records but %d are on disk", s.Batch, s.Count, n-l.pendingFrom))
 	case s.Root != hex.EncodeToString(root[:]):
 		l.condemnPending(fmt.Sprintf("seal %d root mismatch: recomputed %x, sealed %s", s.Batch, root, s.Root))
 	case s.Prev != hex.EncodeToString(l.chain[:]) || s.Chain != hex.EncodeToString(want[:]):
 		l.condemnPending(fmt.Sprintf("seal %d breaks the hash chain", s.Batch))
 	default:
-		sb := &sealedBatch{seal: s, leaves: leaves}
-		for i, e := range l.pending {
-			e.batch, e.leafIdx = len(l.seals), i
-		}
-		l.seals = append(l.seals, sb)
-		l.chain = want
-		l.pending = nil
+		l.sealPendingLocked(s, want)
 		return
 	}
 	// The broken seal's chain value is adopted so later seals can still be
@@ -344,21 +419,29 @@ func (l *Ledger) loadSeal(payload []byte) {
 	}
 }
 
+// sealPendingLocked makes s, whose chain value is chain, the seal of every
+// pending entry.
+func (l *Ledger) sealPendingLocked(s Seal, chain [32]byte) {
+	b := int32(len(l.seals))
+	for i := range l.entries[l.pendingFrom:] {
+		l.entries[int(l.pendingFrom)+i].batch = b
+	}
+	l.seals = append(l.seals, sealedBatch{seal: s, first: l.pendingFrom})
+	l.chain = chain
+	l.pendingFrom = int32(len(l.entries))
+}
+
 // condemnPending quarantines every record the failed seal covered.
 func (l *Ledger) condemnPending(why string) {
 	l.broken = true
 	l.notes = append(l.notes, why)
-	for _, e := range l.pending {
-		e.batch = -2
-		if e.reject == "" {
-			e.reject = why
-			l.rejected++
-			if l.byKey[e.rec.KeyHash] == e {
-				delete(l.byKey, e.rec.KeyHash)
-			}
+	for i := l.pendingFrom; i < int32(len(l.entries)); i++ {
+		l.entries[i].batch = batchCondemned
+		if l.entries[i].state != quarantined {
+			l.quarantineLocked(i, why)
 		}
 	}
-	l.pending = nil
+	l.pendingFrom = int32(len(l.entries))
 }
 
 // VerifyRecord replays one record's evidence: the certificate must parse,
@@ -391,42 +474,207 @@ func (l *Ledger) VerifyRecord(r *Record) (*cert.Certificate, error) {
 	return crt, nil
 }
 
-// Append assigns the next sequence number, writes the record, and returns
-// the sequence. Records reaching the configured batch size seal immediately;
-// otherwise the background sealer seals them within MaxWait. Append never
-// fsyncs — durability is batched at seal time.
-func (l *Ledger) Append(r Record) (uint64, error) {
+// read is the one verified read that every record handed out passes. It
+// re-reads entry i's frame and checks the bytes against the leaf hash
+// indexed when the entry was, so a rewrite since is caught. At the entry's
+// first read it also runs VerifyRecord, outside the mutex; concurrent first
+// reads of one entry wait for that one verification. A failure quarantines
+// the entry. read returns the record, its parsed certificate and its
+// payload bytes.
+func (l *Ledger) read(i int32) (*Record, *cert.Certificate, []byte, error) {
 	l.mu.Lock()
-	if l.closed {
+	for {
+		if l.entries[i].state == quarantined {
+			l.mu.Unlock()
+			return nil, nil, nil, errQuarantined
+		}
+		busy, ok := l.verifying[i]
+		if !ok {
+			break
+		}
 		l.mu.Unlock()
+		<-busy
+		l.mu.Lock()
+	}
+	e := l.entries[i]
+	first := e.state == unread
+	var done chan struct{}
+	if first {
+		done = make(chan struct{})
+		l.verifying[i] = done
+	}
+	l.mu.Unlock()
+
+	rec, crt, payload, err := l.load(e, first)
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if first {
+		delete(l.verifying, i)
+		close(done)
+	}
+	switch {
+	case err != nil && l.entries[i].state != quarantined:
+		l.quarantineLocked(i, err.Error())
+	case err == nil && first:
+		l.entries[i].state = verified
+	}
+	return rec, crt, payload, err
+}
+
+// load reads entry e's frame back and decodes its record and certificate,
+// which, with verify, VerifyRecord replays.
+func (l *Ledger) load(e entry, verify bool) (*Record, *cert.Certificate, []byte, error) {
+	frame, err := l.readFrame(e)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	_, payload, _, ok, crcOK := decodeEntry(frame, 0)
+	if !ok || !crcOK || leafHash(payload) != e.leaf {
+		return nil, nil, nil, errors.New("record bytes changed on disk since they were indexed")
+	}
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return nil, nil, nil, fmt.Errorf("undecodable record: %w", err)
+	}
+	var crt *cert.Certificate
+	if verify {
+		crt, err = l.VerifyRecord(&rec)
+	} else if crt, err = cert.Unmarshal(rec.Cert); err != nil {
+		err = fmt.Errorf("certificate does not parse: %w", err)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return &rec, crt, payload, nil
+}
+
+// readFrame reads entry e's whole frame from its segment.
+func (l *Ledger) readFrame(e entry) ([]byte, error) {
+	f, err := os.Open(filepath.Join(l.dir, segName(int(e.seg))))
+	if err != nil {
+		return nil, fmt.Errorf("record unreadable: %w", err)
+	}
+	defer f.Close()
+	frame := make([]byte, headerBytes+int(e.size)+trailerBytes)
+	if _, err := f.ReadAt(frame, e.off); err != nil {
+		return nil, fmt.Errorf("record unreadable: %w", err)
+	}
+	return frame, nil
+}
+
+// candidates lists, newest first, the entries not quarantined whose key
+// hash starts as h does and that keep accepts.
+func (l *Ledger) candidates(h []byte, keep func(*entry) bool) []int32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []int32
+	i, ok := l.byKey[keyPrefix(h)]
+	for ; ok && i >= 0; i = l.entries[i].prev {
+		if e := &l.entries[i]; e.state != quarantined && (keep == nil || keep(e)) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Lookup returns the newest record of the pair key computed under the
+// given budgets, with its parsed certificate, once the record passes its
+// verified read. ok is false when the ledger holds no such record, or
+// every such record failed its read and is quarantined now.
+func (l *Ledger) Lookup(key string, maxPairs, maxClosure, maxSubs int) (*Record, *cert.Certificate, bool) {
+	h := sha256.Sum256([]byte(key))
+	for _, i := range l.candidates(h[:], func(e *entry) bool {
+		return e.maxPairs == maxPairs && e.maxClosure == maxClosure && e.maxSubs == maxSubs
+	}) {
+		if r, crt, _, err := l.read(i); err == nil && r.Key == key {
+			return r, crt, true
+		}
+	}
+	return nil, nil, false
+}
+
+// count is the number of entries indexed so far.
+func (l *Ledger) count() int32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return int32(len(l.entries))
+}
+
+// Replay calls fn, in log order, for every record that passes its verified
+// read, with its parsed certificate, and returns how many it called fn
+// for. Each record not read before is verified now, so after Replay, Stats
+// counts exactly the records Replay passed to fn.
+func (l *Ledger) Replay(fn func(r *Record, crt *cert.Certificate)) int {
+	n := 0
+	for i, end := int32(0), l.count(); i < end; i++ {
+		if r, crt, _, err := l.read(i); err == nil {
+			fn(r, crt)
+			n++
+		}
+	}
+	return n
+}
+
+// Rejections lists the quarantined records' reasons, in log order.
+func (l *Ledger) Rejections() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	idx := make([]int32, 0, len(l.reasons))
+	for i := range l.reasons {
+		idx = append(idx, i)
+	}
+	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
+	out := make([]string, len(idx))
+	for k, i := range idx {
+		out[k] = fmt.Sprintf("seq %d: %s", l.entries[i].seq, l.reasons[i])
+	}
+	return out
+}
+
+// Append assigns the next sequence number, writes the record, indexes it,
+// and returns the sequence. The record counts as verified: its certificate
+// comes from the caller, and Import verifies one before it appends it.
+// Records reaching the configured batch size seal immediately; otherwise
+// the background sealer seals them within MaxWait. Append never fsyncs —
+// durability is batched at seal time.
+func (l *Ledger) Append(r Record) (uint64, error) {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	l.mu.Lock()
+	closed := l.closed
+	if !closed {
+		r.Seq = l.nextSeq
+		l.nextSeq++
+	}
+	l.mu.Unlock()
+	if closed {
 		return 0, ErrClosed
 	}
-	r.Seq = l.nextSeq
-	l.nextSeq++
 	if r.UnixNano == 0 {
 		r.UnixNano = time.Now().UnixNano()
 	}
-	payload, err := json.Marshal(r)
+	frame, err := encodeEntry(l.frame, entryVerdict, &r)
 	if err != nil {
-		l.mu.Unlock()
 		return 0, fmt.Errorf("ledger: %w", err)
 	}
-	if err := l.writeLocked(encodeEntry(entryVerdict, payload)); err != nil {
-		l.mu.Unlock()
+	l.frame = frame
+	payload := frame[headerBytes : len(frame)-trailerBytes]
+	seg, off, err := l.write(frame)
+	if err != nil {
 		return 0, err
 	}
-	e := &entry{rec: r, payload: payload, leaf: leafHash(payload), batch: -1}
-	l.entries = append(l.entries, e)
-	if len(l.pending) == 0 {
+	l.mu.Lock()
+	if !l.hasPendingLocked() {
 		l.pendingAt = time.Now()
 	}
-	l.pending = append(l.pending, e)
-	l.byKey[r.KeyHash] = e
+	l.addLocked(entry{seq: r.Seq, seg: int32(seg), off: off, state: verified,
+		maxPairs: r.MaxPairs, maxClosure: r.MaxClosure, maxSubs: r.MaxSubs}, payload, r.KeyHash, "")
 	l.appended++
-	full := len(l.pending) >= l.cfg.batchSize()
+	full := len(l.entries)-int(l.pendingFrom) >= l.cfg.batchSize()
 	l.mu.Unlock()
 	if full {
-		if err := l.Seal(); err != nil {
+		if err := l.seal(); err != nil {
 			return 0, err
 		}
 	} else {
@@ -438,80 +686,114 @@ func (l *Ledger) Append(r Record) (uint64, error) {
 	return r.Seq, nil
 }
 
-// writeLocked appends one framed entry to the active segment, rolling to a
-// fresh segment past the size bound.
-func (l *Ledger) writeLocked(frame []byte) error {
-	if l.activeSize > 0 && l.activeSize+int64(len(frame)) > l.cfg.segmentBytes() {
-		if err := l.active.Close(); err != nil {
-			return fmt.Errorf("ledger: %w", err)
-		}
-		l.activeSeg++
-		l.segments++
-		f, err := os.OpenFile(filepath.Join(l.dir, segName(l.activeSeg)),
-			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("ledger: %w", err)
-		}
-		l.active = f
-		l.activeSize = 0
+// openActive readies the active segment for this process's first write.
+// Only now is a torn tail found at Open cut, so a process that only reads
+// the log leaves it as it found it. The caller holds wmu.
+func (l *Ledger) openActive() error {
+	if l.active != nil {
+		return nil
 	}
-	if _, err := l.active.Write(frame); err != nil {
+	path := filepath.Join(l.dir, segName(l.activeSeg))
+	if l.torn {
+		if err := os.Truncate(path, l.activeSize); err != nil {
+			return fmt.Errorf("ledger: truncating torn tail of %s: %w", path, err)
+		}
+		l.torn = false
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	l.activeSize += int64(len(frame))
-	l.bytes += int64(len(frame))
+	l.active = f
 	return nil
+}
+
+// write appends one framed entry to the active segment, rolling to a fresh
+// segment past the size bound, and returns where the frame starts. The
+// caller holds wmu.
+func (l *Ledger) write(frame []byte) (seg int, off int64, err error) {
+	if err := l.openActive(); err != nil {
+		return 0, 0, err
+	}
+	if l.activeSize > 0 && l.activeSize+int64(len(frame)) > l.cfg.segmentBytes() {
+		err := l.active.Close()
+		l.active = nil
+		if err != nil {
+			return 0, 0, fmt.Errorf("ledger: %w", err)
+		}
+		l.activeSeg++
+		l.activeSize = 0
+		l.mu.Lock()
+		l.segments++
+		l.mu.Unlock()
+		if err := l.openActive(); err != nil {
+			return 0, 0, err
+		}
+	}
+	if _, err := l.active.Write(frame); err != nil {
+		return 0, 0, fmt.Errorf("ledger: %w", err)
+	}
+	off = l.activeSize
+	l.activeSize += int64(len(frame))
+	l.mu.Lock()
+	l.bytes += int64(len(frame))
+	l.mu.Unlock()
+	return l.activeSeg, off, nil
 }
 
 // Seal closes the pending batch: it builds the Merkle tree, appends the seal
 // entry and fsyncs. A ledger with nothing pending seals to a no-op.
 func (l *Ledger) Seal() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sealLocked()
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	return l.seal()
 }
 
-func (l *Ledger) sealLocked() error {
-	if len(l.pending) == 0 {
+// seal is Seal for a caller that holds wmu, so no record joins the batch
+// while its seal is written.
+func (l *Ledger) seal() error {
+	l.mu.Lock()
+	if !l.hasPendingLocked() {
+		l.mu.Unlock()
 		return nil
 	}
-	leaves := make([][32]byte, len(l.pending))
+	leaves := l.leavesLocked(l.pendingFrom, int32(len(l.entries)))
 	var firstSeq uint64
-	for i, e := range l.pending {
-		leaves[i] = e.leaf
-		if firstSeq == 0 && e.rec.Seq > 0 {
-			firstSeq = e.rec.Seq
+	for _, e := range l.entries[l.pendingFrom:] {
+		if e.seq > 0 {
+			firstSeq = e.seq
+			break
 		}
 	}
+	batch, prev := len(l.seals), l.chain
+	l.mu.Unlock()
 	root := merkleRoot(leaves)
-	chain := chainHash(l.chain, root)
+	chain := chainHash(prev, root)
 	s := Seal{
-		Batch:    len(l.seals),
+		Batch:    batch,
 		FirstSeq: firstSeq,
-		Count:    len(l.pending),
+		Count:    len(leaves),
 		Root:     hex.EncodeToString(root[:]),
-		Prev:     hex.EncodeToString(l.chain[:]),
+		Prev:     hex.EncodeToString(prev[:]),
 		Chain:    hex.EncodeToString(chain[:]),
 		UnixNano: time.Now().UnixNano(),
 	}
-	payload, err := json.Marshal(s)
+	frame, err := encodeEntry(l.frame, entrySeal, s)
 	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	if err := l.writeLocked(encodeEntry(entrySeal, payload)); err != nil {
+	l.frame = frame
+	if _, _, err := l.write(frame); err != nil {
 		return err
 	}
 	if err := l.active.Sync(); err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	for i, e := range l.pending {
-		e.batch, e.leafIdx = len(l.seals), i
-	}
-	l.seals = append(l.seals, &sealedBatch{seal: s, leaves: leaves})
-	l.chain = chain
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sealPendingLocked(s, chain)
 	l.sealWait += time.Since(l.pendingAt).Seconds()
 	l.sealsDone++
-	l.pending = nil
 	return nil
 }
 
@@ -527,7 +809,7 @@ func (l *Ledger) sealLoop() {
 	for {
 		l.mu.Lock()
 		var wait time.Duration = -1
-		if len(l.pending) > 0 {
+		if l.hasPendingLocked() {
 			wait = l.cfg.maxWait() - time.Since(l.pendingAt)
 			if wait < 0 {
 				wait = 0
@@ -576,103 +858,84 @@ func (l *Ledger) Close() error {
 	l.mu.Unlock()
 	close(l.stop)
 	<-l.done
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	appended := l.appended
+	l.mu.Unlock()
 	var err error
-	if l.appended > 0 {
-		err = l.sealLocked()
+	if appended > 0 {
+		err = l.seal()
 	}
-	if cerr := l.active.Close(); err == nil {
-		err = cerr
+	if l.active != nil {
+		if cerr := l.active.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }
 
-// Replay calls fn, in append order, for every record that was read from disk
-// at Open and survived all three trust layers, together with its parsed
-// certificate. Records appended by this process are not replayed (the caller
-// produced them).
-func (l *Ledger) Replay(fn func(r *Record, crt *cert.Certificate)) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, e := range l.entries {
-		if e.reject == "" && e.crt != nil {
-			fn(&e.rec, e.crt)
-			n++
-		}
-	}
-	return n
-}
-
-// Rejections lists the quarantined records' reasons, in log order.
-func (l *Ledger) Rejections() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []string
-	for _, e := range l.entries {
-		if e.reject != "" {
-			out = append(out, fmt.Sprintf("seq %d: %s", e.rec.Seq, e.reject))
-		}
-	}
-	return out
-}
-
-// Proof builds the inclusion proof for the latest sealed trusted record of
-// the given key hash. ErrUnknownKey when no trusted record has the key;
-// ErrPending when the only trusted records are still unsealed.
+// Proof builds the inclusion proof for the newest sealed record of the
+// given key hash that passes its verified read. ErrUnknownKey when no
+// record of the key passes; ErrPending when the only ones that pass are
+// still unsealed.
 func (l *Ledger) Proof(keyHash string) (*InclusionProof, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e, ok := l.byKey[keyHash]
-	if !ok {
+	h, err := hex.DecodeString(keyHash)
+	if err != nil || len(h) != sha256.Size {
 		return nil, ErrUnknownKey
 	}
-	if e.batch < 0 {
-		// The newest record is unsealed; an older sealed one still proves.
-		e = nil
-		for i := len(l.entries) - 1; i >= 0; i-- {
-			c := l.entries[i]
-			if c.reject == "" && c.rec.KeyHash == keyHash && c.batch >= 0 {
-				e = c
-				break
-			}
-		}
-		if e == nil {
-			return nil, ErrPending
-		}
-	}
-	sb := l.seals[e.batch]
-	path := auditPath(sb.leaves, e.leafIdx)
-	audit := make([]string, len(path))
-	for i, h := range path {
-		audit[i] = hex.EncodeToString(h[:])
-	}
-	return &InclusionProof{
-		Key:     e.rec.Key,
-		KeyHash: keyHash,
-		Seq:     e.rec.Seq,
-		Batch:   e.batch,
-		Leaf:    e.leafIdx,
-		Count:   len(sb.leaves),
-		Record:  append(json.RawMessage(nil), e.payload...),
-		Audit:   audit,
-		Root:    sb.seal.Root,
-		Prev:    sb.seal.Prev,
-		Chain:   sb.seal.Chain,
-	}, nil
-}
-
-// Export writes every trusted record as one JSON line, returning the count.
-func (l *Ledger) Export(w io.Writer) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, e := range l.entries {
-		if e.reject != "" {
+	pending := false
+	for _, i := range l.candidates(h, nil) {
+		r, _, payload, err := l.read(i)
+		if err != nil || r.KeyHash != keyHash {
 			continue
 		}
-		if _, err := w.Write(append(append([]byte(nil), e.payload...), '\n')); err != nil {
+		l.mu.Lock()
+		b := l.entries[i].batch
+		if b < 0 {
+			l.mu.Unlock()
+			pending = true // an older sealed record may still prove
+			continue
+		}
+		sb := l.seals[b]
+		leaves := l.leavesLocked(sb.first, sb.first+int32(sb.seal.Count))
+		l.mu.Unlock()
+		leaf := int(i - sb.first)
+		path := auditPath(leaves, leaf)
+		audit := make([]string, len(path))
+		for k, h := range path {
+			audit[k] = hex.EncodeToString(h[:])
+		}
+		return &InclusionProof{
+			Key:     r.Key,
+			KeyHash: keyHash,
+			Seq:     r.Seq,
+			Batch:   int(b),
+			Leaf:    leaf,
+			Count:   len(leaves),
+			Record:  payload,
+			Audit:   audit,
+			Root:    sb.seal.Root,
+			Prev:    sb.seal.Prev,
+			Chain:   sb.seal.Chain,
+		}, nil
+	}
+	if pending {
+		return nil, ErrPending
+	}
+	return nil, ErrUnknownKey
+}
+
+// Export writes every record that passes its verified read as one JSON
+// line, in log order, returning the count.
+func (l *Ledger) Export(w io.Writer) (int, error) {
+	n := 0
+	for i, end := int32(0), l.count(); i < end; i++ {
+		_, _, payload, err := l.read(i)
+		if err != nil {
+			continue
+		}
+		if _, err := w.Write(append(payload, '\n')); err != nil {
 			return n, err
 		}
 		n++
@@ -684,16 +947,10 @@ func (l *Ledger) Export(w io.Writer) (int, error) {
 func (l *Ledger) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	trusted := 0
-	for _, e := range l.entries {
-		if e.reject == "" {
-			trusted++
-		}
-	}
 	return Stats{
-		Records:         trusted,
-		Rejected:        l.rejected,
-		Pending:         len(l.pending),
+		Records:         len(l.entries) - l.quarantined,
+		Rejected:        l.quarantined + l.skipped,
+		Pending:         len(l.entries) - int(l.pendingFrom),
 		Batches:         len(l.seals),
 		NextSeq:         l.nextSeq,
 		ChainHead:       hex.EncodeToString(l.chain[:]),

@@ -3,6 +3,7 @@ package ledger
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -340,8 +341,9 @@ func TestInspectionLeavesPendingTail(t *testing.T) {
 }
 
 // FuzzOpen feeds segment bytes to Open. Whatever the bytes, Open must not
-// panic; when it opens the ledger, Replay must offer exactly the records
-// Stats counts as trusted, and Close must succeed.
+// panic; when it opens the ledger, Replay, which verifies every record Open
+// indexed, must offer exactly the records Stats counts after it, and Close
+// must succeed.
 func FuzzOpen(f *testing.F) {
 	seg, err := os.ReadFile(filepath.Join("testdata", "keys-49dd064", "seg-000001.log"))
 	if err != nil {
@@ -366,9 +368,9 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		st := l.Stats()
-		if n := l.Replay(func(*Record, *cert.Certificate) {}); n != st.Records {
-			t.Errorf("Replay offered %d records, Stats counts %d trusted", n, st.Records)
+		n := l.Replay(func(*Record, *cert.Certificate) {})
+		if st := l.Stats(); n != st.Records {
+			t.Errorf("Replay offered %d records, Stats counts %d after it", n, st.Records)
 		}
 		if err := l.Close(); err != nil {
 			t.Errorf("Close: %v", err)
@@ -387,7 +389,9 @@ func lastSegment(t *testing.T, dir string) string {
 }
 
 // TestTruncatedTailRecovery crashes mid-write (simulated by chopping bytes
-// off the tail) and demands the healthy prefix warm-starts with a note.
+// off the tail) and demands the healthy prefix warm-starts with a note. Open
+// only notes the torn tail: an inspection leaves the log byte for byte as
+// it was, and the tail is cut just before the first write.
 func TestTruncatedTailRecovery(t *testing.T) {
 	recs := allRecords(t)
 	dir := t.TempDir()
@@ -398,7 +402,8 @@ func TestTruncatedTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(seg, buf[:len(buf)-3], 0o644); err != nil {
+	torn := buf[:len(buf)-3]
+	if err := os.WriteFile(seg, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -406,7 +411,6 @@ func TestTruncatedTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after torn tail: %v", err)
 	}
-	defer l.Close()
 	st := l.Stats()
 	if st.Rejected != 0 || st.ChainBroken {
 		t.Fatalf("torn tail must not reject records: %+v", st)
@@ -425,6 +429,45 @@ func TestTruncatedTailRecovery(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no truncation note in %v", st.Notes)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, torn) {
+		t.Fatalf("Open and Close of a torn log changed it: %d -> %d bytes (%v)", len(torn), len(after), err)
+	}
+
+	// The first write cuts the torn tail, so the appended record follows the
+	// last whole entry and reads back after a reopen.
+	ch := equiv.NewChecker(nil)
+	ch.Certify = true
+	extra := certRecord(t, ch, cert.RelLabelled, false, "d!", "d!")
+	w, err := Open(dir, noTimer)
+	if err != nil {
+		t.Fatalf("Open for the append: %v", err)
+	}
+	seq, err := w.Append(extra)
+	if err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := w.Close(); err != nil { // seals the two inherited records and the new one
+		t.Fatalf("Close: %v", err)
+	}
+	r, err := Open(dir, noTimer)
+	if err != nil {
+		t.Fatalf("reopen after the append: %v", err)
+	}
+	defer r.Close()
+	if st := r.Stats(); st.Records != len(recs)+1 || st.Rejected != 0 || st.ChainBroken ||
+		st.Batches != 3 || st.Pending != 0 || len(st.Notes) != 0 {
+		t.Fatalf("after the cut and the append: %+v", st)
+	}
+	got, _, ok := r.Lookup(extra.Key, 0, 0, 0)
+	if !ok || got.Seq != seq {
+		t.Fatalf("appended record did not read back: ok=%t %+v", ok, got)
+	}
+	if n := r.Replay(func(*Record, *cert.Certificate) {}); n != len(recs)+1 {
+		t.Fatalf("replayed %d, want %d", n, len(recs)+1)
 	}
 }
 
@@ -514,8 +557,10 @@ func TestTamperedBytesBreakChain(t *testing.T) {
 
 // TestForgedRecordsQuarantined covers the semantic layer: records whose
 // bytes are perfectly intact (written and sealed normally) but whose claims
-// their certificates do not support. Each forgery class is quarantined
-// individually; the honest records around them still warm-start.
+// their certificates do not support. Open indexes them like any record.
+// Each forgery class is quarantined at its first read, whichever read that
+// is, and is never served, proved or exported; the honest records around
+// them still read.
 func TestForgedRecordsQuarantined(t *testing.T) {
 	recs := allRecords(t)
 	honest := len(recs) - 3
@@ -530,33 +575,85 @@ func TestForgedRecordsQuarantined(t *testing.T) {
 		// The pair was negative; flip the other way.
 		doctored.Cert = bytes.Replace(doctored.Cert, []byte(`"related":false`), []byte(`"related":true`), 1)
 	}
+	forged := []Record{flipped, swapped, doctored}
+	isForged := func(key string) bool {
+		return key == flipped.Key || key == swapped.Key || key == doctored.Key
+	}
 
 	dir := t.TempDir()
-	writeLedger(t, dir, noTimer, append(append([]Record(nil), recs[:honest]...), flipped, swapped, doctored))
+	writeLedger(t, dir, noTimer, append(append([]Record(nil), recs[:honest]...), forged...))
 
-	l, err := Open(dir, noTimer)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer l.Close()
-	st := l.Stats()
-	if st.Rejected != 3 {
-		t.Fatalf("rejected = %d, want 3 forgeries; rejections: %v", st.Rejected, l.Rejections())
-	}
-	if st.ChainBroken {
-		t.Fatal("forged content must not read as a chain break (the bytes are intact)")
-	}
-	if n := l.Replay(func(r *Record, _ *cert.Certificate) {
-		if r.Key == flipped.Key || r.Key == swapped.Key || r.Key == doctored.Key {
-			t.Fatalf("forged record %q replayed as trusted", r.Key)
+	// open opens the ledger afresh, so every read below is a first read.
+	open := func(t *testing.T) *Ledger {
+		t.Helper()
+		l, err := Open(dir, noTimer)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
 		}
-	}); n != honest {
-		t.Fatalf("replayed %d, want %d honest records", n, honest)
+		t.Cleanup(func() { l.Close() })
+		if st := l.Stats(); st.Records != len(recs) || st.Rejected != 0 || st.ChainBroken {
+			t.Fatalf("Open must index the intact forgeries unread: %+v", st)
+		}
+		return l
 	}
-	// A forged record never gets a proof (it is not a trusted entry).
-	if _, err := l.Proof(flipped.KeyHash); err != ErrUnknownKey {
-		t.Fatalf("Proof(forged) = %v, want ErrUnknownKey", err)
+	// quarantinedAll checks that the reads quarantined the three forgeries
+	// and nothing else, without reading as a chain break.
+	quarantinedAll := func(t *testing.T, l *Ledger) {
+		t.Helper()
+		st := l.Stats()
+		if st.Rejected != 3 || st.Records != honest {
+			t.Fatalf("rejected = %d records = %d, want 3 forgeries of %d; rejections: %v",
+				st.Rejected, st.Records, len(recs), l.Rejections())
+		}
+		if st.ChainBroken {
+			t.Fatal("forged content must not read as a chain break (the bytes are intact)")
+		}
 	}
+
+	t.Run("lookup", func(t *testing.T) {
+		l := open(t)
+		for _, f := range forged {
+			if r, _, ok := l.Lookup(f.Key, f.MaxPairs, f.MaxClosure, f.MaxSubs); ok {
+				t.Fatalf("Lookup served forged record %d", r.Seq)
+			}
+		}
+		quarantinedAll(t, l)
+	})
+	t.Run("proof", func(t *testing.T) {
+		l := open(t)
+		for _, f := range forged {
+			if _, err := l.Proof(f.KeyHash); err != ErrUnknownKey {
+				t.Fatalf("Proof(forged) = %v, want ErrUnknownKey", err)
+			}
+		}
+		quarantinedAll(t, l)
+	})
+	t.Run("export", func(t *testing.T) {
+		l := open(t)
+		var sb strings.Builder
+		n, err := l.Export(&sb)
+		if err != nil || n != honest {
+			t.Fatalf("Export: n=%d err=%v, want %d honest records", n, err, honest)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+			var r Record
+			if err := json.Unmarshal([]byte(line), &r); err != nil || isForged(r.Key) {
+				t.Fatalf("exported line %q (%v)", line, err)
+			}
+		}
+		quarantinedAll(t, l)
+	})
+	t.Run("replay", func(t *testing.T) {
+		l := open(t)
+		if n := l.Replay(func(r *Record, _ *cert.Certificate) {
+			if isForged(r.Key) {
+				t.Fatalf("forged record %q replayed as trusted", r.Key)
+			}
+		}); n != honest {
+			t.Fatalf("replayed %d, want %d honest records", n, honest)
+		}
+		quarantinedAll(t, l)
+	})
 }
 
 // TestSegmentRolling forces multiple segments and re-reads across them.

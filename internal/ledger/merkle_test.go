@@ -3,6 +3,7 @@ package ledger
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"testing"
 )
 
@@ -105,8 +106,14 @@ func TestChainHashLinks(t *testing.T) {
 // taxonomy: torn tail → not ok; payload bit-flip → ok but crc fails; the
 // next entry after a flipped one still decodes (skip-with-resync).
 func TestEntryFraming(t *testing.T) {
-	a := encodeEntry(entryVerdict, []byte(`{"seq":1}`))
-	b := encodeEntry(entrySeal, []byte(`{"batch":0}`))
+	a, err := encodeEntry(nil, entryVerdict, json.RawMessage(`{"seq":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := encodeEntry(nil, entrySeal, json.RawMessage(`{"batch":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := append(append([]byte(nil), a...), b...)
 
 	typ, payload, next, ok, crcOK := decodeEntry(buf, 0)

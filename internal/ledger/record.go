@@ -1,10 +1,12 @@
 package ledger
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -14,8 +16,8 @@ import (
 )
 
 // Record is one persisted verdict: the canonical pair key, the verdict with
-// its Result metadata, the budgets it was computed under (so a warm-started
-// daemon can rebuild the exact verdict-cache key), and the marshalled
+// its Result metadata, the budgets it was computed under (so a daemon finds
+// it under the exact verdict-cache key of a query), and the marshalled
 // certificate that makes the record trustworthy across binary versions.
 type Record struct {
 	// Seq is the ledger-assigned append sequence number (1-based).
@@ -35,7 +37,7 @@ type Record struct {
 
 	// Budgets the verdict was computed under. A conclusive verdict is a pure
 	// function of the canonical pair and the relation alone; the budgets are
-	// carried only so replay can seed the daemon's budget-keyed LRU exactly.
+	// carried only so Lookup answers the daemon's budget-keyed LRU exactly.
 	MaxPairs   int `json:"max_pairs,omitempty"`
 	MaxClosure int `json:"max_closure,omitempty"`
 	MaxSubs    int `json:"max_subs,omitempty"`
@@ -43,9 +45,9 @@ type Record struct {
 	// UnixNano is the append wall-clock time (informational only).
 	UnixNano int64 `json:"t,omitempty"`
 
-	// Cert is the marshalled internal/cert certificate. Replay trusts a
-	// record only after the independent verifier accepts this certificate
-	// and its terms re-derive Key.
+	// Cert is the marshalled internal/cert certificate. The ledger hands a
+	// record out only after the independent verifier accepts this
+	// certificate and its terms re-derive Key.
 	Cert json.RawMessage `json:"cert"`
 }
 
@@ -79,9 +81,32 @@ func QueryKey(rel string, weak bool, p, q syntax.Proc) string {
 	return PairKey(rel, weak, syntax.Key(p), syntax.Key(q))
 }
 
+// MaxTermBytes is the term cap: the default bound on the source of one
+// request term (service.Config.MaxTermBytes), and the base of the bound on
+// a certificate term.
+const MaxTermBytes = 64 << 10
+
+// certTermBytes bounds a certificate term, checked before it is parsed. A
+// certificate names its terms as printed, and the printer can spell a term
+// longer than its source: up to 7/3 as long ("a?|a?" prints "a?() | a?()"),
+// and a 64 KiB request of nested prefixes "a?." prints 109,219 bytes. Four
+// times the cap admits the certificate of every request term within it.
+const certTermBytes = 4 * MaxTermBytes
+
+// ErrTermTooLarge is wrapped by CertKey's error for a certificate term past
+// its bound.
+var ErrTermTooLarge = errors.New("ledger: certificate term too large")
+
 // CertKey is the pair key of the pair crt proves: QueryKey of its relation,
-// mode and parsed terms.
+// mode and parsed terms. A term longer than four times MaxTermBytes is
+// refused before it is parsed.
 func CertKey(crt *cert.Certificate) (string, error) {
+	for _, t := range []string{crt.P, crt.Q} {
+		if len(t) > certTermBytes {
+			return "", fmt.Errorf("ledger: term %q is %d bytes (limit %d): %w",
+				parser.Excerpt(t), len(t), certTermBytes, ErrTermTooLarge)
+		}
+	}
 	p, err := parser.Parse(crt.P)
 	if err != nil {
 		return "", fmt.Errorf("ledger: unparseable term %q: %w", parser.Excerpt(crt.P), err)
@@ -157,16 +182,19 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeEntry frames one payload for appending.
-func encodeEntry(typ byte, payload []byte) []byte {
-	buf := make([]byte, headerBytes+len(payload)+trailerBytes)
-	binary.LittleEndian.PutUint32(buf[0:], entryMagic)
-	buf[4] = typ
-	binary.LittleEndian.PutUint32(buf[5:], uint32(len(payload)))
-	copy(buf[headerBytes:], payload)
-	crc := crc32.Checksum(buf[4:headerBytes+len(payload)], crcTable)
-	binary.LittleEndian.PutUint32(buf[headerBytes+len(payload):], crc)
-	return buf
+// encodeEntry frames v's JSON encoding, the bytes json.Marshal writes, as
+// one entry of type typ, reusing buf's storage for the frame.
+func encodeEntry(buf []byte, typ byte, v any) ([]byte, error) {
+	w := bytes.NewBuffer(append(buf[:0], make([]byte, headerBytes)...))
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		return buf, err
+	}
+	frame := w.Bytes()
+	frame = frame[:len(frame)-1] // Encode ends the value with a newline
+	binary.LittleEndian.PutUint32(frame[0:], entryMagic)
+	frame[4] = typ
+	binary.LittleEndian.PutUint32(frame[5:], uint32(len(frame)-headerBytes))
+	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame[4:], crcTable)), nil
 }
 
 // decodeEntry reads the entry at buf[off:]. It returns the entry type, the

@@ -13,7 +13,7 @@ import (
 
 // lawLedgerRoundtrip is the persistence law: a certified verdict that goes
 // through the full ledger lifecycle — record construction, append, seal,
-// process death (Close), and a fresh Open with full verification — must come
+// process death (Close), and a fresh Open whose Replay verifies it — must come
 // back exactly as decided, with its certificate still accepted and a sealed
 // inclusion proof that verifies from the root alone. The law fires when any
 // of those layers drops, rejects or rewrites a verdict it should preserve;
@@ -73,12 +73,19 @@ func lawLedgerRoundtrip() Law {
 				return "", err
 			}
 
-			// Second life: Open re-verifies every layer.
+			// Second life: Open checks framing and the seal chain, and
+			// Replay verifies every record's certificate.
 			l2, err := ledger.Open(dir, ledger.Config{BatchSize: 1, MaxWait: -1})
 			if err != nil {
 				return "", err
 			}
 			defer l2.Close()
+			replayed := map[string]*ledger.Record{}
+			certs := map[string]*cert.Certificate{}
+			l2.Replay(func(r *ledger.Record, crt *cert.Certificate) {
+				replayed[r.KeyHash] = r
+				certs[r.KeyHash] = crt
+			})
 			st := l2.Stats()
 			if st.Rejected != 0 || st.ChainBroken {
 				return fmt.Sprintf("clean ledger damaged on reopen: %d rejected, chain_broken=%t (%v)",
@@ -88,12 +95,6 @@ func lawLedgerRoundtrip() Law {
 				return fmt.Sprintf("persisted %d verdicts, reopened %d", len(verdicts), st.Records), nil
 			}
 
-			replayed := map[string]*ledger.Record{}
-			certs := map[string]*cert.Certificate{}
-			l2.Replay(func(r *ledger.Record, crt *cert.Certificate) {
-				replayed[r.KeyHash] = r
-				certs[r.KeyHash] = crt
-			})
 			for _, d := range verdicts {
 				got, ok := replayed[d.rec.KeyHash]
 				if !ok {

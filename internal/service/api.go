@@ -190,9 +190,10 @@ type BatchTrailer struct {
 // (and everything else zero) when the daemon runs without -ledger.
 type LedgerStatsResponse struct {
 	Enabled bool `json:"enabled"`
-	// Replayed counts persisted verdicts that passed every trust layer at
-	// startup and seeded the verdict cache; Stats.Rejected counts the
-	// quarantined ones.
+	// Replayed counts verdict-cache misses answered since startup from a
+	// persisted record that passed every trust layer (its certificate is
+	// verified at its first read); Stats.Rejected counts the quarantined
+	// records.
 	Replayed int `json:"replayed"`
 	// DroppedAppends counts verdicts NOT persisted because the async append
 	// queue was full — the hot path never blocks on the ledger.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -99,8 +98,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, t *ticket) {
 			defer wg.Done()
-			ctx, cancel := context.WithDeadline(r.Context(), start.Add(s.timeout(req.Pairs[i].TimeoutMs)))
-			defer cancel()
+			ctx := newDeadline(r.Context(), start.Add(s.timeout(req.Pairs[i].TimeoutMs)))
+			defer ctx.release()
 			tr := obs.NewWithLimit(traceLimit)
 			item := BatchItem{Index: i}
 			if eb := t.serve(ctx, func() {

@@ -109,6 +109,78 @@ func retryAfterSec(d time.Duration) int {
 	return 1
 }
 
+// deadline is one request's deadline, fixed on arrival, as a
+// context.Context whose timer is made only when something waits on Done:
+// the gate's wait for a worker slot. The engines poll Err, which reads the
+// clock, so neither a verdict-cache hit nor an engine run makes a timer.
+type deadline struct {
+	parent context.Context
+	at     time.Time
+
+	mu     sync.Mutex
+	timed  context.Context // made by the first Done
+	cancel context.CancelFunc
+}
+
+func newDeadline(parent context.Context, at time.Time) *deadline {
+	return &deadline{parent: parent, at: at}
+}
+
+func (d *deadline) Deadline() (time.Time, bool) {
+	if p, ok := d.parent.Deadline(); ok && p.Before(d.at) {
+		return p, true
+	}
+	return d.at, true
+}
+
+func (d *deadline) Done() <-chan struct{} {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.timed == nil {
+		d.timed, d.cancel = context.WithDeadline(d.parent, d.at)
+	}
+	return d.timed.Done()
+}
+
+func (d *deadline) Err() error {
+	d.mu.Lock()
+	timed := d.timed
+	d.mu.Unlock()
+	if timed != nil {
+		return timed.Err()
+	}
+	if err := d.parent.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(d.at) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+func (d *deadline) Value(key any) any { return d.parent.Value(key) }
+
+// release stops the timer, if Done made one.
+func (d *deadline) release() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.cancel != nil {
+		d.cancel()
+	}
+}
+
+// take takes a free worker slot for the ticket without waiting, and
+// reports whether it did. A slot freed while others wait goes to a waiter.
+func (t *ticket) take() bool {
+	select {
+	case t.g.slots <- struct{}{}:
+		t.slot = true
+		return true
+	default:
+		return false
+	}
+}
+
 // wait takes a worker slot for the ticket, or gives up when ctx, which
 // carries the request's deadline, is done.
 func (t *ticket) wait(ctx context.Context) *ErrorBody {
@@ -146,13 +218,16 @@ func (t *ticket) done(served time.Duration) {
 	g.drain.Done()
 }
 
-// serve waits for a worker slot under ctx, runs fn on it and finishes the
-// ticket on every path, feeding the time fn held the worker to the wait
-// predictor. It returns the wait's error, if the wait gave up.
+// serve takes a worker slot, waiting for one under ctx only when none is
+// free, runs fn on it and finishes the ticket on every path, feeding the
+// time fn held the worker to the wait predictor. It returns the wait's
+// error, if the wait gave up.
 func (t *ticket) serve(ctx context.Context, fn func()) *ErrorBody {
-	if eb := t.wait(ctx); eb != nil {
-		t.done(0)
-		return eb
+	if !t.take() {
+		if eb := t.wait(ctx); eb != nil {
+			t.done(0)
+			return eb
+		}
 	}
 	start := time.Now()
 	defer func() { t.done(time.Since(start)) }()

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bpi/internal/obs"
 )
 
 // TestAdmissionCauses table-tests the three shed causes and their
@@ -216,4 +218,64 @@ func TestGateWaitGivesUp(t *testing.T) {
 	}
 	busy.done(0)
 	g.drain.Wait()
+}
+
+// TestDeadlineTimerOnlyForWaits: a request's deadline makes a timer only
+// when the request waits for a worker slot. An engine run and a
+// verdict-cache hit poll Err, which reads the clock, and make none; an
+// engine run past the deadline still fails with deadline_exceeded.
+func TestDeadlineTimerOnlyForWaits(t *testing.T) {
+	type key struct{}
+	at := time.Now().Add(time.Minute)
+	parent, cancel := context.WithDeadline(context.WithValue(context.Background(), key{}, "v"), at.Add(-time.Second))
+	defer cancel()
+	if d, ok := newDeadline(parent, at).Deadline(); !ok || !d.Equal(at.Add(-time.Second)) {
+		t.Fatalf("Deadline = %v, %t; want the parent's earlier deadline", d, ok)
+	}
+	if d, ok := newDeadline(context.Background(), at).Deadline(); !ok || !d.Equal(at) {
+		t.Fatalf("Deadline = %v, %t; want %v", d, ok, at)
+	}
+	if v := newDeadline(parent, at).Value(key{}); v != "v" {
+		t.Fatalf("Value = %v, want the parent's", v)
+	}
+
+	s := New(Config{Workers: 1})
+	req := &EquivRequest{P: "a! | b!", Q: "a!.b! + b!.a!", Rel: RelLabelled}
+	for _, cached := range []bool{false, true} { // an engine run, then a cache hit
+		dl := newDeadline(context.Background(), time.Now().Add(time.Minute))
+		resp, eb := s.runEquiv(dl, req, obs.NewWithLimit(traceLimit))
+		if eb != nil || resp.Cached != cached || !resp.Related {
+			t.Fatalf("runEquiv: %+v %+v, want cached=%t", resp, eb, cached)
+		}
+		if dl.timed != nil {
+			t.Fatalf("cached=%t made a timer", cached)
+		}
+	}
+	expired := newDeadline(context.Background(), time.Now().Add(-time.Millisecond))
+	if _, eb := s.runEquiv(expired, &EquivRequest{P: "a!", Q: "b!", Rel: RelLabelled}, nil); eb == nil || eb.Code != CodeDeadline {
+		t.Fatalf("engine run past the deadline: %+v, want deadline_exceeded", eb)
+	}
+	if expired.timed != nil {
+		t.Fatal("an engine run past the deadline made a timer")
+	}
+
+	busy, eb := s.gate.admit(0)
+	if eb != nil {
+		t.Fatal(eb)
+	}
+	busy.wait(context.Background())
+	queued, eb := s.gate.admit(0)
+	if eb != nil {
+		t.Fatal(eb)
+	}
+	dl := newDeadline(context.Background(), time.Now().Add(20*time.Millisecond))
+	defer dl.release()
+	if eb := queued.serve(dl, func() {}); eb == nil || eb.Code != CodeDeadline {
+		t.Fatalf("wait past the deadline: %+v, want deadline_exceeded", eb)
+	}
+	if dl.timed == nil {
+		t.Fatal("a wait for a worker slot made no timer")
+	}
+	busy.done(0)
+	s.gate.drain.Wait()
 }

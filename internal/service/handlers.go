@@ -17,9 +17,9 @@ import (
 	"bpi/internal/syntax"
 )
 
-// Handler returns the daemon's HTTP surface. Every POST but /v1/parse
-// passes the gate and answers with the X-Trace-Id of its trace (a batch
-// names one per item):
+// Handler returns the daemon's HTTP surface. Every POST but /v1/parse, and
+// GET /v1/ledger/proof/{key}, passes the gate and answers with the
+// X-Trace-Id of its trace (a batch names one per item):
 //
 //	POST /v1/parse     canonicalise a term
 //	POST /v1/step      symbolic transitions of a term
@@ -137,16 +137,17 @@ func decodeLimit(r *http.Request, into any, limit int64) *ErrorBody {
 	return nil
 }
 
-// sync runs fn for a worker endpoint under the request's one deadline, set
+// sync runs fn for a gated endpoint under the request's one deadline, set
 // here on arrival from timeout_ms (or the default): the gate sheds on it,
-// the wait for a worker slot gives up at it, and fn runs under it. Work
-// the gate admits reports to a tracer of its own, filed before the
-// response is written, whose id the response carries in X-Trace-Id.
+// the wait for a worker slot gives up at it, and fn runs under it. The
+// deadline makes a timer only if the request waits for a slot. Work the
+// gate admits reports to a tracer of its own, filed before the response is
+// written, whose id the response carries in X-Trace-Id.
 func (s *Server) sync(w http.ResponseWriter, r *http.Request, timeoutMs int,
 	fn func(ctx context.Context, tr *obs.Tracer) (int, any)) (status int, body any) {
 	budget := s.timeout(timeoutMs)
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
+	ctx := newDeadline(r.Context(), time.Now().Add(budget))
+	defer ctx.release()
 	t, eb := s.gate.admit(budget)
 	if eb != nil {
 		return fail(eb)
@@ -334,9 +335,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.ledger != nil {
 		ls := s.ledger.Stats()
 		gauges = append(gauges,
-			gauge{"bpid_ledger_records_total", "Trusted records in the persistent verdict ledger.", "", float64(ls.Records)},
-			gauge{"bpid_ledger_replay_rejected_total", "Persisted records quarantined by the fail-closed replay.", "", float64(ls.Rejected)},
-			gauge{"bpid_ledger_replayed_total", "Verified records replayed into the verdict cache at startup.", "", float64(s.replayed)},
+			gauge{"bpid_ledger_records_total", "Indexed records in the persistent verdict ledger, not quarantined; each is verified at its first read.", "", float64(ls.Records)},
+			gauge{"bpid_ledger_replay_rejected_total", "Ledger records quarantined: by framing or seal checks at open, or by certificate verification at their first read.", "", float64(ls.Rejected)},
+			gauge{"bpid_ledger_replayed_total", "Verdict-cache misses answered from a verified ledger record since startup.", "", float64(s.replayed.Load())},
 			gauge{"bpid_ledger_batches_total", "Sealed Merkle batches.", "", float64(ls.Batches)},
 			gauge{"bpid_ledger_pending_records", "Appended records awaiting their batch seal.", "", float64(ls.Pending)},
 			gauge{"bpid_ledger_seals_total", "Batches sealed by this process.", "", float64(ls.Seals)},

@@ -1,21 +1,26 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"net/http"
 
-	"bpi/internal/cert"
 	"bpi/internal/ledger"
+	"bpi/internal/obs"
 )
 
-// The daemon's ledger integration has two halves, both off the hot path:
+// The daemon's ledger integration has two halves, both off the path of a
+// verdict-cache hit:
 //
-//   - warm start: at New, every record the ledger verified on Open (framing,
-//     Merkle chain, and an independent cert.Verify replay — see
-//     internal/ledger) is converted back into a cached EquivResponse, so a
-//     restarted daemon answers repeat queries from the LRU without
-//     re-exploring. The rejected remainder is only counted
-//     (bpid_ledger_replay_rejected_total) — never trusted.
+//   - read-through: on a verdict-cache miss, runEquiv asks the ledger
+//     (Lookup) for a record of the pair computed under the request's
+//     budgets. The ledger hands a record out only after its verified read:
+//     its bytes against the seal chain and, at its first read, an
+//     independent cert.Verify replay (see internal/ledger). The verdict then
+//     enters the cache and is answered as cached, and counts in
+//     bpid_ledger_replayed_total. A record that fails is quarantined and
+//     counted (bpid_ledger_replay_rejected_total), never trusted, and the
+//     query is decided afresh.
 //   - write-behind append: runEquiv enqueues each fresh certified verdict on
 //     a bounded channel; a single writer goroutine derives the record from
 //     the certificate and appends it. A full queue drops the append (counted
@@ -33,26 +38,36 @@ type pendingAppend struct {
 	resp                          EquivResponse
 }
 
-// attachLedger replays cfg.Ledger into the verdict cache and starts the
-// write-behind appender. Called once from New.
+// attachLedger starts the write-behind appender. Called once from New.
 func (s *Server) attachLedger() {
 	if s.cfg.Ledger == nil {
 		return
 	}
 	s.ledger = s.cfg.Ledger
-	s.replayed = s.ledger.Replay(func(r *ledger.Record, crt *cert.Certificate) {
-		key := budgetKey(r.Key, r.MaxPairs, r.MaxClosure, r.MaxSubs)
-		s.cache.put(key, EquivResponse{
-			Related:     r.Related,
-			Pairs:       r.Pairs,
-			Reason:      r.Reason,
-			Certificate: crt,
-			LedgerKey:   r.KeyHash,
-		})
-	})
 	s.ledgerCh = make(chan pendingAppend, ledgerQueueDepth)
 	s.ledgerWG.Add(1)
 	go s.ledgerAppender()
+}
+
+// fromLedger answers a verdict-cache miss from the ledger: the newest
+// record of the pair under the request's budgets that passes its verified
+// read.
+func (s *Server) fromLedger(pairKey string, req *EquivRequest) (EquivResponse, bool) {
+	if s.ledger == nil {
+		return EquivResponse{}, false
+	}
+	r, crt, ok := s.ledger.Lookup(pairKey, req.MaxPairs, req.MaxClosure, req.MaxSubs)
+	if !ok {
+		return EquivResponse{}, false
+	}
+	s.replayed.Add(1)
+	return EquivResponse{
+		Related:     r.Related,
+		Pairs:       r.Pairs,
+		Reason:      r.Reason,
+		Certificate: crt,
+		LedgerKey:   r.KeyHash,
+	}, true
 }
 
 // ledgerAppender is the single write-behind goroutine: it owns record
@@ -101,7 +116,7 @@ func (s *Server) stopLedger() {
 // answers enabled=false rather than erroring, so probes need no config
 // knowledge.
 func (s *Server) handleLedgerStats(http.ResponseWriter, *http.Request) (int, any) {
-	resp := LedgerStatsResponse{Enabled: s.ledger != nil, Replayed: s.replayed}
+	resp := LedgerStatsResponse{Enabled: s.ledger != nil, Replayed: int(s.replayed.Load())}
 	if s.ledger != nil {
 		resp.Stats = s.ledger.Stats()
 		resp.DroppedAppends = s.ledgerDropped.Load()
@@ -110,22 +125,26 @@ func (s *Server) handleLedgerStats(http.ResponseWriter, *http.Request) (int, any
 }
 
 // handleLedgerProof serves GET /v1/ledger/proof/{key}, where key is the hex
-// key hash reported as EquivResponse.LedgerKey. 409 pending until the
-// record's batch seals; 404 when no trusted record has the key.
-func (s *Server) handleLedgerProof(_ http.ResponseWriter, r *http.Request) (int, any) {
+// key hash reported as EquivResponse.LedgerKey. The proof reads the record
+// through the ledger's verified read, which verifies a record not read
+// before, so it passes the gate. 409 pending until the record's batch
+// seals; 404 when no record of the key passes its read.
+func (s *Server) handleLedgerProof(w http.ResponseWriter, r *http.Request) (int, any) {
 	if s.ledger == nil {
 		return fail(&ErrorBody{Code: CodeNotFound, Message: "daemon runs without -ledger"})
 	}
 	key := r.PathValue("key")
-	p, err := s.ledger.Proof(key)
-	switch {
-	case errors.Is(err, ledger.ErrPending):
-		return fail(&ErrorBody{Code: CodePending,
-			Message: "record exists but its batch is not sealed yet; retry after the seal interval"})
-	case errors.Is(err, ledger.ErrUnknownKey):
-		return fail(&ErrorBody{Code: CodeNotFound, Message: "no ledger record for key " + key})
-	case err != nil:
-		return fail(&ErrorBody{Code: CodeInternal, Message: err.Error()})
-	}
-	return http.StatusOK, p
+	return s.sync(w, r, 0, func(context.Context, *obs.Tracer) (int, any) {
+		p, err := s.ledger.Proof(key)
+		switch {
+		case errors.Is(err, ledger.ErrPending):
+			return fail(&ErrorBody{Code: CodePending,
+				Message: "record exists but its batch is not sealed yet; retry after the seal interval"})
+		case errors.Is(err, ledger.ErrUnknownKey):
+			return fail(&ErrorBody{Code: CodeNotFound, Message: "no ledger record for key " + key})
+		case err != nil:
+			return fail(&ErrorBody{Code: CodeInternal, Message: err.Error()})
+		}
+		return http.StatusOK, p
+	})
 }

@@ -1,12 +1,16 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"bpi/internal/cert"
 	"bpi/internal/equiv"
@@ -41,8 +45,10 @@ func getJSON(t *testing.T, url string, into any) int {
 
 // TestLedgerWarmStart is the daemon-level roundtrip: verdicts computed by
 // one daemon process persist, and a second process over the same directory
-// replays them into its verdict cache — repeat queries hit without touching
-// the engine — and serves verifiable inclusion proofs for them.
+// answers the repeat queries from the ledger without touching the engine —
+// the first read of each record verifies it and seeds the verdict cache,
+// and the next query is a cache hit — and serves verifiable inclusion
+// proofs for them.
 func TestLedgerWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	queries := []string{
@@ -79,7 +85,8 @@ func TestLedgerWarmStart(t *testing.T) {
 		t.Fatalf("ledger close: %v", err)
 	}
 
-	// Second life: warm start from the same directory.
+	// Second life over the same directory: the records are indexed, none
+	// read yet.
 	led2 := openLedger(t, dir)
 	defer led2.Close()
 	_, ts2, _ := newTestServer(t, service.Config{Ledger: led2})
@@ -88,32 +95,39 @@ func TestLedgerWarmStart(t *testing.T) {
 	if code := getJSON(t, ts2.URL+"/v1/ledger/stats", &stats); code != http.StatusOK {
 		t.Fatalf("ledger stats: %d", code)
 	}
-	if !stats.Enabled || stats.Replayed != len(queries) || stats.Stats.Records != len(queries) {
-		t.Fatalf("warm-start stats: %+v", stats)
+	if !stats.Enabled || stats.Replayed != 0 || stats.Stats.Records != len(queries) {
+		t.Fatalf("stats at boot: %+v", stats)
 	}
 	if stats.Stats.Rejected != 0 || stats.Stats.ChainBroken {
 		t.Fatalf("clean ledger reported damage: %+v", stats)
 	}
 
-	// Repeat queries come from the replayed cache, certificate included.
-	for i, q := range queries {
-		_, body := post(t, ts2, "/v1/equiv", strings.TrimSuffix(q, "}")+`,"cert":true}`)
-		var er service.EquivResponse
-		if err := json.Unmarshal([]byte(body), &er); err != nil {
-			t.Fatal(err)
+	// Repeat queries come from the ledger, certificate included, and then
+	// from the verdict cache.
+	for round := 0; round < 2; round++ {
+		for i, q := range queries {
+			_, body := post(t, ts2, "/v1/equiv", strings.TrimSuffix(q, "}")+`,"cert":true}`)
+			var er service.EquivResponse
+			if err := json.Unmarshal([]byte(body), &er); err != nil {
+				t.Fatal(err)
+			}
+			if !er.Cached {
+				t.Fatalf("round %d, query %d not served without the engine: %s", round, i, body)
+			}
+			if er.LedgerKey != keys[i] {
+				t.Fatalf("query %d ledger key drifted: %s vs %s", i, er.LedgerKey, keys[i])
+			}
+			if er.Certificate == nil {
+				t.Fatalf("persisted verdict lost its certificate: %s", body)
+			}
+			if err := cert.Verify(er.Certificate); err != nil {
+				t.Fatalf("persisted certificate does not verify: %v", err)
+			}
 		}
-		if !er.Cached {
-			t.Fatalf("query %d not served from the warm-started cache: %s", i, body)
-		}
-		if er.LedgerKey != keys[i] {
-			t.Fatalf("query %d ledger key drifted: %s vs %s", i, er.LedgerKey, keys[i])
-		}
-		if er.Certificate == nil {
-			t.Fatalf("replayed verdict lost its certificate: %s", body)
-		}
-		if err := cert.Verify(er.Certificate); err != nil {
-			t.Fatalf("replayed certificate does not verify: %v", err)
-		}
+	}
+	getJSON(t, ts2.URL+"/v1/ledger/stats", &stats)
+	if stats.Replayed != len(queries) || stats.Stats.Records != len(queries) || stats.Stats.Rejected != 0 {
+		t.Fatalf("stats after the queries: %+v", stats)
 	}
 
 	// Inclusion proofs are served and verify offline.
@@ -128,7 +142,7 @@ func TestLedgerWarmStart(t *testing.T) {
 	}
 
 	// The metrics surface carries the ledger series and the per-relation
-	// cache split.
+	// cache split: the second round hit the cache.
 	resp, err := http.Get(ts2.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -152,27 +166,98 @@ func TestLedgerWarmStart(t *testing.T) {
 	}
 }
 
-// TestLedgerForgedRecordNotTrusted plants a record whose verdict its own
-// certificate disproves: the warm start must quarantine it (counted, never
-// cached) and a fresh query must recompute the true verdict.
-func TestLedgerForgedRecordNotTrusted(t *testing.T) {
-	dir := t.TempDir()
-	led1 := openLedger(t, dir)
-
+// forgedLedger writes, into a fresh ledger at dir, one record per pair
+// whose verdict its own certificate disproves, and returns the records.
+func forgedLedger(t *testing.T, dir string, pairs [][2]string) []ledger.Record {
+	t.Helper()
+	led := openLedger(t, dir)
 	ch := equiv.NewChecker(nil)
 	ch.Certify = true
-	p, _ := parser.Parse("a! | b!")
-	q, _ := parser.Parse("a!.b! + b!.a!")
-	r, err := ch.Labelled(p, q, false)
-	if err != nil || !r.Related {
-		t.Fatalf("Labelled: %v related=%t", err, r.Related)
+	var recs []ledger.Record
+	for _, pq := range pairs {
+		p, _ := parser.Parse(pq[0])
+		q, _ := parser.Parse(pq[1])
+		r, err := ch.Labelled(p, q, false)
+		if err != nil {
+			t.Fatalf("Labelled: %v", err)
+		}
+		rec, err := ledger.NewRecord(service.RelLabelled, false, 0, 0, 0, r.Related, r.Pairs, r.Reason, r.Cert)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Related = !r.Related // the lie: the certificate proves the opposite
+		if _, err := led.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
 	}
-	rec, err := ledger.NewRecord(service.RelLabelled, false, 0, 0, 0, r.Related, r.Pairs, r.Reason, r.Cert)
-	if err != nil {
+	if err := led.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec.Related = false // the lie: certificate proves related=true
-	if _, err := led1.Append(rec); err != nil {
+	return recs
+}
+
+// TestLedgerForgedRecordNotTrusted plants records whose verdicts their own
+// certificates disprove. The daemon indexes them at boot, and quarantines
+// each at its first read: a query on the pair is decided afresh and
+// answered correctly, and a proof request, which passes the gate, answers
+// 404. Both count in Rejected.
+func TestLedgerForgedRecordNotTrusted(t *testing.T) {
+	dir := t.TempDir()
+	forged := forgedLedger(t, dir, [][2]string{{"a! | b!", "a!.b! + b!.a!"}, {"c!", "c!.c!"}})
+
+	led := openLedger(t, dir)
+	defer led.Close()
+	_, ts, _ := newTestServer(t, service.Config{Ledger: led})
+
+	var stats service.LedgerStatsResponse
+	getJSON(t, ts.URL+"/v1/ledger/stats", &stats)
+	if stats.Replayed != 0 || stats.Stats.Records != 2 || stats.Stats.Rejected != 0 {
+		t.Fatalf("stats at boot: %+v", stats)
+	}
+
+	// The query's forged record fails its first read: the query is a fresh
+	// computation and reports the true verdict.
+	_, body := post(t, ts, "/v1/equiv", `{"p":"a! | b!","q":"a!.b! + b!.a!","rel":"labelled"}`)
+	var er service.EquivResponse
+	if err := json.Unmarshal([]byte(body), &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Cached || !er.Related {
+		t.Fatalf("forged record influenced the verdict: %s", body)
+	}
+	getJSON(t, ts.URL+"/v1/ledger/stats", &stats)
+	if stats.Replayed != 0 || stats.Stats.Rejected != 1 {
+		t.Fatalf("forged record not quarantined at its first read: %+v", stats)
+	}
+
+	// The proof of a record not read yet verifies it first, through the
+	// gate, and a forgery has none.
+	resp, _ := get(t, ts, "/v1/ledger/proof/"+forged[1].KeyHash)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("proof of a forged record: status %d, want 404", resp.StatusCode)
+	}
+	if resp.Header.Get(service.TraceHeader) == "" {
+		t.Fatal("proof request did not pass the gate (no trace id)")
+	}
+	getJSON(t, ts.URL+"/v1/ledger/stats", &stats)
+	if stats.Stats.Rejected != 2 {
+		t.Fatalf("forged record not quarantined by the proof's read: %+v", stats)
+	}
+}
+
+// TestLedgerProofOfUnreadRecord: the proof of an honest record that no
+// query has read yet verifies the record first, and is served.
+func TestLedgerProofOfUnreadRecord(t *testing.T) {
+	dir := t.TempDir()
+	led1 := openLedger(t, dir)
+	srv1, ts1, _ := newTestServer(t, service.Config{Ledger: led1})
+	_, body := post(t, ts1, "/v1/equiv", `{"p":"a! | b!","q":"a!.b! + b!.a!","rel":"labelled"}`)
+	var er service.EquivResponse
+	if err := json.Unmarshal([]byte(body), &er); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := led1.Close(); err != nil {
@@ -181,23 +266,148 @@ func TestLedgerForgedRecordNotTrusted(t *testing.T) {
 
 	led2 := openLedger(t, dir)
 	defer led2.Close()
-	_, ts, _ := newTestServer(t, service.Config{Ledger: led2})
-
-	var stats service.LedgerStatsResponse
-	getJSON(t, ts.URL+"/v1/ledger/stats", &stats)
-	if stats.Replayed != 0 || stats.Stats.Rejected != 1 {
-		t.Fatalf("forged record not quarantined: %+v", stats)
+	_, ts2, _ := newTestServer(t, service.Config{Ledger: led2})
+	var proof ledger.InclusionProof
+	if code := getJSON(t, ts2.URL+"/v1/ledger/proof/"+er.LedgerKey, &proof); code != http.StatusOK {
+		t.Fatalf("proof of an unread record: %d", code)
 	}
+	if err := ledger.VerifyProof(&proof); err != nil {
+		t.Fatalf("proof does not verify: %v", err)
+	}
+	var stats service.LedgerStatsResponse
+	getJSON(t, ts2.URL+"/v1/ledger/stats", &stats)
+	if stats.Stats.Records != 1 || stats.Stats.Rejected != 0 {
+		t.Fatalf("stats: %+v", stats)
+	}
+}
 
-	// The forged verdict must not have seeded the cache: the query is a
-	// fresh computation and reports the true verdict.
-	_, body := post(t, ts, "/v1/equiv", `{"p":"a! | b!","q":"a!.b! + b!.a!","rel":"labelled"}`)
-	var er service.EquivResponse
-	if err := json.Unmarshal([]byte(body), &er); err != nil {
+// TestLedgerConcurrentFirstReads races queries on a warm-started daemon:
+// many clients ask the same persisted pairs and different ones at once,
+// so first reads of one record and of several run together. Every answer
+// is served from the ledger or the cache and matches the persisted
+// verdict. Run under -race in CI.
+func TestLedgerConcurrentFirstReads(t *testing.T) {
+	dir := t.TempDir()
+	queries := []struct {
+		body    string
+		related bool
+	}{
+		{`{"p":"a! | b!","q":"a!.b! + b!.a!","rel":"labelled"}`, true},
+		{`{"p":"tau.a!","q":"a!","rel":"labelled","weak":true}`, true},
+		{`{"p":"a!","q":"b!","rel":"labelled"}`, false},
+		{`{"p":"a?(x).x!","q":"a?(y).y!","rel":"barbed"}`, true},
+	}
+	led1 := openLedger(t, dir)
+	srv1, ts1, _ := newTestServer(t, service.Config{Ledger: led1})
+	for _, q := range queries {
+		post(t, ts1, "/v1/equiv", q.body)
+	}
+	if err := srv1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if er.Cached || !er.Related {
-		t.Fatalf("forged record influenced the verdict: %s", body)
+	if err := led1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	led2 := openLedger(t, dir)
+	defer led2.Close()
+	_, ts2, _ := newTestServer(t, service.Config{Ledger: led2})
+	const clients = 16
+	var wg sync.WaitGroup
+	errs := make(chan error, clients*len(queries))
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := range queries {
+				q := queries[(c+k)%len(queries)]
+				resp, err := http.Post(ts2.URL+"/v1/equiv", "application/json", strings.NewReader(q.body))
+				if err != nil {
+					errs <- err
+					continue
+				}
+				var er service.EquivResponse
+				err = json.NewDecoder(resp.Body).Decode(&er)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					errs <- err
+				case !er.Cached || er.Related != q.related:
+					errs <- fmt.Errorf("%s: cached=%t related=%t", q.body, er.Cached, er.Related)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	var stats service.LedgerStatsResponse
+	getJSON(t, ts2.URL+"/v1/ledger/stats", &stats)
+	if stats.Stats.Records != len(queries) || stats.Stats.Rejected != 0 || stats.Replayed < len(queries) {
+		t.Fatalf("stats: %+v", stats)
+	}
+}
+
+// TestLedgerRecordsTermAtCap: the printer can spell a term longer than its
+// source, so a certificate's terms can pass the request term cap. A request
+// whose terms are exactly at the cap, 64 KiB of nested prefixes under a
+// guard that never fires, gets a certificate whose terms print about 1.7
+// times as long. bpid still records it, and the record exports, imports
+// and reads back.
+func TestLedgerRecordsTermAtCap(t *testing.T) {
+	const guard = "nu z.z?.("
+	n := (ledger.MaxTermBytes - len(guard)) / 3
+	term := guard + strings.Repeat("a?.", n-1) + "a?)"
+	term += strings.Repeat(" ", ledger.MaxTermBytes-len(term))
+	if len(term) != ledger.MaxTermBytes {
+		t.Fatalf("term is %d bytes, want the cap %d", len(term), ledger.MaxTermBytes)
+	}
+	body, err := json.Marshal(service.EquivRequest{P: term, Q: term, Rel: service.RelLabelled, Cert: true, TimeoutMs: 60_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	led := openLedger(t, dir)
+	srv, ts, _ := newTestServer(t, service.Config{Ledger: led})
+	resp, out := post(t, ts, "/v1/equiv", string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("equiv at the cap: %d %.200s", resp.StatusCode, out)
+	}
+	var er service.EquivResponse
+	if err := json.Unmarshal([]byte(out), &er); err != nil {
+		t.Fatal(err)
+	}
+	if !er.Related || er.Certificate == nil || len(er.Certificate.P) <= ledger.MaxTermBytes {
+		t.Fatalf("related=%t, certificate term of %d bytes; want a related verdict whose term prints past the cap",
+			er.Related, len(er.Certificate.P))
+	}
+	if err := srv.Shutdown(context.Background()); err != nil { // flushes the append
+		t.Fatal(err)
+	}
+	if st := led.Stats(); st.Appended != 1 || st.Rejected != 0 {
+		t.Fatalf("the certificate at the cap was not recorded: %+v", st)
+	}
+	var export bytes.Buffer
+	if n, err := led.Export(&export); err != nil || n != 1 {
+		t.Fatalf("Export: n=%d err=%v", n, err)
+	}
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dst := openLedger(t, t.TempDir())
+	defer dst.Close()
+	st, err := dst.Import(&export, ledger.ImportOptions{Reject: func(_ int, err error) { t.Errorf("import rejected the record: %v", err) }})
+	if err != nil || st.Imported != 1 {
+		t.Fatalf("import: %+v, %v", st, err)
+	}
+	reopened := openLedger(t, dir)
+	defer reopened.Close()
+	if n := reopened.Replay(func(*ledger.Record, *cert.Certificate) {}); n != 1 {
+		t.Fatalf("the record at the cap did not read back: replayed %d", n)
 	}
 }
 
@@ -217,6 +427,12 @@ func TestLedgerProofTaxonomy(t *testing.T) {
 	var er service.EquivResponse
 	if err := json.Unmarshal([]byte(body), &er); err != nil {
 		t.Fatal(err)
+	}
+	// The record is appended write-behind: wait until it is on disk.
+	for deadline := time.Now().Add(5 * time.Second); led.Stats().Appended == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the verdict was never appended")
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/ledger/proof/" + er.LedgerKey)

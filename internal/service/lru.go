@@ -59,7 +59,8 @@ func newVerdictCache(max int) *verdictCache {
 
 // budgetKey builds the cache key: the ledger's pair key (ledger.QueryKey)
 // with the request budgets appended. Sharing the ledger's key is what lets a
-// warm-start replay rebuild exactly this key from a persisted record.
+// cache miss find exactly this pair and these budgets among the persisted
+// records (ledger.Lookup).
 func budgetKey(pairKey string, maxPairs, maxClosure, maxSubs int) string {
 	return fmt.Sprintf("%s|%d|%d|%d", pairKey, maxPairs, maxClosure, maxSubs)
 }

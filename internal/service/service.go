@@ -23,7 +23,8 @@
 //   - conclusive equivalence verdicts land in a bounded LRU keyed on the
 //     canonical pair + relation + budgets (sound: verdicts are pure
 //     functions of those — see lru.go), so repeated queries short-circuit
-//     before touching the engine;
+//     before touching the engine; with a ledger, a miss is answered from a
+//     verified persisted record before the engine runs (ledger.go);
 //   - Shutdown drains: the gate sheds new work with draining, while work
 //     it admitted before, queued requests included, runs to completion.
 //
@@ -68,12 +69,14 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request timeouts (default 60s).
 	MaxTimeout time.Duration
-	// MaxTermBytes bounds the source size of any single term (default 64 KiB).
+	// MaxTermBytes bounds the source size of any single term (default
+	// ledger.MaxTermBytes, 64 KiB).
 	MaxTermBytes int
-	// Ledger, when set, is an opened persistent verdict ledger: verified
-	// records replay into the verdict cache at New, and fresh certified
-	// verdicts are appended write-behind (see ledger.go). The caller keeps
-	// ownership and closes it after Shutdown.
+	// Ledger, when set, is an opened persistent verdict ledger: a
+	// verdict-cache miss is answered from a record of the pair once the
+	// record passes its verified read, and fresh certified verdicts are
+	// appended write-behind (see ledger.go). The caller keeps ownership and
+	// closes it after Shutdown.
 	Ledger *ledger.Ledger
 	// BatchMax bounds the pairs accepted by one POST /v1/equiv/batch
 	// (default 256).
@@ -107,7 +110,7 @@ func (c Config) maxTimeout() time.Duration {
 
 func (c Config) maxTermBytes() int {
 	if c.MaxTermBytes <= 0 {
-		return 64 << 10
+		return ledger.MaxTermBytes
 	}
 	return c.MaxTermBytes
 }
@@ -145,14 +148,14 @@ type Server struct {
 	traces traceRing
 
 	// Ledger state (nil/zero without Config.Ledger): the write-behind
-	// append queue, its single writer goroutine, the count of records
-	// replayed into the cache at startup, and appends dropped on queue
-	// pressure. See ledger.go.
+	// append queue, its single writer goroutine, the count of cache misses
+	// answered from the ledger, and appends dropped on queue pressure. See
+	// ledger.go.
 	ledger        *ledger.Ledger
 	ledgerCh      chan pendingAppend
 	ledgerWG      sync.WaitGroup
 	ledgerDropped atomic.Uint64
-	replayed      int
+	replayed      atomic.Int64
 
 	// gate admits all work that needs a worker and drains it at Shutdown.
 	gate *gate
@@ -234,12 +237,15 @@ func (s *Server) parseTerm(field, src string) (syntax.Proc, *ErrorBody) {
 }
 
 // classify maps an execution error to its typed wire form: deadlines are
-// distinguished from budget exhaustion, which is distinguished from
+// distinguished from budget exhaustion and from a request the engine cannot
+// take (a non-finite term for the prover), which are distinguished from
 // everything else.
 func classify(err error) *ErrorBody {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		return &ErrorBody{Code: CodeDeadline, Message: err.Error()}
+	case errors.Is(err, axioms.ErrInfinite):
+		return &ErrorBody{Code: CodeInvalidRequest, Message: err.Error()}
 	default:
 		var eb equiv.ErrBudget
 		var ub semantics.ErrUnfoldBudget
@@ -273,8 +279,10 @@ func (s *Server) checker(req *EquivRequest, tr *obs.Tracer) *equiv.Checker {
 }
 
 // runEquiv executes one equivalence query (already on a worker slot, under
-// the request's deadline in ctx), consulting and feeding the verdict
-// cache. Engine spans and counters go to the request's tracer tr.
+// the request's deadline in ctx). It answers from the verdict cache, else
+// from a verified ledger record, else from the engine, whose verdict feeds
+// the cache and the ledger. Engine spans and counters go to the request's
+// tracer tr.
 func (s *Server) runEquiv(ctx context.Context, req *EquivRequest, tr *obs.Tracer) (*EquivResponse, *ErrorBody) {
 	p, eb := s.parseTerm("p", req.P)
 	if eb != nil {
@@ -293,12 +301,11 @@ func (s *Server) runEquiv(ctx context.Context, req *EquivRequest, tr *obs.Tracer
 	pairKey := ledger.QueryKey(req.Rel, req.Weak, p, q)
 	key := budgetKey(pairKey, req.MaxPairs, req.MaxClosure, req.MaxSubs)
 	if resp, ok := s.cache.get(key, req.Rel, req.Weak); ok {
-		resp.Cached = true
-		resp.ElapsedMs = 0
-		if !req.Cert {
-			resp.Certificate = nil
-		}
-		return &resp, nil
+		return reply(req, resp, true), nil
+	}
+	if resp, ok := s.fromLedger(pairKey, req); ok {
+		s.cache.put(key, resp)
+		return reply(req, resp, true), nil
 	}
 	c := s.checker(req, tr)
 	start := time.Now()
@@ -340,12 +347,20 @@ func (s *Server) runEquiv(ctx context.Context, req *EquivRequest, tr *obs.Tracer
 	}
 	s.cache.put(key, resp)
 	s.recordVerdict(req, &resp)
-	if !req.Cert {
-		stripped := resp
-		stripped.Certificate = nil
-		return &stripped, nil
+	return reply(req, resp, false), nil
+}
+
+// reply shapes a verdict for the wire: a cached one reports no engine time,
+// and the certificate stays only if the request asked for it.
+func reply(req *EquivRequest, resp EquivResponse, cached bool) *EquivResponse {
+	if cached {
+		resp.Cached = true
+		resp.ElapsedMs = 0
 	}
-	return &resp, nil
+	if !req.Cert {
+		resp.Certificate = nil
+	}
+	return &resp
 }
 
 // runProve executes one prover query (already on a worker slot).

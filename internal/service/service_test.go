@@ -68,8 +68,8 @@ func errCode(t *testing.T, body string) string {
 // schedulers. A failure the request caused answers a typed 4xx, never 500
 // internal: a call to an undefined identifier, or to a defined one with
 // the wrong arity, is invalid_request on every endpoint that parses a
-// term, batch items included; a goal past one of the prover's budgets is
-// budget_exhausted.
+// term, batch items included, and so is a recursive term on /v1/prove; a
+// goal past one of the prover's budgets is budget_exhausted.
 func TestHandlerValidation(t *testing.T) {
 	env := syntax.Env{}.Define("Tick", []syntax.Name{"x"}, syntax.SendN("x"))
 	_, ts, cl := newTestServer(t, service.Config{MaxTermBytes: 128, Env: env})
@@ -104,6 +104,8 @@ func TestHandlerValidation(t *testing.T) {
 			http.StatusUnprocessableEntity, service.CodeBudgetExhausted},
 		{"prove step budget", "/v1/prove", `{"p":"a! + a!","q":"a!","max_steps":1}`,
 			http.StatusUnprocessableEntity, service.CodeBudgetExhausted},
+		{"prove non-finite term", "/v1/prove", `{"p":"(rec X(a). a!.X(a))(a)","q":"a!"}`,
+			http.StatusBadRequest, service.CodeInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
