@@ -11,6 +11,10 @@
 // -run keeps the experiments whose id contains the substring; a filter that
 // selects nothing is a usage error (exit 2), not an empty success.
 //
+// -json writes the report in BENCH_equiv.json's format. E13's entry carries
+// the broadcast-cost series: for each receiver count n, the bπ steps, the
+// π τ-steps and the time of each side's run.
+//
 // -stress decides every internal/stress ladder rung (gossip meshes up to
 // 10^5+ states, self-pair against its rotation, strong step) once on a
 // fresh checker: the verdict must be "related" and the explored pair count
@@ -55,6 +59,9 @@ type experiment struct {
 	item  string // the paper item reproduced
 	claim string // what the paper asserts
 	run   func() (measured string, ok bool, err error)
+	// series, set by E13 alone, holds the per-size points of its last run
+	// for the JSON report.
+	series *[]costPoint
 }
 
 // tracer is the suite-wide observability sink (nil unless -trace/-counters
@@ -109,12 +116,28 @@ func selectExperiments(exps []experiment, filter string) []experiment {
 }
 
 type expJSON struct {
-	ID       string  `json:"id"`
-	Item     string  `json:"item"`
-	Status   string  `json:"status"`
-	Measured string  `json:"measured"`
-	MS       float64 `json:"ms"`
+	ID       string      `json:"id"`
+	Item     string      `json:"item"`
+	Status   string      `json:"status"`
+	Measured string      `json:"measured"`
+	MS       float64     `json:"ms"`
+	Series   []costPoint `json:"series,omitempty"`
 }
+
+// costPoint is one receiver count n of E13's broadcast-cost series: the
+// steps that deliver one message to n receivers in bπ and in the π
+// baseline, and the milliseconds each side's single run took.
+type costPoint struct {
+	N          int     `json:"n"`
+	BpiSteps   int     `json:"bpi_steps"`
+	PiTauSteps int     `json:"pi_tau_steps"`
+	BpiMS      float64 `json:"bpi_ms"`
+	PiMS       float64 `json:"pi_ms"`
+}
+
+// millis is d in milliseconds at microsecond resolution, the unit of every
+// time in the JSON report.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 type benchJSON struct {
 	GOMAXPROCS  int            `json:"gomaxprocs"`
@@ -147,7 +170,7 @@ type stressJSON struct {
 func decideRung(name string, states int, want bool, decide func() (equiv.Result, error)) (int, float64, bool) {
 	start := time.Now()
 	r, err := decide()
-	ms := float64(time.Since(start).Microseconds()) / 1000
+	ms := millis(time.Since(start))
 	switch {
 	case err != nil:
 		fmt.Printf("%-18s ERROR %v\n", name, err)
@@ -289,13 +312,17 @@ func run(args []string) int {
 			failures++
 		}
 		fmt.Printf("%-4s %-26s %-8s %-9s %s\n", e.id, e.item, o.status, o.dur, o.measured)
-		report.Experiments = append(report.Experiments, expJSON{
+		rec := expJSON{
 			ID: e.id, Item: e.item, Status: o.status, Measured: o.measured,
-			MS: float64(o.dur.Microseconds()) / 1000,
-		})
+			MS: millis(o.dur),
+		}
+		if e.series != nil {
+			rec.Series = *e.series
+		}
+		report.Experiments = append(report.Experiments, rec)
 	}
 	suiteWall := time.Since(start)
-	report.SuiteMS = float64(suiteWall.Microseconds()) / 1000
+	report.SuiteMS = millis(suiteWall)
 	fmt.Println(strings.Repeat("-", 110))
 	fmt.Printf("wall-clock: %s\n", suiteWall.Round(time.Millisecond))
 
@@ -362,7 +389,7 @@ func suite() []experiment {
 // E18: §6's Random Access Machine claim — the Minsky-machine encoding halts
 // honestly exactly when the machine halts.
 func e18() experiment {
-	return experiment{"E18", "§6 RAM encoding", "encoding may-halt ⟺ Minsky machine halts", func() (string, bool, error) {
+	return experiment{id: "E18", item: "§6 RAM encoding", claim: "encoding may-halt ⟺ Minsky machine halts", run: func() (string, bool, error) {
 		double := ram.Program{
 			ram.DecJz{R: 0, NextPos: 1, NextZero: 3},
 			ram.Inc{R: 1, Next: 2},
@@ -395,7 +422,7 @@ func e18() experiment {
 // E19: cross-engine validation — partition refinement vs the pair engine on
 // random terms for the autonomous relations.
 func e19() experiment {
-	return experiment{"E19", "engine cross-check", "refinement and pair engines agree on ~φ and ~b", func() (string, bool, error) {
+	return experiment{id: "E19", item: "engine cross-check", claim: "refinement and pair engines agree on ~φ and ~b", run: func() (string, bool, error) {
 		cfg := brand.Default()
 		cfg.MaxDepth = 3
 		g := brand.New(808, cfg)
@@ -437,7 +464,7 @@ func e19() experiment {
 // E16: the weak congruence behaves as Theorem 4 requires (sampled contexts)
 // and the τ-law separates ≈ from ≈c.
 func e16() experiment {
-	return experiment{"E16", "Theorems 4-5 (weak)", "≈c preserved by contexts; τ.p ≈ p but ≉c", func() (string, bool, error) {
+	return experiment{id: "E16", item: "Theorems 4-5 (weak)", claim: "≈c preserved by contexts; τ.p ≈ p but ≉c", run: func() (string, bool, error) {
 		ch := newChecker()
 		p := syntax.TauP(syntax.SendN("c"))
 		q := syntax.SendN("c")
@@ -484,7 +511,7 @@ func e16() experiment {
 // E17: may-testing (the paper's §6 outlook): the bisimulation-distinct pair
 // ā.(b̄+c̄) vs ā.b̄+ā.c̄ is not separated by any trace observer.
 func e17() experiment {
-	return experiment{"E17", "§6 may-testing outlook", "observers cannot split ā.(b̄+c̄) from ā.b̄+ā.c̄", func() (string, bool, error) {
+	return experiment{id: "E17", item: "§6 may-testing outlook", claim: "observers cannot split ā.(b̄+c̄) from ā.b̄+ā.c̄", run: func() (string, bool, error) {
 		p := syntax.Send("a", nil, syntax.Choice(syntax.SendN("b"), syntax.SendN("c")))
 		q := syntax.Choice(
 			syntax.Send("a", nil, syntax.SendN("b")),
@@ -518,7 +545,7 @@ func e17() experiment {
 
 // E1: the SOS conformance sample — rule coverage smoke over hand witnesses.
 func e1() experiment {
-	return experiment{"E1", "Tables 2+3 (SOS)", "all 14 rules derive the expected transitions", func() (string, bool, error) {
+	return experiment{id: "E1", item: "Tables 2+3 (SOS)", claim: "all 14 rules derive the expected transitions", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(nil)
 		p := syntax.Group(
 			syntax.SendN("a", "b"),
@@ -544,7 +571,7 @@ func e1() experiment {
 
 // E2: Lemma 1 free-name monotonicity on random terms.
 func e2() experiment {
-	return experiment{"E2", "Lemma 1 / Corollary 1", "fn shrinks along τ, grows only by received/extruded names", func() (string, bool, error) {
+	return experiment{id: "E2", item: "Lemma 1 / Corollary 1", claim: "fn shrinks along τ, grows only by received/extruded names", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(nil)
 		g := brand.New(11, brand.Default())
 		checked := 0
@@ -569,7 +596,7 @@ func e2() experiment {
 
 // E3: the counterexamples of Remarks 1–4.
 func e3() experiment {
-	return experiment{"E3", "Remarks 1-4", "all claimed (in)equivalences hold", func() (string, bool, error) {
+	return experiment{id: "E3", item: "Remarks 1-4", claim: "all claimed (in)equivalences hold", run: func() (string, bool, error) {
 		ch := newChecker()
 		pass := 0
 		for _, w := range papers.Witnesses() {
@@ -604,7 +631,7 @@ func e3() experiment {
 
 // E4: the structural laws of Lemmas 2/4/6.
 func e4() experiment {
-	return experiment{"E4", "Lemmas 2, 4, 6 (a-l)", "the 11 structural laws hold for ~b, ~φ and ~", func() (string, bool, error) {
+	return experiment{id: "E4", item: "Lemmas 2, 4, 6 (a-l)", claim: "the 11 structural laws hold for ~b, ~φ and ~", run: func() (string, bool, error) {
 		ch := newChecker()
 		p := syntax.Send("a", []names.Name{"b"}, syntax.RecvN("c", "x"))
 		q := syntax.TauP(syntax.SendN("b"))
@@ -640,7 +667,7 @@ func e4() experiment {
 
 // E5: preservation by parallel composition (Lemmas 3/9).
 func e5() experiment {
-	return experiment{"E5", "Lemmas 3 and 9", "~ and ~b preserved by parallel contexts", func() (string, bool, error) {
+	return experiment{id: "E5", item: "Lemmas 3 and 9", claim: "~ and ~b preserved by parallel contexts", run: func() (string, bool, error) {
 		ch := newChecker()
 		pa, pb := syntax.RecvN("a"), syntax.RecvN("b")
 		ctxs := []syntax.Proc{
@@ -670,7 +697,7 @@ func e5() experiment {
 
 // E7: Theorem 1 inclusion sampling.
 func e7() experiment {
-	return experiment{"E7", "Theorem 1", "~ implies ~b and ~φ on sampled pairs; chain ~c⊆~+⊆~", func() (string, bool, error) {
+	return experiment{id: "E7", item: "Theorem 1", claim: "~ implies ~b and ~φ on sampled pairs; chain ~c⊆~+⊆~", run: func() (string, bool, error) {
 		cfg := brand.Default()
 		cfg.MaxDepth = 3
 		g := brand.New(12345, cfg)
@@ -705,7 +732,7 @@ func e7() experiment {
 
 // E8: soundness of the axiom catalogue.
 func e8() experiment {
-	return experiment{"E8", "Theorem 6 (+Tables 6-8)", "every axiom instance is ~c-sound", func() (string, bool, error) {
+	return experiment{id: "E8", item: "Theorem 6 (+Tables 6-8)", claim: "every axiom instance is ~c-sound", run: func() (string, bool, error) {
 		ch := newChecker()
 		cfg := brand.Default()
 		cfg.MaxDepth = 2
@@ -735,7 +762,7 @@ func e8() experiment {
 
 // E9: completeness — prover agreement with the semantic ~c.
 func e9() experiment {
-	return experiment{"E9", "Theorem 7", "A ⊢ p=q iff p ~c q on sampled finite pairs", func() (string, bool, error) {
+	return experiment{id: "E9", item: "Theorem 7", claim: "A ⊢ p=q iff p ~c q on sampled finite pairs", run: func() (string, bool, error) {
 		ch := newChecker()
 		pr := axioms.NewProver(nil)
 		cfg := brand.Default()
@@ -768,7 +795,7 @@ func e9() experiment {
 
 // E10: Example 1 — cycle detection.
 func e10() experiment {
-	return experiment{"E10", "Example 1", "signal on o reachable iff the graph has a cycle", func() (string, bool, error) {
+	return experiment{id: "E10", item: "Example 1", claim: "signal on o reachable iff the graph has a cycle", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(papers.CycleEnvOnce())
 		rows := []struct {
 			name  string
@@ -797,7 +824,7 @@ func e10() experiment {
 
 // E11: Example 2 — transaction inconsistency.
 func e11() experiment {
-	return experiment{"E11", "Example 2", "errc reachable iff the history is inconsistent", func() (string, bool, error) {
+	return experiment{id: "E11", item: "Example 2", claim: "errc reachable iff the history is inconsistent", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(papers.TxnEnvOnce())
 		hs := map[string][]papers.Txn{
 			"consistent": {
@@ -833,7 +860,7 @@ func e11() experiment {
 
 // E12: Example 3 — PVM group primitives.
 func e12() experiment {
-	return experiment{"E12", "Example 3", "bcast reaches exactly current members; send is 1-1", func() (string, bool, error) {
+	return experiment{id: "E12", item: "Example 3", claim: "bcast reaches exactly current members; send is 1-1", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(pvm.Env())
 		tasks := map[names.Name]*pvm.Task{
 			"root":      {Instrs: []pvm.Instr{pvm.Send{To: "peer", Msg: "m"}}},
@@ -856,9 +883,12 @@ func e12() experiment {
 	}}
 }
 
-// E13: expressiveness — the cost of one broadcast in π vs bπ.
+// E13: expressiveness — the cost of one broadcast in π vs bπ, with each
+// side timed per receiver count.
 func e13() experiment {
-	return experiment{"E13", "§6 expressiveness", "1 bπ step vs n π messages to reach n receivers", func() (string, bool, error) {
+	var points []costPoint
+	return experiment{id: "E13", item: "§6 expressiveness", claim: "1 bπ step vs n π messages to reach n receivers", run: func() (string, bool, error) {
+		points = nil
 		var rows []string
 		okAll := true
 		for _, n := range []int{2, 4, 8} {
@@ -870,7 +900,9 @@ func e13() experiment {
 			}
 			bp := syntax.Group(parts...)
 			sys := semantics.NewSystem(nil)
+			start := time.Now()
 			res, err := machine.Run(sys, bp, machine.Options{MaxSteps: 100})
+			bpiDur := time.Since(start)
 			if err != nil {
 				return "", false, err
 			}
@@ -884,17 +916,20 @@ func e13() experiment {
 				x := names.Name(fmt.Sprintf("x%d", i))
 				ppar = pi.Par{L: ppar, R: pi.In{Ch: "a", Param: x, Cont: pi.Nil{}}}
 			}
+			start = time.Now()
 			piSteps := pi.TauSteps(ppar, 4*n)
+			points = append(points, costPoint{N: n, BpiSteps: res.Steps, PiTauSteps: piSteps,
+				BpiMS: millis(bpiDur), PiMS: millis(time.Since(start))})
 			rows = append(rows, fmt.Sprintf("n=%d: bπ=%d π=%d", n, res.Steps, piSteps))
 			okAll = okAll && res.Steps == 1 && piSteps == n
 		}
 		return strings.Join(rows, "  "), okAll, nil
-	}}
+	}, series: &points}
 }
 
 // E14: the π → bπ encoding.
 func e14() experiment {
-	return experiment{"E14", "§6 encoding π→bπ", "may-barbs preserved on sample terms", func() (string, bool, error) {
+	return experiment{id: "E14", item: "§6 encoding π→bπ", claim: "may-barbs preserved on sample terms", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(nil)
 		src := pi.Par{
 			L: pi.Out{Ch: "a", Arg: "b", Cont: pi.Nil{}},
@@ -925,7 +960,7 @@ func e14() experiment {
 
 // E15: engine scaling (exploration size, cbs embedding sanity).
 func e15() experiment {
-	return experiment{"E15", "engine scaling", "graph sizes grow as expected; CBS embeds exactly", func() (string, bool, error) {
+	return experiment{id: "E15", item: "engine scaling", claim: "graph sizes grow as expected; CBS embeds exactly", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(nil)
 		var rows []string
 		for _, n := range []int{2, 4, 6} {

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -38,5 +42,51 @@ func TestSelectExperiments(t *testing.T) {
 func TestRunRejectsEmptySelection(t *testing.T) {
 	if got := run([]string{"-run", "ZZZ"}); got != 2 {
 		t.Fatalf("bpibench -run ZZZ exited %d, want 2", got)
+	}
+}
+
+// TestSuiteReproducesPaper runs every experiment through the command, as
+// CI's bench step does, and fails on any status but PASS, so go test
+// certifies the paper-vs-measured table. It also checks the JSON report:
+// the host's CPU count, and E13's broadcast-cost series of one bπ step
+// against n π τ-steps for each receiver count n.
+func TestSuiteReproducesPaper(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	code := run([]string{"-json", path})
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep benchJSON
+	if err := json.Unmarshal(buf, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Experiments) != 18 {
+		t.Errorf("report holds %d experiments, want 18", len(rep.Experiments))
+	}
+	var series []costPoint
+	for _, e := range rep.Experiments {
+		if e.Status != "PASS" {
+			t.Errorf("%s (%s): %s: %s", e.ID, e.Item, e.Status, e.Measured)
+		}
+		if e.ID == "E13" {
+			series = e.Series
+		}
+	}
+	if code != 0 {
+		t.Errorf("bpibench exited %d, want 0", code)
+	}
+	if rep.HostCPUs != runtime.NumCPU() {
+		t.Errorf("host_cpus %d, want %d", rep.HostCPUs, runtime.NumCPU())
+	}
+	var ns []int
+	for _, pt := range series {
+		ns = append(ns, pt.N)
+		if pt.BpiSteps != 1 || pt.PiTauSteps != pt.N {
+			t.Errorf("E13 n=%d: %d bπ steps and %d π τ-steps, want 1 and %d", pt.N, pt.BpiSteps, pt.PiTauSteps, pt.N)
+		}
+	}
+	if want := []int{2, 4, 8}; !reflect.DeepEqual(ns, want) {
+		t.Errorf("E13 series covers n=%v, want %v", ns, want)
 	}
 }

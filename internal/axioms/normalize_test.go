@@ -19,6 +19,7 @@ func TestNormalFormShape(t *testing.T) {
 		),
 		syntax.If(a, b, syntax.Group(syntax.SendN(a), syntax.SendN(b)), syntax.PNil),
 		syntax.Restrict(syntax.Group(syntax.SendN(x), syntax.RecvN(x, "y")), x),
+		syntax.Restrict(syntax.Group(syntax.Send(a, nil, syntax.SendN(x)), syntax.Recv(a, nil, syntax.SendN(b)), syntax.RecvN(x)), x),
 	}
 	for i, p := range cases {
 		nf, err := NormalForm(p)

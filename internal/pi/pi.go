@@ -342,8 +342,8 @@ func WeakBarbs(p Proc, maxStates int) (names.Set, error) {
 	return out, nil
 }
 
-// TauSteps counts the length of the longest τ-only run from p (bounded), a
-// cost metric for the expressiveness benchmarks.
+// TauSteps counts the length of the longest τ-only run from p (bounded),
+// the π side of the broadcast-cost comparison (bpibench's E13).
 func TauSteps(p Proc, bound int) int {
 	best := 0
 	var rec func(q Proc, depth int)

@@ -26,9 +26,6 @@ type Config struct {
 	AllowMatch       bool
 	AllowPar         bool
 	AllowTau         bool
-	// FiniteOnly suppresses recursion (always true in this generator; kept
-	// for future extension symmetry).
-	FiniteOnly bool
 	// Weights, when non-zero, biases the constructor choice instead of the
 	// legacy uniform draw. Constructors whose Allow* gate is off are
 	// treated as weight zero regardless.
@@ -61,7 +58,6 @@ func OracleConfig() Config {
 		AllowMatch:       true,
 		AllowPar:         true,
 		AllowTau:         true,
-		FiniteOnly:       true,
 		Weights:          Weights{Nil: 2, Out: 5, In: 5, Sum: 4, Par: 2, Res: 0, Match: 1, Tau: 2},
 	}
 }
@@ -77,7 +73,6 @@ func Default() Config {
 		AllowMatch:       true,
 		AllowPar:         true,
 		AllowTau:         true,
-		FiniteOnly:       true,
 	}
 }
 

@@ -38,6 +38,10 @@ func TestStrongStepKnownPairs(t *testing.T) {
 			syntax.SendN(a, b),
 			syntax.Send(a, []names.Name{b}, syntax.SendN(c, "d")),
 			false},
+		{"commuted-components",
+			syntax.Group(syntax.Send(a, nil, syntax.SendN(b)), syntax.Recv(a, nil, syntax.SendN(c)), syntax.TauP(syntax.RecvN(b))),
+			syntax.Group(syntax.TauP(syntax.RecvN(b)), syntax.Send(a, nil, syntax.SendN(b)), syntax.Recv(a, nil, syntax.SendN(c))),
+			true},
 	}
 	for _, cse := range cases {
 		g := graphFor(t, cse.p, cse.q)

@@ -173,17 +173,26 @@ func Restrict(p Proc, xs ...Name) Proc {
 func If(x, y Name, then, els Proc) Proc { return Match{x, y, then, els} }
 
 // SumList flattens nested Sum nodes into a slice (left-to-right order).
-func SumList(p Proc) []Proc {
-	if s, ok := p.(Sum); ok {
-		return append(SumList(s.L), SumList(s.R)...)
-	}
-	return []Proc{p}
-}
+func SumList(p Proc) []Proc { return appendSum(nil, p) }
 
 // ParList flattens nested Par nodes into a slice (left-to-right order).
-func ParList(p Proc) []Proc {
-	if s, ok := p.(Par); ok {
-		return append(ParList(s.L), ParList(s.R)...)
+func ParList(p Proc) []Proc { return appendPar(nil, p) }
+
+// appendSum appends the summands of p to dst, left to right. Every level
+// appends into the one slice, so flattening is linear in the number of
+// summands however the sum nests.
+func appendSum(dst []Proc, p Proc) []Proc {
+	if s, ok := p.(Sum); ok {
+		return appendSum(appendSum(dst, s.L), s.R)
 	}
-	return []Proc{p}
+	return append(dst, p)
+}
+
+// appendPar appends the components of p to dst, left to right, as appendSum
+// does for summands.
+func appendPar(dst []Proc, p Proc) []Proc {
+	if s, ok := p.(Par); ok {
+		return appendPar(appendPar(dst, s.L), s.R)
+	}
+	return append(dst, p)
 }

@@ -58,16 +58,16 @@ func simplify(p Proc, inst names.Set) Proc {
 		// sum (e.g. a decided match), whose parts must join this level's
 		// dedupe and ordering or a second pass would normalise further.
 		var parts []Proc
-		for _, q := range collectSum(p) {
-			parts = append(parts, collectSum(simplify(q, inst))...)
+		for _, q := range SumList(p) {
+			parts = appendSum(parts, simplify(q, inst))
 		}
 		return Choice(sortByKey(parts, true)...)
 	case Par:
 		// Same re-flattening as Sum: a component collapsing to a composition
 		// must not leave a nested Par that re-associates on the next pass.
 		var parts []Proc
-		for _, q := range collectPar(p) {
-			parts = append(parts, collectPar(simplify(q, inst))...)
+		for _, q := range ParList(p) {
+			parts = appendPar(parts, simplify(q, inst))
 		}
 		return Group(sortByKey(parts, false)...)
 	case Res:
@@ -89,20 +89,6 @@ func simplify(p Proc, inst names.Set) Proc {
 	default:
 		panic("syntax: unknown process node")
 	}
-}
-
-func collectSum(p Proc) []Proc {
-	if s, ok := p.(Sum); ok {
-		return append(collectSum(s.L), collectSum(s.R)...)
-	}
-	return []Proc{p}
-}
-
-func collectPar(p Proc) []Proc {
-	if s, ok := p.(Par); ok {
-		return append(collectPar(s.L), collectPar(s.R)...)
-	}
-	return []Proc{p}
 }
 
 // sortByKey drops the nil terms of ps and sorts the rest stably by Key,

@@ -1,6 +1,9 @@
 package syntax
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestSimplifyIdempotentRegression pins a counterexample once found by
 // TestQuickSimplifyIdempotentAndShrinking (quick seed 8772016212620242561):
@@ -32,5 +35,38 @@ func TestSimplifyIdempotentRegression(t *testing.T) {
 	}
 	if len(SumList(q1)) != 2 {
 		t.Errorf("nested sum not deduped in one pass: %s", String(q1))
+	}
+}
+
+// TestSimplifyWideTermAllocation pins that flattening a wide sum or
+// composition is linear: one Simplify of 21,842 `a?` components, the most
+// whose source `nu z.z?.(a?|…|a?)` fits the daemon's 64 KiB term cap,
+// allocates under 64 MB. A flattening that copies the slice at every
+// nesting level allocates about 3.9 GB for the composition.
+func TestSimplifyWideTermAllocation(t *testing.T) {
+	const width = 21842
+	parts := make([]Proc, width)
+	for i := range parts {
+		parts[i] = RecvN(a)
+	}
+	for _, tc := range []struct {
+		name    string
+		p       Proc
+		flatten func(Proc) []Proc
+		want    int // components of the simplified term
+	}{
+		{"composition", Group(parts...), ParList, width},
+		{"sum", Choice(parts...), SumList, 1},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := Simplify(tc.p)
+		runtime.ReadMemStats(&after)
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 64 {
+			t.Errorf("%s: Simplify allocated %.0f MB, want under 64 MB", tc.name, mb)
+		}
+		if got := len(tc.flatten(s)); got != tc.want {
+			t.Errorf("%s: simplified to %d components, want %d", tc.name, got, tc.want)
+		}
 	}
 }
