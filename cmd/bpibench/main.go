@@ -90,7 +90,7 @@ func (o outcome) failed() bool { return o.status != "PASS" }
 func runOne(e experiment) outcome {
 	start := time.Now()
 	measured, ok, err := e.run()
-	dur := time.Since(start).Round(time.Millisecond)
+	dur := time.Since(start)
 	status := "PASS"
 	if err != nil {
 		status, measured = "ERROR", err.Error()
@@ -311,7 +311,7 @@ func run(args []string) int {
 		if o.failed() {
 			failures++
 		}
-		fmt.Printf("%-4s %-26s %-8s %-9s %s\n", e.id, e.item, o.status, o.dur, o.measured)
+		fmt.Printf("%-4s %-26s %-8s %-9s %s\n", e.id, e.item, o.status, o.dur.Round(time.Millisecond), o.measured)
 		rec := expJSON{
 			ID: e.id, Item: e.item, Status: o.status, Measured: o.measured,
 			MS: millis(o.dur),
@@ -963,7 +963,7 @@ func e15() experiment {
 	return experiment{id: "E15", item: "engine scaling", claim: "graph sizes grow as expected; CBS embeds exactly", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(nil)
 		var rows []string
-		for _, n := range []int{2, 4, 6} {
+		for _, n := range []int{2, 4, 6, 8} {
 			parts := make([]syntax.Proc, n)
 			for i := range parts {
 				parts[i] = syntax.Send(names.Name(fmt.Sprintf("c%d", i)), nil, syntax.PNil)

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -47,9 +46,9 @@ func TestRunRejectsEmptySelection(t *testing.T) {
 
 // TestSuiteReproducesPaper runs every experiment through the command, as
 // CI's bench step does, and fails on any status but PASS, so go test
-// certifies the paper-vs-measured table. It also checks the JSON report:
-// the host's CPU count, and E13's broadcast-cost series of one bπ step
-// against n π τ-steps for each receiver count n.
+// certifies the paper-vs-measured table. E13 itself fails unless each
+// point of its broadcast-cost series is one bπ step against n π τ-steps;
+// the test checks that the JSON report carries that series for n = 2, 4, 8.
 func TestSuiteReproducesPaper(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	code := run([]string{"-json", path})
@@ -76,15 +75,9 @@ func TestSuiteReproducesPaper(t *testing.T) {
 	if code != 0 {
 		t.Errorf("bpibench exited %d, want 0", code)
 	}
-	if rep.HostCPUs != runtime.NumCPU() {
-		t.Errorf("host_cpus %d, want %d", rep.HostCPUs, runtime.NumCPU())
-	}
 	var ns []int
 	for _, pt := range series {
 		ns = append(ns, pt.N)
-		if pt.BpiSteps != 1 || pt.PiTauSteps != pt.N {
-			t.Errorf("E13 n=%d: %d bπ steps and %d π τ-steps, want 1 and %d", pt.N, pt.BpiSteps, pt.PiTauSteps, pt.N)
-		}
 	}
 	if want := []int{2, 4, 8}; !reflect.DeepEqual(ns, want) {
 		t.Errorf("E13 series covers n=%v, want %v", ns, want)

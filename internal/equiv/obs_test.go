@@ -110,54 +110,10 @@ func TestObsParallelCheckerRace(t *testing.T) {
 	}
 }
 
-// overheadPair is the workload of the tracing-overhead pair: a finite
-// parallel pair whose pair space is a few hundred nodes — enough engine
-// work that the per-pair obs cost is what the ratio measures.
-func overheadPair(tb testing.TB) (p, q syntax.Proc) {
-	tb.Helper()
-	p, err := parser.Parse("a! | b! | c! | d! | a?(x).x!")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	q, err = parser.Parse("a?(x).x! | d! | c! | b! | a!")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return p, q
-}
-
-// decideCold decides p against q on a fresh checker with a cold store,
-// reporting to tr when tr is non-nil.
-func decideCold(tr *obs.Tracer, p, q syntax.Proc) error {
-	ch := NewChecker(nil)
-	if tr != nil {
-		ch.Obs = tr
-		ch.Store().SetObs(tr)
-	}
-	_, err := ch.Labelled(p, q, false)
-	return err
-}
-
-func benchQuery(b *testing.B, tr *obs.Tracer) {
-	p, q := overheadPair(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := decideCold(tr, p, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLabelledUntraced(b *testing.B) { benchQuery(b, nil) }
-
-func BenchmarkLabelledTraced(b *testing.B) {
-	// A bounded tracer: long benchmark runs must not grow the event buffer
-	// without limit, and a full buffer exercises the drop path's cost too.
-	benchQuery(b, obs.NewWithLimit(1<<12))
-}
-
-// TestTracingOverheadBudget times the benchmark pair's workload in
-// alternating untraced and traced rounds and asserts that the traced
+// TestTracingOverheadBudget decides a finite parallel pair whose pair
+// space is a few hundred nodes (enough engine work that the per-pair obs
+// cost is what the ratio measures) on a fresh checker with a cold store,
+// in alternating untraced and traced rounds, and asserts that the traced
 // side's fastest round is within budget of the untraced side's. Outside
 // load only adds time, so the fastest round of each side is the one load
 // disturbed least, and alternation gives both sides the same quiet spells.
@@ -167,16 +123,31 @@ func BenchmarkLabelledTraced(b *testing.B) {
 // lookup per pair), not to measure the true constant.
 func TestTracingOverheadBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("benchmark pair under -short")
+		t.Skip("timing test under -short")
 	}
 	const rounds, roundTime = 10, 120 * time.Millisecond
-	p, q := overheadPair(t)
-	tr := obs.NewWithLimit(1 << 12) // as BenchmarkLabelledTraced
-	// perOp runs n queries and returns their mean time.
+	p, err := parser.Parse("a! | b! | c! | d! | a?(x).x!")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := parser.Parse("a?(x).x! | d! | c! | b! | a!")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A bounded tracer: the traced rounds must not grow the event buffer
+	// without limit, and a full buffer exercises the drop path's cost too.
+	tr := obs.NewWithLimit(1 << 12)
+	// perOp runs n queries, traced when tr is non-nil, and returns their
+	// mean time.
 	perOp := func(tr *obs.Tracer, n int) time.Duration {
 		start := time.Now()
 		for i := 0; i < n; i++ {
-			if err := decideCold(tr, p, q); err != nil {
+			ch := NewChecker(nil)
+			if tr != nil {
+				ch.Obs = tr
+				ch.Store().SetObs(tr)
+			}
+			if _, err := ch.Labelled(p, q, false); err != nil {
 				t.Fatal(err)
 			}
 		}

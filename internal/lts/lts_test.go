@@ -3,7 +3,6 @@ package lts
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -45,22 +44,6 @@ func TestExploreLinear(t *testing.T) {
 	}
 	if g.StateIndex(p) != g.Roots[0] {
 		t.Fatal("root lookup failed")
-	}
-}
-
-// TestExploreIndependentSenders pins the growth of the autonomous graph of
-// n independent nullary senders: each subset of them may have fired, so
-// the graph has 2ⁿ states.
-func TestExploreIndependentSenders(t *testing.T) {
-	for _, n := range []int{2, 4, 6, 8} {
-		parts := make([]syntax.Proc, n)
-		for i := range parts {
-			parts[i] = syntax.SendN(names.Name(fmt.Sprintf("c%d", i)))
-		}
-		g := explore(t, syntax.Group(parts...), Options{AutonomousOnly: true, MaxStates: 1 << 14})
-		if g.NumStates() != 1<<n {
-			t.Errorf("n=%d: %d states, want %d", n, g.NumStates(), 1<<n)
-		}
 	}
 }
 
