@@ -1,8 +1,8 @@
 // Command bpibench regenerates the paper-reproduction report: every
 // experiment of DESIGN.md §5 (the executable counterparts of the paper's
-// lemmas, remarks, theorems and examples) is run and summarised as a
-// paper-claim vs measured-result table. EXPERIMENTS.md is produced from this
-// output.
+// lemmas, remarks, theorems and examples) is run and summarised as a table
+// of measured results. EXPERIMENTS.md's verdict table copies the measured
+// strings that -json writes.
 //
 // Usage: bpibench [-run regexp-free-substring] [-json file] [-stress]
 // [-protocols] [-trace out.json] [-counters] [-cpuprofile file]
@@ -57,7 +57,7 @@ import (
 type experiment struct {
 	id    string
 	item  string // the paper item reproduced
-	claim string // what the paper asserts
+	claim string // what the experiment checks
 	run   func() (measured string, ok bool, err error)
 	// series, set by E13 alone, holds the per-size points of its last run
 	// for the JSON report.
@@ -543,9 +543,10 @@ func e17() experiment {
 	}}
 }
 
-// E1: the SOS conformance sample — rule coverage smoke over hand witnesses.
+// E1: the SOS sample — one broadcast term, one output and two residual
+// inputs (the rule-by-rule witnesses are internal/semantics tests).
 func e1() experiment {
-	return experiment{id: "E1", item: "Tables 2+3 (SOS)", claim: "all 14 rules derive the expected transitions", run: func() (string, bool, error) {
+	return experiment{id: "E1", item: "Tables 2+3 (SOS)", claim: "a!(b) | a?(x).x! | c?(y) derives 1 output and 2 residual inputs", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(nil)
 		p := syntax.Group(
 			syntax.SendN("a", "b"),
@@ -631,7 +632,7 @@ func e3() experiment {
 
 // E4: the structural laws of Lemmas 2/4/6.
 func e4() experiment {
-	return experiment{id: "E4", item: "Lemmas 2, 4, 6 (a-l)", claim: "the 11 structural laws hold for ~b, ~φ and ~", run: func() (string, bool, error) {
+	return experiment{id: "E4", item: "Lemmas 2, 4, 6 (a-l)", claim: "6 concrete structural laws hold under ~, ~b and ~φ", run: func() (string, bool, error) {
 		ch := newChecker()
 		p := syntax.Send("a", []names.Name{"b"}, syntax.RecvN("c", "x"))
 		q := syntax.TauP(syntax.SendN("b"))
@@ -929,7 +930,7 @@ func e13() experiment {
 
 // E14: the π → bπ encoding.
 func e14() experiment {
-	return experiment{id: "E14", item: "§6 encoding π→bπ", claim: "may-barbs preserved on sample terms", run: func() (string, bool, error) {
+	return experiment{id: "E14", item: "§6 encoding π→bπ", claim: "the encoding keeps the 3 may-barbs of one π term", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(nil)
 		src := pi.Par{
 			L: pi.Out{Ch: "a", Arg: "b", Cont: pi.Nil{}},
@@ -958,9 +959,10 @@ func e14() experiment {
 	}}
 }
 
-// E15: engine scaling (exploration size, cbs embedding sanity).
+// E15: engine scaling (exploration size), and a count of the CBS baseline
+// transitions of one term (no embedding into bπ is run).
 func e15() experiment {
-	return experiment{id: "E15", item: "engine scaling", claim: "graph sizes grow as expected; CBS embeds exactly", run: func() (string, bool, error) {
+	return experiment{id: "E15", item: "engine scaling", claim: "2ⁿ states for n independent senders; the CBS baseline steps once on one term", run: func() (string, bool, error) {
 		sys := semantics.NewSystem(nil)
 		var rows []string
 		for _, n := range []int{2, 4, 6, 8} {
@@ -977,7 +979,6 @@ func e15() experiment {
 			}
 			rows = append(rows, fmt.Sprintf("n=%d:%d", n, g.NumStates()))
 		}
-		// CBS embedding spot check.
 		cp := cbs.Par{L: cbs.Speak{Val: "v", Cont: cbs.Nil{}}, R: cbs.Hear{Param: "x", Cont: cbs.Speak{Val: "x", Cont: cbs.Nil{}}}}
 		if len(cbs.Steps(cp)) != 1 {
 			return "cbs baseline broken", false, nil

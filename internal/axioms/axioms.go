@@ -208,207 +208,3 @@ func headIns2(l, r syntax.Proc) (names.Set, bool) {
 	}
 	return ls.Union(rs), true
 }
-
-// Expand applies the expansion axiom (Table 8) to p‖q where both operands
-// are sums of unconditioned prefixes (the common case after hnf): it
-// returns the equivalent prefix-sum with the nine summand families of the
-// table — joint inputs, output+reception (both orientations),
-// output+discard, reception+discard, and the τ interleavings.
-//
-// Operands with conditions, restrictions or nested parallels should go
-// through ComputeHNF first. Returns ok=false if an operand is not a sum of
-// prefixes.
-//
-// Arity caveat: the paper states the axiomatisation for the monadic
-// calculus. In a polyadic setting the [x∉T] guard conflates "not listening
-// on x" with "listening on x at a different arity" (a process in the latter
-// state blocks a broadcast instead of ignoring it), so Expand is sound only
-// when all prefixes on a channel share one arity — e.g. the uniform-arity
-// fragment. The prover (Decide) does not use this rewrite and has no such
-// restriction.
-func Expand(p, q syntax.Proc) (syntax.Proc, bool) {
-	ps, ok := prefixSummands(p)
-	if !ok {
-		return nil, false
-	}
-	qs, ok := prefixSummands(q)
-	if !ok {
-		return nil, false
-	}
-	inChansP := inputChannelNames(ps)
-	inChansQ := inputChannelNames(qs)
-	var out []syntax.Proc
-	// Joint inputs (first family): [x=y] x(v).(p'‖q'), for every pair of
-	// inputs of equal arity — the equality guard covers substitutions that
-	// fuse distinct channel names.
-	for _, sa := range ps {
-		ain, ok := sa.Pre.(syntax.In)
-		if !ok {
-			continue
-		}
-		for _, sb := range qs {
-			bin, ok := sb.Pre.(syntax.In)
-			if !ok || len(bin.Params) != len(ain.Params) {
-				continue
-			}
-			avoid := syntax.FreeNames(sa.Cont).AddAll(syntax.FreeNames(sb.Cont)).
-				AddSlice(ain.Params).AddSlice(bin.Params).Add(ain.Ch).Add(bin.Ch)
-			params := make([]names.Name, len(ain.Params))
-			for i := range params {
-				params[i] = syntax.FreshVariant(ain.Params[i], avoid)
-				avoid = avoid.Add(params[i])
-			}
-			bodyL := syntax.Instantiate(sa.Cont, ain.Params, params)
-			bodyR := syntax.Instantiate(sb.Cont, bin.Params, params)
-			out = append(out, CondProc(Eq{ain.Ch, bin.Ch},
-				syntax.Recv(ain.Ch, params, syntax.Group(bodyL, bodyR))))
-		}
-	}
-	// Output + reception and output + discard (second to fifth families).
-	out = append(out, outputFamilies(ps, qs, inChansQ, false)...)
-	out = append(out, outputFamilies(qs, ps, inChansP, true)...)
-	// Reception + discard (sixth and seventh families).
-	out = append(out, inputAlone(ps, qs, inChansQ, false)...)
-	out = append(out, inputAlone(qs, ps, inChansP, true)...)
-	// τ interleavings (eighth and ninth families).
-	for _, sa := range ps {
-		if _, ok := sa.Pre.(syntax.Tau); ok {
-			out = append(out, syntax.TauP(syntax.Group(sa.Cont, q)))
-		}
-	}
-	for _, sb := range qs {
-		if _, ok := sb.Pre.(syntax.Tau); ok {
-			out = append(out, syntax.TauP(syntax.Group(p, sb.Cont)))
-		}
-	}
-	return syntax.Choice(out...), true
-}
-
-type prefixed struct {
-	Pre  syntax.Pre
-	Cont syntax.Proc
-}
-
-func prefixSummands(p syntax.Proc) ([]prefixed, bool) {
-	switch t := p.(type) {
-	case syntax.Nil:
-		return nil, true
-	case syntax.Prefix:
-		return []prefixed{{t.Pre, t.Cont}}, true
-	case syntax.Sum:
-		l, ok := prefixSummands(t.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := prefixSummands(t.R)
-		if !ok {
-			return nil, false
-		}
-		return append(l, r...), true
-	default:
-		return nil, false
-	}
-}
-
-// inputChannelNames returns the distinct channel names (T/S sets of
-// Table 8) on which the summands listen, in sorted order.
-func inputChannelNames(ps []prefixed) []names.Name {
-	set := names.NewSet()
-	for _, s := range ps {
-		if in, ok := s.Pre.(syntax.In); ok {
-			set = set.Add(in.Ch)
-		}
-	}
-	return set.Sorted()
-}
-
-// notIn builds the Table 8 guard [x ∉ T]: the conjunction of x≠t for every
-// listening channel t of the sibling.
-func notIn(x names.Name, chans []names.Name) Cond {
-	var parts []Cond
-	for _, t := range chans {
-		parts = append(parts, Neq(x, t))
-	}
-	return Conj(parts...)
-}
-
-// outputFamilies builds, for each output of movers, the summands where the
-// sibling receives ([x=y]-guarded) or discards ([x∉T]-guarded).
-func outputFamilies(movers, sib []prefixed, sibChans []names.Name, flip bool) []syntax.Proc {
-	var out []syntax.Proc
-	sibWhole := rebuildSum(sib)
-	pair := func(m, s syntax.Proc) syntax.Proc {
-		if flip {
-			return syntax.Group(s, m)
-		}
-		return syntax.Group(m, s)
-	}
-	for _, mv := range movers {
-		o, ok := mv.Pre.(syntax.Out)
-		if !ok {
-			continue
-		}
-		// Output + reception, guarded by channel equality.
-		for _, s := range sib {
-			in, ok := s.Pre.(syntax.In)
-			if !ok || len(in.Params) != len(o.Args) {
-				continue
-			}
-			recv := syntax.Instantiate(s.Cont, in.Params, o.Args)
-			out = append(out, CondProc(Eq{o.Ch, in.Ch},
-				syntax.Send(o.Ch, o.Args, pair(mv.Cont, recv))))
-		}
-		// Output + discard, guarded by [x ∉ T].
-		out = append(out, CondProc(notIn(o.Ch, sibChans),
-			syntax.Send(o.Ch, o.Args, pair(mv.Cont, sibWhole))))
-	}
-	return out
-}
-
-// inputAlone builds the reception+discard summands, guarded by [x ∉ T].
-func inputAlone(movers, sib []prefixed, sibChans []names.Name, flip bool) []syntax.Proc {
-	var out []syntax.Proc
-	sibWhole := rebuildSum(sib)
-	pair := func(m, s syntax.Proc) syntax.Proc {
-		if flip {
-			return syntax.Group(s, m)
-		}
-		return syntax.Group(m, s)
-	}
-	for _, mv := range movers {
-		in, ok := mv.Pre.(syntax.In)
-		if !ok {
-			continue
-		}
-		// Rename binders away from the sibling's free names.
-		params, cont := in.Params, mv.Cont
-		sf := syntax.FreeNames(sibWhole)
-		if sf.ContainsAny(params) {
-			avoid := sf.Clone().AddAll(syntax.FreeNames(cont)).AddSlice(params)
-			ren := names.Subst{}
-			np := make([]names.Name, len(params))
-			for i, bn := range params {
-				if sf.Contains(bn) {
-					np[i] = syntax.FreshVariant(bn, avoid)
-					avoid = avoid.Add(np[i])
-					ren[bn] = np[i]
-				} else {
-					np[i] = bn
-				}
-			}
-			cont = syntax.Apply(cont, ren)
-			params = np
-		}
-		out = append(out, CondProc(notIn(in.Ch, sibChans),
-			syntax.Recv(in.Ch, params, pair(cont, sibWhole))))
-	}
-	return out
-}
-
-func rebuildSum(ps []prefixed) syntax.Proc {
-	var parts []syntax.Proc
-	for _, s := range ps {
-		parts = append(parts, syntax.Prefix{Pre: s.Pre, Cont: s.Cont})
-	}
-	return syntax.Choice(parts...)
-}

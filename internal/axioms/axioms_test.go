@@ -1,10 +1,13 @@
 package axioms
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"bpi/internal/equiv"
 	"bpi/internal/names"
+	"bpi/internal/parser"
 	brand "bpi/internal/rand"
 	"bpi/internal/syntax"
 )
@@ -151,22 +154,22 @@ func TestExpandSoundAndParFree(t *testing.T) {
 	cfg := brand.Default()
 	cfg.AllowPar = false
 	cfg.AllowRestriction = false
-	cfg.AllowMatch = false
+	cfg.AllowMatch = true // Expand takes guarded sums
 	cfg.MaxDepth = 3
 	cfg.MaxArity = -1 // the uniform-arity fragment where Table 8 applies
 	g := brand.New(7, cfg)
 	tried := 0
-	for i := 0; i < 30 && tried < 10; i++ {
+	for i := 0; i < 60 && tried < 30; i++ {
 		p, q := g.Term(), g.Term()
 		e, ok := Expand(p, q)
 		if !ok {
 			continue
 		}
 		tried++
-		if hasPar(e) && !onlyUnderPrefix(e) {
-			// Top-level parallels must be gone; nested ones under prefixes
-			// remain (the axiom is applied once, not to a fixpoint).
-			t.Errorf("expansion left a top-level parallel: %s", syntax.String(e))
+		if hasPar(e) {
+			// Parallels outside every prefix must be gone; nested ones under
+			// prefixes remain (the axiom is applied once, not to a fixpoint).
+			t.Errorf("expansion left a parallel outside a prefix: %s", syntax.String(e))
 		}
 		got, err := ch.Congruence(syntax.Group(p, q), e, false)
 		if err != nil {
@@ -182,18 +185,63 @@ func TestExpandSoundAndParFree(t *testing.T) {
 	}
 }
 
+// hasPar reports a parallel composition outside every prefix: it walks
+// sums, matches and restrictions down to the first prefix.
 func hasPar(p syntax.Proc) bool {
 	switch t := p.(type) {
 	case syntax.Par:
 		return true
 	case syntax.Sum:
 		return hasPar(t.L) || hasPar(t.R)
+	case syntax.Match:
+		return hasPar(t.Then) || hasPar(t.Else)
+	case syntax.Res:
+		return hasPar(t.Body)
 	default:
 		return false
 	}
 }
 
-func onlyUnderPrefix(syntax.Proc) bool { return true }
+// TestExpanderAllocation bounds what one NormalForm(p | q) and one
+// Expand(p, q) allocate when p and q have 11 free names between them. The
+// expander decides each guard's satisfiability (C4) over the guard's own
+// names; deciding it over the Bell(11) = 678,570 worlds of fn(p, q) for
+// every summand allocated 14.6 GB in this NormalForm.
+func TestExpanderAllocation(t *testing.T) {
+	p, err := parser.Parse("a1!(b1).c1! + a2?(x).x! + a3!(b2) + a4?(z).z!")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := parser.Parse("a1?(y).y! + a5!(b3) + a6?(w).(w! | b4!)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := syntax.FreeNames(p).AddAll(syntax.FreeNames(q)).Len(); n != 11 {
+		t.Fatalf("fn(p, q) has %d names, want 11", n)
+	}
+	const limit = 16 << 20
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if n := allocated(func() {
+		if _, err := NormalForm(syntax.Group(p, q)); err != nil {
+			t.Fatal(err)
+		}
+	}); n > limit {
+		t.Errorf("NormalForm(p | q) allocated %d bytes, want at most %d", n, limit)
+	}
+	if n := allocated(func() {
+		if _, ok := Expand(p, q); !ok {
+			t.Fatal("Expand refused two sums of prefixes")
+		}
+	}); n > limit {
+		t.Errorf("Expand(p, q) allocated %d bytes, want at most %d", n, limit)
+	}
+}
 
 // ---- Head normal forms -------------------------------------------------------
 
@@ -281,6 +329,37 @@ func TestDecidePaperWitnesses(t *testing.T) {
 	must(syntax.Restrict(syntax.Send(a, []names.Name{b}, syntax.SendN(c)), a),
 		syntax.TauP(syntax.SendN(c)), true, "RP2")
 	must(syntax.Restrict(syntax.RecvN(a, x), a), syntax.PNil, true, "RP3")
+}
+
+// TestProverKeepsNoVerdicts pins that a verdict does not depend on what the
+// prover decided before: a pair that needs more than 3 comparisons runs out
+// of a 3-step budget on a prover that has already decided it, as on a fresh
+// one.
+func TestProverKeepsNoVerdicts(t *testing.T) {
+	p, err := parser.Parse("a?(x).(x! | b!) + tau.(a! | b!)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := parser.Parse("a?(y).(b! | y!) + tau.(b! | a!)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := NewProver(nil)
+	if ok, err := pr.Decide(p, q); err != nil || !ok {
+		t.Fatalf("first Decide = %v, %v; want a proof", ok, err)
+	}
+	fresh := NewProver(nil)
+	for _, c := range []struct {
+		name string
+		pr   *Prover
+	}{{"fresh prover", fresh}, {"prover that decided the pair", pr}} {
+		c.pr.MaxSteps = 3
+		ok, err := c.pr.Decide(p, q)
+		var budget ErrBudget
+		if !errors.As(err, &budget) {
+			t.Errorf("%s with MaxSteps 3: Decide = %v, %v; want ErrBudget", c.name, ok, err)
+		}
+	}
 }
 
 // ---- E9: agreement of the prover with the semantic congruence ---------------

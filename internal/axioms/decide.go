@@ -32,8 +32,10 @@ import (
 //   - bound outputs are matched up to a common fresh extruded name.
 //
 // The induction measure is the sum of the two depths, as in the paper; the
-// prover memoises verified pairs and bounds recursion defensively. A Prover
-// is NOT safe for concurrent use; create one per goroutine.
+// prover memoises verified pairs within one Decide call and bounds recursion
+// defensively. It keeps no verdict from one call to the next, so a verdict
+// and the steps it spends do not depend on the prover's history. A Prover is
+// NOT safe for concurrent use; create one per goroutine.
 type Prover struct {
 	Sys *semantics.System
 	// MaxNames bounds |fn(p,q)| at the top level (world count is the Bell
@@ -54,13 +56,13 @@ type Prover struct {
 
 	// Certify records a replayable proof object (internal/cert) for every
 	// Decide call; retrieve it with Certificate. Goals are keyed by the memo
-	// entries of one call, so certifying provers reset the memo per Decide.
+	// entries of the call.
 	Certify bool
 
 	rec      *axRecorder
 	lastCert *cert.Certificate
 
-	memo  map[string]bool
+	memo  map[string]bool // this call's verified pairs
 	steps int
 	trace []string
 	ctx   context.Context // set per Decide/DecideCtx call
@@ -85,7 +87,7 @@ func NewProver(sys *semantics.System) *Prover {
 	if sys == nil {
 		sys = semantics.NewSystem(nil)
 	}
-	return &Prover{Sys: sys, memo: map[string]bool{}}
+	return &Prover{Sys: sys}
 }
 
 func (pr *Prover) maxNames() int {
@@ -143,11 +145,10 @@ func (pr *Prover) DecideCtx(ctx context.Context, p, q syntax.Proc) (bool, error)
 	pr.steps = 0
 	pr.trace = pr.trace[:0]
 	pr.lastCert = nil
+	pr.memo = map[string]bool{}
+	pr.rec = nil
 	if pr.Certify {
-		pr.memo = map[string]bool{}
 		pr.rec = &axRecorder{byKey: map[string]int{}}
-	} else {
-		pr.rec = nil
 	}
 	var worlds []cert.WorldStep
 	for _, w := range Worlds(fn) {
@@ -252,26 +253,10 @@ func (pr *Prover) summandSets(p syntax.Proc, avoid names.Set) (taus []Summand, o
 		case actions.In:
 			ins = append(ins, transToSummand(t))
 		default:
-			if len(t.Act.Bound) > 0 {
-				t = canonBound(t, avoid)
-			}
-			outs = append(outs, transToSummand(t))
+			outs = append(outs, transToSummand(semantics.CanonOut(t, avoid)))
 		}
 	}
 	return taus, outs, ins, nil
-}
-
-// canonBound renames the extruded names of one bound output against avoid,
-// deterministically (both sides of a comparison use the same avoid set).
-func canonBound(t semantics.Trans, avoid names.Set) semantics.Trans {
-	av := avoid.Clone().AddAll(t.Act.FreeNames())
-	ren := names.Subst{}
-	for _, b := range t.Act.Bound {
-		nb := syntax.FreshVariant("e", av)
-		av = av.Add(nb)
-		ren[b] = nb
-	}
-	return semantics.Trans{Act: t.Act.RenameAll(ren), Target: syntax.Apply(t.Target, ren)}
 }
 
 func (pr *Prover) decideWorld1(p, q syntax.Proc, saturate bool) (bool, error) {
@@ -506,8 +491,7 @@ func (pr *Prover) matchInputs(side string, ls, rs []Summand, fn names.Set) (bool
 			avoid = avoid.Add(w)
 			univ = append(univ, w)
 		}
-		payloads := enumTuples(univ, len(l.Binder))
-		for _, payload := range payloads {
+		for _, payload := range names.Tuples(univ, len(l.Binder)) {
 			lc := syntax.Instantiate(l.Cont, l.Binder, payload)
 			var tried []cert.RefuteStep
 			seen := map[string]bool{}
@@ -550,21 +534,6 @@ func (pr *Prover) matchInputs(side string, ls, rs []Summand, fn names.Set) (bool
 		}
 	}
 	return true, nil
-}
-
-func enumTuples(u []names.Name, k int) [][]names.Name {
-	if k == 0 {
-		return [][]names.Name{nil}
-	}
-	rest := enumTuples(u, k-1)
-	out := make([][]names.Name, 0, len(rest)*len(u))
-	for _, n := range u {
-		for _, t := range rest {
-			tt := append([]names.Name{n}, t...)
-			out = append(out, tt)
-		}
-	}
-	return out
 }
 
 func namesEq(a, b []names.Name) bool {

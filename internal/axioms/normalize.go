@@ -15,6 +15,9 @@ import (
 // The result is a sum of condition-guarded prefixes whose continuations are
 // again in normal form.
 //
+// The expansion step is the guarded expander that Expand applies once, here
+// with a composition that normalises each continuation in turn.
+//
 // Soundness: every rewrite is an axiom instance, so NormalForm(p) ~c p
 // (Theorem 6) — verified on random terms in the tests. Arity caveat: like
 // Table 8 itself, the expansion step is faithful on the uniform-arity
@@ -23,291 +26,77 @@ func NormalForm(p syntax.Proc) (syntax.Proc, error) {
 	if !syntax.IsFinite(p) {
 		return nil, fmt.Errorf("axioms: normal form requires a finite process")
 	}
-	n := &normalizer{}
-	return n.norm(p), nil
+	return norm(p), nil
 }
 
-type normalizer struct{ fresh int }
-
-func (n *normalizer) freshName(base names.Name, avoid names.Set) names.Name {
-	return syntax.FreshVariant(base, avoid)
-}
-
-// gsummand is a condition-guarded prefix summand φπ.p, with an optional
-// bound-output binder (νx āx̃ when x ∈ x̃).
-type gsummand struct {
-	cond   Cond
-	binder names.Name // "" unless a bound output
-	pre    syntax.Pre
-	cont   syntax.Proc
-}
-
-func (n *normalizer) norm(p syntax.Proc) syntax.Proc {
+func norm(p syntax.Proc) syntax.Proc {
 	switch t := p.(type) {
 	case syntax.Nil:
 		return t
 	case syntax.Prefix:
-		return syntax.Prefix{Pre: t.Pre, Cont: n.norm(t.Cont)}
+		return syntax.Prefix{Pre: t.Pre, Cont: norm(t.Cont)}
 	case syntax.Sum:
-		return syntax.Sum{L: n.norm(t.L), R: n.norm(t.R)}
+		return syntax.Sum{L: norm(t.L), R: norm(t.R)}
 	case syntax.Match:
-		return syntax.Match{X: t.X, Y: t.Y, Then: n.norm(t.Then), Else: n.norm(t.Else)}
+		return syntax.Match{X: t.X, Y: t.Y, Then: norm(t.Then), Else: norm(t.Else)}
 	case syntax.Res:
-		return n.pushRes(t.X, n.norm(t.Body))
+		return pushRes(t.X, norm(t.Body))
 	case syntax.Par:
-		return n.par(n.norm(t.L), n.norm(t.R))
+		return normPar(norm(t.L), norm(t.R))
 	default:
 		panic("axioms: non-finite node in NormalForm")
 	}
 }
 
-// par eliminates one parallel composition of two normalized operands via the
-// guarded expansion law.
-func (n *normalizer) par(a, b syntax.Proc) syntax.Proc {
+// normPar eliminates one parallel composition of two normalized operands
+// with the expansion axiom, normalizing each composed continuation in turn.
+func normPar(a, b syntax.Proc) syntax.Proc {
 	// Hoist static restrictions (bound-output atoms and stray ν) of both
 	// operands to the outside, alpha-freshened (laws j/k of Lemma 6, all
 	// axiom instances).
 	var binders []names.Name
 	avoid := syntax.FreeNames(a).AddAll(syntax.FreeNames(b))
-	a, binders, avoid = n.hoist(a, binders, avoid)
-	b, binders, avoid = n.hoist(b, binders, avoid)
-	la, ok1 := n.gsummands(a, True{})
-	lb, ok2 := n.gsummands(b, True{})
+	a, binders, avoid = hoist(a, binders, avoid)
+	b, binders, _ = hoist(b, binders, avoid)
+	la, ok1 := gsummands(a, True{})
+	lb, ok2 := gsummands(b, True{})
 	if !ok1 || !ok2 {
 		// Should not happen for normalized, hoisted finite operands.
 		panic("axioms: operand not a guarded prefix sum after hoisting")
 	}
-	out := n.gexpand(la, lb, a, b)
+	out := expand(la, lb, a, b, normPar)
 	// Re-bind the hoisted names.
 	for i := len(binders) - 1; i >= 0; i-- {
-		out = n.pushRes(binders[i], out)
+		out = pushRes(binders[i], out)
 	}
 	return out
 }
 
 // hoist pulls static restrictions of p (at sum/match/top positions) out,
 // renaming them fresh; returns the stripped process and the binder list.
-func (n *normalizer) hoist(p syntax.Proc, binders []names.Name, avoid names.Set) (syntax.Proc, []names.Name, names.Set) {
+func hoist(p syntax.Proc, binders []names.Name, avoid names.Set) (syntax.Proc, []names.Name, names.Set) {
 	switch t := p.(type) {
 	case syntax.Res:
-		x := n.freshName(t.X, avoid)
+		x := syntax.FreshVariant(t.X, avoid)
 		avoid = avoid.Add(x)
 		body := syntax.Rename(t.Body, t.X, x)
 		binders = append(binders, x)
-		return n.hoist(body, binders, avoid)
+		return hoist(body, binders, avoid)
 	case syntax.Sum:
-		l, binders, avoid := n.hoist(t.L, binders, avoid)
-		r, binders, avoid := n.hoist(t.R, binders, avoid)
+		l, binders, avoid := hoist(t.L, binders, avoid)
+		r, binders, avoid := hoist(t.R, binders, avoid)
 		return syntax.Sum{L: l, R: r}, binders, avoid
 	case syntax.Match:
-		l, binders, avoid := n.hoist(t.Then, binders, avoid)
-		r, binders, avoid := n.hoist(t.Else, binders, avoid)
+		l, binders, avoid := hoist(t.Then, binders, avoid)
+		r, binders, avoid := hoist(t.Else, binders, avoid)
 		return syntax.Match{X: t.X, Y: t.Y, Then: l, Else: r}, binders, avoid
 	default:
 		return p, binders, avoid
 	}
 }
 
-// gsummands flattens a hoisted normalized term into guarded summands.
-func (n *normalizer) gsummands(p syntax.Proc, guard Cond) ([]gsummand, bool) {
-	switch t := p.(type) {
-	case syntax.Nil:
-		return nil, true
-	case syntax.Prefix:
-		return []gsummand{{cond: guard, pre: t.Pre, cont: t.Cont}}, true
-	case syntax.Sum:
-		l, ok := n.gsummands(t.L, guard)
-		if !ok {
-			return nil, false
-		}
-		r, ok := n.gsummands(t.R, guard)
-		if !ok {
-			return nil, false
-		}
-		return append(l, r...), true
-	case syntax.Match:
-		l, ok := n.gsummands(t.Then, Conj(guard, Eq{t.X, t.Y}))
-		if !ok {
-			return nil, false
-		}
-		r, ok := n.gsummands(t.Else, Conj(guard, Neq(t.X, t.Y)))
-		if !ok {
-			return nil, false
-		}
-		return append(l, r...), true
-	default:
-		return nil, false
-	}
-}
-
-// rebuild turns guarded summands back into a term.
-func rebuild(ss []gsummand) syntax.Proc {
-	parts := make([]syntax.Proc, 0, len(ss))
-	for _, s := range ss {
-		var body syntax.Proc = syntax.Prefix{Pre: s.pre, Cont: s.cont}
-		if s.binder != "" {
-			body = syntax.Res{X: s.binder, Body: body}
-		}
-		parts = append(parts, CondProc(s.cond, body))
-	}
-	return syntax.Choice(parts...)
-}
-
-// gexpand is the condition-guarded expansion axiom (Table 8) over guarded
-// summand lists; pw and qw are the whole (hoisted) operands for the discard
-// families. Continuations are normalized recursively.
-func (n *normalizer) gexpand(ps, qs []gsummand, pw, qw syntax.Proc) syntax.Proc {
-	var out []gsummand
-	inP := inputChannelsOf(ps)
-	inQ := inputChannelsOf(qs)
-
-	pairPar := func(l, r syntax.Proc) syntax.Proc { return n.par(l, r) }
-
-	// Family 1: joint inputs, [x=y]-guarded.
-	for _, sp := range ps {
-		pin, ok := sp.pre.(syntax.In)
-		if !ok {
-			continue
-		}
-		for _, sq := range qs {
-			qin, ok := sq.pre.(syntax.In)
-			if !ok || len(qin.Params) != len(pin.Params) {
-				continue
-			}
-			avoid := syntax.FreeNames(sp.cont).AddAll(syntax.FreeNames(sq.cont)).
-				AddSlice(pin.Params).AddSlice(qin.Params).Add(pin.Ch).Add(qin.Ch)
-			params := make([]names.Name, len(pin.Params))
-			for i := range params {
-				params[i] = n.freshName(pin.Params[i], avoid)
-				avoid = avoid.Add(params[i])
-			}
-			cl := syntax.Instantiate(sp.cont, pin.Params, params)
-			cr := syntax.Instantiate(sq.cont, qin.Params, params)
-			out = append(out, gsummand{
-				cond: Conj(sp.cond, sq.cond, Eq{pin.Ch, qin.Ch}),
-				pre:  syntax.In{Ch: pin.Ch, Params: params},
-				cont: pairPar(cl, cr),
-			})
-		}
-	}
-	// Families 2–5: outputs heard or discarded, both orientations.
-	out = append(out, n.gOutFamilies(ps, qs, qw, inQ, false)...)
-	out = append(out, n.gOutFamilies(qs, ps, pw, inP, true)...)
-	// Families 6–7: inputs alone.
-	out = append(out, n.gInAlone(ps, qw, inQ, false)...)
-	out = append(out, n.gInAlone(qs, pw, inP, true)...)
-	// Families 8–9: τ interleavings.
-	for _, sp := range ps {
-		if _, ok := sp.pre.(syntax.Tau); ok {
-			out = append(out, gsummand{cond: sp.cond, pre: syntax.Tau{},
-				cont: pairPar(sp.cont, qw)})
-		}
-	}
-	for _, sq := range qs {
-		if _, ok := sq.pre.(syntax.Tau); ok {
-			out = append(out, gsummand{cond: sq.cond, pre: syntax.Tau{},
-				cont: pairPar(pw, sq.cont)})
-		}
-	}
-	// Drop unsatisfiable summands (C4).
-	kept := out[:0]
-	universe := syntax.FreeNames(pw).AddAll(syntax.FreeNames(qw))
-	for _, s := range out {
-		if Satisfiable(s.cond, universe) {
-			kept = append(kept, s)
-		}
-	}
-	return rebuild(kept)
-}
-
-func inputChannelsOf(ss []gsummand) []names.Name {
-	set := names.NewSet()
-	for _, s := range ss {
-		if in, ok := s.pre.(syntax.In); ok {
-			set = set.Add(in.Ch)
-		}
-	}
-	return set.Sorted()
-}
-
-func (n *normalizer) gOutFamilies(movers, sibs []gsummand, sibWhole syntax.Proc,
-	sibChans []names.Name, flip bool) []gsummand {
-	var out []gsummand
-	pair := func(m, s syntax.Proc) syntax.Proc {
-		if flip {
-			return n.par(s, m)
-		}
-		return n.par(m, s)
-	}
-	for _, mv := range movers {
-		o, ok := mv.pre.(syntax.Out)
-		if !ok {
-			continue
-		}
-		for _, sb := range sibs {
-			in, ok := sb.pre.(syntax.In)
-			if !ok || len(in.Params) != len(o.Args) {
-				continue
-			}
-			recv := syntax.Instantiate(sb.cont, in.Params, o.Args)
-			out = append(out, gsummand{
-				cond: Conj(mv.cond, sb.cond, Eq{o.Ch, in.Ch}),
-				pre:  syntax.Out{Ch: o.Ch, Args: o.Args},
-				cont: pair(mv.cont, recv),
-			})
-		}
-		out = append(out, gsummand{
-			cond: Conj(mv.cond, notIn(o.Ch, sibChans)),
-			pre:  syntax.Out{Ch: o.Ch, Args: o.Args},
-			cont: pair(mv.cont, sibWhole),
-		})
-	}
-	return out
-}
-
-func (n *normalizer) gInAlone(movers []gsummand, sibWhole syntax.Proc,
-	sibChans []names.Name, flip bool) []gsummand {
-	var out []gsummand
-	pair := func(m, s syntax.Proc) syntax.Proc {
-		if flip {
-			return n.par(s, m)
-		}
-		return n.par(m, s)
-	}
-	sibFree := syntax.FreeNames(sibWhole)
-	for _, mv := range movers {
-		in, ok := mv.pre.(syntax.In)
-		if !ok {
-			continue
-		}
-		params, cont := in.Params, mv.cont
-		if sibFree.ContainsAny(params) {
-			avoid := sibFree.Clone().AddAll(syntax.FreeNames(cont)).AddSlice(params)
-			ren := names.Subst{}
-			np := make([]names.Name, len(params))
-			for i, b := range params {
-				if sibFree.Contains(b) {
-					np[i] = n.freshName(b, avoid)
-					avoid = avoid.Add(np[i])
-					ren[b] = np[i]
-				} else {
-					np[i] = b
-				}
-			}
-			cont = syntax.Apply(cont, ren)
-			params = np
-		}
-		out = append(out, gsummand{
-			cond: Conj(mv.cond, notIn(in.Ch, sibChans)),
-			pre:  syntax.In{Ch: in.Ch, Params: params},
-			cont: pair(cont, sibWhole),
-		})
-	}
-	return out
-}
-
 // pushRes pushes νx into a normalized term per Table 7.
-func (n *normalizer) pushRes(x names.Name, p syntax.Proc) syntax.Proc {
+func pushRes(x names.Name, p syntax.Proc) syntax.Proc {
 	if !syntax.FreeNames(p).Contains(x) {
 		return p // R1-unused
 	}
@@ -315,33 +104,33 @@ func (n *normalizer) pushRes(x names.Name, p syntax.Proc) syntax.Proc {
 	case syntax.Nil:
 		return t
 	case syntax.Sum: // R2
-		return syntax.Sum{L: n.pushRes(x, t.L), R: n.pushRes(x, t.R)}
+		return syntax.Sum{L: pushRes(x, t.L), R: pushRes(x, t.R)}
 	case syntax.Match:
 		switch {
 		case t.X == t.Y: // (y=y): the then branch
-			return n.pushRes(x, t.Then)
+			return pushRes(x, t.Then)
 		case t.X == x || t.Y == x: // RM1: the private x equals nothing else
-			return n.pushRes(x, t.Else)
+			return pushRes(x, t.Else)
 		default: // RM2
 			return syntax.Match{X: t.X, Y: t.Y,
-				Then: n.pushRes(x, t.Then), Else: n.pushRes(x, t.Else)}
+				Then: pushRes(x, t.Then), Else: pushRes(x, t.Else)}
 		}
 	case syntax.Res:
 		// R1 (swap) then push inside: νx νy q = νy νx q.
-		return syntax.Res{X: t.X, Body: n.pushRes(x, t.Body)}
+		return syntax.Res{X: t.X, Body: pushRes(x, t.Body)}
 	case syntax.Prefix:
 		switch pre := t.Pre.(type) {
 		case syntax.Tau: // R3
-			return syntax.TauP(n.pushRes(x, t.Cont))
+			return syntax.TauP(pushRes(x, t.Cont))
 		case syntax.In:
 			if pre.Ch == x {
 				return syntax.PNil // RP3
 			}
 			// Alpha: parameters never collide with x (binders are fresh).
-			return syntax.Prefix{Pre: pre, Cont: n.pushRes(x, t.Cont)}
+			return syntax.Prefix{Pre: pre, Cont: pushRes(x, t.Cont)}
 		case syntax.Out:
 			if pre.Ch == x {
-				return syntax.TauP(n.pushRes(x, t.Cont)) // RP2
+				return syntax.TauP(pushRes(x, t.Cont)) // RP2
 			}
 			for _, a := range pre.Args {
 				if a == x {
@@ -350,7 +139,7 @@ func (n *normalizer) pushRes(x names.Name, p syntax.Proc) syntax.Proc {
 					return syntax.Res{X: x, Body: syntax.Prefix{Pre: pre, Cont: t.Cont}}
 				}
 			}
-			return syntax.Prefix{Pre: pre, Cont: n.pushRes(x, t.Cont)} // R3
+			return syntax.Prefix{Pre: pre, Cont: pushRes(x, t.Cont)} // R3
 		}
 		panic("axioms: unknown prefix")
 	default:

@@ -235,9 +235,10 @@ func (s *vsys) closureOf(t *vterm, auto bool) ([]*vterm, error) {
 }
 
 // outputsCanon returns t's output transitions with extruded names renamed to
-// the deterministic canonical sequence chosen against avoid (the same
-// convention the pair engine uses: FreshVariant("e") against
-// avoid ∪ fn(act), per bound name in order).
+// the deterministic canonical sequence chosen against avoid: FreshVariant("e")
+// against avoid ∪ fn(act), per bound name in order. semantics.CanonOut is
+// the engine side of this convention, used by the pair engine and the
+// prover; the verifier keeps its own copy.
 func outputsCanon(t *vterm, avoid names.Set) []semantics.Trans {
 	var out []semantics.Trans
 	for _, tr := range t.trans {

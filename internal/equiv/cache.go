@@ -153,21 +153,6 @@ func (c *Checker) eachOutput(ti *termInfo, avoid names.Set, fn func(outTarget) e
 
 // Derived observations -------------------------------------------------------
 
-// canonOut renames the extruded names of one output transition against avoid.
-func canonOut(t semantics.Trans, avoid names.Set) semantics.Trans {
-	if len(t.Act.Bound) == 0 {
-		return t
-	}
-	av := avoid.Clone().AddAll(t.Act.FreeNames())
-	ren := names.Subst{}
-	for _, b := range t.Act.Bound {
-		nb := syntax.FreshVariant("e", av)
-		av = av.Add(nb)
-		ren[b] = nb
-	}
-	return semantics.Trans{Act: t.Act.RenameAll(ren), Target: syntax.Apply(t.Target, ren)}
-}
-
 // inputShapes returns the set of (channel, arity) pairs at which ti listens.
 func inputShapes(ti *termInfo) map[shape]bool {
 	out := map[shape]bool{}
@@ -201,41 +186,4 @@ func pairUniverse(p, q *termInfo, extra int) []names.Name {
 		u = append(u, w)
 	}
 	return u
-}
-
-// tuples enumerates u^k as fresh slices, iteratively (odometer order:
-// position 0 most significant), with the exponential result preallocated.
-func tuples(u []names.Name, k int) [][]names.Name {
-	if k == 0 {
-		return [][]names.Name{nil}
-	}
-	if len(u) == 0 {
-		return nil
-	}
-	total := 1
-	for i := 0; i < k; i++ {
-		total *= len(u)
-	}
-	out := make([][]names.Name, 0, total)
-	backing := make([]names.Name, total*k)
-	idx := make([]int, k)
-	for {
-		t := backing[:k:k]
-		backing = backing[k:]
-		for i, j := range idx {
-			t[i] = u[j]
-		}
-		out = append(out, t)
-		i := k - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(u) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			return out
-		}
-	}
 }

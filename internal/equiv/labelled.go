@@ -105,7 +105,7 @@ func (e *engine) reactionObligations(p, q *termInfo, b *built) error {
 	sortShapes(ordered)
 	for _, s := range ordered {
 		u := pairUniverse(p, q, s.arity)
-		for _, payload := range tuples(u, s.arity) {
+		for _, payload := range names.Tuples(u, s.arity) {
 			pr, err := e.reactTargets(p, s.ch, payload)
 			if err != nil {
 				return err

@@ -286,7 +286,7 @@ func (oq *oneStepQuery) oneStepDirected(mover, answerer *termInfo, side string, 
 	sortShapes(mshapes)
 	for _, s := range mshapes {
 		u := pairUniverse(mover, answerer, s.arity)
-		for _, payload := range tuples(u, s.arity) {
+		for _, payload := range names.Tuples(u, s.arity) {
 			if err := oq.ctx.Err(); err != nil {
 				return nil, false, ErrCanceled{err}
 			}

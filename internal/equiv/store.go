@@ -286,9 +286,9 @@ func (s *Store) tauSucc(ti *termInfo) ([]*termInfo, error) {
 // certificates to keep their spelling. A term whose outputs are all free
 // has labels and targets that do not depend on the pair: they are memoised
 // on the term, computed outside ti.mu and published under it like tauSucc.
-// A bound output renames its extruded names away from avoid (canonOut), so
-// a term with one derives every output on each call. Lookups are not
-// counted as derivations.
+// A bound output renames its extruded names away from avoid
+// (semantics.CanonOut), so a term with one derives every output on each
+// call. Lookups are not counted as derivations.
 func (s *Store) eachOutput(ti *termInfo, avoid names.Set, fn func(outTarget) error) error {
 	if !ti.boundOut {
 		ti.mu.Lock()
@@ -308,7 +308,7 @@ func (s *Store) eachOutput(ti *termInfo, avoid names.Set, fn func(outTarget) err
 		if !t.Act.IsOutput() {
 			continue
 		}
-		t = canonOut(t, avoid)
+		t = semantics.CanonOut(t, avoid)
 		tgt, err := s.intern(t.Target)
 		if err != nil {
 			return err

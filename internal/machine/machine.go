@@ -203,47 +203,9 @@ func CanReachBarb(sys *semantics.System, p syntax.Proc, watch names.Name, maxSta
 }
 
 // CanReachBarbCtx is CanReachBarb honouring ctx (checked once per explored
-// state).
+// state): CanReachBarbAvoidingCtx with no poisoned channel.
 func CanReachBarbCtx(ctx context.Context, sys *semantics.System, p syntax.Proc, watch names.Name, maxStates int) (bool, error) {
-	if sys == nil {
-		sys = semantics.NewSystem(nil)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if maxStates <= 0 {
-		maxStates = 8192
-	}
-	seen := map[string]bool{}
-	queue := []syntax.Proc{p}
-	for len(queue) > 0 {
-		if err := ctx.Err(); err != nil {
-			return false, ErrDeadline{err}
-		}
-		cur := queue[0]
-		queue = queue[1:]
-		k := syntax.Key(syntax.Simplify(cur))
-		if seen[k] {
-			continue
-		}
-		if len(seen) >= maxStates {
-			return false, fmt.Errorf("machine: state budget %d exhausted", maxStates)
-		}
-		seen[k] = true
-		ts, err := sys.Steps(cur)
-		if err != nil {
-			return false, err
-		}
-		for _, t := range ts {
-			if t.Act.IsOutput() && t.Act.Subj == watch {
-				return true, nil
-			}
-			if t.Act.IsStep() {
-				queue = append(queue, t.Target)
-			}
-		}
-	}
-	return false, nil
+	return CanReachBarbAvoidingCtx(ctx, sys, p, watch, nil, maxStates)
 }
 
 // CanReachBarbAvoiding reports whether some autonomous execution reaches a

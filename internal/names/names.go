@@ -174,3 +174,41 @@ func (s Set) String() string {
 	b.WriteByte('}')
 	return b.String()
 }
+
+// Tuples enumerates u^k as fresh slices, iteratively (odometer order:
+// position 0 most significant), with the exponential result preallocated.
+// Tuples(u, 0) is the one empty tuple; for k > 0 an empty u has none.
+func Tuples(u []Name, k int) [][]Name {
+	if k == 0 {
+		return [][]Name{nil}
+	}
+	if len(u) == 0 {
+		return nil
+	}
+	total := 1
+	for i := 0; i < k; i++ {
+		total *= len(u)
+	}
+	out := make([][]Name, 0, total)
+	backing := make([]Name, total*k)
+	idx := make([]int, k)
+	for {
+		t := backing[:k:k]
+		backing = backing[k:]
+		for i, j := range idx {
+			t[i] = u[j]
+		}
+		out = append(out, t)
+		i := k - 1
+		for ; i >= 0; i-- {
+			idx[i]++
+			if idx[i] < len(u) {
+				break
+			}
+			idx[i] = 0
+		}
+		if i < 0 {
+			return out
+		}
+	}
+}

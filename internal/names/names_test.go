@@ -191,3 +191,28 @@ func TestAllFusionsEmptyDomain(t *testing.T) {
 		t.Fatalf("empty domain should yield the identity only: %v", subs)
 	}
 }
+
+// TestTuples pins the odometer order (position 0 most significant) that
+// input payloads are enumerated in, and that the tuples share no storage.
+func TestTuples(t *testing.T) {
+	got := Tuples([]Name{"a", "b"}, 2)
+	want := [][]Name{{"a", "a"}, {"a", "b"}, {"b", "a"}, {"b", "b"}}
+	if len(got) != len(want) {
+		t.Fatalf("Tuples = %v, want %v", got, want)
+	}
+	for i := range want {
+		if len(got[i]) != 2 || got[i][0] != want[i][0] || got[i][1] != want[i][1] {
+			t.Fatalf("Tuples = %v, want %v", got, want)
+		}
+	}
+	_ = append(got[0], "c") // must not write into got[1]
+	if got[1][0] != "a" || got[1][1] != "b" {
+		t.Errorf("appending to one tuple changed the next: %v", got[1])
+	}
+	if got := Tuples([]Name{"a"}, 0); len(got) != 1 || got[0] != nil {
+		t.Errorf("Tuples(u, 0) = %v, want the one empty tuple", got)
+	}
+	if got := Tuples(nil, 1); len(got) != 0 {
+		t.Errorf("Tuples(nil, 1) = %v, want none", got)
+	}
+}

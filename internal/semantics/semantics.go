@@ -44,6 +44,26 @@ func (t Trans) String() string {
 	return fmt.Sprintf("--%s--> %s", t.Act, syntax.String(t.Target))
 }
 
+// CanonOut renames the extruded names of one output transition against
+// avoid: each bound name, in order, becomes syntax.FreshVariant("e") chosen
+// against avoid ∪ fn(α) and the names picked before it. Two terms renamed
+// against one avoid set extrude under the same names, so their bound-output
+// labels align. The pair engine and the prover use this convention; the
+// certificate verifier keeps its own copy of it (internal/cert).
+func CanonOut(t Trans, avoid names.Set) Trans {
+	if len(t.Act.Bound) == 0 {
+		return t
+	}
+	av := avoid.Clone().AddAll(t.Act.FreeNames())
+	ren := names.Subst{}
+	for _, b := range t.Act.Bound {
+		nb := syntax.FreshVariant("e", av)
+		av = av.Add(nb)
+		ren[b] = nb
+	}
+	return Trans{Act: t.Act.RenameAll(ren), Target: syntax.Apply(t.Target, ren)}
+}
+
 // System fixes the semantic context: a definitions environment and guard
 // budgets. The zero value is usable (empty environment, default budget).
 type System struct {

@@ -615,3 +615,34 @@ func TestStepsOnStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonOut pins the extrusion convention: each bound name becomes the
+// first FreshVariant("e") outside avoid ∪ fn(α), in order, in the label and
+// the target alike, and a free output is left as it is.
+func TestCanonOut(t *testing.T) {
+	sys := NewSystem(nil)
+	bound := syntax.Restrict(syntax.Send(a, []names.Name{x}, syntax.SendN(x)), x)
+	ts, err := sys.Steps(bound)
+	if err != nil || len(ts) != 1 || len(ts[0].Act.Bound) != 1 {
+		t.Fatalf("Steps(%s) = %v, %v", syntax.String(bound), ts, err)
+	}
+	for _, c := range []struct {
+		avoid names.Set
+		want  names.Name
+	}{{nil, "e·1"}, {names.NewSet("e·1"), "e·2"}} {
+		got := CanonOut(ts[0], c.avoid)
+		if len(got.Act.Bound) != 1 || got.Act.Bound[0] != c.want || got.Act.Objs[0] != c.want {
+			t.Errorf("avoid %v: label %s, want %s extruded", c.avoid, got.Act, c.want)
+		}
+		if s := syntax.String(got.Target); s != string(c.want)+"!" {
+			t.Errorf("avoid %v: target %s, want %s!", c.avoid, s, c.want)
+		}
+	}
+	free, err := sys.Steps(syntax.SendN(a, b))
+	if err != nil || len(free) != 1 {
+		t.Fatalf("Steps(a!(b)) = %v, %v", free, err)
+	}
+	if got := CanonOut(free[0], nil); got.String() != free[0].String() {
+		t.Errorf("a free output changed: %s", got)
+	}
+}
