@@ -24,18 +24,6 @@ type (
 	ProveRequest = service.ProveRequest
 	// ProveResponse is a daemon provability verdict.
 	ProveResponse = service.ProveResponse
-	// RunRequest asks a daemon for one scheduled machine execution.
-	RunRequest = service.RunRequest
-	// RunResponse is a daemon machine-execution report.
-	RunResponse = service.RunResponse
-	// ParseResponse is a daemon term canonicalisation.
-	ParseResponse = service.ParseResponse
-	// StepResponse lists a term's symbolic transitions.
-	StepResponse = service.StepResponse
-	// ExploreResponse summarises an explored transition graph.
-	ExploreResponse = service.ExploreResponse
-	// ExploreRequest configures a daemon graph exploration.
-	ExploreRequest = service.ExploreRequest
 	// APIError is the typed error a daemon returns (code + message, plus a
 	// Retry-After hint on admission sheds).
 	APIError = service.ErrorBody
@@ -86,24 +74,18 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// call POSTs (or GETs, when in is nil) JSON and decodes into out, returning
-// the daemon's typed *APIError on non-2xx responses.
-func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
+// post POSTs in as JSON and decodes the answer into out, returning the
+// daemon's typed *APIError on non-2xx responses.
+func (c *Client) post(ctx context.Context, path string, in, out any) error {
+	buf, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(buf))
+	if err != nil {
+		return err
 	}
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return err
@@ -121,9 +103,6 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 			return &er.Error
 		}
 		return fmt.Errorf("bpid: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
-	}
-	if out == nil {
-		return nil
 	}
 	return json.Unmarshal(data, out)
 }
@@ -146,31 +125,10 @@ func (c *Client) Health(ctx context.Context) error {
 	return nil
 }
 
-// ParseRemote canonicalises a term on the daemon.
-func (c *Client) ParseRemote(ctx context.Context, term string) (*ParseResponse, error) {
-	var out ParseResponse
-	err := c.call(ctx, http.MethodPost, "/v1/parse", service.ParseRequest{Term: term}, &out)
-	return &out, err
-}
-
-// Step lists a term's symbolic transitions, computed on the daemon.
-func (c *Client) Step(ctx context.Context, term string) (*StepResponse, error) {
-	var out StepResponse
-	err := c.call(ctx, http.MethodPost, "/v1/step", service.StepRequest{Term: term}, &out)
-	return &out, err
-}
-
-// ExploreRemote summarises the finite transition graph of a term.
-func (c *Client) ExploreRemote(ctx context.Context, req ExploreRequest) (*ExploreResponse, error) {
-	var out ExploreResponse
-	err := c.call(ctx, http.MethodPost, "/v1/explore", req, &out)
-	return &out, err
-}
-
 // Equiv asks the daemon for an equivalence verdict.
 func (c *Client) Equiv(ctx context.Context, req EquivRequest) (*EquivResponse, error) {
 	var out EquivResponse
-	err := c.call(ctx, http.MethodPost, "/v1/equiv", req, &out)
+	err := c.post(ctx, "/v1/equiv", req, &out)
 	return &out, err
 }
 
@@ -248,14 +206,7 @@ func (c *Client) Batch(ctx context.Context, req BatchRequest) (*BatchResult, err
 // Prove asks the daemon whether A ⊢ p = q.
 func (c *Client) Prove(ctx context.Context, req ProveRequest) (*ProveResponse, error) {
 	var out ProveResponse
-	err := c.call(ctx, http.MethodPost, "/v1/prove", req, &out)
-	return &out, err
-}
-
-// RunRemote executes one scheduled run on the daemon.
-func (c *Client) RunRemote(ctx context.Context, req RunRequest) (*RunResponse, error) {
-	var out RunResponse
-	err := c.call(ctx, http.MethodPost, "/v1/run", req, &out)
+	err := c.post(ctx, "/v1/prove", req, &out)
 	return &out, err
 }
 

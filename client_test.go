@@ -41,13 +41,6 @@ func smoke(t *testing.T, cl *bpi.Client) {
 	if err := cl.Health(ctx); err != nil {
 		t.Fatal(err)
 	}
-	pr, err := cl.ParseRemote(ctx, "a!(b) | a?(x).x!")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Canonical == "" || len(pr.FreeNames) == 0 {
-		t.Fatalf("parse: %+v", pr)
-	}
 	req := bpi.EquivRequest{P: "a?(x).x!", Q: "a?(y).y!", Rel: "labelled"}
 	first, err := cl.Equiv(ctx, req)
 	if err != nil {
@@ -69,13 +62,6 @@ func smoke(t *testing.T, cl *bpi.Client) {
 	}
 	if !pv.Proved {
 		t.Fatal("A ⊢ a!+a! = a! expected provable")
-	}
-	rn, err := cl.RunRemote(ctx, bpi.RunRequest{Term: "a!.b!.0", KeepTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn.Steps != 2 || len(rn.Trace) != 2 {
-		t.Fatalf("run: %+v", rn)
 	}
 	text, err := cl.Metrics(ctx)
 	if err != nil {

@@ -5,22 +5,32 @@
 //
 //	bpi steps    [-f file] [term]    print the symbolic transitions
 //	bpi discards [-f file] term chan report the discard relation
-//	bpi explore  [-f file] [-n max] [term]
+//	bpi explore  [-f file] [-n max] [-auto] [-dot out.dot] [term]
 //	                                 build and summarise the transition graph
-//	bpi run      [-f file] [-n max] [-seed s] [-trace] [term]
+//	bpi run      [-f file] [-n max] [-seed s] [-trace] [-stop chan] [term]
 //	                                 execute by broadcast scheduling
 //	bpi fmt      [-f file] [term]    parse and pretty-print
-//	bpi protocols [-list] [-run name] [-cert out.json]
+//	bpi protocols [-list] [-run name] [-cert out.json] [-terms]
 //	                                 list/run the broadcast-algorithm
 //	                                 scenario library (internal/protocols)
 //
 // Terms come from the command line or from a program file (-f) holding
-// "let" definitions and a main term.
+// "let" definitions and a main term. explore -auto keeps only autonomous
+// moves, -dot writes the graph in Graphviz DOT; run -stop ends the run when
+// the named channel fires; protocols -terms prints the scenario's terms.
+//
+// The exit status is 0 on success and for help, 1 when the command fails (a
+// term that does not parse or is missing, a call to an undefined
+// identifier or with the wrong arity, the unfold budget, an unknown
+// scenario, or a verdict that deviates from its scenario) and 2 on a usage
+// error (no or an unknown subcommand, an unknown flag, a missing operand).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -32,54 +42,83 @@ import (
 	"bpi/internal/syntax"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "steps":
-		err = cmdSteps(args)
-	case "discards":
-		err = cmdDiscards(args)
-	case "explore":
-		err = cmdExplore(args)
-	case "run":
-		err = cmdRun(args)
-	case "fmt":
-		err = cmdFmt(args)
-	case "protocols":
-		err = cmdProtocols(args)
-	case "help", "-h", "--help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "bpi: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bpi:", err)
-		os.Exit(1)
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `bpi — the broadcast π-calculus toolkit
+const usageText = `bpi — the broadcast π-calculus toolkit
 
   bpi steps    [-f file] [term]                transitions of a term
   bpi discards [-f file] term chan             discard relation
-  bpi explore  [-f file] [-n max] [term]       reachable transition graph
-  bpi run      [-f file] [-n max] [-seed s] [-trace] [term]
+  bpi explore  [-f file] [-n max] [-auto] [-dot out.dot] [term]
+                                               reachable transition graph
+  bpi run      [-f file] [-n max] [-seed s] [-trace] [-stop chan] [term]
+                                               execute by broadcast scheduling
   bpi fmt      [-f file] [term]                parse and pretty-print
   bpi protocols [-list] [-run name] [-cert out.json] [-terms]
                                                broadcast-algorithm scenario library
-`)
+`
+
+// errUsage marks a usage error: the command line, not the term, is wrong.
+var errUsage = errors.New("usage error")
+
+// run is the whole command and returns its exit status. Each subcommand
+// parses its own flags from its arguments.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usageText)
+		return 2
+	}
+	var err error
+	switch cmd, rest := args[0], args[1:]; cmd {
+	case "steps":
+		err = cmdSteps(rest, stdout, stderr)
+	case "discards":
+		err = cmdDiscards(rest, stdout, stderr)
+	case "explore":
+		err = cmdExplore(rest, stdout, stderr)
+	case "run":
+		err = cmdRun(rest, stdout, stderr)
+	case "fmt":
+		err = cmdFmt(rest, stdout, stderr)
+	case "protocols":
+		err = cmdProtocols(rest, stdout, stderr)
+	case "help", "-h", "--help":
+		fmt.Fprint(stdout, usageText)
+	default:
+		fmt.Fprintf(stderr, "bpi: unknown command %q\n%s", cmd, usageText)
+		return 2
+	}
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	default:
+		fmt.Fprintln(stderr, "bpi:", err)
+		return 1
+	}
 }
 
-// load parses the term and environment from flags/arguments.
-func load(fs *flag.FlagSet, file string, args []string) (syntax.Proc, syntax.Env, error) {
+// flags returns a subcommand's flag set with its -f flag; a flag error is
+// written to stderr.
+func flags(name string, stderr io.Writer) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet("bpi "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs, fs.String("f", "", "program file with definitions")
+}
+
+// parse parses a subcommand's flags. An unknown flag is a usage error; -h
+// returns flag.ErrHelp, after the flag set has printed its defaults.
+func parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
+}
+
+// load parses the term and environment from flags/arguments. Every call in
+// the term must name a definition with its arity.
+func load(file string, args []string) (syntax.Proc, syntax.Env, error) {
 	var env syntax.Env
 	var main syntax.Proc
 	if file != "" {
@@ -103,73 +142,76 @@ func load(fs *flag.FlagSet, file string, args []string) (syntax.Proc, syntax.Env
 	if main == nil {
 		return nil, nil, fmt.Errorf("no term given (argument or -f file with a main term)")
 	}
+	if err := env.CheckCalls("the term", main); err != nil {
+		return nil, nil, err
+	}
 	return main, env, nil
 }
 
-func cmdSteps(args []string) error {
-	fs := flag.NewFlagSet("steps", flag.ExitOnError)
-	file := fs.String("f", "", "program file with definitions")
-	fs.Parse(args)
-	p, env, err := load(fs, *file, fs.Args())
+func cmdSteps(args []string, stdout, stderr io.Writer) error {
+	fs, file := flags("steps", stderr)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	p, env, err := load(*file, fs.Args())
 	if err != nil {
 		return err
 	}
-	sys := semantics.NewSystem(env)
-	ts, err := sys.Steps(p)
+	ts, err := semantics.NewSystem(env).Steps(p)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s\n", syntax.String(p))
+	fmt.Fprintf(stdout, "%s\n", syntax.String(p))
 	if len(ts) == 0 {
-		fmt.Println("  (no transitions)")
+		fmt.Fprintln(stdout, "  (no transitions)")
 	}
 	for _, t := range ts {
-		fmt.Printf("  %s\n", t)
+		fmt.Fprintf(stdout, "  %s\n", t)
 	}
 	return nil
 }
 
-func cmdDiscards(args []string) error {
-	fs := flag.NewFlagSet("discards", flag.ExitOnError)
-	file := fs.String("f", "", "program file with definitions")
-	fs.Parse(args)
+func cmdDiscards(args []string, stdout, stderr io.Writer) error {
+	fs, file := flags("discards", stderr)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	rest := fs.Args()
 	if len(rest) < 2 {
-		return fmt.Errorf("usage: bpi discards [-f file] term chan")
+		fmt.Fprintln(stderr, "usage: bpi discards [-f file] term chan")
+		return errUsage
 	}
 	ch := names.Name(rest[len(rest)-1])
-	p, env, err := load(fs, *file, rest[:len(rest)-1])
+	p, env, err := load(*file, rest[:len(rest)-1])
 	if err != nil {
 		return err
 	}
-	sys := semantics.NewSystem(env)
-	d, err := sys.Discards(p, ch)
+	d, err := semantics.NewSystem(env).Discards(p, ch)
 	if err != nil {
 		return err
 	}
 	if d {
-		fmt.Printf("%s discards %s\n", syntax.String(p), ch)
+		fmt.Fprintf(stdout, "%s discards %s\n", syntax.String(p), ch)
 	} else {
-		fmt.Printf("%s is listening on %s\n", syntax.String(p), ch)
+		fmt.Fprintf(stdout, "%s is listening on %s\n", syntax.String(p), ch)
 	}
 	return nil
 }
 
-func cmdExplore(args []string) error {
-	fs := flag.NewFlagSet("explore", flag.ExitOnError)
-	file := fs.String("f", "", "program file with definitions")
+func cmdExplore(args []string, stdout, stderr io.Writer) error {
+	fs, file := flags("explore", stderr)
 	max := fs.Int("n", 4096, "state budget")
 	auto := fs.Bool("auto", false, "autonomous moves only (no input grounding)")
 	dot := fs.String("dot", "", "write the graph in Graphviz DOT format to this file")
-	fs.Parse(args)
-	p, env, err := load(fs, *file, fs.Args())
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	p, env, err := load(*file, fs.Args())
 	if err != nil {
 		return err
 	}
-	if issues := syntax.CheckSorts(p, env); len(issues) > 0 {
-		for _, is := range issues {
-			fmt.Fprintf(os.Stderr, "warning: %s (a mismatched listener blocks broadcasts)\n", is)
-		}
+	for _, is := range syntax.CheckSorts(p, env) {
+		fmt.Fprintf(stderr, "warning: %s (a mismatched listener blocks broadcasts)\n", is)
 	}
 	g, err := lts.Explore(semantics.NewSystem(env), []syntax.Proc{p}, lts.Options{
 		MaxStates: *max, AutonomousOnly: *auto,
@@ -179,38 +221,41 @@ func cmdExplore(args []string) error {
 	}
 	if *dot != "" {
 		f, err := os.Create(*dot)
+		if err == nil {
+			err = g.WriteDOT(f, 0)
+			if cerr := f.Close(); err == nil {
+				err = cerr // a failed write can show first at Close
+			}
+		}
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := g.WriteDOT(f, 0); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *dot)
+		fmt.Fprintf(stdout, "wrote %s\n", *dot)
 	}
-	fmt.Println(g)
+	fmt.Fprintln(stdout, g)
 	for i, st := range g.States {
 		if i >= 20 {
-			fmt.Printf("  … %d more states\n", len(g.States)-20)
+			fmt.Fprintf(stdout, "  … %d more states\n", len(g.States)-20)
 			break
 		}
-		fmt.Printf("  s%d: %s\n", i, syntax.String(st.Proc))
+		fmt.Fprintf(stdout, "  s%d: %s\n", i, syntax.String(st.Proc))
 		for _, e := range g.Edges[i] {
-			fmt.Printf("      --%s--> s%d\n", e.Lab, e.Dst)
+			fmt.Fprintf(stdout, "      --%s--> s%d\n", e.Lab, e.Dst)
 		}
 	}
 	return nil
 }
 
-func cmdRun(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	file := fs.String("f", "", "program file with definitions")
+func cmdRun(args []string, stdout, stderr io.Writer) error {
+	fs, file := flags("run", stderr)
 	max := fs.Int("n", 200, "step budget")
 	seed := fs.Int64("seed", 1, "scheduler seed")
 	trace := fs.Bool("trace", false, "print every fired transition")
 	stop := fs.String("stop", "", "stop when this channel fires")
-	fs.Parse(args)
-	p, env, err := load(fs, *file, fs.Args())
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	p, env, err := load(*file, fs.Args())
 	if err != nil {
 		return err
 	}
@@ -227,25 +272,26 @@ func cmdRun(args []string) error {
 		return err
 	}
 	for _, ev := range res.Trace {
-		fmt.Printf("  %s\n", ev)
+		fmt.Fprintf(stdout, "  %s\n", ev)
 	}
 	switch {
 	case res.Stopped:
-		fmt.Printf("stopped after %d steps at %s\n", res.Steps, res.StopEvent)
+		fmt.Fprintf(stdout, "stopped after %d steps at %s\n", res.Steps, res.StopEvent)
 	case res.Quiescent:
-		fmt.Printf("quiescent after %d steps\n", res.Steps)
+		fmt.Fprintf(stdout, "quiescent after %d steps\n", res.Steps)
 	default:
-		fmt.Printf("step budget reached (%d)\n", res.Steps)
+		fmt.Fprintf(stdout, "step budget reached (%d)\n", res.Steps)
 	}
-	fmt.Printf("final: %s\n", syntax.String(res.Final))
+	fmt.Fprintf(stdout, "final: %s\n", syntax.String(res.Final))
 	return nil
 }
 
-func cmdFmt(args []string) error {
-	fs := flag.NewFlagSet("fmt", flag.ExitOnError)
-	file := fs.String("f", "", "program file with definitions")
-	fs.Parse(args)
-	p, env, err := load(fs, *file, fs.Args())
+func cmdFmt(args []string, stdout, stderr io.Writer) error {
+	fs, file := flags("fmt", stderr)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	p, env, err := load(*file, fs.Args())
 	if err != nil {
 		return err
 	}
@@ -255,8 +301,8 @@ func cmdFmt(args []string) error {
 		for i, x := range d.Params {
 			params[i] = string(x)
 		}
-		fmt.Printf("let %s(%s) = %s\n", id, strings.Join(params, ","), syntax.String(d.Body))
+		fmt.Fprintf(stdout, "let %s(%s) = %s\n", id, strings.Join(params, ","), syntax.String(d.Body))
 	}
-	fmt.Println(syntax.String(p))
+	fmt.Fprintln(stdout, syntax.String(p))
 	return nil
 }

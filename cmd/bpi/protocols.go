@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -15,16 +16,19 @@ import (
 // decides the named scenario's conformance check, prints the verdict
 // against the scenario's expectation, optionally writes the certificate
 // (verify it with `bpicert verify`), and fails when the verdict deviates.
-func cmdProtocols(args []string) error {
-	fs := flag.NewFlagSet("protocols", flag.ExitOnError)
+func cmdProtocols(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bpi protocols", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the scenario catalogue and exit")
 	run := fs.String("run", "", "decide the named scenario (see -list)")
 	certOut := fs.String("cert", "", "write the verdict's certificate JSON to this file")
 	terms := fs.Bool("terms", false, "with -run, print the implementation and spec terms")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 
 	if *run == "" || *list {
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "NAME\tALGO\tRELATION\tFAULT\tEXPECT\tSTATES")
 		for _, s := range protocols.Catalogue() {
 			rel := string(s.Rel)
@@ -49,8 +53,16 @@ func cmdProtocols(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown scenario %q (bpi protocols -list)", *run)
 	}
-	if *terms {
-		fmt.Printf("impl: %s\nspec: %s\n", syntax.Print(s.Impl), syntax.Print(s.Spec))
+	return decideScenario(s, *terms, *certOut, stdout)
+}
+
+// decideScenario decides s's conformance check and prints the verdict,
+// with the scenario's terms when terms is set, writing the certificate to
+// certOut when it is not empty. It fails when the verdict deviates from
+// the scenario's expectation.
+func decideScenario(s protocols.Scenario, terms bool, certOut string, stdout io.Writer) error {
+	if terms {
+		fmt.Fprintf(stdout, "impl: %s\nspec: %s\n", syntax.Print(s.Impl), syntax.Print(s.Spec))
 	}
 	r, err := protocols.Decide(protocols.NewChecker(), s)
 	if err != nil {
@@ -64,11 +76,11 @@ func cmdProtocols(args []string) error {
 	if !r.Related {
 		verdict = "distinguished"
 	}
-	fmt.Printf("%s: impl and spec are %s (%s, %d pairs explored)\n", s.Name, verdict, rel, r.Pairs)
+	fmt.Fprintf(stdout, "%s: impl and spec are %s (%s, %d pairs explored)\n", s.Name, verdict, rel, r.Pairs)
 	if !r.Related && r.Reason != "" {
-		fmt.Printf("  reason: %s\n", r.Reason)
+		fmt.Fprintf(stdout, "  reason: %s\n", r.Reason)
 	}
-	if *certOut != "" {
+	if certOut != "" {
 		if r.Cert == nil {
 			return fmt.Errorf("no certificate produced")
 		}
@@ -76,10 +88,10 @@ func cmdProtocols(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*certOut, raw, 0o644); err != nil {
+		if err := os.WriteFile(certOut, raw, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("  certificate: %s (check with: bpicert verify %s)\n", *certOut, *certOut)
+		fmt.Fprintf(stdout, "  certificate: %s (check with: bpicert verify %s)\n", certOut, certOut)
 	}
 	if r.Related != s.WantEquiv {
 		return fmt.Errorf("verdict %s deviates from the scenario's expectation", verdict)

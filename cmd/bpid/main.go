@@ -1,7 +1,8 @@
 // Command bpid is the resident bπ equivalence-checking daemon: it serves
-// parse/step/explore, equivalence, prover and machine-run queries over
-// HTTP/JSON from ONE shared term store, so concurrent and repeated queries
-// reuse each other's derivations.
+// equivalence and prover queries over HTTP/JSON from ONE shared term
+// store, so concurrent and repeated queries reuse each other's
+// derivations. Stepping, exploring, running and formatting one term is
+// `bpi steps|explore|run|fmt`.
 //
 // Usage:
 //
@@ -11,9 +12,8 @@
 //	     [-ledger DIR] [-merkle-batch N] [-merkle-wait-ms MS]
 //	     [-batch-max N] [-admission-queue N]
 //
-// One gate admits all work that takes a worker: every endpoint but
-// /v1/parse and the GETs other than /v1/ledger/proof/{key}, and each
-// /v1/equiv/batch item. It queues at most
+// One gate admits all work that takes a worker: every POST, GET
+// /v1/ledger/proof/{key}, and each /v1/equiv/batch item. It queues at most
 // -admission-queue of them beyond the -workers running, and sheds the rest
 // with typed 429s (queue_full, deadline_budget, draining) and Retry-After
 // hints; see /metrics bpid_admission_*. A request's deadline (timeout_ms,
@@ -30,10 +30,9 @@
 // first). Inspect with `bpiledger`, or over HTTP via GET /v1/ledger/stats
 // and GET /v1/ledger/proof/{key}.
 //
-// Endpoints: POST /v1/{parse,step,explore,equiv,prove,run} and
-// /v1/equiv/batch, GET /v1/ledger/{stats,proof/{key}}, /healthz, /metrics
-// (Prometheus text, including bpid_engine_events_total engine counters),
-// GET /trace/{id} (the span tree and counters of one of the last 256
+// Endpoints: POST /v1/equiv, /v1/equiv/batch and /v1/prove; GET
+// /v1/ledger/{stats,proof/{key}}, /healthz, /metrics (Prometheus text,
+// including bpid_engine_events_total engine counters), GET /trace/{id} (the span tree and counters of one of the last 256
 // gated requests, named by its X-Trace-Id header or a batch item's
 // trace_id) and GET /debug/pprof/ (the standard Go profiling surface). See
 // the README section "Running the daemon" for curl examples. bpid runs the

@@ -23,9 +23,9 @@
 //   - the paper's worked examples (distributed cycle detection, transaction
 //     inconsistency detection, PVM-style dynamic group communication) are
 //     available as prebuilt environments;
-//   - a resident checking daemon (cmd/bpid) serves all of the above over
-//     HTTP/JSON from one shared term store with a verdict cache; talk to it
-//     with Client (NewClient) or embed its core with NewService.
+//   - a resident checking daemon (cmd/bpid) serves the equivalences and the
+//     prover over HTTP/JSON from one shared term store with a verdict cache;
+//     talk to it with Client (NewClient) or embed its core with NewService.
 //
 // # Quickstart
 //

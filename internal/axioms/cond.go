@@ -150,14 +150,25 @@ func (w World) String() string {
 	return b.String()
 }
 
-// Worlds enumerates every partition of V (every complete condition on V,
+// Worlds lists every partition of V (every complete condition on V,
 // Definition 16). The count is the Bell number of |V|; callers should keep
 // V small (≤ 6 names ⇒ 203 worlds).
 func Worlds(v names.Set) []World {
-	sorted := v.Sorted()
 	var out []World
-	var rec func(i int, classes [][]names.Name)
-	rec = func(i int, classes [][]names.Name) {
+	eachWorld(v, func(w World) bool {
+		out = append(out, w)
+		return true
+	})
+	return out
+}
+
+// eachWorld calls f on the partitions of V one at a time, in the order
+// Worlds lists them, until f returns false. Only the world f is given is
+// built, so a caller that stops early pays for the worlds it looked at.
+func eachWorld(v names.Set, f func(World) bool) {
+	sorted := v.Sorted()
+	var rec func(i int, classes [][]names.Name) bool
+	rec = func(i int, classes [][]names.Name) bool {
 		if i == len(sorted) {
 			rep := names.Subst{}
 			for _, cls := range classes {
@@ -171,19 +182,20 @@ func Worlds(v names.Set) []World {
 					rep[x] = least
 				}
 			}
-			out = append(out, World{V: append([]names.Name(nil), sorted...), Rep: rep})
-			return
+			return f(World{V: append([]names.Name(nil), sorted...), Rep: rep})
 		}
 		x := sorted[i]
 		for k := range classes {
 			classes[k] = append(classes[k], x)
-			rec(i+1, classes)
+			more := rec(i+1, classes)
 			classes[k] = classes[k][:len(classes[k])-1]
+			if !more {
+				return false
+			}
 		}
-		rec(i+1, append(classes, []names.Name{x}))
+		return rec(i+1, append(classes, []names.Name{x}))
 	}
 	rec(0, nil)
-	return out
 }
 
 // Agrees reports whether a substitution σ agrees with a condition φ
@@ -192,16 +204,16 @@ func Agrees(sigma names.Subst, c Cond) bool {
 	return c.Eval(sigma)
 }
 
-// Implies reports φ ⇒ ψ over the given name universe, by checking every
-// world.
+// Implies reports φ ⇒ ψ over the given name universe, checking the worlds
+// until one satisfies φ and not ψ.
 func Implies(phi, psi Cond, v names.Set) bool {
 	u := v.Clone().AddAll(CondNames(phi)).AddAll(CondNames(psi))
-	for _, w := range Worlds(u) {
-		if phi.Eval(w.Rep) && !psi.Eval(w.Rep) {
-			return false
-		}
-	}
-	return true
+	holds := true
+	eachWorld(u, func(w World) bool {
+		holds = !phi.Eval(w.Rep) || psi.Eval(w.Rep)
+		return holds
+	})
+	return holds
 }
 
 // Equivalent reports φ ⇔ ψ over the given name universe.
@@ -209,15 +221,16 @@ func Equivalent(phi, psi Cond, v names.Set) bool {
 	return Implies(phi, psi, v) && Implies(psi, phi, v)
 }
 
-// Satisfiable reports that some world satisfies φ.
+// Satisfiable reports that some world satisfies φ, checking the worlds
+// until one does.
 func Satisfiable(phi Cond, v names.Set) bool {
 	u := v.Clone().AddAll(CondNames(phi))
-	for _, w := range Worlds(u) {
-		if phi.Eval(w.Rep) {
-			return true
-		}
-	}
-	return false
+	found := false
+	eachWorld(u, func(w World) bool {
+		found = phi.Eval(w.Rep)
+		return !found
+	})
+	return found
 }
 
 // CondProc builds the process φp (the paper's shorthand for φp,nil),

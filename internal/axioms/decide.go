@@ -122,8 +122,10 @@ func (pr *Prover) Decide(p, q syntax.Proc) (bool, error) {
 }
 
 // DecideCtx is Decide honouring ctx: cancellation or deadline expiry aborts
-// the derivation search (checked at every pair comparison) with an error
-// wrapping ctx.Err().
+// the derivation search (checked at every pair comparison, so at every
+// world) with an error wrapping ctx.Err(). The worlds are enumerated one at
+// a time, so the search stops within one world of the deadline however
+// many worlds the free names have.
 func (pr *Prover) DecideCtx(ctx context.Context, p, q syntax.Proc) (bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -151,25 +153,33 @@ func (pr *Prover) DecideCtx(ctx context.Context, p, q syntax.Proc) (bool, error)
 		pr.rec = &axRecorder{byKey: map[string]int{}}
 	}
 	var worlds []cert.WorldStep
-	for _, w := range Worlds(fn) {
+	var err error
+	refuted := false
+	eachWorld(fn, func(w World) bool {
 		pr.tracef("world %s: specialise both sides with σ=%s (Lemma 19)", w, w.Rep)
 		cWorlds.Add(1)
 		ws := span.Child("axioms.world")
-		ok, err := pr.decideWorld(syntax.Apply(p, w.Rep), syntax.Apply(q, w.Rep), false)
+		var ok bool
+		ok, err = pr.decideWorld(syntax.Apply(p, w.Rep), syntax.Apply(q, w.Rep), false)
 		ws.End()
 		if err != nil {
-			return false, err
+			return false
 		}
 		if !ok {
 			pr.tracef("world %s: strict summand matching FAILED — not provable", w)
 			// A refutation names exactly the failing world.
 			pr.finishCert(p, q, false, []cert.WorldStep{{Rep: repStrings(w.Rep), Goal: pr.recLast()}})
-			return false, nil
+			refuted = true
+			return false
 		}
 		if pr.rec != nil {
 			worlds = append(worlds, cert.WorldStep{Rep: repStrings(w.Rep), Goal: pr.rec.last})
 		}
 		pr.tracef("world %s: all summands matched", w)
+		return true
+	})
+	if err != nil || refuted {
+		return false, err
 	}
 	pr.tracef("A ⊢ p = q by (C3)-recombination of the world instances")
 	pr.finishCert(p, q, true, worlds)

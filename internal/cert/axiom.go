@@ -42,18 +42,15 @@ func (s vsum) label() string {
 	return OutLabel(string(s.ch), nameStrings(s.objs), s.bound, nameStrings(s.binder))
 }
 
-// vWorld mirrors the prover's World: the representative substitution of one
-// partition of the free names.
-type vWorld struct{ rep names.Subst }
-
-// vWorlds re-enumerates every partition of v, in the same order as the
-// prover (element i joins each existing class in order, then founds a new
-// one).
-func vWorlds(v names.Set) []vWorld {
+// eachVWorld calls f on the representative substitution of each partition
+// of v, in the same order as the prover (element i joins each existing
+// class in order, then founds a new one), until f returns false. Only the
+// partition f is given is built, so the verifier's work on worlds stops
+// with the certificate's list of them.
+func eachVWorld(v names.Set, f func(rep names.Subst) bool) {
 	sorted := v.Sorted()
-	var out []vWorld
-	var rec func(i int, classes [][]names.Name)
-	rec = func(i int, classes [][]names.Name) {
+	var rec func(i int, classes [][]names.Name) bool
+	rec = func(i int, classes [][]names.Name) bool {
 		if i == len(sorted) {
 			rep := names.Subst{}
 			for _, cls := range classes {
@@ -67,19 +64,20 @@ func vWorlds(v names.Set) []vWorld {
 					rep[x] = least
 				}
 			}
-			out = append(out, vWorld{rep: rep})
-			return
+			return f(rep)
 		}
 		x := sorted[i]
 		for k := range classes {
 			classes[k] = append(classes[k], x)
-			rec(i+1, classes)
+			more := rec(i+1, classes)
 			classes[k] = classes[k][:len(classes[k])-1]
+			if !more {
+				return false
+			}
 		}
-		rec(i+1, append(classes, []names.Name{x}))
+		return rec(i+1, append(classes, []names.Name{x}))
 	}
 	rec(0, nil)
-	return out
 }
 
 func sameRep(got map[string]string, want names.Subst) bool {
@@ -94,10 +92,30 @@ func sameRep(got map[string]string, want names.Subst) bool {
 	return true
 }
 
+// partitionRep checks got directly, without enumerating partitions: it must
+// map exactly the names of v, each to the least name of its class, which
+// maps to itself. Those are the representative substitutions of the
+// partitions of v.
+func partitionRep(got map[string]string, v names.Set) (names.Subst, bool) {
+	if len(got) != v.Len() {
+		return nil, false
+	}
+	rep := names.Subst{}
+	for _, x := range v.Sorted() {
+		r, ok := got[string(x)]
+		if !ok || !v.Contains(names.Name(r)) || names.Name(r) > x || got[r] != r {
+			return nil, false
+		}
+		rep[x] = names.Name(r)
+	}
+	return rep, true
+}
+
 // verifyAxioms replays a Decide proof object: world coverage at the top,
 // then the goal DAG — strict shape/discard comparisons, (H)-saturations,
 // summand matchings and (SP) input instantiations — each re-derived from
-// the LTS rules.
+// the LTS rules. A proof must list every world of the pair, and each world
+// is charged to MaxWork; a refutation names one world, checked directly.
 func (ck *checker) verifyAxioms(c *Certificate) error {
 	if c.Proof == nil {
 		return errors.New("cert: axioms certificate has no proof")
@@ -115,35 +133,40 @@ func (ck *checker) verifyAxioms(c *Certificate) error {
 	}
 	av := &axVerifier{ck: ck, goals: c.Proof.Goals, state: make([]int, len(c.Proof.Goals))}
 	fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q))
-	worlds := vWorlds(fn)
 	if c.Related {
-		if len(c.Proof.Worlds) != len(worlds) {
-			return fmt.Errorf("cert: proof covers %d worlds, the pair has %d", len(c.Proof.Worlds), len(worlds))
-		}
-		for i, w := range worlds {
+		i := 0
+		eachVWorld(fn, func(rep names.Subst) bool {
+			if i == len(c.Proof.Worlds) {
+				err = fmt.Errorf("cert: proof covers %d worlds, the pair has more", i)
+				return false
+			}
+			if err = ck.s.work(1); err != nil {
+				return false
+			}
 			ws := c.Proof.Worlds[i]
-			if !sameRep(ws.Rep, w.rep) {
-				return fmt.Errorf("cert: world %d representative differs from the enumeration", i)
+			if !sameRep(ws.Rep, rep) {
+				err = fmt.Errorf("cert: world %d representative differs from the enumeration", i)
+				return false
 			}
-			pw, qw := syntax.Apply(p, w.rep), syntax.Apply(q, w.rep)
-			if err := av.checkGoal(ws.Goal, syntax.String(pw), syntax.String(qw), false, true); err != nil {
-				return fmt.Errorf("world %d: %w", i, err)
+			pw, qw := syntax.Apply(p, rep), syntax.Apply(q, rep)
+			if err = av.checkGoal(ws.Goal, syntax.String(pw), syntax.String(qw), false, true); err != nil {
+				err = fmt.Errorf("world %d: %w", i, err)
+				return false
 			}
+			i++
+			return true
+		})
+		if err == nil && i < len(c.Proof.Worlds) {
+			err = fmt.Errorf("cert: proof covers %d worlds, the pair has %d", len(c.Proof.Worlds), i)
 		}
-		return nil
+		return err
 	}
 	if len(c.Proof.Worlds) != 1 {
 		return fmt.Errorf("cert: refutation must name exactly one failing world, got %d", len(c.Proof.Worlds))
 	}
 	ws := c.Proof.Worlds[0]
-	var rep names.Subst
-	for _, w := range worlds {
-		if sameRep(ws.Rep, w.rep) {
-			rep = w.rep
-			break
-		}
-	}
-	if rep == nil {
+	rep, ok := partitionRep(ws.Rep, fn)
+	if !ok {
 		return errors.New("cert: refuting world is not a partition of the pair's free names")
 	}
 	pw, qw := syntax.Apply(p, rep), syntax.Apply(q, rep)

@@ -81,9 +81,8 @@ func QueryKey(rel string, weak bool, p, q syntax.Proc) string {
 	return PairKey(rel, weak, syntax.Key(p), syntax.Key(q))
 }
 
-// MaxTermBytes is the term cap: the default bound on the source of one
-// request term (service.Config.MaxTermBytes), and the base of the bound on
-// a certificate term.
+// MaxTermBytes is the term cap: the bound on the source of one bpid
+// request term, and the base of the bound on a certificate term.
 const MaxTermBytes = 64 << 10
 
 // certTermBytes bounds a certificate term, checked before it is parsed. A

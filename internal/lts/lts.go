@@ -47,7 +47,8 @@ type Graph struct {
 	Edges  [][]Edge
 	// Roots holds the state indices of the exploration roots, in input order.
 	Roots []int
-	// Universe is the base name universe used for input instantiation.
+	// Universe is the base name universe used for input instantiation: the
+	// free names of the roots and one reservoir name.
 	Universe []names.Name
 	// Truncated reports that a budget stopped the exploration before the
 	// reachable set was exhausted; equivalence verdicts computed on a
@@ -58,13 +59,6 @@ type Graph struct {
 
 // Options configures exploration.
 type Options struct {
-	// Universe is the base set of names used to instantiate inputs. When
-	// empty, the free names of the roots are used. Fresh reservoir names are
-	// appended according to FreshNames.
-	Universe []names.Name
-	// FreshNames is the number of reservoir names added to the universe
-	// (default 1).
-	FreshNames int
 	// MaxStates bounds the number of explored states (default 8192).
 	MaxStates int
 	// AutonomousOnly restricts the graph to autonomous moves (τ and
@@ -82,13 +76,6 @@ func (o Options) maxStates() int {
 		return 8192
 	}
 	return o.MaxStates
-}
-
-func (o Options) freshNames() int {
-	if o.FreshNames <= 0 {
-		return 1
-	}
-	return o.FreshNames
 }
 
 // FreshReservoir returns the deterministic reservoir names used to probe
@@ -115,14 +102,9 @@ func ExploreCtx(ctx context.Context, sys *semantics.System, roots []syntax.Proc,
 	span := opt.Obs.Span("lts.explore")
 	defer span.End()
 	g := &Graph{index: map[string]int{}}
-	base := names.NewSet(opt.Universe...)
-	if len(opt.Universe) == 0 {
-		for _, r := range roots {
-			base = base.AddAll(syntax.FreeNames(r))
-		}
-	}
-	for _, w := range FreshReservoir(opt.freshNames()) {
-		base = base.Add(w)
+	base := names.NewSet(FreshReservoir(1)...)
+	for _, r := range roots {
+		base = base.AddAll(syntax.FreeNames(r))
 	}
 	g.Universe = base.Sorted()
 

@@ -161,9 +161,9 @@ func TestExploreCtxCanceled(t *testing.T) {
 }
 
 // TestParallelExplorationMatchesSequential explores one term from 4
-// goroutines sharing the package's System (as bpid's concurrent
-// /v1/explore requests do) and requires every graph to equal the
-// sequential one: state order, edges, roots and truncation.
+// goroutines sharing the package's System, whose memoised derivations
+// every exploration reads and fills, and requires every graph to equal
+// the sequential one: state order, edges, roots and truncation.
 func TestParallelExplorationMatchesSequential(t *testing.T) {
 	p := syntax.Group(
 		syntax.Send(a, nil, syntax.SendN(b)),

@@ -11,7 +11,6 @@
 package machine
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -19,22 +18,9 @@ import (
 
 	"bpi/internal/actions"
 	"bpi/internal/names"
-	"bpi/internal/obs"
 	"bpi/internal/semantics"
 	"bpi/internal/syntax"
 )
-
-// ErrDeadline reports that a run was abandoned because its context was
-// canceled or its deadline expired — distinct from hitting the MaxSteps
-// budget, which ends a run normally (Result.Steps == MaxSteps, no error).
-// It unwraps to the context error, so errors.Is(err,
-// context.DeadlineExceeded) identifies timeouts.
-type ErrDeadline struct{ Cause error }
-
-func (e ErrDeadline) Error() string { return "machine: run canceled: " + e.Cause.Error() }
-
-// Unwrap exposes the context error for errors.Is/As.
-func (e ErrDeadline) Unwrap() error { return e.Cause }
 
 // Scheduler selects which of n enabled autonomous transitions fires at a
 // given step.
@@ -60,12 +46,6 @@ type FirstScheduler struct{}
 // Pick implements Scheduler.
 func (FirstScheduler) Pick(int, int) int { return 0 }
 
-// RoundRobinScheduler cycles through the enabled transitions by step index.
-type RoundRobinScheduler struct{}
-
-// Pick implements Scheduler.
-func (RoundRobinScheduler) Pick(n, step int) int { return step % n }
-
 // Event is one fired transition.
 type Event struct {
 	// Step is the 0-based index of the transition in the run.
@@ -89,9 +69,6 @@ type Options struct {
 	// KeepTrace records every event (default: only outputs on StopOnBarb
 	// and the step count are reported).
 	KeepTrace bool
-	// Obs, when non-nil, receives a machine.run span and the counters
-	// machine.steps and machine.broadcasts.
-	Obs *obs.Tracer
 }
 
 func (o Options) maxSteps() int {
@@ -128,32 +105,14 @@ type Result struct {
 // Run executes p under the options until quiescence, the step bound, or a
 // stop barb.
 func Run(sys *semantics.System, p syntax.Proc, opt Options) (Result, error) {
-	return RunCtx(context.Background(), sys, p, opt)
-}
-
-// RunCtx is Run honouring ctx: the scheduler loop checks for cancellation
-// before every step, so runaway executions (long encodings, adversarial
-// schedules) are abandoned with a typed ErrDeadline instead of spinning to
-// the step budget.
-func RunCtx(ctx context.Context, sys *semantics.System, p syntax.Proc, opt Options) (Result, error) {
 	if sys == nil {
 		sys = semantics.NewSystem(nil)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := opt.Obs.Span("machine.run")
-	defer span.End()
-	cSteps := opt.Obs.Counter("machine.steps")
-	cBroadcasts := opt.Obs.Counter("machine.broadcasts")
 	stop := names.NewSet(opt.StopOnBarb...)
 	sched := opt.scheduler()
 	res := Result{Final: p}
 	cur := p
 	for res.Steps < opt.maxSteps() {
-		if err := ctx.Err(); err != nil {
-			return res, ErrDeadline{err}
-		}
 		ts, err := sys.Steps(cur)
 		if err != nil {
 			return res, err
@@ -179,10 +138,6 @@ func RunCtx(ctx context.Context, sys *semantics.System, p syntax.Proc, opt Optio
 		}
 		cur = syntax.Simplify(chosen.Target)
 		res.Steps++
-		cSteps.Add(1)
-		if chosen.Act.IsOutput() {
-			cBroadcasts.Add(1)
-		}
 		res.Final = cur
 		if chosen.Act.IsOutput() && stop.Contains(chosen.Act.Subj) {
 			res.Stopped = true
@@ -198,14 +153,9 @@ func RunCtx(ctx context.Context, sys *semantics.System, p syntax.Proc, opt Optio
 // (breadth-first, bounded by maxStates) and reports whether any reachable
 // state emits on the watch channel. Unlike Run, this is scheduler-
 // independent: it answers "is detection possible at all?".
+// It is CanReachBarbAvoiding with no poisoned channel.
 func CanReachBarb(sys *semantics.System, p syntax.Proc, watch names.Name, maxStates int) (bool, error) {
-	return CanReachBarbCtx(context.Background(), sys, p, watch, maxStates)
-}
-
-// CanReachBarbCtx is CanReachBarb honouring ctx (checked once per explored
-// state): CanReachBarbAvoidingCtx with no poisoned channel.
-func CanReachBarbCtx(ctx context.Context, sys *semantics.System, p syntax.Proc, watch names.Name, maxStates int) (bool, error) {
-	return CanReachBarbAvoidingCtx(ctx, sys, p, watch, nil, maxStates)
+	return CanReachBarbAvoiding(sys, p, watch, nil, maxStates)
 }
 
 // CanReachBarbAvoiding reports whether some autonomous execution reaches a
@@ -217,19 +167,8 @@ func CanReachBarbCtx(ctx context.Context, sys *semantics.System, p syntax.Proc, 
 // is reachable on an honest path".
 func CanReachBarbAvoiding(sys *semantics.System, p syntax.Proc, watch names.Name,
 	avoid names.Set, maxStates int) (bool, error) {
-	return CanReachBarbAvoidingCtx(context.Background(), sys, p, watch, avoid, maxStates)
-}
-
-// CanReachBarbAvoidingCtx is CanReachBarbAvoiding honouring ctx (checked
-// once per explored state), so large guess-and-verify encodings (e.g. the
-// counter-machine simulations) are cancellable.
-func CanReachBarbAvoidingCtx(ctx context.Context, sys *semantics.System, p syntax.Proc, watch names.Name,
-	avoid names.Set, maxStates int) (bool, error) {
 	if sys == nil {
 		sys = semantics.NewSystem(nil)
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	if maxStates <= 0 {
 		maxStates = 8192
@@ -237,9 +176,6 @@ func CanReachBarbAvoidingCtx(ctx context.Context, sys *semantics.System, p synta
 	seen := map[string]bool{}
 	queue := []syntax.Proc{p}
 	for len(queue) > 0 {
-		if err := ctx.Err(); err != nil {
-			return false, ErrDeadline{err}
-		}
 		cur := queue[0]
 		queue = queue[1:]
 		k := syntax.Key(syntax.Simplify(cur))
@@ -377,13 +313,6 @@ func AlwaysReachesBarb(sys *semantics.System, p syntax.Proc, watch names.Name, m
 // schedulers on a bounded worker pool, returning every result. It is the
 // Monte-Carlo harness used by the example experiments.
 func RunMany(sys *semantics.System, p syntax.Proc, n int, baseSeed int64, opt Options, workers int) ([]Result, error) {
-	return RunManyCtx(context.Background(), sys, p, n, baseSeed, opt, workers)
-}
-
-// RunManyCtx is RunMany honouring ctx: cancellation aborts every in-flight
-// run (each checks the shared context per step) and the first ErrDeadline is
-// reported.
-func RunManyCtx(ctx context.Context, sys *semantics.System, p syntax.Proc, n int, baseSeed int64, opt Options, workers int) ([]Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -399,7 +328,7 @@ func RunManyCtx(ctx context.Context, sys *semantics.System, p syntax.Proc, n int
 			defer func() { <-sem }()
 			o := opt
 			o.Scheduler = NewRandomScheduler(baseSeed + int64(i))
-			results[i], errs[i] = RunCtx(ctx, sys, p, o)
+			results[i], errs[i] = Run(sys, p, o)
 		}(i)
 	}
 	wg.Wait()

@@ -50,7 +50,7 @@ func certifyStrong(g *lts.Graph, rel string) (*cert.Certificate, bool, error) {
 		}
 		return ""
 	}
-	hist := refineHistory(g, labelOf, func(i int) string { return barbKey(g, i) }, nil)
+	hist := refineHistory(g, labelOf, func(i int) string { return barbKey(g, i) })
 	block := hist[len(hist)-1]
 	r0, r1 := g.Roots[0], g.Roots[1]
 	c := &cert.Certificate{

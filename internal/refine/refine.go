@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"bpi/internal/lts"
-	"bpi/internal/obs"
 )
 
 // Partition assigns a block id to every state of the graph such that two
@@ -29,14 +28,7 @@ const Skip = "\x00skip"
 
 // Refine computes the coarsest stable partition.
 func Refine(g *lts.Graph, labelOf func(lts.Edge) string, initialOf func(state int) string) []int {
-	return RefineObs(g, labelOf, initialOf, nil)
-}
-
-// RefineObs is Refine reporting to a tracer: a refine.run span with one
-// refine.round child per splitter sweep, plus the counters refine.rounds
-// and refine.blocks (final block count). A nil tracer is free.
-func RefineObs(g *lts.Graph, labelOf func(lts.Edge) string, initialOf func(state int) string, tr *obs.Tracer) []int {
-	hist := refineHistory(g, labelOf, initialOf, tr)
+	hist := refineHistory(g, labelOf, initialOf)
 	return hist[len(hist)-1]
 }
 
@@ -45,10 +37,7 @@ func RefineObs(g *lts.Graph, labelOf func(lts.Edge) string, initialOf func(state
 // last entry is stable. The round at which two states first separate is the
 // well-founded rank of the distinguishing strategies emitted by the
 // certificate layer.
-func refineHistory(g *lts.Graph, labelOf func(lts.Edge) string, initialOf func(state int) string, tr *obs.Tracer) [][]int {
-	span := tr.Span("refine.run")
-	defer span.End()
-	cRounds := tr.Counter("refine.rounds")
+func refineHistory(g *lts.Graph, labelOf func(lts.Edge) string, initialOf func(state int) string) [][]int {
 	n := g.NumStates()
 	block := make([]int, n)
 	// Initial partition by initialOf.
@@ -64,9 +53,6 @@ func refineHistory(g *lts.Graph, labelOf func(lts.Edge) string, initialOf func(s
 	}
 	hist := [][]int{append([]int(nil), block...)}
 	for {
-		changed := false
-		cRounds.Add(1)
-		round := span.Child("refine.round")
 		// Signature of a state: the sorted set of (label, target block).
 		sigIndex := map[string]int{}
 		next := make([]int, n)
@@ -95,21 +81,11 @@ func refineHistory(g *lts.Graph, labelOf func(lts.Edge) string, initialOf func(s
 		}
 		// Detect change: the partition is stable when the refinement did not
 		// split any block (same number of blocks and same grouping).
-		round.End()
 		if samePartition(block, next) {
 			break
 		}
 		block = next
 		hist = append(hist, append([]int(nil), block...))
-		changed = true
-		_ = changed
-	}
-	if c := tr.Counter("refine.blocks"); c != nil {
-		distinct := map[int]bool{}
-		for _, b := range block {
-			distinct[b] = true
-		}
-		c.Add(int64(len(distinct)))
 	}
 	return hist
 }
@@ -149,38 +125,30 @@ func barbKey(g *lts.Graph, i int) string {
 // StrongStep decides strong step bisimilarity (Definition 5) between the
 // graph's first two roots: autonomous moves are label-blind, barbs are the
 // output subjects.
-func StrongStep(g *lts.Graph) (bool, error) { return StrongStepObs(g, nil) }
-
-// StrongStepObs is StrongStep reporting refinement spans and counters to tr.
-func StrongStepObs(g *lts.Graph, tr *obs.Tracer) (bool, error) {
+func StrongStep(g *lts.Graph) (bool, error) {
 	if len(g.Roots) < 2 {
 		return false, fmt.Errorf("refine: need two roots")
 	}
 	if g.Truncated {
 		return false, fmt.Errorf("refine: graph truncated; verdict would be unsound")
 	}
-	block := RefineObs(g,
+	block := Refine(g,
 		func(e lts.Edge) string { return "" }, // label-blind step
 		func(i int) string { return barbKey(g, i) },
-		tr,
 	)
 	return block[g.Roots[0]] == block[g.Roots[1]], nil
 }
 
 // StrongBarbed decides strong barbed bisimilarity (Definition 3) between
 // the graph's first two roots: only τ moves are observable, plus barbs.
-func StrongBarbed(g *lts.Graph) (bool, error) { return StrongBarbedObs(g, nil) }
-
-// StrongBarbedObs is StrongBarbed reporting refinement spans and counters
-// to tr.
-func StrongBarbedObs(g *lts.Graph, tr *obs.Tracer) (bool, error) {
+func StrongBarbed(g *lts.Graph) (bool, error) {
 	if len(g.Roots) < 2 {
 		return false, fmt.Errorf("refine: need two roots")
 	}
 	if g.Truncated {
 		return false, fmt.Errorf("refine: graph truncated; verdict would be unsound")
 	}
-	block := RefineObs(g,
+	block := Refine(g,
 		func(e lts.Edge) string {
 			if e.Act.IsTau() {
 				return ""
@@ -188,7 +156,6 @@ func StrongBarbedObs(g *lts.Graph, tr *obs.Tracer) (bool, error) {
 			return Skip // outputs are invisible as moves to barbed bisimilarity
 		},
 		func(i int) string { return barbKey(g, i) },
-		tr,
 	)
 	return block[g.Roots[0]] == block[g.Roots[1]], nil
 }

@@ -296,21 +296,18 @@ func TestAdmissionConcurrentHammer(t *testing.T) {
 	}
 }
 
-// gateRows are the kinds of work that take a worker, one request each.
+// gateRows are the kinds of work that take a worker, one request each:
+// every POST route.
 var gateRows = []struct{ name, path, body string }{
-	{"step", "/v1/step", `{"term":"a!"}`},
-	{"explore", "/v1/explore", `{"term":"a!"}`},
 	{"equiv", "/v1/equiv", `{"p":"a!","q":"a!","rel":"labelled"}`},
 	{"prove", "/v1/prove", `{"p":"a!","q":"a!"}`},
-	{"run", "/v1/run", `{"term":"a!"}`},
 	{"batch item", "/v1/equiv/batch", `{"pairs":[{"p":"a!","q":"a!","rel":"labelled"}]}`},
 }
 
 // TestGateEndpoints: every kind of work that takes a worker passes the one
 // gate. With the worker and the one queue place held, each is shed with
 // queue_full and a Retry-After hint, on its own series of /metrics; after
-// Shutdown, each is shed with draining. /v1/parse takes no worker and
-// still answers.
+// Shutdown, each is shed with draining.
 func TestGateEndpoints(t *testing.T) {
 	srv, ts, _ := newTestServer(t, service.Config{Workers: 1, AdmissionQueue: 1})
 	// shedOf posts one row and returns its shed: the error of a gated
@@ -372,9 +369,6 @@ func TestGateEndpoints(t *testing.T) {
 			}
 		})
 	}
-	if resp, raw := post(t, ts, "/v1/parse", `{"term":"a! | 0"}`); resp.StatusCode != http.StatusOK {
-		t.Errorf("/v1/parse during the drain: status %d body %s", resp.StatusCode, raw)
-	}
 }
 
 // TestGateDrain: Shutdown waits for all the work the gate admitted before
@@ -390,7 +384,7 @@ func TestGateDrain(t *testing.T) {
 	defer release() // on a failure too, or closing the test server waits forever
 	queued := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/v1/step", "application/json", strings.NewReader(`{"term":"a!"}`))
+		resp, err := http.Post(ts.URL+"/v1/equiv", "application/json", strings.NewReader(gateRows[0].body))
 		if err != nil {
 			t.Error(err)
 			queued <- 0
@@ -399,7 +393,7 @@ func TestGateDrain(t *testing.T) {
 		resp.Body.Close()
 		queued <- resp.StatusCode
 	}()
-	poll(t, "the step request to queue", func() bool { return srv.GateStats().Inflight == 2 })
+	poll(t, "the equiv request to queue", func() bool { return srv.GateStats().Inflight == 2 })
 
 	drained := make(chan error, 1)
 	go func() {
@@ -415,7 +409,7 @@ func TestGateDrain(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode == http.StatusServiceUnavailable
 	})
-	if resp, body := post(t, ts, "/v1/step", `{"term":"a!"}`); resp.StatusCode != http.StatusTooManyRequests || errCode(t, body) != service.CodeDraining {
+	if resp, body := post(t, ts, "/v1/equiv", gateRows[0].body); resp.StatusCode != http.StatusTooManyRequests || errCode(t, body) != service.CodeDraining {
 		t.Errorf("new work during the drain: status %d body %s, want 429 draining", resp.StatusCode, body)
 	}
 	select {
@@ -425,7 +419,7 @@ func TestGateDrain(t *testing.T) {
 	}
 	release()
 	if code := <-queued; code != http.StatusOK {
-		t.Errorf("queued step request: status %d, want 200", code)
+		t.Errorf("queued equiv request: status %d, want 200", code)
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("drain failed: %v", err)

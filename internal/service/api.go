@@ -60,50 +60,6 @@ type errorResponse struct {
 	Error ErrorBody `json:"error"`
 }
 
-// ParseRequest asks for a term to be parsed and canonicalised.
-type ParseRequest struct {
-	Term string `json:"term"`
-}
-
-// ParseResponse reports the canonical rendering and the free names.
-type ParseResponse struct {
-	Canonical string   `json:"canonical"`
-	FreeNames []string `json:"free_names"`
-}
-
-// StepRequest asks for the symbolic transitions of a term.
-type StepRequest struct {
-	Term string `json:"term"`
-}
-
-// Transition is one symbolic transition, rendered in concrete syntax.
-type Transition struct {
-	Act    string `json:"act"`
-	Target string `json:"target"`
-}
-
-// StepResponse lists the transitions of the (canonicalised) term.
-type StepResponse struct {
-	Term        string       `json:"term"`
-	Transitions []Transition `json:"transitions"`
-}
-
-// ExploreRequest asks for the finite transition graph reachable from a term.
-type ExploreRequest struct {
-	Term           string `json:"term"`
-	MaxStates      int    `json:"max_states,omitempty"`
-	FreshNames     int    `json:"fresh_names,omitempty"`
-	AutonomousOnly bool   `json:"autonomous_only,omitempty"`
-}
-
-// ExploreResponse summarises the explored graph.
-type ExploreResponse struct {
-	States    int      `json:"states"`
-	Edges     int      `json:"edges"`
-	Truncated bool     `json:"truncated"`
-	Universe  []string `json:"universe"`
-}
-
 // Relation names accepted by EquivRequest.Rel.
 const (
 	RelLabelled   = "labelled"
@@ -218,41 +174,6 @@ type ProveResponse struct {
 	Proved    bool     `json:"proved"`
 	Trace     []string `json:"trace,omitempty"`
 	ElapsedMs float64  `json:"elapsed_ms"`
-}
-
-// Scheduler names accepted by RunRequest.Scheduler.
-const (
-	SchedFirst      = "first"
-	SchedRandom     = "random"
-	SchedRoundRobin = "roundrobin"
-)
-
-// RunRequest asks for one scheduled execution of a term.
-type RunRequest struct {
-	Term      string   `json:"term"`
-	MaxSteps  int      `json:"max_steps,omitempty"`
-	Scheduler string   `json:"scheduler,omitempty"` // first (default), random, roundrobin
-	Seed      int64    `json:"seed,omitempty"`
-	StopOn    []string `json:"stop_on_barb,omitempty"`
-	KeepTrace bool     `json:"keep_trace,omitempty"`
-	TimeoutMs int      `json:"timeout_ms,omitempty"`
-}
-
-// RunEvent is one fired transition of a run.
-type RunEvent struct {
-	Step int    `json:"step"`
-	Act  string `json:"act"`
-}
-
-// RunResponse reports one machine execution.
-type RunResponse struct {
-	Steps     int        `json:"steps"`
-	Quiescent bool       `json:"quiescent"`
-	Stopped   bool       `json:"stopped"`
-	StopEvent *RunEvent  `json:"stop_event,omitempty"`
-	Trace     []RunEvent `json:"trace,omitempty"`
-	Final     string     `json:"final"`
-	ElapsedMs float64    `json:"elapsed_ms"`
 }
 
 // TraceResponse is the body of GET /trace/{id}: the span tree and engine

@@ -12,7 +12,7 @@ import (
 )
 
 // maxBatchBodyBytes bounds a batch request body; individual terms inside it
-// are still bounded by Config.MaxTermBytes.
+// are still bounded by ledger.MaxTermBytes.
 const maxBatchBodyBytes = 8 << 20
 
 // handleBatch serves POST /v1/equiv/batch: many pairs, one request, one

@@ -192,10 +192,11 @@ func TestBatchStreamShape(t *testing.T) {
 // and exactly one trailer comes last with succeeded + failed + shed ==
 // total.
 //
-// The 1 KiB term cap keeps each exec short. Transition derivation ignores
-// deadlines (ROADMAP item 2b), so a wide term could run far past the 50 ms
-// MaxTimeout; that cost is not what this target checks, the handling of
-// the body is.
+// Terms are held to the daemon's one cap, ledger.MaxTermBytes, which the
+// 8 KiB body bound keeps every term far under. Transition derivation
+// ignores deadlines (ROADMAP item 2b), so a wide term could still run past
+// the 50 ms MaxTimeout; that cost is not what this target checks, the
+// handling of the body is.
 func FuzzBatch(f *testing.F) {
 	pair := `{"p":"a!.b!","q":"a!.b!","rel":"labelled"}`
 	for _, seed := range []string{
@@ -218,7 +219,7 @@ func FuzzBatch(f *testing.F) {
 		if len(body) > 8<<10 {
 			return
 		}
-		h := service.New(service.Config{Workers: 2, BatchMax: 8, MaxTimeout: 50 * time.Millisecond, MaxTermBytes: 1 << 10}).Handler()
+		h := service.New(service.Config{Workers: 2, BatchMax: 8, MaxTimeout: 50 * time.Millisecond}).Handler()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/equiv/batch", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {

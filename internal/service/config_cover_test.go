@@ -15,9 +15,6 @@ func TestConfigZeroValueDefaults(t *testing.T) {
 	if got := c.maxTimeout(); got != 60*time.Second {
 		t.Errorf("maxTimeout = %v, want 60s", got)
 	}
-	if got := c.maxTermBytes(); got != 64<<10 {
-		t.Errorf("maxTermBytes = %d, want 64KiB", got)
-	}
 	if got := c.batchMax(); got != 256 {
 		t.Errorf("batchMax = %d, want 256", got)
 	}
@@ -29,10 +26,10 @@ func TestConfigZeroValueDefaults(t *testing.T) {
 func TestConfigExplicitValuesHonoured(t *testing.T) {
 	c := Config{
 		DefaultTimeout: time.Second, MaxTimeout: 2 * time.Second,
-		MaxTermBytes: 128, BatchMax: 9, AdmissionQueue: 5,
+		BatchMax: 9, AdmissionQueue: 5,
 	}
 	if c.defaultTimeout() != time.Second || c.maxTimeout() != 2*time.Second ||
-		c.maxTermBytes() != 128 || c.batchMax() != 9 || c.admissionQueue() != 5 {
+		c.batchMax() != 9 || c.admissionQueue() != 5 {
 		t.Errorf("explicit config not honoured: %+v", c)
 	}
 }

@@ -12,22 +12,16 @@ import (
 	"strings"
 	"time"
 
-	"bpi/internal/lts"
 	"bpi/internal/obs"
-	"bpi/internal/syntax"
 )
 
-// Handler returns the daemon's HTTP surface. Every POST but /v1/parse, and
-// GET /v1/ledger/proof/{key}, passes the gate and answers with the
-// X-Trace-Id of its trace (a batch names one per item):
+// Handler returns the daemon's HTTP surface. Every POST, and GET
+// /v1/ledger/proof/{key}, passes the gate and answers with the X-Trace-Id
+// of its trace (a batch names one per item):
 //
-//	POST /v1/parse     canonicalise a term
-//	POST /v1/step      symbolic transitions of a term
-//	POST /v1/explore   finite transition graph summary
 //	POST /v1/equiv     equivalence verdict (~, ≈, ~b, ~φ, ~+, ~c, …)
 //	POST /v1/equiv/batch  many pairs, NDJSON-streamed per-pair verdicts
 //	POST /v1/prove     A ⊢ p = q (Section 5)
-//	POST /v1/run       one scheduled machine execution
 //	GET  /trace/{id}   span tree + engine counters of a recent gated request
 //	GET  /v1/ledger/stats      persistent verdict-ledger summary
 //	GET  /v1/ledger/proof/{key} Merkle inclusion proof of a persisted verdict
@@ -36,13 +30,9 @@ import (
 //	GET  /debug/pprof/ the net/http/pprof profiling surface
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/parse", instrument(s, "/v1/parse", s.handleParse))
-	mux.HandleFunc("POST /v1/step", instrument(s, "/v1/step", s.handleStep))
-	mux.HandleFunc("POST /v1/explore", instrument(s, "/v1/explore", s.handleExplore))
 	mux.HandleFunc("POST /v1/equiv", instrument(s, "/v1/equiv", s.handleEquiv))
 	mux.HandleFunc("POST /v1/equiv/batch", s.handleBatch)
 	mux.HandleFunc("POST /v1/prove", instrument(s, "/v1/prove", s.handleProve))
-	mux.HandleFunc("POST /v1/run", instrument(s, "/v1/run", s.handleRun))
 	mux.HandleFunc("GET /trace/{id}", instrument(s, "/trace/{id}", s.handleTrace))
 	mux.HandleFunc("GET /v1/ledger/stats", instrument(s, "/v1/ledger/stats", s.handleLedgerStats))
 	mux.HandleFunc("GET /v1/ledger/proof/{key}", instrument(s, "/v1/ledger/proof/{key}", s.handleLedgerProof))
@@ -111,7 +101,7 @@ func fail(eb *ErrorBody) (int, any) {
 }
 
 // maxBodyBytes bounds any request body; individual term fields are further
-// bounded by Config.MaxTermBytes.
+// bounded by ledger.MaxTermBytes.
 const maxBodyBytes = 1 << 20
 
 // decode reads and unmarshals a JSON request body.
@@ -160,81 +150,6 @@ func (s *Server) sync(w http.ResponseWriter, r *http.Request, timeoutMs int,
 	return status, body
 }
 
-func (s *Server) handleParse(_ http.ResponseWriter, r *http.Request) (int, any) {
-	var req ParseRequest
-	if eb := decode(r, &req); eb != nil {
-		return fail(eb)
-	}
-	p, eb := s.parseTerm("term", req.Term)
-	if eb != nil {
-		return fail(eb)
-	}
-	p = syntax.Simplify(p)
-	free := syntax.FreeNames(p).Sorted()
-	names := make([]string, len(free))
-	for i, n := range free {
-		names[i] = string(n)
-	}
-	return http.StatusOK, ParseResponse{Canonical: syntax.String(p), FreeNames: names}
-}
-
-func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) (int, any) {
-	var req StepRequest
-	if eb := decode(r, &req); eb != nil {
-		return fail(eb)
-	}
-	return s.sync(w, r, 0, func(context.Context, *obs.Tracer) (int, any) {
-		p, eb := s.parseTerm("term", req.Term)
-		if eb != nil {
-			return fail(eb)
-		}
-		p = syntax.Simplify(p)
-		ts, err := s.sys.Steps(p)
-		if err != nil {
-			return fail(classify(err))
-		}
-		resp := StepResponse{Term: syntax.String(p)}
-		for _, t := range ts {
-			resp.Transitions = append(resp.Transitions, Transition{
-				Act:    t.Act.String(),
-				Target: syntax.String(t.Target),
-			})
-		}
-		return http.StatusOK, resp
-	})
-}
-
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) (int, any) {
-	var req ExploreRequest
-	if eb := decode(r, &req); eb != nil {
-		return fail(eb)
-	}
-	return s.sync(w, r, 0, func(ctx context.Context, tr *obs.Tracer) (int, any) {
-		p, eb := s.parseTerm("term", req.Term)
-		if eb != nil {
-			return fail(eb)
-		}
-		g, err := lts.ExploreCtx(ctx, s.sys, []syntax.Proc{p}, lts.Options{
-			MaxStates:      req.MaxStates,
-			FreshNames:     req.FreshNames,
-			AutonomousOnly: req.AutonomousOnly,
-			Obs:            tr,
-		})
-		if err != nil {
-			return fail(classify(err))
-		}
-		edges := 0
-		for _, es := range g.Edges {
-			edges += len(es)
-		}
-		resp := ExploreResponse{States: len(g.States), Edges: edges, Truncated: g.Truncated}
-		for _, u := range g.Universe {
-			resp.Universe = append(resp.Universe, string(u))
-		}
-		return http.StatusOK, resp
-	})
-}
-
 func (s *Server) handleEquiv(w http.ResponseWriter, r *http.Request) (int, any) {
 	var req EquivRequest
 	if eb := decode(r, &req); eb != nil {
@@ -256,20 +171,6 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) (int, any) 
 	}
 	return s.sync(w, r, req.TimeoutMs, func(ctx context.Context, tr *obs.Tracer) (int, any) {
 		resp, eb := s.runProve(ctx, &req, tr)
-		if eb != nil {
-			return fail(eb)
-		}
-		return http.StatusOK, *resp
-	})
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) (int, any) {
-	var req RunRequest
-	if eb := decode(r, &req); eb != nil {
-		return fail(eb)
-	}
-	return s.sync(w, r, req.TimeoutMs, func(ctx context.Context, tr *obs.Tracer) (int, any) {
-		resp, eb := s.runMachine(ctx, &req, tr)
 		if eb != nil {
 			return fail(eb)
 		}

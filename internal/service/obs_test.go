@@ -56,8 +56,8 @@ func tracedPost(t *testing.T, ts *httptest.Server, path, body string) string {
 // TestTraceEndpoint: every gated path files its own span tree under the id
 // it answers with. A /v1/equiv of a pair not asked before holds the pair
 // engine's spans and counters; a batch item's trace_id names the same
-// shape; /v1/explore and /v1/prove hold their engines' root spans; an
-// unknown id answers 404.
+// shape; /v1/prove holds the prover's root span; an unknown id answers
+// 404.
 func TestTraceEndpoint(t *testing.T) {
 	_, ts, client := newTestServer(t, service.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -97,16 +97,11 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Errorf("batch item span tree:\n%s\nwant the /v1/equiv shape:\n%s", got, want)
 	}
 
-	for _, row := range []struct{ path, body, span string }{
-		{"/v1/explore", `{"term":"a!.b!"}`, "lts.explore"},
-		{"/v1/prove", `{"p":"a! + a!","q":"a!"}`, "axioms.decide"},
-	} {
-		tr := traceOf(t, ts, tracedPost(t, ts, row.path, row.body))
-		names := map[string]bool{}
-		collectSpanNames(tr.Spans, names)
-		if tr.Endpoint != row.path || !names[row.span] {
-			t.Errorf("%s: trace of %s with spans %v, want %s", row.path, tr.Endpoint, names, row.span)
-		}
+	pv := traceOf(t, ts, tracedPost(t, ts, "/v1/prove", `{"p":"a! + a!","q":"a!"}`))
+	names = map[string]bool{}
+	collectSpanNames(pv.Spans, names)
+	if pv.Endpoint != "/v1/prove" || !names["axioms.decide"] {
+		t.Errorf("/v1/prove: trace of %s with spans %v, want axioms.decide", pv.Endpoint, names)
 	}
 
 	if resp, body := get(t, ts, "/trace/999"); resp.StatusCode != http.StatusNotFound || errCode(t, body) != service.CodeNotFound {
@@ -116,13 +111,13 @@ func TestTraceEndpoint(t *testing.T) {
 
 // TestTraceRingBounded: the daemon keeps the traces of the 256 most recent
 // gated requests, evicting the oldest first, and an evicted id answers
-// not_found.
+// not_found. A verdict-cache hit is gated too, so it takes an id.
 func TestTraceRingBounded(t *testing.T) {
 	_, ts, _ := newTestServer(t, service.Config{})
 	ids := make([]string, 259)
 	seen := map[string]bool{}
 	for i := range ids {
-		ids[i] = tracedPost(t, ts, "/v1/step", `{"term":"a!.b!"}`)
+		ids[i] = tracedPost(t, ts, "/v1/equiv", `{"p":"a!.b!","q":"a!.b!","rel":"labelled"}`)
 		if seen[ids[i]] {
 			t.Fatalf("trace id %s answered twice", ids[i])
 		}

@@ -14,10 +14,9 @@
 //     derivations are process-scoped;
 //   - each request has one deadline, set on arrival: admission sheds on
 //     it, the wait for a worker gives up at it, and it is threaded as
-//     context.Context cancellation into the pair engine's BFS loop, the
-//     prover's derivation search and the machine's scheduler loop; it
-//     surfaces as typed deadline_exceeded errors, distinct from
-//     budget_exhausted;
+//     context.Context cancellation into the pair engine's BFS loop and the
+//     prover's world enumeration and derivation search; it surfaces as
+//     typed deadline_exceeded errors, distinct from budget_exhausted;
 //   - every piece of work that passes the gate reports to a tracer of its
 //     own; the last 256 are served on GET /trace/{id} (trace.go);
 //   - conclusive equivalence verdicts land in a bounded LRU keyed on the
@@ -44,8 +43,6 @@ import (
 	"bpi/internal/cert"
 	"bpi/internal/equiv"
 	"bpi/internal/ledger"
-	"bpi/internal/machine"
-	"bpi/internal/names"
 	"bpi/internal/obs"
 	"bpi/internal/parser"
 	"bpi/internal/semantics"
@@ -69,9 +66,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request timeouts (default 60s).
 	MaxTimeout time.Duration
-	// MaxTermBytes bounds the source size of any single term (default
-	// ledger.MaxTermBytes, 64 KiB).
-	MaxTermBytes int
 	// Ledger, when set, is an opened persistent verdict ledger: a
 	// verdict-cache miss is answered from a record of the pair once the
 	// record passes its verified read, and fresh certified verdicts are
@@ -106,13 +100,6 @@ func (c Config) maxTimeout() time.Duration {
 		return 60 * time.Second
 	}
 	return c.MaxTimeout
-}
-
-func (c Config) maxTermBytes() int {
-	if c.MaxTermBytes <= 0 {
-		return ledger.MaxTermBytes
-	}
-	return c.MaxTermBytes
 }
 
 func (c Config) batchMax() int {
@@ -216,15 +203,17 @@ func (s *Server) timeout(ms int) time.Duration {
 	return d
 }
 
-// parseTerm validates and parses one term field. Every call in the term
-// must name a definition of Config.Env with its arity.
+// parseTerm validates and parses one term field. The source is at most
+// ledger.MaxTermBytes long, the cap the ledger keys certificate terms
+// against, and every call in the term must name a definition of
+// Config.Env with its arity.
 func (s *Server) parseTerm(field, src string) (syntax.Proc, *ErrorBody) {
 	if src == "" {
 		return nil, &ErrorBody{Code: CodeInvalidRequest, Message: "missing term field " + field}
 	}
-	if len(src) > s.cfg.maxTermBytes() {
+	if len(src) > ledger.MaxTermBytes {
 		return nil, &ErrorBody{Code: CodeTermTooLarge,
-			Message: fmt.Sprintf("%s is %d bytes (limit %d)", field, len(src), s.cfg.maxTermBytes())}
+			Message: fmt.Sprintf("%s is %d bytes (limit %d)", field, len(src), ledger.MaxTermBytes)}
 	}
 	p, err := parser.Parse(src)
 	if err != nil {
@@ -388,53 +377,4 @@ func (s *Server) runProve(ctx context.Context, req *ProveRequest, tr *obs.Tracer
 		Trace:     append([]string(nil), pr.TraceLines()...),
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 	}, nil
-}
-
-// runMachine executes one scheduled run (already on a worker slot).
-func (s *Server) runMachine(ctx context.Context, req *RunRequest, tr *obs.Tracer) (*RunResponse, *ErrorBody) {
-	p, eb := s.parseTerm("term", req.Term)
-	if eb != nil {
-		return nil, eb
-	}
-	var sched machine.Scheduler
-	switch req.Scheduler {
-	case "", SchedFirst:
-		sched = machine.FirstScheduler{}
-	case SchedRandom:
-		sched = machine.NewRandomScheduler(req.Seed)
-	case SchedRoundRobin:
-		sched = machine.RoundRobinScheduler{}
-	default:
-		return nil, &ErrorBody{Code: CodeInvalidRequest,
-			Message: fmt.Sprintf("unknown scheduler %q (want first|random|roundrobin)", req.Scheduler)}
-	}
-	stop := make([]names.Name, len(req.StopOn))
-	for i, b := range req.StopOn {
-		stop[i] = names.Name(b)
-	}
-	start := time.Now()
-	res, err := machine.RunCtx(ctx, s.sys, p, machine.Options{
-		MaxSteps:   req.MaxSteps,
-		Scheduler:  sched,
-		StopOnBarb: stop,
-		KeepTrace:  req.KeepTrace,
-		Obs:        tr,
-	})
-	if err != nil {
-		return nil, classify(err)
-	}
-	out := &RunResponse{
-		Steps:     res.Steps,
-		Quiescent: res.Quiescent,
-		Stopped:   res.Stopped,
-		Final:     syntax.String(res.Final),
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if res.Stopped {
-		out.StopEvent = &RunEvent{Step: res.StopEvent.Step, Act: res.StopEvent.Act.String()}
-	}
-	for _, ev := range res.Trace {
-		out.Trace = append(out.Trace, RunEvent{Step: ev.Step, Act: ev.Act.String()})
-	}
-	return out, nil
 }

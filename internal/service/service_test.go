@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +14,9 @@ import (
 	"time"
 
 	bpi "bpi"
+	"bpi/internal/ledger"
 	"bpi/internal/service"
+	"bpi/internal/stress"
 	"bpi/internal/syntax"
 )
 
@@ -64,15 +65,19 @@ func errCode(t *testing.T, body string) string {
 }
 
 // TestHandlerValidation table-tests the typed error surface: bad JSON,
-// missing and oversized terms, parse errors, unknown relations, unknown
-// schedulers. A failure the request caused answers a typed 4xx, never 500
-// internal: a call to an undefined identifier, or to a defined one with
-// the wrong arity, is invalid_request on every endpoint that parses a
-// term, batch items included, and so is a recursive term on /v1/prove; a
-// goal past one of the prover's budgets is budget_exhausted.
+// missing terms, a term one byte past ledger.MaxTermBytes, parse errors,
+// unknown relations. A failure the request caused answers a typed 4xx,
+// never 500 internal: a call to an undefined identifier, or to a defined
+// one with the wrong arity, is invalid_request on every endpoint that
+// parses a term, batch items included, and so is a recursive term on
+// /v1/prove; a goal past one of the prover's budgets is budget_exhausted.
 func TestHandlerValidation(t *testing.T) {
 	env := syntax.Env{}.Define("Tick", []syntax.Name{"x"}, syntax.SendN("x"))
-	_, ts, cl := newTestServer(t, service.Config{MaxTermBytes: 128, Env: env})
+	_, ts, cl := newTestServer(t, service.Config{Env: env})
+	pastCap := strings.Repeat("a!.", ledger.MaxTermBytes/3) + "0 "
+	if len(pastCap) != ledger.MaxTermBytes+1 {
+		t.Fatalf("the oversized term is %d bytes, want %d", len(pastCap), ledger.MaxTermBytes+1)
+	}
 	cases := []struct {
 		name, path, body string
 		wantStatus       int
@@ -87,19 +92,14 @@ func TestHandlerValidation(t *testing.T) {
 			http.StatusBadRequest, service.CodeParseError},
 		{"unknown relation", "/v1/equiv", `{"p":"a!","q":"a!","rel":"telepathic"}`,
 			http.StatusBadRequest, service.CodeInvalidRequest},
-		{"oversized term", "/v1/equiv",
-			`{"p":"` + strings.Repeat("a!.", 200) + `0","q":"a!","rel":"labelled"}`,
+		{"oversized term", "/v1/equiv", `{"p":"` + pastCap + `","q":"a!","rel":"labelled"}`,
 			http.StatusRequestEntityTooLarge, service.CodeTermTooLarge},
-		{"parse endpoint parse error", "/v1/parse", `{"term":"))"}`,
-			http.StatusBadRequest, service.CodeParseError},
-		{"step missing term", "/v1/step", `{}`,
+		{"prove missing term", "/v1/prove", `{"p":"a!"}`,
 			http.StatusBadRequest, service.CodeInvalidRequest},
-		{"run unknown scheduler", "/v1/run", `{"term":"a!","scheduler":"lifo"}`,
-			http.StatusBadRequest, service.CodeInvalidRequest},
-		{"step undefined", "/v1/step", `{"term":"Foo(a)"}`, http.StatusBadRequest, service.CodeInvalidRequest},
 		{"equiv undefined", "/v1/equiv", `{"p":"Foo(a)","q":"0","rel":"labelled"}`, http.StatusBadRequest, service.CodeInvalidRequest},
-		{"run undefined", "/v1/run", `{"term":"Foo(a)"}`, http.StatusBadRequest, service.CodeInvalidRequest},
-		{"explore arity", "/v1/explore", `{"term":"a!.Tick(a, b)"}`, http.StatusBadRequest, service.CodeInvalidRequest},
+		{"prove undefined", "/v1/prove", `{"p":"Foo(a)","q":"0"}`, http.StatusBadRequest, service.CodeInvalidRequest},
+		{"equiv arity", "/v1/equiv", `{"p":"a!.Tick(a, b)","q":"0","rel":"labelled"}`, http.StatusBadRequest, service.CodeInvalidRequest},
+		{"prove arity", "/v1/prove", `{"p":"a!","q":"Tick(a, b)"}`, http.StatusBadRequest, service.CodeInvalidRequest},
 		{"prove world budget", "/v1/prove", `{"p":"a!|b!|c!|d!|e!|f!","q":"a!|b!|c!|d!|e!|f!"}`,
 			http.StatusUnprocessableEntity, service.CodeBudgetExhausted},
 		{"prove step budget", "/v1/prove", `{"p":"a! + a!","q":"a!","max_steps":1}`,
@@ -143,27 +143,6 @@ func TestEndpointsHappyPath(t *testing.T) {
 	if err := cl.Health(ctx); err != nil {
 		t.Fatal(err)
 	}
-	pr, err := cl.ParseRemote(ctx, "a!(b) | 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pr.FreeNames) != 2 {
-		t.Fatalf("free names of a!(b): %v", pr.FreeNames)
-	}
-	st, err := cl.Step(ctx, "a!(b) | a?(x).x!")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Transitions) == 0 {
-		t.Fatal("expected transitions")
-	}
-	ex, err := cl.ExploreRemote(ctx, bpi.ExploreRequest{Term: "a!.b!.0", AutonomousOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.States < 3 {
-		t.Fatalf("explore states = %d", ex.States)
-	}
 	// S3 idempotence holds up to strong bisimilarity.
 	eq, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a! + a!", Q: "a!", Rel: service.RelLabelled})
 	if err != nil {
@@ -186,13 +165,6 @@ func TestEndpointsHappyPath(t *testing.T) {
 	}
 	if !pv.Proved {
 		t.Fatal("A ⊢ a!+a! = a! expected provable (S3)")
-	}
-	rn, err := cl.RunRemote(ctx, bpi.RunRequest{Term: "a!.b!.0", KeepTrace: true, StopOn: []string{"b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rn.Stopped || rn.StopEvent == nil || !strings.HasPrefix(rn.StopEvent.Act, "b!") {
-		t.Fatalf("run: %+v", rn)
 	}
 
 	bb, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a?.b!", Q: "a?.b!", Rel: service.RelBarbed})
@@ -301,30 +273,33 @@ func TestDeadlineTypedTimeout(t *testing.T) {
 	}
 }
 
-// TestExploreDeadline posts explorations that would run for seconds and
-// allocate hundreds of MB: twelve parallel binary listeners (4,096 states,
-// about a thousand edges each) and one ternary listener over 81 names
-// (531,441 edges from a single state). Under a 200ms default timeout both
-// must come back as a typed deadline error well within 2s.
-func TestExploreDeadline(t *testing.T) {
-	_, _, cl := newTestServer(t, service.Config{DefaultTimeout: 200 * time.Millisecond})
-	var listeners []string
-	for i := 1; i <= 12; i++ {
-		listeners = append(listeners, fmt.Sprintf("a%d?(x,y).0", i))
+// TestProveDeadlineManyWorlds: the prover meets its deadline however many
+// worlds the free names have. a0! | … | a10! against itself has Bell(11) =
+// 678,570 worlds; with a 10 ms timeout /v1/prove answers deadline_exceeded
+// at once, where building every world before the first deadline check took
+// 1.5–1.9 s and 850–890 MB on two CPUs.
+func TestProveDeadlineManyWorlds(t *testing.T) {
+	_, ts, _ := newTestServer(t, service.Config{})
+	parts := make([]string, 11)
+	for i := range parts {
+		parts[i] = fmt.Sprintf("a%d!", i)
 	}
-	for _, req := range []bpi.ExploreRequest{
-		{Term: strings.Join(listeners, " | ")},
-		{Term: "a?(x,y,z).0", FreshNames: 80},
-	} {
-		start := time.Now()
-		_, err := cl.ExploreRemote(context.Background(), req)
-		var apiErr *bpi.APIError
-		if !errors.As(err, &apiErr) || apiErr.Code != service.CodeDeadline {
-			t.Fatalf("%s: got %v, want a %s error", req.Term, err, service.CodeDeadline)
-		}
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("%s: deadline took %s to fire", req.Term, elapsed)
-		}
+	term := strings.Join(parts, " | ")
+	body := fmt.Sprintf(`{"p":%q,"q":%q,"max_names":11,"timeout_ms":10}`, term, term)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	resp, raw := post(t, ts, "/v1/prove", body)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusGatewayTimeout || errCode(t, raw) != service.CodeDeadline {
+		t.Fatalf("status %d body %s, want 504 deadline_exceeded", resp.StatusCode, raw)
+	}
+	if elapsed > 150*time.Millisecond {
+		t.Errorf("answered after %s, want under 150ms", elapsed)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 64 {
+		t.Errorf("allocated %.1f MB, want under 64 MB", mb)
 	}
 }
 
@@ -346,26 +321,32 @@ func TestBudgetTypedError(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownDrains starts a run, then shuts the server down: the
-// drain must wait for the run to finish and answer, new work must be
-// refused with the retryable draining shed, and no goroutine may outlive
-// the drain.
+// slowEquiv is a step query of stress.Mesh(16) against its rotation with
+// the pair budget lifted: 48,802 pairs, about 0.2 s on two CPUs.
+func slowEquiv() bpi.EquivRequest {
+	p := stress.Mesh(16)
+	return bpi.EquivRequest{P: syntax.String(p), Q: syntax.String(stress.Rotate(p)),
+		Rel: service.RelStep, MaxPairs: 1 << 22, TimeoutMs: 10000}
+}
+
+// TestGracefulShutdownDrains starts a slow query, then shuts the server
+// down: the drain must wait for the query to finish and answer, new work
+// must be refused with the retryable draining shed, and no goroutine may
+// outlive the drain.
 func TestGracefulShutdownDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv, ts, cl := newTestServer(t, service.Config{Workers: 2})
 	ctx := context.Background()
-	// A run long enough to still be in flight when Shutdown starts, short
-	// enough to finish well inside the drain budget.
-	type ranRun struct {
-		rn  *bpi.RunResponse
+	type answer struct {
+		eq  *bpi.EquivResponse
 		err error
 	}
-	ran := make(chan ranRun, 1)
+	answered := make(chan answer, 1)
 	go func() {
-		rn, err := cl.RunRemote(ctx, bpi.RunRequest{Term: "(rec T(a). a!.T(a))(tick)", MaxSteps: 30000, TimeoutMs: 10000})
-		ran <- ranRun{rn, err}
+		eq, err := cl.Equiv(ctx, slowEquiv())
+		answered <- answer{eq, err}
 	}()
-	poll(t, "the run to be admitted", func() bool { return srv.GateStats().Inflight == 1 })
+	poll(t, "the query to be admitted", func() bool { return srv.GateStats().Inflight == 1 })
 	sctx, cancel := context.WithTimeout(ctx, 15*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
@@ -374,8 +355,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if st := srv.GateStats(); st.Inflight != 0 {
 		t.Fatalf("drain returned with %d admitted requests unfinished", st.Inflight)
 	}
-	if r := <-ran; r.err != nil || r.rn.Steps != 30000 {
-		t.Fatalf("drained run: %+v, %v", r.rn, r.err)
+	if a := <-answered; a.err != nil || !a.eq.Related || a.eq.Pairs != 48802 {
+		t.Fatalf("drained query: %+v, %v", a.eq, a.err)
 	}
 	// A new query is shed with the retryable draining cause (429 +
 	// Retry-After).
@@ -407,24 +388,27 @@ func waitGoroutines(t *testing.T, before int) {
 }
 
 // TestQueueFull checks the gate bounds unfinished requests with a typed
-// error: with the one worker and the one queue place taken by slow runs,
-// the next run is shed with queue_full.
+// error: with the one worker held and the one queue place taken by a
+// waiting query, the next query is shed with queue_full.
 func TestQueueFull(t *testing.T) {
 	srv, _, cl := newTestServer(t, service.Config{Workers: 1, AdmissionQueue: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	slow := bpi.RunRequest{Term: "(rec T(a). a!.T(a))(tick)", MaxSteps: 1 << 20, TimeoutMs: 5000}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl.RunRemote(ctx, slow) //nolint:errcheck // cancelled below
-		}()
+	release, eb := srv.Hold(true)
+	if eb != nil {
+		t.Fatal(eb)
 	}
+	defer release()
+	ctx, cancel := context.WithCancel(context.Background())
+	req := bpi.EquivRequest{P: "a!", Q: "b!", Rel: service.RelLabelled}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cl.Equiv(ctx, req) //nolint:errcheck // cancelled below
+	}()
 	defer wg.Wait()
-	defer cancel() // the client goes, and the runs with it
-	poll(t, "both runs to be admitted", func() bool { return srv.GateStats().Inflight == 2 })
-	_, err := cl.RunRemote(context.Background(), slow)
+	defer cancel() // the client goes, and its queued query with it
+	poll(t, "the query to queue", func() bool { return srv.GateStats().Inflight == 2 })
+	_, err := cl.Equiv(context.Background(), req)
 	apiErr, ok := err.(*bpi.APIError)
 	if !ok || apiErr.Code != service.CodeQueueFull {
 		t.Fatalf("expected queue_full, got %v", err)
