@@ -59,14 +59,6 @@ func NewOut(subj names.Name, objs []names.Name) Act {
 	return Act{Kind: Out, Subj: subj, Objs: objs}
 }
 
-// NewBoundOut returns the bound output νỹ āx̃.
-func NewBoundOut(subj names.Name, objs, bound []names.Name) Act {
-	return Act{Kind: Out, Subj: subj, Objs: objs, Bound: bound}
-}
-
-// NewDiscard returns the pseudo-action a:.
-func NewDiscard(subj names.Name) Act { return Act{Kind: Discard, Subj: subj} }
-
 // IsTau reports α = τ.
 func (a Act) IsTau() bool { return a.Kind == Tau }
 
@@ -116,32 +108,6 @@ func (a Act) BoundNames() names.Set {
 // Names returns n(α) = fn(α) ∪ bn(α).
 func (a Act) Names() names.Set { return a.FreeNames().AddAll(a.BoundNames()) }
 
-// Rename applies a substitution to the free names of the label. Bound names
-// are binders and are not renamed; callers must alpha-convert them first if
-// the substitution's codomain clashes.
-func (a Act) Rename(s names.Subst) Act {
-	switch a.Kind {
-	case Tau:
-		return a
-	case Discard:
-		return NewDiscard(s.Apply(a.Subj))
-	case In:
-		return NewIn(s.Apply(a.Subj), s.ApplySlice(a.Objs))
-	case Out:
-		bound := a.BoundSet()
-		objs := make([]names.Name, len(a.Objs))
-		for i, o := range a.Objs {
-			if bound.Contains(o) {
-				objs[i] = o
-			} else {
-				objs[i] = s.Apply(o)
-			}
-		}
-		return Act{Kind: Out, Subj: s.Apply(a.Subj), Objs: objs, Bound: a.Bound}
-	}
-	panic("actions: unknown kind")
-}
-
 // RenameAll applies a substitution to every name of the label including the
 // bound ones (used for joint alpha-conversion of label and target).
 func (a Act) RenameAll(s names.Subst) Act {
@@ -150,29 +116,6 @@ func (a Act) RenameAll(s names.Subst) Act {
 		out.Subj = ""
 	}
 	return out
-}
-
-// Equal reports literal label equality (names compared verbatim; bound
-// output labels should be canonicalised jointly with their targets before
-// comparing).
-func (a Act) Equal(b Act) bool {
-	if a.Kind != b.Kind || a.Subj != b.Subj {
-		return false
-	}
-	if len(a.Objs) != len(b.Objs) || len(a.Bound) != len(b.Bound) {
-		return false
-	}
-	for i := range a.Objs {
-		if a.Objs[i] != b.Objs[i] {
-			return false
-		}
-	}
-	for i := range a.Bound {
-		if a.Bound[i] != b.Bound[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the label: "tau", "a?(x,y)", "a!(x,y)", "(^x)a!(x)",

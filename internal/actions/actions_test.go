@@ -17,8 +17,8 @@ func TestConstructorsAndPredicates(t *testing.T) {
 	tau := NewTau()
 	in := NewIn(a, []names.Name{x})
 	out := NewOut(a, []names.Name{b})
-	bout := NewBoundOut(a, []names.Name{x, b}, []names.Name{x})
-	disc := NewDiscard(a)
+	bout := Act{Kind: Out, Subj: a, Objs: []names.Name{x, b}, Bound: []names.Name{x}}
+	disc := Act{Kind: Discard, Subj: a}
 
 	if !tau.IsTau() || tau.IsOutput() || tau.IsInput() {
 		t.Error("tau predicates wrong")
@@ -49,8 +49,8 @@ func TestFreeBoundNames(t *testing.T) {
 		{NewTau(), names.NewSet(), names.NewSet()},
 		{NewIn(a, []names.Name{b, c}), names.NewSet(a, b, c), names.NewSet()},
 		{NewOut(a, []names.Name{b}), names.NewSet(a, b), names.NewSet()},
-		{NewBoundOut(a, []names.Name{x, b}, []names.Name{x}), names.NewSet(a, b), names.NewSet(x)},
-		{NewDiscard(a), names.NewSet(a), names.NewSet()},
+		{Act{Kind: Out, Subj: a, Objs: []names.Name{x, b}, Bound: []names.Name{x}}, names.NewSet(a, b), names.NewSet(x)},
+		{Act{Kind: Discard, Subj: a}, names.NewSet(a), names.NewSet()},
 	}
 	for i, cs := range cases {
 		if got := cs.act.FreeNames(); !got.Equal(cs.free) {
@@ -66,41 +66,27 @@ func TestFreeBoundNames(t *testing.T) {
 	}
 }
 
+// TestRenameRespectsBinders: RenameAll renames a bound output's binder
+// together with its occurrence, so the label keeps its binding structure.
 func TestRenameRespectsBinders(t *testing.T) {
-	bout := NewBoundOut(a, []names.Name{x, b}, []names.Name{x})
-	ren := bout.Rename(names.Subst{a: c, b: c, x: c})
-	if ren.Subj != c {
-		t.Errorf("subject not renamed: %s", ren)
+	bout := Act{Kind: Out, Subj: a, Objs: []names.Name{x, b}, Bound: []names.Name{x}}
+	all := bout.RenameAll(names.Subst{a: c, x: c})
+	if all.Subj != c || all.Objs[1] != b {
+		t.Errorf("RenameAll renamed the wrong free names: %s", all)
 	}
-	if ren.Objs[0] != x {
-		t.Errorf("bound object renamed by Rename: %s", ren)
-	}
-	if ren.Objs[1] != c {
-		t.Errorf("free object not renamed: %s", ren)
-	}
-	all := bout.RenameAll(names.Subst{x: c})
 	if all.Objs[0] != c || all.Bound[0] != c {
 		t.Errorf("RenameAll missed binder: %s", all)
 	}
 }
 
-func TestEqualAndString(t *testing.T) {
-	if !NewOut(a, []names.Name{b}).Equal(NewOut(a, []names.Name{b})) {
-		t.Error("equal outputs differ")
-	}
-	if NewOut(a, []names.Name{b}).Equal(NewOut(a, []names.Name{c})) {
-		t.Error("different payloads equal")
-	}
-	if NewIn(a, nil).Equal(NewOut(a, nil)) {
-		t.Error("kind confusion")
-	}
+func TestString(t *testing.T) {
 	cases := map[string]Act{
 		"tau":         NewTau(),
 		"a?(x)":       NewIn(a, []names.Name{x}),
 		"a!(b)":       NewOut(a, []names.Name{b}),
 		"a!":          NewOut(a, nil),
-		"(^x)a!(x,b)": NewBoundOut(a, []names.Name{x, b}, []names.Name{x}),
-		"a:":          NewDiscard(a),
+		"(^x)a!(x,b)": {Kind: Out, Subj: a, Objs: []names.Name{x, b}, Bound: []names.Name{x}},
+		"a:":          {Kind: Discard, Subj: a},
 	}
 	for want, act := range cases {
 		if got := act.String(); got != want {

@@ -6,10 +6,8 @@ import (
 	"bpi/internal/syntax"
 )
 
-// semanticsSystem returns the shared empty-environment system used for
-// side-condition checks on finite terms.
-func semanticsSystem() *semantics.System { return sharedSys }
-
+// sharedSys is the empty-environment system the package's tests compute
+// head normal forms with.
 var sharedSys = semantics.NewSystem(nil)
 
 // Axiom is one law of the system A (Tables 6 and 7) presented as an

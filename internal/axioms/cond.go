@@ -99,12 +99,6 @@ type World struct {
 	Rep names.Subst
 }
 
-// Subst returns the representative substitution σ_R of the world: applying
-// it to a term decides every match over V exactly as the complete condition
-// does (distinct representatives stay distinct names, which the transition
-// rules treat as unequal).
-func (w World) Subst() names.Subst { return w.Rep }
-
 // Cond renders the world as a complete condition on V: the conjunction of
 // all equations within classes and disequations across classes.
 func (w World) Cond() Cond {
@@ -196,29 +190,6 @@ func eachWorld(v names.Set, f func(World) bool) {
 		return rec(i+1, append(classes, []names.Name{x}))
 	}
 	rec(0, nil)
-}
-
-// Agrees reports whether a substitution σ agrees with a condition φ
-// (Definition 18): for names x, y of φ, σ(x)=σ(y) iff φ ⇒ (x=y).
-func Agrees(sigma names.Subst, c Cond) bool {
-	return c.Eval(sigma)
-}
-
-// Implies reports φ ⇒ ψ over the given name universe, checking the worlds
-// until one satisfies φ and not ψ.
-func Implies(phi, psi Cond, v names.Set) bool {
-	u := v.Clone().AddAll(CondNames(phi)).AddAll(CondNames(psi))
-	holds := true
-	eachWorld(u, func(w World) bool {
-		holds = !phi.Eval(w.Rep) || psi.Eval(w.Rep)
-		return holds
-	})
-	return holds
-}
-
-// Equivalent reports φ ⇔ ψ over the given name universe.
-func Equivalent(phi, psi Cond, v names.Set) bool {
-	return Implies(phi, psi, v) && Implies(psi, phi, v)
 }
 
 // Satisfiable reports that some world satisfies φ, checking the worlds

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"bpi/internal/names"
 	"bpi/internal/syntax"
 )
 
@@ -24,24 +23,6 @@ func TestCondStrings(t *testing.T) {
 	for _, cse := range cases {
 		if got := cse.c.String(); got != cse.want {
 			t.Errorf("String(%#v) = %q, want %q", cse.c, got, cse.want)
-		}
-	}
-}
-
-// TestWorldSubstAgrees ties World.Subst to Agrees (Definition 18): every
-// world's representative substitution agrees with the world's own complete
-// condition, and with no other world's.
-func TestWorldSubstAgrees(t *testing.T) {
-	v := names.NewSet(a, b, c)
-	ws := Worlds(v)
-	for i, w := range ws {
-		if !Agrees(w.Subst(), w.Cond()) {
-			t.Errorf("world %s does not agree with its own condition", w)
-		}
-		for j, u := range ws {
-			if i != j && Agrees(w.Subst(), u.Cond()) {
-				t.Errorf("world %s agrees with foreign condition of %s", w, u)
-			}
 		}
 	}
 }
@@ -73,29 +54,5 @@ func TestProverTraceAndBounds(t *testing.T) {
 	}
 	if len(quiet.TraceLines()) != 0 {
 		t.Error("silent prover recorded trace lines")
-	}
-}
-
-// TestHNFInputChannels pins the listener summary of a head normal form:
-// channels with the arities of their input binders, per world.
-func TestHNFInputChannels(t *testing.T) {
-	// a?(x).0 + a?(x,y).0 + b!().0 listens on a at arities 1 and 2.
-	p := syntax.Choice(
-		syntax.Recv(a, []names.Name{x}, syntax.PNil),
-		syntax.Recv(a, []names.Name{x, "y"}, syntax.PNil),
-		syntax.SendN(b),
-	)
-	h, err := ComputeHNF(sharedSys, p, syntax.FreeNames(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range h.Worlds {
-		ins := h.InputChannels(i)
-		if len(ins) != 1 || ins[a] == nil {
-			t.Fatalf("world %d: InputChannels = %v, want listeners on a only", i, ins)
-		}
-		if !ins[a][1] || !ins[a][2] || len(ins[a]) != 2 {
-			t.Errorf("world %d: arities on a = %v, want {1,2}", i, ins[a])
-		}
 	}
 }

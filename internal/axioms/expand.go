@@ -11,11 +11,8 @@ import (
 // nine summand families of the table — joint inputs, output+reception (both
 // orientations), output+discard, reception+discard, and the τ interleavings
 // — whose continuations are composed with plain ‖. Summands whose guard no
-// world satisfies are dropped (C4).
-//
-// Operands with restrictions or nested parallels should go through
-// NormalForm first. Returns ok=false if an operand is not a guarded sum of
-// prefixes.
+// world satisfies are dropped (C4). Returns ok=false if an operand is not a
+// guarded sum of prefixes.
 //
 // Arity caveat: the paper states the axiomatisation for the monadic
 // calculus. In a polyadic setting the [x∉T] guard conflates "not listening
@@ -33,7 +30,7 @@ func Expand(p, q syntax.Proc) (syntax.Proc, bool) {
 	if !ok {
 		return nil, false
 	}
-	return expand(ps, qs, p, q, func(l, r syntax.Proc) syntax.Proc { return syntax.Par{L: l, R: r} }), true
+	return expand(ps, qs, p, q), true
 }
 
 // gsummand is a condition-guarded prefix summand φπ.p.
@@ -86,14 +83,15 @@ func rebuild(ss []gsummand) syntax.Proc {
 }
 
 // expand is the expansion axiom (Table 8) over the guarded summands ps of p
-// and qs of q. join composes a continuation of p's side with one of q's:
-// Expand passes plain ‖, NormalForm its normalising composition. The
-// discard and τ families keep the sibling whole. A summand whose guard is
-// unsatisfiable is dropped (C4); satisfiability is decided over the guard's
-// own names, since a partition of those extends to any larger name set.
-func expand(ps, qs []gsummand, p, q syntax.Proc, join func(l, r syntax.Proc) syntax.Proc) syntax.Proc {
-	swap := func(l, r syntax.Proc) syntax.Proc { return join(r, l) }
-	out := jointInputs(ps, qs, join)
+// and qs of q. Each continuation of p's side is composed with one of q's by
+// plain ‖, p's side on the left. The discard and τ families keep the sibling
+// whole. A summand whose guard is unsatisfiable is dropped (C4);
+// satisfiability is decided over the guard's own names, since a partition
+// of those extends to any larger name set.
+func expand(ps, qs []gsummand, p, q syntax.Proc) syntax.Proc {
+	join := func(l, r syntax.Proc) syntax.Proc { return syntax.Par{L: l, R: r} }
+	swap := func(l, r syntax.Proc) syntax.Proc { return syntax.Par{L: r, R: l} }
+	out := jointInputs(ps, qs)
 	// Families 2–5: outputs heard or discarded, both orientations.
 	out = appendOutputs(out, ps, qs, q, join)
 	out = appendOutputs(out, qs, ps, p, swap)
@@ -115,7 +113,7 @@ func expand(ps, qs []gsummand, p, q syntax.Proc, join func(l, r syntax.Proc) syn
 // jointInputs is the first family: [x=y] x(v).(p'‖q') for every pair of
 // inputs of equal arity; the equality guard covers the substitutions that
 // fuse distinct channel names.
-func jointInputs(ps, qs []gsummand, join func(l, r syntax.Proc) syntax.Proc) []gsummand {
+func jointInputs(ps, qs []gsummand) []gsummand {
 	var out []gsummand
 	for _, sp := range ps {
 		pin, ok := sp.pre.(syntax.In)
@@ -139,7 +137,7 @@ func jointInputs(ps, qs []gsummand, join func(l, r syntax.Proc) syntax.Proc) []g
 			out = append(out, gsummand{
 				cond: Conj(sp.cond, sq.cond, Eq{pin.Ch, qin.Ch}),
 				pre:  syntax.In{Ch: pin.Ch, Params: params},
-				cont: join(cl, cr),
+				cont: syntax.Par{L: cl, R: cr},
 			})
 		}
 	}

@@ -52,12 +52,6 @@ func TestHeadInsApproximation(t *testing.T) {
 	}
 }
 
-func TestSemanticsSystemIsShared(t *testing.T) {
-	if semanticsSystem() == nil || semanticsSystem() != semanticsSystem() {
-		t.Fatal("semanticsSystem must return one shared instance")
-	}
-}
-
 // The Cond interface is sealed: exactly these four constructors.
 func TestCondSealed(t *testing.T) {
 	for _, c := range []Cond{True{}, Eq{"a", "b"}, Not{C: True{}}, And{L: True{}, R: True{}}} {

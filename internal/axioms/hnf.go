@@ -138,31 +138,3 @@ func summandProc(s Summand) syntax.Proc {
 		return out
 	}
 }
-
-// InputChannels returns the channels (with arities) on which world i listens.
-func (h *HNF) InputChannels(i int) map[names.Name]map[int]bool {
-	out := map[names.Name]map[int]bool{}
-	for _, s := range h.ByWorld[i] {
-		if s.Kind == actions.In {
-			if out[s.Ch] == nil {
-				out[s.Ch] = map[int]bool{}
-			}
-			out[s.Ch][len(s.Binder)] = true
-		}
-	}
-	return out
-}
-
-// Depth returns the prefix depth of the original process as seen by the hnf
-// (1 + max continuation depth), the induction measure of Theorem 7.
-func (h *HNF) Depth() int {
-	d := 0
-	for _, ws := range h.ByWorld {
-		for _, s := range ws {
-			if cd := syntax.Depth(s.Cont) + 1; cd > d {
-				d = cd
-			}
-		}
-	}
-	return d
-}

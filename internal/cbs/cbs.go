@@ -3,7 +3,8 @@
 // ether and hear or discard what others speak. It exists as the comparison
 // point of the paper's related-work discussion — bπ is "CBS plus channels
 // plus mobility" — and the embedding ToBpi exhibits CBS as the one-channel
-// fragment of the bπ-calculus, verified transition-by-transition in tests.
+// fragment of the bπ-calculus, checked transition by transition by
+// bpibench's E15 on one term and by the tests on random terms.
 package cbs
 
 import (
@@ -352,8 +353,8 @@ func writeKey(p Proc, b *strings.Builder, env names.Subst, k *int) {
 // ToBpi embeds a CBS process into the bπ-calculus over a single ether
 // channel: v! becomes ether!(v), x? becomes ether?(x). The embedding is a
 // strong transition-by-transition correspondence (CBS is exactly the
-// one-channel, no-restriction fragment of bπ), which the tests verify by
-// comparing the generated transition systems.
+// one-channel, no-restriction fragment of bπ), which E15 and the tests
+// check by comparing the generated transition systems.
 func ToBpi(p Proc, ether names.Name) syntax.Proc {
 	switch t := p.(type) {
 	case Nil:

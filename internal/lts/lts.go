@@ -38,7 +38,6 @@ type Edge struct {
 // State is an explored process state.
 type State struct {
 	Proc syntax.Proc
-	Key  string
 }
 
 // Graph is an explicit LTS over interned states.
@@ -47,9 +46,6 @@ type Graph struct {
 	Edges  [][]Edge
 	// Roots holds the state indices of the exploration roots, in input order.
 	Roots []int
-	// Universe is the base name universe used for input instantiation: the
-	// free names of the roots and one reservoir name.
-	Universe []names.Name
 	// Truncated reports that a budget stopped the exploration before the
 	// reachable set was exhausted; equivalence verdicts computed on a
 	// truncated graph are not conclusive.
@@ -78,13 +74,15 @@ func (o Options) maxStates() int {
 	return o.MaxStates
 }
 
-// FreshReservoir returns the deterministic reservoir names used to probe
-// inputs with "new" names: ✶1, ✶2, … They are valid channel names that user
-// terms never contain (they carry the reserved marker).
-func FreshReservoir(n int) []names.Name {
-	out := make([]names.Name, n)
-	for i := range out {
-		out[i] = names.Name(fmt.Sprintf("w%s%d", names.FreshMarker, i+1))
+// reservoir returns the first k reservoir names outside u, the names used
+// to probe inputs with "new" names: w✶1, w✶2, … They are valid channel
+// names that user terms never contain (they carry the reserved marker).
+func reservoir(u names.Set, k int) []names.Name {
+	out := make([]names.Name, 0, k)
+	for i := 1; len(out) < k; i++ {
+		if w := names.Name(fmt.Sprintf("w%s%d", names.FreshMarker, i)); !u.Contains(w) {
+			out = append(out, w)
+		}
 	}
 	return out
 }
@@ -102,11 +100,10 @@ func ExploreCtx(ctx context.Context, sys *semantics.System, roots []syntax.Proc,
 	span := opt.Obs.Span("lts.explore")
 	defer span.End()
 	g := &Graph{index: map[string]int{}}
-	base := names.NewSet(FreshReservoir(1)...)
+	base := names.NewSet()
 	for _, r := range roots {
 		base = base.AddAll(syntax.FreeNames(r))
 	}
-	g.Universe = base.Sorted()
 
 	var frontier []int
 	for _, r := range roots {
@@ -117,7 +114,7 @@ func ExploreCtx(ctx context.Context, sys *semantics.System, roots []syntax.Proc,
 			frontier = append(frontier, i)
 		}
 	}
-	err := exploreFrom(ctx, sys, g, frontier, opt)
+	err := exploreFrom(ctx, sys, g, frontier, base, opt)
 	opt.Obs.Count("lts.states", int64(g.NumStates()))
 	opt.Obs.Count("lts.edges", int64(g.NumEdges()))
 	return g, err
@@ -130,7 +127,7 @@ func (g *Graph) intern(p syntax.Proc, k string) (int, bool) {
 		return i, false
 	}
 	i := len(g.States)
-	g.States = append(g.States, State{p, k})
+	g.States = append(g.States, State{p})
 	g.Edges = append(g.Edges, nil)
 	g.index[k] = i
 	return i, true
@@ -140,14 +137,15 @@ func (g *Graph) intern(p syntax.Proc, k string) (int, bool) {
 func canceled(err error) error { return fmt.Errorf("lts: exploration canceled: %w", err) }
 
 // groundEdges computes the ground successor list of state p: τ and output
-// transitions as-is (outputs canonicalised), inputs instantiated over
-// universe ∪ fn(p).
-func groundEdges(ctx context.Context, sys *semantics.System, p syntax.Proc, universe []names.Name, autonomousOnly bool) ([]semantics.Trans, error) {
+// transitions as-is (outputs canonicalised), and each k-ary input
+// instantiated over base ∪ fn(p) plus k reservoir names outside it.
+func groundEdges(ctx context.Context, sys *semantics.System, p syntax.Proc, base names.Set, autonomousOnly bool) ([]semantics.Trans, error) {
 	ts, err := sys.Steps(p)
 	if err != nil {
 		return nil, err
 	}
-	u := names.NewSet(universe...).AddAll(syntax.FreeNames(p)).Sorted()
+	known := base.Clone().AddAll(syntax.FreeNames(p))
+	sorted := known.Sorted()
 	var out []semantics.Trans
 	tuples := 0
 	for _, t := range ts {
@@ -162,6 +160,7 @@ func groundEdges(ctx context.Context, sys *semantics.System, p syntax.Proc, univ
 				continue
 			}
 			k := len(t.Act.Objs)
+			u := append(sorted[:len(sorted):len(sorted)], reservoir(known, k)...)
 			err := forEachTuple(u, k, func(tuple []names.Name) error {
 				if tuples++; tuples%1024 == 0 {
 					if err := ctx.Err(); err != nil {
@@ -214,7 +213,7 @@ func forEachTuple(u []names.Name, k int, f func([]names.Name) error) error {
 // exploreFrom is the exploration loop: strictly FIFO over the frontier,
 // interning targets in edge order, so the graph shape depends only on this
 // loop.
-func exploreFrom(ctx context.Context, sys *semantics.System, g *Graph, frontier []int, opt Options) error {
+func exploreFrom(ctx context.Context, sys *semantics.System, g *Graph, frontier []int, base names.Set, opt Options) error {
 	max := opt.maxStates()
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -222,7 +221,7 @@ func exploreFrom(ctx context.Context, sys *semantics.System, g *Graph, frontier 
 		}
 		i := frontier[0]
 		frontier = frontier[1:]
-		ts, err := groundEdges(ctx, sys, g.States[i].Proc, g.Universe, opt.AutonomousOnly)
+		ts, err := groundEdges(ctx, sys, g.States[i].Proc, base, opt.AutonomousOnly)
 		if err != nil {
 			return err
 		}
@@ -277,14 +276,6 @@ func (g *Graph) NumEdges() int {
 		n += len(es)
 	}
 	return n
-}
-
-// StateIndex returns the index of the interned representative of p, or -1.
-func (g *Graph) StateIndex(p syntax.Proc) int {
-	if i, ok := g.index[syntax.Key(syntax.Simplify(p))]; ok {
-		return i
-	}
-	return -1
 }
 
 // Barbs returns the set of strong barbs of state i: the subjects of its

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bpi/internal/names"
+	"bpi/internal/parser"
 	"bpi/internal/semantics"
 	"bpi/internal/syntax"
 )
@@ -42,9 +43,17 @@ func TestExploreLinear(t *testing.T) {
 	if g.Truncated {
 		t.Fatal("unexpected truncation")
 	}
-	if g.StateIndex(p) != g.Roots[0] {
+	if stateOf(g, p) != g.Roots[0] {
 		t.Fatal("root lookup failed")
 	}
+}
+
+// stateOf returns the index of p's state in g, looked up by its key, or -1.
+func stateOf(g *Graph, p syntax.Proc) int {
+	if i, ok := g.index[syntax.Key(syntax.Simplify(p))]; ok {
+		return i
+	}
+	return -1
 }
 
 func TestExploreInputInstantiation(t *testing.T) {
@@ -147,16 +156,18 @@ func TestExploreCtxCanceled(t *testing.T) {
 	if g.NumStates() != 1 || g.NumEdges() != 0 {
 		t.Fatalf("canceled exploration expanded the root: %v", g)
 	}
-	// a?(x,y,z) over 13 names is 2,197 tuples from a single state.
+	// a?(x,y,z) over 16 names (12 known reservoir names, a, and 3 reservoir
+	// names outside those) is 4,096 tuples from a single state.
 	p := syntax.Recv(a, []names.Name{x, y, "z"}, syntax.PNil)
-	ts, err := groundEdges(ctx, sys, p, FreshReservoir(12), false)
+	known := names.NewSet(reservoir(nil, 12)...)
+	ts, err := groundEdges(ctx, sys, p, known, false)
 	if !errors.Is(err, context.Canceled) || ts != nil {
 		t.Fatalf("inside a state: got %d transitions and %v, want context.Canceled", len(ts), err)
 	}
 	// A live context instantiates every tuple.
-	ts, err = groundEdges(context.Background(), sys, p, FreshReservoir(12), false)
-	if err != nil || len(ts) != 13*13*13 {
-		t.Fatalf("live context: got %d transitions and %v, want %d", len(ts), err, 13*13*13)
+	ts, err = groundEdges(context.Background(), sys, p, known, false)
+	if err != nil || len(ts) != 16*16*16 {
+		t.Fatalf("live context: got %d transitions and %v, want %d", len(ts), err, 16*16*16)
 	}
 }
 
@@ -202,7 +213,7 @@ func TestTauClosure(t *testing.T) {
 		t.Fatalf("tau closure: %v", cl[g.Roots[0]])
 	}
 	// The final state's closure is itself.
-	last := g.StateIndex(syntax.SendN(a))
+	last := stateOf(g, syntax.SendN(a))
 	if len(cl[last]) != 1 {
 		t.Fatalf("closure of output state: %v", cl[last])
 	}
@@ -225,10 +236,50 @@ func TestMultiRootSharesStates(t *testing.T) {
 }
 
 func TestFreshReservoirValid(t *testing.T) {
-	for _, n := range FreshReservoir(3) {
+	for _, n := range reservoir(nil, 3) {
 		if !strings.Contains(string(n), names.FreshMarker) {
 			t.Errorf("reservoir name %q must carry the fresh marker", n)
 		}
+	}
+	taken := names.NewSet(reservoir(nil, 2)...)
+	if got := reservoir(taken, 2); taken.ContainsAny(got) || len(got) != 2 || got[0] == got[1] {
+		t.Errorf("reservoir outside %v = %v, want two other names", taken, got)
+	}
+}
+
+// TestExploreFreshNamePerInputPosition: a k-ary input is instantiated over
+// k reservoir names outside the names in play, so a state reached only by
+// receiving two distinct new names is explored, at the root and after an
+// earlier input has made a reservoir name free.
+func TestExploreFreshNamePerInputPosition(t *testing.T) {
+	reservoirBarbs := func(g *Graph) int {
+		n := 0
+		for i := range g.States {
+			for _, ch := range g.Barbs(i).Sorted() {
+				if strings.Contains(string(ch), names.FreshMarker) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	parse := func(src string) syntax.Proc {
+		p, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// Receiving (w✶1, w✶2) or (w✶2, w✶1) reaches w✶1! or w✶2!.
+	g := explore(t, parse("a?(x,y).[x=a](0, [y=a](0, [x=y](0, x!)))"), Options{})
+	if g.NumStates() != 4 || g.NumEdges() != 11 || reservoirBarbs(g) != 2 {
+		t.Fatalf("graph %v has %d outputs on reservoir names, want 4 states, 11 edges and 2",
+			g, reservoirBarbs(g))
+	}
+	// After z has received w✶1, x needs a second new name.
+	g = explore(t, parse("a?(z).a?(x).[x=z](0, [x=a](0, x!))"), Options{})
+	if reservoirBarbs(g) == 0 {
+		t.Fatalf("graph %v never outputs on a reservoir name", g)
 	}
 }
 

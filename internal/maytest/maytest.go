@@ -94,20 +94,3 @@ func TraceObservers(chans []names.Name, depth int, omega names.Name) []syntax.Pr
 	build(nil)
 	return out
 }
-
-// PayloadObservers extends TraceObservers with single-input observers that
-// inspect a received payload against known names:
-//
-//	a(x).[x=b] ω̄   and   a(x).x().ω̄
-func PayloadObservers(chans, payloads []names.Name, omega names.Name) []syntax.Proc {
-	var out []syntax.Proc
-	for _, a := range chans {
-		for _, b := range payloads {
-			out = append(out, syntax.Recv(a, []names.Name{"x"},
-				syntax.If("x", b, syntax.SendN(omega), syntax.PNil)))
-		}
-		out = append(out, syntax.Recv(a, []names.Name{"x"},
-			syntax.Recv("x", nil, syntax.SendN(omega))))
-	}
-	return out
-}

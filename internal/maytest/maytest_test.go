@@ -116,26 +116,3 @@ func TestMayPreorderIsCoarserThanBisim(t *testing.T) {
 		}
 	}
 }
-
-func TestPayloadObservers(t *testing.T) {
-	// ā(b) vs ā(c): payload observers must separate them.
-	obs := PayloadObservers([]names.Name{a}, []names.Name{b, c}, DefaultSuccess)
-	v, err := Distinguish(nil, syntax.SendN(a, b), syntax.SendN(a, c), obs, DefaultSuccess, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Distinguisher == nil {
-		t.Fatal("payload difference not observed")
-	}
-	// Mobility: ā(b) vs ā(c) where the payload is later used as a channel.
-	v, err = Distinguish(nil,
-		syntax.Group(syntax.SendN(a, b), syntax.SendN(b)),
-		syntax.Group(syntax.SendN(a, c), syntax.SendN(b)),
-		obs, DefaultSuccess, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Distinguisher == nil {
-		t.Fatal("x().ω̄ observer failed on mobile payload")
-	}
-}

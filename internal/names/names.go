@@ -111,31 +111,6 @@ func (s Set) Minus(t Set) Set {
 	return c
 }
 
-// Intersect returns a new set s ∩ t.
-func (s Set) Intersect(t Set) Set {
-	c := make(Set)
-	for n := range s {
-		if t.Contains(n) {
-			c[n] = struct{}{}
-		}
-	}
-	return c
-}
-
-// Disjoint reports whether s ∩ t = ∅.
-func (s Set) Disjoint(t Set) bool {
-	small, big := s, t
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	for n := range small {
-		if big.Contains(n) {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports set equality.
 func (s Set) Equal(t Set) bool {
 	if len(s) != len(t) {

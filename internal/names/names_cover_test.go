@@ -40,36 +40,12 @@ func TestSetEqual(t *testing.T) {
 	}
 }
 
-func TestSubstRestrict(t *testing.T) {
-	s := Subst{"a": "x", "b": "y", "c": "z"}
-	r := s.Restrict(NewSet("a", "c", "unmapped"))
-	if len(r) != 2 || r.Apply("a") != "x" || r.Apply("c") != "z" {
-		t.Fatalf("Restrict: %v", r)
-	}
-	if r.Apply("b") != "b" {
-		t.Error("restricted-away entry still maps")
-	}
-}
-
 func TestSubstIsIdentity(t *testing.T) {
 	if !(Subst{}).IsIdentity() || !(Subst{"a": "a"}).IsIdentity() {
 		t.Error("trivial substitutions not identity")
 	}
 	if (Subst{"a": "b"}).IsIdentity() {
 		t.Error("a↦b reported as identity")
-	}
-}
-
-func TestSubstEqualExtensional(t *testing.T) {
-	// Extensional: trivial x↦x entries don't matter, both directions checked.
-	if !(Subst{"a": "b", "c": "c"}).Equal(Subst{"a": "b"}) {
-		t.Error("trivial entry broke equality")
-	}
-	if (Subst{"a": "b"}).Equal(Subst{"a": "b", "d": "e"}) {
-		t.Error("missing mapping not detected (t-side sweep)")
-	}
-	if (Subst{"a": "b"}).Equal(Subst{"a": "c"}) {
-		t.Error("conflicting mapping not detected")
 	}
 }
 

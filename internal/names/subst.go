@@ -12,9 +12,6 @@ import (
 // The zero value (nil map) is the identity substitution.
 type Subst map[Name]Name
 
-// Identity returns an explicit identity substitution.
-func Identity() Subst { return Subst{} }
-
 // Single returns the substitution [new/old] (replace old by new).
 func Single(old, new Name) Subst {
 	if old == new {
@@ -109,17 +106,6 @@ func (s Subst) Codomain() Set {
 	return c
 }
 
-// Restrict returns σ restricted to the names in keep (identity elsewhere).
-func (s Subst) Restrict(keep Set) Subst {
-	out := make(Subst)
-	for o, n := range s {
-		if keep.Contains(o) {
-			out[o] = n
-		}
-	}
-	return out
-}
-
 // Without returns σ with the given names removed from its domain; used when
 // a substitution passes under a binder for those names.
 func (s Subst) Without(bound ...Name) Subst {
@@ -144,53 +130,6 @@ func (s Subst) Without(bound ...Name) Subst {
 		delete(out, b)
 	}
 	return out
-}
-
-// Compose returns the substitution τ∘σ: first σ, then τ
-// (i.e. (τ∘σ)(x) = τ(σ(x))).
-func (s Subst) Compose(after Subst) Subst {
-	out := make(Subst, len(s)+len(after))
-	for o, n := range s {
-		out[o] = after.Apply(n)
-	}
-	for o, n := range after {
-		if _, ok := s[o]; !ok {
-			out[o] = n
-		}
-	}
-	return out
-}
-
-// Injective reports whether σ is injective on its proper domain ∪ identity
-// (no two distinct names are fused).
-func (s Subst) Injective() bool {
-	seen := make(map[Name]Name, len(s))
-	for o, n := range s {
-		if prev, ok := seen[n]; ok && prev != o {
-			return false
-		}
-		seen[n] = o
-		// Fusing a domain name onto an untouched name also breaks injectivity
-		// when that untouched name is itself in play; callers that need
-		// global injectivity should restrict domains first. Here we check
-		// the usual condition: σ injective on prdom.
-	}
-	return true
-}
-
-// Equal reports extensional equality of two substitutions.
-func (s Subst) Equal(t Subst) bool {
-	for o, n := range s {
-		if t.Apply(o) != n {
-			return false
-		}
-	}
-	for o, n := range t {
-		if s.Apply(o) != n {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone returns an independent copy.

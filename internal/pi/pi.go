@@ -67,10 +67,9 @@ func (Match) isPi() {}
 
 // Label is a π transition label.
 type Label struct {
-	Kind  byte // 't' τ, '!' free output, 'b' bound output, '?' input
-	Ch    Name
-	Obj   Name
-	Bound bool
+	Kind byte // 't' τ, '!' free output, 'b' bound output, '?' input
+	Ch   Name
+	Obj  Name
 }
 
 // String renders the label.

@@ -20,10 +20,8 @@ func TestAuxiliaryDrawsAreSeeded(t *testing.T) {
 	if n := g1.PickName(); n != g2.PickName() {
 		t.Error("PickName diverged on equal seeds")
 	}
-	p1, q1 := g1.Pair()
-	p2, q2 := g2.Pair()
-	if !syntax.Equal(p1, p2) || !syntax.Equal(q1, q2) {
-		t.Error("Pair diverged on equal seeds")
+	if !syntax.Equal(g1.Term(), g2.Term()) {
+		t.Error("Term diverged on equal seeds")
 	}
 }
 

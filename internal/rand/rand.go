@@ -108,12 +108,6 @@ func (g *Gen) Intn(n int) int { return g.rng.Intn(n) }
 // PickName draws one name from the configured pool.
 func (g *Gen) PickName() names.Name { return g.pick(g.cfg.Names) }
 
-// Pair generates two random terms over the same name pool — raw material for
-// equivalence cross-checks.
-func (g *Gen) Pair() (syntax.Proc, syntax.Proc) {
-	return g.Term(), g.Term()
-}
-
 // Mutate produces a structural variant of p that is often (but not always)
 // behaviourally equivalent: it draws uniformly from four of the
 // equivalence-preserving rewrites of MutateEquiv, the free-name swap (which

@@ -159,12 +159,3 @@ func StrongBarbed(g *lts.Graph) (bool, error) {
 	)
 	return block[g.Roots[0]] == block[g.Roots[1]], nil
 }
-
-// Blocks returns, for inspection, the states grouped by block.
-func Blocks(assign []int) map[int][]int {
-	out := map[int][]int{}
-	for s, b := range assign {
-		out[b] = append(out[b], s)
-	}
-	return out
-}

@@ -150,14 +150,6 @@ func TestRefineRejectsTruncated(t *testing.T) {
 	}
 }
 
-func TestBlocksHelper(t *testing.T) {
-	assign := []int{0, 1, 0, 2}
-	bl := Blocks(assign)
-	if len(bl) != 3 || len(bl[0]) != 2 {
-		t.Fatalf("blocks: %v", bl)
-	}
-}
-
 func TestWeakKnownPairs(t *testing.T) {
 	a, c, d := names.Name("a"), names.Name("c"), names.Name("d")
 	// τ.τ.ā ≈φ ≈b ā.

@@ -116,7 +116,7 @@ func TestStepPrefixes(t *testing.T) {
 	}
 	// āb.p
 	ts = mustSteps(t, syntax.Send(a, []names.Name{b}, syntax.SendN(c)))
-	if len(ts) != 1 || !ts[0].Act.Equal(actions.NewOut(a, []names.Name{b})) {
+	if len(ts) != 1 || ts[0].Act.String() != "a!(b)" {
 		t.Fatalf("output prefix: %v", ts)
 	}
 	// a(x).x̄ — symbolic input, then instantiation (early rule 3)
@@ -125,7 +125,7 @@ func TestStepPrefixes(t *testing.T) {
 		t.Fatalf("input prefix: %v", ts)
 	}
 	act, tgt := Instantiate(ts[0], []names.Name{c})
-	if !act.Equal(actions.NewIn(a, []names.Name{c})) || !syntax.Equal(tgt, syntax.SendN(c)) {
+	if act.String() != "a?(c)" || !syntax.Equal(tgt, syntax.SendN(c)) {
 		t.Fatalf("instantiate: %s %s", act, syntax.String(tgt))
 	}
 }

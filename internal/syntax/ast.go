@@ -93,7 +93,8 @@ type Call struct {
 // Rec is the recursive process (rec A(x̃).p)⟨ỹ⟩: within Body, Call nodes
 // naming Id refer back to this recursion. Params are binders for Body; Args
 // instantiate them. The paper requires every recursive occurrence to be
-// guarded (underneath a prefix); see CheckGuarded.
+// guarded (underneath a prefix); an unguarded one exhausts the semantics'
+// unfolding budget.
 type Rec struct {
 	Id     string
 	Params []Name

@@ -155,8 +155,8 @@ func unguardedCalls(p Proc, out map[string]bool) {
 	case Call:
 		out[t.Id] = true
 	case Rec:
-		// The rec identifier is handled by CheckGuarded on the rec itself;
-		// for environment cycles only free identifiers matter.
+		// For environment cycles only free identifiers matter; the rec's
+		// own identifier is bound here.
 		inner := map[string]bool{}
 		unguardedCalls(t.Body, inner)
 		for id := range inner {
@@ -165,16 +165,6 @@ func unguardedCalls(p Proc, out map[string]bool) {
 			}
 		}
 	}
-}
-
-// allGuardSeeds returns the set of identifiers whose calls must be guarded:
-// every identifier of the environment (mutual recursion).
-func allGuardSeeds(e Env) map[string]bool {
-	ids := make(map[string]bool, len(e))
-	for id := range e {
-		ids[id] = true
-	}
-	return ids
 }
 
 // CheckCalls verifies that every Call in body resolves (environment or
@@ -238,48 +228,6 @@ func (e Env) checkCalls(owner string, p Proc, recs map[string]int) error {
 	}
 }
 
-// CheckGuarded reports whether every occurrence of a recursion identifier
-// (both rec-bound identifiers and the given environment identifiers) in p
-// occurs under a prefix, as the paper assumes for well-formed recursions.
-func CheckGuarded(p Proc, e Env) bool {
-	return guardedIn(p, allGuardSeeds(e), false)
-}
-
-// guardedIn walks p; watch is the set of identifiers that must appear only
-// under a prefix; underPrefix tells whether we are currently guarded.
-func guardedIn(p Proc, watch map[string]bool, underPrefix bool) bool {
-	switch t := p.(type) {
-	case Nil:
-		return true
-	case Prefix:
-		return guardedIn(t.Cont, watch, true)
-	case Sum:
-		return guardedIn(t.L, watch, underPrefix) && guardedIn(t.R, watch, underPrefix)
-	case Par:
-		return guardedIn(t.L, watch, underPrefix) && guardedIn(t.R, watch, underPrefix)
-	case Res:
-		return guardedIn(t.Body, watch, underPrefix)
-	case Match:
-		return guardedIn(t.Then, watch, underPrefix) && guardedIn(t.Else, watch, underPrefix)
-	case Call:
-		if watch[t.Id] && !underPrefix {
-			return false
-		}
-		return true
-	case Rec:
-		inner := make(map[string]bool, len(watch)+1)
-		for k := range watch {
-			inner[k] = true
-		}
-		inner[t.Id] = true
-		// The recursion body itself starts unguarded; the unfolding of the
-		// rec at this point is fine only if its own calls are guarded.
-		return guardedIn(t.Body, inner, false)
-	default:
-		panic("syntax: unknown process node")
-	}
-}
-
 // Size returns the number of AST nodes of p (a standard term-size metric
 // for generators and benchmarks).
 func Size(p Proc) int {
@@ -298,29 +246,6 @@ func Size(p Proc) int {
 		return 1 + Size(t.Then) + Size(t.Else)
 	case Rec:
 		return 1 + Size(t.Body)
-	default:
-		panic("syntax: unknown process node")
-	}
-}
-
-// Depth returns the prefix depth of p: the length of the longest chain of
-// prefixes (the induction measure of the completeness proof, Theorem 7).
-func Depth(p Proc) int {
-	switch t := p.(type) {
-	case Nil, Call:
-		return 0
-	case Prefix:
-		return 1 + Depth(t.Cont)
-	case Sum:
-		return max(Depth(t.L), Depth(t.R))
-	case Par:
-		return Depth(t.L) + Depth(t.R)
-	case Res:
-		return Depth(t.Body)
-	case Match:
-		return max(Depth(t.Then), Depth(t.Else))
-	case Rec:
-		return Depth(t.Body) // unfoldings can deepen; this is the static depth
 	default:
 		panic("syntax: unknown process node")
 	}

@@ -102,40 +102,7 @@ func TestCheckCallsErrors(t *testing.T) {
 	}
 }
 
-// TestCheckGuardedOperators pins guardedIn across the remaining operators:
-// guardedness distributes through sums, compositions, restrictions and
-// matches, and a nested rec restarts unguarded.
-func TestCheckGuardedOperators(t *testing.T) {
-	env := Env{}.Define("A", nil, TauP(PNil))
-	good := []Proc{
-		PNil,
-		Sum{TauP(Call{"A", nil}), TauP(PNil)},
-		Par{TauP(Call{"A", nil}), Restrict(TauP(Call{"A", nil}), z)},
-		If(z, z, TauP(Call{"A", nil}), PNil),
-		Call{"Unwatched", nil}, // not in the environment: nothing to guard
-		Rec{"X", nil, TauP(Par{Call{"X", nil}, Call{"A", nil}}), nil},
-	}
-	for _, p := range good {
-		if !CheckGuarded(p, env) {
-			t.Errorf("guarded term rejected: %s", String(p))
-		}
-	}
-	bad := []Proc{
-		Sum{Call{"A", nil}, TauP(PNil)},
-		Par{TauP(PNil), Call{"A", nil}},
-		Restrict(Call{"A", nil}, z),
-		If(z, z, PNil, Call{"A", nil}),
-		// The nested rec's own body is unguarded even under an outer prefix.
-		TauP(Rec{"X", nil, Call{"X", nil}, nil}),
-	}
-	for _, p := range bad {
-		if CheckGuarded(p, env) {
-			t.Errorf("unguarded term accepted: %s", String(p))
-		}
-	}
-}
-
-// TestMetricsOperators pins Size/Depth/IsFinite on the constructors the
+// TestMetricsOperators pins Size/IsFinite on the constructors the
 // basic metrics test leaves out (restriction, match, rec, call).
 func TestMetricsOperators(t *testing.T) {
 	rec := Rec{"X", nil, TauP(Call{"X", nil}), nil}
@@ -146,15 +113,6 @@ func TestMetricsOperators(t *testing.T) {
 	}
 	if got := Size(rec); got != 3 {
 		t.Errorf("Size(rec) = %d, want 3", got)
-	}
-	if got := Depth(r); got != 2 {
-		t.Errorf("Depth(res-match) = %d, want 2 (max of branches)", got)
-	}
-	if got := Depth(rec); got != 1 {
-		t.Errorf("Depth(rec) = %d, want static depth 1", got)
-	}
-	if got := Depth(Call{"A", nil}); got != 0 {
-		t.Errorf("Depth(call) = %d, want 0", got)
 	}
 	if !IsFinite(r) {
 		t.Error("finite res-match misclassified")

@@ -77,86 +77,3 @@ func extend(bound names.Set, ns []Name) names.Set {
 	}
 	return inner.AddSlice(ns)
 }
-
-// BoundNames returns bn(p): every name that occurs as a binder somewhere in p.
-func BoundNames(p Proc) names.Set {
-	out := make(names.Set)
-	addBound(p, out)
-	return out
-}
-
-func addBound(p Proc, out names.Set) {
-	switch t := p.(type) {
-	case Nil, Call:
-	case Prefix:
-		if in, ok := t.Pre.(In); ok {
-			out.AddSlice(in.Params)
-		}
-		addBound(t.Cont, out)
-	case Sum:
-		addBound(t.L, out)
-		addBound(t.R, out)
-	case Par:
-		addBound(t.L, out)
-		addBound(t.R, out)
-	case Res:
-		out.Add(t.X)
-		addBound(t.Body, out)
-	case Match:
-		addBound(t.Then, out)
-		addBound(t.Else, out)
-	case Rec:
-		out.AddSlice(t.Params)
-		addBound(t.Body, out)
-	default:
-		panic("syntax: unknown process node")
-	}
-}
-
-// AllNames returns n(p) = fn(p) ∪ bn(p).
-func AllNames(p Proc) names.Set {
-	return FreeNames(p).Union(BoundNames(p))
-}
-
-// FreeIdents returns the process identifiers that occur free in p (Call
-// nodes not captured by an enclosing Rec with the same Id). A process is
-// closed, in the paper's sense, when it has no free identifiers relative to
-// the definitions environment in use.
-func FreeIdents(p Proc) map[string]bool {
-	out := map[string]bool{}
-	addFreeIdents(p, out, map[string]bool{})
-	return out
-}
-
-func addFreeIdents(p Proc, out map[string]bool, bound map[string]bool) {
-	switch t := p.(type) {
-	case Nil:
-	case Prefix:
-		addFreeIdents(t.Cont, out, bound)
-	case Sum:
-		addFreeIdents(t.L, out, bound)
-		addFreeIdents(t.R, out, bound)
-	case Par:
-		addFreeIdents(t.L, out, bound)
-		addFreeIdents(t.R, out, bound)
-	case Res:
-		addFreeIdents(t.Body, out, bound)
-	case Match:
-		addFreeIdents(t.Then, out, bound)
-		addFreeIdents(t.Else, out, bound)
-	case Call:
-		if !bound[t.Id] {
-			out[t.Id] = true
-		}
-	case Rec:
-		if bound[t.Id] {
-			addFreeIdents(t.Body, out, bound)
-			return
-		}
-		bound[t.Id] = true
-		addFreeIdents(t.Body, out, bound)
-		delete(bound, t.Id)
-	default:
-		panic("syntax: unknown process node")
-	}
-}

@@ -1,44 +1,6 @@
 package syntax
 
-import (
-	"testing"
-
-	"bpi/internal/names"
-)
-
-// A term exercising every binder-carrying node: bn collects input params,
-// restriction binders and recursion params, through sums, parallels and
-// both branches of a match.
-func TestBoundNamesAllNodes(t *testing.T) {
-	p := Par{
-		L: Sum{
-			L: Prefix{In{Ch: "a", Params: []Name{"x", "y"}}, Nil{}},
-			R: Res{X: "v", Body: Call{Id: "A", Args: []Name{"a"}}},
-		},
-		R: Match{
-			X: "a", Y: "b",
-			Then: Rec{Id: "A", Params: []Name{"w"}, Body: Prefix{Out{Ch: "w"}, Nil{}}, Args: []Name{"a"}},
-			Else: Prefix{Tau{}, Nil{}},
-		},
-	}
-	got := BoundNames(p)
-	want := names.NewSet("x", "y", "v", "w")
-	if !got.Equal(want) {
-		t.Fatalf("BoundNames = %v, want %v", got, want)
-	}
-}
-
-func TestAllNamesIsUnion(t *testing.T) {
-	p := Res{X: "v", Body: Prefix{Out{Ch: "a", Args: []Name{"v"}}, Nil{}}}
-	got := AllNames(p)
-	want := FreeNames(p).Union(BoundNames(p))
-	if !got.Equal(want) {
-		t.Fatalf("AllNames = %v, want fn ∪ bn = %v", got, want)
-	}
-	if !got.Contains("a") || !got.Contains("v") {
-		t.Fatalf("AllNames = %v, want both a (free) and v (bound)", got)
-	}
-}
+import "testing"
 
 // Print is the alias the round-trip law is stated with; right-nested sums
 // and parallels must print flat, without redundant parentheses.
@@ -54,15 +16,6 @@ func TestPrintFlattensNestedSumAndPar(t *testing.T) {
 	}
 	if Print(sum3) != String(sum3) {
 		t.Fatalf("Print and String disagree")
-	}
-}
-
-func TestRenameSingleName(t *testing.T) {
-	p := Prefix{Out{Ch: "a", Args: []Name{"a", "b"}}, Nil{}}
-	got := Rename(p, "a", "c")
-	want := Prefix{Out{Ch: "c", Args: []Name{"c", "b"}}, Nil{}}
-	if !Equal(got, want) {
-		t.Fatalf("Rename = %s, want %s", String(got), String(want))
 	}
 }
 
@@ -104,27 +57,5 @@ func TestUnfoldRewritesThroughAllNodes(t *testing.T) {
 		t.Fatalf("non-shadowing rec lost its id: %s", String(m.Else))
 	} else if !Equal(gotRec.Body, wantElse.Body) {
 		t.Fatalf("Call{A} under rec B not rewritten to the template: %s", String(gotRec.Body))
-	}
-}
-
-// FreeIdents: a Call under a Rec with the same Id is bound; re-binding an
-// already-bound Id must not un-bind it on the way out; everything else
-// (prefix, sum, par, res, match) is traversed transparently.
-func TestFreeIdents(t *testing.T) {
-	free := Call{Id: "B"}
-	inner := Rec{Id: "A", Params: nil, Body: Prefix{Tau{}, Call{Id: "A"}}}
-	p := Par{
-		L: Sum{
-			L: Prefix{Tau{}, free},
-			R: Res{X: "v", Body: Match{X: "a", Y: "a", Then: Call{Id: "C"}, Else: Nil{}}},
-		},
-		R: Rec{Id: "A", Params: nil, Body: Sum{Call{Id: "A"}, inner}},
-	}
-	got := FreeIdents(p)
-	if len(got) != 2 || !got["B"] || !got["C"] {
-		t.Fatalf("FreeIdents = %v, want {B, C}", got)
-	}
-	if got["A"] {
-		t.Fatalf("A occurs only under its own Rec binders, must not be free: %v", got)
 	}
 }

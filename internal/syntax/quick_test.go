@@ -63,8 +63,17 @@ func TestQuickSubstComposition(t *testing.T) {
 		p := termFromSeed(ts)
 		sig := substFromSeed(s1)
 		rho := substFromSeed(s2)
+		comp := names.Subst{} // σ;ρ: first σ, then ρ
+		for o, n := range sig {
+			comp[o] = rho.Apply(n)
+		}
+		for o, n := range rho {
+			if _, ok := sig[o]; !ok {
+				comp[o] = n
+			}
+		}
 		lhs := Apply(Apply(p, sig), rho)
-		rhs := Apply(p, sig.Compose(rho))
+		rhs := Apply(p, comp)
 		return AlphaEqual(lhs, rhs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

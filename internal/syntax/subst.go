@@ -122,11 +122,6 @@ func renameBinders(bs []Name, body Proc, s names.Subst) ([]Name, Proc) {
 	return newBs, applySubst(body, inner)
 }
 
-// Rename is substitution of a single name: p[new/old].
-func Rename(p Proc, old, new Name) Proc {
-	return Apply(p, names.Single(old, new))
-}
-
 // Instantiate applies the simultaneous substitution [args/params] to body.
 // It panics on arity mismatch (callers validate arities at construction).
 func Instantiate(body Proc, params, args []Name) Proc {
