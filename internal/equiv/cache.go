@@ -37,6 +37,8 @@
 package equiv
 
 import (
+	"math"
+
 	"bpi/internal/names"
 	"bpi/internal/obs"
 	"bpi/internal/semantics"
@@ -50,7 +52,8 @@ import (
 // afterwards.
 type Checker struct {
 	Sys *semantics.System
-	// MaxPairs bounds the number of explored pairs per query (default 20000).
+	// MaxPairs bounds the number of explored pairs per query (default 20000,
+	// at most math.MaxInt32: the engine numbers pairs with int32).
 	MaxPairs int
 	// MaxClosure bounds the size of a τ-closure (default 2048).
 	MaxClosure int
@@ -88,7 +91,7 @@ func (c *Checker) maxPairs() int {
 	if c.MaxPairs <= 0 {
 		return 20000
 	}
-	return c.MaxPairs
+	return min(c.MaxPairs, math.MaxInt32)
 }
 
 func (c *Checker) maxClosure() int {

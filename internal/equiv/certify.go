@@ -17,18 +17,18 @@ import (
 // between two sorted barb lists: the least name of the left side missing on
 // the right, else the least name of the right side missing on the left,
 // tagged with the side that owns it.
-func barbWitness(pb, qb []names.Name) (string, names.Name) {
+func barbWitness(pb, qb []names.Name) (moveSide, names.Name) {
 	for _, a := range pb {
 		if !slices.Contains(qb, a) {
-			return "left", a
+			return sideLeft, a
 		}
 	}
 	for _, a := range qb {
 		if !slices.Contains(pb, a) {
-			return "right", a
+			return sideRight, a
 		}
 	}
-	return "left", ""
+	return sideLeft, ""
 }
 
 func (sp spec) relName() string {
@@ -43,8 +43,8 @@ func (sp spec) relName() string {
 }
 
 // certificate assembles the evidence for the decided root pair.
-func (e *engine) certificate(root int) *cert.Certificate {
-	rn := e.nodes[root]
+func (e *engine) certificate(root int32) *cert.Certificate {
+	rn := &e.nodes[root]
 	c := &cert.Certificate{
 		Version:  cert.Version,
 		Relation: e.sp.relName(),
@@ -75,29 +75,26 @@ func (e *engine) relation(c *cert.Certificate) {
 		c.Terms = append(c.Terms, stringOf(ti))
 		return i
 	}
-	for _, n := range e.nodes {
+	for i := range e.nodes {
+		n := &e.nodes[i]
 		if n.bad {
 			continue
 		}
-		moves := make([]cert.Move, 0, len(n.obs))
-		for _, ob := range n.obs {
-			wi := -1
-			for _, ci := range ob.candidates {
-				if !e.nodes[ci].bad {
-					wi = ci
-					break
-				}
-			}
+		obls := e.obligations(n)
+		moves := make([]cert.Move, 0, len(obls))
+		for k := range obls {
+			wi := e.witness(&obls[k])
 			if wi < 0 {
 				continue // unreachable: surviving pairs keep a live candidate per obligation
 			}
-			w := e.nodes[wi]
+			w := &e.nodes[wi]
+			mv := e.move(&obls[k])
 			moves = append(moves, cert.Move{
-				Side:    ob.mv.side,
-				Kind:    ob.mv.kind,
-				Label:   ob.mv.label,
-				Ch:      string(ob.mv.ch),
-				Payload: stringNames(ob.mv.payload),
+				Side:    mv.side.String(),
+				Kind:    mv.kind.String(),
+				Label:   mv.label,
+				Ch:      string(mv.ch),
+				Payload: stringNames(mv.payload),
 				Pair:    [2]int{termIdx(w.p), termIdx(w.q)},
 			})
 		}
@@ -109,35 +106,36 @@ func (e *engine) relation(c *cert.Certificate) {
 // strategy emits the distinguishing strategy DAG rooted at the dead root
 // pair: per node, the refuted obligation chosen by chooseKill, with one reply
 // (and recursively one child node) per defender answer.
-func (e *engine) strategy(c *cert.Certificate, root int) {
+func (e *engine) strategy(c *cert.Certificate, root int32) {
 	rank := e.killRanks()
-	memo := map[int]int{}
-	var emit func(i int) int
-	emit = func(i int) int {
+	memo := map[int32]int{}
+	var emit func(i int32) int
+	emit = func(i int32) int {
 		if ci, ok := memo[i]; ok {
 			return ci
 		}
 		ci := len(c.Nodes)
 		memo[i] = ci
 		c.Nodes = append(c.Nodes, cert.Strategy{})
-		n := e.nodes[i]
+		n := &e.nodes[i]
 		s := cert.Strategy{P: stringOf(n.p), Q: stringOf(n.q)}
 		if n.staticBad {
-			s.Kind, s.Side, s.Label = "barb", n.failSide, string(n.failBarb)
+			s.Kind, s.Side, s.Label = "barb", n.failSide.String(), string(n.failBarb)
 			c.Nodes[ci] = s
 			return ci
 		}
 		ob := e.chooseKill(n, rank, rank[i])
-		s.Kind, s.Side = ob.mv.kind, ob.mv.side
-		s.Label = ob.mv.label
-		s.Ch = string(ob.mv.ch)
-		s.Payload = stringNames(ob.mv.payload)
-		s.To = stringOf(ob.mv.mover)
+		mv := e.move(ob)
+		s.Kind, s.Side = mv.kind.String(), mv.side.String()
+		s.Label = mv.label
+		s.Ch = string(mv.ch)
+		s.Payload = stringNames(mv.payload)
+		s.To = stringOf(mv.mover)
 		seen := map[uint64]bool{}
-		for _, cd := range ob.candidates {
-			cn := e.nodes[cd]
+		for _, cd := range e.candidates(ob) {
+			cn := &e.nodes[cd]
 			def := cn.q
-			if ob.mv.side == "right" {
+			if mv.side == sideRight {
 				def = cn.p
 			}
 			if seen[def.id] {
@@ -158,14 +156,15 @@ func (e *engine) strategy(c *cert.Certificate, root int) {
 // assigned once and chooseKill only follows obligations whose candidates
 // rank strictly below the node, so emitted strategies are DAGs — the
 // verifier rejects cyclic refutations outright.
-func (e *engine) killRanks() []int {
-	rank := make([]int, len(e.nodes))
+func (e *engine) killRanks() []int32 {
+	rank := make([]int32, len(e.nodes))
 	for i := range rank {
 		rank[i] = -1
 	}
 	for changed := true; changed; {
 		changed = false
-		for i, n := range e.nodes {
+		for i := range e.nodes {
+			n := &e.nodes[i]
 			if !n.bad || rank[i] >= 0 {
 				continue
 			}
@@ -181,52 +180,48 @@ func (e *engine) killRanks() []int {
 // nodeRank is the candidate rank of n this pass: 0 for static failures and
 // answerless obligations, else the minimum over obligations whose candidates
 // are all ranked of (max candidate rank) + 1; -1 when none is ready yet.
-func (e *engine) nodeRank(n *pairNode, rank []int) int {
+func (e *engine) nodeRank(n *pairNode, rank []int32) int32 {
 	if n.staticBad {
 		return 0
 	}
-	best := -1
-	for _, ob := range n.obs {
-		max, ok := -1, true
-		for _, ci := range ob.candidates {
-			if rank[ci] < 0 {
-				ok = false
-				break
-			}
-			if rank[ci] > max {
-				max = rank[ci]
-			}
-		}
+	best := int32(-1)
+	obls := e.obligations(n)
+	for k := range obls {
+		top, ok := e.candidateRank(&obls[k], rank)
 		if !ok {
 			continue
 		}
-		if best < 0 || max+1 < best {
-			best = max + 1
+		if best < 0 || top+1 < best {
+			best = top + 1
 		}
 	}
 	return best
 }
 
+// candidateRank is the maximum rank of ob's candidates (-1 for none), and
+// false when some candidate is not ranked yet.
+func (e *engine) candidateRank(ob *obligation, rank []int32) (int32, bool) {
+	top := int32(-1)
+	for _, ci := range e.candidates(ob) {
+		if rank[ci] < 0 {
+			return 0, false
+		}
+		top = max(top, rank[ci])
+	}
+	return top, true
+}
+
 // chooseKill picks the first obligation (construction order, so deterministic)
 // whose candidates are all dead with ranks strictly below r. killRanks
 // guarantees one exists for every ranked node.
-func (e *engine) chooseKill(n *pairNode, rank []int, r int) obligation {
-	for _, ob := range n.obs {
-		max, ok := -1, true
-		for _, ci := range ob.candidates {
-			if rank[ci] < 0 {
-				ok = false
-				break
-			}
-			if rank[ci] > max {
-				max = rank[ci]
-			}
-		}
-		if ok && max < r {
-			return ob
+func (e *engine) chooseKill(n *pairNode, rank []int32, r int32) *obligation {
+	obls := e.obligations(n)
+	for k := range obls {
+		if top, ok := e.candidateRank(&obls[k], rank); ok && top < r {
+			return &obls[k]
 		}
 	}
-	return n.obs[0] // unreachable when r came from killRanks
+	return &obls[0] // unreachable when r came from killRanks
 }
 
 func stringNames(ns []names.Name) []string {

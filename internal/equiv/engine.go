@@ -3,6 +3,7 @@ package equiv
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"bpi/internal/cert"
@@ -57,13 +58,40 @@ type Result struct {
 	Cert *cert.Certificate
 }
 
+// moveSide names the side of a pair whose move an obligation challenges.
+type moveSide uint8
+
+const (
+	sideLeft moveSide = iota
+	sideRight
+)
+
+func (s moveSide) String() string {
+	if s == sideRight {
+		return "right"
+	}
+	return "left"
+}
+
+// moveKind names how the challenger moved.
+type moveKind uint8
+
+const (
+	kindTau   moveKind = iota // a τ move
+	kindOut                   // an output, matched on its canonical label
+	kindReact                 // a reception or discard a(c̃)?
+	kindStep                  // an autonomous move, matched label-blind
+)
+
+func (k moveKind) String() string { return [...]string{"tau", "out", "react", "step"}[k] }
+
 // obMove is the structured identity of an obligation's challenge: which side
 // moved, how, and to what — enough to re-derive the challenge independently
 // of the engine (certificates) and to name it precisely (Reason).
 type obMove struct {
-	side    string // "left" | "right"
-	kind    string // "tau" | "out" | "react" | "step"
-	label   string // canonical output label (kind "out")
+	side    moveSide
+	kind    moveKind
+	label   string // canonical output label (kindOut)
 	ch      names.Name
 	payload []names.Name
 	// mover is the challenger's derivative (the target of the move).
@@ -76,36 +104,50 @@ type obMove struct {
 // path never formats one.
 func (mv obMove) describe() string {
 	switch mv.kind {
-	case "tau":
+	case kindTau:
 		return fmt.Sprintf("tau move of %s to %s unmatched", mv.side, stringOf(mv.mover))
-	case "step":
+	case kindStep:
 		return fmt.Sprintf("autonomous step of %s to %s unmatched", mv.side, stringOf(mv.mover))
-	case "out":
+	case kindOut:
 		return fmt.Sprintf("output %s of %s from %s unmatched", mv.label, mv.side, stringOf(mv.mover))
-	default: // "react"
+	default: // kindReact
 		return fmt.Sprintf("reaction %s?(%s) of %s to %s unmatched",
 			mv.ch, joinNames(mv.payload), mv.side, stringOf(mv.mover))
 	}
 }
 
-// obligation is one matching requirement of a pair: at least one candidate
-// successor pair must remain in the relation.
-type obligation struct {
-	mv         obMove
-	candidates []int
-}
-
+// pairNode is one pair of the graph.
 type pairNode struct {
 	p, q *termInfo
-	obs  []obligation
-	bad  bool
+	// obLo, obHi delimit the pair's obligations in engine.obs.
+	obLo, obHi int32
+	bad        bool
 	// staticBad records that the pair failed a build-time check (barbs)
 	// rather than the fixpoint; barbReason renders it on demand.
 	staticBad bool
 	// failSide/failBarb identify the static barb failure structurally (the
 	// side owning the unmatched barb, and its channel).
-	failSide string
+	failSide moveSide
 	failBarb names.Name
+}
+
+// obligation is one matching requirement of a pair: at least one of its
+// candidate pairs, engine.cands[lo:hi], must remain in the relation.
+type obligation struct {
+	mover  *termInfo
+	lo, hi int32
+	// label indexes engine.labels for an output or reaction move, else -1.
+	label int32
+	side  moveSide
+	kind  moveKind
+}
+
+// moveLabel is what an output (label) or reaction (ch, payload) move
+// carries beyond its side, kind and mover.
+type moveLabel struct {
+	label   string
+	ch      names.Name
+	payload []names.Name
 }
 
 // built is the result of constructing one pair's obligations, before merge
@@ -113,7 +155,7 @@ type pairNode struct {
 // and key-sorted closures, never from interning order.
 type built struct {
 	bad      bool
-	failSide string
+	failSide moveSide
 	failBarb names.Name
 	obs      []obSpec
 }
@@ -134,17 +176,26 @@ func (b *built) add(mv obMove, answers []*termInfo) {
 
 // failBarbOn records a static barb failure: side owns a barb on a that the
 // other side cannot (weakly) answer.
-func (b *built) failBarbOn(side string, a names.Name) {
+func (b *built) failBarbOn(side moveSide, a names.Name) {
 	b.bad = true
 	b.failSide, b.failBarb = side, a
 }
 
+// engine decides one query. It owns the query's pair graph as flat arrays:
+// the pairs in nodes, their obligations in obs and the obligations'
+// candidate pairs in cands, each pair's obligations and each obligation's
+// candidates a contiguous range, in discovery order.
 type engine struct {
-	c     *Checker
-	ctx   context.Context
-	sp    spec
-	nodes []*pairNode
-	index map[[2]uint64]int
+	c      *Checker
+	ctx    context.Context
+	sp     spec
+	nodes  []pairNode
+	obs    []obligation
+	labels []moveLabel
+	cands  []int32
+	// index maps a pair's two store ids, packed into one word as
+	// p.id<<32 | q.id, to its node.
+	index map[uint64]int32
 
 	// Observability: nil when the checker has no tracer; every use is a
 	// nil-safe no-op then. Counters are resolved once per run so the hot
@@ -159,7 +210,7 @@ func (c *Checker) run(ctx context.Context, pi, qi *termInfo, sp spec) (Result, e
 	}
 	tr := c.Obs
 	e := &engine{
-		c: c, ctx: ctx, sp: sp, index: map[[2]uint64]int{},
+		c: c, ctx: ctx, sp: sp, index: map[uint64]int32{},
 		tr:     tr,
 		cPairs: tr.Counter("equiv.pairs_expanded"),
 	}
@@ -175,7 +226,7 @@ func (c *Checker) run(ctx context.Context, pi, qi *termInfo, sp spec) (Result, e
 	fix := run.Child("equiv.fixpoint")
 	e.fixpoint()
 	fix.End()
-	rn := e.nodes[root]
+	rn := &e.nodes[root]
 	res := Result{Related: !rn.bad, Pairs: len(e.nodes)}
 	if rn.bad {
 		res.Reason = fmt.Sprintf("%s: %s (comparing %s with %s)", sp, e.failReason(rn),
@@ -203,12 +254,11 @@ func (e *engine) explore(run *obs.Span) error {
 		if err := e.ctx.Err(); err != nil {
 			return ErrCanceled{err}
 		}
-		n := e.nodes[i]
 		b = built{obs: b.obs[:0]}
-		if err := e.buildPair(n.p, n.q, &b); err != nil {
+		if err := e.buildPair(e.nodes[i].p, e.nodes[i].q, &b); err != nil {
 			return err
 		}
-		if err := e.merge(n, &b); err != nil {
+		if err := e.merge(int32(i), &b); err != nil {
 			return err
 		}
 	}
@@ -227,77 +277,156 @@ func (e *engine) buildPair(p, q *termInfo, b *built) error {
 	}
 }
 
-// merge installs one built pair: statically bad pairs keep their barb
-// failure, obligation candidates are interned to node indices (appending
-// fresh pairs to the node list, where the expand loop will reach them in
-// order).
-func (e *engine) merge(n *pairNode, b *built) error {
+// merge installs built pair i: a statically bad pair keeps its barb
+// failure; otherwise its obligations are appended to e.obs and their
+// candidates, interned to node indices, to e.cands (fresh pairs go to the
+// end of the node list, where the expand loop will reach them in order).
+func (e *engine) merge(i int32, b *built) error {
 	if b.bad {
+		n := &e.nodes[i]
 		n.bad, n.staticBad = true, true
 		n.failSide, n.failBarb = b.failSide, b.failBarb
 		return nil
 	}
-	n.obs = make([]obligation, len(b.obs))
-	for i, ob := range b.obs {
-		o := obligation{mv: ob.mv, candidates: make([]int, len(ob.answers))}
-		for j, ans := range ob.answers {
-			p, q := ob.mv.mover, ans
-			if ob.mv.side == "right" {
-				p, q = ans, ob.mv.mover
+	answers := 0
+	for _, ob := range b.obs {
+		answers += len(ob.answers)
+	}
+	if len(e.obs)+len(b.obs) > math.MaxInt32 || len(e.cands)+answers > math.MaxInt32 {
+		return ErrBudget{"pair graph"}
+	}
+	lo := int32(len(e.obs))
+	e.obs = grow(e.obs, len(b.obs))
+	e.cands = grow(e.cands, answers)
+	for _, ob := range b.obs {
+		mv := ob.mv
+		o := obligation{mover: mv.mover, lo: int32(len(e.cands)), label: -1, side: mv.side, kind: mv.kind}
+		if mv.kind == kindOut || mv.kind == kindReact {
+			o.label = int32(len(e.labels))
+			e.labels = append(grow(e.labels, 1), moveLabel{mv.label, mv.ch, mv.payload})
+		}
+		for _, ans := range ob.answers {
+			p, q := mv.mover, ans
+			if mv.side == sideRight {
+				p, q = ans, mv.mover
 			}
 			ci, err := e.node(p, q)
 			if err != nil {
 				return err
 			}
-			o.candidates[j] = ci
+			e.cands = append(e.cands, ci)
 		}
-		n.obs[i] = o
+		o.hi = int32(len(e.cands))
+		e.obs = append(e.obs, o)
 	}
+	// node may have moved e.nodes: take the pair's address only now.
+	n := &e.nodes[i]
+	n.obLo, n.obHi = lo, int32(len(e.obs))
 	return nil
 }
 
-// node interns the ordered pair (p,q) by store IDs.
-func (e *engine) node(p, q *termInfo) (int, error) {
-	k := [2]uint64{p.id, q.id}
+// node interns the ordered pair (p,q) by store IDs. The two ids share one
+// map key, so an id at or past 2^32 is refused rather than let collide; a
+// store that large would need terabytes of heap.
+func (e *engine) node(p, q *termInfo) (int32, error) {
+	if (p.id|q.id)>>32 != 0 {
+		return 0, ErrBudget{"term ids past 2^32"}
+	}
+	k := p.id<<32 | q.id
 	if i, ok := e.index[k]; ok {
 		return i, nil
 	}
 	if len(e.nodes) >= e.c.maxPairs() {
 		return 0, ErrBudget{"pair space"}
 	}
-	i := len(e.nodes)
-	e.nodes = append(e.nodes, &pairNode{p: p, q: q})
+	i := int32(len(e.nodes))
+	e.nodes = append(grow(e.nodes, 1), pairNode{p: p, q: q})
 	e.index[k] = i
 	e.cPairs.Add(1)
 	return i, nil
 }
 
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must move: past 256 elements append grows by about
+// 1.25×, which allocates about five times the final size of a large pair
+// graph's arrays.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	t := make(S, len(s), max(2*cap(s), len(s)+n))
+	copy(t, s)
+	return t
+}
+
+// obligations returns n's obligations.
+func (e *engine) obligations(n *pairNode) []obligation { return e.obs[n.obLo:n.obHi] }
+
+// candidates returns ob's candidate pairs.
+func (e *engine) candidates(ob *obligation) []int32 { return e.cands[ob.lo:ob.hi] }
+
+// witness returns the first candidate of ob that survived the fixpoint, or
+// -1 when none did.
+func (e *engine) witness(ob *obligation) int32 {
+	for _, ci := range e.candidates(ob) {
+		if !e.nodes[ci].bad {
+			return ci
+		}
+	}
+	return -1
+}
+
+// move rebuilds ob's challenge, for Reasons and certificates.
+func (e *engine) move(ob *obligation) obMove {
+	mv := obMove{side: ob.side, kind: ob.kind, mover: ob.mover}
+	if ob.label >= 0 {
+		l := &e.labels[ob.label]
+		mv.label, mv.ch, mv.payload = l.label, l.ch, l.payload
+	}
+	return mv
+}
+
 // fixpoint computes the greatest fixpoint by worklist over reverse
 // dependency edges (candidate → obligations it supports): when a pair dies,
 // only the obligations actually depending on it are revisited, so the sweep
-// is O(total candidate edges) instead of O(rescans × relation size).
+// is O(total candidate edges) instead of O(rescans × relation size). The
+// edges are in CSR form: those into node c are deps[at[c]:at[c+1]].
 func (e *engine) fixpoint() {
 	type dep struct{ node, ob int32 }
-	rev := make([][]dep, len(e.nodes))
-	alive := make([][]int32, len(e.nodes))
-	var work []int
-	for i, n := range e.nodes {
+	at := make([]int32, len(e.nodes)+1)
+	for _, ci := range e.cands {
+		at[ci]++
+	}
+	for c := 1; c < len(at); c++ {
+		at[c] += at[c-1]
+	}
+	// Filling backwards leaves at[c] at the start of c's edges.
+	deps := make([]dep, len(e.cands))
+	for i := len(e.nodes) - 1; i >= 0; i-- {
+		n := &e.nodes[i]
+		for o := n.obHi - 1; o >= n.obLo; o-- {
+			ob := &e.obs[o]
+			for k := ob.hi - 1; k >= ob.lo; k-- {
+				ci := e.cands[k]
+				at[ci]--
+				deps[at[ci]] = dep{int32(i), o}
+			}
+		}
+	}
+	alive := make([]int32, len(e.obs))
+	var work []int32
+	for i := range e.nodes {
+		n := &e.nodes[i]
 		if n.bad {
-			work = append(work, i)
+			work = append(grow(work, 1), int32(i))
 			continue
 		}
-		alive[i] = make([]int32, len(n.obs))
-		for j, ob := range n.obs {
-			alive[i][j] = int32(len(ob.candidates))
-			if len(ob.candidates) == 0 {
-				if !n.bad {
-					n.bad = true
-					work = append(work, i)
-				}
-				continue
-			}
-			for _, ci := range ob.candidates {
-				rev[ci] = append(rev[ci], dep{int32(i), int32(j)})
+		for o := n.obLo; o < n.obHi; o++ {
+			ob := &e.obs[o]
+			alive[o] = ob.hi - ob.lo
+			if alive[o] == 0 && !n.bad {
+				n.bad = true
+				work = append(grow(work, 1), int32(i))
 			}
 		}
 	}
@@ -306,15 +435,15 @@ func (e *engine) fixpoint() {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
 		cPops.Add(1)
-		for _, d := range rev[i] {
-			dn := e.nodes[d.node]
+		for _, d := range deps[at[i]:at[i+1]] {
+			dn := &e.nodes[d.node]
 			if dn.bad {
 				continue
 			}
-			alive[d.node][d.ob]--
-			if alive[d.node][d.ob] == 0 {
+			alive[d.ob]--
+			if alive[d.ob] == 0 {
 				dn.bad = true
-				work = append(work, int(d.node))
+				work = append(grow(work, 1), d.node)
 			}
 		}
 	}
@@ -329,16 +458,10 @@ func (e *engine) failReason(n *pairNode) string {
 	if n.staticBad {
 		return e.barbReason(n)
 	}
-	for _, ob := range n.obs {
-		ok := false
-		for _, ci := range ob.candidates {
-			if !e.nodes[ci].bad {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return ob.mv.describe()
+	obls := e.obligations(n)
+	for i := range obls {
+		if e.witness(&obls[i]) < 0 {
+			return e.move(&obls[i]).describe()
 		}
 	}
 	return "" // unreachable: a pair the fixpoint killed has a dead obligation
@@ -360,9 +483,9 @@ func (e *engine) barbReason(n *pairNode) string {
 	if e.sp.kind == relStep {
 		what = "weak step barb"
 	}
-	lacking := "right"
-	if n.failSide == "right" {
-		lacking = "left"
+	lacking := sideRight
+	if n.failSide == sideRight {
+		lacking = sideLeft
 	}
 	return fmt.Sprintf("%s side lacks %s on %s", lacking, what, n.failBarb)
 }
@@ -378,7 +501,7 @@ func (e *engine) barbsDiffer(p, q *termInfo, b *built) (bool, error) {
 		b.failBarbOn(barbWitness(p.barbs, q.barbs))
 		return true, nil
 	}
-	lacks := func(owner, other *termInfo, side string) (bool, error) {
+	lacks := func(owner, other *termInfo, side moveSide) (bool, error) {
 		for _, a := range owner.barbs {
 			ok, err := e.weakBarb(other, a)
 			if err != nil {
@@ -391,10 +514,10 @@ func (e *engine) barbsDiffer(p, q *termInfo, b *built) (bool, error) {
 		}
 		return false, nil
 	}
-	if bad, err := lacks(p, q, "left"); bad || err != nil {
+	if bad, err := lacks(p, q, sideLeft); bad || err != nil {
 		return bad, err
 	}
-	return lacks(q, p, "right")
+	return lacks(q, p, sideRight)
 }
 
 // weakBarb reports ti ⇓a: some τ*-derivative of ti, or for step
@@ -438,10 +561,10 @@ func (e *engine) tauObligations(p, q *termInfo, b *built) error {
 		}
 	}
 	for _, ps := range pt {
-		b.add(obMove{side: "left", kind: "tau", mover: ps}, qMatch)
+		b.add(obMove{side: sideLeft, kind: kindTau, mover: ps}, qMatch)
 	}
 	for _, qs := range qt {
-		b.add(obMove{side: "right", kind: "tau", mover: qs}, pMatch)
+		b.add(obMove{side: sideRight, kind: kindTau, mover: qs}, pMatch)
 	}
 	return nil
 }
@@ -481,10 +604,10 @@ func (e *engine) buildStep(p, q *termInfo, b *built) error {
 		}
 	}
 	for _, ps := range pa {
-		b.add(obMove{side: "left", kind: "step", mover: ps}, qTargets)
+		b.add(obMove{side: sideLeft, kind: kindStep, mover: ps}, qTargets)
 	}
 	for _, qs := range qa {
-		b.add(obMove{side: "right", kind: "step", mover: qs}, pTargets)
+		b.add(obMove{side: sideRight, kind: kindStep, mover: qs}, pTargets)
 	}
 	return nil
 }

@@ -41,16 +41,16 @@ func (e *engine) buildLabelled(p, q *termInfo, b *built) error {
 // outputObligations adds, for every output move of the `left` (or right)
 // component, the candidates derived from matching outputs of the other side.
 func (e *engine) outputObligations(p, q *termInfo, b *built, avoid names.Set, leftMoves bool) error {
-	mover, other, side := p, q, "left"
+	mover, other, side := p, q, sideLeft
 	if !leftMoves {
-		mover, other, side = q, p, "right"
+		mover, other, side = q, p, sideRight
 	}
 	answers, err := e.c.outputAnswers(other, avoid, e.sp.weak)
 	if err != nil {
 		return err
 	}
 	return e.c.eachOutput(mover, avoid, func(o outTarget) error {
-		b.add(obMove{side: side, kind: "out", label: o.label, mover: o.tgt}, answers[o.label])
+		b.add(obMove{side: side, kind: kindOut, label: o.label, mover: o.tgt}, answers[o.label])
 		return nil
 	})
 }
@@ -114,20 +114,23 @@ func (e *engine) reactionObligations(p, q *termInfo, b *built) error {
 			if err != nil {
 				return err
 			}
-			// Strong one-step reactions (the moves to be matched).
-			pm, err := e.c.reactions(p, s.ch, payload)
-			if err != nil {
-				return err
-			}
-			qm, err := e.c.reactions(q, s.ch, payload)
-			if err != nil {
-				return err
+			// The moves to be matched are the strong one-step reactions:
+			// the answers themselves when strong, derived again (all
+			// intern hits) only when weak.
+			pm, qm := pr, qr
+			if e.sp.weak {
+				if pm, err = e.c.reactions(p, s.ch, payload); err != nil {
+					return err
+				}
+				if qm, err = e.c.reactions(q, s.ch, payload); err != nil {
+					return err
+				}
 			}
 			for _, r := range pm {
-				b.add(obMove{side: "left", kind: "react", ch: s.ch, payload: payload, mover: r}, qr)
+				b.add(obMove{side: sideLeft, kind: kindReact, ch: s.ch, payload: payload, mover: r}, qr)
 			}
 			for _, r := range qm {
-				b.add(obMove{side: "right", kind: "react", ch: s.ch, payload: payload, mover: r}, pr)
+				b.add(obMove{side: sideRight, kind: kindReact, ch: s.ch, payload: payload, mover: r}, pr)
 			}
 		}
 	}

@@ -153,7 +153,7 @@ type token struct {
 }
 
 func lex(src string) []token {
-	var out []token
+	out := make([]token, 0, tokenBound(src))
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -165,7 +165,7 @@ func lex(src string) []token {
 			// items when the previous token can end a term, so multi-line
 			// terms broken after an operator keep working.
 			if c == ';' || canEndTerm(out) {
-				out = append(out, token{tokSemi, string(c), i})
+				out = append(out, token{tokSemi, src[i : i+1], i})
 			}
 			i++
 		case c == '#': // comment to end of line
@@ -226,6 +226,27 @@ func lex(src string) []token {
 		}
 	}
 	return out
+}
+
+// tokenBound is an upper bound on the number of tokens lex emits for src,
+// so that lex allocates its slice once: every byte that is not blank counts,
+// except one that continues an identifier, since lex emits at most one
+// token per counted byte. Comments and newlines count although they may
+// emit none. The bound is not len(src), which long identifiers would make
+// several times the token count.
+func tokenBound(src string) int {
+	n, word := 0, false
+	for i := 0; i < len(src); i++ {
+		r := rune(src[i])
+		if word && isIdentRune(r) {
+			continue
+		}
+		word = isIdentStart(r)
+		if r != ' ' && r != '\t' && r != '\r' {
+			n++
+		}
+	}
+	return n
 }
 
 // canEndTerm reports whether the last emitted token can syntactically close
