@@ -26,6 +26,8 @@ type (
 	Trans = semantics.Trans
 	// Checker decides the paper's behavioural equivalences.
 	Checker = equiv.Checker
+	// Query is one question of Checker.Decide: are P and Q related by Rel?
+	Query = equiv.Query
 	// Result is an equivalence verdict.
 	Result = equiv.Result
 	// Prover decides A ⊢ p = q for finite processes (Section 5).
@@ -46,6 +48,15 @@ type (
 	// CertVerifier replays certificates against the LTS rules alone, with
 	// optional definitions (Sys) and work budgets.
 	CertVerifier = cert.Verifier
+)
+
+// The relations a Query names (Query.Rel).
+const (
+	RelLabelled   = cert.RelLabelled   // ~ / ≈, Definitions 7/8
+	RelBarbed     = cert.RelBarbed     // ~b / ≈b, Definition 3
+	RelStep       = cert.RelStep       // ~φ / ≈φ, Definition 5
+	RelOneStep    = cert.RelOneStep    // ~+ / ≈+, Definitions 11/15
+	RelCongruence = cert.RelCongruence // ~c / ≈c, Section 4
 )
 
 // Term constructors, re-exported from the syntax package.

@@ -1,6 +1,7 @@
 package bpi_test
 
 import (
+	"context"
 	"testing"
 
 	bpi "bpi"
@@ -26,7 +27,7 @@ func TestFacadeQuickstart(t *testing.T) {
 
 func TestFacadeChecker(t *testing.T) {
 	ch := bpi.NewChecker(nil)
-	res, err := ch.Labelled(bpi.MustParse("a?"), bpi.MustParse("b?"), false)
+	res, err := ch.Decide(context.Background(), bpi.Query{Rel: bpi.RelLabelled, P: bpi.MustParse("a?"), Q: bpi.MustParse("b?")})
 	if err != nil {
 		t.Fatal(err)
 	}

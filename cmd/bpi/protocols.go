@@ -31,7 +31,7 @@ func cmdProtocols(args []string, stdout, stderr io.Writer) error {
 		w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "NAME\tALGO\tRELATION\tFAULT\tEXPECT\tSTATES")
 		for _, s := range protocols.Catalogue() {
-			rel := string(s.Rel)
+			rel := s.Rel
 			if s.Weak {
 				rel = "weak " + rel
 			}
@@ -68,7 +68,7 @@ func decideScenario(s protocols.Scenario, terms bool, certOut string, stdout io.
 	if err != nil {
 		return err
 	}
-	rel := string(s.Rel)
+	rel := s.Rel
 	if s.Weak {
 		rel = "weak " + rel
 	}

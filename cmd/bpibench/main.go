@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,6 +39,7 @@ import (
 	"bpi/internal/actions"
 	"bpi/internal/axioms"
 	"bpi/internal/cbs"
+	"bpi/internal/cert"
 	"bpi/internal/equiv"
 	"bpi/internal/lts"
 	"bpi/internal/machine"
@@ -201,7 +203,7 @@ func runStress() (*stressJSON, int) {
 		// comfortable headroom so the ladder never hits the budget.
 		ch.MaxPairs = 1 << 23
 		pairs, ms, ok := decideRung("stress "+c.Name, c.States, true, func() (equiv.Result, error) {
-			return ch.Step(c.P, c.Q, false)
+			return ch.Decide(context.Background(), equiv.Query{Rel: cert.RelStep, P: c.P, Q: c.Q})
 		})
 		if !ok {
 			failures++
@@ -243,7 +245,7 @@ func runProtocols() (*protocolsJSON, int) {
 			failures++
 		}
 		fmt.Printf("protocols %-16s %6d states %8d pairs  %.0fms\n", s.Name, s.States, pairs, ms)
-		out.Rungs = append(out.Rungs, protocolsRungJSON{Name: s.Name, Algo: s.Algo, Rel: string(s.Rel),
+		out.Rungs = append(out.Rungs, protocolsRungJSON{Name: s.Name, Algo: s.Algo, Rel: s.Rel,
 			Weak: s.Weak, States: s.States, Pairs: pairs, MS: ms})
 	}
 	return out, failures
@@ -442,7 +444,7 @@ func e19() experiment {
 			if err != nil {
 				return "", false, err
 			}
-			sp, err := ch.Step(p, q, false)
+			sp, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelStep, P: p, Q: q})
 			if err != nil {
 				return "", false, err
 			}
@@ -450,7 +452,7 @@ func e19() experiment {
 			if err != nil {
 				return "", false, err
 			}
-			bp, err := ch.Barbed(p, q, false)
+			bp, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelBarbed, P: p, Q: q})
 			if err != nil {
 				return "", false, err
 			}
@@ -470,25 +472,25 @@ func e16() experiment {
 		ch := newChecker()
 		p := syntax.TauP(syntax.SendN("c"))
 		q := syntax.SendN("c")
-		w, err := ch.Labelled(p, q, true)
+		w, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, Weak: true, P: p, Q: q})
 		if err != nil {
 			return "", false, err
 		}
-		cgr, err := ch.Congruence(p, q, true)
+		cgr, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelCongruence, Weak: true, P: p, Q: q})
 		if err != nil {
 			return "", false, err
 		}
-		if !w.Related || cgr {
+		if !w.Related || cgr.Related {
 			return "τ-law gap wrong", false, nil
 		}
 		// A ≈c pair stays related under contexts.
 		lp := syntax.Send("a", nil, p)
 		lq := syntax.Send("a", nil, q)
-		ok, err := ch.Congruence(lp, lq, true)
+		r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelCongruence, Weak: true, P: lp, Q: lq})
 		if err != nil {
 			return "", false, err
 		}
-		if !ok {
+		if !r.Related {
 			return "prefixed τ-law not ≈c", false, nil
 		}
 		ctxs := 0
@@ -497,7 +499,7 @@ func e16() experiment {
 			func(r syntax.Proc) syntax.Proc { return syntax.Group(r, syntax.RecvN("d", "z")) },
 			func(r syntax.Proc) syntax.Proc { return syntax.Restrict(r, "w") },
 		} {
-			res, err := ch.Labelled(ctx(lp), ctx(lq), true)
+			res, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, Weak: true, P: ctx(lp), Q: ctx(lq)})
 			if err != nil {
 				return "", false, err
 			}
@@ -519,7 +521,7 @@ func e17() experiment {
 			syntax.Send("a", nil, syntax.SendN("b")),
 			syntax.Send("a", nil, syntax.SendN("c")))
 		ch := newChecker()
-		res, err := ch.Labelled(p, q, true)
+		res, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, Weak: true, P: p, Q: q})
 		if err != nil {
 			return "", false, err
 		}
@@ -603,28 +605,16 @@ func e3() experiment {
 		ch := newChecker()
 		pass := 0
 		for _, w := range papers.Witnesses() {
-			l, err := ch.Labelled(w.P, w.Q, false)
-			if err != nil {
-				return "", false, err
-			}
-			b, err := ch.Barbed(w.P, w.Q, false)
-			if err != nil {
-				return "", false, err
-			}
-			s, err := ch.Step(w.P, w.Q, false)
-			if err != nil {
-				return "", false, err
-			}
-			o, err := ch.OneStep(w.P, w.Q, false)
-			if err != nil {
-				return "", false, err
-			}
-			c, err := ch.Congruence(w.P, w.Q, false)
-			if err != nil {
-				return "", false, err
-			}
-			if l.Related != w.Labelled || b.Related != w.Barbed || s.Related != w.Step || o != w.OneStep || c != w.Congruent {
-				return fmt.Sprintf("witness %s deviates", w.Name), false, nil
+			claims := map[string]bool{cert.RelLabelled: w.Labelled, cert.RelBarbed: w.Barbed, cert.RelStep: w.Step,
+				cert.RelOneStep: w.OneStep, cert.RelCongruence: w.Congruent}
+			for _, rel := range cert.Relations {
+				r, err := ch.Decide(context.Background(), equiv.Query{Rel: rel, P: w.P, Q: w.Q})
+				if err != nil {
+					return "", false, err
+				}
+				if r.Related != claims[rel] {
+					return fmt.Sprintf("witness %s deviates", w.Name), false, nil
+				}
 			}
 			pass++
 		}
@@ -649,12 +639,8 @@ func e4() experiment {
 		}
 		n := 0
 		for _, lw := range laws {
-			for _, rel := range []func(a, b syntax.Proc) (equiv.Result, error){
-				func(a, b syntax.Proc) (equiv.Result, error) { return ch.Labelled(a, b, false) },
-				func(a, b syntax.Proc) (equiv.Result, error) { return ch.Barbed(a, b, false) },
-				func(a, b syntax.Proc) (equiv.Result, error) { return ch.Step(a, b, false) },
-			} {
-				r, err := rel(lw[0], lw[1])
+			for _, rel := range []string{cert.RelLabelled, cert.RelBarbed, cert.RelStep} {
+				r, err := ch.Decide(context.Background(), equiv.Query{Rel: rel, P: lw[0], Q: lw[1]})
 				if err != nil {
 					return "", false, err
 				}
@@ -679,14 +665,14 @@ func e5() experiment {
 			syntax.TauP(syntax.SendN("d")),
 		}
 		for _, r := range ctxs {
-			res, err := ch.Labelled(syntax.Group(pa, r), syntax.Group(pb, r), false)
+			res, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, P: syntax.Group(pa, r), Q: syntax.Group(pb, r)})
 			if err != nil {
 				return "", false, err
 			}
 			if !res.Related {
 				return "parallel context broke ~", false, nil
 			}
-			res, err = ch.Barbed(syntax.Group(pa, r), syntax.Group(pb, r), false)
+			res, err = ch.Decide(context.Background(), equiv.Query{Rel: cert.RelBarbed, P: syntax.Group(pa, r), Q: syntax.Group(pb, r)})
 			if err != nil {
 				return "", false, err
 			}
@@ -709,7 +695,7 @@ func e7() experiment {
 		for i := 0; i < 40; i++ {
 			p := g.Term()
 			q := g.Mutate(p)
-			l, err := ch.Labelled(p, q, false)
+			l, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, P: p, Q: q})
 			if err != nil {
 				return "", false, err
 			}
@@ -717,11 +703,11 @@ func e7() experiment {
 				continue
 			}
 			related++
-			b, err := ch.Barbed(p, q, false)
+			b, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelBarbed, P: p, Q: q})
 			if err != nil {
 				return "", false, err
 			}
-			s, err := ch.Step(p, q, false)
+			s, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelStep, P: p, Q: q})
 			if err != nil {
 				return "", false, err
 			}
@@ -749,11 +735,11 @@ func e8() experiment {
 				if !ok {
 					continue
 				}
-				got, err := ch.Congruence(lhs, rhs, false)
+				got, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelCongruence, P: lhs, Q: rhs})
 				if err != nil {
 					return "", false, err
 				}
-				if !got {
+				if !got.Related {
 					return fmt.Sprintf("unsound: %s", ax.Name), false, nil
 				}
 				n++
@@ -776,7 +762,7 @@ func e9() experiment {
 		for i := 0; i < 30; i++ {
 			p := g.Term()
 			q := g.Mutate(p)
-			want, err := ch.Congruence(p, q, false)
+			want, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelCongruence, P: p, Q: q})
 			if err != nil {
 				return "", false, err
 			}
@@ -784,11 +770,11 @@ func e9() experiment {
 			if err != nil {
 				return "", false, err
 			}
-			if got != want {
+			if got != want.Related {
 				return fmt.Sprintf("disagreement on %s vs %s", syntax.String(p), syntax.String(q)), false, nil
 			}
 			agree++
-			if want {
+			if want.Related {
 				pos++
 			}
 		}

@@ -28,6 +28,11 @@ func TestRunExitCodes(t *testing.T) {
 	if err := os.WriteFile(defs, []byte("let Echo(a) = a?(x).x!\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// y is free in C's body: unfolding C(a) under nu y would capture it.
+	leaky := filepath.Join(dir, "leaky.bpi")
+	if err := os.WriteFile(leaky, []byte("let C(x) = y!\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		args   []string
@@ -49,6 +54,10 @@ func TestRunExitCodes(t *testing.T) {
 			stdout: "labelled     related\n"},
 		{name: "undefined identifier without -f", args: []string{"-rel", "labelled", "Echo(a)", "a?(y).y!"}, code: 1,
 			stderr: "bpibisim:"},
+		{name: "-f with a free name in a definition", args: []string{"-f", leaky, "-rel", "labelled", "nu y.C(a)", "y!"},
+			code: 1, stderr: "free names"},
+		{name: "unknown relation", args: []string{"-rel", "bogus", "a!", "a!"}, code: 1,
+			stderr: `unknown relation "bogus"`},
 		{name: "missing program file", args: []string{"-f", filepath.Join(dir, "none.bpi"), "a!", "a!"}, code: 1,
 			stderr: "bpibisim:"},
 		{name: "-server with -f", args: []string{"-server", "http://127.0.0.1:1", "-f", defs, "a!", "a!"}, code: 1,
@@ -79,7 +88,7 @@ func TestRunExitCodes(t *testing.T) {
 // evidence for that relation.
 func TestCertPerRelation(t *testing.T) {
 	p, q := "a!(b) | a?(x).x!", "a?(x).x! | a!(b)"
-	for _, rel := range []string{cert.RelLabelled, cert.RelBarbed, cert.RelStep, cert.RelOneStep, cert.RelCongruence} {
+	for _, rel := range cert.Relations {
 		for _, weak := range []bool{false, true} {
 			path := filepath.Join(t.TempDir(), "out.json")
 			args := []string{"-rel", rel, "-cert", path}

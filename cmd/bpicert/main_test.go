@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,7 +41,7 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	chk := equiv.NewChecker(nil)
 	chk.Certify = true
-	r, err := chk.Labelled(p, q, false)
+	r, err := chk.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, P: p, Q: q})
 	if err != nil || !r.Related || r.Cert == nil {
 		t.Fatalf("labelled: related=%v cert=%v err=%v", r.Related, r.Cert != nil, err)
 	}

@@ -114,9 +114,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		prog, err := parser.ParseProgram(string(src))
-		if err == nil {
-			err = prog.Env.Validate()
-		}
 		if err != nil {
 			logger.Printf("bpid: %s: %v", *file, err)
 			return 1

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"bpi/internal/cert"
 	"bpi/internal/equiv"
 	"bpi/internal/ledger"
 	"bpi/internal/parser"
@@ -39,7 +41,7 @@ func fixtureRecords(t *testing.T) []ledger.Record {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := ch.Labelled(p, q, pq.weak)
+		r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, Weak: pq.weak, P: p, Q: q})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,8 @@
 //   - the behavioural equivalences of the paper — strong and weak barbed
 //     (Definition 3), step (Definition 5) and labelled (Definitions 7/8)
 //     bisimilarity, the one-step relations ~+/≈+ (Definitions 11/15), and
-//     the congruences ~c/≈c (Section 4) — are decided by Checker;
+//     the congruences ~c/≈c (Section 4) — are decided by Checker.Decide,
+//     one Query at a time;
 //   - the axiomatisation of Section 5 (axiom system A, head normal forms,
 //     the expansion law and a complete decision procedure for A ⊢ p = q on
 //     finite terms) lives in Prover;
@@ -34,7 +35,8 @@
 //	ts, _ := sys.Steps(p) // one broadcast transition feeding both receivers
 //
 //	ch := bpi.NewChecker(nil)
-//	res, _ := ch.Labelled(bpi.MustParse("a?"), bpi.MustParse("b?"), false)
+//	res, _ := ch.Decide(context.Background(), bpi.Query{
+//		Rel: bpi.RelLabelled, P: bpi.MustParse("a?"), Q: bpi.MustParse("b?")})
 //	// res.Related == true: the noisy law of broadcast bisimilarity.
 //
 // See README.md for the architecture and EXPERIMENTS.md for the

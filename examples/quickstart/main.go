@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,30 +26,21 @@ func main() {
 	// 2. The signature law of broadcast bisimilarity: pure input prefixes
 	// are unobservable, so a? ~ b? — yet outputs are not: a! ≁ b!.
 	ch := bpi.NewChecker(sys)
-	r1, err := ch.Labelled(bpi.MustParse("a?"), bpi.MustParse("b?"), false)
-	if err != nil {
-		log.Fatal(err)
+	decide := func(rel, p, q string) bool {
+		r, err := ch.Decide(context.Background(), bpi.Query{Rel: rel, P: bpi.MustParse(p), Q: bpi.MustParse(q)})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r.Related
 	}
-	r2, err := ch.Labelled(bpi.MustParse("a!"), bpi.MustParse("b!"), false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\na? ~ b?  -> %v (the noisy law)\n", r1.Related)
-	fmt.Printf("a! ~ b!  -> %v\n", r2.Related)
+	fmt.Printf("\na? ~ b?  -> %v (the noisy law)\n", decide(bpi.RelLabelled, "a?", "b?"))
+	fmt.Printf("a! ~ b!  -> %v\n", decide(bpi.RelLabelled, "a!", "b!"))
 
 	// 3. Restriction internalises private broadcasts (Remark 1): νa(āb) has
 	// a silent step where āb has a visible one — barbed bisimilarity is not
 	// preserved by restriction in this calculus.
-	w1, err := ch.Barbed(bpi.MustParse("a!(b)"), bpi.MustParse("a!(b).c!(d)"), false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	w2, err := ch.Barbed(bpi.MustParse("nu a.a!(b)"), bpi.MustParse("nu a.a!(b).c!(d)"), false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nāb ~b āb.c̄d       -> %v\n", w1.Related)
-	fmt.Printf("νa āb ~b νa āb.c̄d -> %v (Remark 1)\n", w2.Related)
+	fmt.Printf("\nāb ~b āb.c̄d       -> %v\n", decide(bpi.RelBarbed, "a!(b)", "a!(b).c!(d)"))
+	fmt.Printf("νa āb ~b νa āb.c̄d -> %v (Remark 1)\n", decide(bpi.RelBarbed, "nu a.a!(b)", "nu a.a!(b).c!(d)"))
 
 	// 4. The Section 5 axiomatisation decides strong congruence on finite
 	// terms: prove an instance of the noisy axiom (H).

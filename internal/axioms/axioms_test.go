@@ -1,10 +1,12 @@
 package axioms
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
 
+	"bpi/internal/cert"
 	"bpi/internal/equiv"
 	"bpi/internal/names"
 	"bpi/internal/parser"
@@ -93,7 +95,7 @@ func TestCondProcCompilation(t *testing.T) {
 	p := syntax.SendN(c)
 	// ¬(a=b) p behaves as p exactly when a≠b.
 	m := CondProc(Neq(a, b), p)
-	r, err := ch.Labelled(m, p, false)
+	r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, P: m, Q: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestCondProcCompilation(t *testing.T) {
 		t.Error("¬(a=b)c̄ should behave as c̄ for distinct a,b")
 	}
 	fused := syntax.Apply(m, names.Single(b, a))
-	r2, err := ch.Labelled(fused, syntax.PNil, false)
+	r2, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, P: fused, Q: syntax.PNil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +135,11 @@ func TestE8AxiomSoundness(t *testing.T) {
 				continue
 			}
 			checked++
-			got, err := ch.Congruence(lhs, rhs, false)
+			r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelCongruence, P: lhs, Q: rhs})
 			if err != nil {
 				t.Fatalf("%s: %v", ax.Name, err)
 			}
-			if !got {
+			if !r.Related {
 				t.Errorf("%s: unsound instance\n lhs=%s\n rhs=%s",
 					ax.Name, syntax.String(lhs), syntax.String(rhs))
 			}
@@ -172,11 +174,11 @@ func TestExpandSoundAndParFree(t *testing.T) {
 			// prefixes remain (the axiom is applied once, not to a fixpoint).
 			t.Errorf("expansion left a parallel outside a prefix: %s", syntax.String(e))
 		}
-		got, err := ch.Congruence(syntax.Group(p, q), e, false)
+		r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelCongruence, P: syntax.Group(p, q), Q: e})
 		if err != nil {
 			t.Fatalf("congruence: %v", err)
 		}
-		if !got {
+		if !r.Related {
 			t.Errorf("expansion not ~c:\n p‖q = %s ‖ %s\n exp = %s",
 				syntax.String(p), syntax.String(q), syntax.String(e))
 		}
@@ -247,11 +249,11 @@ func TestHNFRoundTrip(t *testing.T) {
 			t.Fatalf("hnf(%s): %v", syntax.String(p), err)
 		}
 		back := h.ToProc()
-		ok, err := ch.CongruenceBounded(p, back, false, 64)
+		r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelCongruence, P: p, Q: back, MaxSubs: 64})
 		if err != nil {
 			t.Fatalf("congruence: %v", err)
 		}
-		if !ok {
+		if !r.Related {
 			t.Errorf("hnf round-trip not ~c:\n p   = %s\n hnf = %s",
 				syntax.String(p), syntax.String(back))
 		}
@@ -361,10 +363,11 @@ func TestE9ProverAgreesWithSemantics(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		p := g.Term()
 		q := g.Mutate(p)
-		want, err := ch.Congruence(p, q, false)
+		r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelCongruence, P: p, Q: q})
 		if err != nil {
 			t.Fatalf("semantic congruence: %v", err)
 		}
+		want := r.Related
 		got, err := pr.Decide(p, q)
 		if err != nil {
 			t.Fatalf("prover: %v", err)

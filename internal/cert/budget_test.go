@@ -41,10 +41,7 @@ func budgetCorpus(t *testing.T) []*cert.Certificate {
 		{"a!.tau.b!", "a!.b!"},              // weak below the root, strict at it
 		{"tau.a! + tau.b!", "tau.a! + c!"},  // a τ the defender cannot follow
 	} {
-		crt, _, err := ch.OneStepCert(mustParse(t, pq.p), mustParse(t, pq.q), true)
-		if err != nil {
-			t.Fatalf("onestep(%s, %s) weak: %v", pq.p, pq.q, err)
-		}
+		crt, _ := pairCert(t, ch, cert.RelOneStep, pq.p, pq.q, true)
 		out = append(out, crt)
 	}
 	for _, pq := range []struct {
@@ -55,10 +52,7 @@ func budgetCorpus(t *testing.T) []*cert.Certificate {
 		{"tau.c!", "c!", true},                    // the τ-law gap: a separating σ
 		{"a?(x).[x=b]c!", "a?(x).c!", false},      // a fusion enables the match
 	} {
-		crt, _, err := ch.CongruenceCert(mustParse(t, pq.p), mustParse(t, pq.q), pq.weak)
-		if err != nil {
-			t.Fatalf("congruence(%s, %s): %v", pq.p, pq.q, err)
-		}
+		crt, _ := pairCert(t, ch, cert.RelCongruence, pq.p, pq.q, pq.weak)
 		out = append(out, crt)
 	}
 	return out

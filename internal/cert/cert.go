@@ -49,6 +49,11 @@ const (
 	RelAxioms     = "axioms"     // Section 5 (A ⊢ p = q)
 )
 
+// Relations lists the five equivalences a pair query can ask
+// (equiv.Query.Rel, bpid's "rel"), in the paper's order; RelAxioms is the
+// prover's, not a query's.
+var Relations = []string{RelLabelled, RelBarbed, RelStep, RelOneStep, RelCongruence}
+
 // Version is the certificate format version this package emits and verifies.
 const Version = 1
 

@@ -7,6 +7,7 @@
 package cert_test
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -37,23 +38,7 @@ func newCertifying() *equiv.Checker {
 // pairCert produces the certificate of one relation check.
 func pairCert(t testing.TB, ch *equiv.Checker, rel, p, q string, weak bool) (*cert.Certificate, bool) {
 	t.Helper()
-	pp, qq := mustParse(t, p), mustParse(t, q)
-	var r equiv.Result
-	var err error
-	switch rel {
-	case cert.RelLabelled:
-		r, err = ch.Labelled(pp, qq, weak)
-	case cert.RelBarbed:
-		r, err = ch.Barbed(pp, qq, weak)
-	case cert.RelStep:
-		r, err = ch.Step(pp, qq, weak)
-	case cert.RelOneStep:
-		r.Cert, r.Related, err = ch.OneStepCert(pp, qq, weak)
-	case cert.RelCongruence:
-		r.Cert, r.Related, err = ch.CongruenceCert(pp, qq, weak)
-	default:
-		t.Fatalf("unknown relation %q", rel)
-	}
+	r, err := ch.Decide(context.Background(), equiv.Query{Rel: rel, Weak: weak, P: mustParse(t, p), Q: mustParse(t, q)})
 	if err != nil {
 		t.Fatalf("%s(%s, %s): %v", rel, p, q, err)
 	}
@@ -113,24 +98,17 @@ func TestOneStepAndCongruenceCertificates(t *testing.T) {
 	}
 	ch := newCertifying()
 	for _, pq := range pairs {
-		p, q := mustParse(t, pq.p), mustParse(t, pq.q)
 		for _, weak := range []bool{false, true} {
-			crt, ok, err := ch.OneStepCert(p, q, weak)
-			if err != nil {
-				t.Fatalf("onestep(%s, %s) weak=%v: %v", pq.p, pq.q, weak, err)
-			}
-			if crt == nil || crt.Relation != cert.RelOneStep || crt.Related != ok {
+			crt, ok := pairCert(t, ch, cert.RelOneStep, pq.p, pq.q, weak)
+			if crt.Relation != cert.RelOneStep || crt.Related != ok {
 				t.Fatalf("onestep(%s, %s) weak=%v: bad certificate %+v", pq.p, pq.q, weak, crt)
 			}
 			if err := cert.Verify(crt); err != nil {
 				t.Errorf("onestep(%s, %s) weak=%v related=%v: rejected: %v", pq.p, pq.q, weak, ok, err)
 			}
 		}
-		crt, ok, err := ch.CongruenceCert(p, q, false)
-		if err != nil {
-			t.Fatalf("congruence(%s, %s): %v", pq.p, pq.q, err)
-		}
-		if crt == nil || crt.Relation != cert.RelCongruence || crt.Related != ok {
+		crt, ok := pairCert(t, ch, cert.RelCongruence, pq.p, pq.q, false)
+		if crt.Relation != cert.RelCongruence || crt.Related != ok {
 			t.Fatalf("congruence(%s, %s): bad certificate %+v", pq.p, pq.q, crt)
 		}
 		if err := cert.Verify(crt); err != nil {
@@ -182,10 +160,7 @@ func TestNegativeStrategyShapes(t *testing.T) {
 		{"b?", "0", true},               // weak discard clause separates
 	}
 	for _, cse := range oneStep {
-		crt, ok, err := ch.OneStepCert(mustParse(t, cse.p), mustParse(t, cse.q), cse.weak)
-		if err != nil {
-			t.Fatalf("onestep(%s, %s) weak=%v: %v", cse.p, cse.q, cse.weak, err)
-		}
+		crt, ok := pairCert(t, ch, cert.RelOneStep, cse.p, cse.q, cse.weak)
 		if ok {
 			t.Fatalf("onestep(%s, %s) weak=%v: expected a distinguishing pair", cse.p, cse.q, cse.weak)
 		}
@@ -195,10 +170,7 @@ func TestNegativeStrategyShapes(t *testing.T) {
 	}
 	// Congruence negative: the τ-law pair is ≈ but not ≈c, so the
 	// certificate records the separating substitution and its strategy.
-	crt, ok, err := ch.CongruenceCert(mustParse(t, "tau.c!"), mustParse(t, "c!"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	crt, ok := pairCert(t, ch, cert.RelCongruence, "tau.c!", "c!", true)
 	if ok {
 		t.Fatal("tau.c! ≈c c! must fail (the τ-law gap)")
 	}
@@ -399,9 +371,9 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	}
 
 	// One-step positive: the strict root table is mandatory evidence.
-	os, ok, err := ch.OneStepCert(mustParse(t, "a!.b!"), mustParse(t, "a!.b! + a!.b!"), false)
-	if err != nil || !ok {
-		t.Fatalf("onestep baseline: ok=%v err=%v", ok, err)
+	os, ok := pairCert(t, ch, cert.RelOneStep, "a!.b!", "a!.b! + a!.b!", false)
+	if !ok {
+		t.Fatal("onestep baseline: not related")
 	}
 	if err := cert.Verify(os); err != nil {
 		t.Fatalf("onestep baseline rejected: %v", err)
@@ -420,9 +392,9 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	}
 
 	// Congruence positive: one embedded one-step certificate per fusion.
-	cg, ok, err := ch.CongruenceCert(mustParse(t, "a! + a!"), mustParse(t, "a!"), false)
-	if err != nil || !ok {
-		t.Fatalf("congruence baseline: ok=%v err=%v", ok, err)
+	cg, ok := pairCert(t, ch, cert.RelCongruence, "a! + a!", "a!", false)
+	if !ok {
+		t.Fatal("congruence baseline: not related")
 	}
 	if err := cert.Verify(cg); err != nil {
 		t.Fatalf("congruence baseline rejected: %v", err)
@@ -441,9 +413,9 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	}
 	// [a=b]c! simplifies to 0, but the fusion a↦b fires the match: a proof
 	// of 0 ~c 0 relabelled as [a=b]c! ~c 0 must lack that fusion's evidence.
-	zero, ok, err := ch.CongruenceCert(mustParse(t, "0"), mustParse(t, "0"), false)
-	if err != nil || !ok {
-		t.Fatalf("0 ~c 0 baseline: ok=%v err=%v", ok, err)
+	zero, ok := pairCert(t, ch, cert.RelCongruence, "0", "0", false)
+	if !ok {
+		t.Fatal("0 ~c 0 baseline: not related")
 	}
 	c = clone(zero)
 	c.P = "[a=b]c!"

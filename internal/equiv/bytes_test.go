@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"hash"
@@ -9,36 +10,19 @@ import (
 	"strings"
 	"testing"
 
+	"bpi/internal/cert"
 	brand "bpi/internal/rand"
 	"bpi/internal/syntax"
 )
 
-// verdictRelations decides one query of each of the five relations. The
-// one-step and congruence rows carry no pair count or Reason.
-var verdictRelations = []struct {
-	name   string
-	decide func(ch *Checker, p, q syntax.Proc, weak bool) (Result, error)
-}{
-	{"labelled", (*Checker).Labelled},
-	{"barbed", (*Checker).Barbed},
-	{"step", (*Checker).Step},
-	{"onestep", func(ch *Checker, p, q syntax.Proc, weak bool) (Result, error) {
-		crt, ok, err := ch.OneStepCert(p, q, weak)
-		return Result{Related: ok, Cert: crt}, err
-	}},
-	{"congruence", func(ch *Checker, p, q syntax.Proc, weak bool) (Result, error) {
-		crt, ok, err := ch.CongruenceCert(p, q, weak)
-		return Result{Related: ok, Cert: crt}, err
-	}},
-}
-
-// TestVerdictBytesPinned pins what all five relations answer, byte for
-// byte, over a random corpus: 150 terms from each of the default and the
+// TestVerdictBytesPinned pins what Decide answers for all five relations,
+// byte for byte, over a random corpus: 150 terms from each of the default and the
 // oracle generator at seed 7, each paired with an equivalence-preserving
 // and an equivalence-breaking mutant, decided strong and weak. Per relation
 // a SHA-256 runs over "related|pairs|reason|certificate" of every query (an
 // error is hashed as its message), beside the counts of related and
-// unrelated answers, so a corpus drifting to one answer shows. The store
+// unrelated answers, so a corpus drifting to one answer shows; the
+// one-step and congruence rows carry no pair count or Reason. The store
 // prints a term as it was first interned, so the certificate bytes also
 // pin the order in which queries intern their terms. UPDATE_GOLDEN=1
 // regenerates testdata/verdict_bytes.golden.
@@ -55,17 +39,17 @@ func TestVerdictBytesPinned(t *testing.T) {
 		h                         hash.Hash
 		related, unrelated, fails int
 	}
-	tallies := make([]tally, len(verdictRelations))
+	tallies := make([]tally, len(cert.Relations))
 	for i := range tallies {
 		tallies[i].h = sha256.New()
 	}
 	store := NewStore(nil)
 	for _, pq := range pairs {
 		for _, weak := range []bool{false, true} {
-			for i, rel := range verdictRelations {
+			for i, rel := range cert.Relations {
 				ch := NewCheckerWithStore(store)
 				ch.Certify = true
-				r, err := rel.decide(ch, pq[0], pq[1], weak)
+				r, err := ch.Decide(context.Background(), Query{Rel: rel, Weak: weak, P: pq[0], Q: pq[1]})
 				tl := &tallies[i]
 				if err != nil {
 					tl.fails++
@@ -74,7 +58,7 @@ func TestVerdictBytesPinned(t *testing.T) {
 				}
 				data, err := r.Cert.Marshal()
 				if err != nil {
-					t.Fatalf("%s %s vs %s: marshal certificate: %v", rel.name, syntax.String(pq[0]), syntax.String(pq[1]), err)
+					t.Fatalf("%s %s vs %s: marshal certificate: %v", rel, syntax.String(pq[0]), syntax.String(pq[1]), err)
 				}
 				if r.Related {
 					tl.related++
@@ -86,10 +70,10 @@ func TestVerdictBytesPinned(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	for i, rel := range verdictRelations {
+	for i, rel := range cert.Relations {
 		tl := tallies[i]
 		fmt.Fprintf(&sb, "%s related=%d unrelated=%d errors=%d sha256=%x\n",
-			rel.name, tl.related, tl.unrelated, tl.fails, tl.h.Sum(nil))
+			rel, tl.related, tl.unrelated, tl.fails, tl.h.Sum(nil))
 	}
 	got := sb.String()
 	golden := filepath.Join("testdata", "verdict_bytes.golden")

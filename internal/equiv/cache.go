@@ -2,7 +2,8 @@
 // strong and weak barbed bisimilarity (Definition 3), step bisimilarity
 // (Definition 5), labelled bisimilarity (Definitions 7/8), the one-step
 // relations ~+ / ≈+ (Definitions 11/15) and the congruences ~c / ≈c closed
-// under substitutions (Section 4).
+// under substitutions (Section 4). Checker.Decide answers all five: a
+// Query names the relation, the mode and the pair.
 //
 // All checkers work on-the-fly over canonically-keyed *pairs* of terms: from
 // a pair (p,q) the engine derives matching obligations whose candidates are
@@ -16,10 +17,9 @@
 //
 // Terms are interned simplified (syntax.Simplify), which preserves every
 // relation but ~c/≈c: those quantify over substitutions, and Simplify drops
-// matches on distinct free names that a fusion would fire. All congruence
-// entry points therefore share one body that applies each fusion to the
-// terms as given, before interning, and a congruence certificate names the
-// printed input terms.
+// matches on distinct free names that a fusion would fire. A congruence
+// query therefore applies each fusion to the terms as given, before
+// interning, and a congruence certificate names the printed input terms.
 //
 // # Concurrency
 //
@@ -64,8 +64,7 @@ type Checker struct {
 	// proven allocation-free by TestDisabledObsZeroAlloc.
 	Obs *obs.Tracer
 	// Certify makes every verdict carry a checkable certificate
-	// (Result.Cert, see internal/cert); OneStepCert and CongruenceCert
-	// require it.
+	// (Result.Cert, see internal/cert).
 	Certify bool
 
 	store *Store

@@ -31,23 +31,12 @@ func barbWitness(pb, qb []names.Name) (moveSide, names.Name) {
 	return sideLeft, ""
 }
 
-func (sp spec) relName() string {
-	switch sp.kind {
-	case relBarbed:
-		return cert.RelBarbed
-	case relStep:
-		return cert.RelStep
-	default:
-		return cert.RelLabelled
-	}
-}
-
 // certificate assembles the evidence for the decided root pair.
 func (e *engine) certificate(root int32) *cert.Certificate {
 	rn := &e.nodes[root]
 	c := &cert.Certificate{
 		Version:  cert.Version,
-		Relation: e.sp.relName(),
+		Relation: e.sp.rel,
 		Weak:     e.sp.weak,
 		Related:  !rn.bad,
 		P:        stringOf(rn.p),

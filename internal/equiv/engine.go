@@ -22,26 +22,18 @@ func (e ErrCanceled) Error() string { return "equiv: query canceled: " + e.Cause
 // Unwrap exposes the context error for errors.Is/As.
 func (e ErrCanceled) Unwrap() error { return e.Cause }
 
-// relKind selects which of the paper's bisimilarities an engine decides.
-type relKind int
-
-const (
-	relLabelled relKind = iota // Definitions 7/8
-	relBarbed                  // Definition 3
-	relStep                    // Definition 5
-)
-
+// spec selects which of the paper's bisimilarities an engine decides: rel
+// is cert.RelLabelled, cert.RelBarbed or cert.RelStep.
 type spec struct {
-	kind relKind
+	rel  string
 	weak bool
 }
 
 func (s spec) String() string {
-	k := map[relKind]string{relLabelled: "labelled", relBarbed: "barbed", relStep: "step"}[s.kind]
 	if s.weak {
-		return "weak " + k
+		return "weak " + s.rel
 	}
-	return "strong " + k
+	return "strong " + s.rel
 }
 
 // Result reports an equivalence verdict.
@@ -205,9 +197,6 @@ type engine struct {
 }
 
 func (c *Checker) run(ctx context.Context, pi, qi *termInfo, sp spec) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	tr := c.Obs
 	e := &engine{
 		c: c, ctx: ctx, sp: sp, index: map[uint64]int32{},
@@ -267,10 +256,10 @@ func (e *engine) explore(run *obs.Span) error {
 
 // buildPair computes the static checks and matching obligations of one pair.
 func (e *engine) buildPair(p, q *termInfo, b *built) error {
-	switch e.sp.kind {
-	case relBarbed:
+	switch e.sp.rel {
+	case cert.RelBarbed:
 		return e.buildBarbed(p, q, b)
-	case relStep:
+	case cert.RelStep:
 		return e.buildStep(p, q, b)
 	default:
 		return e.buildLabelled(p, q, b)
@@ -473,14 +462,14 @@ func (e *engine) failReason(n *pairNode) string {
 func (e *engine) barbReason(n *pairNode) string {
 	if !e.sp.weak {
 		what := "strong barbs"
-		if e.sp.kind == relStep {
+		if e.sp.rel == cert.RelStep {
 			what = "step barbs"
 		}
 		return fmt.Sprintf("%s differ on %s: %v vs %v", what, n.failBarb,
 			names.NewSet(n.p.barbs...), names.NewSet(n.q.barbs...))
 	}
 	what := "weak barb"
-	if e.sp.kind == relStep {
+	if e.sp.rel == cert.RelStep {
 		what = "weak step barb"
 	}
 	lacking := sideRight
@@ -524,7 +513,7 @@ func (e *engine) barbsDiffer(p, q *termInfo, b *built) (bool, error) {
 // bisimilarity some (τ ∪ output)*-derivative, has a strong barb on a.
 func (e *engine) weakBarb(ti *termInfo, a names.Name) (bool, error) {
 	closure := e.c.tauClosure
-	if e.sp.kind == relStep {
+	if e.sp.rel == cert.RelStep {
 		closure = e.c.autonomousClosure
 	}
 	cl, err := closure(ti)

@@ -1,10 +1,12 @@
 package equiv
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
+	"bpi/internal/cert"
 	"bpi/internal/parser"
 	"bpi/internal/stress"
 )
@@ -17,7 +19,7 @@ import (
 func TestStrongReactionsInternedOnce(t *testing.T) {
 	p := stress.Rings(3, 2)
 	c := NewChecker(nil)
-	r, err := c.Labelled(p, stress.Rotate(p), false)
+	r, err := c.Decide(context.Background(), Query{Rel: cert.RelLabelled, P: p, Q: stress.Rotate(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestWarmQueryAllocs(t *testing.T) {
 	var err error
 	// AllocsPerRun's warm-up call is the cold query that memoises the terms.
 	allocs := testing.AllocsPerRun(1, func() {
-		r, err = c.Step(g.P, g.Q, false)
+		r, err = c.Decide(context.Background(), Query{Rel: cert.RelStep, P: g.P, Q: g.Q})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +78,7 @@ func TestPairIndexLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Labelled(zero, zero, false)
+	r, err := c.Decide(context.Background(), Query{Rel: cert.RelLabelled, P: zero, Q: zero})
 	if err != nil || !r.Related || r.Pairs != 1 {
 		t.Fatalf("0 ~ 0 at id 2^32-1: related=%v pairs=%d err=%v", r.Related, r.Pairs, err)
 	}
@@ -84,7 +86,7 @@ func TestPairIndexLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Labelled(out, zero, false)
+	_, err = c.Decide(context.Background(), Query{Rel: cert.RelLabelled, P: out, Q: zero})
 	var eb ErrBudget
 	if !errors.As(err, &eb) {
 		t.Fatalf("a pair with id 2^32: err = %v, want ErrBudget", err)

@@ -1,12 +1,14 @@
 package equiv
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"bpi/internal/cert"
 	"bpi/internal/obs"
 	"bpi/internal/parser"
 	"bpi/internal/syntax"
@@ -53,7 +55,7 @@ func TestSpanTreeGolden(t *testing.T) {
 	tr := obs.New()
 	ch := NewChecker(nil)
 	ch.Obs = tr
-	r, err := ch.Labelled(p, q, false)
+	r, err := ch.Decide(context.Background(), Query{Rel: cert.RelLabelled, P: p, Q: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestObsParallelCheckerRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				pr := pairs[(w+i)%len(pairs)]
-				if _, err := ch.Labelled(pr[0], pr[1], false); err != nil {
+				if _, err := ch.Decide(context.Background(), Query{Rel: cert.RelLabelled, P: pr[0], Q: pr[1]}); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
@@ -147,7 +149,7 @@ func TestTracingOverheadBudget(t *testing.T) {
 				ch.Obs = tr
 				ch.Store().SetObs(tr)
 			}
-			if _, err := ch.Labelled(p, q, false); err != nil {
+			if _, err := ch.Decide(context.Background(), Query{Rel: cert.RelLabelled, P: p, Q: q}); err != nil {
 				t.Fatal(err)
 			}
 		}

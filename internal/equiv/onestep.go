@@ -10,7 +10,7 @@ import (
 	"bpi/internal/syntax"
 )
 
-// OneStep decides the auxiliary one-step relation ~+ (Definition 11) or ≈+
+// oneStep decides the auxiliary one-step relation ~+ (Definition 11) or ≈+
 // (Definition 15).
 //
 // Unlike the bisimilarities, ~+ matches moves *strictly by action*: a τ by a
@@ -23,40 +23,22 @@ import (
 // neither side can discard an input of the other.
 //
 // Closing ~+ (resp. ≈+) under all substitutions yields the congruence ~c
-// (resp. ≈c) — see Congruence.
-func (c *Checker) OneStep(p, q syntax.Proc, weak bool) (bool, error) {
-	return c.OneStepCtx(context.Background(), p, q, weak)
-}
-
-// OneStepCtx is OneStep honouring ctx: cancellation aborts the move
-// enumeration (and the labelled sub-queries) with an ErrCanceled.
-func (c *Checker) OneStepCtx(ctx context.Context, p, q syntax.Proc, weak bool) (bool, error) {
-	pi, qi, err := c.internPair(p, q)
+// (resp. ≈c) — see congruence.
+func (c *Checker) oneStep(ctx context.Context, q Query) (Result, error) {
+	pi, qi, err := c.internPair(q.P, q.Q)
 	if err != nil {
-		return false, err
+		return Result{}, err
 	}
-	_, ok, err := c.newOneStepQuery(ctx, weak).oneStep(pi, qi, nil)
-	return ok, err
-}
-
-// OneStepCert is OneStep returning a checkable certificate alongside the
-// verdict. Requires the Certify option (the labelled sub-queries supply the
-// embedded evidence).
-func (c *Checker) OneStepCert(p, q syntax.Proc, weak bool) (*cert.Certificate, bool, error) {
-	return c.OneStepCertCtx(context.Background(), p, q, weak)
-}
-
-// OneStepCertCtx is OneStepCert honouring ctx.
-func (c *Checker) OneStepCertCtx(ctx context.Context, p, q syntax.Proc, weak bool) (*cert.Certificate, bool, error) {
-	if !c.Certify {
-		return nil, false, fmt.Errorf("equiv: one-step certification requires the Certify option")
+	oq := c.newOneStepQuery(ctx, q.Weak)
+	var em *osEmit
+	if c.Certify {
+		em = newOSEmit(oq, pi, qi)
 	}
-	pi, qi, err := c.internPair(p, q)
+	crt, ok, err := oq.oneStep(pi, qi, em)
 	if err != nil {
-		return nil, false, err
+		return Result{}, err
 	}
-	oq := c.newOneStepQuery(ctx, weak)
-	return oq.oneStep(pi, qi, newOSEmit(oq, pi, qi))
+	return Result{Related: ok, Cert: crt}, nil
 }
 
 // oneStepQuery is one ~+ or ~c query over the labelled engine. Its strict
@@ -74,9 +56,6 @@ type oneStepQuery struct {
 }
 
 func (c *Checker) newOneStepQuery(ctx context.Context, weak bool) *oneStepQuery {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	return &oneStepQuery{c: c, ctx: ctx, weak: weak, verdicts: map[[2]uint64]Result{}}
 }
 
@@ -89,7 +68,7 @@ func (oq *oneStepQuery) labelled(p, q *termInfo) (Result, error) {
 		return r, nil
 	}
 	oq.c.Obs.Count("equiv.verdict_misses", 1)
-	r, err := oq.c.run(oq.ctx, p, q, spec{relLabelled, oq.weak})
+	r, err := oq.c.run(oq.ctx, p, q, spec{cert.RelLabelled, oq.weak})
 	if err != nil {
 		return r, err
 	}
@@ -98,10 +77,9 @@ func (oq *oneStepQuery) labelled(p, q *termInfo) (Result, error) {
 	return r, nil
 }
 
-// oneStep is the single implementation behind OneStepCtx and OneStepCertCtx:
-// em == nil runs verdict-only, otherwise every discharged strict challenge is
-// recorded (top move + merged labelled relation) and the first failing one
-// becomes the negative certificate.
+// oneStep decides one interned pair: em == nil runs verdict-only, otherwise
+// every discharged strict challenge is recorded (top move + merged labelled
+// relation) and the first failing one becomes the negative certificate.
 func (oq *oneStepQuery) oneStep(pi, qi *termInfo, em *osEmit) (*cert.Certificate, bool, error) {
 	c := oq.c
 	// Discard clause. Strong: the discard move a: of one side must be
@@ -525,119 +503,80 @@ func (m *relMerger) add(sub *cert.Certificate) error {
 
 // ---- congruences ------------------------------------------------------------
 
-// Congruence decides the strong congruence ~c (weak=false) or the weak
-// congruence ≈c (weak=true): pσ ~+ qσ (resp. ≈+) for all substitutions σ.
+// congruence decides the strong congruence ~c or the weak congruence ≈c:
+// pσ ~+ qσ (resp. ≈+) for all substitutions σ.
 //
 // Substitution closure is exact on a finite sufficient set: all fusions
 // fn(p,q) → fn(p,q). Substitutions introducing genuinely fresh targets are
 // injective renamings of these up to bisimilarity (Lemma 18), so they add no
-// discriminating power. The enumeration is n^n in |fn(p,q)| — use
-// CongruenceBounded for larger interfaces.
-func (c *Checker) Congruence(p, q syntax.Proc, weak bool) (bool, error) {
-	return c.CongruenceBounded(p, q, weak, 0)
-}
-
-// CongruenceCtx is Congruence honouring ctx (checked per substitution and
-// inside each one-step sub-query).
-func (c *Checker) CongruenceCtx(ctx context.Context, p, q syntax.Proc, weak bool) (bool, error) {
-	return c.CongruenceBoundedCtx(ctx, p, q, weak, 0)
-}
-
-// CongruenceBounded is Congruence with a cap on the number of substitutions
-// tried (0 means unbounded). When capped, a true verdict means "no tried
-// substitution distinguishes them".
-func (c *Checker) CongruenceBounded(p, q syntax.Proc, weak bool, maxSubs int) (bool, error) {
-	return c.CongruenceBoundedCtx(context.Background(), p, q, weak, maxSubs)
-}
-
-// CongruenceBoundedCtx is CongruenceBounded honouring ctx.
-func (c *Checker) CongruenceBoundedCtx(ctx context.Context, p, q syntax.Proc, weak bool, maxSubs int) (bool, error) {
-	_, ok, err := c.congruence(ctx, p, q, weak, maxSubs, false)
-	return ok, err
-}
-
-// CongruenceCert decides ~c/≈c with a checkable certificate naming p and q as
-// given: one embedded positive one-step certificate per distinct instance
-// pair under the fusions of the free names, or the first distinguishing
-// substitution with its one-step strategy. Requires Certify.
-func (c *Checker) CongruenceCert(p, q syntax.Proc, weak bool) (*cert.Certificate, bool, error) {
-	return c.CongruenceBoundedCertCtx(context.Background(), p, q, weak, 0)
-}
-
-// CongruenceBoundedCertCtx is CongruenceCert with a substitution cap. A
-// positive verdict under truncation returns a nil certificate — "no tried
-// substitution distinguishes them" is not checkable evidence for ~c.
-func (c *Checker) CongruenceBoundedCertCtx(ctx context.Context, p, q syntax.Proc, weak bool, maxSubs int) (*cert.Certificate, bool, error) {
-	if !c.Certify {
-		return nil, false, fmt.Errorf("equiv: congruence certification requires the Certify option")
-	}
-	return c.congruence(ctx, p, q, weak, maxSubs, true)
-}
-
-// congruence is the single implementation behind every ~c/≈c entry point.
-// The fusions range over the free names of p and q as given, and each is
+// discriminating power. The enumeration is n^n in |fn(p,q)|; q.MaxSubs caps
+// it. The fusions range over the free names of p and q as given, and each is
 // applied before interning: Simplify drops matches on distinct free names
 // that a fusion would fire (DESIGN decision 4). A fusion whose instance pair
-// was already checked is skipped. With certify set, the certificate names
-// the printed input terms, which the verifier substitutes into the same way.
-func (c *Checker) congruence(ctx context.Context, p, q syntax.Proc, weak bool, maxSubs int, certify bool) (*cert.Certificate, bool, error) {
-	oq := c.newOneStepQuery(ctx, weak)
-	fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q)).Sorted()
+// was already checked is skipped. A certificate names the printed input
+// terms, which the verifier substitutes into the same way: one embedded
+// positive one-step certificate per distinct instance pair, or the first
+// distinguishing substitution with its one-step strategy. A positive verdict
+// under truncation carries none — "no tried substitution distinguishes
+// them" is not checkable evidence for ~c.
+func (c *Checker) congruence(ctx context.Context, q Query) (Result, error) {
+	oq := c.newOneStepQuery(ctx, q.Weak)
+	fn := syntax.FreeNames(q.P).AddAll(syntax.FreeNames(q.Q)).Sorted()
 	subs := names.AllFusions(fn, fn)
 	if len(subs) == 0 {
 		subs = []names.Subst{{}}
 	}
-	truncated := maxSubs > 0 && len(subs) > maxSubs
+	truncated := q.MaxSubs > 0 && len(subs) > q.MaxSubs
 	if truncated {
-		subs = subs[:maxSubs]
+		subs = subs[:q.MaxSubs]
 	}
 	header := func(related bool) *cert.Certificate {
 		return &cert.Certificate{
-			Version: cert.Version, Relation: cert.RelCongruence, Weak: weak,
-			Related: related, P: syntax.String(p), Q: syntax.String(q),
+			Version: cert.Version, Relation: cert.RelCongruence, Weak: q.Weak,
+			Related: related, P: syntax.String(q.P), Q: syntax.String(q.Q),
 		}
 	}
 	seen := map[[2]uint64]bool{}
 	var subCerts []*cert.Certificate
 	for _, sub := range subs {
 		if err := oq.ctx.Err(); err != nil {
-			return nil, false, ErrCanceled{err}
+			return Result{}, ErrCanceled{err}
 		}
-		ps, qs, err := c.internPair(syntax.Apply(p, sub), syntax.Apply(q, sub))
+		ps, qs, err := c.internPair(syntax.Apply(q.P, sub), syntax.Apply(q.Q, sub))
 		if err != nil {
-			return nil, false, fmt.Errorf("under substitution %s: %w", sub, err)
+			return Result{}, fmt.Errorf("under substitution %s: %w", sub, err)
 		}
 		if seen[[2]uint64{ps.id, qs.id}] {
 			continue
 		}
 		seen[[2]uint64{ps.id, qs.id}] = true
 		var em *osEmit
-		if certify {
+		if c.Certify {
 			em = newOSEmit(oq, ps, qs)
 		}
 		crt, ok, err := oq.oneStep(ps, qs, em)
 		if err != nil {
-			return nil, false, fmt.Errorf("under substitution %s: %w", sub, err)
+			return Result{}, fmt.Errorf("under substitution %s: %w", sub, err)
 		}
 		if !ok {
-			if !certify {
-				return nil, false, nil
+			if em == nil {
+				return Result{}, nil
 			}
 			neg := header(false)
 			neg.Sigma = sigmaMap(sub)
 			neg.Nodes = crt.Nodes
-			return neg, false, nil
+			return Result{Cert: neg}, nil
 		}
-		if certify {
+		if em != nil {
 			subCerts = append(subCerts, crt)
 		}
 	}
-	if !certify || truncated {
-		return nil, true, nil
+	if !c.Certify || truncated {
+		return Result{Related: true}, nil
 	}
 	pos := header(true)
 	pos.Subs = subCerts
-	return pos, true, nil
+	return Result{Related: true, Cert: pos}, nil
 }
 
 func sigmaMap(sub names.Subst) map[string]string {

@@ -1,11 +1,13 @@
 package equiv
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"bpi/internal/cert"
 	brand "bpi/internal/rand"
 	"bpi/internal/syntax"
 )
@@ -27,15 +29,12 @@ func samplePairs(n int) [][2]syntax.Proc {
 // relations is the query mix of the Theorem 1 sweep: the three
 // bisimilarities, strong and weak.
 var relations = []struct {
-	name string
-	run  func(ch *Checker, p, q syntax.Proc) (Result, error)
+	rel  string
+	weak bool
 }{
-	{"labelled/strong", func(ch *Checker, p, q syntax.Proc) (Result, error) { return ch.Labelled(p, q, false) }},
-	{"labelled/weak", func(ch *Checker, p, q syntax.Proc) (Result, error) { return ch.Labelled(p, q, true) }},
-	{"barbed/strong", func(ch *Checker, p, q syntax.Proc) (Result, error) { return ch.Barbed(p, q, false) }},
-	{"barbed/weak", func(ch *Checker, p, q syntax.Proc) (Result, error) { return ch.Barbed(p, q, true) }},
-	{"step/strong", func(ch *Checker, p, q syntax.Proc) (Result, error) { return ch.Step(p, q, false) }},
-	{"step/weak", func(ch *Checker, p, q syntax.Proc) (Result, error) { return ch.Step(p, q, true) }},
+	{cert.RelLabelled, false}, {cert.RelLabelled, true},
+	{cert.RelBarbed, false}, {cert.RelBarbed, true},
+	{cert.RelStep, false}, {cert.RelStep, true},
 }
 
 // sweepResult is a Result with its certificate marshalled, comparable
@@ -81,9 +80,9 @@ func TestSharedStoreConcurrentSweep(t *testing.T) {
 		pair, rel := pairs[job/len(relations)], relations[job%len(relations)]
 		seq := NewCheckerWithStore(store)
 		seq.Certify = true
-		r, err := rel.run(seq, pair[0], pair[1])
+		r, err := seq.Decide(context.Background(), Query{Rel: rel.rel, Weak: rel.weak, P: pair[0], Q: pair[1]})
 		if err != nil {
-			t.Fatalf("sequential pair %d %s: %v", job/len(relations), rel.name, err)
+			t.Fatalf("sequential pair %d %s: %v", job/len(relations), spec{rel.rel, rel.weak}, err)
 		}
 		want[job] = sweepOutcome(t, r)
 	}
@@ -106,7 +105,7 @@ func TestSharedStoreConcurrentSweep(t *testing.T) {
 				}
 				pair := pairs[job/len(relations)]
 				rel := relations[job%len(relations)]
-				res[job], errs[job] = rel.run(shared, pair[0], pair[1])
+				res[job], errs[job] = shared.Decide(context.Background(), Query{Rel: rel.rel, Weak: rel.weak, P: pair[0], Q: pair[1]})
 			}
 		}()
 	}
@@ -114,11 +113,11 @@ func TestSharedStoreConcurrentSweep(t *testing.T) {
 	for job := range res {
 		i, rel := job/len(relations), relations[job%len(relations)]
 		if errs[job] != nil {
-			t.Fatalf("concurrent pair %d %s: %v", i, rel.name, errs[job])
+			t.Fatalf("concurrent pair %d %s: %v", i, spec{rel.rel, rel.weak}, errs[job])
 		}
 		if g := sweepOutcome(t, res[job]); g != want[job] {
 			t.Errorf("pair %d %s: concurrent result differs from the sequential one\n got  %+v\n want %+v",
-				i, rel.name, g, want[job])
+				i, spec{rel.rel, rel.weak}, g, want[job])
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bpi/internal/cert"
 	"bpi/internal/parser"
 )
 
@@ -22,7 +23,7 @@ func TestStoreStatsMemoisedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1 := NewChecker(nil)
-	if _, err := c1.Labelled(p, q, false); err != nil {
+	if _, err := c1.Decide(context.Background(), Query{Rel: cert.RelLabelled, P: p, Q: q}); err != nil {
 		t.Fatal(err)
 	}
 	s1 := c1.Store().Stats()
@@ -34,7 +35,7 @@ func TestStoreStatsMemoisedPath(t *testing.T) {
 	// semantic derivation should be a cache hit and the term set must not
 	// grow.
 	c2 := NewCheckerWithStore(c1.Store())
-	if _, err := c2.Labelled(p, q, false); err != nil {
+	if _, err := c2.Decide(context.Background(), Query{Rel: cert.RelLabelled, P: p, Q: q}); err != nil {
 		t.Fatal(err)
 	}
 	s2 := c2.Store().Stats()
@@ -79,7 +80,7 @@ func TestLabelledCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.LabelledCtx(ctx, p, q, false)
+	_, err = c.Decide(ctx, Query{Rel: cert.RelLabelled, P: p, Q: q})
 	if err == nil {
 		t.Fatal("expected a deadline error, got a verdict")
 	}
@@ -113,7 +114,7 @@ func TestCongruenceCtxCancel(t *testing.T) {
 	c := NewChecker(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: the first loop check must fire
-	if _, err := c.CongruenceCtx(ctx, p, q, false); !errors.Is(err, context.Canceled) {
+	if _, err := c.Decide(ctx, Query{Rel: cert.RelCongruence, P: p, Q: q}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
 }

@@ -1,8 +1,10 @@
 package equiv
 
 import (
+	"context"
 	"testing"
 
+	"bpi/internal/cert"
 	"bpi/internal/names"
 	brand "bpi/internal/rand"
 	"bpi/internal/syntax"
@@ -17,51 +19,51 @@ func TestTheorem1Implications(t *testing.T) {
 	cfg.MaxDepth = 3
 	g := brand.New(12345, cfg)
 	ch := newC()
-	related, checked := 0, 0
+	nRelated, checked := 0, 0
 	for i := 0; i < 60; i++ {
 		p := g.Term()
 		q := g.Mutate(p)
 		checked++
 		for _, weak := range []bool{false, true} {
-			lab := labelled(t, ch, p, q, weak)
+			lab := related(t, ch, cert.RelLabelled, p, q, weak)
 			if !lab {
 				continue
 			}
-			related++
-			if !barbed(t, ch, p, q, weak) {
+			nRelated++
+			if !related(t, ch, cert.RelBarbed, p, q, weak) {
 				t.Errorf("seeded pair %d (weak=%v): labelled but not barbed:\n p=%s\n q=%s",
 					i, weak, syntax.String(p), syntax.String(q))
 			}
-			if !step(t, ch, p, q, weak) {
+			if !related(t, ch, cert.RelStep, p, q, weak) {
 				t.Errorf("seeded pair %d (weak=%v): labelled but not step:\n p=%s\n q=%s",
 					i, weak, syntax.String(p), syntax.String(q))
 			}
 		}
 		// Chain ~c ⊆ ~+ ⊆ ~ on the strong side.
 		if cgr := congruentQuiet(t, ch, p, q); cgr {
-			if !oneStep(t, ch, p, q, false) {
+			if !related(t, ch, cert.RelOneStep, p, q, false) {
 				t.Errorf("pair %d: ~c but not ~+:\n p=%s\n q=%s", i, syntax.String(p), syntax.String(q))
 			}
 		}
-		if os := oneStep(t, ch, p, q, false); os {
-			if !labelled(t, ch, p, q, false) {
+		if os := related(t, ch, cert.RelOneStep, p, q, false); os {
+			if !related(t, ch, cert.RelLabelled, p, q, false) {
 				t.Errorf("pair %d: ~+ but not ~:\n p=%s\n q=%s", i, syntax.String(p), syntax.String(q))
 			}
 		}
 	}
-	if related == 0 {
+	if nRelated == 0 {
 		t.Fatal("sampling produced no related pairs — mutation mix is broken")
 	}
-	t.Logf("checked %d pairs, %d related verdicts", checked, related)
+	t.Logf("checked %d pairs, %d related verdicts", checked, nRelated)
 }
 
 func congruentQuiet(t *testing.T, ch *Checker, p, q syntax.Proc) bool {
 	t.Helper()
-	ok, err := ch.CongruenceBounded(p, q, false, 64)
+	r, err := ch.Decide(context.Background(), Query{Rel: cert.RelCongruence, P: p, Q: q, MaxSubs: 64})
 	if err != nil {
 		t.Fatalf("congruence: %v", err)
 	}
-	return ok
+	return r.Related
 }
 
 // TestSimplifySemanticSoundness: Simplify must preserve the strong labelled
@@ -81,7 +83,7 @@ func TestSimplifySemanticSoundness(t *testing.T) {
 		if syntax.Equal(p, s) {
 			continue
 		}
-		if !oneStep(t, ch, p, s, false) {
+		if !related(t, ch, cert.RelOneStep, p, s, false) {
 			t.Errorf("Simplify changed one-step behaviour of %s (got %s)", syntax.String(p), syntax.String(s))
 		}
 		for _, a := range syntax.FreeNames(p).Sorted() {
@@ -114,11 +116,11 @@ func TestInjectiveRenamingPreservesBisim(t *testing.T) {
 	for i := 0; i < 40 && found < 12; i++ {
 		p := g.Term()
 		q := g.Mutate(p)
-		if !labelled(t, ch, p, q, false) {
+		if !related(t, ch, cert.RelLabelled, p, q, false) {
 			continue
 		}
 		found++
-		if !labelled(t, ch, syntax.Apply(p, ren), syntax.Apply(q, ren), false) {
+		if !related(t, ch, cert.RelLabelled, syntax.Apply(p, ren), syntax.Apply(q, ren), false) {
 			t.Errorf("Lemma 18 violated on\n p=%s\n q=%s", syntax.String(p), syntax.String(q))
 		}
 	}
@@ -137,13 +139,13 @@ func TestStrongImpliesWeak(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		p := g.Term()
 		q := g.Mutate(p)
-		if labelled(t, ch, p, q, false) && !labelled(t, ch, p, q, true) {
+		if related(t, ch, cert.RelLabelled, p, q, false) && !related(t, ch, cert.RelLabelled, p, q, true) {
 			t.Errorf("pair %d: strongly but not weakly labelled bisimilar", i)
 		}
-		if barbed(t, ch, p, q, false) && !barbed(t, ch, p, q, true) {
+		if related(t, ch, cert.RelBarbed, p, q, false) && !related(t, ch, cert.RelBarbed, p, q, true) {
 			t.Errorf("pair %d: strongly but not weakly barbed bisimilar", i)
 		}
-		if step(t, ch, p, q, false) && !step(t, ch, p, q, true) {
+		if related(t, ch, cert.RelStep, p, q, false) && !related(t, ch, cert.RelStep, p, q, true) {
 			t.Errorf("pair %d: strongly but not weakly step bisimilar", i)
 		}
 	}

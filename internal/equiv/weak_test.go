@@ -3,6 +3,7 @@ package equiv
 import (
 	"testing"
 
+	"bpi/internal/cert"
 	"bpi/internal/names"
 	brand "bpi/internal/rand"
 	"bpi/internal/syntax"
@@ -19,13 +20,13 @@ func TestWeakWitnessVerdicts(t *testing.T) {
 	// b). They stay apart even weakly under the labelled relation.
 	p1 := syntax.Choice(syntax.SendN(b), syntax.TauP(syntax.SendN(c)))
 	q1 := syntax.Choice(syntax.SendN(b), syntax.Send(b, nil, syntax.SendN(c)))
-	if labelled(t, ch, p1, q1, true) {
+	if related(t, ch, cert.RelLabelled, p1, q1, true) {
 		t.Error("p1 ≉ q1 expected (the τ-derivative c̄ has no weak match)")
 	}
 	// Weak basics across relations: τ-prefix absorption.
 	p := syntax.TauP(syntax.TauP(syntax.SendN(a)))
 	q := syntax.SendN(a)
-	if !labelled(t, ch, p, q, true) || !barbed(t, ch, p, q, true) || !step(t, ch, p, q, true) {
+	if !related(t, ch, cert.RelLabelled, p, q, true) || !related(t, ch, cert.RelBarbed, p, q, true) || !related(t, ch, cert.RelStep, p, q, true) {
 		t.Error("τ.τ.ā ≈ ā must hold in every weak relation")
 	}
 }
@@ -70,10 +71,10 @@ func TestWeakStuckListenerSaturation(t *testing.T) {
 	ch := newC()
 	for _, cse := range cases {
 		got := map[string]bool{
-			"weak labelled":   labelled(t, ch, cse.p, cse.q, true),
-			"weak barbed":     barbed(t, ch, cse.p, cse.q, true),
-			"weak step":       step(t, ch, cse.p, cse.q, true),
-			"strong labelled": labelled(t, ch, cse.p, cse.q, false),
+			"weak labelled":   related(t, ch, cert.RelLabelled, cse.p, cse.q, true),
+			"weak barbed":     related(t, ch, cert.RelBarbed, cse.p, cse.q, true),
+			"weak step":       related(t, ch, cert.RelStep, cse.p, cse.q, true),
+			"strong labelled": related(t, ch, cert.RelLabelled, cse.p, cse.q, false),
 		}
 		want := map[string]bool{
 			"weak labelled":   cse.wLab,
@@ -109,15 +110,11 @@ func TestWeakCongruencePreservedByContexts(t *testing.T) {
 		func(p syntax.Proc) syntax.Proc { return syntax.If(a, b, p, syntax.SendN(d)) },
 	}
 	for i, pq := range pairs {
-		ok, err := ch.Congruence(pq[0], pq[1], true)
-		if err != nil {
-			t.Fatalf("pair %d: %v", i, err)
-		}
-		if !ok {
+		if !related(t, ch, cert.RelCongruence, pq[0], pq[1], true) {
 			t.Fatalf("pair %d not ≈c: %s vs %s", i, syntax.String(pq[0]), syntax.String(pq[1]))
 		}
 		for j, ctx := range contexts {
-			if !labelled(t, ch, ctx(pq[0]), ctx(pq[1]), true) {
+			if !related(t, ch, cert.RelLabelled, ctx(pq[0]), ctx(pq[1]), true) {
 				t.Errorf("pair %d context %d: ≈c broken by context", i, j)
 			}
 		}
@@ -130,18 +127,14 @@ func TestWeakCongruenceNotImpliedByWeakBisim(t *testing.T) {
 	ch := newC()
 	p := syntax.TauP(syntax.SendN(c))
 	q := syntax.SendN(c)
-	if !labelled(t, ch, p, q, true) {
+	if !related(t, ch, cert.RelLabelled, p, q, true) {
 		t.Fatal("τ.c̄ ≈ c̄ precondition failed")
 	}
-	ok, err := ch.Congruence(p, q, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	if related(t, ch, cert.RelCongruence, p, q, true) {
 		t.Fatal("τ.c̄ ≈c c̄ must fail")
 	}
 	ctx := func(r syntax.Proc) syntax.Proc { return syntax.Choice(r, syntax.SendN(d)) }
-	if labelled(t, ch, ctx(p), ctx(q), true) {
+	if related(t, ch, cert.RelLabelled, ctx(p), ctx(q), true) {
 		t.Error("the + context must separate the τ-law pair")
 	}
 }
@@ -157,15 +150,11 @@ func TestWeakOneStepSampledSoundness(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		p := g.Term()
 		q := g.Mutate(p)
-		os, err := ch.OneStep(p, q, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !os {
+		if !related(t, ch, cert.RelOneStep, p, q, true) {
 			continue
 		}
 		found++
-		if !labelled(t, ch, p, q, true) {
+		if !related(t, ch, cert.RelLabelled, p, q, true) {
 			t.Errorf("≈+ pair not ≈:\n p=%s\n q=%s", syntax.String(p), syntax.String(q))
 		}
 	}
@@ -178,30 +167,16 @@ func TestWeakOneStepSampledSoundness(t *testing.T) {
 // implied by (at least as permissive as) the strong ones.
 func TestWeakStrongWitnessConsistency(t *testing.T) {
 	ch := newC()
-	type rel func(p, q syntax.Proc, weak bool) (Result, error)
-	rels := map[string]rel{
-		"labelled": ch.Labelled,
-		"barbed":   ch.Barbed,
-		"step":     ch.Step,
-	}
 	pairs := [][2]syntax.Proc{
 		{syntax.SendN(a, b), syntax.Send(a, []names.Name{b}, syntax.SendN(c, d))},
 		{syntax.RecvN(a), syntax.RecvN(b)},
 		{syntax.Choice(syntax.SendN(b), syntax.TauP(syntax.SendN(c))),
 			syntax.Choice(syntax.SendN(b), syntax.Send(b, nil, syntax.SendN(c)))},
 	}
-	for name, r := range rels {
+	for _, rel := range []string{cert.RelLabelled, cert.RelBarbed, cert.RelStep} {
 		for i, pq := range pairs {
-			s, err := r(pq[0], pq[1], false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := r(pq[0], pq[1], true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.Related && !w.Related {
-				t.Errorf("%s pair %d: strong but not weak", name, i)
+			if related(t, ch, rel, pq[0], pq[1], false) && !related(t, ch, rel, pq[0], pq[1], true) {
+				t.Errorf("%s pair %d: strong but not weak", rel, i)
 			}
 		}
 	}

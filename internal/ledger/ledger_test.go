@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -46,19 +47,7 @@ func certRecord(t *testing.T, ch *equiv.Checker, rel string, weak bool, p, q str
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	var r equiv.Result
-	switch rel {
-	case cert.RelLabelled:
-		r, err = ch.Labelled(pp, qq, weak)
-	case cert.RelBarbed:
-		r, err = ch.Barbed(pp, qq, weak)
-	case cert.RelStep:
-		r, err = ch.Step(pp, qq, weak)
-	case cert.RelCongruence:
-		r.Cert, r.Related, err = ch.CongruenceCert(pp, qq, weak)
-	default:
-		t.Fatalf("unknown relation %q", rel)
-	}
+	r, err := ch.Decide(context.Background(), equiv.Query{Rel: rel, Weak: weak, P: pp, Q: qq})
 	if err != nil {
 		t.Fatalf("%s(%s, %s): %v", rel, p, q, err)
 	}
@@ -145,7 +134,7 @@ func TestOpenLedgerFromCommit49dd064(t *testing.T) {
 	if n != st.Records {
 		t.Fatalf("replayed %d of %d records", n, st.Records)
 	}
-	for _, rel := range []string{cert.RelLabelled, cert.RelBarbed, cert.RelStep, cert.RelOneStep, cert.RelCongruence} {
+	for _, rel := range cert.Relations {
 		if !verdicts[rel][true] || !verdicts[rel][false] {
 			t.Errorf("fixture lacks a verdict for %s: %v", rel, verdicts[rel])
 		}

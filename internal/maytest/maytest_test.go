@@ -1,8 +1,10 @@
 package maytest
 
 import (
+	"context"
 	"testing"
 
+	"bpi/internal/cert"
 	"bpi/internal/equiv"
 	"bpi/internal/names"
 	"bpi/internal/syntax"
@@ -70,7 +72,7 @@ func TestMayIdentifiesBisimulationDistinctPair(t *testing.T) {
 		syntax.Send(a, nil, syntax.SendN(c)),
 	)
 	ch := equiv.NewChecker(nil)
-	res, err := ch.Labelled(p, q, true)
+	res, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, Weak: true, P: p, Q: q})
 	if err != nil {
 		t.Fatal(err)
 	}

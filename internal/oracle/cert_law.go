@@ -50,48 +50,22 @@ func lawCertChecks() Law {
 			// query again on the store pass one warmed.
 			var congruent bool
 			for _, pass := range []string{"fresh", "warm-store"} {
-				for _, weak := range []bool{false, true} {
+				for _, cq := range certQueries {
+					r, err := ch.Decide(ctx, equiv.Query{Rel: cq.rel, Weak: cq.weak, P: p, Q: q})
+					if err != nil {
+						return "", err
+					}
 					mode := "strong"
-					if weak {
+					if cq.weak {
 						mode = "weak"
 					}
-					r, err := ch.LabelledCtx(ctx, p, q, weak)
-					if err != nil {
-						return "", err
-					}
-					if d := check(pass+" "+mode+" labelled", r.Related, r.Cert); d != "" {
+					if d := check(pass+" "+mode+" "+cq.rel, r.Related, r.Cert); d != "" {
 						return d, nil
 					}
-					r, err = ch.BarbedCtx(ctx, p, q, weak)
-					if err != nil {
-						return "", err
-					}
-					if d := check(pass+" "+mode+" barbed", r.Related, r.Cert); d != "" {
-						return d, nil
-					}
-					r, err = ch.StepCtx(ctx, p, q, weak)
-					if err != nil {
-						return "", err
-					}
-					if d := check(pass+" "+mode+" step", r.Related, r.Cert); d != "" {
-						return d, nil
+					if cq.rel == cert.RelCongruence {
+						congruent = r.Related
 					}
 				}
-				crt, ok, err := ch.OneStepCertCtx(ctx, p, q, false)
-				if err != nil {
-					return "", err
-				}
-				if d := check(pass+" strong onestep", ok, crt); d != "" {
-					return d, nil
-				}
-				crt, ok, err = ch.CongruenceBoundedCertCtx(ctx, p, q, false, 0)
-				if err != nil {
-					return "", err
-				}
-				if d := check(pass+" strong congruence", ok, crt); d != "" {
-					return d, nil
-				}
-				congruent = ok
 			}
 			pr := axioms.NewProver(nil)
 			pr.Certify = true
@@ -109,6 +83,18 @@ func lawCertChecks() Law {
 			return "", nil
 		},
 	}
+}
+
+// certQueries are the (relation, mode) pairs the certificate law decides,
+// in order: the three pair-engine relations strong then weak, then strong
+// ~+ and ~c.
+var certQueries = []struct {
+	rel  string
+	weak bool
+}{
+	{cert.RelLabelled, false}, {cert.RelBarbed, false}, {cert.RelStep, false},
+	{cert.RelLabelled, true}, {cert.RelBarbed, true}, {cert.RelStep, true},
+	{cert.RelOneStep, false}, {cert.RelCongruence, false},
 }
 
 // certRejected builds the violation detail for a rejected certificate and,

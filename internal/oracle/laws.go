@@ -69,18 +69,18 @@ func lawTheorem1(weak bool) Law {
 		Config: richConfig(),
 		Gen:    mixedPair,
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
-			lab, err := env.Seq.LabelledCtx(ctx, p, q, weak)
+			lab, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelLabelled, Weak: weak, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}
 			if !lab.Related {
 				return "", nil // both inclusions are vacuous
 			}
-			step, err := env.Seq.StepCtx(ctx, p, q, weak)
+			step, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelStep, Weak: weak, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}
-			barb, err := env.Seq.BarbedCtx(ctx, p, q, weak)
+			barb, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelBarbed, Weak: weak, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}
@@ -104,26 +104,26 @@ func lawInclusions() Law {
 		Config: proverConfig(),
 		Gen:    mixedPair,
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
-			cong, err := env.Seq.CongruenceCtx(ctx, p, q, false)
+			cong, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelCongruence, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}
-			one, err := env.Seq.OneStepCtx(ctx, p, q, false)
+			one, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelOneStep, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}
-			lab, err := env.Seq.LabelledCtx(ctx, p, q, false)
+			lab, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelLabelled, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}
-			weak, err := env.Seq.LabelledCtx(ctx, p, q, true)
+			weak, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelLabelled, Weak: true, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}
 			switch {
-			case cong && !one:
+			case cong.Related && !one.Related:
 				return "congruent but not one-step bisimilar (~c ⊄ ~+)", nil
-			case one && !lab.Related:
+			case one.Related && !lab.Related:
 				return "one-step bisimilar but not labelled bisimilar (~+ ⊄ ~)", nil
 			case lab.Related && !weak.Related:
 				return "strongly but not weakly bisimilar (~ ⊄ ≈)", nil
@@ -142,10 +142,11 @@ func lawDecideAgree() Law {
 		Config: proverConfig(),
 		Gen:    mixedPair,
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
-			sem, err := env.Seq.CongruenceCtx(ctx, p, q, false)
+			r, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelCongruence, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}
+			sem := r.Related
 			pr := env.NewProver()
 			syn, err := pr.DecideCtx(ctx, p, q)
 			if err != nil {
@@ -190,11 +191,11 @@ func lawAxiomInstances() Law {
 			return lhs, rhs, ax.Name
 		},
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
-			ok, err := env.Seq.CongruenceCtx(ctx, p, q, false)
+			r, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelCongruence, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}
-			if !ok {
+			if !r.Related {
 				return "axiom instance is not semantically congruent", nil
 			}
 			return "", nil
@@ -218,16 +219,16 @@ func lawSubstClosure() Law {
 			return p, g.Term(), "independent"
 		},
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
-			related, err := env.Seq.CongruenceCtx(ctx, p, q, false)
+			r, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelCongruence, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}
-			if !related {
+			if !r.Related {
 				return "", nil // vacuous
 			}
 			fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q)).Sorted()
 			for _, sub := range names.AllFusions(fn, fn) {
-				r, err := env.Seq.LabelledCtx(ctx, syntax.Apply(p, sub), syntax.Apply(q, sub), false)
+				r, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelLabelled, P: syntax.Apply(p, sub), Q: syntax.Apply(q, sub)})
 				if err != nil {
 					return "", err
 				}
@@ -259,7 +260,7 @@ func lawObsConsistent() Law {
 				tr := obs.New()
 				ch.Obs = tr
 				ch.Store().SetObs(tr)
-				r, err := ch.LabelledCtx(ctx, p, q, false)
+				r, err := ch.Decide(ctx, equiv.Query{Rel: cert.RelLabelled, P: p, Q: q})
 				return r, tr.Counters(), err
 			}
 			cold := equiv.NewChecker(nil)
@@ -301,7 +302,7 @@ func lawObsConsistent() Law {
 			// cache hit: a cached verdict legitimately reports pairs=0).
 			if env.Daemon != nil {
 				served, err := env.Daemon.Equiv(ctx, service.EquivRequest{
-					P: syntax.Print(p), Q: syntax.Print(q), Rel: service.RelLabelled,
+					P: syntax.Print(p), Q: syntax.Print(q), Rel: cert.RelLabelled,
 				})
 				if err != nil {
 					return "", err
@@ -325,7 +326,7 @@ func lawEnginesAgree() Law {
 		Gen:    mixedPair,
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
 			for _, weak := range []bool{false, true} {
-				seq, err := env.Seq.LabelledCtx(ctx, p, q, weak)
+				seq, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelLabelled, Weak: weak, P: p, Q: q})
 				if err != nil {
 					return "", err
 				}
@@ -334,7 +335,7 @@ func lawEnginesAgree() Law {
 				}
 				req := service.EquivRequest{
 					P: syntax.Print(p), Q: syntax.Print(q),
-					Rel: service.RelLabelled, Weak: weak,
+					Rel: cert.RelLabelled, Weak: weak,
 				}
 				cold, err := env.Daemon.Equiv(ctx, req)
 				if err != nil {
@@ -402,14 +403,14 @@ func batchAgree(ctx context.Context, d *Daemon, p, q syntax.Proc) (string, error
 	for i := range rows {
 		ch := equiv.NewChecker(nil)
 		ch.Certify = true
-		r, err := ch.LabelledCtx(ctx, rows[i].p, rows[i].q, rows[i].weak)
+		r, err := ch.Decide(ctx, equiv.Query{Rel: cert.RelLabelled, Weak: rows[i].weak, P: rows[i].p, Q: rows[i].q})
 		if err != nil {
 			return "", err
 		}
 		rows[i].want = verdict{r.Related, r.Reason}
 		batch.Pairs = append(batch.Pairs, service.EquivRequest{
 			P: syntax.Print(rows[i].p), Q: syntax.Print(rows[i].q),
-			Rel: service.RelLabelled, Weak: rows[i].weak,
+			Rel: cert.RelLabelled, Weak: rows[i].weak,
 			Cert: true, TimeoutMs: 30000,
 		})
 	}

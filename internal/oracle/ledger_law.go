@@ -36,7 +36,7 @@ func lawLedgerRoundtrip() Law {
 			}
 			var verdicts []decided
 			for _, weak := range []bool{false, true} {
-				r, err := ch.LabelledCtx(ctx, p, q, weak)
+				r, err := ch.Decide(ctx, equiv.Query{Rel: cert.RelLabelled, Weak: weak, P: p, Q: q})
 				if err != nil {
 					return "", err
 				}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"bpi/internal/cert"
+	"bpi/internal/equiv"
 	"bpi/internal/parser"
 	brand "bpi/internal/rand"
 	"bpi/internal/service"
@@ -63,7 +65,7 @@ func brokenLaw() Law {
 			return g.Term(), g.Term(), "independent"
 		},
 		Check: func(ctx context.Context, env *Env, p, q syntax.Proc) (string, error) {
-			r, err := env.Seq.LabelledCtx(ctx, p, q, false)
+			r, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelLabelled, P: p, Q: q})
 			if err != nil {
 				return "", err
 			}

@@ -61,7 +61,7 @@ func lawProtocolsConform() Law {
 				// in the strong relations (weak closures on arbitrary
 				// fragments are disproportionately expensive for a shrink
 				// probe).
-				s = protocols.Scenario{Impl: p, Spec: q, Rel: protocols.RelStep}
+				s = protocols.Scenario{Impl: p, Spec: q, Rel: cert.RelStep}
 			}
 			res, err := protocols.DecideCtx(ctx, protocols.NewChecker(), s)
 			if err != nil {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"bpi/internal/cert"
+	"bpi/internal/equiv"
 	"bpi/internal/parser"
 	"bpi/internal/protocols"
 	brand "bpi/internal/rand"
@@ -76,7 +78,7 @@ func TestProtocolsShrunkPairDegrades(t *testing.T) {
 		t.Fatal("catalogue lost gossip/line-3/crashed-2")
 	}
 	pred := func(cp, cq syntax.Proc) bool {
-		r, err := protocols.NewChecker().Step(cp, cq, false)
+		r, err := protocols.NewChecker().Decide(context.Background(), equiv.Query{Rel: cert.RelStep, P: cp, Q: cq})
 		return err == nil && !r.Related
 	}
 	if !pred(s.Impl, s.Spec) {

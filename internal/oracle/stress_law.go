@@ -81,22 +81,13 @@ func lawStressAgree() Law {
 			}
 			rels := []struct {
 				name string
-				pair func(ch *equiv.Checker) (equiv.Result, error)
 				ref  func(g *lts.Graph) (*cert.Certificate, bool, error)
 			}{
-				{
-					"step",
-					func(ch *equiv.Checker) (equiv.Result, error) { return ch.StepCtx(ctx, p, q, false) },
-					refine.CertifyStrongStep,
-				},
-				{
-					"barbed",
-					func(ch *equiv.Checker) (equiv.Result, error) { return ch.BarbedCtx(ctx, p, q, false) },
-					refine.CertifyStrongBarbed,
-				},
+				{cert.RelStep, refine.CertifyStrongStep},
+				{cert.RelBarbed, refine.CertifyStrongBarbed},
 			}
 			for _, rel := range rels {
-				res, err := rel.pair(stressChecker())
+				res, err := stressChecker().Decide(ctx, equiv.Query{Rel: rel.name, P: p, Q: q})
 				if err != nil {
 					return "", err
 				}

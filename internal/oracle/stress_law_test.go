@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"bpi/internal/cert"
+	"bpi/internal/equiv"
 	brand "bpi/internal/rand"
 	"bpi/internal/stress"
 	"bpi/internal/syntax"
@@ -38,7 +40,7 @@ func TestStressDisagreementShrinks(t *testing.T) {
 	parts := syntax.ParList(stress.Rotate(p))
 	q := syntax.Group(parts[1:]...) // dropped a station: not step-bisimilar
 	pred := func(cp, cq syntax.Proc) bool {
-		r, err := stressChecker().Step(cp, cq, false)
+		r, err := stressChecker().Decide(context.Background(), equiv.Query{Rel: cert.RelStep, P: cp, Q: cq})
 		return err == nil && !r.Related
 	}
 	if !pred(p, q) {

@@ -1,8 +1,10 @@
 package papers
 
 import (
+	"context"
 	"testing"
 
+	"bpi/internal/cert"
 	"bpi/internal/equiv"
 	"bpi/internal/syntax"
 )
@@ -12,30 +14,16 @@ import (
 func TestWitnessVerdicts(t *testing.T) {
 	ch := equiv.NewChecker(nil)
 	for _, w := range Witnesses() {
-		if r, err := ch.Labelled(w.P, w.Q, false); err != nil {
-			t.Fatalf("%s labelled: %v", w.Name, err)
-		} else if r.Related != w.Labelled {
-			t.Errorf("%s (%s): labelled = %v, paper claims %v", w.Name, w.Source, r.Related, w.Labelled)
-		}
-		if r, err := ch.Barbed(w.P, w.Q, false); err != nil {
-			t.Fatalf("%s barbed: %v", w.Name, err)
-		} else if r.Related != w.Barbed {
-			t.Errorf("%s (%s): barbed = %v, paper claims %v", w.Name, w.Source, r.Related, w.Barbed)
-		}
-		if r, err := ch.Step(w.P, w.Q, false); err != nil {
-			t.Fatalf("%s step: %v", w.Name, err)
-		} else if r.Related != w.Step {
-			t.Errorf("%s (%s): step = %v, paper claims %v", w.Name, w.Source, r.Related, w.Step)
-		}
-		if got, err := ch.OneStep(w.P, w.Q, false); err != nil {
-			t.Fatalf("%s one-step: %v", w.Name, err)
-		} else if got != w.OneStep {
-			t.Errorf("%s (%s): ~+ = %v, paper claims %v", w.Name, w.Source, got, w.OneStep)
-		}
-		if got, err := ch.Congruence(w.P, w.Q, false); err != nil {
-			t.Fatalf("%s congruence: %v", w.Name, err)
-		} else if got != w.Congruent {
-			t.Errorf("%s (%s): ~c = %v, paper claims %v", w.Name, w.Source, got, w.Congruent)
+		claims := map[string]bool{cert.RelLabelled: w.Labelled, cert.RelBarbed: w.Barbed, cert.RelStep: w.Step,
+			cert.RelOneStep: w.OneStep, cert.RelCongruence: w.Congruent}
+		for _, rel := range cert.Relations {
+			r, err := ch.Decide(context.Background(), equiv.Query{Rel: rel, P: w.P, Q: w.Q})
+			if err != nil {
+				t.Fatalf("%s %s: %v", w.Name, rel, err)
+			}
+			if r.Related != claims[rel] {
+				t.Errorf("%s (%s): %s = %v, paper claims %v", w.Name, w.Source, rel, r.Related, claims[rel])
+			}
 		}
 	}
 }
@@ -51,7 +39,7 @@ func TestWitnessParallelContext(t *testing.T) {
 		}
 	}
 	r1 := ParallelContext()
-	res, err := ch.Step(syntax.Group(pair.P, r1), syntax.Group(pair.Q, r1), false)
+	res, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelStep, P: syntax.Group(pair.P, r1), Q: syntax.Group(pair.Q, r1)})
 	if err != nil {
 		t.Fatal(err)
 	}

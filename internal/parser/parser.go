@@ -72,7 +72,9 @@ type Program struct {
 }
 
 // ParseProgram parses a sequence of "let A(x̃) = P" definitions followed by
-// an optional main term, separated by newlines or semicolons.
+// an optional main term, separated by newlines or semicolons, and validates
+// the definitions (syntax.Env.Validate): a body with free names outside its
+// parameters, a call of the wrong arity or an unguarded cycle is an error.
 func ParseProgram(src string) (*Program, error) {
 	prog := &Program{Env: syntax.Env{}}
 	p := &parser{toks: lex(src), src: src}
@@ -99,6 +101,9 @@ func ParseProgram(src string) (*Program, error) {
 		if !p.eof() {
 			return nil, p.errf("unexpected %q after main term", p.peek().text)
 		}
+	}
+	if err := prog.Env.Validate(); err != nil {
+		return nil, err
 	}
 	return prog, nil
 }

@@ -136,9 +136,6 @@ Two(a, b) | a!(c)
 	if prog.Main == nil {
 		t.Fatal("main term missing")
 	}
-	if err := prog.Env.Validate(); err != nil {
-		t.Fatalf("parsed env invalid: %v", err)
-	}
 	d, _ := prog.Env.Lookup("Fwd")
 	if len(d.Params) != 2 {
 		t.Fatalf("Fwd params: %v", d.Params)
@@ -161,9 +158,12 @@ A(a)`
 
 func TestParseProgramErrors(t *testing.T) {
 	bad := []string{
-		"let a(x) = 0",       // lowercase definition
-		"let A(x) 0",         // missing =
-		"let A(x) = 0; 0; 0", // two mains... second main unreachable
+		"let a(x) = 0",                     // lowercase definition
+		"let A(x) 0",                       // missing =
+		"let A(x) = 0; 0; 0",               // two mains... second main unreachable
+		"let C(x) = y!",                    // free name outside the parameters
+		"let A(x) = x!.A()",                // a call of the wrong arity
+		"let A(x) = B(x)\nlet B(x) = A(x)", // an unguarded cycle
 	}
 	for _, src := range bad {
 		if _, err := ParseProgram(src); err == nil {
@@ -200,9 +200,6 @@ func TestParseProgramFiles(t *testing.T) {
 		}
 		if prog.Main == nil {
 			t.Errorf("%s: no main term", f)
-		}
-		if err := prog.Env.Validate(); err != nil {
-			t.Errorf("%s: invalid env: %v", f, err)
 		}
 	}
 }

@@ -30,13 +30,18 @@ func Decide(chk *equiv.Checker, s Scenario) (equiv.Result, error) {
 
 // DecideCtx is Decide honouring ctx.
 func DecideCtx(ctx context.Context, chk *equiv.Checker, s Scenario) (equiv.Result, error) {
-	switch s.Rel {
-	case RelBarbed:
-		return chk.BarbedCtx(ctx, s.Impl, s.Spec, s.Weak)
-	case RelStep:
-		return chk.StepCtx(ctx, s.Impl, s.Spec, s.Weak)
+	if err := s.checkRel(); err != nil {
+		return equiv.Result{}, err
 	}
-	return equiv.Result{}, fmt.Errorf("protocols: unknown relation %q", s.Rel)
+	return chk.Decide(ctx, equiv.Query{Rel: s.Rel, Weak: s.Weak, P: s.Impl, Q: s.Spec})
+}
+
+// checkRel refuses a relation that is not a conformance relation.
+func (s Scenario) checkRel() error {
+	if s.Rel != cert.RelStep && s.Rel != cert.RelBarbed {
+		return fmt.Errorf("protocols: unknown relation %q (want %s or %s)", s.Rel, cert.RelStep, cert.RelBarbed)
+	}
+	return nil
 }
 
 // Refine decides the scenario's conformance with the partition-refinement
@@ -45,6 +50,9 @@ func DecideCtx(ctx context.Context, chk *equiv.Checker, s Scenario) (equiv.Resul
 // refiner's certificate; the weak refiners produce verdicts only (cert is
 // nil), the pair engine supplies the weak certificates.
 func Refine(s Scenario, maxStates int) (ok bool, crt *cert.Certificate, err error) {
+	if err = s.checkRel(); err != nil {
+		return false, nil, err
+	}
 	if maxStates <= 0 {
 		maxStates = 1 << 16
 	}
@@ -57,11 +65,11 @@ func Refine(s Scenario, maxStates int) (ok bool, crt *cert.Certificate, err erro
 		return false, nil, fmt.Errorf("protocols: joint LTS truncated at %d states", maxStates)
 	}
 	switch {
-	case s.Rel == RelStep && !s.Weak:
+	case s.Rel == cert.RelStep && !s.Weak:
 		crt, ok, err = refine.CertifyStrongStep(g)
-	case s.Rel == RelBarbed && !s.Weak:
+	case s.Rel == cert.RelBarbed && !s.Weak:
 		crt, ok, err = refine.CertifyStrongBarbed(g)
-	case s.Rel == RelStep && s.Weak:
+	case s.Rel == cert.RelStep && s.Weak:
 		ok, err = refine.WeakStep(g)
 	default:
 		ok, err = refine.WeakBarbed(g)

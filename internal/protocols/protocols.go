@@ -74,25 +74,10 @@ package protocols
 import (
 	"fmt"
 
+	"bpi/internal/cert"
 	"bpi/internal/names"
 	"bpi/internal/stress"
 	"bpi/internal/syntax"
-)
-
-// Rel names the equivalence a scenario's conformance is stated in, using the
-// paper's three autonomous relations (inputs are implementation details of a
-// protocol, so labelled bisimilarity — which observes input capabilities —
-// is deliberately not a conformance relation here).
-type Rel string
-
-const (
-	// RelStep is step (φ) bisimilarity, Definition 5 — the discriminating
-	// relation for the catalogue: it observes every autonomous move.
-	RelStep Rel = "step"
-	// RelBarbed is barbed bisimilarity, Definition 3 — matched τ moves plus
-	// barb preservation. Coarser than step on these protocols; the conform
-	// law checks engine agreement on it as well.
-	RelBarbed Rel = "barbed"
 )
 
 // FaultKind enumerates the failure patterns.
@@ -133,8 +118,15 @@ type Scenario struct {
 	Impl syntax.Proc
 	// Spec is the behavioural specification; faults never touch it.
 	Spec syntax.Proc
-	// Rel and Weak name the conformance equivalence.
-	Rel  Rel
+	// Rel and Weak name the conformance equivalence, one of the paper's
+	// autonomous relations: cert.RelStep (step bisimilarity, Definition 5),
+	// the discriminating relation for the catalogue, which observes every
+	// autonomous move; or cert.RelBarbed (barbed bisimilarity, Definition
+	// 3: matched τ moves plus barb preservation), coarser than step on
+	// these protocols. Inputs are implementation details of a protocol, so
+	// labelled bisimilarity, which observes input capabilities, is
+	// deliberately not a conformance relation here.
+	Rel  string
 	Weak bool
 	// WantEquiv is the expected verdict: true for healthy instances, false
 	// for fault-injected ones (the catalogue only includes fault/relation
@@ -165,7 +157,7 @@ func GossipLine(n int, f Fault) Scenario {
 		spec = syntax.Send(ch("g", i), nil, spec)
 	}
 	return scenario("gossip", fmt.Sprintf("gossip/line-%d", n), impl, spec,
-		RelStep, false, f, n+2)
+		cert.RelStep, false, f, n+2)
 }
 
 // GossipStar returns the single-hop epidemic star: the seed broadcasts g0,
@@ -181,7 +173,7 @@ func GossipStar(n int, f Fault) Scenario {
 	}
 	impl := syntax.Group(parts...)
 	spec := syntax.Proc(syntax.Send(ch("g", 0), nil, syntax.Group(specParts...)))
-	rel, weak := lossyRel(RelStep, false, f)
+	rel, weak := lossyRel(cert.RelStep, false, f)
 	if f.Kind == FaultLossy {
 		impl, spec = syntax.Restrict(impl, ch("g", 0)), syntax.Restrict(spec, ch("g", 0))
 	}
@@ -198,7 +190,7 @@ func GossipTree(fanout, depth int, f Fault) Scenario {
 	impl := stress.Tree(fanout, depth)
 	spec, states := treeSpec(fanout, depth)
 	return scenario("gossip", fmt.Sprintf("gossip/tree-%dx%d", fanout, depth),
-		impl, spec, RelStep, false, f, states)
+		impl, spec, cert.RelStep, false, f, states)
 }
 
 // treeSpec builds the nested causal spec for stress.Tree's breadth-first
@@ -268,7 +260,7 @@ func Election(n int, f Fault) Scenario {
 		}
 		spec[i] = syntax.Send(claim, []names.Name{id}, syntax.Group(outcome...))
 	}
-	rel, weak := lossyRel(RelStep, false, f)
+	rel, weak := lossyRel(cert.RelStep, false, f)
 	implP, specP := syntax.Group(impl...), syntax.Proc(syntax.Choice(spec...))
 	if f.Kind == FaultLossy {
 		// The drop is only barb-visible when no other follower masks the
@@ -310,7 +302,7 @@ func Multicast(n int, f Fault) Scenario {
 	}
 	impl := syntax.Restrict(syntax.Group(implParts...), priv...)
 	spec := syntax.Restrict(syntax.Group(specParts...), "b")
-	rel, _ := lossyRel(RelStep, true, f)
+	rel, _ := lossyRel(cert.RelStep, true, f)
 	return scenario("multicast", fmt.Sprintf("multicast-%d", n), impl, spec,
 		rel, true, f, pow2(n+1)-1)
 }
@@ -344,7 +336,7 @@ func BBC(n int, f Fault) Scenario {
 	}
 	parts = append(parts, syntax.Recv(ch("a", n), nil, syntax.SendN("done")))
 	return scenario("bbc", fmt.Sprintf("bbc-%d", n), syntax.Group(parts...),
-		spec, RelStep, false, f, n+3)
+		spec, cert.RelStep, false, f, n+3)
 }
 
 // ---- Token ring -----------------------------------------------------------
@@ -369,7 +361,7 @@ func TokenRing(n int, f Fault) Scenario {
 			syntax.SendN(ch("c", i), t)))
 	}
 	return scenario("tokenring", fmt.Sprintf("tokenring-%d", n),
-		syntax.Group(parts...), spec, RelStep, false, f, n+2)
+		syntax.Group(parts...), spec, cert.RelStep, false, f, n+2)
 }
 
 // ---- Fault injection ------------------------------------------------------
@@ -377,7 +369,7 @@ func TokenRing(n int, f Fault) Scenario {
 // scenario assembles a Scenario, applying the fault to impl. Fault-free
 // scenarios advertise the closed-form state count; fault variants do not
 // (the count is no longer the generator's formula).
-func scenario(algo, name string, impl, spec syntax.Proc, rel Rel, weak bool,
+func scenario(algo, name string, impl, spec syntax.Proc, rel string, weak bool,
 	f Fault, states int) Scenario {
 	s := Scenario{
 		Name: name, Algo: algo, Impl: impl, Spec: spec,
@@ -469,9 +461,9 @@ func Inject(impl syntax.Proc, f Fault) syntax.Proc {
 // sides under ν(trigger) (the noisy wrapper), making the initial broadcast
 // internal; multicast's hand-offs are private already. Non-lossy faults
 // keep the scenario's base relation.
-func lossyRel(rel Rel, weak bool, f Fault) (Rel, bool) {
+func lossyRel(rel string, weak bool, f Fault) (string, bool) {
 	if f.Kind == FaultLossy {
-		return RelBarbed, true
+		return cert.RelBarbed, true
 	}
 	return rel, weak
 }

@@ -1,11 +1,13 @@
 package protocols
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"bpi/internal/cert"
+	"bpi/internal/equiv"
 	"bpi/internal/lts"
 	"bpi/internal/semantics"
 	"bpi/internal/syntax"
@@ -185,11 +187,11 @@ func TestLossyStepInvisibility(t *testing.T) {
 		GossipStar(3, Fault{FaultLossy, 2}),
 		Election(2, Fault{FaultLossy, 2}),
 	} {
-		if s.Rel != RelBarbed || !s.Weak {
+		if s.Rel != cert.RelBarbed || !s.Weak {
 			t.Fatalf("%s: generator no longer states lossy conformance in weak barbed", s.Name)
 		}
 		for _, weak := range []bool{false, true} {
-			r, err := NewChecker().Step(s.Impl, s.Spec, weak)
+			r, err := NewChecker().Decide(context.Background(), equiv.Query{Rel: cert.RelStep, Weak: weak, P: s.Impl, Q: s.Spec})
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name, err)
 			}
@@ -265,7 +267,7 @@ func TestCatalogue(t *testing.T) {
 		if !ok || got.Name != s.Name {
 			t.Errorf("ByName(%s) failed", s.Name)
 		}
-		if s.Rel != RelStep && s.Rel != RelBarbed {
+		if s.Rel != cert.RelStep && s.Rel != cert.RelBarbed {
 			t.Errorf("%s: unknown relation %q", s.Name, s.Rel)
 		}
 	}
@@ -284,12 +286,18 @@ func TestCatalogue(t *testing.T) {
 	}
 }
 
-// TestDecideUnknownRel covers the Decide error path.
+// TestDecideUnknownRel pins that Decide and Refine both refuse a relation
+// that is not a conformance relation, a paper relation or not.
 func TestDecideUnknownRel(t *testing.T) {
-	s := GossipLine(2, Fault{})
-	s.Rel = "labelled"
-	if _, err := Decide(NewChecker(), s); err == nil {
-		t.Error("Decide accepted an unknown relation")
+	for _, rel := range []string{cert.RelLabelled, "nonsense"} {
+		s := GossipLine(2, Fault{})
+		s.Rel = rel
+		if _, err := Decide(NewChecker(), s); err == nil {
+			t.Errorf("Decide accepted the relation %q", rel)
+		}
+		if _, _, err := Refine(s, 0); err == nil {
+			t.Errorf("Refine accepted the relation %q", rel)
+		}
 	}
 }
 

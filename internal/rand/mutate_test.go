@@ -1,8 +1,10 @@
 package rand
 
 import (
+	"context"
 	"testing"
 
+	"bpi/internal/cert"
 	"bpi/internal/equiv"
 	"bpi/internal/syntax"
 )
@@ -20,11 +22,11 @@ func TestMutateEquivOpsPreserveCongruence(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			p := g.Term()
 			q := g.equivOp(op, p)
-			ok, err := ch.Congruence(p, q, false)
+			r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelCongruence, P: p, Q: q})
 			if err != nil {
 				t.Fatalf("op %d: congruence check: %v", op, err)
 			}
-			if !ok {
+			if !r.Related {
 				t.Errorf("op %d is not equivalence-preserving:\n p=%s\n q=%s",
 					op, syntax.String(p), syntax.String(q))
 			}
@@ -45,7 +47,7 @@ func TestMutateBreakOpsBreakStrongBisimilarity(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			p := g.Term()
 			q := g.breakOp(op, p)
-			r, err := ch.Labelled(p, q, false)
+			r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, P: p, Q: q})
 			if err != nil {
 				t.Fatalf("op %d: labelled check: %v", op, err)
 			}
@@ -69,7 +71,7 @@ func TestMutateBreakFreshBarbOpsBreakWeakToo(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			p := g.Term()
 			q := g.breakOp(op, p)
-			r, err := ch.Labelled(p, q, true)
+			r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, Weak: true, P: p, Q: q})
 			if err != nil {
 				t.Fatalf("op %d: weak labelled check: %v", op, err)
 			}
@@ -83,7 +85,7 @@ func TestMutateBreakFreshBarbOpsBreakWeakToo(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		p := g.Term()
 		q := g.breakOp(numBreakOps-1, p)
-		r, err := ch.Labelled(p, q, true)
+		r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, Weak: true, P: p, Q: q})
 		if err != nil {
 			t.Fatalf("τ op: weak labelled check: %v", err)
 		}

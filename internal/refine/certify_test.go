@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"context"
 	"testing"
 
 	"bpi/internal/cert"
@@ -41,12 +42,12 @@ func TestCertifiedVerdictsCrossCheck(t *testing.T) {
 			if rel == "step" {
 				crt, ok, err = CertifyStrongStep(g)
 				if err == nil {
-					er, err = ch.Step(pq[0], pq[1], false)
+					er, err = ch.Decide(context.Background(), equiv.Query{Rel: cert.RelStep, P: pq[0], Q: pq[1]})
 				}
 			} else {
 				crt, ok, err = CertifyStrongBarbed(g)
 				if err == nil {
-					er, err = ch.Barbed(pq[0], pq[1], false)
+					er, err = ch.Decide(context.Background(), equiv.Query{Rel: cert.RelBarbed, P: pq[0], Q: pq[1]})
 				}
 			}
 			if err != nil {

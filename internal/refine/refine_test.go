@@ -1,8 +1,10 @@
 package refine
 
 import (
+	"context"
 	"testing"
 
+	"bpi/internal/cert"
 	"bpi/internal/equiv"
 	"bpi/internal/lts"
 	"bpi/internal/names"
@@ -95,7 +97,7 @@ func TestCrossValidationWithPairEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stepPair, err := ch.Step(p, q, false)
+		stepPair, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelStep, P: p, Q: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +110,7 @@ func TestCrossValidationWithPairEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		barbPair, err := ch.Barbed(p, q, false)
+		barbPair, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelBarbed, P: p, Q: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +186,7 @@ func TestWeakCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wsPair, err := ch.Step(p, q, true)
+		wsPair, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelStep, Weak: true, P: p, Q: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +198,7 @@ func TestWeakCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wbPair, err := ch.Barbed(p, q, true)
+		wbPair, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelBarbed, Weak: true, P: p, Q: q})
 		if err != nil {
 			t.Fatal(err)
 		}

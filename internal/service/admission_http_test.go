@@ -14,6 +14,7 @@ import (
 	"time"
 
 	bpi "bpi"
+	"bpi/internal/cert"
 	"bpi/internal/service"
 )
 
@@ -202,7 +203,7 @@ func TestBatchPartialShed(t *testing.T) {
 	var pairs []bpi.EquivRequest
 	for i := 0; i < 5; i++ {
 		src := fmt.Sprintf("s%d!.t!", i)
-		pairs = append(pairs, bpi.EquivRequest{P: src, Q: src, Rel: service.RelLabelled, TimeoutMs: 30000})
+		pairs = append(pairs, bpi.EquivRequest{P: src, Q: src, Rel: cert.RelLabelled, TimeoutMs: 30000})
 	}
 	res, err := cl.Batch(context.Background(), bpi.BatchRequest{Pairs: pairs})
 	if err != nil {

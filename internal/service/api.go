@@ -60,15 +60,6 @@ type errorResponse struct {
 	Error ErrorBody `json:"error"`
 }
 
-// Relation names accepted by EquivRequest.Rel.
-const (
-	RelLabelled   = "labelled"
-	RelBarbed     = "barbed"
-	RelStep       = "step"
-	RelOneStep    = "onestep"
-	RelCongruence = "congruence"
-)
-
 // EquivRequest asks whether two terms are related by one of the paper's
 // equivalences: ~ / ≈ (labelled), ~b / ≈b (barbed), ~φ / ≈φ (step),
 // ~+ / ≈+ (onestep) or ~c / ≈c (congruence); Weak selects the ≈ variant.

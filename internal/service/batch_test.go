@@ -12,6 +12,7 @@ import (
 	"time"
 
 	bpi "bpi"
+	"bpi/internal/cert"
 	"bpi/internal/service"
 )
 
@@ -23,10 +24,10 @@ import (
 func TestBatchRoundTrip(t *testing.T) {
 	_, _, cl := newTestServer(t, service.Config{Workers: 2})
 	pairs := []bpi.EquivRequest{
-		{P: "a! | b!", Q: "a!.b! + b!.a!", Rel: service.RelLabelled, TimeoutMs: 30000},
-		{P: "tau.a!", Q: "a!", Rel: service.RelLabelled, Weak: true, TimeoutMs: 30000},
-		{P: "a!", Q: "b!", Rel: service.RelLabelled, TimeoutMs: 30000},
-		{P: "a!.b!", Q: "a!.b!", Rel: service.RelLabelled, Cert: true, TimeoutMs: 30000},
+		{P: "a! | b!", Q: "a!.b! + b!.a!", Rel: cert.RelLabelled, TimeoutMs: 30000},
+		{P: "tau.a!", Q: "a!", Rel: cert.RelLabelled, Weak: true, TimeoutMs: 30000},
+		{P: "a!", Q: "b!", Rel: cert.RelLabelled, TimeoutMs: 30000},
+		{P: "a!.b!", Q: "a!.b!", Rel: cert.RelLabelled, Cert: true, TimeoutMs: 30000},
 	}
 	wantRelated := []bool{true, true, false, true}
 
@@ -78,10 +79,10 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestBatchPerPairErrors(t *testing.T) {
 	_, _, cl := newTestServer(t, service.Config{Workers: 2})
 	pairs := []bpi.EquivRequest{
-		{P: "a!.b!", Q: "a!.b!", Rel: service.RelLabelled, TimeoutMs: 30000},
-		{P: "((", Q: "a!", Rel: service.RelLabelled, TimeoutMs: 30000}, // parse error
-		{P: "a!", Q: "b!", Rel: "no-such-relation", TimeoutMs: 30000},  // bad relation
-		{P: "c!.d!", Q: "c!.d!", Rel: service.RelLabelled, TimeoutMs: 30000},
+		{P: "a!.b!", Q: "a!.b!", Rel: cert.RelLabelled, TimeoutMs: 30000},
+		{P: "((", Q: "a!", Rel: cert.RelLabelled, TimeoutMs: 30000},   // parse error
+		{P: "a!", Q: "b!", Rel: "no-such-relation", TimeoutMs: 30000}, // bad relation
+		{P: "c!.d!", Q: "c!.d!", Rel: cert.RelLabelled, TimeoutMs: 30000},
 	}
 	res, err := cl.Batch(context.Background(), bpi.BatchRequest{Pairs: pairs})
 	if err != nil {
@@ -117,7 +118,7 @@ func TestBatchWholeRefusals(t *testing.T) {
 
 	over := bpi.BatchRequest{}
 	for i := 0; i < 4; i++ {
-		over.Pairs = append(over.Pairs, bpi.EquivRequest{P: "a!", Q: "a!", Rel: service.RelLabelled})
+		over.Pairs = append(over.Pairs, bpi.EquivRequest{P: "a!", Q: "a!", Rel: cert.RelLabelled})
 	}
 	if _, err := cl.Batch(context.Background(), over); err == nil {
 		t.Error("oversized batch accepted")

@@ -15,10 +15,7 @@ func TestEquivCertificates(t *testing.T) {
 	_, _, client := newTestServer(t, service.Config{})
 	ctx := context.Background()
 
-	for _, rel := range []string{
-		service.RelLabelled, service.RelBarbed, service.RelStep,
-		service.RelOneStep, service.RelCongruence,
-	} {
+	for _, rel := range cert.Relations {
 		for _, weak := range []bool{false, true} {
 			req := service.EquivRequest{P: "tau.a!", Q: "a!", Rel: rel, Weak: weak, Cert: true}
 			resp, err := client.Equiv(ctx, req)

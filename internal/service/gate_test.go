@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bpi/internal/cert"
 	"bpi/internal/obs"
 )
 
@@ -240,7 +241,7 @@ func TestDeadlineTimerOnlyForWaits(t *testing.T) {
 	}
 
 	s := New(Config{Workers: 1})
-	req := &EquivRequest{P: "a! | b!", Q: "a!.b! + b!.a!", Rel: RelLabelled}
+	req := &EquivRequest{P: "a! | b!", Q: "a!.b! + b!.a!", Rel: cert.RelLabelled}
 	for _, cached := range []bool{false, true} { // an engine run, then a cache hit
 		dl := newDeadline(context.Background(), time.Now().Add(time.Minute))
 		resp, eb := s.runEquiv(dl, req, obs.NewWithLimit(traceLimit))
@@ -252,7 +253,7 @@ func TestDeadlineTimerOnlyForWaits(t *testing.T) {
 		}
 	}
 	expired := newDeadline(context.Background(), time.Now().Add(-time.Millisecond))
-	if _, eb := s.runEquiv(expired, &EquivRequest{P: "a!", Q: "b!", Rel: RelLabelled}, nil); eb == nil || eb.Code != CodeDeadline {
+	if _, eb := s.runEquiv(expired, &EquivRequest{P: "a!", Q: "b!", Rel: cert.RelLabelled}, nil); eb == nil || eb.Code != CodeDeadline {
 		t.Fatalf("engine run past the deadline: %+v, want deadline_exceeded", eb)
 	}
 	if expired.timed != nil {

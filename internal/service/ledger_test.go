@@ -177,11 +177,11 @@ func forgedLedger(t *testing.T, dir string, pairs [][2]string) []ledger.Record {
 	for _, pq := range pairs {
 		p, _ := parser.Parse(pq[0])
 		q, _ := parser.Parse(pq[1])
-		r, err := ch.Labelled(p, q, false)
+		r, err := ch.Decide(context.Background(), equiv.Query{Rel: cert.RelLabelled, P: p, Q: q})
 		if err != nil {
 			t.Fatalf("Labelled: %v", err)
 		}
-		rec, err := ledger.NewRecord(service.RelLabelled, false, 0, 0, 0, r.Related, r.Pairs, r.Reason, r.Cert)
+		rec, err := ledger.NewRecord(cert.RelLabelled, false, 0, 0, 0, r.Related, r.Pairs, r.Reason, r.Cert)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestLedgerRecordsTermAtCap(t *testing.T) {
 	if len(term) != ledger.MaxTermBytes {
 		t.Fatalf("term is %d bytes, want the cap %d", len(term), ledger.MaxTermBytes)
 	}
-	body, err := json.Marshal(service.EquivRequest{P: term, Q: term, Rel: service.RelLabelled, Cert: true, TimeoutMs: 60_000})
+	body, err := json.Marshal(service.EquivRequest{P: term, Q: term, Rel: cert.RelLabelled, Cert: true, TimeoutMs: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bpi/internal/cert"
 	"bpi/internal/obs"
 	"bpi/internal/service"
 )
@@ -80,7 +81,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 	// The same pair shape over other names: no cache hit, the same tree.
 	res, err := client.Batch(ctx, service.BatchRequest{Pairs: []service.EquivRequest{
-		{P: "c!.d!", Q: "c!.d! + c!.d!", Rel: service.RelLabelled},
+		{P: "c!.d!", Q: "c!.d! + c!.d!", Rel: cert.RelLabelled},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +157,7 @@ func TestMetricsEngineEvents(t *testing.T) {
 	_, ts, client := newTestServer(t, service.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := client.Equiv(ctx, service.EquivRequest{P: "a!.b!", Q: "a!.b!", Rel: service.RelLabelled}); err != nil {
+	if _, err := client.Equiv(ctx, service.EquivRequest{P: "a!.b!", Q: "a!.b!", Rel: cert.RelLabelled}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	bpi "bpi"
+	"bpi/internal/cert"
 	"bpi/internal/equiv"
 	"bpi/internal/parser"
 	"bpi/internal/service"
@@ -26,18 +27,18 @@ type racePair struct {
 // chosen to exercise shared-store interning from many goroutines: the pairs
 // overlap in subterms on purpose.
 var raceCorpus = []racePair{
-	{p: "a?(x).x! + b!(c)", q: "a?(y).y! + b!(c)", rel: service.RelLabelled},
-	{p: "a! | b!", q: "a!.b! + b!.a!", rel: service.RelLabelled},
-	{p: "a! + a!", q: "a!", rel: service.RelLabelled},
-	{p: "a!.b!", q: "b!.a!", rel: service.RelLabelled},
-	{p: "t!.a! + t!.b!", q: "t!.(a! + b!)", rel: service.RelLabelled},
-	{p: "a?(x).x!", q: "a?(y).y!", rel: service.RelBarbed},
-	{p: "a! | a?", q: "a!", rel: service.RelBarbed},
-	{p: "a! | b!", q: "a!.b! + b!.a!", rel: service.RelStep},
-	{p: "a!", q: "b!", rel: service.RelOneStep},
-	{p: "a?(x).x!", q: "a?(y).y!", rel: service.RelOneStep},
-	{p: "a!(b)", q: "a!(c)", rel: service.RelCongruence},
-	{p: "a?(x).(x! | x!)", q: "a?(y).(y! | y!)", rel: service.RelCongruence},
+	{p: "a?(x).x! + b!(c)", q: "a?(y).y! + b!(c)", rel: cert.RelLabelled},
+	{p: "a! | b!", q: "a!.b! + b!.a!", rel: cert.RelLabelled},
+	{p: "a! + a!", q: "a!", rel: cert.RelLabelled},
+	{p: "a!.b!", q: "b!.a!", rel: cert.RelLabelled},
+	{p: "t!.a! + t!.b!", q: "t!.(a! + b!)", rel: cert.RelLabelled},
+	{p: "a?(x).x!", q: "a?(y).y!", rel: cert.RelBarbed},
+	{p: "a! | a?", q: "a!", rel: cert.RelBarbed},
+	{p: "a! | b!", q: "a!.b! + b!.a!", rel: cert.RelStep},
+	{p: "a!", q: "b!", rel: cert.RelOneStep},
+	{p: "a?(x).x!", q: "a?(y).y!", rel: cert.RelOneStep},
+	{p: "a!(b)", q: "a!(c)", rel: cert.RelCongruence},
+	{p: "a?(x).(x! | x!)", q: "a?(y).(y! | y!)", rel: cert.RelCongruence},
 }
 
 // TestConcurrentClientsMatchDirectChecker fires 32 concurrent clients at one
@@ -58,38 +59,11 @@ func TestConcurrentClientsMatchDirectChecker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want bool
-		switch corpus[i].rel {
-		case service.RelLabelled:
-			r, err := direct.Labelled(p, q, corpus[i].weak)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = r.Related
-		case service.RelBarbed:
-			r, err := direct.Barbed(p, q, corpus[i].weak)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = r.Related
-		case service.RelStep:
-			r, err := direct.Step(p, q, corpus[i].weak)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = r.Related
-		case service.RelOneStep:
-			want, err = direct.OneStep(p, q, corpus[i].weak)
-			if err != nil {
-				t.Fatal(err)
-			}
-		case service.RelCongruence:
-			want, err = direct.Congruence(p, q, corpus[i].weak)
-			if err != nil {
-				t.Fatal(err)
-			}
+		r, err := direct.Decide(context.Background(), equiv.Query{Rel: corpus[i].rel, Weak: corpus[i].weak, P: p, Q: q})
+		if err != nil {
+			t.Fatal(err)
 		}
-		corpus[i].want = want
+		corpus[i].want = r.Related
 	}
 
 	srv := service.New(service.Config{Workers: 8})
@@ -158,16 +132,16 @@ func TestVerdictCacheSoundnessUnderLoad(t *testing.T) {
 	//   b? | b?(x) vs 0 is labelled-true but onestep-false (relation axis,
 	//   the mixed-arity stuck pair found by FuzzDecideAgree).
 	corpus := []racePair{
-		{p: "tau.a!", q: "a!", rel: service.RelLabelled, weak: false, want: false},
-		{p: "tau.a!", q: "a!", rel: service.RelLabelled, weak: true, want: true},
-		{p: "b? | b?(x)", q: "0", rel: service.RelLabelled, weak: false, want: true},
-		{p: "b? | b?(x)", q: "0", rel: service.RelOneStep, weak: false, want: false},
-		{p: "a! | b!", q: "a!.b! + b!.a!", rel: service.RelLabelled, weak: false, want: true},
-		{p: "a! | b!", q: "a!.b! + b!.a!", rel: service.RelStep, weak: false, want: true},
-		{p: "a! + a!", q: "a!", rel: service.RelCongruence, weak: false, want: true},
-		{p: "a!(b)", q: "a!(c)", rel: service.RelCongruence, weak: false, want: false},
-		{p: "a?(x).x!", q: "a?(y).y!", rel: service.RelOneStep, weak: false, want: true},
-		{p: "t!.a! + t!.b!", q: "t!.(a! + b!)", rel: service.RelLabelled, weak: false, want: false},
+		{p: "tau.a!", q: "a!", rel: cert.RelLabelled, weak: false, want: false},
+		{p: "tau.a!", q: "a!", rel: cert.RelLabelled, weak: true, want: true},
+		{p: "b? | b?(x)", q: "0", rel: cert.RelLabelled, weak: false, want: true},
+		{p: "b? | b?(x)", q: "0", rel: cert.RelOneStep, weak: false, want: false},
+		{p: "a! | b!", q: "a!.b! + b!.a!", rel: cert.RelLabelled, weak: false, want: true},
+		{p: "a! | b!", q: "a!.b! + b!.a!", rel: cert.RelStep, weak: false, want: true},
+		{p: "a! + a!", q: "a!", rel: cert.RelCongruence, weak: false, want: true},
+		{p: "a!(b)", q: "a!(c)", rel: cert.RelCongruence, weak: false, want: false},
+		{p: "a?(x).x!", q: "a?(y).y!", rel: cert.RelOneStep, weak: false, want: true},
+		{p: "t!.a! + t!.b!", q: "t!.(a! + b!)", rel: cert.RelLabelled, weak: false, want: false},
 	}
 	// Double-check the hard-coded verdicts against a direct checker so the
 	// test cannot silently rot if engine semantics evolve.
@@ -181,31 +155,11 @@ func TestVerdictCacheSoundnessUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got bool
-		switch pr.rel {
-		case service.RelLabelled:
-			r, err := direct.Labelled(p, q, pr.weak)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = r.Related
-		case service.RelStep:
-			r, err := direct.Step(p, q, pr.weak)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = r.Related
-		case service.RelOneStep:
-			got, err = direct.OneStep(p, q, pr.weak)
-			if err != nil {
-				t.Fatal(err)
-			}
-		case service.RelCongruence:
-			got, err = direct.Congruence(p, q, pr.weak)
-			if err != nil {
-				t.Fatal(err)
-			}
+		r, err := direct.Decide(context.Background(), equiv.Query{Rel: pr.rel, Weak: pr.weak, P: p, Q: q})
+		if err != nil {
+			t.Fatal(err)
 		}
+		got := r.Related
 		if got != pr.want {
 			t.Fatalf("corpus verdict for %s %s vs %s (weak=%v) is stale: direct=%v, hard-coded=%v",
 				pr.rel, pr.p, pr.q, pr.weak, got, pr.want)

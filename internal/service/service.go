@@ -35,6 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -281,11 +283,11 @@ func (s *Server) runEquiv(ctx context.Context, req *EquivRequest, tr *obs.Tracer
 	if eb != nil {
 		return nil, eb
 	}
-	switch req.Rel {
-	case RelLabelled, RelBarbed, RelStep, RelOneStep, RelCongruence:
-	default:
-		return nil, &ErrorBody{Code: CodeInvalidRequest,
-			Message: fmt.Sprintf("unknown relation %q (want labelled|barbed|step|onestep|congruence)", req.Rel)}
+	// The relation is checked before it keys the cache, whose per-relation
+	// counters must not grow a label per bogus name.
+	if !slices.Contains(cert.Relations, req.Rel) {
+		return nil, &ErrorBody{Code: CodeInvalidRequest, Message: fmt.Sprintf("unknown relation %q (want %s)",
+			req.Rel, strings.Join(cert.Relations, "|"))}
 	}
 	pairKey := ledger.QueryKey(req.Rel, req.Weak, p, q)
 	key := budgetKey(pairKey, req.MaxPairs, req.MaxClosure, req.MaxSubs)
@@ -296,38 +298,13 @@ func (s *Server) runEquiv(ctx context.Context, req *EquivRequest, tr *obs.Tracer
 		s.cache.put(key, resp)
 		return reply(req, resp, true), nil
 	}
-	c := s.checker(req, tr)
 	start := time.Now()
-	var resp EquivResponse
-	var err error
-	switch req.Rel {
-	case RelLabelled:
-		var r equiv.Result
-		r, err = c.LabelledCtx(ctx, p, q, req.Weak)
-		resp = EquivResponse{Related: r.Related, Pairs: r.Pairs, Reason: r.Reason, Certificate: r.Cert}
-	case RelBarbed:
-		var r equiv.Result
-		r, err = c.BarbedCtx(ctx, p, q, req.Weak)
-		resp = EquivResponse{Related: r.Related, Pairs: r.Pairs, Reason: r.Reason, Certificate: r.Cert}
-	case RelStep:
-		var r equiv.Result
-		r, err = c.StepCtx(ctx, p, q, req.Weak)
-		resp = EquivResponse{Related: r.Related, Pairs: r.Pairs, Reason: r.Reason, Certificate: r.Cert}
-	case RelOneStep:
-		var ok bool
-		var crt *cert.Certificate
-		crt, ok, err = c.OneStepCertCtx(ctx, p, q, req.Weak)
-		resp = EquivResponse{Related: ok, Certificate: crt}
-	case RelCongruence:
-		var ok bool
-		var crt *cert.Certificate
-		crt, ok, err = c.CongruenceBoundedCertCtx(ctx, p, q, req.Weak, req.MaxSubs)
-		resp = EquivResponse{Related: ok, Certificate: crt}
-	}
+	r, err := s.checker(req, tr).Decide(ctx, equiv.Query{Rel: req.Rel, Weak: req.Weak, P: p, Q: q, MaxSubs: req.MaxSubs})
 	if err != nil {
 		return nil, classify(err)
 	}
-	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
+	resp := EquivResponse{Related: r.Related, Pairs: r.Pairs, Reason: r.Reason, Certificate: r.Cert,
+		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond)}
 	if s.ledger != nil {
 		// The content address is derivable right here (the pair key is
 		// already computed); the record itself is built and appended by the

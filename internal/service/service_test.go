@@ -14,6 +14,7 @@ import (
 	"time"
 
 	bpi "bpi"
+	"bpi/internal/cert"
 	"bpi/internal/ledger"
 	"bpi/internal/service"
 	"bpi/internal/stress"
@@ -118,10 +119,27 @@ func TestHandlerValidation(t *testing.T) {
 			}
 		})
 	}
+	t.Run("unknown relation message", func(t *testing.T) {
+		_, body := post(t, ts, "/v1/equiv", `{"p":"a!","q":"a!","rel":"x"}`)
+		var er struct {
+			Error service.ErrorBody `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(body), &er); err != nil {
+			t.Fatal(err)
+		}
+		if want := `unknown relation "x" (want labelled|barbed|step|onestep|congruence)`; er.Error.Message != want {
+			t.Errorf("message %q, want %q", er.Error.Message, want)
+		}
+		// The relation is refused before it keys the verdict cache, whose
+		// per-relation counters must not gain a label per bogus name.
+		if _, metrics := get(t, ts, "/metrics"); strings.Contains(metrics, `rel="x"`) {
+			t.Errorf("/metrics counts the refused relation:\n%s", metrics)
+		}
+	})
 	t.Run("batch item undefined", func(t *testing.T) {
 		res, err := cl.Batch(context.Background(), bpi.BatchRequest{Pairs: []bpi.EquivRequest{
-			{P: "Foo(a)", Q: "0", Rel: service.RelLabelled},
-			{P: "Tick(a)", Q: "a!", Rel: service.RelLabelled},
+			{P: "Foo(a)", Q: "0", Rel: cert.RelLabelled},
+			{P: "Tick(a)", Q: "a!", Rel: cert.RelLabelled},
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +162,7 @@ func TestEndpointsHappyPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// S3 idempotence holds up to strong bisimilarity.
-	eq, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a! + a!", Q: "a!", Rel: service.RelLabelled})
+	eq, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a! + a!", Q: "a!", Rel: cert.RelLabelled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +170,7 @@ func TestEndpointsHappyPath(t *testing.T) {
 		t.Fatalf("a!+a! ~ a! expected related: %+v", eq)
 	}
 	// Distinct outputs are not one-step equivalent.
-	os1, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a!", Q: "b!", Rel: service.RelOneStep})
+	os1, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a!", Q: "b!", Rel: cert.RelOneStep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +185,7 @@ func TestEndpointsHappyPath(t *testing.T) {
 		t.Fatal("A ⊢ a!+a! = a! expected provable (S3)")
 	}
 
-	bb, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a?.b!", Q: "a?.b!", Rel: service.RelBarbed})
+	bb, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a?.b!", Q: "a?.b!", Rel: cert.RelBarbed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +200,7 @@ func TestEndpointsHappyPath(t *testing.T) {
 func TestVerdictCacheAndMetrics(t *testing.T) {
 	_, _, cl := newTestServer(t, service.Config{})
 	ctx := context.Background()
-	req := bpi.EquivRequest{P: "a?(x).x!", Q: "a?(y).y!", Rel: service.RelLabelled}
+	req := bpi.EquivRequest{P: "a?(x).x!", Q: "a?(y).y!", Rel: cert.RelLabelled}
 	first, err := cl.Equiv(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +253,7 @@ func TestVerdictCacheAndMetrics(t *testing.T) {
 		p       string
 		related bool
 	}{{"0", true}, {"[a=b]c!", false}} {
-		r, err := fresh.Equiv(ctx, bpi.EquivRequest{P: tc.p, Q: "0", Rel: service.RelCongruence})
+		r, err := fresh.Equiv(ctx, bpi.EquivRequest{P: tc.p, Q: "0", Rel: cert.RelCongruence})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +272,7 @@ func TestDeadlineTypedTimeout(t *testing.T) {
 	_, err := cl.Equiv(context.Background(), bpi.EquivRequest{
 		P:         "(rec G(a). a?(x).(x! | G(a)))(a)",
 		Q:         "(rec H(b). b?(y).(y! | H(b)))(a) + c!",
-		Rel:       service.RelLabelled,
+		Rel:       cert.RelLabelled,
 		MaxPairs:  1 << 30,
 		TimeoutMs: 50,
 	})
@@ -309,7 +327,7 @@ func TestBudgetTypedError(t *testing.T) {
 	_, err := cl.Equiv(context.Background(), bpi.EquivRequest{
 		P:        "(rec G(a). a?(x).(x! | G(a)))(a)",
 		Q:        "(rec H(b). b?(y).(y! | H(b)))(a) + c!",
-		Rel:      service.RelLabelled,
+		Rel:      cert.RelLabelled,
 		MaxPairs: 16,
 	})
 	apiErr, ok := err.(*bpi.APIError)
@@ -326,7 +344,7 @@ func TestBudgetTypedError(t *testing.T) {
 func slowEquiv() bpi.EquivRequest {
 	p := stress.Mesh(16)
 	return bpi.EquivRequest{P: syntax.String(p), Q: syntax.String(stress.Rotate(p)),
-		Rel: service.RelStep, MaxPairs: 1 << 22, TimeoutMs: 10000}
+		Rel: cert.RelStep, MaxPairs: 1 << 22, TimeoutMs: 10000}
 }
 
 // TestGracefulShutdownDrains starts a slow query, then shuts the server
@@ -360,7 +378,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	// A new query is shed with the retryable draining cause (429 +
 	// Retry-After).
-	_, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a!", Q: "a!", Rel: service.RelLabelled})
+	_, err := cl.Equiv(ctx, bpi.EquivRequest{P: "a!", Q: "a!", Rel: cert.RelLabelled})
 	apiErr, ok := err.(*bpi.APIError)
 	if !ok || apiErr.Code != service.CodeDraining {
 		t.Fatalf("expected draining, got %v", err)
@@ -398,7 +416,7 @@ func TestQueueFull(t *testing.T) {
 	}
 	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
-	req := bpi.EquivRequest{P: "a!", Q: "b!", Rel: service.RelLabelled}
+	req := bpi.EquivRequest{P: "a!", Q: "b!", Rel: cert.RelLabelled}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -444,8 +462,8 @@ func TestQueuedDeadline(t *testing.T) {
 	defer cancel()
 	start = time.Now()
 	res, err := cl.Batch(ctx, bpi.BatchRequest{Pairs: []bpi.EquivRequest{
-		{P: "a!", Q: "b!", Rel: service.RelLabelled, TimeoutMs: 300},
-		{P: "c!", Q: "d!", Rel: service.RelLabelled, TimeoutMs: 300},
+		{P: "a!", Q: "b!", Rel: cert.RelLabelled, TimeoutMs: 300},
+		{P: "c!", Q: "d!", Rel: cert.RelLabelled, TimeoutMs: 300},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package stress
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -65,18 +66,17 @@ func newChecker(store *equiv.Store) *equiv.Checker {
 func TestWorkerLadderDeterministic(t *testing.T) {
 	type query struct {
 		name string
-		run  func(ch *equiv.Checker) (equiv.Result, error)
+		q    equiv.Query
 	}
 	var queries []query
 	for _, c := range Corpus() {
 		queries = append(queries,
-			query{c.Name + "/step", func(ch *equiv.Checker) (equiv.Result, error) { return ch.Step(c.P, c.Q, false) }},
-			query{c.Name + "/barbed", func(ch *equiv.Checker) (equiv.Result, error) { return ch.Barbed(c.P, c.Q, false) }},
-		)
+			query{c.Name + "/step", equiv.Query{Rel: cert.RelStep, P: c.P, Q: c.Q}},
+			query{c.Name + "/barbed", equiv.Query{Rel: cert.RelBarbed, P: c.P, Q: c.Q}})
 	}
 	want := make([]equiv.Result, len(queries))
 	for i, q := range queries {
-		r, err := q.run(newChecker(equiv.NewStore(nil)))
+		r, err := newChecker(equiv.NewStore(nil)).Decide(context.Background(), q.q)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", q.name, err)
 		}
@@ -107,7 +107,7 @@ func TestWorkerLadderDeterministic(t *testing.T) {
 					if i >= len(queries) {
 						return
 					}
-					got[i], errs[i] = queries[i].run(ch)
+					got[i], errs[i] = ch.Decide(context.Background(), queries[i].q)
 				}
 			}()
 		}
@@ -128,7 +128,7 @@ func TestWorkerLadderDeterministic(t *testing.T) {
 // to a golden file and must be reproduced bit-for-bit.
 func TestGoldenMeshPinned(t *testing.T) {
 	c := GoldenMesh()
-	r, err := newChecker(equiv.NewStore(nil)).Step(c.P, c.Q, false)
+	r, err := newChecker(equiv.NewStore(nil)).Decide(context.Background(), equiv.Query{Rel: cert.RelStep, P: c.P, Q: c.Q})
 	if err != nil {
 		t.Fatalf("%s: %v", c.Name, err)
 	}
