@@ -10,11 +10,7 @@
 // bisimulations (Definitions 7/8), so they are representable here.
 package actions
 
-import (
-	"strings"
-
-	"bpi/internal/names"
-)
+import "bpi/internal/names"
 
 // Kind classifies an action.
 type Kind int
@@ -121,40 +117,43 @@ func (a Act) RenameAll(s names.Subst) Act {
 // String renders the label: "tau", "a?(x,y)", "a!(x,y)", "(^x)a!(x)",
 // "a:" for a discard.
 func (a Act) String() string {
-	var b strings.Builder
+	if a.Kind == Tau {
+		return "tau"
+	}
+	var buf [64]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the label as String renders it to b and returns the
+// extended buffer.
+func (a Act) AppendTo(b []byte) []byte {
 	switch a.Kind {
 	case Tau:
-		return "tau"
+		return append(b, "tau"...)
 	case Discard:
-		b.WriteString(string(a.Subj))
-		b.WriteByte(':')
-		return b.String()
+		return append(append(b, a.Subj...), ':')
 	case In:
-		b.WriteString(string(a.Subj))
-		b.WriteByte('?')
+		b = append(append(b, a.Subj...), '?')
 	case Out:
 		if len(a.Bound) > 0 {
-			b.WriteString("(^")
-			for i, n := range a.Bound {
-				if i > 0 {
-					b.WriteByte(',')
-				}
-				b.WriteString(string(n))
-			}
-			b.WriteByte(')')
+			b = appendNames(append(b, "(^"...), a.Bound)
+			b = append(b, ')')
 		}
-		b.WriteString(string(a.Subj))
-		b.WriteByte('!')
+		b = append(append(b, a.Subj...), '!')
 	}
 	if a.Kind == In || len(a.Objs) > 0 {
-		b.WriteByte('(')
-		for i, n := range a.Objs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(string(n))
-		}
-		b.WriteByte(')')
+		b = appendNames(append(b, '('), a.Objs)
+		b = append(b, ')')
 	}
-	return b.String()
+	return b
+}
+
+func appendNames(b []byte, ns []names.Name) []byte {
+	for i, n := range ns {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, n...)
+	}
+	return b
 }

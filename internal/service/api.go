@@ -98,8 +98,10 @@ type EquivResponse struct {
 	Certificate *cert.Certificate `json:"certificate,omitempty"`
 	// LedgerKey is the verdict's content address in the persistent ledger
 	// (the hex SHA-256 of the canonical pair key), present when the daemon
-	// runs with -ledger. Feed it to GET /v1/ledger/proof/{key} or
-	// `bpiledger proof` once the record's batch seals.
+	// runs with -ledger and the verdict carries a certificate, which is
+	// what the ledger records: a related ~c truncated by max_subs has none.
+	// Feed it to GET /v1/ledger/proof/{key} or `bpiledger proof` once the
+	// record's batch seals.
 	LedgerKey string `json:"ledger_key,omitempty"`
 }
 

@@ -467,3 +467,31 @@ func TestLedgerProofTaxonomy(t *testing.T) {
 		t.Fatalf("no-ledger proof status = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestLedgerKeyOnlyForRecordedVerdicts pins that a ledger-backed daemon
+// advertises a ledger_key only for a verdict it records: a related ~c
+// truncated by max_subs carries no certificate, so the ledger never
+// records it, and neither its first answer nor its cache hit may name a
+// key that GET /v1/ledger/proof would answer 404.
+func TestLedgerKeyOnlyForRecordedVerdicts(t *testing.T) {
+	led := openLedger(t, t.TempDir())
+	defer led.Close()
+	_, ts, _ := newTestServer(t, service.Config{Ledger: led})
+	const q = `{"p":"a!(b) + a!(b)","q":"a!(b)","rel":"congruence","max_subs":1}`
+	for _, wantCached := range []bool{false, true} {
+		resp, body := post(t, ts, "/v1/equiv", q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("equiv: %d %s", resp.StatusCode, body)
+		}
+		var er service.EquivResponse
+		if err := json.Unmarshal([]byte(body), &er); err != nil {
+			t.Fatal(err)
+		}
+		if !er.Related || er.Cached != wantCached {
+			t.Fatalf("related=%v cached=%v, want true %v: %s", er.Related, er.Cached, wantCached, body)
+		}
+		if er.LedgerKey != "" {
+			t.Errorf("cached=%v: ledger_key %s advertised for a verdict the ledger does not record", er.Cached, er.LedgerKey)
+		}
+	}
+}

@@ -305,10 +305,10 @@ func (s *Server) runEquiv(ctx context.Context, req *EquivRequest, tr *obs.Tracer
 	}
 	resp := EquivResponse{Related: r.Related, Pairs: r.Pairs, Reason: r.Reason, Certificate: r.Cert,
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond)}
-	if s.ledger != nil {
+	if s.ledger != nil && resp.Certificate != nil {
 		// The content address is derivable right here (the pair key is
 		// already computed); the record itself is built and appended by the
-		// write-behind goroutine.
+		// write-behind goroutine, which records only a certified verdict.
 		resp.LedgerKey = ledger.KeyHash(pairKey)
 	}
 	s.cache.put(key, resp)

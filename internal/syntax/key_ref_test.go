@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"bpi/internal/names"
@@ -142,7 +143,8 @@ func refWriteKey(p syntax.Proc, b *strings.Builder) {
 
 // keyRefHandwritten are the binder shapes random terms rarely reach:
 // shadowing, repeated parameters, rec parameters against arguments of the
-// same name, and matches on bound and free names.
+// same name, matches on bound and free names, and restriction blocks out
+// of order, with and without a repeated name.
 func keyRefHandwritten(t *testing.T) []syntax.Proc {
 	srcs := []string{
 		"a?(x).a?(x).x!(x)",
@@ -158,6 +160,9 @@ func keyRefHandwritten(t *testing.T) []syntax.Proc {
 		"a?(x).(x?(y).[x=y]y! | nu x.[x=y]x!)",
 		"A(a, b) + nu a.A(a, b)",
 		"tau.0 + a! | b!(c) + 0",
+		"nu b.nu a.(a! | b!)",
+		"nu c.nu a.nu b.(a!(b) + c?(x).x!)",
+		"nu b.nu a.nu b.(a! | b!)",
 	}
 	var out []syntax.Proc
 	for _, src := range srcs {
@@ -202,12 +207,11 @@ func explored(t *testing.T, sys *semantics.System, roots []syntax.Proc, limit in
 	return out
 }
 
-// TestKeyMatchesReference pins Key's bytes to the two-pass reference over
-// random terms and their mutants, the handwritten binder shapes, the
-// program fixtures, and the states and transition targets of the stress
-// corpus and the protocol catalogue; each term is keyed both as it is and
-// simplified.
-func TestKeyMatchesReference(t *testing.T) {
+// refCorpus returns the terms the reference checks run over: random terms
+// and their mutants, the handwritten binder shapes, the program fixtures,
+// and the states and transition targets of the stress corpus and the
+// protocol catalogue, each as it is and simplified by the reference.
+func refCorpus(t *testing.T) []syntax.Proc {
 	var terms []syntax.Proc
 	g := brand.New(1, brand.Default())
 	for i := 0; i < 10000; i++ {
@@ -240,12 +244,103 @@ func TestKeyMatchesReference(t *testing.T) {
 		terms = append(terms, explored(t, sys, []syntax.Proc{s.Impl, s.Spec}, 50)...)
 	}
 	for _, p := range terms[:len(terms)] {
-		terms = append(terms, syntax.Simplify(p))
+		terms = append(terms, syntax.RefSimplify(p))
 	}
+	return terms
+}
+
+// TestKeyMatchesReference pins Key's bytes to the two-pass reference, and
+// Simplify's result to the Simplify that rebuilds every node, over the
+// reference corpus. Simplify must return a term Equal to the reference's,
+// not merely alpha-equal, because the store prints a term as it was first
+// interned; the corpus's simplified half is where Simplify returns its
+// argument as it is.
+func TestKeyMatchesReference(t *testing.T) {
+	terms := refCorpus(t)
 	for _, p := range terms {
 		if got, want := syntax.Key(p), refKey(p); got != want {
 			t.Fatalf("Key(%s)\n got  %q\n want %q", syntax.String(p), got, want)
 		}
+		if got, want := syntax.Simplify(p), syntax.RefSimplify(p); !syntax.Equal(got, want) {
+			t.Fatalf("Simplify(%s)\n got  %s\n want %s", syntax.String(p), syntax.String(got), syntax.String(want))
+		}
 	}
-	t.Logf("%d terms keyed", len(terms))
+	t.Logf("%d terms keyed and simplified", len(terms))
+}
+
+// TestSimplifyKeyAllocs pins what term identity allocates for a term that
+// is already simplified, as the unchanged operands of every interned
+// transition target are. Simplify returns mesh-12 as it is, allocating at
+// most 32 objects (1 with Go 1.24, the operand list of its 12-component
+// composition; 209 when it rebuilt every node), and Key allocates only its
+// result (7 when it grew a strings.Builder).
+func TestSimplifyKeyAllocs(t *testing.T) {
+	p := syntax.Simplify(stress.GoldenMesh().P)
+	var q syntax.Proc
+	if n := testing.AllocsPerRun(100, func() { q = syntax.Simplify(p) }); n > 32 {
+		t.Errorf("Simplify of a simplified mesh-12 allocated %.0f objects, want at most 32", n)
+	}
+	if !syntax.Equal(q, p) {
+		t.Fatalf("Simplify is not idempotent on mesh-12: %s", syntax.String(q))
+	}
+	// Under the race detector sync.Pool drops a quarter of the writers put
+	// back, so a Key sometimes pays for a new writer.
+	if n := testing.AllocsPerRun(100, func() { syntax.Key(p) }); n != 1 && !raceEnabled {
+		t.Errorf("Key of mesh-12 allocated %.0f objects, want 1", n)
+	}
+}
+
+// TestKeyWritersShared keys, simplifies and dedupes the transitions of the
+// same corpus terms from 8 goroutines at once, 100 times each, against one
+// goroutine's results: a pooled key writer or TransKey buffer that leaked
+// bytes or binders from one call into another would change a key, and so
+// a sort.
+func TestKeyWritersShared(t *testing.T) {
+	corpus := refCorpus(t)
+	sys := semantics.NewSystem(nil)
+	type want struct {
+		p      syntax.Proc
+		key    string
+		simple syntax.Proc
+		trans  []semantics.Trans
+		tkeys  []string
+	}
+	var ws []want
+	for i := 0; i < len(corpus); i += len(corpus) / 64 {
+		p := corpus[i]
+		w := want{p: p, key: syntax.Key(p), simple: syntax.Simplify(p)}
+		if ts, err := sys.Steps(p); err == nil {
+			w.trans = ts
+			for _, tr := range ts {
+				w.tkeys = append(w.tkeys, semantics.TransKey(tr))
+			}
+		}
+		ws = append(ws, w)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 100; r++ {
+				for _, w := range ws {
+					if k := syntax.Key(w.p); k != w.key {
+						t.Errorf("Key(%s) = %q, want %q", syntax.String(w.p), k, w.key)
+						return
+					}
+					if s := syntax.Simplify(w.p); !syntax.Equal(s, w.simple) {
+						t.Errorf("Simplify(%s) = %s, want %s", syntax.String(w.p), syntax.String(s), syntax.String(w.simple))
+						return
+					}
+					for i, tr := range w.trans {
+						if k := semantics.TransKey(tr); k != w.tkeys[i] {
+							t.Errorf("TransKey(%s) = %q, want %q", tr, k, w.tkeys[i])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
