@@ -378,11 +378,7 @@ func (av *axVerifier) checkProved(i int, g Goal, pT, pO, pI, qT, qO, qI []vsum, 
 		movers, others []vsum
 	}{{"left", pI, qI}, {"right", qI, pI}} {
 		for _, l := range dir.movers {
-			univ := inputUniverse(fn, len(l.binder))
-			for _, payload := range vtuples(univ, len(l.binder)) {
-				if err := av.ck.s.work(1); err != nil {
-					return err
-				}
+			err := av.ck.s.eachTuple(pairUniverse(fn, len(l.binder)), len(l.binder), func(payload []names.Name) error {
 				lc := syntax.String(syntax.Instantiate(l.cont, l.binder, payload))
 				ps := strings.Join(nameStrings(payload), ",")
 				st, ok := ins[dir.side+"\x00"+string(l.ch)+"\x00"+ps+"\x00"+lc]
@@ -403,9 +399,10 @@ func (av *axVerifier) checkProved(i int, g Goal, pT, pO, pI, qT, qO, qI []vsum, 
 				if !okPartner {
 					return fmt.Errorf("cert: goal %d: input partner %s is not an instantiation of the other side", i, st.Partner)
 				}
-				if err := av.checkGoal(st.Next, lc, st.Partner, true, true); err != nil {
-					return err
-				}
+				return av.checkGoal(st.Next, lc, st.Partner, true, true)
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}
@@ -562,19 +559,6 @@ func (av *axVerifier) saturations(p syntax.Proc, own, other map[vshape]bool, fn 
 		out = append(out, vsum{kind: sumIn, ch: sh.ch, binder: binder, cont: p})
 	}
 	return out, nil
-}
-
-// inputUniverse is the (SP) instantiation universe: the shared free names
-// plus enough fresh names to realise every equality pattern.
-func inputUniverse(fn names.Set, arity int) []names.Name {
-	univ := fn.Sorted()
-	avoid := fn.Clone()
-	for i := 0; i < arity; i++ {
-		w := syntax.FreshVariant("w", avoid)
-		avoid = avoid.Add(w)
-		univ = append(univ, w)
-	}
-	return univ
 }
 
 func vShapesOf(ins []vsum) map[vshape]bool {

@@ -9,7 +9,9 @@ package cert_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,6 +35,20 @@ func newCertifying() *equiv.Checker {
 	ch := equiv.NewChecker(nil)
 	ch.Certify = true
 	return ch
+}
+
+// cloneCert returns a deep copy of c, through its JSON form.
+func cloneCert(t testing.TB, c *cert.Certificate) *cert.Certificate {
+	t.Helper()
+	data, err := c.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := cert.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
 }
 
 // pairCert produces the certificate of one relation check.
@@ -252,17 +268,6 @@ func TestTamperedCertificatesRejected(t *testing.T) {
 	if related {
 		t.Fatal("tau.a!(b) ~ tau.a!(c) must fail")
 	}
-	clone := func(c *cert.Certificate) *cert.Certificate {
-		data, err := c.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := cert.Unmarshal(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return back
-	}
 	cases := []struct {
 		name   string
 		tamper func(c *cert.Certificate) *cert.Certificate
@@ -285,32 +290,32 @@ func TestTamperedCertificatesRejected(t *testing.T) {
 		crt  *cert.Certificate
 	}{{"positive", pos}, {"negative", neg}} {
 		for _, cse := range cases {
-			mutated := cse.tamper(clone(base.crt))
+			mutated := cse.tamper(cloneCert(t, base.crt))
 			if err := cert.Verify(mutated); err == nil {
 				t.Errorf("%s/%s: tampered certificate accepted", base.name, cse.name)
 			}
 		}
 	}
 	// Positive-specific: stolen evidence and dangling indices.
-	c := clone(pos)
+	c := cloneCert(t, pos)
 	c.Moves[0] = nil
 	if err := cert.Verify(c); err == nil {
 		t.Error("positive certificate with an emptied move table accepted")
 	}
-	c = clone(pos)
+	c = cloneCert(t, pos)
 	c.Pairs = c.Pairs[:1]
 	c.Moves = c.Moves[:1]
 	if err := cert.Verify(c); err == nil {
 		t.Error("positive certificate with dropped pairs accepted (relation not closed)")
 	}
-	c = clone(pos)
+	c = cloneCert(t, pos)
 	c.Pairs[0] = [2]int{0, len(c.Terms) + 3}
 	if err := cert.Verify(c); err == nil {
 		t.Error("dangling term index accepted")
 	}
 	// Negative-specific: a strategy whose refutation is cyclic, and a
 	// challenge whose recorded answer set lies about being empty.
-	c = clone(neg)
+	c = cloneCert(t, neg)
 	for i := range c.Nodes {
 		for j := range c.Nodes[i].Replies {
 			c.Nodes[i].Replies[j].Next = 0 // every refutation loops to the root
@@ -319,25 +324,25 @@ func TestTamperedCertificatesRejected(t *testing.T) {
 	if err := cert.Verify(c); err == nil {
 		t.Error("cyclic strategy accepted")
 	}
-	c = clone(neg)
+	c = cloneCert(t, neg)
 	c.Nodes[0].Replies = nil
 	if len(c.Nodes[0].Kind) > 0 && c.Nodes[0].Kind != "barb" {
 		if err := cert.Verify(c); err == nil {
 			t.Error("strategy claiming an empty answer set accepted")
 		}
 	}
-	c = clone(neg)
+	c = cloneCert(t, neg)
 	c.Nodes[0].To = "0"
 	if err := cert.Verify(c); err == nil {
 		t.Error("strategy whose attack move is not derivable accepted")
 	}
-	c = clone(neg)
+	c = cloneCert(t, neg)
 	if len(c.Nodes[0].Replies) > 0 {
 		c.Nodes[0].Replies[0].Next = len(c.Nodes) + 9
 		if err := cert.Verify(c); err == nil {
 			t.Error("strategy with an out-of-range reply index accepted")
 		}
-		c = clone(neg)
+		c = cloneCert(t, neg)
 		c.Nodes[0].Replies[0].To = "d!.d!.d!"
 		if err := cert.Verify(c); err == nil {
 			t.Error("strategy refuting a fabricated defender answer accepted")
@@ -358,18 +363,6 @@ func TestTamperedCertificatesRejected(t *testing.T) {
 // relation.
 func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	ch := newCertifying()
-	clone := func(c *cert.Certificate) *cert.Certificate {
-		data, err := c.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := cert.Unmarshal(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return back
-	}
-
 	// One-step positive: the strict root table is mandatory evidence.
 	os, ok := pairCert(t, ch, cert.RelOneStep, "a!.b!", "a!.b! + a!.b!", false)
 	if !ok {
@@ -378,12 +371,12 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	if err := cert.Verify(os); err != nil {
 		t.Fatalf("onestep baseline rejected: %v", err)
 	}
-	c := clone(os)
+	c := cloneCert(t, os)
 	c.TopMoves = nil
 	if err := cert.Verify(c); err == nil {
 		t.Error("one-step certificate without its strict move table accepted")
 	}
-	c = clone(os)
+	c = cloneCert(t, os)
 	if len(c.TopMoves) > 0 {
 		c.TopMoves[0].Pair = [2]int{len(c.Terms) + 1, 0}
 		if err := cert.Verify(c); err == nil {
@@ -399,12 +392,12 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	if err := cert.Verify(cg); err != nil {
 		t.Fatalf("congruence baseline rejected: %v", err)
 	}
-	c = clone(cg)
+	c = cloneCert(t, cg)
 	c.Subs = nil
 	if err := cert.Verify(c); err == nil {
 		t.Error("congruence certificate without its per-fusion evidence accepted")
 	}
-	c = clone(cg)
+	c = cloneCert(t, cg)
 	if len(c.Subs) > 0 {
 		c.Subs[0].Related = false
 		if err := cert.Verify(c); err == nil {
@@ -417,7 +410,7 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	if !ok {
 		t.Fatal("0 ~c 0 baseline: not related")
 	}
-	c = clone(zero)
+	c = cloneCert(t, zero)
 	c.P = "[a=b]c!"
 	if err := cert.Verify(c); err == nil {
 		t.Error("0 ~c 0 certificate accepted for [a=b]c! ~c 0")
@@ -435,27 +428,27 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	if err := cert.Verify(ax); err != nil {
 		t.Fatalf("axioms baseline rejected: %v", err)
 	}
-	c = clone(ax)
+	c = cloneCert(t, ax)
 	c.Proof = nil
 	if err := cert.Verify(c); err == nil {
 		t.Error("axioms certificate without a proof accepted")
 	}
-	c = clone(ax)
+	c = cloneCert(t, ax)
 	c.Proof.Worlds = c.Proof.Worlds[:0]
 	if err := cert.Verify(c); err == nil {
 		t.Error("axioms certificate with a truncated world enumeration accepted")
 	}
-	c = clone(ax)
+	c = cloneCert(t, ax)
 	c.Proof.Goals[0].Proved = !c.Proof.Goals[0].Proved
 	if err := cert.Verify(c); err == nil {
 		t.Error("axioms certificate with a flipped goal polarity accepted")
 	}
-	c = clone(ax)
+	c = cloneCert(t, ax)
 	c.Proof.Worlds[0].Goal = len(c.Proof.Goals) + 7
 	if err := cert.Verify(c); err == nil {
 		t.Error("axioms certificate with a dangling world goal accepted")
 	}
-	c = clone(ax)
+	c = cloneCert(t, ax)
 	top := c.Proof.Worlds[0].Goal
 	c.Proof.Goals[top].Taus = nil
 	c.Proof.Goals[top].Outs = nil
@@ -463,12 +456,12 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	if err := cert.Verify(c); err == nil {
 		t.Error("axioms certificate with emptied matching steps accepted")
 	}
-	c = clone(ax)
+	c = cloneCert(t, ax)
 	c.Proof.Goals[c.Proof.Worlds[0].Goal].FailKind = "tau"
 	if err := cert.Verify(c); err == nil {
 		t.Error("proved goal carrying a failure kind accepted")
 	}
-	c = clone(ax)
+	c = cloneCert(t, ax)
 	for k := range c.Proof.Worlds[0].Rep {
 		c.Proof.Worlds[0].Rep[k] = "zzz"
 	}
@@ -493,37 +486,144 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 		return crt
 	}
 	shapes := refuted("a?", "0") // genuinely fails the shape clause
-	c = clone(shapes)
+	c = cloneCert(t, shapes)
 	c.Proof.Goals[c.Proof.Worlds[0].Goal].FailKind = ""
 	if err := cert.Verify(c); err == nil {
 		t.Error("shape refutation with its failure kind erased accepted")
 	}
-	c = clone(shapes)
+	c = cloneCert(t, shapes)
 	c.Proof.Worlds[0].Rep = map[string]string{"a": "zzz"}
 	if err := cert.Verify(c); err == nil {
 		t.Error("refutation in a world outside the enumeration accepted")
 	}
 	deep := refuted("tau.a!(b)", "tau.a!(c)") // fails below a τ, not on shapes
-	c = clone(deep)
+	c = cloneCert(t, deep)
 	g := &c.Proof.Goals[c.Proof.Worlds[0].Goal]
 	g.FailKind = "shapes"
 	if err := cert.Verify(c); err == nil {
 		t.Error("refutation claiming a shape mismatch that is not there accepted")
 	}
-	c = clone(deep)
+	c = cloneCert(t, deep)
 	g = &c.Proof.Goals[c.Proof.Worlds[0].Goal]
 	g.FailKind = "discards"
 	g.FailName = "a"
 	if err := cert.Verify(c); err == nil {
 		t.Error("refutation claiming a discard mismatch that is not there accepted")
 	}
-	c = clone(deep)
+	c = cloneCert(t, deep)
 	g = &c.Proof.Goals[c.Proof.Worlds[0].Goal]
 	g.FailKind = "discards"
 	g.FailName = "zz"
 	if err := cert.Verify(c); err == nil {
 		t.Error("refutation over a name that is not free accepted")
 	}
+}
+
+// evidence is one recorded entry of a certificate that Verify must check:
+// a move, root move or discard witness of a positive certificate, or a
+// reply of a negative one. kind names its field, table the list holding
+// it, and id its content with the witness terms printed; del deletes it
+// from a copy of the certificate.
+type evidence struct {
+	kind, table, id string
+	del             func(*cert.Certificate)
+}
+
+// evidenceOf lists the evidence of c and, in turn, of its sub-certificates;
+// at maps the outermost certificate to c.
+func evidenceOf(c *cert.Certificate, table string, at func(*cert.Certificate) *cert.Certificate) []evidence {
+	term := func(i int) string {
+		if i < 0 || i >= len(c.Terms) {
+			return "?"
+		}
+		return c.Terms[i]
+	}
+	move := func(mv cert.Move) string {
+		return fmt.Sprintf("%s %s %s %s %v (%s, %s)", mv.Side, mv.Kind, mv.Label, mv.Ch, mv.Payload, term(mv.Pair[0]), term(mv.Pair[1]))
+	}
+	var out []evidence
+	for i, ms := range c.Moves {
+		for j, mv := range ms {
+			out = append(out, evidence{"moves", fmt.Sprintf("%s moves[%d]", table, i), move(mv), func(r *cert.Certificate) {
+				s := at(r)
+				s.Moves[i] = slices.Delete(s.Moves[i], j, j+1)
+			}})
+		}
+	}
+	for j, mv := range c.TopMoves {
+		out = append(out, evidence{"topMoves", table + " topMoves", move(mv), func(r *cert.Certificate) {
+			s := at(r)
+			s.TopMoves = slices.Delete(s.TopMoves, j, j+1)
+		}})
+	}
+	for j, w := range c.Discards {
+		id := fmt.Sprintf("%s %s (%s, %s)", w.Side, w.Ch, term(w.Pair[0]), term(w.Pair[1]))
+		out = append(out, evidence{"discards", table + " discards", id, func(r *cert.Certificate) {
+			s := at(r)
+			s.Discards = slices.Delete(s.Discards, j, j+1)
+		}})
+	}
+	for i, n := range c.Nodes {
+		for j, rp := range n.Replies {
+			id := fmt.Sprintf("%s -> %d", rp.To, rp.Next)
+			out = append(out, evidence{"replies", fmt.Sprintf("%s nodes[%d] replies", table, i), id, func(r *cert.Certificate) {
+				s := at(r)
+				s.Nodes[i].Replies = slices.Delete(s.Nodes[i].Replies, j, j+1)
+			}})
+		}
+	}
+	for i, sc := range c.Subs {
+		out = append(out, evidenceOf(sc, fmt.Sprintf("%s subs[%d]", table, i),
+			func(r *cert.Certificate) *cert.Certificate { return at(r).Subs[i] })...)
+	}
+	return out
+}
+
+// TestVerifyChecksEveryMove deletes each recorded move, root move and
+// discard witness of a positive certificate, and each reply of a negative
+// one, one at a time, and wants Verify to refuse every deletion unless the
+// same table still holds an identical entry. The certificates are those of
+// every pair of budgetCorpus under the five relations, strong and weak,
+// with the sub-certificates of the ~c ones, and of one more pair: it
+// reaches b! | b!, whose two b! outputs the engine records as two
+// identical moves.
+func TestVerifyChecksEveryMove(t *testing.T) {
+	ch := newCertifying()
+	pairs := [][2]string{{"a?(x).x! | b!", "a?(y).y! | b!"}}
+	for _, bc := range budgetCorpus(t) {
+		if !slices.Contains(pairs, [2]string{bc.P, bc.Q}) {
+			pairs = append(pairs, [2]string{bc.P, bc.Q})
+		}
+	}
+	deleted := map[string]int{}
+	dups := 0
+	for _, pq := range pairs {
+		for _, rel := range cert.Relations {
+			for _, weak := range []bool{false, true} {
+				crt, _ := pairCert(t, ch, rel, pq[0], pq[1], weak)
+				es := evidenceOf(crt, "", func(r *cert.Certificate) *cert.Certificate { return r })
+				for k, e := range es {
+					twin := func(o evidence) bool { return o.table == e.table && o.id == e.id }
+					if slices.ContainsFunc(es[:k], twin) || slices.ContainsFunc(es[k+1:], twin) {
+						dups++
+						continue
+					}
+					m := cloneCert(t, crt)
+					e.del(m)
+					if err := cert.Verify(m); err == nil {
+						t.Errorf("%s weak=%v (%s, %s): deleting%s %s accepted", rel, weak, pq[0], pq[1], e.table, e.id)
+					}
+					deleted[e.kind]++
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"moves", "topMoves", "discards", "replies"} {
+		if deleted[kind] == 0 {
+			t.Errorf("no %s entry deleted", kind)
+		}
+	}
+	t.Logf("%v deletions refused; %d entries left with an identical one", deleted, dups)
 }
 
 // TestHandCraftedStrategiesRejected feeds the verifier adversarial

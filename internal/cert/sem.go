@@ -2,6 +2,7 @@ package cert
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bpi/internal/names"
@@ -23,6 +24,8 @@ type vsys struct {
 	maxWork int
 }
 
+// vterm is a term interned by vsys.intern, one per α-class per
+// verification, so terms compare by pointer.
 type vterm struct {
 	proc syntax.Proc
 	key  string
@@ -31,6 +34,10 @@ type vterm struct {
 	trans []semantics.Trans
 
 	discards map[names.Name]bool
+	barbs    []names.Name // sorted; non-nil once derived
+	shapes   []vshape     // sorted; non-nil once derived
+	outs     []vout
+	outsOK   bool // outs holds every output: t extrudes no name
 	tauS     []*vterm
 	tauOK    bool
 	autoS    []*vterm
@@ -171,7 +178,7 @@ func (s *vsys) autoClosure(t *vterm) ([]*vterm, error) {
 // reach is reflexive-transitive reachability, budget-bounded and sorted by
 // canonical key.
 func (s *vsys) reach(t *vterm, succ func(*vterm) ([]*vterm, error)) ([]*vterm, error) {
-	seen := map[string]bool{t.key: true}
+	seen := map[*vterm]bool{t: true}
 	out := []*vterm{t}
 	work := []*vterm{t}
 	for len(work) > 0 {
@@ -182,13 +189,13 @@ func (s *vsys) reach(t *vterm, succ func(*vterm) ([]*vterm, error)) ([]*vterm, e
 			return nil, err
 		}
 		for _, n := range next {
-			if seen[n.key] {
+			if seen[n] {
 				continue
 			}
 			if len(seen) >= s.closure {
 				return nil, fmt.Errorf("cert: closure budget exhausted (%d states)", s.closure)
 			}
-			seen[n.key] = true
+			seen[n] = true
 			out = append(out, n)
 			work = append(work, n)
 		}
@@ -201,26 +208,32 @@ func sortVTerms(ts []*vterm) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].key < ts[j].key })
 }
 
-// strongBarbs returns the output subjects of t (p ↓a).
-func strongBarbs(t *vterm) names.Set {
-	out := names.NewSet()
-	for _, tr := range t.trans {
-		if tr.Act.IsOutput() {
-			out = out.Add(tr.Act.Subj)
+// strongBarbs returns the output subjects of t (p ↓a), sorted.
+func strongBarbs(t *vterm) []names.Name {
+	if t.barbs == nil {
+		t.barbs = []names.Name{}
+		for _, tr := range t.trans {
+			if tr.Act.IsOutput() && !slices.Contains(t.barbs, tr.Act.Subj) {
+				t.barbs = append(t.barbs, tr.Act.Subj)
+			}
 		}
+		slices.Sort(t.barbs)
 	}
-	return out
+	return t.barbs
 }
 
-// hasWeakBarb reports a barb on a after some closure derivative (τ* for
-// barbed, (τ∪output)* for step bisimilarity).
-func (s *vsys) hasWeakBarb(t *vterm, a names.Name, auto bool) (bool, error) {
+// hasBarb reports t ↓a or, when weak, a barb on a after some closure
+// derivative (τ* for barbed, (τ∪output)* for step bisimilarity).
+func (s *vsys) hasBarb(t *vterm, a names.Name, weak, auto bool) (bool, error) {
+	if !weak {
+		return slices.Contains(strongBarbs(t), a), nil
+	}
 	cl, err := s.closureOf(t, auto)
 	if err != nil {
 		return false, err
 	}
 	for _, d := range cl {
-		if strongBarbs(d).Contains(a) {
+		if slices.Contains(strongBarbs(d), a) {
 			return true, nil
 		}
 	}
@@ -234,20 +247,39 @@ func (s *vsys) closureOf(t *vterm, auto bool) ([]*vterm, error) {
 	return s.tauClosure(t)
 }
 
-// outputsCanon returns t's output transitions with extruded names renamed to
-// the deterministic canonical sequence chosen against avoid: FreshVariant("e")
-// against avoid ∪ fn(act), per bound name in order. semantics.CanonOut is
-// the engine side of this convention, used by the pair engine and the
-// prover; the verifier keeps its own copy.
-func outputsCanon(t *vterm, avoid names.Set) []semantics.Trans {
-	var out []semantics.Trans
+// vout is an output transition under its canonical label.
+type vout struct {
+	label string
+	to    *vterm
+}
+
+// outputs returns t's outputs with extruded names renamed to the
+// deterministic canonical sequence chosen against avoid (the pair's free
+// names): FreshVariant("e") against avoid ∪ fn(act), per bound name in
+// order. semantics.CanonOut is the engine side of this convention, used by
+// the pair engine and the prover; the verifier keeps its own copy. Only an
+// extruded name depends on avoid, so a term that extrudes none keeps its
+// list.
+func (s *vsys) outputs(t *vterm, avoid names.Set) ([]vout, error) {
+	if t.outsOK {
+		return t.outs, nil
+	}
+	var out []vout
+	bound := false
 	for _, tr := range t.trans {
 		if !tr.Act.IsOutput() {
 			continue
 		}
-		out = append(out, canonOut(tr, avoid))
+		bound = bound || len(tr.Act.Bound) > 0
+		tr = canonOut(tr, avoid)
+		to, err := s.intern(tr.Target)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, vout{tr.Act.String(), to})
 	}
-	return out
+	t.outs, t.outsOK = out, !bound
+	return out, nil
 }
 
 func canonOut(t semantics.Trans, avoid names.Set) semantics.Trans {
@@ -264,15 +296,20 @@ func canonOut(t semantics.Trans, avoid names.Set) semantics.Trans {
 	return semantics.Trans{Act: t.Act.RenameAll(ren), Target: syntax.Apply(t.Target, ren)}
 }
 
-// inputShapes returns the (channel, arity) pairs at which t listens.
-func inputShapes(t *vterm) map[vshape]bool {
-	out := map[vshape]bool{}
-	for _, tr := range t.trans {
-		if tr.Act.IsInput() {
-			out[vshape{tr.Act.Subj, len(tr.Act.Objs)}] = true
+// inputShapes returns the (channel, arity) pairs at which t listens, in
+// order.
+func inputShapes(t *vterm) []vshape {
+	if t.shapes == nil {
+		t.shapes = []vshape{}
+		for _, tr := range t.trans {
+			sh := vshape{tr.Act.Subj, len(tr.Act.Objs)}
+			if tr.Act.IsInput() && !slices.Contains(t.shapes, sh) {
+				t.shapes = append(t.shapes, sh)
+			}
 		}
+		sort.Slice(t.shapes, func(i, j int) bool { return t.shapes[i].less(t.shapes[j]) })
 	}
-	return out
+	return t.shapes
 }
 
 type vshape struct {
@@ -280,13 +317,11 @@ type vshape struct {
 	arity int
 }
 
-func sortVShapes(ss []vshape) {
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].ch != ss[j].ch {
-			return ss[i].ch < ss[j].ch
-		}
-		return ss[i].arity < ss[j].arity
-	})
+func (a vshape) less(b vshape) bool {
+	if a.ch != b.ch {
+		return a.ch < b.ch
+	}
+	return a.arity < b.arity
 }
 
 // reactions returns t's reactions to a ground broadcast ch(payload): every
@@ -323,26 +358,16 @@ func (s *vsys) inputDerivs(t *vterm, ch names.Name, payload []names.Name) ([]*vt
 	return out, nil
 }
 
-// weakReactions returns =ε=> · ch(payload)? · =ε=> (receive-or-discard in
-// the middle), deduped and sorted.
-func (s *vsys) weakReactions(t *vterm, ch names.Name, payload []names.Name) ([]*vterm, error) {
-	return s.weakVia(t, func(d *vterm) ([]*vterm, error) { return s.reactions(d, ch, payload) })
-}
-
-// weakInputDerivs returns =ε=> · ch(payload) · =ε=> (strict reception in
-// the middle), deduped and sorted.
-func (s *vsys) weakInputDerivs(t *vterm, ch names.Name, payload []names.Name) ([]*vterm, error) {
-	return s.weakVia(t, func(d *vterm) ([]*vterm, error) { return s.inputDerivs(d, ch, payload) })
-}
-
-func (s *vsys) weakVia(t *vterm, mid func(*vterm) ([]*vterm, error)) ([]*vterm, error) {
+// weakVia returns t's weak c-moves =ε=> · c · =ε=>, deduped and sorted.
+func (s *vsys) weakVia(t *vterm, c challenge, avoid names.Set) ([]*vterm, error) {
 	pre, err := s.tauClosure(t)
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]*vterm{}
+	seen := map[*vterm]bool{}
+	var out []*vterm
 	for _, d := range pre {
-		ms, err := mid(d)
+		ms, err := s.moves(d, c, avoid)
 		if err != nil {
 			return nil, err
 		}
@@ -352,15 +377,38 @@ func (s *vsys) weakVia(t *vterm, mid func(*vterm) ([]*vterm, error)) ([]*vterm, 
 				return nil, err
 			}
 			for _, f := range post {
-				seen[f.key] = f
+				if !seen[f] {
+					seen[f] = true
+					out = append(out, f)
+				}
 			}
 		}
 	}
-	out := make([]*vterm, 0, len(seen))
-	for _, f := range seen {
-		out = append(out, f)
-	}
 	sortVTerms(out)
+	return out, nil
+}
+
+// discardAnswers returns a defender's answers to an attacker that
+// discards ch: the defender itself if it discards ch too or, when weak,
+// each of its τ*-derivatives that does.
+func (s *vsys) discardAnswers(def *vterm, ch names.Name, weak bool) ([]*vterm, error) {
+	cands := []*vterm{def}
+	if weak {
+		var err error
+		if cands, err = s.tauClosure(def); err != nil {
+			return nil, err
+		}
+	}
+	var out []*vterm
+	for _, d := range cands {
+		dd, err := s.discardsOn(d, ch)
+		if err != nil {
+			return nil, err
+		}
+		if dd {
+			out = append(out, d)
+		}
+	}
 	return out, nil
 }
 
@@ -369,10 +417,11 @@ func freeUnion(p, q *vterm) names.Set {
 	return p.free.Clone().AddAll(q.free)
 }
 
-// pairUniverse is the instantiation universe of a pair: the shared free
-// names plus `extra` deterministic reservoir names fresh for the pair.
-func pairUniverse(p, q *vterm, extra int) []names.Name {
-	avoid := freeUnion(p, q)
+// pairUniverse is the instantiation universe of a pair whose free names
+// are fn: those names plus `extra` deterministic reservoir names fresh for
+// them, enough to realise every equality pattern of an extra-ary payload.
+func pairUniverse(fn names.Set, extra int) []names.Name {
+	avoid := fn.Clone()
 	u := avoid.Sorted()
 	for i := 0; i < extra; i++ {
 		w := syntax.FreshVariant("w", avoid)
@@ -382,22 +431,26 @@ func pairUniverse(p, q *vterm, extra int) []names.Name {
 	return u
 }
 
-// vtuples enumerates u^k in odometer order (position 0 most significant).
-func vtuples(u []names.Name, k int) [][]names.Name {
-	if k == 0 {
-		return [][]names.Name{nil}
-	}
-	if len(u) == 0 {
+// eachTuple calls f on each tuple of u^k in odometer order (position 0 most
+// significant), charging one unit of work before each, so no walk outgrows
+// MaxWork however large u^k is. f must not keep the tuple: the next one
+// overwrites it.
+func (s *vsys) eachTuple(u []names.Name, k int, f func([]names.Name) error) error {
+	if k > 0 && len(u) == 0 {
 		return nil
 	}
-	var out [][]names.Name
 	idx := make([]int, k)
+	t := make([]names.Name, k)
 	for {
-		t := make([]names.Name, k)
+		if err := s.work(1); err != nil {
+			return err
+		}
 		for i, j := range idx {
 			t[i] = u[j]
 		}
-		out = append(out, t)
+		if err := f(t); err != nil {
+			return err
+		}
 		i := k - 1
 		for ; i >= 0; i-- {
 			idx[i]++
@@ -407,7 +460,7 @@ func vtuples(u []names.Name, k int) [][]names.Name {
 			idx[i] = 0
 		}
 		if i < 0 {
-			return out
+			return nil
 		}
 	}
 }
