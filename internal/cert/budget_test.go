@@ -170,10 +170,13 @@ func TestVerifyEnumerationsBounded(t *testing.T) {
 
 // TestVerifyAllocs pins the objects Verify allocates on two engine-made
 // certificates: the step certificate of the golden mesh and the labelled
-// one of rings-3x2 against its rotation. Each bound lies between the count
-// measured when it was set (27,006 and 384,082) and that of a verifier
-// which built a key string per checked move and membership test (36,232
-// and 665,839). The race detector drops pooled key writers at random, so
+// one of rings-3x2 against its rotation. The mesh bound lies between the
+// count measured when it was set (27,006) and that of a verifier which
+// built a key string per checked move and membership test (36,232). The
+// rings bound lies between a verifier that memoises reception derivatives
+// (270,023) and one that re-derives them for every pair that walks them
+// (348,255 with the same semantics layer, 384,082 before it derived into a
+// pooled buffer). The race detector drops pooled key writers at random, so
 // the counts are checked only without it.
 func TestVerifyAllocs(t *testing.T) {
 	ch := newCertifying()
@@ -185,7 +188,7 @@ func TestVerifyAllocs(t *testing.T) {
 		max       float64
 	}{
 		{"mesh-12 step", cert.RelStep, mesh.P, mesh.Q, 32_000},
-		{"rings-3x2 labelled", cert.RelLabelled, rings, stress.Rotate(rings), 500_000},
+		{"rings-3x2 labelled", cert.RelLabelled, rings, stress.Rotate(rings), 310_000},
 	} {
 		r, err := ch.Decide(context.Background(), equiv.Query{Rel: tc.rel, P: tc.p, Q: tc.q})
 		if err != nil || !r.Related || r.Cert == nil {
@@ -196,6 +199,7 @@ func TestVerifyAllocs(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 		})
+		t.Logf("%s: Verify allocated %.0f objects", tc.name, n)
 		if n > tc.max && !raceEnabled {
 			t.Errorf("%s: Verify allocated %.0f objects, want at most %.0f", tc.name, n, tc.max)
 		}

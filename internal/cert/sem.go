@@ -22,6 +22,18 @@ type vsys struct {
 	closure int // τ/autonomous closure budget
 	steps   int // work performed so far
 	maxWork int
+
+	// recv memoises inputDerivs per term, channel and payload, the payload
+	// numbered in tuples. Each entry is charged one unit of work, so a
+	// certificate can make at most maxWork of them.
+	recv   map[recvKey][]*vterm
+	tuples map[tupleStep]int
+}
+
+type recvKey struct {
+	t       *vterm
+	ch      names.Name
+	payload int
 }
 
 // vterm is a term interned by vsys.intern, one per α-class per
@@ -341,8 +353,15 @@ func (s *vsys) reactions(t *vterm, ch names.Name, payload []names.Name) ([]*vter
 	return out, nil
 }
 
-// inputDerivs returns the genuine reception derivatives (no discard).
+// inputDerivs returns the genuine reception derivatives (no discard),
+// memoised: a term sits in many pairs, and each walks the same payloads.
 func (s *vsys) inputDerivs(t *vterm, ch names.Name, payload []names.Name) ([]*vterm, error) {
+	if out, ok := s.recv[recvKey{t, ch, tupleID(s.tuples, payload, false)}]; ok {
+		return out, nil
+	}
+	if err := s.work(1); err != nil {
+		return nil, err
+	}
 	var out []*vterm
 	for _, tr := range t.trans {
 		if !tr.Act.IsInput() || tr.Act.Subj != ch || len(tr.Act.Objs) != len(payload) {
@@ -355,6 +374,12 @@ func (s *vsys) inputDerivs(t *vterm, ch names.Name, payload []names.Name) ([]*vt
 		}
 		out = append(out, n)
 	}
+	if s.recv == nil {
+		s.recv, s.tuples = map[recvKey][]*vterm{}, map[tupleStep]int{}
+	}
+	// Clipped, so that reactions appending the discard copies it.
+	out = slices.Clip(out)
+	s.recv[recvKey{t, ch, tupleID(s.tuples, payload, true)}] = out
 	return out, nil
 }
 

@@ -33,7 +33,7 @@ func barbWitness(pb, qb []names.Name) (moveSide, names.Name) {
 
 // certificate assembles the evidence for the decided root pair.
 func (e *engine) certificate(root int32) *cert.Certificate {
-	rn := &e.nodes[root]
+	rn := e.nodes.at(root)
 	c := &cert.Certificate{
 		Version:  cert.Version,
 		Relation: e.sp.rel,
@@ -64,20 +64,20 @@ func (e *engine) relation(c *cert.Certificate) {
 		c.Terms = append(c.Terms, stringOf(ti))
 		return i
 	}
-	for i := range e.nodes {
-		n := &e.nodes[i]
+	for i := int32(0); int(i) < e.nodes.len(); i++ {
+		n := e.nodes.at(i)
 		if n.bad {
 			continue
 		}
-		obls := e.obligations(n)
-		moves := make([]cert.Move, 0, len(obls))
-		for k := range obls {
-			wi := e.witness(&obls[k])
+		moves := make([]cert.Move, 0, n.obHi-n.obLo)
+		for o := n.obLo; o < n.obHi; o++ {
+			ob := e.obs.at(o)
+			wi := e.witness(ob)
 			if wi < 0 {
 				continue // unreachable: surviving pairs keep a live candidate per obligation
 			}
-			w := &e.nodes[wi]
-			mv := e.move(&obls[k])
+			w := e.nodes.at(wi)
+			mv := e.move(ob)
 			moves = append(moves, cert.Move{
 				Side:    mv.side.String(),
 				Kind:    mv.kind.String(),
@@ -106,7 +106,7 @@ func (e *engine) strategy(c *cert.Certificate, root int32) {
 		ci := len(c.Nodes)
 		memo[i] = ci
 		c.Nodes = append(c.Nodes, cert.Strategy{})
-		n := &e.nodes[i]
+		n := e.nodes.at(i)
 		s := cert.Strategy{P: stringOf(n.p), Q: stringOf(n.q)}
 		if n.staticBad {
 			s.Kind, s.Side, s.Label = "barb", n.failSide.String(), string(n.failBarb)
@@ -121,8 +121,9 @@ func (e *engine) strategy(c *cert.Certificate, root int32) {
 		s.Payload = stringNames(mv.payload)
 		s.To = stringOf(mv.mover)
 		seen := map[uint64]bool{}
-		for _, cd := range e.candidates(ob) {
-			cn := &e.nodes[cd]
+		for k := ob.lo; k < ob.hi; k++ {
+			cd := *e.cands.at(k)
+			cn := e.nodes.at(cd)
 			def := cn.q
 			if mv.side == sideRight {
 				def = cn.p
@@ -146,14 +147,14 @@ func (e *engine) strategy(c *cert.Certificate, root int32) {
 // rank strictly below the node, so emitted strategies are DAGs — the
 // verifier rejects cyclic refutations outright.
 func (e *engine) killRanks() []int32 {
-	rank := make([]int32, len(e.nodes))
+	rank := make([]int32, e.nodes.len())
 	for i := range rank {
 		rank[i] = -1
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := range e.nodes {
-			n := &e.nodes[i]
+		for i := range rank {
+			n := e.nodes.at(int32(i))
 			if !n.bad || rank[i] >= 0 {
 				continue
 			}
@@ -174,9 +175,8 @@ func (e *engine) nodeRank(n *pairNode, rank []int32) int32 {
 		return 0
 	}
 	best := int32(-1)
-	obls := e.obligations(n)
-	for k := range obls {
-		top, ok := e.candidateRank(&obls[k], rank)
+	for o := n.obLo; o < n.obHi; o++ {
+		top, ok := e.candidateRank(e.obs.at(o), rank)
 		if !ok {
 			continue
 		}
@@ -191,7 +191,8 @@ func (e *engine) nodeRank(n *pairNode, rank []int32) int32 {
 // false when some candidate is not ranked yet.
 func (e *engine) candidateRank(ob *obligation, rank []int32) (int32, bool) {
 	top := int32(-1)
-	for _, ci := range e.candidates(ob) {
+	for k := ob.lo; k < ob.hi; k++ {
+		ci := *e.cands.at(k)
 		if rank[ci] < 0 {
 			return 0, false
 		}
@@ -204,13 +205,12 @@ func (e *engine) candidateRank(ob *obligation, rank []int32) (int32, bool) {
 // whose candidates are all dead with ranks strictly below r. killRanks
 // guarantees one exists for every ranked node.
 func (e *engine) chooseKill(n *pairNode, rank []int32, r int32) *obligation {
-	obls := e.obligations(n)
-	for k := range obls {
-		if top, ok := e.candidateRank(&obls[k], rank); ok && top < r {
-			return &obls[k]
+	for o := n.obLo; o < n.obHi; o++ {
+		if top, ok := e.candidateRank(e.obs.at(o), rank); ok && top < r {
+			return e.obs.at(o)
 		}
 	}
-	return &obls[0] // unreachable when r came from killRanks
+	return e.obs.at(n.obLo) // unreachable when r came from killRanks
 }
 
 func stringNames(ns []names.Name) []string {

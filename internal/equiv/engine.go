@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"bpi/internal/cert"
@@ -173,18 +174,18 @@ func (b *built) failBarbOn(side moveSide, a names.Name) {
 	b.failSide, b.failBarb = side, a
 }
 
-// engine decides one query. It owns the query's pair graph as flat arrays:
-// the pairs in nodes, their obligations in obs and the obligations'
-// candidate pairs in cands, each pair's obligations and each obligation's
-// candidates a contiguous range, in discovery order.
+// engine decides one query. It owns the query's pair graph as append-only
+// arrays: the pairs in nodes, their obligations in obs and the
+// obligations' candidate pairs in cands, each pair's obligations and each
+// obligation's candidates a contiguous range, in discovery order.
 type engine struct {
 	c      *Checker
 	ctx    context.Context
 	sp     spec
-	nodes  []pairNode
-	obs    []obligation
-	labels []moveLabel
-	cands  []int32
+	nodes  segs[pairNode]
+	obs    segs[obligation]
+	labels segs[moveLabel]
+	cands  segs[int32]
 	// index maps a pair's two store ids, packed into one word as
 	// p.id<<32 | q.id, to its node.
 	index map[uint64]int32
@@ -215,8 +216,8 @@ func (c *Checker) run(ctx context.Context, pi, qi *termInfo, sp spec) (Result, e
 	fix := run.Child("equiv.fixpoint")
 	e.fixpoint()
 	fix.End()
-	rn := &e.nodes[root]
-	res := Result{Related: !rn.bad, Pairs: len(e.nodes)}
+	rn := e.nodes.at(root)
+	res := Result{Related: !rn.bad, Pairs: e.nodes.len()}
 	if rn.bad {
 		res.Reason = fmt.Sprintf("%s: %s (comparing %s with %s)", sp, e.failReason(rn),
 			stringOf(rn.p), stringOf(rn.q))
@@ -239,15 +240,16 @@ func (e *engine) explore(run *obs.Span) error {
 	ex := span.Child("equiv.expand")
 	defer ex.End()
 	var b built
-	for i := 0; i < len(e.nodes); i++ {
+	for i := int32(0); int(i) < e.nodes.len(); i++ {
 		if err := e.ctx.Err(); err != nil {
 			return ErrCanceled{err}
 		}
 		b = built{obs: b.obs[:0]}
-		if err := e.buildPair(e.nodes[i].p, e.nodes[i].q, &b); err != nil {
+		n := e.nodes.at(i)
+		if err := e.buildPair(n.p, n.q, &b); err != nil {
 			return err
 		}
-		if err := e.merge(int32(i), &b); err != nil {
+		if err := e.merge(n, &b); err != nil {
 			return err
 		}
 	}
@@ -266,13 +268,12 @@ func (e *engine) buildPair(p, q *termInfo, b *built) error {
 	}
 }
 
-// merge installs built pair i: a statically bad pair keeps its barb
+// merge installs built pair n: a statically bad pair keeps its barb
 // failure; otherwise its obligations are appended to e.obs and their
 // candidates, interned to node indices, to e.cands (fresh pairs go to the
 // end of the node list, where the expand loop will reach them in order).
-func (e *engine) merge(i int32, b *built) error {
+func (e *engine) merge(n *pairNode, b *built) error {
 	if b.bad {
-		n := &e.nodes[i]
 		n.bad, n.staticBad = true, true
 		n.failSide, n.failBarb = b.failSide, b.failBarb
 		return nil
@@ -281,18 +282,15 @@ func (e *engine) merge(i int32, b *built) error {
 	for _, ob := range b.obs {
 		answers += len(ob.answers)
 	}
-	if len(e.obs)+len(b.obs) > math.MaxInt32 || len(e.cands)+answers > math.MaxInt32 {
+	if e.obs.len()+len(b.obs) > math.MaxInt32 || e.cands.len()+answers > math.MaxInt32 {
 		return ErrBudget{"pair graph"}
 	}
-	lo := int32(len(e.obs))
-	e.obs = grow(e.obs, len(b.obs))
-	e.cands = grow(e.cands, answers)
+	lo := int32(e.obs.len())
 	for _, ob := range b.obs {
 		mv := ob.mv
-		o := obligation{mover: mv.mover, lo: int32(len(e.cands)), label: -1, side: mv.side, kind: mv.kind}
+		o := obligation{mover: mv.mover, lo: int32(e.cands.len()), label: -1, side: mv.side, kind: mv.kind}
 		if mv.kind == kindOut || mv.kind == kindReact {
-			o.label = int32(len(e.labels))
-			e.labels = append(grow(e.labels, 1), moveLabel{mv.label, mv.ch, mv.payload})
+			o.label = e.labels.add(moveLabel{mv.label, mv.ch, mv.payload})
 		}
 		for _, ans := range ob.answers {
 			p, q := mv.mover, ans
@@ -303,14 +301,12 @@ func (e *engine) merge(i int32, b *built) error {
 			if err != nil {
 				return err
 			}
-			e.cands = append(e.cands, ci)
+			e.cands.add(ci)
 		}
-		o.hi = int32(len(e.cands))
-		e.obs = append(e.obs, o)
+		o.hi = int32(e.cands.len())
+		e.obs.add(o)
 	}
-	// node may have moved e.nodes: take the pair's address only now.
-	n := &e.nodes[i]
-	n.obLo, n.obHi = lo, int32(len(e.obs))
+	n.obLo, n.obHi = lo, int32(e.obs.len())
 	return nil
 }
 
@@ -325,40 +321,78 @@ func (e *engine) node(p, q *termInfo) (int32, error) {
 	if i, ok := e.index[k]; ok {
 		return i, nil
 	}
-	if len(e.nodes) >= e.c.maxPairs() {
+	if e.nodes.len() >= e.c.maxPairs() {
 		return 0, ErrBudget{"pair space"}
 	}
-	i := int32(len(e.nodes))
-	e.nodes = append(grow(e.nodes, 1), pairNode{p: p, q: q})
+	i := e.nodes.add(pairNode{p: p, q: q})
 	e.index[k] = i
 	e.cPairs.Add(1)
 	return i, nil
 }
 
-// grow returns s with room for n more elements, at least doubling its
-// capacity when it must move: past 256 elements append grows by about
-// 1.25×, which allocates about five times the final size of a large pair
-// graph's arrays.
-func grow[S ~[]E, E any](s S, n int) S {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	t := make(S, len(s), max(2*cap(s), len(s)+n))
-	copy(t, s)
-	return t
+// Segment sizes of the pair graph's arrays: the first holds segFirst
+// elements, each next one twice as many up to segMax, and every one after
+// that segMax. A query of a few dozen pairs stays in its first segments.
+const (
+	segFirstBits = 4
+	segMaxBits   = 16
+	segFirst     = 1 << segFirstBits
+	segMax       = 1 << segMaxBits
+	// segDoubling is the number of doubling segments, and segDoublingEnd
+	// the index just past them plus segFirst.
+	segDoubling    = segMaxBits - segFirstBits + 1
+	segDoublingEnd = segMax << 1
+)
+
+// segs is an append-only array held in segments. Appending past the last
+// segment allocates one more and copies nothing, so an element never
+// moves: a pointer from at stays valid while the array grows.
+type segs[E any] struct {
+	s    [][]E // s[k] is segment k, at its full size
+	n    int   // elements appended
+	tail []E   // the unused end of the last segment
 }
 
-// obligations returns n's obligations.
-func (e *engine) obligations(n *pairNode) []obligation { return e.obs[n.obLo:n.obHi] }
+// segLen is the size of segment k.
+func segLen(k int) int {
+	if k < segDoubling {
+		return segFirst << k
+	}
+	return segMax
+}
 
-// candidates returns ob's candidate pairs.
-func (e *engine) candidates(ob *obligation) []int32 { return e.cands[ob.lo:ob.hi] }
+func (a *segs[E]) len() int { return a.n }
+
+// add appends e and returns its index.
+func (a *segs[E]) add(e E) int32 {
+	if len(a.tail) == 0 {
+		a.tail = make([]E, segLen(len(a.s)))
+		a.s = append(a.s, a.tail)
+	}
+	a.tail[0] = e
+	a.tail = a.tail[1:]
+	a.n++
+	return int32(a.n - 1)
+}
+
+// at returns the address of element i. Offsetting i by segFirst puts the
+// start of doubling segment k at 1<<(k+segFirstBits), so its top bit names
+// the segment and the rest is the offset in it.
+func (a *segs[E]) at(i int32) *E {
+	j := uint32(i) + segFirst
+	if j < segDoublingEnd {
+		top := bits.Len32(j) - 1
+		return &a.s[top-segFirstBits][j-1<<top]
+	}
+	j -= segDoublingEnd
+	return &a.s[segDoubling+int(j>>segMaxBits)][j&(segMax-1)]
+}
 
 // witness returns the first candidate of ob that survived the fixpoint, or
 // -1 when none did.
 func (e *engine) witness(ob *obligation) int32 {
-	for _, ci := range e.candidates(ob) {
-		if !e.nodes[ci].bad {
+	for k := ob.lo; k < ob.hi; k++ {
+		if ci := *e.cands.at(k); !e.nodes.at(ci).bad {
 			return ci
 		}
 	}
@@ -369,7 +403,7 @@ func (e *engine) witness(ob *obligation) int32 {
 func (e *engine) move(ob *obligation) obMove {
 	mv := obMove{side: ob.side, kind: ob.kind, mover: ob.mover}
 	if ob.label >= 0 {
-		l := &e.labels[ob.label]
+		l := e.labels.at(ob.label)
 		mv.label, mv.ch, mv.payload = l.label, l.ch, l.payload
 	}
 	return mv
@@ -379,43 +413,47 @@ func (e *engine) move(ob *obligation) obMove {
 // dependency edges (candidate → obligations it supports): when a pair dies,
 // only the obligations actually depending on it are revisited, so the sweep
 // is O(total candidate edges) instead of O(rescans × relation size). The
-// edges are in CSR form: those into node c are deps[at[c]:at[c+1]].
+// edges are in CSR form: the obligations that node c supports are
+// deps[at[c]:at[c+1]], and obligation o belongs to pair owner[o].
 func (e *engine) fixpoint() {
-	type dep struct{ node, ob int32 }
-	at := make([]int32, len(e.nodes)+1)
-	for _, ci := range e.cands {
-		at[ci]++
+	nodes, obls := int32(e.nodes.len()), int32(e.obs.len())
+	at := make([]int32, nodes+1)
+	for k := int32(0); int(k) < e.cands.len(); k++ {
+		at[*e.cands.at(k)]++
 	}
 	for c := 1; c < len(at); c++ {
 		at[c] += at[c-1]
 	}
 	// Filling backwards leaves at[c] at the start of c's edges.
-	deps := make([]dep, len(e.cands))
-	for i := len(e.nodes) - 1; i >= 0; i-- {
-		n := &e.nodes[i]
+	deps := make([]int32, e.cands.len())
+	owner := make([]int32, obls)
+	for i := nodes - 1; i >= 0; i-- {
+		n := e.nodes.at(i)
 		for o := n.obHi - 1; o >= n.obLo; o-- {
-			ob := &e.obs[o]
+			owner[o] = i
+			ob := e.obs.at(o)
 			for k := ob.hi - 1; k >= ob.lo; k-- {
-				ci := e.cands[k]
+				ci := *e.cands.at(k)
 				at[ci]--
-				deps[at[ci]] = dep{int32(i), o}
+				deps[at[ci]] = o
 			}
 		}
 	}
-	alive := make([]int32, len(e.obs))
-	var work []int32
-	for i := range e.nodes {
-		n := &e.nodes[i]
+	alive := make([]int32, obls)
+	// Each pair is pushed at most once, when it dies.
+	work := make([]int32, 0, nodes)
+	for i := int32(0); i < nodes; i++ {
+		n := e.nodes.at(i)
 		if n.bad {
-			work = append(grow(work, 1), int32(i))
+			work = append(work, i)
 			continue
 		}
 		for o := n.obLo; o < n.obHi; o++ {
-			ob := &e.obs[o]
+			ob := e.obs.at(o)
 			alive[o] = ob.hi - ob.lo
 			if alive[o] == 0 && !n.bad {
 				n.bad = true
-				work = append(grow(work, 1), int32(i))
+				work = append(work, i)
 			}
 		}
 	}
@@ -424,15 +462,15 @@ func (e *engine) fixpoint() {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
 		cPops.Add(1)
-		for _, d := range deps[at[i]:at[i+1]] {
-			dn := &e.nodes[d.node]
+		for _, o := range deps[at[i]:at[i+1]] {
+			dn := e.nodes.at(owner[o])
 			if dn.bad {
 				continue
 			}
-			alive[d.ob]--
-			if alive[d.ob] == 0 {
+			alive[o]--
+			if alive[o] == 0 {
 				dn.bad = true
-				work = append(grow(work, 1), d.node)
+				work = append(work, owner[o])
 			}
 		}
 	}
@@ -447,10 +485,9 @@ func (e *engine) failReason(n *pairNode) string {
 	if n.staticBad {
 		return e.barbReason(n)
 	}
-	obls := e.obligations(n)
-	for i := range obls {
-		if e.witness(&obls[i]) < 0 {
-			return e.move(&obls[i]).describe()
+	for o := n.obLo; o < n.obHi; o++ {
+		if ob := e.obs.at(o); e.witness(ob) < 0 {
+			return e.move(ob).describe()
 		}
 	}
 	return "" // unreachable: a pair the fixpoint killed has a dead obligation

@@ -161,22 +161,35 @@ type outTarget struct {
 	tgt   *termInfo
 }
 
-func shardOf(key string) uint32 {
+func shardOf(key []byte) uint32 {
 	// FNV-1a, inlined to avoid the hash.Hash allocation per intern.
 	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
+	for _, c := range key {
+		h ^= uint32(c)
 		h *= 16777619
 	}
 	return h % storeShards
 }
 
+// keyBufs holds idle key buffers for intern. One that grew past
+// maxPooledKey bytes is dropped instead, as syntax drops its key writers.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledKey = 64 << 10
+
 // intern canonicalises p and returns its unique termInfo, computing the
 // transitions singleflight. Concurrent interns of the same term return the
-// same pointer.
+// same pointer. The key is written into a pooled buffer and the shard map
+// probed with its bytes, so only a new term allocates its key string.
 func (s *Store) intern(p syntax.Proc) (*termInfo, error) {
 	p = syntax.Simplify(p)
-	ti, fresh := s.resolve(syntax.Key(p), p)
+	kb := keyBufs.Get().(*[]byte)
+	k := syntax.AppendKey((*kb)[:0], p)
+	ti, fresh := s.resolve(k, p)
+	if cap(k) <= maxPooledKey {
+		*kb = k
+		keyBufs.Put(kb)
+	}
 	if fresh {
 		s.internMisses.Add(1)
 		s.obsInternMisses.Add(1)
@@ -188,14 +201,16 @@ func (s *Store) intern(p syntax.Proc) (*termInfo, error) {
 }
 
 // resolve looks up (or creates) the termInfo of an already-simplified term
-// under its shard lock. It does NOT compute transitions — call ready.
-func (s *Store) resolve(k string, p syntax.Proc) (ti *termInfo, fresh bool) {
+// with key k under its shard lock. It does NOT compute transitions — call
+// ready.
+func (s *Store) resolve(k []byte, p syntax.Proc) (ti *termInfo, fresh bool) {
 	sh := &s.shards[shardOf(k)]
 	sh.mu.Lock()
-	ti, ok := sh.terms[k]
+	ti, ok := sh.terms[string(k)]
 	if !ok {
-		ti = &termInfo{id: s.nextID.Add(1), proc: p, key: k, free: syntax.FreeNames(p)}
-		sh.terms[k] = ti
+		key := string(k)
+		ti = &termInfo{id: s.nextID.Add(1), proc: p, key: key, free: syntax.FreeNames(p)}
+		sh.terms[key] = ti
 	}
 	sh.mu.Unlock()
 	return ti, !ok

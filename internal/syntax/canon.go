@@ -83,16 +83,25 @@ func AlphaEqual(p, q Proc) bool { return Key(p) == Key(q) }
 // written as canonMark followed by its index in traversal order, and every
 // bound occurrence as the name written for its binder, so renaming bound
 // names cannot change it.
-func Key(p Proc) string { return KeyAfter(nil, p) }
-
-// KeyAfter returns string(prefix) + Key(p), allocating only the result.
-func KeyAfter(prefix []byte, p Proc) string {
+func Key(p Proc) string {
 	w := getKeyWriter()
-	w.b = append(w.b, prefix...)
 	w.key(p)
 	k := string(w.b) // copied out: w.b goes back to the pool
 	putKeyWriter(w)
 	return k
+}
+
+// AppendKey appends Key(p) to dst and returns the extended buffer. It
+// allocates only when dst must grow, so a caller that keeps its buffer can
+// key a term, look the bytes up and build a string only for a new term.
+func AppendKey(dst []byte, p Proc) []byte {
+	w := getKeyWriter()
+	own := w.b
+	w.b = dst
+	w.key(p)
+	dst, w.b = w.b, own
+	putKeyWriter(w)
+	return dst
 }
 
 // keyWriter writes Keys in one walk of the term each, into a buffer that

@@ -1,6 +1,8 @@
 package syntax_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -268,6 +270,37 @@ func TestKeyMatchesReference(t *testing.T) {
 	t.Logf("%d terms keyed and simplified", len(terms))
 }
 
+// stepsOutputHash pins what Steps derives for every term of refCorpus:
+// each transition's label, its target as printed and its target's key, in
+// the order Steps returns them, or the error. A reordered list, another
+// duplicate kept by dedupe or a respelled target moves it; the certificate
+// goldens, a few pairs each, can miss all three.
+const stepsOutputHash = "106780eb1faff9b74c63506c5d1d294b305202320555c990d4bbdbdbb7ecebf7"
+
+// TestStepsOutputPinned hashes the Steps result of each refCorpus term,
+// derived over the empty environment, into one SHA-256.
+func TestStepsOutputPinned(t *testing.T) {
+	terms := refCorpus(t)
+	sys := semantics.NewSystem(nil)
+	h := sha256.New()
+	ntrans := 0
+	for _, p := range terms {
+		ts, err := sys.Steps(p)
+		if err != nil {
+			fmt.Fprintf(h, "error %s\n", err)
+			continue
+		}
+		for _, tr := range ts {
+			fmt.Fprintf(h, "%s\x00%s\x00%s\n", tr.Act, syntax.String(tr.Target), syntax.Key(tr.Target))
+		}
+		h.Write([]byte("\x1e\n"))
+		ntrans += len(ts)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != stepsOutputHash {
+		t.Errorf("Steps over %d terms (%d transitions) hashes to %s, want %s", len(terms), ntrans, got, stepsOutputHash)
+	}
+}
+
 // TestSimplifyKeyAllocs pins what term identity allocates for a term that
 // is already simplified, as the unchanged operands of every interned
 // transition target are. Simplify returns mesh-12 as it is, allocating at
@@ -290,11 +323,12 @@ func TestSimplifyKeyAllocs(t *testing.T) {
 	}
 }
 
-// TestKeyWritersShared keys, simplifies and dedupes the transitions of the
-// same corpus terms from 8 goroutines at once, 100 times each, against one
-// goroutine's results: a pooled key writer or TransKey buffer that leaked
-// bytes or binders from one call into another would change a key, and so
-// a sort.
+// TestKeyWritersShared keys, simplifies, derives and dedupes the
+// transitions of the same corpus terms from 8 goroutines at once, 100
+// times each, against one goroutine's results: a pooled key writer,
+// derivation buffer or dedupe scratch that leaked bytes, transitions or
+// binders from one call into another would change a key, a target or the
+// order of a list.
 func TestKeyWritersShared(t *testing.T) {
 	corpus := refCorpus(t)
 	sys := semantics.NewSystem(nil)
@@ -304,16 +338,16 @@ func TestKeyWritersShared(t *testing.T) {
 		simple syntax.Proc
 		trans  []semantics.Trans
 		tkeys  []string
+		err    bool
 	}
 	var ws []want
 	for i := 0; i < len(corpus); i += len(corpus) / 64 {
 		p := corpus[i]
 		w := want{p: p, key: syntax.Key(p), simple: syntax.Simplify(p)}
-		if ts, err := sys.Steps(p); err == nil {
-			w.trans = ts
-			for _, tr := range ts {
-				w.tkeys = append(w.tkeys, semantics.TransKey(tr))
-			}
+		ts, err := sys.Steps(p)
+		w.trans, w.err = ts, err != nil
+		for _, tr := range ts {
+			w.tkeys = append(w.tkeys, semantics.TransKey(tr))
 		}
 		ws = append(ws, w)
 	}
@@ -335,6 +369,17 @@ func TestKeyWritersShared(t *testing.T) {
 					for i, tr := range w.trans {
 						if k := semantics.TransKey(tr); k != w.tkeys[i] {
 							t.Errorf("TransKey(%s) = %q, want %q", tr, k, w.tkeys[i])
+							return
+						}
+					}
+					ts, err := sys.Steps(w.p)
+					if (err != nil) != w.err || len(ts) != len(w.trans) {
+						t.Errorf("Steps(%s): %d transitions, err %v; want %d", syntax.String(w.p), len(ts), err, len(w.trans))
+						return
+					}
+					for i, tr := range ts {
+						if tr.Act.String() != w.trans[i].Act.String() || !syntax.Equal(tr.Target, w.trans[i].Target) {
+							t.Errorf("Steps(%s)[%d] = %s, want %s", syntax.String(w.p), i, tr, w.trans[i])
 							return
 						}
 					}
