@@ -488,24 +488,16 @@ func shapeEq(a, b map[shapeKey]bool) bool {
 
 // matchInputs checks that every instantiation of every input summand of ls
 // is matched by some input summand of rs. side names the mover side in the
-// recorded proof steps.
+// recorded proof steps. An input is instantiated over the shared free
+// names plus enough fresh names to realise every equality pattern among
+// its parameters, one payload at a time.
 func (pr *Prover) matchInputs(side string, ls, rs []Summand, fn names.Set) (bool, error) {
 	g := pr.curGoal()
 	for _, l := range ls {
-		// Instantiation universe: the shared free names plus enough fresh
-		// names to realise every equality pattern among the parameters.
-		univ := fn.Sorted()
-		avoid := fn.Clone()
-		for i := 0; i < len(l.Binder); i++ {
-			w := syntax.FreshVariant("w", avoid)
-			avoid = avoid.Add(w)
-			univ = append(univ, w)
-		}
-		for _, payload := range names.Tuples(univ, len(l.Binder)) {
+		err := names.EachTuple(names.Universe(fn, len(l.Binder)), len(l.Binder), func(payload []names.Name) error {
 			lc := syntax.Instantiate(l.Cont, l.Binder, payload)
 			var tried []cert.RefuteStep
 			seen := map[string]bool{}
-			found := false
 			for _, r := range rs {
 				if r.Ch != l.Ch || len(r.Binder) != len(l.Binder) {
 					continue
@@ -513,7 +505,7 @@ func (pr *Prover) matchInputs(side string, ls, rs []Summand, fn names.Set) (bool
 				rc := syntax.Instantiate(r.Cont, r.Binder, payload)
 				ok, err := pr.decideWorld(lc, rc, true)
 				if err != nil {
-					return false, err
+					return err
 				}
 				if ok {
 					if g != nil {
@@ -521,8 +513,7 @@ func (pr *Prover) matchInputs(side string, ls, rs []Summand, fn names.Set) (bool
 							Payload: nameStrings(payload), Cont: syntax.String(lc),
 							Partner: syntax.String(rc), Next: pr.rec.last})
 					}
-					found = true
-					break
+					return nil
 				}
 				if g != nil {
 					pc := syntax.String(rc)
@@ -532,19 +523,27 @@ func (pr *Prover) matchInputs(side string, ls, rs []Summand, fn names.Set) (bool
 					}
 				}
 			}
-			if !found {
-				if g != nil {
-					g.FailKind, g.FailSide = "in", side
-					g.FailName, g.FailPayload = string(l.Ch), nameStrings(payload)
-					g.FailCont = syntax.String(lc)
-					g.Refutes = tried
-				}
-				return false, nil
+			if g != nil {
+				g.FailKind, g.FailSide = "in", side
+				g.FailName, g.FailPayload = string(l.Ch), nameStrings(payload)
+				g.FailCont = syntax.String(lc)
+				g.Refutes = tried
 			}
+			return errUnmatchedInput
+		})
+		if errors.Is(err, errUnmatchedInput) {
+			return false, nil
+		}
+		if err != nil {
+			return false, err
 		}
 	}
 	return true, nil
 }
+
+// errUnmatchedInput stops matchInputs' payload walk at the first
+// instantiation no input summand of the other side matches.
+var errUnmatchedInput = errors.New("axioms: unmatched input instantiation")
 
 func namesEq(a, b []names.Name) bool {
 	if len(a) != len(b) {

@@ -176,16 +176,3 @@ type shape struct {
 func freeUnion(p, q *termInfo) names.Set {
 	return p.free.Clone().AddAll(q.free)
 }
-
-// pairUniverse returns the instantiation universe for a pair: the free names
-// of both sides plus `extra` deterministic reservoir names fresh for the pair.
-func pairUniverse(p, q *termInfo, extra int) []names.Name {
-	avoid := freeUnion(p, q)
-	u := avoid.Sorted()
-	for i := 0; i < extra; i++ {
-		w := syntax.FreshVariant("w", avoid)
-		avoid = avoid.Add(w)
-		u = append(u, w)
-	}
-	return u
-}

@@ -35,7 +35,7 @@ func (e *engine) buildLabelled(p, q *termInfo, b *built) error {
 	}
 
 	// Clause 3: receptions-or-discards.
-	return e.reactionObligations(p, q, b)
+	return e.reactionObligations(p, q, b, avoid)
 }
 
 // outputObligations adds, for every output move of the `left` (or right)
@@ -90,10 +90,12 @@ func (c *Checker) outputAnswers(ti *termInfo, avoid names.Set, weak bool) (map[s
 }
 
 // reactionObligations adds the clause-3 obligations: for every channel a on
-// which either side listens, and every payload c̃ over the pair universe,
-// every reaction (reception or discard) of one side must be matched by a
-// reaction of the other.
-func (e *engine) reactionObligations(p, q *termInfo, b *built) error {
+// which either side listens, and every payload c̃ over the pair universe
+// (the free names avoid of the pair plus reservoir names), every reaction
+// (reception or discard) of one side must be matched by a reaction of the
+// other. The payloads are walked one at a time, the context checked at
+// each, so a wide input cannot outlast the query's deadline.
+func (e *engine) reactionObligations(p, q *termInfo, b *built, avoid names.Set) error {
 	shapes := inputShapes(p)
 	for s := range inputShapes(q) {
 		shapes[s] = true
@@ -104,8 +106,10 @@ func (e *engine) reactionObligations(p, q *termInfo, b *built) error {
 	}
 	sortShapes(ordered)
 	for _, s := range ordered {
-		u := pairUniverse(p, q, s.arity)
-		for _, payload := range names.Tuples(u, s.arity) {
+		err := names.EachTuple(names.Universe(avoid, s.arity), s.arity, func(payload []names.Name) error {
+			if err := e.ctx.Err(); err != nil {
+				return ErrCanceled{err}
+			}
 			pr, err := e.reactTargets(p, s.ch, payload)
 			if err != nil {
 				return err
@@ -132,6 +136,10 @@ func (e *engine) reactionObligations(p, q *termInfo, b *built) error {
 			for _, r := range qm {
 				b.add(obMove{side: sideRight, kind: kindReact, ch: s.ch, payload: payload, mover: r}, pr)
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

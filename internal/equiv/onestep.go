@@ -185,9 +185,10 @@ func (oq *oneStepQuery) weakDiscardMatch(discarder, other *termInfo, a names.Nam
 	return crt, false, err
 }
 
-// errUnmatched stops an output enumeration at the first mover output no
-// answer matches.
-var errUnmatched = errors.New("equiv: unmatched one-step output")
+// errUnmatched stops a walk over outputs, payloads or fusions at the first
+// mover move no answer matches, or the first fusion whose instances are
+// not one-step related.
+var errUnmatched = errors.New("equiv: unmatched one-step move")
 
 // oneStepDirected checks the mover→answerer half of Definitions 11/15 for
 // τ, output and input moves. side names the mover ("left" = pi moved).
@@ -263,29 +264,35 @@ func (oq *oneStepQuery) oneStepDirected(mover, answerer *termInfo, side string, 
 	}
 	sortShapes(mshapes)
 	for _, s := range mshapes {
-		u := pairUniverse(mover, answerer, s.arity)
-		for _, payload := range names.Tuples(u, s.arity) {
+		err := names.EachTuple(names.Universe(avoid, s.arity), s.arity, func(payload []names.Name) error {
 			if err := oq.ctx.Err(); err != nil {
-				return nil, false, ErrCanceled{err}
+				return ErrCanceled{err}
 			}
 			receive := func(ti *termInfo) ([]*termInfo, error) { return c.receptions(ti, s.ch, payload) }
 			mIns, err := receive(mover)
-			if err != nil {
-				return nil, false, err
-			}
-			if len(mIns) == 0 {
-				continue
+			if err != nil || len(mIns) == 0 {
+				return err
 			}
 			aIns, err := c.derivatives(answerer, oq.weak, receive)
 			if err != nil {
-				return nil, false, err
+				return err
 			}
 			for _, md := range mIns {
 				crt, ok, err := oq.strictMatch(em, "in", side, "", s.ch, payload, md, aIns)
-				if err != nil || !ok {
-					return crt, false, err
+				if err == nil && !ok {
+					refuted, err = crt, errUnmatched
+				}
+				if err != nil {
+					return err
 				}
 			}
+			return nil
+		})
+		if errors.Is(err, errUnmatched) {
+			return refuted, false, nil
+		}
+		if err != nil {
+			return nil, false, err
 		}
 	}
 	return nil, true, nil
@@ -509,8 +516,10 @@ func (m *relMerger) add(sub *cert.Certificate) error {
 // Substitution closure is exact on a finite sufficient set: all fusions
 // fn(p,q) → fn(p,q). Substitutions introducing genuinely fresh targets are
 // injective renamings of these up to bisimilarity (Lemma 18), so they add no
-// discriminating power. The enumeration is n^n in |fn(p,q)|; q.MaxSubs caps
-// it. The fusions range over the free names of p and q as given, and each is
+// discriminating power. The n^n fusions of n = |fn(p,q)| names are walked
+// one at a time, the context checked at each; the walk stops after
+// q.MaxSubs of them, and the verdict is truncated only if one more exists.
+// The fusions range over the free names of p and q as given, and each is
 // applied before interning: Simplify drops matches on distinct free names
 // that a fusion would fire (DESIGN decision 4). A fusion whose instance pair
 // was already checked is skipped. A certificate names the printed input
@@ -522,14 +531,6 @@ func (m *relMerger) add(sub *cert.Certificate) error {
 func (c *Checker) congruence(ctx context.Context, q Query) (Result, error) {
 	oq := c.newOneStepQuery(ctx, q.Weak)
 	fn := syntax.FreeNames(q.P).AddAll(syntax.FreeNames(q.Q)).Sorted()
-	subs := names.AllFusions(fn, fn)
-	if len(subs) == 0 {
-		subs = []names.Subst{{}}
-	}
-	truncated := q.MaxSubs > 0 && len(subs) > q.MaxSubs
-	if truncated {
-		subs = subs[:q.MaxSubs]
-	}
 	header := func(related bool) *cert.Certificate {
 		return &cert.Certificate{
 			Version: cert.Version, Relation: cert.RelCongruence, Weak: q.Weak,
@@ -538,16 +539,25 @@ func (c *Checker) congruence(ctx context.Context, q Query) (Result, error) {
 	}
 	seen := map[[2]uint64]bool{}
 	var subCerts []*cert.Certificate
-	for _, sub := range subs {
-		if err := oq.ctx.Err(); err != nil {
-			return Result{}, ErrCanceled{err}
+	var neg *cert.Certificate
+	tried := 0
+	// A fusion is a tuple of images of fn. Its identity entries stay in
+	// the substitution: a negative certificate's sigma prints them.
+	err := names.EachTuple(fn, len(fn), func(img []names.Name) error {
+		if q.MaxSubs > 0 && tried == q.MaxSubs {
+			return errTruncated
 		}
+		tried++
+		if err := oq.ctx.Err(); err != nil {
+			return ErrCanceled{err}
+		}
+		sub := names.FromSlices(fn, img)
 		ps, qs, err := c.internPair(syntax.Apply(q.P, sub), syntax.Apply(q.Q, sub))
 		if err != nil {
-			return Result{}, fmt.Errorf("under substitution %s: %w", sub, err)
+			return fmt.Errorf("under substitution %s: %w", sub, err)
 		}
 		if seen[[2]uint64{ps.id, qs.id}] {
-			continue
+			return nil
 		}
 		seen[[2]uint64{ps.id, qs.id}] = true
 		var em *osEmit
@@ -556,28 +566,39 @@ func (c *Checker) congruence(ctx context.Context, q Query) (Result, error) {
 		}
 		crt, ok, err := oq.oneStep(ps, qs, em)
 		if err != nil {
-			return Result{}, fmt.Errorf("under substitution %s: %w", sub, err)
+			return fmt.Errorf("under substitution %s: %w", sub, err)
 		}
 		if !ok {
-			if em == nil {
-				return Result{}, nil
+			if em != nil {
+				neg = header(false)
+				neg.Sigma = sigmaMap(sub)
+				neg.Nodes = crt.Nodes
 			}
-			neg := header(false)
-			neg.Sigma = sigmaMap(sub)
-			neg.Nodes = crt.Nodes
-			return Result{Cert: neg}, nil
+			return errUnmatched
 		}
 		if em != nil {
 			subCerts = append(subCerts, crt)
 		}
-	}
-	if !c.Certify || truncated {
+		return nil
+	})
+	switch {
+	case errors.Is(err, errUnmatched):
+		return Result{Cert: neg}, nil
+	case errors.Is(err, errTruncated):
+		return Result{Related: true}, nil
+	case err != nil:
+		return Result{}, err
+	case !c.Certify:
 		return Result{Related: true}, nil
 	}
 	pos := header(true)
 	pos.Subs = subCerts
 	return Result{Related: true, Cert: pos}, nil
 }
+
+// errTruncated stops the fusion walk once q.MaxSubs fusions were tried and
+// one more exists.
+var errTruncated = errors.New("equiv: fusion budget reached")
 
 func sigmaMap(sub names.Subst) map[string]string {
 	out := make(map[string]string, len(sub))

@@ -6,11 +6,12 @@
 // set of names; for deciding the bisimilarities of the paper between p and q
 // it suffices to instantiate inputs with (i) the free names of the states in
 // play and (ii) a bounded reservoir of fresh names (one per simultaneously
-// open input position), because any further fresh name is related to the
-// reservoir names by an injective renaming, and bisimilarity is preserved by
-// injective renamings (Lemma 18 of the paper). Extruded bound-output names
-// are canonicalised jointly with their target states and join the universe
-// of the successor state via its free names.
+// open input position; names.Universe lists both), because any further
+// fresh name is related to the reservoir names by an injective renaming,
+// and bisimilarity is preserved by injective renamings (Lemma 18 of the
+// paper). Extruded bound-output names are canonicalised jointly with their
+// target states and join the universe of the successor state via its free
+// names.
 package lts
 
 import (
@@ -74,28 +75,15 @@ func (o Options) maxStates() int {
 	return o.MaxStates
 }
 
-// reservoir returns the first k reservoir names outside u, the names used
-// to probe inputs with "new" names: w✶1, w✶2, … They are valid channel
-// names that user terms never contain (they carry the reserved marker).
-func reservoir(u names.Set, k int) []names.Name {
-	out := make([]names.Name, 0, k)
-	for i := 1; len(out) < k; i++ {
-		if w := names.Name(fmt.Sprintf("w%s%d", names.FreshMarker, i)); !u.Contains(w) {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // Explore builds the graph reachable from the given roots.
 func Explore(sys *semantics.System, roots []syntax.Proc, opt Options) (*Graph, error) {
 	return ExploreCtx(context.Background(), sys, roots, opt)
 }
 
 // ExploreCtx is Explore honouring ctx. The context is checked between
-// states and every 1,024 instantiated input tuples, so a deadline stops
-// even a single state with a huge input fan-out; the error then wraps
-// ctx.Err() and the graph holds what was explored so far.
+// states and at every instantiated input tuple, so a deadline stops even a
+// single state with a huge input fan-out; the error then wraps ctx.Err()
+// and the graph holds what was explored so far.
 func ExploreCtx(ctx context.Context, sys *semantics.System, roots []syntax.Proc, opt Options) (*Graph, error) {
 	span := opt.Obs.Span("lts.explore")
 	defer span.End()
@@ -138,16 +126,14 @@ func canceled(err error) error { return fmt.Errorf("lts: exploration canceled: %
 
 // groundEdges computes the ground successor list of state p: τ and output
 // transitions as-is (outputs canonicalised), and each k-ary input
-// instantiated over base ∪ fn(p) plus k reservoir names outside it.
+// instantiated over names.Universe(base ∪ fn(p), k).
 func groundEdges(ctx context.Context, sys *semantics.System, p syntax.Proc, base names.Set, autonomousOnly bool) ([]semantics.Trans, error) {
 	ts, err := sys.Steps(p)
 	if err != nil {
 		return nil, err
 	}
 	known := base.Clone().AddAll(syntax.FreeNames(p))
-	sorted := known.Sorted()
 	var out []semantics.Trans
-	tuples := 0
 	for _, t := range ts {
 		switch t.Act.Kind {
 		case actions.Tau:
@@ -160,15 +146,10 @@ func groundEdges(ctx context.Context, sys *semantics.System, p syntax.Proc, base
 				continue
 			}
 			k := len(t.Act.Objs)
-			u := append(sorted[:len(sorted):len(sorted)], reservoir(known, k)...)
-			err := forEachTuple(u, k, func(tuple []names.Name) error {
-				if tuples++; tuples%1024 == 0 {
-					if err := ctx.Err(); err != nil {
-						return canceled(err)
-					}
+			err := names.EachTuple(names.Universe(known, k), k, func(recv []names.Name) error {
+				if err := ctx.Err(); err != nil {
+					return canceled(err)
 				}
-				// The enumerator reuses its tuple buffer; copy before storing.
-				recv := append([]names.Name(nil), tuple...)
 				act, tgt := semantics.Instantiate(t, recv)
 				out = append(out, semantics.Trans{Act: act, Target: tgt})
 				return nil
@@ -179,35 +160,6 @@ func groundEdges(ctx context.Context, sys *semantics.System, p syntax.Proc, base
 		}
 	}
 	return out, nil
-}
-
-// forEachTuple enumerates u^k in lexicographic order, stopping at the first
-// error f returns.
-func forEachTuple(u []names.Name, k int, f func([]names.Name) error) error {
-	if k == 0 {
-		return f(nil)
-	}
-	idx := make([]int, k)
-	tuple := make([]names.Name, k)
-	for {
-		for i, j := range idx {
-			tuple[i] = u[j]
-		}
-		if err := f(tuple); err != nil {
-			return err
-		}
-		i := k - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(u) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			return nil
-		}
-	}
 }
 
 // exploreFrom is the exploration loop: strictly FIFO over the frontier,

@@ -159,7 +159,7 @@ func TestExploreCtxCanceled(t *testing.T) {
 	// a?(x,y,z) over 16 names (12 known reservoir names, a, and 3 reservoir
 	// names outside those) is 4,096 tuples from a single state.
 	p := syntax.Recv(a, []names.Name{x, y, "z"}, syntax.PNil)
-	known := names.NewSet(reservoir(nil, 12)...)
+	known := names.NewSet(names.Universe(nil, 12)...)
 	ts, err := groundEdges(ctx, sys, p, known, false)
 	if !errors.Is(err, context.Canceled) || ts != nil {
 		t.Fatalf("inside a state: got %d transitions and %v, want context.Canceled", len(ts), err)
@@ -235,15 +235,26 @@ func TestMultiRootSharesStates(t *testing.T) {
 	}
 }
 
+// TestFreshReservoirValid: an input's fresh names carry the fresh marker
+// and avoid every known name, a reservoir name among them included.
 func TestFreshReservoirValid(t *testing.T) {
-	for _, n := range reservoir(nil, 3) {
+	w1 := names.Universe(nil, 1)[0]
+	p := syntax.Recv(a, []names.Name{x, y}, syntax.PNil)
+	ts, err := groundEdges(context.Background(), sys, p, names.NewSet(w1), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := names.NewSet()
+	for _, tr := range ts {
+		got = got.AddSlice(tr.Act.Objs)
+	}
+	if got.Len() != 4 || !got.Contains(a) || !got.Contains(w1) {
+		t.Fatalf("payload names %v, want a, %s and two reservoir names", got, w1)
+	}
+	for n := range got.Minus(names.NewSet(a)) {
 		if !strings.Contains(string(n), names.FreshMarker) {
 			t.Errorf("reservoir name %q must carry the fresh marker", n)
 		}
-	}
-	taken := names.NewSet(reservoir(nil, 2)...)
-	if got := reservoir(taken, 2); taken.ContainsAny(got) || len(got) != 2 || got[0] == got[1] {
-		t.Errorf("reservoir outside %v = %v, want two other names", taken, got)
 	}
 }
 

@@ -3,12 +3,14 @@
 //
 // In the calculus of Ene & Muntean every transmissible value is a channel
 // name drawn from a countable set Chb. We represent names as strings.
-// Machine-generated names, such as syntax.FreshVariant's and the
-// exploration reservoir's, carry FreshMarker.
+// Machine-generated names, such as syntax.FreshVariant's and Universe's
+// reservoir names, carry FreshMarker.
 package names
 
 import (
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -150,30 +152,26 @@ func (s Set) String() string {
 	return b.String()
 }
 
-// Tuples enumerates u^k as fresh slices, iteratively (odometer order:
-// position 0 most significant), with the exponential result preallocated.
-// Tuples(u, 0) is the one empty tuple; for k > 0 an empty u has none.
-func Tuples(u []Name, k int) [][]Name {
+// EachTuple calls f on each tuple of u^k in odometer order (position 0
+// most significant) and stops at the first error f returns, returning it.
+// Each tuple is a fresh slice that f may keep. k = 0 yields the one empty
+// tuple (nil); for k > 0 an empty u yields none.
+func EachTuple(u []Name, k int, f func([]Name) error) error {
 	if k == 0 {
-		return [][]Name{nil}
+		return f(nil)
 	}
 	if len(u) == 0 {
 		return nil
 	}
-	total := 1
-	for i := 0; i < k; i++ {
-		total *= len(u)
-	}
-	out := make([][]Name, 0, total)
-	backing := make([]Name, total*k)
 	idx := make([]int, k)
 	for {
-		t := backing[:k:k]
-		backing = backing[k:]
+		t := make([]Name, k)
 		for i, j := range idx {
 			t[i] = u[j]
 		}
-		out = append(out, t)
+		if err := f(t); err != nil {
+			return err
+		}
 		i := k - 1
 		for ; i >= 0; i-- {
 			idx[i]++
@@ -183,7 +181,27 @@ func Tuples(u []Name, k int) [][]Name {
 			idx[i] = 0
 		}
 		if i < 0 {
-			return out
+			return nil
 		}
 	}
+}
+
+// Universe returns the names a k-ary input is instantiated over when the
+// names in play are fn: fn in sorted order, then the first k reservoir
+// names w·1, w·2, … outside fn. k fresh names realise every equality
+// pattern among k received names; any other fresh name is an injective
+// renaming of these, which bisimilarity preserves (Lemma 18 of the paper).
+func Universe(fn Set, k int) []Name {
+	size := len(fn) + k
+	u := make([]Name, 0, size)
+	for n := range fn {
+		u = append(u, n)
+	}
+	slices.Sort(u)
+	for i := 1; len(u) < size; i++ {
+		if w := Name("w" + FreshMarker + strconv.Itoa(i)); !fn.Contains(w) {
+			u = append(u, w)
+		}
+	}
+	return u
 }

@@ -1,6 +1,11 @@
 package names
 
-import "testing"
+import (
+	"errors"
+	"reflect"
+	"strconv"
+	"testing"
+)
 
 func TestSetOps(t *testing.T) {
 	s := NewSet("a", "b", "c")
@@ -117,51 +122,71 @@ func TestSubstString(t *testing.T) {
 	}
 }
 
-func TestAllFusionsCount(t *testing.T) {
-	dom := []Name{"a", "b"}
-	cod := []Name{"a", "b", "c"}
-	subs := AllFusions(dom, cod)
-	if len(subs) != 9 {
-		t.Fatalf("expected 3^2=9 fusions, got %d", len(subs))
+// TestEachTuple pins the odometer order (position 0 most significant) that
+// input payloads and fusions are walked in, that each tuple is a fresh
+// slice, the one empty tuple at k = 0, none over an empty universe, and
+// that an error from f stops the walk and is returned.
+func TestEachTuple(t *testing.T) {
+	walk := func(u []Name, k int, stopAt int) ([][]Name, error) {
+		var got [][]Name
+		err := EachTuple(u, k, func(tp []Name) error {
+			got = append(got, tp)
+			if len(got) == stopAt {
+				return errStop
+			}
+			return nil
+		})
+		return got, err
 	}
-	seen := map[string]bool{}
-	for _, s := range subs {
-		k := string(s.Apply("a")) + "/" + string(s.Apply("b"))
-		if seen[k] {
-			t.Fatalf("duplicate fusion %v", s)
-		}
-		seen[k] = true
-	}
-}
-
-func TestAllFusionsEmptyDomain(t *testing.T) {
-	subs := AllFusions(nil, []Name{"a"})
-	if len(subs) != 1 || !subs[0].IsIdentity() {
-		t.Fatalf("empty domain should yield the identity only: %v", subs)
-	}
-}
-
-// TestTuples pins the odometer order (position 0 most significant) that
-// input payloads are enumerated in, and that the tuples share no storage.
-func TestTuples(t *testing.T) {
-	got := Tuples([]Name{"a", "b"}, 2)
+	got, err := walk([]Name{"a", "b"}, 2, 0)
 	want := [][]Name{{"a", "a"}, {"a", "b"}, {"b", "a"}, {"b", "b"}}
-	if len(got) != len(want) {
-		t.Fatalf("Tuples = %v, want %v", got, want)
-	}
-	for i := range want {
-		if len(got[i]) != 2 || got[i][0] != want[i][0] || got[i][1] != want[i][1] {
-			t.Fatalf("Tuples = %v, want %v", got, want)
-		}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("EachTuple({a,b}, 2) = %v, %v; want %v", got, err, want)
 	}
 	_ = append(got[0], "c") // must not write into got[1]
 	if got[1][0] != "a" || got[1][1] != "b" {
 		t.Errorf("appending to one tuple changed the next: %v", got[1])
 	}
-	if got := Tuples([]Name{"a"}, 0); len(got) != 1 || got[0] != nil {
-		t.Errorf("Tuples(u, 0) = %v, want the one empty tuple", got)
+	if got, err := walk([]Name{"a"}, 0, 0); err != nil || len(got) != 1 || got[0] != nil {
+		t.Errorf("EachTuple(u, 0) = %v, %v; want the one empty tuple", got, err)
 	}
-	if got := Tuples(nil, 1); len(got) != 0 {
-		t.Errorf("Tuples(nil, 1) = %v, want none", got)
+	if got, err := walk(nil, 0, 0); err != nil || len(got) != 1 || got[0] != nil {
+		t.Errorf("EachTuple(nil, 0) = %v, %v; want the one empty tuple", got, err)
+	}
+	if got, err := walk(nil, 1, 0); err != nil || len(got) != 0 {
+		t.Errorf("EachTuple(nil, 1) = %v, %v; want none", got, err)
+	}
+	got, err = walk([]Name{"a", "b", "c"}, 3, 5)
+	if !errors.Is(err, errStop) || len(got) != 5 || !reflect.DeepEqual(got[4], []Name{"a", "b", "b"}) {
+		t.Errorf("stopped walk = %v, %v; want 5 tuples ending a b b and errStop", got, err)
+	}
+}
+
+var errStop = errors.New("stop")
+
+// TestUniverse pins the instantiation universe: fn sorted, then the first
+// k reservoir names outside fn, skipping one fn already holds.
+func TestUniverse(t *testing.T) {
+	w := func(i int) Name { return Name("w" + FreshMarker + strconv.Itoa(i)) }
+	cases := []struct {
+		fn   Set
+		k    int
+		want []Name
+	}{
+		{NewSet("b", "a"), 0, []Name{"a", "b"}},
+		{NewSet("b", "a"), 2, []Name{"a", "b", w(1), w(2)}},
+		{nil, 1, []Name{w(1)}},
+		{nil, 0, []Name{}},
+		{NewSet("a", w(1)), 2, []Name{"a", w(1), w(2), w(3)}},
+	}
+	for _, c := range cases {
+		if got := Universe(c.fn, c.k); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Universe(%v, %d) = %v, want %v", c.fn, c.k, got, c.want)
+		}
+	}
+	fn := NewSet("a")
+	Universe(fn, 3)
+	if fn.Len() != 1 {
+		t.Errorf("Universe changed its fn to %v", fn)
 	}
 }

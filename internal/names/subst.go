@@ -164,25 +164,3 @@ func (s Subst) String() string {
 	b.WriteByte(']')
 	return b.String()
 }
-
-// AllFusions enumerates every substitution from dom into cod (|cod|^|dom|
-// functions), in a deterministic order. This is the exact closure needed to
-// decide the congruence ~c on terms whose free names are dom, taking
-// cod = dom (identifying free names in all possible ways); identifications
-// with genuinely fresh targets cannot distinguish more (they are injective
-// renamings, preserved by bisimilarity — Lemma 18 of the paper).
-func AllFusions(dom, cod []Name) []Subst {
-	if len(dom) == 0 {
-		return []Subst{{}}
-	}
-	rest := AllFusions(dom[1:], cod)
-	out := make([]Subst, 0, len(rest)*len(cod))
-	for _, target := range cod {
-		for _, tail := range rest {
-			s := tail.Clone()
-			s[dom[0]] = target
-			out = append(out, s)
-		}
-	}
-	return out
-}

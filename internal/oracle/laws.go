@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"bpi/internal/axioms"
@@ -227,19 +228,26 @@ func lawSubstClosure() Law {
 				return "", nil // vacuous
 			}
 			fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q)).Sorted()
-			for _, sub := range names.AllFusions(fn, fn) {
+			var msg string
+			err = names.EachTuple(fn, len(fn), func(img []names.Name) error {
+				sub := names.FromSlices(fn, img)
 				r, err := env.Seq.Decide(ctx, equiv.Query{Rel: cert.RelLabelled, P: syntax.Apply(p, sub), Q: syntax.Apply(q, sub)})
-				if err != nil {
-					return "", err
+				if err == nil && !r.Related {
+					msg = fmt.Sprintf("p ~c q but pσ ≁ qσ for σ=%v", sub)
+					err = errViolated
 				}
-				if !r.Related {
-					return fmt.Sprintf("p ~c q but pσ ≁ qσ for σ=%v", sub), nil
-				}
+				return err
+			})
+			if errors.Is(err, errViolated) {
+				return msg, nil
 			}
-			return "", nil
+			return "", err
 		},
 	}
 }
+
+// errViolated stops a law's walk at the first counterexample.
+var errViolated = errors.New("oracle: law violated")
 
 // ---- Observability: counters are measurements, not noise ------------------
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -198,9 +199,18 @@ func TestBatchStreamShape(t *testing.T) {
 // ignores deadlines (ROADMAP item 2b), so a wide term could still run past
 // the 50 ms MaxTimeout; that cost is not what this target checks, the
 // handling of the body is.
+//
+// The 848-byte seed asks for a?(x0,…,x10).0 | b0! | … | b51! against
+// itself: 64^11 payloads, which wrapped the product of a payload list built
+// whole to 0 and panicked the item's goroutine, killing the daemon.
 func FuzzBatch(f *testing.F) {
 	pair := `{"p":"a!.b!","q":"a!.b!","rel":"labelled"}`
+	wide := "a?(x0,x1,x2,x3,x4,x5,x6,x7,x8,x9,x10).0"
+	for i := 0; i < 52; i++ {
+		wide += " | b" + strconv.Itoa(i) + "!"
+	}
 	for _, seed := range []string{
+		`{"pairs":[{"p":"` + wide + `","q":"` + wide + `","rel":"labelled","timeout_ms":1000}]}`,
 		`{"pairs":[` + pair + `,{"p":"a?(x).x!","q":"a?(y).y!","rel":"barbed","weak":true},{"p":"a!","q":"b!","rel":"onestep"}]}`,
 		`{}`,
 		`{"pairs":[]}`,

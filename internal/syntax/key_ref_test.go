@@ -182,8 +182,14 @@ func keyRefHandwritten(t *testing.T) []syntax.Proc {
 	)
 }
 
+// maxExplored caps the terms one explored call collects: 2,079 is the most
+// any call collects today. A semantics fault that multiplies transitions
+// fails the test at the cap rather than growing the corpus without bound.
+const maxExplored = 4000
+
 // explored returns up to limit states reachable from roots by symbolic
-// transitions, with every transition target met on the way.
+// transitions, with every transition target met on the way. It fails t
+// rather than collect more than maxExplored terms.
 func explored(t *testing.T, sys *semantics.System, roots []syntax.Proc, limit int) []syntax.Proc {
 	var out []syntax.Proc
 	seen := map[string]bool{}
@@ -200,6 +206,13 @@ func explored(t *testing.T, sys *semantics.System, roots []syntax.Proc, limit in
 		ts, err := sys.Steps(p)
 		if err != nil {
 			t.Fatalf("Steps(%s): %v", syntax.String(p), err)
+		}
+		if len(out)+len(ts) > maxExplored {
+			rs := make([]string, len(roots))
+			for i, r := range roots {
+				rs[i] = syntax.String(r)
+			}
+			t.Fatalf("exploring from %q collects more than %d terms", rs, maxExplored)
 		}
 		for _, tr := range ts {
 			out = append(out, tr.Target)
