@@ -784,7 +784,7 @@ func (ck *checker) verifyCongruence(c *Certificate) error {
 		byRoot[[2]*vterm{sp, sq}] = i
 	}
 	// A fusion is a tuple of images of fn; the odometer walks them in
-	// names.AllFusions' order.
+	// names.EachTuple's order, as the engine does.
 	fn := syntax.FreeNames(p).AddAll(syntax.FreeNames(q)).Sorted()
 	verified := make([]bool, len(c.Subs))
 	return ck.s.eachTuple(fn, len(fn), func(img []names.Name) error {
