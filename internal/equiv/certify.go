@@ -14,21 +14,21 @@ import (
 // left by explore+fixpoint; the verifier re-derives everything else.
 
 // barbWitness picks the deterministic witness of a strong-barb mismatch
-// between two sorted barb lists: the least name of the left side missing on
-// the right, else the least name of the right side missing on the left,
-// tagged with the side that owns it.
-func barbWitness(pb, qb []names.Name) (moveSide, names.Name) {
-	for _, a := range pb {
+// between two sorted, differing barb lists: the least name of the left side
+// missing on the right, else the least name of the right side missing on
+// the left, as the side that owns it and its index in that side's list.
+func barbWitness(pb, qb []names.Name) (moveSide, int) {
+	for i, a := range pb {
 		if !slices.Contains(qb, a) {
-			return sideLeft, a
+			return sideLeft, i
 		}
 	}
-	for _, a := range qb {
+	for i, a := range qb {
 		if !slices.Contains(pb, a) {
-			return sideRight, a
+			return sideRight, i
 		}
 	}
-	return sideLeft, ""
+	panic("equiv: barbWitness of equal barb lists")
 }
 
 // certificate assembles the evidence for the decided root pair.
@@ -52,8 +52,21 @@ func (e *engine) certificate(root int32) *cert.Certificate {
 
 // relation emits every pair that survived the fixpoint, with the first live
 // candidate of each obligation as its witness move. Witnesses of surviving
-// pairs survive too, so the emitted relation is closed.
+// pairs survive too, so the emitted relation is closed. It counts the
+// relation first, so Pairs, Moves and the one array every Moves[i] is cut
+// from are allocated at their sizes. Terms are numbered in first use: a
+// pair's witnesses' terms before its own.
 func (e *engine) relation(c *cert.Certificate) {
+	live, moves := 0, 0
+	for i := int32(0); int(i) < e.nodes.len(); i++ {
+		if n := e.nodes.at(i); !n.bad {
+			live++
+			moves += int(n.obHi - n.obLo)
+		}
+	}
+	c.Pairs = make([][2]int, 0, live)
+	c.Moves = make([][]cert.Move, 0, live)
+	all := make([]cert.Move, 0, moves)
 	idx := map[uint64]int{}
 	termIdx := func(ti *termInfo) int {
 		if i, ok := idx[ti.id]; ok {
@@ -64,31 +77,42 @@ func (e *engine) relation(c *cert.Certificate) {
 		c.Terms = append(c.Terms, stringOf(ti))
 		return i
 	}
+	// pair[i] caches node i's term indices, each plus one, or zeros before
+	// their first use. Terms number at most twice the pairs, which are
+	// int32s, so the indices fit in a uint32.
+	pair := make([][2]uint32, e.nodes.len())
+	pairIdx := func(i int32) [2]int {
+		if pair[i][0] == 0 {
+			n := e.nodes.at(i)
+			p := termIdx(n.p)
+			pair[i] = [2]uint32{uint32(p) + 1, uint32(termIdx(n.q)) + 1}
+		}
+		return [2]int{int(pair[i][0]) - 1, int(pair[i][1]) - 1}
+	}
 	for i := int32(0); int(i) < e.nodes.len(); i++ {
 		n := e.nodes.at(i)
 		if n.bad {
 			continue
 		}
-		moves := make([]cert.Move, 0, n.obHi-n.obLo)
+		from := len(all)
 		for o := n.obLo; o < n.obHi; o++ {
 			ob := e.obs.at(o)
 			wi := e.witness(ob)
 			if wi < 0 {
 				continue // unreachable: surviving pairs keep a live candidate per obligation
 			}
-			w := e.nodes.at(wi)
 			mv := e.move(ob)
-			moves = append(moves, cert.Move{
+			all = append(all, cert.Move{
 				Side:    mv.side.String(),
 				Kind:    mv.kind.String(),
 				Label:   mv.label,
 				Ch:      string(mv.ch),
 				Payload: stringNames(mv.payload),
-				Pair:    [2]int{termIdx(w.p), termIdx(w.q)},
+				Pair:    pairIdx(wi),
 			})
 		}
-		c.Pairs = append(c.Pairs, [2]int{termIdx(n.p), termIdx(n.q)})
-		c.Moves = append(c.Moves, moves)
+		c.Pairs = append(c.Pairs, pairIdx(i))
+		c.Moves = append(c.Moves, all[from:len(all):len(all)])
 	}
 }
 
@@ -109,7 +133,7 @@ func (e *engine) strategy(c *cert.Certificate, root int32) {
 		n := e.nodes.at(i)
 		s := cert.Strategy{P: stringOf(n.p), Q: stringOf(n.q)}
 		if n.staticBad {
-			s.Kind, s.Side, s.Label = "barb", n.failSide.String(), string(n.failBarb)
+			s.Kind, s.Side, s.Label = "barb", n.failSide.String(), string(n.barb())
 			c.Nodes[ci] = s
 			return ci
 		}

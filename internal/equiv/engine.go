@@ -114,14 +114,27 @@ type pairNode struct {
 	p, q *termInfo
 	// obLo, obHi delimit the pair's obligations in engine.obs.
 	obLo, obHi int32
-	bad        bool
+	// next links the pair index's bucket chain: the next node in this
+	// node's bucket, or -1 at its end.
+	next int32
+	// failBarb identifies a static barb failure structurally: the index,
+	// in the barbs of the side failSide, of the barb the other side cannot
+	// (weakly) answer.
+	failBarb int32
+	bad      bool
 	// staticBad records that the pair failed a build-time check (barbs)
 	// rather than the fixpoint; barbReason renders it on demand.
 	staticBad bool
-	// failSide/failBarb identify the static barb failure structurally (the
-	// side owning the unmatched barb, and its channel).
-	failSide moveSide
-	failBarb names.Name
+	failSide  moveSide
+}
+
+// barb is the channel of n's static barb failure.
+func (n *pairNode) barb() names.Name {
+	owner := n.p
+	if n.failSide == sideRight {
+		owner = n.q
+	}
+	return owner.barbs[n.failBarb]
 }
 
 // obligation is one matching requirement of a pair: at least one of its
@@ -149,7 +162,7 @@ type moveLabel struct {
 type built struct {
 	bad      bool
 	failSide moveSide
-	failBarb names.Name
+	failBarb int32
 	obs      []obSpec
 }
 
@@ -167,11 +180,27 @@ func (b *built) add(mv obMove, answers []*termInfo) {
 	b.obs = append(b.obs, obSpec{mv: mv, answers: answers})
 }
 
-// failBarbOn records a static barb failure: side owns a barb on a that the
+// clause records the obligations of one matching clause, whose moves are
+// like mv: each move of the left side, to a mover in pm, is answered by
+// qAns, and each move of the right side, to a mover in qm, by pAns.
+func (b *built) clause(mv obMove, pm, qm, qAns, pAns []*termInfo) {
+	mv.side = sideLeft
+	for _, m := range pm {
+		mv.mover = m
+		b.add(mv, qAns)
+	}
+	mv.side = sideRight
+	for _, m := range qm {
+		mv.mover = m
+		b.add(mv, pAns)
+	}
+}
+
+// failBarbOn records a static barb failure: side owns barb i, which the
 // other side cannot (weakly) answer.
-func (b *built) failBarbOn(side moveSide, a names.Name) {
+func (b *built) failBarbOn(side moveSide, i int) {
 	b.bad = true
-	b.failSide, b.failBarb = side, a
+	b.failSide, b.failBarb = side, int32(i)
 }
 
 // engine decides one query. It owns the query's pair graph as append-only
@@ -186,9 +215,11 @@ type engine struct {
 	obs    segs[obligation]
 	labels segs[moveLabel]
 	cands  segs[int32]
-	// index maps a pair's two store ids, packed into one word as
-	// p.id<<32 | q.id, to its node.
-	index map[uint64]int32
+	// heads is the pair index: heads[h] is the first node of bucket h, or
+	// -1, and the nodes of one bucket chain through pairNode.next. It
+	// doubles when the nodes reach its length; indexBits is log2 of it.
+	heads     []int32
+	indexBits uint
 
 	// Observability: nil when the checker has no tracer; every use is a
 	// nil-safe no-op then. Counters are resolved once per run so the hot
@@ -200,10 +231,11 @@ type engine struct {
 func (c *Checker) run(ctx context.Context, pi, qi *termInfo, sp spec) (Result, error) {
 	tr := c.Obs
 	e := &engine{
-		c: c, ctx: ctx, sp: sp, index: map[uint64]int32{},
+		c: c, ctx: ctx, sp: sp,
 		tr:     tr,
 		cPairs: tr.Counter("equiv.pairs_expanded"),
 	}
+	e.growIndex()
 	run := tr.Span("equiv.run")
 	defer run.End()
 	root, err := e.node(pi, qi)
@@ -310,24 +342,52 @@ func (e *engine) merge(n *pairNode, b *built) error {
 	return nil
 }
 
-// node interns the ordered pair (p,q) by store IDs. The two ids share one
-// map key, so an id at or past 2^32 is refused rather than let collide; a
-// store that large would need terabytes of heap.
+// node interns the ordered pair (p,q): it walks the chain of the pair's
+// bucket, and appends a new pair at the head of that chain.
 func (e *engine) node(p, q *termInfo) (int32, error) {
-	if (p.id|q.id)>>32 != 0 {
-		return 0, ErrBudget{"term ids past 2^32"}
-	}
-	k := p.id<<32 | q.id
-	if i, ok := e.index[k]; ok {
-		return i, nil
+	h := e.bucket(p, q)
+	for i := e.heads[h]; i >= 0; {
+		n := e.nodes.at(i)
+		if n.p == p && n.q == q {
+			return i, nil
+		}
+		i = n.next
 	}
 	if e.nodes.len() >= e.c.maxPairs() {
 		return 0, ErrBudget{"pair space"}
 	}
-	i := e.nodes.add(pairNode{p: p, q: q})
-	e.index[k] = i
+	i := e.nodes.add(pairNode{p: p, q: q, next: e.heads[h]})
+	e.heads[h] = i
 	e.cPairs.Add(1)
+	if e.nodes.len() >= len(e.heads) {
+		e.growIndex()
+	}
 	return i, nil
+}
+
+// bucket hashes a pair's two store ids to a bucket of the pair index.
+func (e *engine) bucket(p, q *termInfo) uint64 {
+	return (((p.id * 0x9e3779b97f4a7c15) ^ q.id) * 0xbf58476d1ce4e5b9) >> (64 - e.indexBits)
+}
+
+// growIndex doubles the pair index (to segFirst buckets when it has none)
+// and relinks every node into the new buckets. Only the bucket heads are
+// allocated: the chains live in the nodes, which do not move.
+func (e *engine) growIndex() {
+	if e.heads == nil {
+		e.indexBits = segFirstBits
+	} else {
+		e.indexBits++
+	}
+	e.heads = make([]int32, 1<<e.indexBits)
+	for h := range e.heads {
+		e.heads[h] = -1
+	}
+	for i := int32(0); int(i) < e.nodes.len(); i++ {
+		n := e.nodes.at(i)
+		h := e.bucket(n.p, n.q)
+		n.next, e.heads[h] = e.heads[h], i
+	}
 }
 
 // Segment sizes of the pair graph's arrays: the first holds segFirst
@@ -414,63 +474,82 @@ func (e *engine) move(ob *obligation) obMove {
 // only the obligations actually depending on it are revisited, so the sweep
 // is O(total candidate edges) instead of O(rescans × relation size). The
 // edges are in CSR form: the obligations that node c supports are
-// deps[at[c]:at[c+1]], and obligation o belongs to pair owner[o].
+// deps[at[c]:at[c+1]], and obligation o belongs to pair owner[o]; dead[c]
+// mirrors pairNode.bad. A pair that failed its barb check is dead before the
+// sweep starts: it supports nothing, so it gets no edges, and the alive
+// counts of the obligations it answers start without it. Each such pair
+// counts as one worklist pop, as if it had been pushed and popped.
 func (e *engine) fixpoint() {
 	nodes, obls := int32(e.nodes.len()), int32(e.obs.len())
+	dead := make([]bool, nodes)
+	statics := int64(0)
+	for i := int32(0); i < nodes; i++ {
+		if e.nodes.at(i).staticBad {
+			dead[i] = true
+			statics++
+		}
+	}
 	at := make([]int32, nodes+1)
+	edges := 0
 	for k := int32(0); int(k) < e.cands.len(); k++ {
-		at[*e.cands.at(k)]++
+		if ci := *e.cands.at(k); !dead[ci] {
+			at[ci]++
+			edges++
+		}
 	}
 	for c := 1; c < len(at); c++ {
 		at[c] += at[c-1]
 	}
 	// Filling backwards leaves at[c] at the start of c's edges.
-	deps := make([]int32, e.cands.len())
+	deps := make([]int32, edges)
 	owner := make([]int32, obls)
+	alive := make([]int32, obls)
 	for i := nodes - 1; i >= 0; i-- {
 		n := e.nodes.at(i)
 		for o := n.obHi - 1; o >= n.obLo; o-- {
 			owner[o] = i
 			ob := e.obs.at(o)
 			for k := ob.hi - 1; k >= ob.lo; k-- {
-				ci := *e.cands.at(k)
-				at[ci]--
-				deps[at[ci]] = o
+				if ci := *e.cands.at(k); !dead[ci] {
+					at[ci]--
+					deps[at[ci]] = o
+					alive[o]++
+				}
 			}
 		}
 	}
-	alive := make([]int32, obls)
 	// Each pair is pushed at most once, when it dies.
 	work := make([]int32, 0, nodes)
+	kill := func(i int32) {
+		dead[i] = true
+		e.nodes.at(i).bad = true
+		work = append(work, i)
+	}
 	for i := int32(0); i < nodes; i++ {
-		n := e.nodes.at(i)
-		if n.bad {
-			work = append(work, i)
+		if dead[i] {
 			continue
 		}
+		n := e.nodes.at(i)
 		for o := n.obLo; o < n.obHi; o++ {
-			ob := e.obs.at(o)
-			alive[o] = ob.hi - ob.lo
-			if alive[o] == 0 && !n.bad {
-				n.bad = true
-				work = append(work, i)
+			if alive[o] == 0 {
+				kill(i)
+				break
 			}
 		}
 	}
 	cPops := e.tr.Counter("equiv.worklist_pops")
+	cPops.Add(statics)
 	for len(work) > 0 {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
 		cPops.Add(1)
 		for _, o := range deps[at[i]:at[i+1]] {
-			dn := e.nodes.at(owner[o])
-			if dn.bad {
+			if dead[owner[o]] {
 				continue
 			}
 			alive[o]--
 			if alive[o] == 0 {
-				dn.bad = true
-				work = append(work, owner[o])
+				kill(owner[o])
 			}
 		}
 	}
@@ -502,7 +581,7 @@ func (e *engine) barbReason(n *pairNode) string {
 		if e.sp.rel == cert.RelStep {
 			what = "step barbs"
 		}
-		return fmt.Sprintf("%s differ on %s: %v vs %v", what, n.failBarb,
+		return fmt.Sprintf("%s differ on %s: %v vs %v", what, n.barb(),
 			names.NewSet(n.p.barbs...), names.NewSet(n.q.barbs...))
 	}
 	what := "weak barb"
@@ -513,7 +592,7 @@ func (e *engine) barbReason(n *pairNode) string {
 	if n.failSide == sideRight {
 		lacking = sideLeft
 	}
-	return fmt.Sprintf("%s side lacks %s on %s", lacking, what, n.failBarb)
+	return fmt.Sprintf("%s side lacks %s on %s", lacking, what, n.barb())
 }
 
 // barbsDiffer applies the static barb check of Definitions 3 and 5 and
@@ -528,13 +607,13 @@ func (e *engine) barbsDiffer(p, q *termInfo, b *built) (bool, error) {
 		return true, nil
 	}
 	lacks := func(owner, other *termInfo, side moveSide) (bool, error) {
-		for _, a := range owner.barbs {
+		for i, a := range owner.barbs {
 			ok, err := e.weakBarb(other, a)
 			if err != nil {
 				return false, err
 			}
 			if !ok {
-				b.failBarbOn(side, a)
+				b.failBarbOn(side, i)
 				return true, nil
 			}
 		}
@@ -586,12 +665,7 @@ func (e *engine) tauObligations(p, q *termInfo, b *built) error {
 			return err
 		}
 	}
-	for _, ps := range pt {
-		b.add(obMove{side: sideLeft, kind: kindTau, mover: ps}, qMatch)
-	}
-	for _, qs := range qt {
-		b.add(obMove{side: sideRight, kind: kindTau, mover: qs}, pMatch)
-	}
+	b.clause(obMove{kind: kindTau}, pt, qt, qMatch, pMatch)
 	return nil
 }
 
@@ -629,11 +703,6 @@ func (e *engine) buildStep(p, q *termInfo, b *built) error {
 			return err
 		}
 	}
-	for _, ps := range pa {
-		b.add(obMove{side: sideLeft, kind: kindStep, mover: ps}, qTargets)
-	}
-	for _, qs := range qa {
-		b.add(obMove{side: sideRight, kind: kindStep, mover: qs}, pTargets)
-	}
+	b.clause(obMove{kind: kindStep}, pa, qa, qTargets, pTargets)
 	return nil
 }

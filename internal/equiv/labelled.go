@@ -18,6 +18,10 @@ func stringOf(ti *termInfo) string { return syntax.String(ti.proc) }
 //  3. receptions-or-discards a(c̃)? matched by receptions-or-discards,
 //     for every channel either side listens on and every payload tuple over
 //     the pair universe.
+//
+// When both sides are one term (p == q), clauses 2 and 3 derive each answer
+// set and each set of moves once and use it for both sides: the second
+// derivation would intern nothing new.
 func (e *engine) buildLabelled(p, q *termInfo, b *built) error {
 	avoid := freeUnion(p, q)
 
@@ -27,10 +31,7 @@ func (e *engine) buildLabelled(p, q *termInfo, b *built) error {
 	}
 
 	// Clause 2: outputs on identical canonical labels.
-	if err := e.outputObligations(p, q, b, avoid, true); err != nil {
-		return err
-	}
-	if err := e.outputObligations(p, q, b, avoid, false); err != nil {
+	if err := e.outputObligations(p, q, b, avoid); err != nil {
 		return err
 	}
 
@@ -38,19 +39,35 @@ func (e *engine) buildLabelled(p, q *termInfo, b *built) error {
 	return e.reactionObligations(p, q, b, avoid)
 }
 
-// outputObligations adds, for every output move of the `left` (or right)
-// component, the candidates derived from matching outputs of the other side.
-func (e *engine) outputObligations(p, q *termInfo, b *built, avoid names.Set, leftMoves bool) error {
-	mover, other, side := p, q, sideLeft
-	if !leftMoves {
-		mover, other, side = q, p, sideRight
-	}
-	answers, err := e.c.outputAnswers(other, avoid, e.sp.weak)
+// outputObligations adds, for every output move of each side, the
+// candidates derived from matching outputs of the other side: first p's
+// moves against q's answers, then q's against p's.
+func (e *engine) outputObligations(p, q *termInfo, b *built, avoid names.Set) error {
+	qAns, err := e.c.outputAnswers(q, avoid, e.sp.weak)
 	if err != nil {
 		return err
 	}
-	return e.c.eachOutput(mover, avoid, func(o outTarget) error {
-		b.add(obMove{side: side, kind: kindOut, label: o.label, mover: o.tgt}, answers[o.label])
+	first := len(b.obs)
+	err = e.c.eachOutput(p, avoid, func(o outTarget) error {
+		b.add(obMove{side: sideLeft, kind: kindOut, label: o.label, mover: o.tgt}, qAns[o.label])
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if p == q {
+		for _, ob := range b.obs[first:] {
+			ob.mv.side = sideRight
+			b.add(ob.mv, ob.answers)
+		}
+		return nil
+	}
+	pAns, err := e.c.outputAnswers(p, avoid, e.sp.weak)
+	if err != nil {
+		return err
+	}
+	return e.c.eachOutput(q, avoid, func(o outTarget) error {
+		b.add(obMove{side: sideRight, kind: kindOut, label: o.label, mover: o.tgt}, pAns[o.label])
 		return nil
 	})
 }
@@ -97,8 +114,10 @@ func (c *Checker) outputAnswers(ti *termInfo, avoid names.Set, weak bool) (map[s
 // each, so a wide input cannot outlast the query's deadline.
 func (e *engine) reactionObligations(p, q *termInfo, b *built, avoid names.Set) error {
 	shapes := inputShapes(p)
-	for s := range inputShapes(q) {
-		shapes[s] = true
+	if p != q {
+		for s := range inputShapes(q) {
+			shapes[s] = true
+		}
 	}
 	ordered := make([]shape, 0, len(shapes))
 	for s := range shapes {
@@ -114,9 +133,11 @@ func (e *engine) reactionObligations(p, q *termInfo, b *built, avoid names.Set) 
 			if err != nil {
 				return err
 			}
-			qr, err := e.reactTargets(q, s.ch, payload)
-			if err != nil {
-				return err
+			qr := pr
+			if p != q {
+				if qr, err = e.reactTargets(q, s.ch, payload); err != nil {
+					return err
+				}
 			}
 			// The moves to be matched are the strong one-step reactions:
 			// the answers themselves when strong, derived again (all
@@ -126,16 +147,14 @@ func (e *engine) reactionObligations(p, q *termInfo, b *built, avoid names.Set) 
 				if pm, err = e.c.reactions(p, s.ch, payload); err != nil {
 					return err
 				}
-				if qm, err = e.c.reactions(q, s.ch, payload); err != nil {
-					return err
+				qm = pm
+				if p != q {
+					if qm, err = e.c.reactions(q, s.ch, payload); err != nil {
+						return err
+					}
 				}
 			}
-			for _, r := range pm {
-				b.add(obMove{side: sideLeft, kind: kindReact, ch: s.ch, payload: payload, mover: r}, qr)
-			}
-			for _, r := range qm {
-				b.add(obMove{side: sideRight, kind: kindReact, ch: s.ch, payload: payload, mover: r}, pr)
-			}
+			b.clause(obMove{kind: kindReact, ch: s.ch, payload: payload}, pm, qm, qr, pr)
 			return nil
 		})
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"bpi/internal/cert"
 	"bpi/internal/obs"
 	"bpi/internal/parser"
+	"bpi/internal/stress"
 	"bpi/internal/syntax"
 )
 
@@ -78,6 +79,48 @@ func TestSpanTreeGolden(t *testing.T) {
 	}
 	if tr.Counters()["equiv.pairs_expanded"] != int64(r.Pairs) {
 		t.Errorf("equiv.pairs_expanded = %d, Result.Pairs = %d", tr.Counters()["equiv.pairs_expanded"], r.Pairs)
+	}
+}
+
+// TestEngineCountersPinned pins the two engine counters of four decisions:
+// equiv.pairs_expanded counts the pairs and equiv.worklist_pops the pairs
+// the fixpoint found dead, those that failed their barb check before it
+// ran included. A fixpoint that dropped the statically dead pairs from the
+// counter read 0 pops for mesh-12 and 1 for the weak step pair.
+func TestEngineCountersPinned(t *testing.T) {
+	g := stress.GoldenMesh()
+	rings := stress.Rings(3, 2)
+	small := func(src string) syntax.Proc {
+		p, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p, q := small("a!.b! | c?.d!"), small("a!.c! | c?.d!")
+	for _, tc := range []struct {
+		name        string
+		q           Query
+		related     bool
+		pairs, pops int64
+	}{
+		{"mesh-12 step", Query{Rel: cert.RelStep, P: g.P, Q: g.Q}, true, 4049, 3672},
+		{"rings-3x2 labelled", Query{Rel: cert.RelLabelled, P: rings, Q: stress.Rotate(rings)}, true, 2197, 0},
+		{"a!.b! | c?.d! labelled", Query{Rel: cert.RelLabelled, P: p, Q: q}, false, 6, 6},
+		{"a!.b! | c?.d! weak step", Query{Rel: cert.RelStep, Weak: true, P: p, Q: q}, false, 7, 7},
+	} {
+		tr := obs.New()
+		c := NewChecker(nil)
+		c.Obs = tr
+		r, err := c.Decide(context.Background(), tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := tr.Counters()
+		if r.Related != tc.related || got["equiv.pairs_expanded"] != tc.pairs || got["equiv.worklist_pops"] != tc.pops {
+			t.Errorf("%s: related=%v, %d pairs expanded, %d worklist pops; want %v, %d, %d", tc.name,
+				r.Related, got["equiv.pairs_expanded"], got["equiv.worklist_pops"], tc.related, tc.pairs, tc.pops)
+		}
 	}
 }
 
