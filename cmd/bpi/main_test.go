@@ -71,6 +71,8 @@ func TestRunExitCodes(t *testing.T) {
 		{name: "unfold budget", args: []string{"steps", "(rec X(a). X(a))(a)"}, code: 1, stderr: "unfold budget"},
 		{name: "unwritable -dot", args: []string{"explore", "-dot", filepath.Join(dir, "no", "g.dot"), "a!"}, code: 1,
 			stderr: "g.dot"},
+		{name: "explore edge budget", args: []string{"explore", "-n", "64", "a?(x0,x1,x2,x3,x4,x5).0 | b0! | b1! | b2!"},
+			code: 1, stderr: "bpi: lts: exploration exceeds its budget of 1024 ground edges"},
 		{name: "unknown scenario", args: []string{"protocols", "-run", "gossip/ring-9"}, code: 1,
 			stderr: `unknown scenario "gossip/ring-9"`},
 
