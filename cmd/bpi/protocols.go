@@ -62,7 +62,7 @@ func cmdProtocols(args []string, stdout, stderr io.Writer) error {
 // the scenario's expectation.
 func decideScenario(s protocols.Scenario, terms bool, certOut string, stdout io.Writer) error {
 	if terms {
-		fmt.Fprintf(stdout, "impl: %s\nspec: %s\n", syntax.Print(s.Impl), syntax.Print(s.Spec))
+		fmt.Fprintf(stdout, "impl: %s\nspec: %s\n", syntax.String(s.Impl), syntax.String(s.Spec))
 	}
 	r, err := protocols.Decide(protocols.NewChecker(), s)
 	if err != nil {

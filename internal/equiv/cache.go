@@ -27,13 +27,13 @@
 // discovery order, then sweeps the greatest fixpoint with a
 // reverse-dependency worklist in O(edges). Parallelism lives at the query
 // level instead. All memoised semantic data (transitions, discards, τ- and
-// autonomous closures) lives in a sharded Store that interns terms to dense
-// uint64 IDs and is safe for concurrent use; a Checker is its configuration
-// plus one store, keeps no verdicts, and may itself be shared across
-// goroutines. Independent queries can therefore run concurrently over one
-// store (NewCheckerWithStore, as bpid's worker pool does) and reuse each
-// other's derivations. The only verdicts kept are a ~+ or ~c query's own
-// labelled sub-verdicts, for the length of that query.
+// autonomous closures) lives in a Store, one term table under one mutex
+// that interns terms to dense uint64 IDs and is safe for concurrent use; a
+// Checker is its configuration plus one store, keeps no verdicts, and may
+// itself be shared across goroutines. Independent queries can therefore run
+// concurrently over one store (NewCheckerWithStore, as bpid's worker pool
+// does) and reuse each other's derivations. The only verdicts kept are a ~+
+// or ~c query's own labelled sub-verdicts, for the length of that query.
 package equiv
 
 import (
@@ -51,7 +51,6 @@ import (
 // exported fields must be set before the first query and not mutated
 // afterwards.
 type Checker struct {
-	Sys *semantics.System
 	// MaxPairs bounds the number of explored pairs per query (default 20000,
 	// at most math.MaxInt32: the engine numbers pairs with int32).
 	MaxPairs int
@@ -80,7 +79,7 @@ func NewChecker(sys *semantics.System) *Checker {
 // its semantic system), so memoised transitions and closures are reused
 // across checkers.
 func NewCheckerWithStore(store *Store) *Checker {
-	return &Checker{Sys: store.System(), store: store}
+	return &Checker{store: store}
 }
 
 // Store returns the checker's term store, for sharing with other checkers.
@@ -93,11 +92,14 @@ func (c *Checker) maxPairs() int {
 	return min(c.MaxPairs, math.MaxInt32)
 }
 
-func (c *Checker) maxClosure() int {
-	if c.MaxClosure <= 0 {
-		return 2048
+// closure returns ti's closure under the moves of kind k, at most
+// MaxClosure terms (default 2048).
+func (c *Checker) closure(ti *termInfo, k moveKind) ([]*termInfo, error) {
+	budget := c.MaxClosure
+	if budget <= 0 {
+		budget = 2048
 	}
-	return c.MaxClosure
+	return c.store.closure(ti, k, budget)
 }
 
 // ErrBudget reports that a query exceeded its exploration budget; the
@@ -106,51 +108,17 @@ type ErrBudget struct{ What string }
 
 func (e ErrBudget) Error() string { return "equiv: budget exhausted while exploring " + e.What }
 
-// Thin delegation to the shared store ---------------------------------------
-
-func (c *Checker) intern(p syntax.Proc) (*termInfo, error) { return c.store.intern(p) }
-
 // internPair interns both terms of a query, p first.
 func (c *Checker) internPair(p, q syntax.Proc) (*termInfo, *termInfo, error) {
-	pi, err := c.intern(p)
+	pi, err := c.store.intern(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	qi, err := c.intern(q)
+	qi, err := c.store.intern(q)
 	if err != nil {
 		return nil, nil, err
 	}
 	return pi, qi, nil
-}
-
-func (c *Checker) discardsOn(ti *termInfo, a names.Name) (bool, error) {
-	return c.store.discardsOn(ti, a)
-}
-
-func (c *Checker) tauSucc(ti *termInfo) ([]*termInfo, error) { return c.store.tauSucc(ti) }
-
-func (c *Checker) tauClosure(ti *termInfo) ([]*termInfo, error) {
-	return c.store.tauClosure(ti, c.maxClosure())
-}
-
-func (c *Checker) autonomousSucc(ti *termInfo) ([]*termInfo, error) {
-	return c.store.autonomousSucc(ti)
-}
-
-func (c *Checker) autonomousClosure(ti *termInfo) ([]*termInfo, error) {
-	return c.store.autonomousClosure(ti, c.maxClosure())
-}
-
-func (c *Checker) receptions(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
-	return c.store.receptions(ti, ch, payload)
-}
-
-func (c *Checker) reactions(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
-	return c.store.reactions(ti, ch, payload)
-}
-
-func (c *Checker) eachOutput(ti *termInfo, avoid names.Set, fn func(outTarget) error) error {
-	return c.store.eachOutput(ti, avoid, fn)
 }
 
 // Derived observations -------------------------------------------------------

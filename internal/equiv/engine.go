@@ -30,6 +30,16 @@ type spec struct {
 	weak bool
 }
 
+// moves is the kind of move the game matches: autonomous moves for step
+// bisimilarity, and τ moves for barbed bisimilarity and labelled
+// bisimilarity's τ clause.
+func (s spec) moves() moveKind {
+	if s.rel == cert.RelStep {
+		return kindStep
+	}
+	return kindTau
+}
+
 func (s spec) String() string {
 	if s.weak {
 		return "weak " + s.rel
@@ -66,17 +76,18 @@ func (s moveSide) String() string {
 	return "left"
 }
 
-// moveKind names how the challenger moved.
+// moveKind names how the challenger moved. kindTau and kindStep come
+// first: they also index the store's per-term successor and closure memos.
 type moveKind uint8
 
 const (
 	kindTau   moveKind = iota // a τ move
+	kindStep                  // an autonomous move (τ or output), matched label-blind
 	kindOut                   // an output, matched on its canonical label
 	kindReact                 // a reception or discard a(c̃)?
-	kindStep                  // an autonomous move, matched label-blind
 )
 
-func (k moveKind) String() string { return [...]string{"tau", "out", "react", "step"}[k] }
+func (k moveKind) String() string { return [...]string{"tau", "step", "out", "react"}[k] }
 
 // obMove is the structured identity of an obligation's challenge: which side
 // moved, how, and to what — enough to re-derive the challenge independently
@@ -288,16 +299,18 @@ func (e *engine) explore(run *obs.Span) error {
 	return nil
 }
 
-// buildPair computes the static checks and matching obligations of one pair.
+// buildPair computes the static checks and matching obligations of one
+// pair. Barbed and step bisimilarity (Definitions 3 and 5) differ only in
+// the moves they match: each checks the barbs, then matches the moves of
+// its kind.
 func (e *engine) buildPair(p, q *termInfo, b *built) error {
-	switch e.sp.rel {
-	case cert.RelBarbed:
-		return e.buildBarbed(p, q, b)
-	case cert.RelStep:
-		return e.buildStep(p, q, b)
-	default:
+	if e.sp.rel == cert.RelLabelled {
 		return e.buildLabelled(p, q, b)
 	}
+	if bad, err := e.barbsDiffer(p, q, b); bad || err != nil {
+		return err
+	}
+	return e.moveClause(p, q, e.sp.moves(), b)
 }
 
 // merge installs built pair n: a statically bad pair keeps its barb
@@ -625,14 +638,10 @@ func (e *engine) barbsDiffer(p, q *termInfo, b *built) (bool, error) {
 	return lacks(q, p, sideRight)
 }
 
-// weakBarb reports ti ⇓a: some τ*-derivative of ti, or for step
-// bisimilarity some (τ ∪ output)*-derivative, has a strong barb on a.
+// weakBarb reports ti ⇓a: some state of ti's closure under the game's
+// moves (τ*, or for step bisimilarity (τ ∪ output)*) has a strong barb on a.
 func (e *engine) weakBarb(ti *termInfo, a names.Name) (bool, error) {
-	closure := e.c.tauClosure
-	if e.sp.rel == cert.RelStep {
-		closure = e.c.autonomousClosure
-	}
-	cl, err := closure(ti)
+	cl, err := e.c.closure(ti, e.sp.moves())
 	if err != nil {
 		return false, err
 	}
@@ -644,65 +653,28 @@ func (e *engine) weakBarb(ti *termInfo, a names.Name) (bool, error) {
 	return false, nil
 }
 
-// tauObligations adds the τ clause shared by barbed and labelled
-// bisimilarity: every τ move of one side is answered by a τ move of the
-// other, or in the weak case by any state of its τ* closure.
-func (e *engine) tauObligations(p, q *termInfo, b *built) error {
-	pt, err := e.c.tauSucc(p)
+// moveClause adds the clause that matches the moves of kind k: every move
+// of one side is answered by a move of the other, or in the weak case by
+// any state of its closure under k. It is the τ clause of barbed and
+// labelled bisimilarity, and step bisimilarity's label-blind clause.
+func (e *engine) moveClause(p, q *termInfo, k moveKind, b *built) error {
+	pm, err := e.c.store.succ(p, k)
 	if err != nil {
 		return err
 	}
-	qt, err := e.c.tauSucc(q)
+	qm, err := e.c.store.succ(q, k)
 	if err != nil {
 		return err
 	}
-	qMatch, pMatch := qt, pt
+	qAns, pAns := qm, pm
 	if e.sp.weak {
-		if qMatch, err = e.c.tauClosure(q); err != nil {
+		if qAns, err = e.c.closure(q, k); err != nil {
 			return err
 		}
-		if pMatch, err = e.c.tauClosure(p); err != nil {
-			return err
-		}
-	}
-	b.clause(obMove{kind: kindTau}, pt, qt, qMatch, pMatch)
-	return nil
-}
-
-// ---- barbed bisimulation (Definition 3) -----------------------------------
-
-func (e *engine) buildBarbed(p, q *termInfo, b *built) error {
-	if bad, err := e.barbsDiffer(p, q, b); bad || err != nil {
-		return err
-	}
-	return e.tauObligations(p, q, b)
-}
-
-// ---- step bisimulation (Definition 5) --------------------------------------
-
-// buildStep checks the ↓φ barbs (subjects of output transitions), then
-// matches autonomous moves label-blind.
-func (e *engine) buildStep(p, q *termInfo, b *built) error {
-	if bad, err := e.barbsDiffer(p, q, b); bad || err != nil {
-		return err
-	}
-	pa, err := e.c.autonomousSucc(p)
-	if err != nil {
-		return err
-	}
-	qa, err := e.c.autonomousSucc(q)
-	if err != nil {
-		return err
-	}
-	qTargets, pTargets := qa, pa
-	if e.sp.weak {
-		if qTargets, err = e.c.autonomousClosure(q); err != nil {
-			return err
-		}
-		if pTargets, err = e.c.autonomousClosure(p); err != nil {
+		if pAns, err = e.c.closure(p, k); err != nil {
 			return err
 		}
 	}
-	b.clause(obMove{kind: kindStep}, pa, qa, qTargets, pTargets)
+	b.clause(obMove{kind: k}, pm, qm, qAns, pAns)
 	return nil
 }

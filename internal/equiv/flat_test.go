@@ -12,28 +12,60 @@ import (
 	"bpi/internal/syntax"
 )
 
-// TestStrongReactionsInternedOnce pins the store traffic of a strong
-// labelled query: each payload's reaction sets are derived once and serve
-// as both the challenges and the answers, and every pair of this query has
-// one term on both sides, whose reaction sets are derived once for both.
-// Deriving the challenges again cost 6,084 more intern hits (19,606) and
-// as many derivation hits on this pair; deriving each side's sets apart
-// cost 3,042 more intern hits (13,522) and as many derivation hits (5,239).
-// The misses do not move: the same terms are interned in the same order.
+// TestStrongReactionsInternedOnce pins the store traffic of one fresh
+// decision per game: the intern and derivation hits and misses that bpid's
+// bpid_store_* series and the benchmark's hit ratios read. In the strong
+// labelled row each payload's reaction sets are derived once and serve as
+// both the challenges and the answers, and every pair has one term on both
+// sides, whose reaction sets are derived once for both. Deriving the
+// challenges again cost 6,084 more intern hits (19,606) and as many
+// derivation hits on that pair; deriving each side's sets apart cost 3,042
+// more intern hits (13,522) and as many derivation hits (5,239). The step
+// and barbed rows pin the τ and autonomous memos and their closures, and a
+// weak barbed pair that fails its barb check. The misses do not move as
+// long as the same terms are interned in the same order.
 func TestStrongReactionsInternedOnce(t *testing.T) {
-	p := stress.Rings(3, 2)
-	c := NewChecker(nil)
-	r, err := c.Decide(context.Background(), Query{Rel: cert.RelLabelled, P: p, Q: stress.Rotate(p)})
-	if err != nil {
-		t.Fatal(err)
+	rings := stress.Rings(3, 2)
+	mesh := stress.GoldenMesh()
+	parse := func(src string) syntax.Proc {
+		p, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if !r.Related || r.Pairs != 2197 {
-		t.Fatalf("related=%v pairs=%d, want true 2197", r.Related, r.Pairs)
-	}
-	st := c.Store().Stats()
-	if st.InternHits != 10480 || st.InternMisses != 2197 || st.DerivationHits != 2197 {
-		t.Errorf("intern hits/misses %d/%d, derivation hits %d; want 10480/2197, 2197",
-			st.InternHits, st.InternMisses, st.DerivationHits)
+	for _, tc := range []struct {
+		name    string
+		q       Query
+		related bool
+		pairs   int
+		// intern hits and misses, derivation hits and misses
+		want [4]uint64
+	}{
+		{"rings-3x2 strong labelled", Query{Rel: cert.RelLabelled, P: rings, Q: stress.Rotate(rings)},
+			true, 2197, [4]uint64{10480, 2197, 2197, 5239}},
+		{"mesh-12 strong step", Query{Rel: cert.RelStep, P: mesh.P, Q: mesh.Q},
+			true, 4049, [4]uint64{933, 377, 377, 377}},
+		{"rings-3x2 weak step", Query{Rel: cert.RelStep, Weak: true, P: rings, Q: stress.Rotate(rings)},
+			true, 3112, [4]uint64{82, 64, 7263, 128}},
+		{"weak barbed, unrelated", Query{Rel: cert.RelBarbed, Weak: true,
+			P: parse("nu c.(c! | c?.tau.a! | tau.b!)"), Q: parse("tau.a! + tau.b!")},
+			false, 18, [4]uint64{2, 9, 78, 18}},
+	} {
+		c := NewChecker(nil)
+		r, err := c.Decide(context.Background(), tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.Related != tc.related || r.Pairs != tc.pairs {
+			t.Fatalf("%s: related=%v pairs=%d, want %v %d", tc.name, r.Related, r.Pairs, tc.related, tc.pairs)
+		}
+		st := c.Store().Stats()
+		got := [4]uint64{st.InternHits, st.InternMisses, st.DerivationHits, st.DerivationMisses}
+		if got != tc.want {
+			t.Errorf("%s: intern hits/misses %d/%d, derivation hits/misses %d/%d; want %d/%d, %d/%d",
+				tc.name, got[0], got[1], got[2], got[3], tc.want[0], tc.want[1], tc.want[2], tc.want[3])
+		}
 	}
 }
 
@@ -176,7 +208,7 @@ func TestColdQueryAllocs(t *testing.T) {
 
 	// An intern hit of a term that is already simplified allocates only
 	// Simplify's operand list: the key is written into a pooled buffer and
-	// the shard map is probed without a string.
+	// the term table is probed without a string.
 	s := NewStore(nil)
 	p := syntax.Simplify(mesh.P)
 	if _, err := s.intern(p); err != nil {

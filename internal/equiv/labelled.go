@@ -26,7 +26,7 @@ func (e *engine) buildLabelled(p, q *termInfo, b *built) error {
 	avoid := freeUnion(p, q)
 
 	// Clause 1: τ.
-	if err := e.tauObligations(p, q, b); err != nil {
+	if err := e.moveClause(p, q, kindTau, b); err != nil {
 		return err
 	}
 
@@ -48,7 +48,7 @@ func (e *engine) outputObligations(p, q *termInfo, b *built, avoid names.Set) er
 		return err
 	}
 	first := len(b.obs)
-	err = e.c.eachOutput(p, avoid, func(o outTarget) error {
+	err = e.c.store.eachOutput(p, avoid, func(o outTarget) error {
 		b.add(obMove{side: sideLeft, kind: kindOut, label: o.label, mover: o.tgt}, qAns[o.label])
 		return nil
 	})
@@ -66,7 +66,7 @@ func (e *engine) outputObligations(p, q *termInfo, b *built, avoid names.Set) er
 	if err != nil {
 		return err
 	}
-	return e.c.eachOutput(q, avoid, func(o outTarget) error {
+	return e.c.store.eachOutput(q, avoid, func(o outTarget) error {
 		b.add(obMove{side: sideRight, kind: kindOut, label: o.label, mover: o.tgt}, pAns[o.label])
 		return nil
 	})
@@ -79,7 +79,7 @@ func (e *engine) outputObligations(p, q *termInfo, b *built, avoid names.Set) er
 func (c *Checker) outputAnswers(ti *termInfo, avoid names.Set, weak bool) (map[string][]*termInfo, error) {
 	sources := []*termInfo{ti}
 	if weak {
-		cl, err := c.tauClosure(ti)
+		cl, err := c.closure(ti, kindTau)
 		if err != nil {
 			return nil, err
 		}
@@ -87,12 +87,12 @@ func (c *Checker) outputAnswers(ti *termInfo, avoid names.Set, weak bool) (map[s
 	}
 	answers := map[string][]*termInfo{}
 	for _, src := range sources {
-		err := c.eachOutput(src, avoid, func(o outTarget) error {
+		err := c.store.eachOutput(src, avoid, func(o outTarget) error {
 			if !weak {
 				answers[o.label] = append(answers[o.label], o.tgt)
 				return nil
 			}
-			finals, err := c.tauClosure(o.tgt)
+			finals, err := c.closure(o.tgt, kindTau)
 			if err != nil {
 				return err
 			}
@@ -144,12 +144,12 @@ func (e *engine) reactionObligations(p, q *termInfo, b *built, avoid names.Set) 
 			// intern hits) only when weak.
 			pm, qm := pr, qr
 			if e.sp.weak {
-				if pm, err = e.c.reactions(p, s.ch, payload); err != nil {
+				if pm, err = e.c.store.reactions(p, s.ch, payload); err != nil {
 					return err
 				}
 				qm = pm
 				if p != q {
-					if qm, err = e.c.reactions(q, s.ch, payload); err != nil {
+					if qm, err = e.c.store.reactions(q, s.ch, payload); err != nil {
 						return err
 					}
 				}
@@ -168,7 +168,7 @@ func (e *engine) reactionObligations(p, q *termInfo, b *built, avoid names.Set) 
 // reactions, or weak ones (=ε=> · a(c̃)? · =ε=>) in the weak case.
 func (e *engine) reactTargets(ti *termInfo, ch names.Name, payload []names.Name) ([]*termInfo, error) {
 	return e.c.derivatives(ti, e.sp.weak, func(s *termInfo) ([]*termInfo, error) {
-		return e.c.reactions(s, ch, payload)
+		return e.c.store.reactions(s, ch, payload)
 	})
 }
 
@@ -178,7 +178,7 @@ func (c *Checker) derivatives(ti *termInfo, weak bool, step func(*termInfo) ([]*
 	if !weak {
 		return step(ti)
 	}
-	pre, err := c.tauClosure(ti)
+	pre, err := c.closure(ti, kindTau)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (c *Checker) derivatives(ti *termInfo, weak bool, step func(*termInfo) ([]*
 			return nil, err
 		}
 		for _, d := range ds {
-			post, err := c.tauClosure(d)
+			post, err := c.closure(d, kindTau)
 			if err != nil {
 				return nil, err
 			}

@@ -93,11 +93,11 @@ func (oq *oneStepQuery) oneStep(pi, qi *termInfo, em *osEmit) (*cert.Certificate
 		if err := oq.ctx.Err(); err != nil {
 			return nil, false, ErrCanceled{err}
 		}
-		dp, err := c.discardsOn(pi, a)
+		dp, err := c.store.discardsOn(pi, a)
 		if err != nil {
 			return nil, false, err
 		}
-		dq, err := c.discardsOn(qi, a)
+		dq, err := c.store.discardsOn(qi, a)
 		if err != nil {
 			return nil, false, err
 		}
@@ -150,13 +150,13 @@ func (oq *oneStepQuery) oneStep(pi, qi *termInfo, em *osEmit) (*cert.Certificate
 // (staying put) must be answered by other =ε=> o' with o' discarding a and
 // the pair (discarder, o') weakly bisimilar.
 func (oq *oneStepQuery) weakDiscardMatch(discarder, other *termInfo, a names.Name, side string, em *osEmit) (*cert.Certificate, bool, error) {
-	cl, err := oq.c.tauClosure(other)
+	cl, err := oq.c.closure(other, kindTau)
 	if err != nil {
 		return nil, false, err
 	}
 	var answers []*termInfo
 	for _, s := range cl {
-		d, err := oq.c.discardsOn(s, a)
+		d, err := oq.c.store.discardsOn(s, a)
 		if err != nil {
 			return nil, false, err
 		}
@@ -200,19 +200,19 @@ func (oq *oneStepQuery) oneStepDirected(mover, answerer *termInfo, side string, 
 	// least one τ of the answerer (τ·τ*, as in observational congruence):
 	// allowing the empty answer would let τ.p ≈+ p, which + contexts
 	// distinguish, contradicting Theorem 4 (≈c is a congruence).
-	mt, err := c.tauSucc(mover)
+	mt, err := c.store.succ(mover, kindTau)
 	if err != nil {
 		return nil, false, err
 	}
 	var tauTargets []*termInfo
 	if oq.weak {
-		first, err := c.tauSucc(answerer)
+		first, err := c.store.succ(answerer, kindTau)
 		if err != nil {
 			return nil, false, err
 		}
 		seen := map[uint64]*termInfo{}
 		for _, f := range first {
-			cl, err := c.tauClosure(f)
+			cl, err := c.closure(f, kindTau)
 			if err != nil {
 				return nil, false, err
 			}
@@ -225,7 +225,7 @@ func (oq *oneStepQuery) oneStepDirected(mover, answerer *termInfo, side string, 
 		}
 		sortTerms(tauTargets)
 	} else {
-		if tauTargets, err = c.tauSucc(answerer); err != nil {
+		if tauTargets, err = c.store.succ(answerer, kindTau); err != nil {
 			return nil, false, err
 		}
 	}
@@ -243,7 +243,7 @@ func (oq *oneStepQuery) oneStepDirected(mover, answerer *termInfo, side string, 
 		return nil, false, err
 	}
 	var refuted *cert.Certificate
-	err = c.eachOutput(mover, avoid, func(o outTarget) error {
+	err = c.store.eachOutput(mover, avoid, func(o outTarget) error {
 		crt, ok, err := oq.strictMatch(em, "out", side, o.label, "", nil, o.tgt, answers[o.label])
 		if err == nil && !ok {
 			refuted, err = crt, errUnmatched
@@ -268,7 +268,7 @@ func (oq *oneStepQuery) oneStepDirected(mover, answerer *termInfo, side string, 
 			if err := oq.ctx.Err(); err != nil {
 				return ErrCanceled{err}
 			}
-			receive := func(ti *termInfo) ([]*termInfo, error) { return c.receptions(ti, s.ch, payload) }
+			receive := func(ti *termInfo) ([]*termInfo, error) { return c.store.receptions(ti, s.ch, payload) }
 			mIns, err := receive(mover)
 			if err != nil || len(mIns) == 0 {
 				return err

@@ -147,13 +147,11 @@ func TestStoreConcurrentIntern(t *testing.T) {
 					t.Errorf("intern: %v", err)
 					return
 				}
-				if _, err := st.tauClosure(ti, 2048); err != nil {
-					t.Errorf("tauClosure: %v", err)
-					return
-				}
-				if _, err := st.autonomousClosure(ti, 2048); err != nil {
-					t.Errorf("autonomousClosure: %v", err)
-					return
+				for _, k := range []moveKind{kindTau, kindStep} {
+					if _, err := st.closure(ti, k, 2048); err != nil {
+						t.Errorf("%s closure: %v", k, err)
+						return
+					}
 				}
 				var o []outTarget
 				if err := st.eachOutput(ti, ti.free, func(ot outTarget) error {

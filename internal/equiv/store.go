@@ -15,15 +15,14 @@ import (
 // Store is the concurrency-safe semantic layer shared by Checkers. It
 // interns canonical terms to dense uint64 IDs and memoises the per-term
 // semantic data every equivalence query re-derives otherwise: transitions,
-// strong barbs, free-output targets, the discard relation, τ-closures and
-// autonomous closures.
+// strong barbs, free-output targets, the discard relation, and per kind of
+// move (τ, or autonomous: τ and outputs) the successors and their closures.
 //
-// The store is sharded: term interning takes one mutex out of storeShards,
-// chosen by a hash of the canonical key, so concurrent goroutines interning
-// different terms rarely contend. Per-term derived data is computed
-// singleflight-style — transitions under a sync.Once, closures by
-// compute-unlocked-then-publish (a lost race recomputes an identical value,
-// which keeps the lock graph acyclic even for τ-cyclic terms).
+// One mutex guards the term table; Simplify, keying and Steps run outside
+// it. Per-term derived data is computed singleflight-style — transitions
+// under a sync.Once, the other memos by compute-unlocked-then-publish (a
+// lost race recomputes an identical value, which keeps the lock graph
+// acyclic even for τ-cyclic terms).
 //
 // Memoised slices are shared between callers and must not be mutated.
 // Closures are returned sorted by canonical key, so every consumer sees the
@@ -31,20 +30,32 @@ import (
 type Store struct {
 	sys    *semantics.System
 	nextID atomic.Uint64
-	shards [storeShards]shard
+	// mu guards terms, the interned terms by canonical key.
+	mu    sync.Mutex
+	terms map[string]*termInfo
 
-	// Occupancy / reuse counters, exposed by Stats. "Derivations" are the
-	// memoised per-term lookups (discards, successor sets, closures): a hit
-	// returns cached data, a miss recomputes it from the semantics.
-	internHits   atomic.Uint64
-	internMisses atomic.Uint64
-	derivHits    atomic.Uint64
-	derivMisses  atomic.Uint64
+	// Reuse counters, exposed by Stats. "Derivations" are the memoised
+	// per-term lookups (discards, successor sets, closures): a hit returns
+	// cached data, a miss recomputes it from the semantics.
+	interns, derivs tally
+}
 
-	// Mirror counters on an attached tracer (SetObs); nil — a no-op with
-	// no atomic traffic — until a tracer is attached.
-	obsInternHits, obsInternMisses *obs.Counter
-	obsDerivHits, obsDerivMisses   *obs.Counter
+// tally counts the hits and misses of one kind of lookup, and mirrors them
+// onto an attached tracer's counters (nil — a no-op with no atomic traffic
+// — until SetObs attaches one).
+type tally struct {
+	hits, misses       atomic.Uint64
+	obsHits, obsMisses *obs.Counter
+}
+
+func (t *tally) count(hit bool) {
+	if hit {
+		t.hits.Add(1)
+		t.obsHits.Add(1)
+		return
+	}
+	t.misses.Add(1)
+	t.obsMisses.Add(1)
 }
 
 // SetObs mirrors the store's reuse counters (store.intern_hits/misses,
@@ -52,10 +63,8 @@ type Store struct {
 // daemon can export them per scrape. Attach before the store is shared
 // across goroutines; a nil t detaches.
 func (s *Store) SetObs(t *obs.Tracer) {
-	s.obsInternHits = t.Counter("store.intern_hits")
-	s.obsInternMisses = t.Counter("store.intern_misses")
-	s.obsDerivHits = t.Counter("store.deriv_hits")
-	s.obsDerivMisses = t.Counter("store.deriv_misses")
+	s.interns.obsHits, s.interns.obsMisses = t.Counter("store.intern_hits"), t.Counter("store.intern_misses")
+	s.derivs.obsHits, s.derivs.obsMisses = t.Counter("store.deriv_hits"), t.Counter("store.deriv_misses")
 }
 
 // Stats is a snapshot of a store's occupancy and reuse counters.
@@ -69,40 +78,18 @@ type Stats struct {
 	// (discards, τ/autonomous successors and closures) served from cache
 	// resp. recomputed from the semantics.
 	DerivationHits, DerivationMisses uint64
-	// ShardMin / ShardMax bound the per-shard term counts (occupancy spread).
-	ShardMin, ShardMax int
 }
 
 // Stats returns a consistent-enough snapshot of the store counters (each
 // counter is read atomically; the set is not a single atomic snapshot).
 func (s *Store) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Terms:            s.nextID.Load(),
-		InternHits:       s.internHits.Load(),
-		InternMisses:     s.internMisses.Load(),
-		DerivationHits:   s.derivHits.Load(),
-		DerivationMisses: s.derivMisses.Load(),
+		InternHits:       s.interns.hits.Load(),
+		InternMisses:     s.interns.misses.Load(),
+		DerivationHits:   s.derivs.hits.Load(),
+		DerivationMisses: s.derivs.misses.Load(),
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n := len(sh.terms)
-		sh.mu.Unlock()
-		if i == 0 || n < st.ShardMin {
-			st.ShardMin = n
-		}
-		if n > st.ShardMax {
-			st.ShardMax = n
-		}
-	}
-	return st
-}
-
-const storeShards = 64
-
-type shard struct {
-	mu    sync.Mutex
-	terms map[string]*termInfo
 }
 
 // NewStore returns a store over the given system (nil means the empty
@@ -113,11 +100,7 @@ func NewStore(sys *semantics.System) *Store {
 	if sys == nil {
 		sys = semantics.NewSystem(nil)
 	}
-	s := &Store{sys: sys}
-	for i := range s.shards {
-		s.shards[i].terms = make(map[string]*termInfo)
-	}
-	return s
+	return &Store{sys: sys, terms: make(map[string]*termInfo)}
 }
 
 // System returns the semantic system the store derives data from.
@@ -142,33 +125,20 @@ type termInfo struct {
 	transErr  error
 
 	// mu guards the lazily memoised fields below. Never held while calling
-	// into the store for other terms.
-	mu          sync.Mutex
-	discards    map[names.Name]bool
-	tauSuccs    []*termInfo
-	tauSuccsOK  bool
-	tauClosure  []*termInfo
-	autoSuccs   []*termInfo
-	autoSuccsOK bool
-	autoClosure []*termInfo
-	outs        []outTarget
-	outsOK      bool
+	// into the store for other terms. succs and closures are indexed by a
+	// memoised move kind, kindTau or kindStep, and nil until derived.
+	mu       sync.Mutex
+	discards map[names.Name]bool
+	succs    [2][]*termInfo
+	closures [2][]*termInfo
+	outs     []outTarget
+	outsOK   bool
 }
 
 // outTarget is one output move: its canonical label and interned target.
 type outTarget struct {
 	label string
 	tgt   *termInfo
-}
-
-func shardOf(key []byte) uint32 {
-	// FNV-1a, inlined to avoid the hash.Hash allocation per intern.
-	h := uint32(2166136261)
-	for _, c := range key {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h % storeShards
 }
 
 // keyBufs holds idle key buffers for intern. One that grew past
@@ -179,7 +149,7 @@ const maxPooledKey = 64 << 10
 
 // intern canonicalises p and returns its unique termInfo, computing the
 // transitions singleflight. Concurrent interns of the same term return the
-// same pointer. The key is written into a pooled buffer and the shard map
+// same pointer. The key is written into a pooled buffer and the term table
 // probed with its bytes, so only a new term allocates its key string.
 func (s *Store) intern(p syntax.Proc) (*termInfo, error) {
 	p = syntax.Simplify(p)
@@ -190,34 +160,36 @@ func (s *Store) intern(p syntax.Proc) (*termInfo, error) {
 		*kb = k
 		keyBufs.Put(kb)
 	}
-	if fresh {
-		s.internMisses.Add(1)
-		s.obsInternMisses.Add(1)
-	} else {
-		s.internHits.Add(1)
-		s.obsInternHits.Add(1)
-	}
+	s.interns.count(!fresh)
 	return s.ready(ti)
 }
 
 // resolve looks up (or creates) the termInfo of an already-simplified term
-// with key k under its shard lock. It does NOT compute transitions — call
-// ready.
+// with key k. It does NOT compute transitions — call ready. A new term is
+// built between two holds of the table lock, and takes its id when it is
+// inserted, unless another goroutine inserted the term first. Allocating
+// under the one lock stalled bpid's other worker: perfbench batch passes
+// took 11% longer on a 2-CPU host.
 func (s *Store) resolve(k []byte, p syntax.Proc) (ti *termInfo, fresh bool) {
-	sh := &s.shards[shardOf(k)]
-	sh.mu.Lock()
-	ti, ok := sh.terms[string(k)]
-	if !ok {
-		key := string(k)
-		ti = &termInfo{id: s.nextID.Add(1), proc: p, key: key, free: syntax.FreeNames(p)}
-		sh.terms[key] = ti
+	s.mu.Lock()
+	ti, ok := s.terms[string(k)]
+	s.mu.Unlock()
+	if ok {
+		return ti, false
 	}
-	sh.mu.Unlock()
-	return ti, !ok
+	nt := &termInfo{proc: p, key: string(k), free: syntax.FreeNames(p)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ti, ok := s.terms[nt.key]; ok {
+		return ti, false
+	}
+	nt.id = s.nextID.Add(1)
+	s.terms[nt.key] = nt
+	return nt, true
 }
 
 // ready computes ti's transitions and strong barbs singleflight (outside
-// all shard locks) and surfaces any derivation error.
+// the table lock) and surfaces any derivation error.
 func (s *Store) ready(ti *termInfo) (*termInfo, error) {
 	ti.transOnce.Do(func() {
 		ti.trans, ti.transErr = s.sys.Steps(ti.proc)
@@ -243,13 +215,10 @@ func (s *Store) discardsOn(ti *termInfo, a names.Name) (bool, error) {
 	ti.mu.Lock()
 	v, ok := ti.discards[a]
 	ti.mu.Unlock()
+	s.derivs.count(ok)
 	if ok {
-		s.derivHits.Add(1)
-		s.obsDerivHits.Add(1)
 		return v, nil
 	}
-	s.derivMisses.Add(1)
-	s.obsDerivMisses.Add(1)
 	v, err := s.sys.Discards(ti.proc, a)
 	if err != nil {
 		return false, err
@@ -263,32 +232,35 @@ func (s *Store) discardsOn(ti *termInfo, a names.Name) (bool, error) {
 	return v, nil
 }
 
-// tauSucc returns the interned τ-successors of ti (memoised; shared slice).
-func (s *Store) tauSucc(ti *termInfo) ([]*termInfo, error) {
+// succ returns the interned successors of ti under the moves of kind k, in
+// transition order: its τ moves for kindTau, its τ and output moves for
+// kindStep, an output with extruded names canonicalised deterministically.
+// Memoised; the returned slice is shared.
+func (s *Store) succ(ti *termInfo, k moveKind) ([]*termInfo, error) {
 	ti.mu.Lock()
-	if ti.tauSuccsOK {
-		out := ti.tauSuccs
-		ti.mu.Unlock()
-		s.derivHits.Add(1)
-		s.obsDerivHits.Add(1)
+	out := ti.succs[k]
+	ti.mu.Unlock()
+	s.derivs.count(out != nil)
+	if out != nil {
 		return out, nil
 	}
-	ti.mu.Unlock()
-	s.derivMisses.Add(1)
-	s.obsDerivMisses.Add(1)
-	var out []*termInfo
+	out = []*termInfo{} // not nil: a term with no such move is memoised too
 	for _, t := range ti.trans {
-		if !t.Act.IsTau() {
+		if !t.Act.IsStep() || k == kindTau && t.Act.IsOutput() {
 			continue
 		}
-		tgt, err := s.intern(t.Target)
+		tgt := t.Target
+		if len(t.Act.Bound) > 0 {
+			_, tgt = semantics.CanonTrans(t.Act, t.Target)
+		}
+		succ, err := s.intern(tgt)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, tgt)
+		out = append(out, succ)
 	}
 	ti.mu.Lock()
-	ti.tauSuccs, ti.tauSuccsOK = out, true
+	ti.succs[k] = out
 	ti.mu.Unlock()
 	return out, nil
 }
@@ -300,7 +272,7 @@ func (s *Store) tauSucc(ti *termInfo) ([]*termInfo, error) {
 // weak answer's τ-closure) must come before the next target for Reasons and
 // certificates to keep their spelling. A term whose outputs are all free
 // has labels and targets that do not depend on the pair: they are memoised
-// on the term, computed outside ti.mu and published under it like tauSucc.
+// on the term, computed outside ti.mu and published under it like succ.
 // A bound output renames its extruded names away from avoid
 // (semantics.CanonOut), so a term with one derives every output on each
 // call. Lookups are not counted as derivations.
@@ -342,98 +314,26 @@ func (s *Store) eachOutput(ti *termInfo, avoid names.Set, fn func(outTarget) err
 	return nil
 }
 
-// autonomousSucc returns the τ- and output-successors of ti, outputs with
-// extruded names canonicalised deterministically (memoised; shared slice).
-func (s *Store) autonomousSucc(ti *termInfo) ([]*termInfo, error) {
+// closure returns every term reachable from ti by moves of kind k,
+// including ti, sorted by canonical key. Memoised; the returned slice is
+// shared. The sweep holds no term mutex, so mutually reachable terms cannot
+// deadlock computing each other's closures; one that passes budget terms
+// fails with ErrBudget.
+func (s *Store) closure(ti *termInfo, k moveKind, budget int) ([]*termInfo, error) {
 	ti.mu.Lock()
-	if ti.autoSuccsOK {
-		out := ti.autoSuccs
-		ti.mu.Unlock()
-		s.derivHits.Add(1)
-		s.obsDerivHits.Add(1)
-		return out, nil
-	}
+	cl := ti.closures[k]
 	ti.mu.Unlock()
-	s.derivMisses.Add(1)
-	s.obsDerivMisses.Add(1)
-	var out []*termInfo
-	for _, t := range ti.trans {
-		if !t.Act.IsStep() {
-			continue
-		}
-		tgt := t.Target
-		if t.Act.IsOutput() && len(t.Act.Bound) > 0 {
-			_, tgt = semantics.CanonTrans(t.Act, t.Target)
-		}
-		succ, err := s.intern(tgt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, succ)
-	}
-	ti.mu.Lock()
-	ti.autoSuccs, ti.autoSuccsOK = out, true
-	ti.mu.Unlock()
-	return out, nil
-}
-
-// tauClosure returns every term reachable from ti by τ* (including ti),
-// sorted by canonical key. Memoised; the returned slice is shared.
-func (s *Store) tauClosure(ti *termInfo, budget int) ([]*termInfo, error) {
-	ti.mu.Lock()
-	cl := ti.tauClosure
-	ti.mu.Unlock()
+	s.derivs.count(cl != nil)
 	if cl != nil {
-		s.derivHits.Add(1)
-		s.obsDerivHits.Add(1)
 		return cl, nil
 	}
-	s.derivMisses.Add(1)
-	s.obsDerivMisses.Add(1)
-	cl, err := s.closure(ti, budget, s.tauSucc, "tau closure")
-	if err != nil {
-		return nil, err
-	}
-	ti.mu.Lock()
-	ti.tauClosure = cl
-	ti.mu.Unlock()
-	return cl, nil
-}
-
-// autonomousClosure returns the states reachable by (τ ∪ output)*, including
-// ti, sorted by canonical key. Memoised; the returned slice is shared.
-func (s *Store) autonomousClosure(ti *termInfo, budget int) ([]*termInfo, error) {
-	ti.mu.Lock()
-	cl := ti.autoClosure
-	ti.mu.Unlock()
-	if cl != nil {
-		s.derivHits.Add(1)
-		s.obsDerivHits.Add(1)
-		return cl, nil
-	}
-	s.derivMisses.Add(1)
-	s.obsDerivMisses.Add(1)
-	cl, err := s.closure(ti, budget, s.autonomousSucc, "autonomous closure")
-	if err != nil {
-		return nil, err
-	}
-	ti.mu.Lock()
-	ti.autoClosure = cl
-	ti.mu.Unlock()
-	return cl, nil
-}
-
-// closure is the shared reflexive-transitive reachability sweep. It runs
-// without holding any term mutex, so mutually reachable terms cannot
-// deadlock computing each other's closures.
-func (s *Store) closure(ti *termInfo, budget int, succ func(*termInfo) ([]*termInfo, error), what string) ([]*termInfo, error) {
 	seen := map[uint64]bool{ti.id: true}
-	out := []*termInfo{ti}
+	cl = []*termInfo{ti}
 	work := []*termInfo{ti}
 	for len(work) > 0 {
 		cur := work[len(work)-1]
 		work = work[:len(work)-1]
-		next, err := succ(cur)
+		next, err := s.succ(cur, k)
 		if err != nil {
 			return nil, err
 		}
@@ -442,16 +342,22 @@ func (s *Store) closure(ti *termInfo, budget int, succ func(*termInfo) ([]*termI
 				continue
 			}
 			if len(seen) >= budget {
-				return nil, ErrBudget{what}
+				return nil, ErrBudget{closureOf[k]}
 			}
 			seen[n.id] = true
-			out = append(out, n)
+			cl = append(cl, n)
 			work = append(work, n)
 		}
 	}
-	sortTerms(out)
-	return out, nil
+	sortTerms(cl)
+	ti.mu.Lock()
+	ti.closures[k] = cl
+	ti.mu.Unlock()
+	return cl, nil
 }
+
+// closureOf names a closure in its budget error.
+var closureOf = [...]string{kindTau: "tau closure", kindStep: "autonomous closure"}
 
 // receptions returns the input derivatives of ti at channel ch and the
 // arity of payload, instantiated with payload. Not memoised: the payload

@@ -76,7 +76,7 @@ func TestSimplifySemanticSoundness(t *testing.T) {
 	cfg.MaxDepth = 3
 	g := brand.New(999, cfg)
 	ch := newC()
-	sys := ch.Sys
+	sys := ch.Store().System()
 	for i := 0; i < 40; i++ {
 		p := g.Term()
 		s := syntax.Simplify(p)

@@ -1,5 +1,5 @@
 // Package obs is the reproduction's zero-dependency observability layer:
-// named spans with monotonic timings, per-goroutine-safe event buffers,
+// named spans with monotonic timings, one concurrency-safe event buffer,
 // Chrome trace-event JSON export, and named engine counters.
 //
 // The package is built around one contract: a nil *Tracer is a valid,
@@ -17,6 +17,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,8 +30,6 @@ import (
 // ignored (see Dropped).
 const DefaultLimit = 1 << 16
 
-const shardCount = 16
-
 // Event is one completed span occurrence.  Times are offsets from the
 // tracer's creation instant, measured on the monotonic clock.
 type Event struct {
@@ -41,20 +40,18 @@ type Event struct {
 	Dur    time.Duration
 }
 
-type eventShard struct {
-	mu     sync.Mutex
-	events []Event
-}
-
 // Tracer collects span events and named counters.  All methods are safe
 // for concurrent use; a nil *Tracer is a no-op on every method.
 type Tracer struct {
-	anchor  time.Time
-	nextID  atomic.Uint64
-	limit   int64
-	events  atomic.Int64
-	dropped atomic.Uint64
-	shards  [shardCount]eventShard
+	anchor time.Time
+	nextID atomic.Uint64
+	limit  int
+
+	// mu guards the recorded events and the count of those dropped past
+	// the limit.
+	mu      sync.Mutex
+	events  []Event
+	dropped uint64
 
 	cmu      sync.RWMutex
 	counters map[string]*Counter
@@ -69,7 +66,7 @@ func New() *Tracer { return NewWithLimit(DefaultLimit) }
 func NewWithLimit(max int) *Tracer {
 	return &Tracer{
 		anchor:   time.Now(),
-		limit:    int64(max),
+		limit:    max,
 		counters: make(map[string]*Counter),
 	}
 }
@@ -114,11 +111,6 @@ func (s *Span) End() {
 		return
 	}
 	t := s.t
-	if t.limit > 0 && t.events.Add(1) > t.limit {
-		t.dropped.Add(1)
-		return
-	}
-	sh := &t.shards[s.id%shardCount]
 	ev := Event{
 		Name:   s.name,
 		ID:     s.id,
@@ -126,9 +118,13 @@ func (s *Span) End() {
 		Start:  s.start,
 		Dur:    time.Since(t.anchor) - s.start,
 	}
-	sh.mu.Lock()
-	sh.events = append(sh.events, ev)
-	sh.mu.Unlock()
+	t.mu.Lock()
+	if t.limit > 0 && len(t.events) >= t.limit {
+		t.dropped++
+	} else {
+		t.events = append(t.events, ev)
+	}
+	t.mu.Unlock()
 }
 
 // Counter is a named monotonically-adjusted engine counter.  Hot loops
@@ -204,7 +200,9 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
 }
 
 // Events returns all recorded span events sorted by start time (ties by
@@ -213,13 +211,9 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	var all []Event
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		all = append(all, sh.events...)
-		sh.mu.Unlock()
-	}
+	t.mu.Lock()
+	all := slices.Clone(t.events)
+	t.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Start != all[j].Start {
 			return all[i].Start < all[j].Start

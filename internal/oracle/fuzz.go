@@ -144,10 +144,10 @@ func shrinkViolation(ctx context.Context, env *Env, law Law, p, q syntax.Proc,
 		Tag:       tag,
 		Iter:      iter,
 		ReproSeed: iterSeed,
-		P:         syntax.Print(sp),
-		Q:         syntax.Print(sq),
-		OrigP:     syntax.Print(p),
-		OrigQ:     syntax.Print(q),
+		P:         syntax.String(sp),
+		Q:         syntax.String(sq),
+		OrigP:     syntax.String(p),
+		OrigQ:     syntax.String(q),
 		Detail:    lastDetail,
 		ShrinkOps: ops,
 	}

@@ -29,7 +29,7 @@ func FuzzDecideAgree(f *testing.F) {
 		}
 		if detail != "" {
 			t.Errorf("seed %d [%s]: %s\n p = %s\n q = %s",
-				seed, tag, detail, syntax.Print(p), syntax.Print(q))
+				seed, tag, detail, syntax.String(p), syntax.String(q))
 		}
 	})
 }
@@ -55,7 +55,7 @@ func FuzzProtocolsConform(f *testing.F) {
 		}
 		if detail != "" {
 			t.Errorf("seed %d [%s]: %s\n p = %s\n q = %s",
-				seed, tag, detail, syntax.Print(p), syntax.Print(q))
+				seed, tag, detail, syntax.String(p), syntax.String(q))
 		}
 	})
 }

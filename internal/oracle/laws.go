@@ -310,7 +310,7 @@ func lawObsConsistent() Law {
 			// cache hit: a cached verdict legitimately reports pairs=0).
 			if env.Daemon != nil {
 				served, err := env.Daemon.Equiv(ctx, service.EquivRequest{
-					P: syntax.Print(p), Q: syntax.Print(q), Rel: cert.RelLabelled,
+					P: syntax.String(p), Q: syntax.String(q), Rel: cert.RelLabelled,
 				})
 				if err != nil {
 					return "", err
@@ -342,7 +342,7 @@ func lawEnginesAgree() Law {
 					continue
 				}
 				req := service.EquivRequest{
-					P: syntax.Print(p), Q: syntax.Print(q),
+					P: syntax.String(p), Q: syntax.String(q),
 					Rel: cert.RelLabelled, Weak: weak,
 				}
 				cold, err := env.Daemon.Equiv(ctx, req)
@@ -417,7 +417,7 @@ func batchAgree(ctx context.Context, d *Daemon, p, q syntax.Proc) (string, error
 		}
 		rows[i].want = verdict{r.Related, r.Reason}
 		batch.Pairs = append(batch.Pairs, service.EquivRequest{
-			P: syntax.Print(rows[i].p), Q: syntax.Print(rows[i].q),
+			P: syntax.String(rows[i].p), Q: syntax.String(rows[i].q),
 			Rel: cert.RelLabelled, Weak: rows[i].weak,
 			Cert: true, TimeoutMs: 30000,
 		})

@@ -17,7 +17,7 @@ import (
 // expected verdict included) or a shrunken fragment (engine agreement
 // only; there is no expected verdict for an arbitrary term pair).
 func protoKey(p, q syntax.Proc) string {
-	return syntax.Print(p) + "\x00" + syntax.Print(q)
+	return syntax.String(p) + "\x00" + syntax.String(q)
 }
 
 var (

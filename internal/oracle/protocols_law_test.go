@@ -97,17 +97,17 @@ func TestProtocolsShrunkPairDegrades(t *testing.T) {
 }
 
 // TestProtoKeyStableUnderParse guarantees the curated corpus cases keep
-// their teeth: a catalogue pair that goes through Print → parse → Print
+// their teeth: a catalogue pair that goes through String → parse → String
 // (exactly what CheckCase does to a .case file) must still be recognised
 // as that scenario, so the expected-verdict clause applies to corpus
 // replays and not just freshly generated pairs.
 func TestProtoKeyStableUnderParse(t *testing.T) {
 	for _, s := range protocols.Catalogue() {
-		p, err := parser.Parse(syntax.Print(s.Impl))
+		p, err := parser.Parse(syntax.String(s.Impl))
 		if err != nil {
 			t.Fatalf("%s: impl does not reparse: %v", s.Name, err)
 		}
-		q, err := parser.Parse(syntax.Print(s.Spec))
+		q, err := parser.Parse(syntax.String(s.Spec))
 		if err != nil {
 			t.Fatalf("%s: spec does not reparse: %v", s.Name, err)
 		}

@@ -12,7 +12,7 @@ import (
 
 // TestFixturesRoundTrip parses every testdata/*.bpi source shipped with the
 // repo and round-trips each definition body and the main term through the
-// printer: parse → Print → parse again must be syntactically equal, and
+// printer: parse → String → parse again must be syntactically equal, and
 // the parsed environment must validate. The fixtures double as the parser's
 // compatibility contract — if the concrete syntax drifts, this catches it
 // on real programs rather than generated ones.
@@ -40,14 +40,14 @@ func TestFixturesRoundTrip(t *testing.T) {
 			t.Fatalf("%s: no main term", f)
 		}
 		roundTrip := func(label string, p syntax.Proc) {
-			printed := syntax.Print(p)
+			printed := syntax.String(p)
 			back, err := Parse(printed)
 			if err != nil {
 				t.Fatalf("%s/%s: reparse of %q: %v", f, label, printed, err)
 			}
 			if !syntax.Equal(p, back) {
 				t.Errorf("%s/%s: round-trip changed the term:\n before %s\n after  %s",
-					f, label, printed, syntax.Print(back))
+					f, label, printed, syntax.String(back))
 			}
 		}
 		roundTrip("main", prog.Main)

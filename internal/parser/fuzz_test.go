@@ -11,7 +11,7 @@ import (
 // oracle and the fuzzer: for generated terms — including equivalence-
 // preserving and equivalence-breaking mutants, whose shapes (ν-wrapped
 // fresh names, injected matches, duplicated branches) differ from what the
-// generator emits directly — Parse(Print(p)) must land in p's
+// generator emits directly — Parse(String(p)) must land in p's
 // alpha-equivalence class, i.e. have the same Key.
 func TestPrintParseCanonRoundTrip(t *testing.T) {
 	g := brand.New(2026, brand.Default())
@@ -23,13 +23,13 @@ func TestPrintParseCanonRoundTrip(t *testing.T) {
 		case 2:
 			p = g.MutateBreak(p)
 		}
-		src := syntax.Print(p)
+		src := syntax.String(p)
 		back, err := Parse(src)
 		if err != nil {
-			t.Fatalf("Parse(Print(p)) failed for %q: %v", src, err)
+			t.Fatalf("Parse(String(p)) failed for %q: %v", src, err)
 		}
 		if !syntax.AlphaEqual(p, back) {
-			t.Fatalf("round trip left the alpha-class:\n in  = %s\n out = %s", src, syntax.Print(back))
+			t.Fatalf("round trip left the alpha-class:\n in  = %s\n out = %s", src, syntax.String(back))
 		}
 	}
 }
@@ -59,7 +59,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 	// the rest of the suite actually produces (fresh-marker names included).
 	g := brand.New(7, brand.Default())
 	for i := 0; i < 8; i++ {
-		seeds = append(seeds, syntax.Print(g.Term()))
+		seeds = append(seeds, syntax.String(g.Term()))
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -69,16 +69,16 @@ func FuzzParseRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		printed := syntax.Print(p)
+		printed := syntax.String(p)
 		back, err := Parse(printed)
 		if err != nil {
 			t.Fatalf("printed form %q of parsed input %q does not reparse: %v", printed, src, err)
 		}
 		if !syntax.AlphaEqual(p, back) {
 			t.Fatalf("print/parse left the alpha-class:\n src   = %q\n print = %q\n again = %q",
-				src, printed, syntax.Print(back))
+				src, printed, syntax.String(back))
 		}
-		if again := syntax.Print(back); again != printed {
+		if again := syntax.String(back); again != printed {
 			t.Fatalf("printing is not idempotent after one round trip:\n first  = %q\n second = %q", printed, again)
 		}
 	})

@@ -221,19 +221,19 @@ func TestInject(t *testing.T) {
 	}
 
 	deaf := Inject(base, Fault{FaultDeaf, 2})
-	if s := syntax.Print(deaf); !strings.Contains(s, "deaf2?") {
+	if s := syntax.String(deaf); !strings.Contains(s, "deaf2?") {
 		t.Errorf("deaf: station not re-pointed at deaf channel:\n%s", s)
 	}
 
 	lossy := Inject(base, Fault{FaultLossy, 2})
-	if s := syntax.Print(lossy); !strings.Contains(s, "+ tau") {
+	if s := syntax.String(lossy); !strings.Contains(s, "+ tau") {
 		t.Errorf("lossy: no drop branch injected:\n%s", s)
 	}
 
 	// Node clamping: out-of-range nodes hit the last station, and a
 	// faultless injection is the identity.
-	if got, want := syntax.Print(Inject(base, Fault{FaultCrashed, 99})),
-		syntax.Print(Inject(base, Fault{FaultCrashed, 3})); got != want {
+	if got, want := syntax.String(Inject(base, Fault{FaultCrashed, 99})),
+		syntax.String(Inject(base, Fault{FaultCrashed, 3})); got != want {
 		t.Errorf("clamp high: %s != %s", got, want)
 	}
 	if !syntax.Equal(Inject(base, Fault{}), base) {
@@ -244,7 +244,7 @@ func TestInject(t *testing.T) {
 	// keeps its ν binders.
 	m := Multicast(3, Fault{FaultCrashed, 2}).Impl
 	if _, ok := m.(syntax.Res); !ok {
-		t.Errorf("multicast fault variant lost its restriction: %s", syntax.Print(m))
+		t.Errorf("multicast fault variant lost its restriction: %s", syntax.String(m))
 	}
 }
 

@@ -201,8 +201,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"bpid_store_intern_misses_total", "Intern calls that created a term.", "", float64(st.InternMisses)},
 		{"bpid_store_derivation_hits_total", "Memoised derivation lookups served from cache.", "", float64(st.DerivationHits)},
 		{"bpid_store_derivation_misses_total", "Derivation lookups recomputed from the semantics.", "", float64(st.DerivationMisses)},
-		{"bpid_store_shard_occupancy", "Per-shard term count bounds.", `{bound="min"}`, float64(st.ShardMin)},
-		{"bpid_store_shard_occupancy", "Per-shard term count bounds.", `{bound="max"}`, float64(st.ShardMax)},
 		{"bpid_verdict_cache_entries", "Entries in the verdict LRU.", "", float64(s.cache.len())},
 		{"bpid_verdict_cache_hits_total", "Verdict-cache hits.", "", hits},
 		{"bpid_verdict_cache_misses_total", "Verdict-cache misses.", "", misses},

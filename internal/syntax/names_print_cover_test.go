@@ -2,20 +2,17 @@ package syntax
 
 import "testing"
 
-// Print is the alias the round-trip law is stated with; right-nested sums
-// and parallels must print flat, without redundant parentheses.
+// Right-nested sums and parallels must print flat, without redundant
+// parentheses.
 func TestPrintFlattensNestedSumAndPar(t *testing.T) {
 	out := func(ch Name) Proc { return Prefix{Out{Ch: ch}, Nil{}} }
 	sum3 := Sum{out("a"), Sum{out("b"), out("c")}}
-	if s := Print(sum3); s != "a! + b! + c!" {
-		t.Fatalf("Print(sum3) = %q, want %q", s, "a! + b! + c!")
+	if s := String(sum3); s != "a! + b! + c!" {
+		t.Fatalf("String(sum3) = %q, want %q", s, "a! + b! + c!")
 	}
 	par3 := Par{out("a"), Par{out("b"), out("c")}}
-	if s := Print(par3); s != "a! | b! | c!" {
-		t.Fatalf("Print(par3) = %q, want %q", s, "a! | b! | c!")
-	}
-	if Print(sum3) != String(sum3) {
-		t.Fatalf("Print and String disagree")
+	if s := String(par3); s != "a! | b! | c!" {
+		t.Fatalf("String(par3) = %q, want %q", s, "a! | b! | c!")
 	}
 }
 

@@ -33,10 +33,6 @@ func String(p Proc) string {
 	return b.String()
 }
 
-// Print is an alias of String — the name the fuzzing and oracle layers use
-// when stating the round-trip law parser.Parse(syntax.Print(p)) ≡ p.
-func Print(p Proc) string { return String(p) }
-
 func writeProc(p Proc, b *strings.Builder, ctx int) {
 	switch t := p.(type) {
 	case Nil:
