@@ -43,7 +43,8 @@ type (
 	// Program is a parsed source file (definitions plus main term).
 	Program = parser.Program
 	// Certificate is a replayable proof object for a verdict (set Certify on
-	// a Checker or Prover to emit one; Result.Cert carries it).
+	// a Checker or Prover to emit one; Result.Cert carries it). A positive
+	// one lists the relation's pairs, whose answers the verifier derives.
 	Certificate = cert.Certificate
 	// CertVerifier replays certificates against the LTS rules alone, with
 	// optional definitions (Sys) and work budgets.

@@ -4,7 +4,11 @@
 // verifier of internal/cert.
 // The verifier shares no code with the engines: it re-derives every claimed
 // transition from the LTS rules, so a certificate that verifies is evidence
-// about the calculus, not about the engine that produced it.
+// about the calculus, not about the engine that produced it. A positive
+// certificate lists its relation's pairs only, and the verifier derives each
+// challenge's answers and checks that one lands in the relation. Version-1
+// files, whose positive certificates also listed move tables, verify the
+// same way: their move tables are ignored.
 //
 // Usage:
 //

@@ -73,6 +73,7 @@ func TestRunExitCodes(t *testing.T) {
 		stderr  string // a substring stderr must contain
 	}{
 		{name: "related pair verifies", args: []string{"verify", good}, code: 0, okLines: 1},
+		{name: "version 1 verifies", args: []string{"verify", "../../testdata/cert-v1-onestep-weak.json"}, code: 0, okLines: 1},
 		{name: "stdin", args: []string{"verify", "-"}, stdin: goodData, code: 0, okLines: 1},
 		{name: "quiet success prints nothing", args: []string{"verify", "-q", good}, code: 0},
 		{name: "flipped verdict is rejected", args: []string{"verify", flipped}, code: 1, stderr: "REJECTED"},

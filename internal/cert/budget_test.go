@@ -47,6 +47,8 @@ func budgetCorpus(t *testing.T) []*cert.Certificate {
 		crt, _ := pairCert(t, ch, cert.RelOneStep, pq.p, pq.q, true)
 		out = append(out, crt)
 	}
+	crt, _ := pairCert(t, ch, cert.RelOneStep, "a!.b!", "a!.b! + a!.b!", false) // strong, related
+	out = append(out, crt)
 	for _, pq := range []struct {
 		p, q string
 		weak bool
@@ -54,6 +56,7 @@ func budgetCorpus(t *testing.T) []*cert.Certificate {
 		{"a?(x).[x=b]c!", "a?(y).[y=b]c!", false}, // one one-step certificate per fusion
 		{"tau.c!", "c!", true},                    // the τ-law gap: a separating σ
 		{"a?(x).[x=b]c!", "a?(x).c!", false},      // a fusion enables the match
+		{"a!.tau.b!", "a!.b!", true},              // related, with weak discard clauses
 	} {
 		crt, _ := pairCert(t, ch, cert.RelCongruence, pq.p, pq.q, pq.weak)
 		out = append(out, crt)
@@ -65,9 +68,13 @@ func budgetCorpus(t *testing.T) []*cert.Certificate {
 // upward from 1 for every corpus certificate: every budget below the one
 // the certificate needs must be rejected with a budget error — wherever in
 // the replay the budget runs out — and once a budget suffices, every
-// larger one must accept.
+// larger one must accept. Two hand-made weak labelled certificates over
+// τ.a0! + … + τ.a(n-1)! probe the relation once per derived answer: one
+// lists only the root pair, so every probe of the n+1 answers misses, and
+// one lists the a_i! pairs too, which the probes find only after the
+// answers sorted before them.
 func TestVerifierFailsClosedAtEveryBudget(t *testing.T) {
-	sweep := func(crt *cert.Certificate, name string, mk func(n int) *cert.Verifier) {
+	sweep := func(crt *cert.Certificate, name string, mk func(n int) *cert.Verifier) int {
 		for n := 1; ; n++ {
 			if n > 5000 {
 				t.Fatalf("%s(%s, %s): still rejected at %s=%d", crt.Relation, crt.P, crt.Q, name, n)
@@ -80,7 +87,7 @@ func TestVerifierFailsClosedAtEveryBudget(t *testing.T) {
 							crt.Relation, crt.P, crt.Q, name, n, m, err)
 					}
 				}
-				return
+				return n
 			}
 			if !strings.Contains(err.Error(), "budget") {
 				t.Fatalf("%s(%s, %s) at %s=%d: %v, want a budget error", crt.Relation, crt.P, crt.Q, name, n, err)
@@ -91,6 +98,41 @@ func TestVerifierFailsClosedAtEveryBudget(t *testing.T) {
 		sweep(crt, "MaxWork", func(n int) *cert.Verifier { return &cert.Verifier{MaxWork: n} })
 		sweep(crt, "MaxClosure", func(n int) *cert.Verifier { return &cert.Verifier{MaxClosure: n} })
 	}
+
+	miss := wideTau(256, false)
+	refusedWithin(t, "every probe misses", miss, "unanswered tau", 16)
+	if err := (&cert.Verifier{MaxWork: 64}).Verify(miss); err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Errorf("every probe misses, MaxWork=64: %v, want a budget error", err)
+	}
+	const n = 16
+	late := wideTau(n, true)
+	if work := sweep(late, "MaxWork", func(w int) *cert.Verifier { return &cert.Verifier{MaxWork: w} }); work <= n*n {
+		t.Errorf("late hits verified at MaxWork=%d, want over %d: a probe is not charged", work, n*n)
+	}
+}
+
+// wideTau returns a weak labelled certificate of S ≈ S for S = τ.a0! + …
+// + τ.a(n-1)!, whose τ challenges each have the n+1 answers of S's τ
+// closure. Its relation lists (S, S) and, when closed, (a_i!, a_i!) and
+// (0, 0).
+func wideTau(n int, closed bool) *cert.Certificate {
+	arms := make([]string, n)
+	terms := []string{""}
+	pairs := [][2]int{{0, 0}}
+	for i := range arms {
+		arms[i] = fmt.Sprintf("tau.a%d!", i)
+		terms = append(terms, fmt.Sprintf("a%d!", i))
+		if closed {
+			pairs = append(pairs, [2]int{i + 1, i + 1})
+		}
+	}
+	terms[0] = strings.Join(arms, " + ")
+	if closed {
+		terms = append(terms, "0")
+		pairs = append(pairs, [2]int{n + 1, n + 1})
+	}
+	return &cert.Certificate{Version: cert.Version, Relation: cert.RelLabelled, Weak: true, Related: true,
+		P: terms[0], Q: terms[0], Terms: terms, Pairs: pairs}
 }
 
 // TestVerifyAxiomsWorldsBounded: the verifier's work on worlds is bounded
@@ -146,10 +188,10 @@ func refusedWithin(t *testing.T, name string, crt *cert.Certificate, want string
 // TestVerifyEnumerationsBounded: the verifier walks payload tuples and
 // fusions one at a time, charging each to MaxWork, so a certificate whose
 // first challenge or fusion fails is refused there. A labelled certificate
-// of a 6-ary input with 7 free names (13^6 payloads) and an empty move
-// table, and a related ~c certificate over 7 free names (7^7 fusions) with
-// no sub-certificate, each took 0.6–2.1 s and 315–1,028 MB on two CPUs
-// when the whole list was built first.
+// of a 6-ary input with 7 free names (13^6 payloads) whose relation lists
+// only the root pair, and a related ~c certificate over 7 free names (7^7
+// fusions) with no sub-certificate, each took 0.6–2.1 s and 315–1,028 MB
+// on two CPUs when the whole list was built first.
 func TestVerifyEnumerationsBounded(t *testing.T) {
 	in := "a?(x0,x1,x2,x3,x4,x5).x0!(b0,b1,b2,b3,b4,b5)"
 	outs := "a0! | a1! | a2! | a3! | a4! | a5! | a6!"
@@ -158,8 +200,8 @@ func TestVerifyEnumerationsBounded(t *testing.T) {
 		crt  *cert.Certificate
 		want string
 	}{
-		{"labelled, no move", &cert.Certificate{Relation: cert.RelLabelled, P: in, Q: in,
-			Terms: []string{in}, Pairs: [][2]int{{0, 0}}, Moves: [][]cert.Move{nil}}, "unanswered react"},
+		{"labelled, root pair only", &cert.Certificate{Relation: cert.RelLabelled, P: in, Q: in,
+			Terms: []string{in}, Pairs: [][2]int{{0, 0}}}, "unanswered react"},
 		{"congruence, no sub-certificate", &cert.Certificate{Relation: cert.RelCongruence, P: outs, Q: outs},
 			"no one-step sub-certificate"},
 	} {

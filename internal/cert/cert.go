@@ -4,20 +4,19 @@
 // A certificate is self-contained evidence:
 //
 //   - A positive certificate for one of the pair relations (labelled, barbed,
-//     step bisimilarity) is the finished bisimulation relation — a list of
-//     canonical term pairs together with, per pair, the matching-move table
-//     the engine discharged. The verifier re-derives every challenge of the
-//     relation's definition from the LTS rules (internal/semantics) and
-//     checks the relation is closed: each challenge has a recorded answer
-//     landing back in the relation.
+//     step bisimilarity) is the finished bisimulation relation: a list of
+//     canonical term pairs, nothing more. The verifier re-derives every
+//     challenge of the relation's definition and every defender answer from
+//     the LTS rules (internal/semantics) and checks the relation is closed:
+//     for each challenge, some answer lands back in the relation.
 //   - A negative certificate is a distinguishing strategy: a DAG of attacker
 //     moves (or barb/discard observations) such that every defender answer —
 //     re-derived exhaustively by the verifier, weak closures included — is
 //     refuted by a child node. The verifier checks the strategy is
 //     inescapable and well-founded (cyclic "refutations" are rejected).
-//   - One-step certificates (~+/≈+, Definitions 11/15) add the strict
-//     root-level move table (TopMoves), discard-clause witnesses and an
-//     embedded labelled relation for the successor pairs; congruence
+//   - One-step certificates (~+/≈+, Definitions 11/15) carry a labelled
+//     relation that must answer the root pair's strict challenges and, when
+//     weak, its discard clause, besides being closed itself; congruence
 //     certificates (~c/≈c) embed one one-step certificate per fusion of the
 //     free names (positive) or a single distinguishing substitution plus a
 //     one-step strategy (negative).
@@ -54,8 +53,11 @@ const (
 // prover's, not a query's.
 var Relations = []string{RelLabelled, RelBarbed, RelStep, RelOneStep, RelCongruence}
 
-// Version is the certificate format version this package emits and verifies.
-const Version = 1
+// Version is the certificate format version this package emits. Verify
+// also accepts version 1, whose positive certificates listed a move table
+// beside the relation; those keys decode into nothing, and the relation is
+// checked as a version-2 one is.
+const Version = 2
 
 // Certificate is a self-contained, checkable verdict. Which fields are
 // populated depends on Relation and Related; see the package comment.
@@ -70,17 +72,11 @@ type Certificate struct {
 	P string `json:"p"`
 	Q string `json:"q"`
 
-	// Positive pair-relation evidence: the relation as indices into Terms,
-	// with Moves[i] the matching-move table discharged for Pairs[i].
+	// Positive pair-relation evidence: the relation as indices into Terms.
+	// A one-step certificate's relation is a labelled bisimulation that
+	// holds the answers to its root pair's strict challenges.
 	Terms []string `json:"terms,omitempty"`
 	Pairs [][2]int `json:"pairs,omitempty"`
-	Moves [][]Move `json:"moves,omitempty"`
-
-	// One-step positive evidence: the strict root-level moves and the weak
-	// discard-clause witnesses (the successor pairs live in Pairs above,
-	// which is then a labelled bisimulation).
-	TopMoves []Move           `json:"topMoves,omitempty"`
-	Discards []DiscardWitness `json:"discards,omitempty"`
 
 	// Negative evidence: the distinguishing strategy as a DAG; Nodes[0] is
 	// the root. For one-step (and congruence) certificates the root node is
@@ -95,36 +91,6 @@ type Certificate struct {
 
 	// Axioms evidence (Relation == RelAxioms).
 	Proof *Proof `json:"proof,omitempty"`
-}
-
-// Move is one discharged matching obligation: the challenger's move and the
-// witness successor pair that answers it.
-type Move struct {
-	// Side is the challenger: "left" (P moves) or "right" (Q moves).
-	Side string `json:"side"`
-	// Kind of challenge: "tau", "out" (canonical output label), "react"
-	// (reception-or-discard of a ground broadcast), "step" (label-blind
-	// autonomous move) or "in" (strict reception, one-step level only).
-	Kind string `json:"kind"`
-	// Label is the canonical output action (kind "out").
-	Label string `json:"label,omitempty"`
-	// Ch and Payload identify ground broadcasts (kinds "react" and "in").
-	Ch      string   `json:"ch,omitempty"`
-	Payload []string `json:"payload,omitempty"`
-	// Pair is the witness successor pair as (left, right) indices into
-	// Terms: the challenger's derivative on the challenger's side, the
-	// defender's answer on the other.
-	Pair [2]int `json:"pair"`
-}
-
-// DiscardWitness discharges one weak discard-clause instance (clause 4 of
-// Definition 15): the Side term discards Ch, and the witness pair — the
-// discarder together with a τ*-derivative of the other side that also
-// discards Ch — is in the embedded labelled relation.
-type DiscardWitness struct {
-	Ch   string `json:"ch"`
-	Side string `json:"side"`
-	Pair [2]int `json:"pair"`
 }
 
 // Strategy is one node of a distinguishing strategy DAG: an attacker

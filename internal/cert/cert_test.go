@@ -8,8 +8,12 @@ package cert_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -98,9 +102,9 @@ func TestPairRelationCertificates(t *testing.T) {
 }
 
 // TestOneStepAndCongruenceCertificates covers the composite certificates:
-// one-step adds the strict root move table (and, weakly, discard witnesses);
-// congruence embeds per-fusion one-step certificates or a distinguishing
-// substitution.
+// one-step's relation also answers the strict root moves (and, weakly, the
+// discard clause); congruence embeds per-fusion one-step certificates or a
+// distinguishing substitution.
 func TestOneStepAndCongruenceCertificates(t *testing.T) {
 	pairs := []struct{ p, q string }{
 		{"a!.b!", "a!.b!"},
@@ -296,17 +300,22 @@ func TestTamperedCertificatesRejected(t *testing.T) {
 			}
 		}
 	}
-	// Positive-specific: stolen evidence and dangling indices.
+	// Positive-specific: stolen pairs, a pair re-pointed at a term its
+	// partner is not bisimilar to, and dangling indices.
 	c := cloneCert(t, pos)
-	c.Moves[0] = nil
+	c = withoutPair(t, c, "b!", "b!") // answers the root's a! challenge
 	if err := cert.Verify(c); err == nil {
-		t.Error("positive certificate with an emptied move table accepted")
+		t.Error("positive certificate without the pair a challenge needs accepted")
 	}
 	c = cloneCert(t, pos)
 	c.Pairs = c.Pairs[:1]
-	c.Moves = c.Moves[:1]
 	if err := cert.Verify(c); err == nil {
 		t.Error("positive certificate with dropped pairs accepted (relation not closed)")
+	}
+	c = cloneCert(t, pos)
+	repoint(t, c, "b!", "b!", "a!")
+	if err := cert.Verify(c); err == nil {
+		t.Error("positive certificate pairing b! with a! accepted")
 	}
 	c = cloneCert(t, pos)
 	c.Pairs[0] = [2]int{0, len(c.Terms) + 3}
@@ -358,12 +367,12 @@ func TestTamperedCertificatesRejected(t *testing.T) {
 }
 
 // TestTamperedCompositeCertificatesRejected tampers the composite layers —
-// the strict one-step move table, the embedded congruence sub-certificates
-// and the axioms proof DAG — whose evidence lives outside the plain pair
-// relation.
+// the one-step root's strict moves and weak discard clause, the embedded
+// congruence sub-certificates and the axioms proof DAG — whose evidence
+// lives outside the plain pair relation.
 func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	ch := newCertifying()
-	// One-step positive: the strict root table is mandatory evidence.
+	// One-step positive: the relation must answer the root's strict moves.
 	os, ok := pairCert(t, ch, cert.RelOneStep, "a!.b!", "a!.b! + a!.b!", false)
 	if !ok {
 		t.Fatal("onestep baseline: not related")
@@ -371,17 +380,27 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	if err := cert.Verify(os); err != nil {
 		t.Fatalf("onestep baseline rejected: %v", err)
 	}
-	c := cloneCert(t, os)
-	c.TopMoves = nil
+	c := withoutPair(t, cloneCert(t, os), "b!", "b!") // answers the root's a!
 	if err := cert.Verify(c); err == nil {
-		t.Error("one-step certificate without its strict move table accepted")
+		t.Error("one-step certificate without the pair a strict root move needs accepted")
 	}
 	c = cloneCert(t, os)
-	if len(c.TopMoves) > 0 {
-		c.TopMoves[0].Pair = [2]int{len(c.Terms) + 1, 0}
-		if err := cert.Verify(c); err == nil {
-			t.Error("one-step certificate with a dangling top-move witness accepted")
-		}
+	repoint(t, c, "b!", "b!", "0")
+	if err := cert.Verify(c); err == nil {
+		t.Error("one-step certificate pairing b! with 0 accepted")
+	}
+	// Weak one-step: a discard of a or b by either side is answered by the
+	// root pair itself, which must therefore be listed.
+	wos, ok := pairCert(t, ch, cert.RelOneStep, "a!.tau.b!", "a!.b!", true)
+	if !ok {
+		t.Fatal("weak onestep baseline: not related")
+	}
+	if err := cert.Verify(wos); err != nil {
+		t.Fatalf("weak onestep baseline rejected: %v", err)
+	}
+	c = withoutPair(t, cloneCert(t, wos), "a!.tau.b!", "a!.b!")
+	if err := cert.Verify(c); err == nil || !strings.Contains(err.Error(), "discard") {
+		t.Errorf("weak one-step certificate without its discard witness pair: got %v, want a discard error", err)
 	}
 
 	// Congruence positive: one embedded one-step certificate per fusion.
@@ -519,111 +538,183 @@ func TestTamperedCompositeCertificatesRejected(t *testing.T) {
 	}
 }
 
-// evidence is one recorded entry of a certificate that Verify must check:
-// a move, root move or discard witness of a positive certificate, or a
-// reply of a negative one. kind names its field, table the list holding
-// it, and id its content with the witness terms printed; del deletes it
-// from a copy of the certificate.
-type evidence struct {
-	kind, table, id string
-	del             func(*cert.Certificate)
+// pairIndex returns the index of the listed pair (l, r) of c, printed as
+// the certificate prints its terms.
+func pairIndex(t *testing.T, c *cert.Certificate, l, r string) int {
+	t.Helper()
+	for k, pr := range c.Pairs {
+		if c.Terms[pr[0]] == l && c.Terms[pr[1]] == r {
+			return k
+		}
+	}
+	t.Fatalf("%s(%s, %s) lists no pair (%s, %s): %v", c.Relation, c.P, c.Q, l, r, c.Pairs)
+	return -1
 }
 
-// evidenceOf lists the evidence of c and, in turn, of its sub-certificates;
-// at maps the outermost certificate to c.
-func evidenceOf(c *cert.Certificate, table string, at func(*cert.Certificate) *cert.Certificate) []evidence {
-	term := func(i int) string {
-		if i < 0 || i >= len(c.Terms) {
-			return "?"
-		}
-		return c.Terms[i]
+// withoutPair deletes the listed pair (l, r) from c and returns c.
+func withoutPair(t *testing.T, c *cert.Certificate, l, r string) *cert.Certificate {
+	t.Helper()
+	k := pairIndex(t, c, l, r)
+	c.Pairs = slices.Delete(c.Pairs, k, k+1)
+	return c
+}
+
+// repoint re-points the listed pair (l, r) of c at the listed term to in
+// place of r.
+func repoint(t *testing.T, c *cert.Certificate, l, r, to string) {
+	t.Helper()
+	k := pairIndex(t, c, l, r)
+	j := slices.Index(c.Terms, to)
+	if j < 0 {
+		t.Fatalf("%s(%s, %s) lists no term %s", c.Relation, c.P, c.Q, to)
 	}
-	move := func(mv cert.Move) string {
-		return fmt.Sprintf("%s %s %s %s %v (%s, %s)", mv.Side, mv.Kind, mv.Label, mv.Ch, mv.Payload, term(mv.Pair[0]), term(mv.Pair[1]))
-	}
-	var out []evidence
-	for i, ms := range c.Moves {
-		for j, mv := range ms {
-			out = append(out, evidence{"moves", fmt.Sprintf("%s moves[%d]", table, i), move(mv), func(r *cert.Certificate) {
-				s := at(r)
-				s.Moves[i] = slices.Delete(s.Moves[i], j, j+1)
-			}})
-		}
-	}
-	for j, mv := range c.TopMoves {
-		out = append(out, evidence{"topMoves", table + " topMoves", move(mv), func(r *cert.Certificate) {
+	c.Pairs[k][1] = j
+}
+
+// pairsOf lists one deletion per pair of c and, in turn, of its
+// sub-certificates, each named by its table and terms; at maps the
+// outermost certificate to c.
+func pairsOf(c *cert.Certificate, table string, at func(*cert.Certificate) *cert.Certificate) map[string]func(*cert.Certificate) {
+	out := map[string]func(*cert.Certificate){}
+	for k, pr := range c.Pairs {
+		out[fmt.Sprintf("%s pairs[%d] (%s, %s)", table, k, c.Terms[pr[0]], c.Terms[pr[1]])] = func(r *cert.Certificate) {
 			s := at(r)
-			s.TopMoves = slices.Delete(s.TopMoves, j, j+1)
-		}})
-	}
-	for j, w := range c.Discards {
-		id := fmt.Sprintf("%s %s (%s, %s)", w.Side, w.Ch, term(w.Pair[0]), term(w.Pair[1]))
-		out = append(out, evidence{"discards", table + " discards", id, func(r *cert.Certificate) {
-			s := at(r)
-			s.Discards = slices.Delete(s.Discards, j, j+1)
-		}})
-	}
-	for i, n := range c.Nodes {
-		for j, rp := range n.Replies {
-			id := fmt.Sprintf("%s -> %d", rp.To, rp.Next)
-			out = append(out, evidence{"replies", fmt.Sprintf("%s nodes[%d] replies", table, i), id, func(r *cert.Certificate) {
-				s := at(r)
-				s.Nodes[i].Replies = slices.Delete(s.Nodes[i].Replies, j, j+1)
-			}})
+			s.Pairs = slices.Delete(s.Pairs, k, k+1)
 		}
 	}
 	for i, sc := range c.Subs {
-		out = append(out, evidenceOf(sc, fmt.Sprintf("%s subs[%d]", table, i),
-			func(r *cert.Certificate) *cert.Certificate { return at(r).Subs[i] })...)
+		maps.Copy(out, pairsOf(sc, fmt.Sprintf("%s subs[%d]", table, i),
+			func(r *cert.Certificate) *cert.Certificate { return at(r).Subs[i] }))
 	}
 	return out
 }
 
-// TestVerifyChecksEveryMove deletes each recorded move, root move and
-// discard witness of a positive certificate, and each reply of a negative
-// one, one at a time, and wants Verify to refuse every deletion unless the
-// same table still holds an identical entry. The certificates are those of
-// every pair of budgetCorpus under the five relations, strong and weak,
-// with the sub-certificates of the ~c ones, and of one more pair: it
-// reaches b! | b!, whose two b! outputs the engine records as two
-// identical moves.
-func TestVerifyChecksEveryMove(t *testing.T) {
+// TestVerifyNeedsEveryPair deletes each listed pair of a positive
+// certificate in turn, sub-certificates included, and wants Verify to
+// refuse every deletion. In a?(x).x!.b! against a?(y).y!.b!, strong, every
+// challenge has exactly one answer, so every pair the engines list answers
+// some challenge or is the root: a verifier that skipped a challenge, or
+// found an answer outside the relation, would accept a deletion.
+func TestVerifyNeedsEveryPair(t *testing.T) {
 	ch := newCertifying()
-	pairs := [][2]string{{"a?(x).x! | b!", "a?(y).y! | b!"}}
+	for _, rel := range cert.Relations {
+		crt, ok := pairCert(t, ch, rel, "a?(x).x!.b!", "a?(y).y!.b!", false)
+		if !ok {
+			t.Fatalf("%s: not related", rel)
+		}
+		dels := pairsOf(crt, rel, func(r *cert.Certificate) *cert.Certificate { return r })
+		if len(dels) == 0 {
+			t.Errorf("%s: no pair to delete", rel)
+		}
+		for name, del := range dels {
+			m := cloneCert(t, crt)
+			del(m)
+			if err := cert.Verify(m); err == nil {
+				t.Errorf("deleting %s accepted", name)
+			}
+		}
+		t.Logf("%s: %d deletions refused", rel, len(dels))
+	}
+}
+
+// TestVerifyChecksEveryReply deletes each reply of every negative
+// certificate of budgetCorpus's pairs under the five relations, strong
+// and weak, one at a time, and wants Verify to refuse every deletion
+// unless the same node holds an identical reply.
+func TestVerifyChecksEveryReply(t *testing.T) {
+	ch := newCertifying()
+	var pairs [][2]string
 	for _, bc := range budgetCorpus(t) {
 		if !slices.Contains(pairs, [2]string{bc.P, bc.Q}) {
 			pairs = append(pairs, [2]string{bc.P, bc.Q})
 		}
 	}
-	deleted := map[string]int{}
-	dups := 0
+	deleted, dups := 0, 0
 	for _, pq := range pairs {
 		for _, rel := range cert.Relations {
 			for _, weak := range []bool{false, true} {
 				crt, _ := pairCert(t, ch, rel, pq[0], pq[1], weak)
-				es := evidenceOf(crt, "", func(r *cert.Certificate) *cert.Certificate { return r })
-				for k, e := range es {
-					twin := func(o evidence) bool { return o.table == e.table && o.id == e.id }
-					if slices.ContainsFunc(es[:k], twin) || slices.ContainsFunc(es[k+1:], twin) {
-						dups++
-						continue
+				for i, n := range crt.Nodes {
+					for j, rp := range n.Replies {
+						if slices.Contains(n.Replies[:j], rp) || slices.Contains(n.Replies[j+1:], rp) {
+							dups++
+							continue
+						}
+						m := cloneCert(t, crt)
+						m.Nodes[i].Replies = slices.Delete(m.Nodes[i].Replies, j, j+1)
+						if err := cert.Verify(m); err == nil {
+							t.Errorf("%s weak=%v (%s, %s): deleting nodes[%d] reply %s -> %d accepted",
+								rel, weak, pq[0], pq[1], i, rp.To, rp.Next)
+						}
+						deleted++
 					}
-					m := cloneCert(t, crt)
-					e.del(m)
-					if err := cert.Verify(m); err == nil {
-						t.Errorf("%s weak=%v (%s, %s): deleting%s %s accepted", rel, weak, pq[0], pq[1], e.table, e.id)
-					}
-					deleted[e.kind]++
 				}
 			}
 		}
 	}
-	for _, kind := range []string{"moves", "topMoves", "discards", "replies"} {
-		if deleted[kind] == 0 {
-			t.Errorf("no %s entry deleted", kind)
-		}
+	if deleted == 0 {
+		t.Error("no reply deleted")
 	}
-	t.Logf("%v deletions refused; %d entries left with an identical one", deleted, dups)
+	t.Logf("%d deletions refused; %d replies left with an identical one", deleted, dups)
+}
+
+// v1OneStep is a version-1 certificate, written before positive
+// certificates dropped their move tables: the weak one-step certificate of
+// a!.tau.b! against a!.b!, with moves, topMoves and discards.
+var v1OneStep = filepath.Join("..", "..", "testdata", "cert-v1-onestep-weak.json")
+
+// TestVersionOneVerifies: a version-1 certificate's move tables decode into
+// nothing, and its relation is checked as a version-2 one is. It verifies,
+// still verifies with a recorded move rewritten, and is refused without
+// the pair (τ.b!, b!) that answers the root's strict a! challenge; the
+// same certificate marked version 3 is refused.
+func TestVersionOneVerifies(t *testing.T) {
+	data, err := os.ReadFile(v1OneStep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(edit func(m map[string]any)) *cert.Certificate {
+		t.Helper()
+		var m map[string]any
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		edit(m)
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cert.Unmarshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := decode(func(map[string]any) {})
+	if c.Version != 1 || c.Relation != cert.RelOneStep || !c.Weak {
+		t.Fatalf("fixture header: %+v", c)
+	}
+	if err := cert.Verify(c); err != nil {
+		t.Errorf("version 1: %v", err)
+	}
+	rewritten := decode(func(m map[string]any) {
+		mv := m["moves"].([]any)[0].([]any)[0].(map[string]any)
+		mv["kind"], mv["pair"] = "in", []int{4, 0}
+	})
+	if err := cert.Verify(rewritten); err != nil {
+		t.Errorf("version 1 with a move rewritten: %v", err)
+	}
+	c = decode(func(m map[string]any) {
+		ps := m["pairs"].([]any)
+		m["pairs"] = append(ps[:1:1], ps[2:]...) // pairs[1] is (τ.b!, b!)
+	})
+	if err := cert.Verify(c); err == nil || !strings.Contains(err.Error(), "unanswered out a!") {
+		t.Errorf("version 1 without (τ.b!, b!): %v, want an unanswered a! challenge", err)
+	}
+	c = decode(func(m map[string]any) { m["version"] = 3 })
+	if err := cert.Verify(c); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("version 3: %v, want an unsupported version", err)
+	}
 }
 
 // TestHandCraftedStrategiesRejected feeds the verifier adversarial

@@ -1,6 +1,10 @@
 package cert_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"bpi/internal/axioms"
@@ -11,7 +15,9 @@ import (
 // never panic, on any certificate Unmarshal accepts. The work bound keeps
 // each input cheap, and inputs over 8 KiB are skipped. The seeds are
 // engine-made: a positive and a negative certificate for each of the five
-// relations, strong and weak, plus an axioms proof.
+// relations, strong and weak, plus an axioms proof; then a version-1
+// certificate with move tables from each of the one-step fixture and the
+// first record of the ledger bpid wrote at commit 49dd064.
 func FuzzVerify(f *testing.F) {
 	add := func(crt *cert.Certificate) {
 		data, err := crt.Marshal()
@@ -47,6 +53,25 @@ func FuzzVerify(f *testing.F) {
 		f.Fatalf("axioms: proved=%v err=%v", proved, err)
 	}
 	add(pr.Certificate())
+	for _, path := range []string{v1OneStep, filepath.Join("..", "ledger", "testdata", "keys-49dd064", "seg-000001.log")} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// A ledger record is one JSON object in its frame.
+		var rec struct{ Cert json.RawMessage }
+		if i := bytes.Index(data, []byte(`{"seq":`)); i >= 0 {
+			if err := json.NewDecoder(bytes.NewReader(data[i:])).Decode(&rec); err != nil {
+				f.Fatal(err)
+			}
+			data = rec.Cert
+		}
+		var hdr struct{ Version int }
+		if err := json.Unmarshal(data, &hdr); err != nil || hdr.Version != 1 {
+			f.Fatalf("%s: not a version-1 certificate (%v)", path, err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 8<<10 {

@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -24,10 +25,11 @@ type vsys struct {
 	maxWork int
 
 	// recv memoises inputDerivs per term, channel and payload, the payload
-	// numbered in tuples. Each entry is charged one unit of work, so a
-	// certificate can make at most maxWork of them.
-	recv   map[recvKey][]*vterm
-	tuples map[tupleStep]int
+	// numbered in payloads by its bytes. Each entry is charged one unit of
+	// work, so a certificate can make at most maxWork of them.
+	recv     map[recvKey][]*vterm
+	payloads map[string]int
+	buf      []byte
 }
 
 type recvKey struct {
@@ -356,8 +358,10 @@ func (s *vsys) reactions(t *vterm, ch names.Name, payload []names.Name) ([]*vter
 // inputDerivs returns the genuine reception derivatives (no discard),
 // memoised: a term sits in many pairs, and each walks the same payloads.
 func (s *vsys) inputDerivs(t *vterm, ch names.Name, payload []names.Name) ([]*vterm, error) {
-	if out, ok := s.recv[recvKey{t, ch, tupleID(s.tuples, payload, false)}]; ok {
-		return out, nil
+	if id, ok := s.payloadID(payload, false); ok {
+		if out, ok := s.recv[recvKey{t, ch, id}]; ok {
+			return out, nil
+		}
 	}
 	if err := s.work(1); err != nil {
 		return nil, err
@@ -375,12 +379,31 @@ func (s *vsys) inputDerivs(t *vterm, ch names.Name, payload []names.Name) ([]*vt
 		out = append(out, n)
 	}
 	if s.recv == nil {
-		s.recv, s.tuples = map[recvKey][]*vterm{}, map[tupleStep]int{}
+		s.recv, s.payloads = map[recvKey][]*vterm{}, map[string]int{}
 	}
 	// Clipped, so that reactions appending the discard copies it.
 	out = slices.Clip(out)
-	s.recv[recvKey{t, ch, tupleID(s.tuples, payload, true)}] = out
+	id, _ := s.payloadID(payload, true)
+	s.recv[recvKey{t, ch, id}] = out
 	return out, nil
+}
+
+// payloadID returns the number of payload, numbering it if add is set, or
+// false if it has none. The table key is each name after its length, so
+// only a newly numbered payload allocates.
+func (s *vsys) payloadID(payload []names.Name, add bool) (int, bool) {
+	b := s.buf[:0]
+	for _, n := range payload {
+		b = binary.AppendUvarint(b, uint64(len(n)))
+		b = append(b, n...)
+	}
+	s.buf = b
+	id, ok := s.payloads[string(b)]
+	if !ok && add {
+		id, ok = len(s.payloads), true
+		s.payloads[string(b)] = id
+	}
+	return id, ok
 }
 
 // weakVia returns t's weak c-moves =ε=> · c · =ε=>, deduped and sorted.

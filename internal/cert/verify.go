@@ -17,9 +17,9 @@ type Verifier struct {
 	Sys *semantics.System
 	// MaxClosure bounds each τ*/(τ∪output)* closure (default 8192 states).
 	MaxClosure int
-	// MaxWork bounds the total verification work — term internings, checked
-	// challenges and strategy nodes, and the payload tuples and fusions
-	// walked (default 2,000,000).
+	// MaxWork bounds the total verification work — term internings, listed
+	// pairs, relation probes and strategy nodes, and the payload tuples and
+	// fusions walked (default 2,000,000).
 	MaxWork int
 }
 
@@ -32,8 +32,8 @@ func (v *Verifier) Verify(c *Certificate) error {
 	if c == nil {
 		return errors.New("cert: nil certificate")
 	}
-	if c.Version != Version {
-		return fmt.Errorf("cert: unsupported certificate version %d (want %d)", c.Version, Version)
+	if c.Version != 1 && c.Version != Version {
+		return fmt.Errorf("cert: unsupported certificate version %d (want 1 or %d)", c.Version, Version)
 	}
 	sys := v.Sys
 	if sys == nil {
@@ -234,65 +234,20 @@ func (s *vsys) moves(t *vterm, c challenge, avoid names.Set) ([]*vterm, error) {
 
 // ---- positive relations ----------------------------------------------------
 
-// relTable is a loaded positive relation: the interned terms, the pair set
-// and the recorded moves, all keyed on interned terms.
+// relTable is a loaded positive relation: the interned terms and the pair
+// set, keyed on interned terms.
 type relTable struct {
 	terms  []*vterm
 	pairs  [][2]int
 	member map[[2]*vterm]bool // oriented as listed
-	moves  map[moveID][2]*vterm
-	tuples map[tupleStep]int
-}
-
-// moveID identifies a recorded move: its table (a listed pair's index, or
-// -1 for the one-step root's), the attacker's side, the challenge, its
-// payload numbered by tupleID, and the attacker's derivative. The value is
-// the witness pair.
-type moveID struct {
-	pair    int
-	side    string
-	kind    string
-	label   string
-	ch      names.Name
-	payload int
-	mover   *vterm
-}
-
-// tupleStep numbers payloads: the tuple ns+[n] has the number of the step
-// {number of ns, n}, and the empty tuple 0.
-type tupleStep struct {
-	prefix int
-	n      names.Name
-}
-
-// tupleID returns the number of payload in ids, numbering it if add is
-// set, or -1 if it has none: no recorded move names it.
-func tupleID[S ~string](ids map[tupleStep]int, payload []S, add bool) int {
-	id := 0
-	for _, n := range payload {
-		st := tupleStep{id, names.Name(n)}
-		next, ok := ids[st]
-		if !ok {
-			if !add {
-				return -1
-			}
-			next = len(ids) + 1
-			ids[st] = next
-		}
-		id = next
-	}
-	return id
 }
 
 // loadRelation parses a positive certificate's relation. An empty relation is
 // legal — a one-step certificate over challenge-free terms embeds one — and
 // simply fails any later membership check.
 func (ck *checker) loadRelation(c *Certificate) (*relTable, error) {
-	if len(c.Moves) != len(c.Pairs) {
-		return nil, fmt.Errorf("cert: %d pairs but %d move tables", len(c.Pairs), len(c.Moves))
-	}
 	rt := &relTable{pairs: c.Pairs, terms: make([]*vterm, len(c.Terms)),
-		member: make(map[[2]*vterm]bool, len(c.Pairs)), moves: map[moveID][2]*vterm{}, tuples: map[tupleStep]int{}}
+		member: make(map[[2]*vterm]bool, len(c.Pairs))}
 	for i, src := range c.Terms {
 		t, err := ck.s.parse(src)
 		if err != nil {
@@ -301,46 +256,12 @@ func (ck *checker) loadRelation(c *Certificate) (*relTable, error) {
 		rt.terms[i] = t
 	}
 	for i, pr := range c.Pairs {
-		w, ok := rt.pair(pr)
-		if !ok {
+		if pr[0] < 0 || pr[0] >= len(rt.terms) || pr[1] < 0 || pr[1] >= len(rt.terms) {
 			return nil, fmt.Errorf("cert: pair %d indices out of range", i)
 		}
-		rt.member[w] = true
-		if err := rt.addMoves(i, c.Moves[i]); err != nil {
-			return nil, err
-		}
+		rt.member[[2]*vterm{rt.terms[pr[0]], rt.terms[pr[1]]}] = true
 	}
 	return rt, nil
-}
-
-// pair returns the terms at pr's indices, or false if one is out of range.
-func (rt *relTable) pair(pr [2]int) ([2]*vterm, bool) {
-	if pr[0] < 0 || pr[0] >= len(rt.terms) || pr[1] < 0 || pr[1] >= len(rt.terms) {
-		return [2]*vterm{}, false
-	}
-	return [2]*vterm{rt.terms[pr[0]], rt.terms[pr[1]]}, true
-}
-
-// addMoves records the move table of pair i, or the one-step root's when
-// i < 0.
-func (rt *relTable) addMoves(i int, ms []Move) error {
-	for _, mv := range ms {
-		w, ok := rt.pair(mv.Pair)
-		if !ok {
-			return fmt.Errorf("cert: %s: move witness indices out of range", where(i))
-		}
-		mover, _ := bySide(mv.Side, w[0], w[1])
-		rt.moves[moveID{i, mv.Side, mv.Kind, mv.Label, names.Name(mv.Ch), tupleID(rt.tuples, mv.Payload, true), mover}] = w
-	}
-	return nil
-}
-
-// where names the move table of pair i, or the one-step root's when i < 0.
-func where(i int) string {
-	if i < 0 {
-		return "root"
-	}
-	return fmt.Sprintf("pair %d", i)
 }
 
 // has reports membership of w in the relation up to swap: if every listed
@@ -348,6 +269,21 @@ func where(i int) string {
 // orientation is sound evidence.
 func (rt *relTable) has(w [2]*vterm) bool {
 	return rt.member[w] || rt.member[[2]*vterm{w[1], w[0]}]
+}
+
+// answered reports whether some answer pairs with the attacker's move m in
+// the relation, charging one unit of work per probe, so a relation that
+// makes every probe miss stays within MaxWork.
+func (ck *checker) answered(rt *relTable, m *vterm, answers []*vterm) (bool, error) {
+	for _, a := range answers {
+		if err := ck.s.work(1); err != nil {
+			return false, err
+		}
+		if rt.has([2]*vterm{m, a}) {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // checkClosure verifies that every listed pair discharges every challenge of
@@ -370,12 +306,13 @@ func (ck *checker) checkClosure(rt *relTable, mode string, weak bool) error {
 	return nil
 }
 
-// checkPair checks that the move table of pair i — the one-step root's
-// when i < 0 — answers every challenge of mode's game on (p, q).
+// checkPair checks that every challenge of mode's game on (p, q), listed
+// pair i or the one-step root when i < 0, is answered in the relation:
+// each of the attacker's moves has a derived answer that pairs with it in
+// rt.
 func (ck *checker) checkPair(rt *relTable, i int, mode string, weak bool, p, q *vterm) error {
 	avoid := freeUnion(p, q)
 	return ck.eachChallenge(mode, p, q, avoid, func(c challenge) error {
-		payload := tupleID(rt.tuples, c.payload, false)
 		for _, side := range sides {
 			att, def := bySide(side, p, q)
 			movers, answers, err := ck.derive(mode, weak, att, def, avoid, c)
@@ -383,9 +320,13 @@ func (ck *checker) checkPair(rt *relTable, i int, mode string, weak bool, p, q *
 				return err
 			}
 			for _, m := range movers {
-				id := moveID{i, side, c.kind, c.label, c.ch, payload, m}
-				if err := ck.requireMove(rt, id, answers); err != nil {
+				ok, err := ck.answered(rt, m, answers)
+				if err != nil {
 					return err
+				}
+				if !ok {
+					return fmt.Errorf("cert: %s: unanswered %s %s challenge of %s side (to %s)",
+						where(i), c.kind, c.label+string(c.ch), side, syntax.String(m.proc))
 				}
 			}
 		}
@@ -393,28 +334,12 @@ func (ck *checker) checkPair(rt *relTable, i int, mode string, weak bool, p, q *
 	})
 }
 
-// requireMove checks that the attacker's move id is answered in its table:
-// the recorded witness pair puts the attacker's derivative on its side, one
-// of the defender's answers on the other, and lies in the relation.
-func (ck *checker) requireMove(rt *relTable, id moveID, answers []*vterm) error {
-	if err := ck.s.work(1); err != nil {
-		return err
+// where names listed pair i, or the one-step root when i < 0.
+func where(i int) string {
+	if i < 0 {
+		return "root"
 	}
-	w, ok := rt.moves[id]
-	if !ok {
-		return fmt.Errorf("cert: %s: unanswered %s %s challenge of %s side (to %s)",
-			where(id.pair), id.kind, id.label+string(id.ch), id.side, syntax.String(id.mover.proc))
-	}
-	_, ans := bySide(id.side, w[0], w[1])
-	if !slices.Contains(answers, ans) {
-		return fmt.Errorf("cert: %s: witness answer %s is not a derivable %s response",
-			where(id.pair), syntax.String(ans.proc), id.kind)
-	}
-	if !rt.has(w) {
-		return fmt.Errorf("cert: %s: witness pair (%s, %s) is not in the relation",
-			where(id.pair), syntax.String(w[0].proc), syntax.String(w[1].proc))
-	}
-	return nil
+	return fmt.Sprintf("pair %d", i)
 }
 
 // checkBarbs verifies the barb clause of barbed (τ* answers) or step
@@ -663,10 +588,7 @@ func (ck *checker) checkOneStepRoot(c *Certificate, rt *relTable, p, q *vterm) e
 		return err
 	}
 	// …and the root pair's discards and strict moves must land in it.
-	if err := rt.addMoves(-1, c.TopMoves); err != nil {
-		return err
-	}
-	if err := ck.checkDiscards(c, rt, p, q); err != nil {
+	if err := ck.checkDiscards(c.Weak, rt, p, q); err != nil {
 		return err
 	}
 	return ck.checkPair(rt, -1, RelOneStep, c.Weak, p, q)
@@ -674,9 +596,9 @@ func (ck *checker) checkOneStepRoot(c *Certificate, rt *relTable, p, q *vterm) e
 
 // checkDiscards checks the root's discard clause: a side that discards a
 // free name is answered by the other — strongly by discarding it too,
-// weakly by a recorded witness pairing the discarder with a τ*-derivative
-// of the other side that discards it, in the embedded relation.
-func (ck *checker) checkDiscards(c *Certificate, rt *relTable, p, q *vterm) error {
+// weakly by a τ*-derivative of the other side that discards it and pairs
+// with the discarder in the embedded relation.
+func (ck *checker) checkDiscards(weak bool, rt *relTable, p, q *vterm) error {
 	for _, a := range freeUnion(p, q).Sorted() {
 		for _, side := range sides {
 			att, def := bySide(side, p, q)
@@ -687,47 +609,26 @@ func (ck *checker) checkDiscards(c *Certificate, rt *relTable, p, q *vterm) erro
 			if !da {
 				continue
 			}
-			answers, err := ck.s.discardAnswers(def, a, c.Weak)
+			answers, err := ck.s.discardAnswers(def, a, weak)
 			if err != nil {
 				return err
 			}
-			if !c.Weak {
+			if !weak {
 				if len(answers) == 0 {
 					return fmt.Errorf("cert: discard sets differ on %s", a)
 				}
 				continue
 			}
-			dw, err := findDiscardWitness(c.Discards, string(a), side)
+			ok, err := ck.answered(rt, att, answers)
 			if err != nil {
 				return err
 			}
-			w, ok := rt.pair(dw.Pair)
 			if !ok {
-				return fmt.Errorf("cert: discard witness on %s: indices out of range", a)
-			}
-			d, o := bySide(side, w[0], w[1])
-			if d != att {
-				return fmt.Errorf("cert: discard witness on %s: wrong discarder term", a)
-			}
-			if !slices.Contains(answers, o) {
-				return fmt.Errorf("cert: discard witness on %s: %s is not a τ*-derivative of the other side that discards it",
-					a, syntax.String(o.proc))
-			}
-			if !rt.has(w) {
-				return fmt.Errorf("cert: discard witness on %s: pair not in the embedded relation", a)
+				return fmt.Errorf("cert: the %s side's discard of %s is unanswered in the embedded relation", side, a)
 			}
 		}
 	}
 	return nil
-}
-
-func findDiscardWitness(ws []DiscardWitness, ch, side string) (DiscardWitness, error) {
-	for _, w := range ws {
-		if w.Ch == ch && w.Side == side {
-			return w, nil
-		}
-	}
-	return DiscardWitness{}, fmt.Errorf("cert: missing discard witness for %s on the %s side", ch, side)
 }
 
 // ---- congruence certificates -----------------------------------------------

@@ -113,41 +113,21 @@ func TestMutatedCertificatesRejected(t *testing.T) {
 	t.Run("dropped pair", func(t *testing.T) {
 		m := clone(t, pos.Cert)
 		m.Pairs = m.Pairs[:len(m.Pairs)-1]
-		m.Moves = m.Moves[:len(m.Moves)-1]
 		if cert.Verify(m) == nil {
 			t.Error("certificate with a dropped pair verified")
 		}
 	})
-	t.Run("redirected witness", func(t *testing.T) {
+	t.Run("repointed pair", func(t *testing.T) {
+		// Pair a non-root term with 0, to which only 0 is bisimilar.
 		m := clone(t, pos.Cert)
-		mutated := false
-	outer:
-		for i := range m.Moves {
-			for j := range m.Moves[i] {
-				// Point the witness answer somewhere that is not a
-				// derivable response: the mover's own derivative works
-				// whenever it differs from the recorded answer.
-				mv := &m.Moves[i][j]
-				moverIdx, ansIdx := mv.Pair[0], mv.Pair[1]
-				if mv.Side == "right" {
-					moverIdx, ansIdx = mv.Pair[1], mv.Pair[0]
-				}
-				if m.Terms[moverIdx] != m.Terms[ansIdx] {
-					if mv.Side == "right" {
-						mv.Pair[0] = moverIdx
-					} else {
-						mv.Pair[1] = moverIdx
-					}
-					mutated = true
-					break outer
-				}
-			}
+		zero := slices.Index(m.Terms, "0")
+		k := slices.IndexFunc(m.Pairs[1:], func(pr [2]int) bool { return pr[0] != zero })
+		if zero < 0 || k < 0 {
+			t.Fatalf("no term 0 or no non-root pair to re-point: %v %v", m.Terms, m.Pairs)
 		}
-		if !mutated {
-			t.Skip("no asymmetric witness to redirect")
-		}
+		m.Pairs[1+k][1] = zero
 		if cert.Verify(m) == nil {
-			t.Error("certificate with a redirected witness verified")
+			t.Errorf("certificate pairing %s with 0 verified", m.Terms[m.Pairs[1+k][0]])
 		}
 	})
 	t.Run("flipped verdict", func(t *testing.T) {

@@ -8,10 +8,10 @@ import (
 )
 
 // This file turns a finished engine run into a checkable certificate
-// (internal/cert): the surviving relation with one witness move per
-// discharged obligation when the root pair is related, or a well-founded
-// distinguishing strategy when it is not. Emission only reads engine state
-// left by explore+fixpoint; the verifier re-derives everything else.
+// (internal/cert): the surviving relation when the root pair is related,
+// or a well-founded distinguishing strategy when it is not. Emission only
+// reads engine state left by explore+fixpoint; the verifier re-derives
+// everything else.
 
 // barbWitness picks the deterministic witness of a strong-barb mismatch
 // between two sorted, differing barb lists: the least name of the left side
@@ -50,23 +50,18 @@ func (e *engine) certificate(root int32) *cert.Certificate {
 	return c
 }
 
-// relation emits every pair that survived the fixpoint, with the first live
-// candidate of each obligation as its witness move. Witnesses of surviving
-// pairs survive too, so the emitted relation is closed. It counts the
-// relation first, so Pairs, Moves and the one array every Moves[i] is cut
-// from are allocated at their sizes. Terms are numbered in first use: a
-// pair's witnesses' terms before its own.
+// relation emits every pair that survived the fixpoint. Each obligation of
+// a surviving pair keeps a live candidate, so the emitted relation is
+// closed; the verifier re-derives the answers and finds one in it. Terms
+// are numbered by first use in pair order, the root's first.
 func (e *engine) relation(c *cert.Certificate) {
-	live, moves := 0, 0
+	live := 0
 	for i := int32(0); int(i) < e.nodes.len(); i++ {
-		if n := e.nodes.at(i); !n.bad {
+		if !e.nodes.at(i).bad {
 			live++
-			moves += int(n.obHi - n.obLo)
 		}
 	}
 	c.Pairs = make([][2]int, 0, live)
-	c.Moves = make([][]cert.Move, 0, live)
-	all := make([]cert.Move, 0, moves)
 	idx := map[uint64]int{}
 	termIdx := func(ti *termInfo) int {
 		if i, ok := idx[ti.id]; ok {
@@ -77,42 +72,11 @@ func (e *engine) relation(c *cert.Certificate) {
 		c.Terms = append(c.Terms, stringOf(ti))
 		return i
 	}
-	// pair[i] caches node i's term indices, each plus one, or zeros before
-	// their first use. Terms number at most twice the pairs, which are
-	// int32s, so the indices fit in a uint32.
-	pair := make([][2]uint32, e.nodes.len())
-	pairIdx := func(i int32) [2]int {
-		if pair[i][0] == 0 {
-			n := e.nodes.at(i)
-			p := termIdx(n.p)
-			pair[i] = [2]uint32{uint32(p) + 1, uint32(termIdx(n.q)) + 1}
-		}
-		return [2]int{int(pair[i][0]) - 1, int(pair[i][1]) - 1}
-	}
 	for i := int32(0); int(i) < e.nodes.len(); i++ {
-		n := e.nodes.at(i)
-		if n.bad {
-			continue
+		if n := e.nodes.at(i); !n.bad {
+			p := termIdx(n.p)
+			c.Pairs = append(c.Pairs, [2]int{p, termIdx(n.q)})
 		}
-		from := len(all)
-		for o := n.obLo; o < n.obHi; o++ {
-			ob := e.obs.at(o)
-			wi := e.witness(ob)
-			if wi < 0 {
-				continue // unreachable: surviving pairs keep a live candidate per obligation
-			}
-			mv := e.move(ob)
-			all = append(all, cert.Move{
-				Side:    mv.side.String(),
-				Kind:    mv.kind.String(),
-				Label:   mv.label,
-				Ch:      string(mv.ch),
-				Payload: stringNames(mv.payload),
-				Pair:    pairIdx(wi),
-			})
-		}
-		c.Pairs = append(c.Pairs, pairIdx(i))
-		c.Moves = append(c.Moves, all[from:len(all):len(all)])
 	}
 }
 

@@ -171,7 +171,7 @@ func (oq *oneStepQuery) weakDiscardMatch(discarder, other *termInfo, a names.Nam
 		}
 		if r.Related {
 			if em != nil {
-				if err := em.discardWitness(side, a, discarder, s, r.Cert); err != nil {
+				if err := em.rel.add(r.Cert); err != nil {
 					return nil, false, err
 				}
 			}
@@ -299,8 +299,9 @@ func (oq *oneStepQuery) oneStepDirected(mover, answerer *termInfo, side string, 
 }
 
 // strictMatch discharges one strict challenge: the mover's derivative must be
-// labelled-bisimilar to some answer. With an emitter, success records the
-// witness top move and failure assembles the negative certificate.
+// labelled-bisimilar to some answer. With an emitter, success merges the
+// answer's labelled relation and failure assembles the negative
+// certificate.
 func (oq *oneStepQuery) strictMatch(em *osEmit, kind, side, label string,
 	ch names.Name, payload []names.Name, mover *termInfo, answers []*termInfo) (*cert.Certificate, bool, error) {
 	for _, ans := range answers {
@@ -310,7 +311,7 @@ func (oq *oneStepQuery) strictMatch(em *osEmit, kind, side, label string,
 		}
 		if r.Related {
 			if em != nil {
-				if err := em.answer(kind, side, label, ch, payload, mover, ans, r.Cert); err != nil {
+				if err := em.rel.add(r.Cert); err != nil {
 					return nil, false, err
 				}
 			}
@@ -326,15 +327,13 @@ func (oq *oneStepQuery) strictMatch(em *osEmit, kind, side, label string,
 
 // ---- one-step certificate emission -----------------------------------------
 
-// osEmit accumulates one-step certificate evidence: the strict top-level move
-// table, the weak discard witnesses, and the union of the labelled
-// sub-certificates as one merged relation.
+// osEmit accumulates one-step certificate evidence: the union of the
+// labelled sub-certificates that answer the root's strict challenges and,
+// when weak, its discard clause, as one merged relation.
 type osEmit struct {
-	oq       *oneStepQuery
-	pi, qi   *termInfo
-	rel      relMerger
-	top      []cert.Move
-	discards []cert.DiscardWitness
+	oq     *oneStepQuery
+	pi, qi *termInfo
+	rel    relMerger
 }
 
 func newOSEmit(oq *oneStepQuery, pi, qi *termInfo) *osEmit {
@@ -352,44 +351,9 @@ func (em *osEmit) header(related bool) *cert.Certificate {
 	}
 }
 
-// answer records one discharged strict challenge: the labelled certificate of
-// the witness pair is merged into the relation and the top move points at it.
-func (em *osEmit) answer(kind, side, label string, ch names.Name, payload []names.Name,
-	mover, ans *termInfo, sub *cert.Certificate) error {
-	if err := em.rel.add(sub); err != nil {
-		return err
-	}
-	l, r := mover, ans
-	if side == "right" {
-		l, r = ans, mover
-	}
-	em.top = append(em.top, cert.Move{
-		Side: side, Kind: kind, Label: label, Ch: string(ch), Payload: stringNames(payload),
-		Pair: [2]int{em.rel.term(stringOf(l)), em.rel.term(stringOf(r))},
-	})
-	return nil
-}
-
-// discardWitness records one discharged weak discard clause instance.
-func (em *osEmit) discardWitness(side string, a names.Name, discarder, s *termInfo, sub *cert.Certificate) error {
-	if err := em.rel.add(sub); err != nil {
-		return err
-	}
-	l, r := discarder, s
-	if side == "right" {
-		l, r = s, discarder
-	}
-	em.discards = append(em.discards, cert.DiscardWitness{
-		Ch: string(a), Side: side,
-		Pair: [2]int{em.rel.term(stringOf(l)), em.rel.term(stringOf(r))},
-	})
-	return nil
-}
-
 func (em *osEmit) positive() *cert.Certificate {
 	crt := em.header(true)
-	crt.Terms, crt.Pairs, crt.Moves = em.rel.terms, em.rel.pairs, em.rel.moves
-	crt.TopMoves, crt.Discards = em.top, em.discards
+	crt.Terms, crt.Pairs = em.rel.terms, em.rel.pairs
 	return crt
 }
 
@@ -453,14 +417,11 @@ func appendShifted(dst, src []cert.Strategy, off int) []cert.Strategy {
 }
 
 // relMerger unions positive labelled certificates into one relation, keyed by
-// printed canonical terms. Pair move tables are deterministic per pair (the
-// fixpoint decides membership exactly, so liveness of a candidate does not
-// depend on which query explored it), making first-wins dedup sound.
+// printed canonical terms, each pair once.
 type relMerger struct {
 	terms   []string
 	termIdx map[string]int
 	pairs   [][2]int
-	moves   [][]cert.Move
 	pairIdx map[[2]int]bool
 	seen    map[*cert.Certificate]bool
 }
@@ -491,19 +452,12 @@ func (m *relMerger) add(sub *cert.Certificate) error {
 	for i, s := range sub.Terms {
 		remap[i] = m.term(s)
 	}
-	for k, pr := range sub.Pairs {
+	for _, pr := range sub.Pairs {
 		np := [2]int{remap[pr[0]], remap[pr[1]]}
-		if m.pairIdx[np] {
-			continue
+		if !m.pairIdx[np] {
+			m.pairIdx[np] = true
+			m.pairs = append(m.pairs, np)
 		}
-		m.pairIdx[np] = true
-		mvs := make([]cert.Move, len(sub.Moves[k]))
-		for j, v := range sub.Moves[k] {
-			v.Pair = [2]int{remap[v.Pair[0]], remap[v.Pair[1]]}
-			mvs[j] = v
-		}
-		m.pairs = append(m.pairs, np)
-		m.moves = append(m.moves, mvs)
 	}
 	return nil
 }

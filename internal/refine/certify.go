@@ -61,9 +61,7 @@ func certifyStrong(g *lts.Graph, rel string) (*cert.Certificate, bool, error) {
 	}
 	if block[r0] == block[r1] {
 		c.Related = true
-		if err := emitPartition(c, g, block, tauOnly); err != nil {
-			return nil, true, err
-		}
+		emitPartition(c, g, block)
 		return c, true, nil
 	}
 	st := &strategist{g: g, hist: hist, tauOnly: tauOnly, memo: map[[2]int]int{}}
@@ -96,52 +94,22 @@ func succs(g *lts.Graph, i int, tauOnly bool) []int {
 	return out
 }
 
-// emitPartition lists every intra-block pair with its move table: each
-// successor of one member is witnessed by a block-equal successor of the
-// other, which stability of the partition guarantees exists.
-func emitPartition(c *cert.Certificate, g *lts.Graph, block []int, tauOnly bool) error {
+// emitPartition lists every intra-block pair. Stability of the partition
+// gives each successor of one member a block-equal successor of the other,
+// which the verifier finds among the answers it re-derives.
+func emitPartition(c *cert.Certificate, g *lts.Graph, block []int) {
 	n := g.NumStates()
 	c.Terms = make([]string, n)
 	for i := 0; i < n; i++ {
 		c.Terms[i] = syntax.String(g.States[i].Proc)
 	}
-	kind := "step"
-	if tauOnly {
-		kind = "tau"
-	}
-	witness := func(mover, defender int) (int, error) {
-		for _, d := range succs(g, defender, tauOnly) {
-			if block[d] == block[mover] {
-				return d, nil
-			}
-		}
-		return 0, fmt.Errorf("refine: internal: partition unstable at states %d/%d", mover, defender)
-	}
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			if block[i] != block[j] {
-				continue
+			if block[i] == block[j] {
+				c.Pairs = append(c.Pairs, [2]int{i, j})
 			}
-			c.Pairs = append(c.Pairs, [2]int{i, j})
-			var moves []cert.Move
-			for _, m := range succs(g, i, tauOnly) {
-				w, err := witness(m, j)
-				if err != nil {
-					return err
-				}
-				moves = append(moves, cert.Move{Side: "left", Kind: kind, Pair: [2]int{m, w}})
-			}
-			for _, m := range succs(g, j, tauOnly) {
-				w, err := witness(m, i)
-				if err != nil {
-					return err
-				}
-				moves = append(moves, cert.Move{Side: "right", Kind: kind, Pair: [2]int{w, m}})
-			}
-			c.Moves = append(c.Moves, moves)
 		}
 	}
-	return nil
 }
 
 // strategist emits a distinguishing strategy from the refinement history.
