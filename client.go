@@ -42,14 +42,16 @@ type BatchResult struct {
 	Trailer BatchTrailer
 }
 
-// Service is the embeddable daemon core (shared store, worker pool, verdict
-// cache, request traces); mount Service.Handler on any http.Server.
+// Service is the embeddable daemon core (admission gate, worker pool,
+// verdict cache, request traces), which decides each request on a term
+// store of its own; mount Service.Handler on any http.Server.
 type Service = service.Server
 
 // ServiceConfig tunes an embedded Service; the zero value is usable.
 type ServiceConfig = service.Config
 
-// NewService returns a daemon core over one fresh shared term store.
+// NewService returns a daemon core; each request it decides gets a fresh
+// term store.
 func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 
 // Client calls a running bpid daemon. The zero HTTP client is usable;

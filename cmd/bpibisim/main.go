@@ -8,8 +8,8 @@
 //	         [-cert out.json] "term1" "term2"
 //
 // With -server the query is delegated to a running bpid daemon, whose
-// shared store and verdict cache amortise repeated queries across
-// processes; verdicts are identical to the local checker's.
+// verdict cache amortises repeated queries across processes; verdicts are
+// identical to the local checker's.
 //
 // The exit status is 0 when the verdicts were printed (related or not), 1
 // when a term, the program file, the daemon or the certificate output

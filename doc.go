@@ -25,8 +25,9 @@
 //     inconsistency detection, PVM-style dynamic group communication) are
 //     available as prebuilt environments;
 //   - a resident checking daemon (cmd/bpid) serves the equivalences and the
-//     prover over HTTP/JSON from one shared term store with a verdict cache;
-//     talk to it with Client (NewClient) or embed its core with NewService.
+//     prover over HTTP/JSON, deciding each request on a term store of its
+//     own, with a verdict cache; talk to it with Client (NewClient) or
+//     embed its core with NewService.
 //
 // # Quickstart
 //

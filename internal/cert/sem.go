@@ -44,7 +44,8 @@ type vterm struct {
 	proc syntax.Proc
 	key  string
 	free names.Set
-	// trans holds the symbolic transitions (Steps is already deduped).
+	// trans holds the symbolic transitions (Steps dedupes them before
+	// Simplify, so two may reach one vterm: the two b! moves of b! | b!).
 	trans []semantics.Trans
 
 	discards map[names.Name]bool
@@ -52,12 +53,8 @@ type vterm struct {
 	shapes   []vshape     // sorted; non-nil once derived
 	outs     []vout
 	outsOK   bool // outs holds every output: t extrudes no name
-	tauS     []*vterm
-	tauOK    bool
-	autoS    []*vterm
-	autoOK   bool
-	tauC     []*vterm
-	autoC    []*vterm
+	// succs and closures are indexed by move(auto); non-nil once derived.
+	succs, closures [2][]*vterm
 }
 
 func (s *vsys) work(n int) error {
@@ -120,35 +117,26 @@ func (s *vsys) discardsOn(t *vterm, a names.Name) (bool, error) {
 	return v, nil
 }
 
-func (s *vsys) tauSucc(t *vterm) ([]*vterm, error) {
-	if t.tauOK {
-		return t.tauS, nil
+// move indexes a vterm's memos by kind of move: one τ, or (auto) one
+// autonomous step, τ or output.
+func move(auto bool) int {
+	if auto {
+		return 1
 	}
-	out := []*vterm{}
-	for _, tr := range t.trans {
-		if !tr.Act.IsTau() {
-			continue
-		}
-		n, err := s.intern(tr.Target)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	t.tauS, t.tauOK = out, true
-	return out, nil
+	return 0
 }
 
-// autoSucc returns the τ- and output-successors, bound outputs
-// canonicalised jointly with their targets (semantics.CanonTrans), exactly
-// as both the pair engine's step relation and lts.Explore intern them.
-func (s *vsys) autoSucc(t *vterm) ([]*vterm, error) {
-	if t.autoOK {
-		return t.autoS, nil
+// succ returns t's successors under one move of its kind, each once, in
+// the order of its first transition. Bound outputs are canonicalised
+// jointly with their targets (semantics.CanonTrans), exactly as both the
+// pair engine's step relation and lts.Explore intern them.
+func (s *vsys) succ(t *vterm, auto bool) ([]*vterm, error) {
+	if out := t.succs[move(auto)]; out != nil {
+		return out, nil
 	}
 	out := []*vterm{}
 	for _, tr := range t.trans {
-		if !tr.Act.IsStep() {
+		if !(tr.Act.IsTau() || auto && tr.Act.IsStep()) {
 			continue
 		}
 		tgt := tr.Target
@@ -159,46 +147,33 @@ func (s *vsys) autoSucc(t *vterm) ([]*vterm, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, n)
+		out = addTerm(out, n)
 	}
-	t.autoS, t.autoOK = out, true
+	t.succs[move(auto)] = out
 	return out, nil
 }
 
-func (s *vsys) tauClosure(t *vterm) ([]*vterm, error) {
-	if t.tauC != nil {
-		return t.tauC, nil
+// addTerm appends t to the move list ts unless ts holds it already.
+func addTerm(ts []*vterm, t *vterm) []*vterm {
+	if slices.Contains(ts, t) {
+		return ts
 	}
-	cl, err := s.reach(t, s.tauSucc)
-	if err != nil {
-		return nil, err
-	}
-	t.tauC = cl
-	return cl, nil
+	return append(ts, t)
 }
 
-func (s *vsys) autoClosure(t *vterm) ([]*vterm, error) {
-	if t.autoC != nil {
-		return t.autoC, nil
+// closureOf returns t's reflexive-transitive closure under succ (τ* or
+// (τ∪output)*), memoised, budget-bounded and sorted by canonical key.
+func (s *vsys) closureOf(t *vterm, auto bool) ([]*vterm, error) {
+	if cl := t.closures[move(auto)]; cl != nil {
+		return cl, nil
 	}
-	cl, err := s.reach(t, s.autoSucc)
-	if err != nil {
-		return nil, err
-	}
-	t.autoC = cl
-	return cl, nil
-}
-
-// reach is reflexive-transitive reachability, budget-bounded and sorted by
-// canonical key.
-func (s *vsys) reach(t *vterm, succ func(*vterm) ([]*vterm, error)) ([]*vterm, error) {
 	seen := map[*vterm]bool{t: true}
 	out := []*vterm{t}
 	work := []*vterm{t}
 	for len(work) > 0 {
 		cur := work[len(work)-1]
 		work = work[:len(work)-1]
-		next, err := succ(cur)
+		next, err := s.succ(cur, auto)
 		if err != nil {
 			return nil, err
 		}
@@ -215,6 +190,7 @@ func (s *vsys) reach(t *vterm, succ func(*vterm) ([]*vterm, error)) ([]*vterm, e
 		}
 	}
 	sortVTerms(out)
+	t.closures[move(auto)] = out
 	return out, nil
 }
 
@@ -252,13 +228,6 @@ func (s *vsys) hasBarb(t *vterm, a names.Name, weak, auto bool) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-func (s *vsys) closureOf(t *vterm, auto bool) ([]*vterm, error) {
-	if auto {
-		return s.autoClosure(t)
-	}
-	return s.tauClosure(t)
 }
 
 // vout is an output transition under its canonical label.
@@ -350,7 +319,7 @@ func (s *vsys) reactions(t *vterm, ch names.Name, payload []names.Name) ([]*vter
 		return nil, err
 	}
 	if d {
-		out = append(out, t)
+		out = addTerm(out, t)
 	}
 	return out, nil
 }
@@ -376,7 +345,7 @@ func (s *vsys) inputDerivs(t *vterm, ch names.Name, payload []names.Name) ([]*vt
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, n)
+		out = addTerm(out, n)
 	}
 	if s.recv == nil {
 		s.recv, s.payloads = map[recvKey][]*vterm{}, map[string]int{}
@@ -408,7 +377,7 @@ func (s *vsys) payloadID(payload []names.Name, add bool) (int, bool) {
 
 // weakVia returns t's weak c-moves =ε=> · c · =ε=>, deduped and sorted.
 func (s *vsys) weakVia(t *vterm, c challenge, avoid names.Set) ([]*vterm, error) {
-	pre, err := s.tauClosure(t)
+	pre, err := s.closureOf(t, false)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +389,7 @@ func (s *vsys) weakVia(t *vterm, c challenge, avoid names.Set) ([]*vterm, error)
 			return nil, err
 		}
 		for _, m := range ms {
-			post, err := s.tauClosure(m)
+			post, err := s.closureOf(m, false)
 			if err != nil {
 				return nil, err
 			}
@@ -443,7 +412,7 @@ func (s *vsys) discardAnswers(def *vterm, ch names.Name, weak bool) ([]*vterm, e
 	cands := []*vterm{def}
 	if weak {
 		var err error
-		if cands, err = s.tauClosure(def); err != nil {
+		if cands, err = s.closureOf(def, false); err != nil {
 			return nil, err
 		}
 	}

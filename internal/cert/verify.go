@@ -195,23 +195,24 @@ func (ck *checker) derive(mode string, weak bool, att, def *vterm, avoid names.S
 	case !weak:
 		answers, err = ck.s.moves(def, c, avoid)
 	case c.kind == "step":
-		answers, err = ck.s.autoClosure(def)
+		answers, err = ck.s.closureOf(def, true)
 	case c.kind == "tau" && mode != RelOneStep:
-		answers, err = ck.s.tauClosure(def)
+		answers, err = ck.s.closureOf(def, false)
 	default:
 		answers, err = ck.s.weakVia(def, c, avoid)
 	}
 	return movers, answers, err
 }
 
-// moves returns t's strong c-moves; avoid is the pair's free names, against
-// which extruded names are canonicalised.
+// moves returns t's strong c-moves, each derivative once, in the order of
+// its first transition; avoid is the pair's free names, against which
+// extruded names are canonicalised.
 func (s *vsys) moves(t *vterm, c challenge, avoid names.Set) ([]*vterm, error) {
 	switch c.kind {
 	case "tau":
-		return s.tauSucc(t)
+		return s.succ(t, false)
 	case "step":
-		return s.autoSucc(t)
+		return s.succ(t, true)
 	case "react":
 		return s.reactions(t, c.ch, c.payload)
 	case "in":
@@ -223,7 +224,7 @@ func (s *vsys) moves(t *vterm, c challenge, avoid names.Set) ([]*vterm, error) {
 		}
 		var to []*vterm
 		for _, o := range outs {
-			if o.label == c.label {
+			if o.label == c.label && !slices.Contains(to, o.to) {
 				to = append(to, o.to)
 			}
 		}

@@ -31,9 +31,11 @@
 // that interns terms to dense uint64 IDs and is safe for concurrent use; a
 // Checker is its configuration plus one store, keeps no verdicts, and may
 // itself be shared across goroutines. Independent queries can therefore run
-// concurrently over one store (NewCheckerWithStore, as bpid's worker pool
-// does) and reuse each other's derivations. The only verdicts kept are a ~+
-// or ~c query's own labelled sub-verdicts, for the length of that query.
+// concurrently over one store (NewCheckerWithStore) and reuse each other's
+// derivations. bpid does not: each of its requests gets a Checker on a
+// fresh store (NewChecker), so no term outlives the request that interned
+// it. The only verdicts kept are a ~+ or ~c query's own labelled
+// sub-verdicts, for the length of that query.
 package equiv
 
 import (

@@ -189,18 +189,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	st := s.store.Stats()
+	// Each request decides on a store of its own, which mirrors its reuse
+	// counters into the daemon tracer: the store series are totals over
+	// every request's store, and a store creates one term per intern miss.
+	counters := s.obs.Counters()
 	hits, misses := float64(s.cache.hits.Load()), float64(s.cache.misses.Load())
 	hitRate := 0.0
 	if hits+misses > 0 {
 		hitRate = hits / (hits + misses)
 	}
 	gauges := []gauge{
-		{"bpid_store_terms", "Interned canonical terms in the shared store.", "", float64(st.Terms)},
-		{"bpid_store_intern_hits_total", "Intern calls served by an existing term.", "", float64(st.InternHits)},
-		{"bpid_store_intern_misses_total", "Intern calls that created a term.", "", float64(st.InternMisses)},
-		{"bpid_store_derivation_hits_total", "Memoised derivation lookups served from cache.", "", float64(st.DerivationHits)},
-		{"bpid_store_derivation_misses_total", "Derivation lookups recomputed from the semantics.", "", float64(st.DerivationMisses)},
+		{"bpid_store_terms", "Canonical terms interned by the request stores since start.", "", float64(counters["store.intern_misses"])},
+		{"bpid_store_intern_hits_total", "Intern calls served by an existing term.", "", float64(counters["store.intern_hits"])},
+		{"bpid_store_intern_misses_total", "Intern calls that created a term.", "", float64(counters["store.intern_misses"])},
+		{"bpid_store_derivation_hits_total", "Memoised derivation lookups served from cache.", "", float64(counters["store.deriv_hits"])},
+		{"bpid_store_derivation_misses_total", "Derivation lookups recomputed from the semantics.", "", float64(counters["store.deriv_misses"])},
 		{"bpid_verdict_cache_entries", "Entries in the verdict LRU.", "", float64(s.cache.len())},
 		{"bpid_verdict_cache_hits_total", "Verdict-cache hits.", "", hits},
 		{"bpid_verdict_cache_misses_total", "Verdict-cache misses.", "", misses},
@@ -249,7 +252,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Engine counters from the daemon tracer, where every request's tracer
 	// folds its own, one labelled series per counter name (sorted for a
 	// stable exposition).
-	counters := s.obs.Counters()
 	cnames := make([]string, 0, len(counters))
 	for name := range counters {
 		cnames = append(cnames, name)

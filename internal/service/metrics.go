@@ -10,8 +10,8 @@ import (
 
 // metrics is a small hand-rolled Prometheus-text-format registry: request
 // counters per (endpoint, code), a latency histogram per endpoint, and
-// gauges sampled at scrape time (store occupancy, cache hit rate, worker
-// utilisation, admission). stdlib-only by design.
+// gauges sampled at scrape time (request-store totals, cache hit rate,
+// worker utilisation, admission). stdlib-only by design.
 type metrics struct {
 	mu       sync.Mutex
 	requests map[reqKey]uint64

@@ -24,8 +24,8 @@ type racePair struct {
 }
 
 // raceCorpus is a mix of related and unrelated pairs across the relations,
-// chosen to exercise shared-store interning from many goroutines: the pairs
-// overlap in subterms on purpose.
+// asked by many goroutines at once: the pairs overlap in subterms on
+// purpose.
 var raceCorpus = []racePair{
 	{p: "a?(x).x! + b!(c)", q: "a?(y).y! + b!(c)", rel: cert.RelLabelled},
 	{p: "a! | b!", q: "a!.b! + b!.a!", rel: cert.RelLabelled},
@@ -42,9 +42,9 @@ var raceCorpus = []racePair{
 }
 
 // TestConcurrentClientsMatchDirectChecker fires 32 concurrent clients at one
-// daemon, each walking the corpus in a different order plus interleaved
-// prover and machine requests, and cross-checks every equivalence verdict
-// against a direct Checker run. Exercised under -race in CI.
+// daemon, each walking the corpus in a different order plus an interleaved
+// prover request, and cross-checks every equivalence verdict against a
+// direct Checker run. Exercised under -race in CI.
 func TestConcurrentClientsMatchDirectChecker(t *testing.T) {
 	// Expected verdicts from a direct in-process checker (fresh store).
 	direct := equiv.NewChecker(nil)
@@ -111,11 +111,10 @@ func TestConcurrentClientsMatchDirectChecker(t *testing.T) {
 		}
 	}
 
-	// The shared store must have amortised the overlapping corpus: with 32
-	// clients asking the same 12 pairs, derivation hits dominate misses.
-	st := srv.Store().Stats()
-	if st.DerivationHits == 0 {
-		t.Errorf("no derivation sharing across clients: %+v", st)
+	// Each decision ran on a store of its own, whose counters the store
+	// series on /metrics sum: the engine must have interned terms.
+	if v := metricValue(t, ts, "bpid_store_intern_misses_total"); v <= 0 {
+		t.Errorf("bpid_store_intern_misses_total = %v after %d clients, want above 0", v, clients)
 	}
 }
 

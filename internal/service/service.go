@@ -1,7 +1,8 @@
 // Package service implements bpid, the resident equivalence-checking
-// daemon: an HTTP/JSON front end over ONE shared equiv.Store, so concurrent
-// and repeated queries reuse each other's interned terms, transitions and
-// closures instead of rebuilding them per process.
+// daemon: an HTTP/JSON front end over the pair engine. Each equivalence
+// request, and each batch item, is decided on an equiv.Store of its own,
+// dropped when the decision ends, so the daemon's heap holds no term past
+// the request that interned it.
 //
 // Architecture:
 //
@@ -9,9 +10,8 @@
 //     batch item) passes one gate (gate.go): Config.Workers slots, a
 //     bounded queue of Config.AdmissionQueue places beyond them, and typed
 //     429 sheds (queue_full, deadline_budget, draining) for the rest;
-//     per-request engine budgets are carried by a throwaway Checker view
-//     onto the shared store, so budgets are request-scoped while
-//     derivations are process-scoped;
+//     a request's engine budgets and its term store belong to the Checker
+//     it is decided on, so both are request-scoped;
 //   - each request has one deadline, set on arrival: admission sheds on
 //     it, the wait for a worker gives up at it, and it is threaded as
 //     context.Context cancellation into the pair engine's BFS loop and the
@@ -118,20 +118,20 @@ func (c Config) admissionQueue() int {
 	return c.AdmissionQueue
 }
 
-// Server is the daemon core: the shared store, the gate in front of the
-// workers, the verdict cache, the request traces and the metrics registry.
-// Create with New, mount Handler on an http.Server, stop with Shutdown.
+// Server is the daemon core: the gate in front of the workers, the verdict
+// cache, the request traces and the metrics registry. Create with New,
+// mount Handler on an http.Server, stop with Shutdown.
 type Server struct {
 	cfg     Config
 	sys     *semantics.System
-	store   *equiv.Store
 	cache   *verdictCache
 	metrics *metrics
 
-	// obs is the daemon-lifetime tracer, counters only: the shared store
-	// mirrors its reuse counters here, and every request's own tracer folds
-	// its engine counters in when the work ends (exported as
-	// bpid_engine_events_total on /metrics).
+	// obs is the daemon-lifetime tracer, counters only: every request's
+	// store mirrors its reuse counters here (the bpid_store_* series sum
+	// them), and every request's own tracer folds its engine counters in
+	// when the work ends (exported as bpid_engine_events_total on
+	// /metrics).
 	obs *obs.Tracer
 	// traces keeps the span trees of the last gated requests.
 	traces traceRing
@@ -152,7 +152,7 @@ type Server struct {
 	started time.Time
 }
 
-// New returns a ready Server over one fresh shared store.
+// New returns a ready Server.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
@@ -163,14 +163,9 @@ func New(cfg Config) *Server {
 		gate:    newGate(cfg.workers(), cfg.admissionQueue()),
 		started: time.Now(),
 	}
-	s.store = equiv.NewStore(s.sys)
-	s.store.SetObs(s.obs)
 	s.attachLedger()
 	return s
 }
-
-// Store exposes the shared term store (for tests and diagnostics).
-func (s *Server) Store() *equiv.Store { return s.store }
 
 // Shutdown drains the server: the gate sheds all new work with draining,
 // then Shutdown blocks until all work it admitted before, queued requests
@@ -248,10 +243,12 @@ func classify(err error) *ErrorBody {
 	}
 }
 
-// checker returns a request-scoped Checker view over the shared store,
-// carrying the request's budgets and reporting to tr.
+// checker returns a Checker on a fresh store for one request, carrying the
+// request's budgets and reporting to tr; the store mirrors its reuse
+// counters into the daemon tracer.
 func (s *Server) checker(req *EquivRequest, tr *obs.Tracer) *equiv.Checker {
-	c := equiv.NewCheckerWithStore(s.store)
+	c := equiv.NewChecker(s.sys)
+	c.Store().SetObs(s.obs)
 	c.MaxPairs = s.cfg.MaxPairs
 	if req.MaxPairs > 0 {
 		c.MaxPairs = req.MaxPairs
