@@ -141,8 +141,8 @@ type shape struct {
 	arity int
 }
 
-// freeUnion returns a fresh set fn(p) ∪ fn(q) (the cached per-term sets are
-// shared and must not be mutated).
+// freeUnion returns a fresh set fn(p) ∪ fn(q) (the memoised per-term sets
+// are shared and must not be mutated).
 func freeUnion(p, q *termInfo) names.Set {
-	return p.free.Clone().AddAll(q.free)
+	return p.freeNames().Clone().AddAll(q.freeNames())
 }

@@ -154,7 +154,7 @@ func TestStoreConcurrentIntern(t *testing.T) {
 					}
 				}
 				var o []outTarget
-				if err := st.eachOutput(ti, ti.free, func(ot outTarget) error {
+				if err := st.eachOutput(ti, ti.freeNames(), func(ot outTarget) error {
 					o = append(o, ot)
 					return nil
 				}); err != nil {

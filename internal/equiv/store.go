@@ -113,7 +113,6 @@ type termInfo struct {
 	id   uint64
 	proc syntax.Proc
 	key  string
-	free names.Set // free names; treat as immutable — Clone before mutating
 
 	// trans is computed once, singleflight, on first demand, together with
 	// barbs, the subjects of the output transitions (p ↓a), sorted, and
@@ -125,9 +124,11 @@ type termInfo struct {
 	transErr  error
 
 	// mu guards the lazily memoised fields below. Never held while calling
-	// into the store for other terms. succs and closures are indexed by a
-	// memoised move kind, kindTau or kindStep, and nil until derived.
+	// into the store for other terms. free is nil until freeNames derives
+	// it. succs and closures are indexed by a memoised move kind, kindTau or
+	// kindStep, and nil until derived.
 	mu       sync.Mutex
+	free     names.Set
 	discards map[names.Name]bool
 	succs    [2][]*termInfo
 	closures [2][]*termInfo
@@ -177,7 +178,7 @@ func (s *Store) resolve(k []byte, p syntax.Proc) (ti *termInfo, fresh bool) {
 	if ok {
 		return ti, false
 	}
-	nt := &termInfo{proc: p, key: string(k), free: syntax.FreeNames(p)}
+	nt := &termInfo{proc: p, key: string(k)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ti, ok := s.terms[nt.key]; ok {
@@ -208,6 +209,18 @@ func (s *Store) ready(ti *termInfo) (*termInfo, error) {
 		return nil, ti.transErr
 	}
 	return ti, nil
+}
+
+// freeNames returns the free names of ti, derived at the first call: only
+// the labelled, one-step and congruence games read them. The set is shared;
+// Clone it before mutating.
+func (ti *termInfo) freeNames() names.Set {
+	ti.mu.Lock()
+	defer ti.mu.Unlock()
+	if ti.free == nil {
+		ti.free = syntax.FreeNames(ti.proc)
+	}
+	return ti.free
 }
 
 // discardsOn reports whether the term ignores channel a (memoised).

@@ -14,7 +14,12 @@
 // Open rescans the whole log and builds an in-memory index: for each record
 // its key hash and budgets, where its frame lives, its Merkle leaf hash, its
 // batch and its trust state. No payload, Record or certificate stays in
-// memory, for records read at Open or appended since alike.
+// memory, for records read at Open or appended since alike. Open does not
+// decode a record: one pass over its payload (readIndex) checks that it is
+// well-formed JSON and reads the five index fields where they are written
+// plainly. Any other payload is decoded by json.Unmarshal, the reference
+// the pass agrees with, so every index entry, quarantine and reason is the
+// one a full decode gives.
 //
 // Trust is layered and fail-closed, per record:
 //
@@ -327,20 +332,12 @@ func (l *Ledger) scanSegment(seg int, last bool) error {
 	return nil
 }
 
-// indexFields are the parts of a record's payload that its index entry
-// keeps.
-type indexFields struct {
-	Seq        uint64 `json:"seq"`
-	KeyHash    string `json:"key_hash"`
-	MaxPairs   int    `json:"max_pairs"`
-	MaxClosure int    `json:"max_closure"`
-	MaxSubs    int    `json:"max_subs"`
-}
-
+// indexVerdict indexes one verdict frame from its index fields, which
+// readIndex reads without decoding the record.
 func (l *Ledger) indexVerdict(seg, off int, payload []byte) {
 	e := entry{seg: int32(seg), off: int64(off)}
-	var f indexFields
-	if err := json.Unmarshal(payload, &f); err != nil {
+	f, err := readIndex(payload)
+	if err != nil {
 		l.addLocked(e, payload, "", "undecodable record: "+err.Error())
 		return
 	}

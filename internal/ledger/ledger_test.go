@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -686,11 +688,10 @@ func TestClosedLedger(t *testing.T) {
 	}
 }
 
-// TestNewRecordRefusals pins the constructor's fail-closed checks.
+// TestNewRecordRefusals pins the constructors' fail-closed checks:
+// NewRecord and NewKeyedRecord refuse the same verdicts, NewKeyedRecord
+// without parsing a term, and they build the same record.
 func TestNewRecordRefusals(t *testing.T) {
-	if _, err := NewRecord(cert.RelLabelled, false, 0, 0, 0, true, 0, "", nil); err == nil {
-		t.Fatal("nil certificate accepted")
-	}
 	ch := equiv.NewChecker(nil)
 	ch.Certify = true
 	rec := certRecord(t, ch, cert.RelLabelled, false, "a!", "a!")
@@ -698,10 +699,44 @@ func TestNewRecordRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRecord(cert.RelLabelled, false, 0, 0, 0, !crt.Related, 0, "", crt); err == nil {
-		t.Fatal("verdict/certificate disagreement accepted")
+	long := *crt
+	long.P = strings.Repeat("a", certTermBytes) + "!"
+	for name, build := range map[string]func(rel string, weak, related bool, crt *cert.Certificate) (Record, error){
+		"NewRecord": func(rel string, weak, related bool, crt *cert.Certificate) (Record, error) {
+			return NewRecord(rel, weak, 1, 2, 3, related, 4, "why", crt)
+		},
+		"NewKeyedRecord": func(rel string, weak, related bool, crt *cert.Certificate) (Record, error) {
+			return NewKeyedRecord(rec.Key, rel, weak, 1, 2, 3, related, 4, "why", crt)
+		},
+	} {
+		if _, err := build(cert.RelLabelled, false, true, nil); err == nil {
+			t.Errorf("%s: nil certificate accepted", name)
+		}
+		if _, err := build(cert.RelLabelled, false, !crt.Related, crt); err == nil {
+			t.Errorf("%s: verdict/certificate disagreement accepted", name)
+		}
+		if _, err := build(cert.RelBarbed, false, crt.Related, crt); err == nil {
+			t.Errorf("%s: relation mismatch accepted", name)
+		}
+		if _, err := build(cert.RelLabelled, true, crt.Related, crt); err == nil {
+			t.Errorf("%s: mode mismatch accepted", name)
+		}
+		if _, err := build(cert.RelLabelled, false, crt.Related, &long); !errors.Is(err, ErrTermTooLarge) {
+			t.Errorf("%s: over-bound term: err = %v, want ErrTermTooLarge", name, err)
+		}
 	}
-	if _, err := NewRecord(cert.RelBarbed, false, 0, 0, 0, crt.Related, 0, "", crt); err == nil {
-		t.Fatal("relation mismatch accepted")
+	want, err := NewRecord(cert.RelLabelled, false, 1, 2, 3, crt.Related, 4, "why", crt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewKeyedRecord(rec.Key, cert.RelLabelled, false, 1, 2, 3, crt.Related, 4, "why", crt)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewKeyedRecord = %+v, %v; NewRecord built %+v", got, err, want)
+	}
+	// A term that does not parse is the first read's to refuse.
+	unparsed := *crt
+	unparsed.P = "a!("
+	if _, err := NewKeyedRecord(rec.Key, cert.RelLabelled, false, 0, 0, 0, crt.Related, 0, "", &unparsed); err != nil {
+		t.Fatalf("NewKeyedRecord parsed a term: %v", err)
 	}
 }

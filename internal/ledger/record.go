@@ -96,15 +96,23 @@ const certTermBytes = 4 * MaxTermBytes
 // its bound.
 var ErrTermTooLarge = errors.New("ledger: certificate term too large")
 
+// checkTermBytes refuses a certificate with a term past its bound.
+func checkTermBytes(crt *cert.Certificate) error {
+	for _, t := range []string{crt.P, crt.Q} {
+		if len(t) > certTermBytes {
+			return fmt.Errorf("ledger: term %q is %d bytes (limit %d): %w",
+				parser.Excerpt(t), len(t), certTermBytes, ErrTermTooLarge)
+		}
+	}
+	return nil
+}
+
 // CertKey is the pair key of the pair crt proves: QueryKey of its relation,
 // mode and parsed terms. A term longer than four times MaxTermBytes is
 // refused before it is parsed.
 func CertKey(crt *cert.Certificate) (string, error) {
-	for _, t := range []string{crt.P, crt.Q} {
-		if len(t) > certTermBytes {
-			return "", fmt.Errorf("ledger: term %q is %d bytes (limit %d): %w",
-				parser.Excerpt(t), len(t), certTermBytes, ErrTermTooLarge)
-		}
+	if err := checkTermBytes(crt); err != nil {
+		return "", err
 	}
 	p, err := parser.Parse(crt.P)
 	if err != nil {
@@ -122,15 +130,25 @@ func CertKey(crt *cert.Certificate) (string, error) {
 // record cannot name a different pair than its evidence proves.
 func NewRecord(rel string, weak bool, maxPairs, maxClosure, maxSubs int,
 	related bool, pairs int, reason string, crt *cert.Certificate) (Record, error) {
-	if crt == nil {
-		return Record{}, fmt.Errorf("ledger: refusing to record an uncertified verdict")
-	}
-	if crt.Relation != rel || crt.Weak != weak || crt.Related != related {
-		return Record{}, fmt.Errorf("ledger: certificate (%s weak=%t related=%t) disagrees with verdict (%s weak=%t related=%t)",
-			crt.Relation, crt.Weak, crt.Related, rel, weak, related)
+	if err := refuseRecord(rel, weak, related, crt); err != nil {
+		return Record{}, err
 	}
 	key, err := CertKey(crt)
 	if err != nil {
+		return Record{}, err
+	}
+	return NewKeyedRecord(key, rel, weak, maxPairs, maxClosure, maxSubs, related, pairs, reason, crt)
+}
+
+// NewKeyedRecord is NewRecord for a caller that holds the pair key of the
+// verdict already: QueryKey of the pair it decided. It makes every refusal
+// of NewRecord that needs no parse, and parses no term, so nothing here
+// checks key against the certificate: the record's first read does
+// (VerifyRecord), and quarantines a record whose certificate terms derive
+// another key.
+func NewKeyedRecord(key string, rel string, weak bool, maxPairs, maxClosure, maxSubs int,
+	related bool, pairs int, reason string, crt *cert.Certificate) (Record, error) {
+	if err := refuseRecord(rel, weak, related, crt); err != nil {
 		return Record{}, err
 	}
 	raw, err := json.Marshal(crt)
@@ -144,6 +162,20 @@ func NewRecord(rel string, weak bool, maxPairs, maxClosure, maxSubs int,
 		MaxPairs: maxPairs, MaxClosure: maxClosure, MaxSubs: maxSubs,
 		Cert: raw,
 	}, nil
+}
+
+// refuseRecord is the error of a verdict that no record may carry: one
+// without a certificate, one its certificate disagrees with, or one whose
+// certificate names a term past the bound.
+func refuseRecord(rel string, weak, related bool, crt *cert.Certificate) error {
+	if crt == nil {
+		return fmt.Errorf("ledger: refusing to record an uncertified verdict")
+	}
+	if crt.Relation != rel || crt.Weak != weak || crt.Related != related {
+		return fmt.Errorf("ledger: certificate (%s weak=%t related=%t) disagrees with verdict (%s weak=%t related=%t)",
+			crt.Relation, crt.Weak, crt.Related, rel, weak, related)
+	}
+	return checkTermBytes(crt)
 }
 
 // Seal is the payload of one sealed Merkle batch: the records it covers, the

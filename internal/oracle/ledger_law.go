@@ -15,10 +15,11 @@ import (
 // through the full ledger lifecycle — record construction, append, seal,
 // process death (Close), and a fresh Open whose Replay verifies it — must come
 // back exactly as decided, with its certificate still accepted and a sealed
-// inclusion proof that verifies from the root alone. The law fires when any
-// of those layers drops, rejects or rewrites a verdict it should preserve;
-// disk-environment failures (no temp space, etc.) surface as engine errors,
-// never as violations.
+// inclusion proof that verifies from the root alone, under the key a query
+// on the pair looks it up by. The law fires when any of those layers drops,
+// rejects or rewrites a verdict it should preserve, or when the query key
+// and the certificate's key differ; disk-environment failures (no temp
+// space, etc.) surface as engine errors, never as violations.
 func lawLedgerRoundtrip() Law {
 	return Law{
 		Name:   "ledger/roundtrip",
@@ -47,6 +48,12 @@ func lawLedgerRoundtrip() Law {
 					r.Related, r.Pairs, r.Reason, r.Cert)
 				if err != nil {
 					return fmt.Sprintf("weak=%t: honest verdict refused by NewRecord: %v", weak, err), nil
+				}
+				// bpid writes a record under its query's key and the first
+				// read re-derives the key from the certificate: a pair whose
+				// keys differ would be quarantined in the next process.
+				if qk := ledger.QueryKey(cert.RelLabelled, weak, p, q); qk != rec.Key {
+					return fmt.Sprintf("weak=%t: query key %q differs from certificate key %q", weak, qk, rec.Key), nil
 				}
 				verdicts = append(verdicts, decided{weak: weak, res: r, rec: rec})
 			}

@@ -22,12 +22,14 @@ const maxBatchBodyBytes = 8 << 20
 //     batch sheds a deterministic suffix of its admission attempts, and a
 //     shed pair is reported as a typed item (429-class error body with
 //     retry_after_sec), never silently dropped;
-//   - admitted pairs execute concurrently on the workers and stream
-//     back in completion order, each tagged with its request index and
-//     the id of its own trace;
+//   - admitted pairs run in index order on min(admitted, Workers)
+//     goroutines of the batch, each taking the next pair when it finishes
+//     one, and stream back in completion order, each tagged with its
+//     request index and the id of its own trace;
 //   - each pair's deadline (its timeout_ms, or the default) starts when
-//     the batch arrives, and bounds its admission, its wait for a worker
-//     and its run;
+//     the batch arrives, and bounds its admission, its wait for a
+//     goroutine and a worker, and its run; a pair whose deadline passed
+//     before a goroutine took it answers deadline_exceeded unparsed;
 //   - the final line is a done=true trailer with the batch accounting; a
 //     stream without it was truncated by a transport failure.
 //
@@ -88,33 +90,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var succeeded, failed atomic.Int64
-	var wg sync.WaitGroup
+	// The admitted pairs queue in index order for the batch's goroutines.
+	work := make(chan int, len(tickets)-shed)
 	for i, t := range tickets {
 		if t == nil {
 			writeLine(BatchItem{Index: i, Error: sheds[i]})
-			continue
+		} else {
+			work <- i
 		}
+	}
+	close(work)
+	var succeeded, failed atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(work), s.cfg.workers()) {
 		wg.Add(1)
-		go func(i int, t *ticket) {
+		go func() {
 			defer wg.Done()
-			ctx := newDeadline(r.Context(), start.Add(s.timeout(req.Pairs[i].TimeoutMs)))
-			defer ctx.release()
-			tr := obs.NewWithLimit(traceLimit)
-			item := BatchItem{Index: i}
-			if eb := t.serve(ctx, func() {
-				item.Equiv, item.Error = s.runEquiv(ctx, &req.Pairs[i], tr)
-			}); eb != nil {
-				item.Error = eb
+			for i := range work {
+				item := s.batchItem(r, start, i, &req.Pairs[i], tickets[i])
+				if item.Error != nil {
+					failed.Add(1)
+				} else {
+					succeeded.Add(1)
+				}
+				writeLine(item)
 			}
-			item.TraceID = s.fileTrace(r.URL.Path, tr)
-			if item.Error != nil {
-				failed.Add(1)
-			} else {
-				succeeded.Add(1)
-			}
-			writeLine(item)
-		}(i, t)
+		}()
 	}
 	wg.Wait()
 	writeLine(BatchTrailer{
@@ -125,4 +126,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Shed:      shed,
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 	})
+}
+
+// batchItem runs admitted pair i of a batch that arrived at start under
+// ticket t, and files its trace.
+func (s *Server) batchItem(r *http.Request, start time.Time, i int, pair *EquivRequest, t *ticket) BatchItem {
+	ctx := newDeadline(r.Context(), start.Add(s.timeout(pair.TimeoutMs)))
+	defer ctx.release()
+	tr := obs.NewWithLimit(traceLimit)
+	item := BatchItem{Index: i}
+	if err := ctx.Err(); err != nil { // it passed while the pair waited for a goroutine
+		t.done(0)
+		item.Error = classify(err)
+	} else if eb := t.serve(ctx, func() {
+		item.Equiv, item.Error = s.runEquiv(ctx, pair, tr)
+	}); eb != nil {
+		item.Error = eb
+	}
+	item.TraceID = s.fileTrace(r.URL.Path, tr)
+	return item
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -184,6 +185,56 @@ func TestBatchStreamShape(t *testing.T) {
 	}
 	if !trailer.Done || trailer.Total != 2 || trailer.Succeeded != 2 {
 		t.Errorf("trailer %+v, want done=true total=2 succeeded=2", trailer)
+	}
+}
+
+// TestBatchRunsOnWorkerGoroutines: a batch runs its admitted pairs on at
+// most Workers goroutines, in index order, so 48 pairs queued behind a
+// held worker add a few goroutines, not one per pair; and the last pair,
+// whose deadline passes while it waits for a goroutine, answers
+// deadline_exceeded without its unparsable term being parsed.
+func TestBatchRunsOnWorkerGoroutines(t *testing.T) {
+	srv, _, cl := newTestServer(t, service.Config{Workers: 1})
+	release, eb := srv.Hold(true)
+	if eb != nil {
+		t.Fatal(eb)
+	}
+	const n = 48
+	var pairs []bpi.EquivRequest
+	for i := 0; i < n-1; i++ {
+		src := "w" + strconv.Itoa(i) + "!"
+		pairs = append(pairs, bpi.EquivRequest{P: src, Q: src, Rel: cert.RelLabelled, TimeoutMs: 30000})
+	}
+	pairs = append(pairs, bpi.EquivRequest{P: "a!(", Q: "a!", Rel: cert.RelLabelled, TimeoutMs: 20})
+
+	base := runtime.NumGoroutine()
+	type result struct {
+		res *bpi.BatchResult
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := cl.Batch(context.Background(), bpi.BatchRequest{Pairs: pairs})
+		done <- result{res, err}
+	}()
+	for srv.GateStats().Inflight < 1+n {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // the last pair's deadline passes
+	extra := runtime.NumGoroutine() - base
+	release()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if extra >= n/2 {
+		t.Errorf("a batch of %d pairs behind one held worker ran %d more goroutines", n, extra)
+	}
+	if tr := r.res.Trailer; tr.Succeeded != n-1 || tr.Failed != 1 {
+		t.Fatalf("trailer %+v, want %d succeeded and 1 failed", tr, n-1)
+	}
+	if last := r.res.Items[n-1]; last.Error == nil || last.Error.Code != service.CodeDeadline {
+		t.Fatalf("last pair: %+v, want deadline_exceeded without a parse", last)
 	}
 }
 

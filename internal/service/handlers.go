@@ -251,10 +251,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauges = s.gate.gauges(gauges)
 	// Engine counters from the daemon tracer, where every request's tracer
 	// folds its own, one labelled series per counter name (sorted for a
-	// stable exposition).
+	// stable exposition). The store.* counters are exported once, as the
+	// bpid_store_* series above.
 	cnames := make([]string, 0, len(counters))
 	for name := range counters {
-		cnames = append(cnames, name)
+		if !strings.HasPrefix(name, "store.") {
+			cnames = append(cnames, name)
+		}
 	}
 	sort.Strings(cnames)
 	for _, name := range cnames {

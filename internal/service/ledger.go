@@ -21,17 +21,21 @@ import (
 //     bpid_ledger_replayed_total. A record that fails is quarantined and
 //     counted (bpid_ledger_replay_rejected_total), never trusted, and the
 //     query is decided afresh.
-//   - write-behind append: runEquiv enqueues each fresh certified verdict on
-//     a bounded channel; a single writer goroutine derives the record from
-//     the certificate and appends it. A full queue drops the append (counted
-//     as dropped_appends) rather than stalling the request; fsync cost is
-//     paid by the ledger's batch sealer, never by a request.
+//   - write-behind append: runEquiv enqueues each fresh certified verdict,
+//     with the pair key it computed, on a bounded channel; a single writer
+//     goroutine builds the record under that key (ledger.NewKeyedRecord,
+//     which parses no term: the record's first read checks the key against
+//     the certificate) and appends it. A full queue drops the append
+//     (counted as dropped_appends) rather than stalling the request; fsync
+//     cost is paid by the ledger's batch sealer, never by a request.
 
 // ledgerQueueDepth bounds the write-behind append queue.
 const ledgerQueueDepth = 1024
 
-// pendingAppend carries one certified verdict from runEquiv to the writer.
+// pendingAppend carries one certified verdict from runEquiv to the writer,
+// under the pair key runEquiv computed for its query.
 type pendingAppend struct {
+	pairKey                       string
 	rel                           string
 	weak                          bool
 	maxPairs, maxClosure, maxSubs int
@@ -71,12 +75,12 @@ func (s *Server) fromLedger(pairKey string, req *EquivRequest) (EquivResponse, b
 }
 
 // ledgerAppender is the single write-behind goroutine: it owns record
-// construction (certificate term parsing included) so the request path pays
-// neither that cost nor any disk latency.
+// construction (the certificate's encoding included) so the request path
+// pays neither that cost nor any disk latency.
 func (s *Server) ledgerAppender() {
 	defer s.ledgerWG.Done()
 	for pa := range s.ledgerCh {
-		rec, err := ledger.NewRecord(pa.rel, pa.weak, pa.maxPairs, pa.maxClosure, pa.maxSubs,
+		rec, err := ledger.NewKeyedRecord(pa.pairKey, pa.rel, pa.weak, pa.maxPairs, pa.maxClosure, pa.maxSubs,
 			pa.resp.Related, pa.resp.Pairs, pa.resp.Reason, pa.resp.Certificate)
 		if err != nil {
 			s.ledgerDropped.Add(1)
@@ -89,12 +93,13 @@ func (s *Server) ledgerAppender() {
 }
 
 // recordVerdict enqueues one freshly computed certified verdict for
-// persistence. Non-blocking by contract: a full queue counts a drop.
-func (s *Server) recordVerdict(req *EquivRequest, resp *EquivResponse) {
+// persistence under pairKey, ledger.QueryKey of the request. Non-blocking
+// by contract: a full queue counts a drop.
+func (s *Server) recordVerdict(pairKey string, req *EquivRequest, resp *EquivResponse) {
 	if s.ledger == nil || resp.Certificate == nil {
 		return
 	}
-	pa := pendingAppend{rel: req.Rel, weak: req.Weak,
+	pa := pendingAppend{pairKey: pairKey, rel: req.Rel, weak: req.Weak,
 		maxPairs: req.MaxPairs, maxClosure: req.MaxClosure, maxSubs: req.MaxSubs, resp: *resp}
 	select {
 	case s.ledgerCh <- pa:

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -163,6 +164,67 @@ func TestLedgerWarmStart(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestLedgerWarmStartEveryRelation: every record the daemon writes, for
+// each of the five relations strong and weak, passes its first read in the
+// next process. The daemon writes a record under the pair key of its query
+// (QueryKey), and the first read re-derives the key from the certificate
+// (CertKey), so a relation whose two keys differed would be quarantined
+// here instead of answering from the ledger.
+func TestLedgerWarmStartEveryRelation(t *testing.T) {
+	dir := t.TempDir()
+	queries := []string{
+		`{"p":"a?|a?","q":"a?.a?","rel":"labelled"}`,
+		`{"p":"c?(x).nu z.x!(z) | b!","q":"b! | c?(y).nu w.y!(w)","rel":"labelled","weak":true}`,
+		`{"p":"nu x.a!(x)","q":"nu y.a!(y)","rel":"barbed"}`,
+		`{"p":"tau.tau.c!","q":"c!","rel":"barbed","weak":true}`,
+		`{"p":"a!.b!","q":"a!.c!","rel":"step"}`,
+		`{"p":"tau.a!(b)","q":"a!(b)","rel":"step","weak":true}`,
+		`{"p":"a?(x).x! | a?","q":"a?(y).y! | a?()","rel":"onestep"}`,
+		`{"p":"tau.a!","q":"a!","rel":"onestep","weak":true}`,
+		`{"p":"[a=b]c!","q":"0","rel":"congruence"}`,
+		`{"p":"a?(x).[x=b]c!","q":"a?(y).tau.0","rel":"congruence","weak":true}`,
+	}
+	ask := func(ts *httptest.Server, q string) service.EquivResponse {
+		t.Helper()
+		resp, body := post(t, ts, "/v1/equiv", q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", q, resp.StatusCode, body)
+		}
+		var er service.EquivResponse
+		if err := json.Unmarshal([]byte(body), &er); err != nil {
+			t.Fatal(err)
+		}
+		return er
+	}
+
+	led1 := openLedger(t, dir)
+	srv1, ts1, _ := newTestServer(t, service.Config{Ledger: led1})
+	keys := make([]string, len(queries))
+	for i, q := range queries {
+		if keys[i] = ask(ts1, q).LedgerKey; keys[i] == "" {
+			t.Fatalf("%s: no ledger_key", q)
+		}
+	}
+	if err := srv1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := led1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	led2 := openLedger(t, dir)
+	defer led2.Close()
+	_, ts2, _ := newTestServer(t, service.Config{Ledger: led2})
+	for i, q := range queries {
+		if er := ask(ts2, q); !er.Cached || er.LedgerKey != keys[i] {
+			t.Errorf("%s: cached=%t ledger_key %s, want an answer from record %s", q, er.Cached, er.LedgerKey, keys[i])
+		}
+	}
+	if st := led2.Stats(); st.Records != len(queries) || st.Rejected != 0 {
+		t.Fatalf("stats: %+v; rejections: %v", st, led2.Rejections())
 	}
 }
 

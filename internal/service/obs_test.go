@@ -152,7 +152,8 @@ func TestPprofEndpoints(t *testing.T) {
 }
 
 // TestMetricsEngineEvents asserts that engine counters from served
-// requests surface as bpid_engine_events_total series on /metrics.
+// requests surface as bpid_engine_events_total series on /metrics, and the
+// store counters once, as the bpid_store_* series only.
 func TestMetricsEngineEvents(t *testing.T) {
 	_, ts, client := newTestServer(t, service.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -172,11 +173,14 @@ func TestMetricsEngineEvents(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		`bpid_engine_events_total{name="equiv.pairs_expanded"}`,
-		`bpid_engine_events_total{name="store.intern_misses"}`,
+		"bpid_store_intern_misses_total",
 		"bpid_trace_spans_dropped_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition lacks %s", want)
 		}
+	}
+	if strings.Contains(text, `name="store.`) {
+		t.Errorf("metrics exposition exports a store counter twice:\n%s", text)
 	}
 }

@@ -12,6 +12,9 @@
 //     429 sheds (queue_full, deadline_budget, draining) for the rest;
 //     a request's engine budgets and its term store belong to the Checker
 //     it is decided on, so both are request-scoped;
+//   - a batch admits its items upfront, then runs the admitted ones in
+//     index order on min(admitted, Workers) goroutines of its own, each
+//     taking the next item when it finishes one (batch.go);
 //   - each request has one deadline, set on arrival: admission sheds on
 //     it, the wait for a worker gives up at it, and it is threaded as
 //     context.Context cancellation into the pair engine's BFS loop and the
@@ -131,7 +134,7 @@ type Server struct {
 	// store mirrors its reuse counters here (the bpid_store_* series sum
 	// them), and every request's own tracer folds its engine counters in
 	// when the work ends (exported as bpid_engine_events_total on
-	// /metrics).
+	// /metrics, the store counters left out).
 	obs *obs.Tracer
 	// traces keeps the span trees of the last gated requests.
 	traces traceRing
@@ -309,7 +312,7 @@ func (s *Server) runEquiv(ctx context.Context, req *EquivRequest, tr *obs.Tracer
 		resp.LedgerKey = ledger.KeyHash(pairKey)
 	}
 	s.cache.put(key, resp)
-	s.recordVerdict(req, &resp)
+	s.recordVerdict(pairKey, req, &resp)
 	return reply(req, resp, false), nil
 }
 
